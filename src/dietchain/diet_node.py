@@ -101,7 +101,7 @@ class DietNode:
         self.params = params
         self.config = config
         self.transport = transport
-        self.headers = HeaderIndex()
+        self.headers = HeaderIndex(params.target_bits)
         self.highest_verified = 0
         self.bytes_by_type: dict[str, int] = {}
         self._challenges = {hash256(k) for k in config.keys}

@@ -23,7 +23,7 @@ from .chain import (
 )
 from .crypto import BloomFilter, hash256, verify
 from .errors import ValidationError
-from .headers import HeaderIndex
+from .headers import HeaderIndex, check_header
 from .merkle import PartialMerkleTree, build_root, extract_partial
 from .utxo import Coin, Shard, VersionedShardStore, coins_of
 
@@ -126,30 +126,40 @@ def commitment_of(block: Block) -> bytes:
 
 
 def check_block_structure(block: Block) -> None:
+    height = block.header.height
     if not block.transactions:
-        raise ValidationError("bad-structure", "block has no transactions",
-                              height=block.header.height)
+        raise ValidationError("bad-structure", "block has no transactions", height=height)
     if not block.transactions[0].is_coinbase:
         raise ValidationError("bad-structure", "first transaction is not a coinbase",
-                              height=block.header.height)
+                              height=height)
+    if block.transactions[0].version != height:
+        raise ValidationError("bad-coinbase", "coinbase version is not the block height",
+                              height=height)
     for tx in block.transactions[1:]:
         if any(i.prevout.is_coinbase_marker for i in tx.inputs):
             raise ValidationError("bad-structure", "coinbase marker outside the coinbase",
-                                  height=block.header.height)
-    if tx_merkle_root(block.transactions) != block.header.tx_mroot:
-        raise ValidationError("tx-mroot-mismatch", height=block.header.height)
+                                  height=height)
+    tx_ids = [txid(tx) for tx in block.transactions]
+    # The tx tree pairs an odd last node with itself, so repeating the
+    # last transactions keeps the root: such a body must not count as
+    # the block's (CVE-2012-2459).
+    if len(set(tx_ids)) != len(tx_ids):
+        raise ValidationError("bad-structure", "duplicate transaction", height=height)
+    if build_root(tx_ids) != block.header.tx_mroot:
+        raise ValidationError("tx-mroot-mismatch", height=height)
 
 
 @dataclass
 class FullNode:
     params: ChainParams
     check_commitments: bool = True  # off: interop with chains that do not commit
-    headers: HeaderIndex = field(init=False, default_factory=HeaderIndex)
+    headers: HeaderIndex = field(init=False)
     blocks: dict[bytes, Block] = field(init=False, default_factory=dict)
     utxo: VersionedShardStore = field(init=False)
     mempool: list[Transaction] = field(init=False, default_factory=list)
 
     def __post_init__(self):
+        self.headers = HeaderIndex(self.params.target_bits)
         self.utxo = VersionedShardStore(
             initial_k=self.params.initial_k, size_cap=self.params.size_cap)
 
@@ -184,12 +194,11 @@ class FullNode:
 
         if extends_tip:
             try:
-                staged = self._validate_and_stage(block)
+                self._validate_and_apply(block)
             except ValidationError as exc:
                 return ConnectResult("rejected", exc.code, height)
             self.headers.add(block.header)
             self.blocks[hh] = block
-            self.utxo = staged
             self._drop_mined_from_mempool(block)
             return ConnectResult("accepted", height=height)
 
@@ -205,9 +214,11 @@ class FullNode:
             return ConnectResult("branch", height=height)
         return self._reorganize(old_tip, block)
 
-    def _validate_and_stage(self, block: Block) -> VersionedShardStore:
-        """Fully validate a tip-extending block; returns the store to adopt."""
-        self._validate_header_linkage(block.header)
+    def _validate_and_apply(self, block: Block) -> None:
+        """Fully validate a block on the current state and apply it in
+        place; a rejected block leaves the store as it was."""
+        header = block.header
+        check_header(header, self.headers.parent_of(header), self.params.target_bits)
         view = _OverlayView(self.utxo)
         fees = 0
         for tx in block.transactions[1:]:
@@ -218,50 +229,44 @@ class FullNode:
         if reward > self.params.subsidy + fees:
             raise ValidationError("bad-coinbase-value",
                                   f"reward {reward} exceeds subsidy plus fees",
-                                  height=block.header.height)
-        staged = self.utxo.clone()
-        root, _ = staged.apply_block(block, block.header.height)
-        if self.check_commitments and root != commitment_of(block):
-            raise ValidationError("utxo-root-mismatch", height=block.header.height)
-        return staged
-
-    def _validate_header_linkage(self, header: BlockHeader) -> None:
-        # Raises the same codes HeaderIndex.add would, without mutating it.
-        scratch = HeaderIndex()
-        scratch.headers = dict(self.headers.headers)
-        scratch.work = dict(self.headers.work)
-        scratch.tip = self.headers.tip
-        scratch.add(header)
+                                  height=header.height)
+        committed = commitment_of(block) if self.check_commitments else None
+        root, _ = self.utxo.apply_block(block, header.height)
+        if committed is not None and root != committed:
+            self.utxo.undo_block()
+            raise ValidationError("utxo-root-mismatch", height=header.height)
 
     def _reorganize(self, old_tip: bytes, new_block: Block) -> ConnectResult:
         new_tip = self.headers.tip
         fork = self.headers.fork_height(old_tip, new_tip)
-        fork_block = self.blocks[self.headers.active_hash_at(fork)]
-        rewound = self.utxo
-        self.utxo = self.utxo.clone()
-        self.utxo.rewind_to(fork, fork_block)
-        for hh in self.headers.active_chain()[fork + 1:]:
-            block = self.blocks[hh]
+        old_branch = self._branch_above(old_tip, fork)
+        self.utxo.rewind_to(fork)
+        for height in range(fork + 1, self.headers.tip_height + 1):
+            block = self.blocks[self.headers.active_hash_at(height)]
             try:
-                self.utxo = self._validate_and_stage(block)
+                self._validate_and_apply(block)
             except ValidationError as exc:
                 # The heavier branch is invalid: forget it and restore.
-                bad_height = block.header.height
-                self._discard_branch(new_tip, fork)
-                self.headers.tip = old_tip
-                self.headers._active = self.headers._branch_of(old_tip)
-                self.utxo = rewound
-                return ConnectResult("rejected", exc.code, bad_height)
+                self.utxo.rewind_to(fork)
+                for hh in reversed(old_branch):
+                    old = self.blocks[hh]
+                    self.utxo.apply_block(old, old.header.height)
+                for hh in self._branch_above(new_tip, fork):
+                    del self.headers.headers[hh]
+                    del self.headers.work[hh]
+                    self.blocks.pop(hh, None)
+                self.headers.set_tip(old_tip)
+                return ConnectResult("rejected", exc.code, height)
         return ConnectResult("accepted", height=new_block.header.height)
 
-    def _discard_branch(self, tip: bytes, fork: int) -> None:
+    def _branch_above(self, tip: bytes, fork: int) -> list[bytes]:
+        """Hashes from ``tip`` down to the block just above height ``fork``."""
+        branch = []
         cursor = tip
         while self.headers.headers[cursor].height > fork:
-            parent = self.headers.headers[cursor].prev_hash
-            del self.headers.headers[cursor]
-            del self.headers.work[cursor]
-            self.blocks.pop(cursor, None)
-            cursor = parent
+            branch.append(cursor)
+            cursor = self.headers.headers[cursor].prev_hash
+        return branch
 
     def _drop_mined_from_mempool(self, block: Block) -> None:
         mined = {txid(tx) for tx in block.transactions}

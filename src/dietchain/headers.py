@@ -12,8 +12,31 @@ from .chain import BlockHeader, ZERO32, block_work, header_hash, pow_ok
 from .errors import ValidationError
 
 
+def is_genesis(header: BlockHeader) -> bool:
+    return header.prev_hash == ZERO32 and header.height == 0
+
+
+def check_header(header: BlockHeader, parent: BlockHeader | None, target_bits: int) -> None:
+    """Context checks of a header against its parent (None: not indexed).
+
+    Raises ValidationError with code 'pow-failure', 'bad-target',
+    'unknown-parent' or 'bad-height'.
+    """
+    if not pow_ok(header):
+        raise ValidationError("pow-failure", height=header.height)
+    if header.target_bits != target_bits:
+        raise ValidationError("bad-target", f"target_bits {header.target_bits}, "
+                              f"the chain requires {target_bits}", height=header.height)
+    if parent is None:
+        if not is_genesis(header):
+            raise ValidationError("unknown-parent", height=header.height)
+    elif header.height != parent.height + 1:
+        raise ValidationError("bad-height", height=header.height)
+
+
 class HeaderIndex:
-    def __init__(self):
+    def __init__(self, target_bits: int):
+        self.target_bits = target_bits
         self.headers: dict[bytes, BlockHeader] = {}
         self.work: dict[bytes, int] = {}
         self.tip: bytes | None = None
@@ -28,44 +51,42 @@ class HeaderIndex:
             raise ValidationError("unknown-block", "header index is empty")
         return self.headers[self.tip].height
 
+    def parent_of(self, header: BlockHeader) -> BlockHeader | None:
+        """The indexed parent of a header; None for a genesis or an orphan."""
+        return None if is_genesis(header) else self.headers.get(header.prev_hash)
+
     def add(self, header: BlockHeader) -> bytes:
         """Validate and index a header; returns its hash.
 
-        Raises ValidationError with code 'pow-failure', 'unknown-parent',
-        or 'bad-height'. Re-adding a known header is a no-op.
+        Raises ValidationError as check_header does. Re-adding a known
+        header is a no-op.
         """
         hh = header_hash(header)
         if hh in self.headers:
             return hh
-        if not pow_ok(header):
-            raise ValidationError("pow-failure", height=header.height)
-        if header.prev_hash == ZERO32 and header.height == 0:
-            parent_work = 0
-        elif header.prev_hash not in self.headers:
-            raise ValidationError("unknown-parent", height=header.height)
-        else:
-            parent = self.headers[header.prev_hash]
-            if header.height != parent.height + 1:
-                raise ValidationError("bad-height", height=header.height)
-            parent_work = self.work[header.prev_hash]
+        parent = self.parent_of(header)
+        check_header(header, parent, self.target_bits)
         self.headers[hh] = header
+        parent_work = 0 if parent is None else self.work[header.prev_hash]
         self.work[hh] = parent_work + block_work(header)
         if self.tip is None or self.work[hh] > self.work[self.tip]:
-            self.tip = hh
-            self._active = self._branch_of(hh)
+            self.set_tip(hh)
         return hh
 
-    def _branch_of(self, block_hash: bytes) -> list[bytes]:
+    def set_tip(self, block_hash: bytes) -> None:
+        """Make an indexed block the tip, re-pointing the active chain
+        from its first active ancestor up; O(1) when it extends the tip."""
         branch = []
         cursor = block_hash
-        while True:
+        while not self.on_active_chain(cursor):
             branch.append(cursor)
             header = self.headers[cursor]
-            if header.prev_hash == ZERO32 and header.height == 0:
+            if is_genesis(header):
                 break
             cursor = header.prev_hash
-        branch.reverse()
-        return branch
+        del self._active[self.headers[block_hash].height + 1 - len(branch):]
+        self._active.extend(reversed(branch))
+        self.tip = block_hash
 
     def active_chain(self) -> list[bytes]:
         return list(self._active)
@@ -85,16 +106,9 @@ class HeaderIndex:
         return self.headers[self.active_hash_at(height)]
 
     def fork_height(self, a: bytes, b: bytes) -> int:
-        """Height of the deepest common ancestor of two indexed blocks."""
-        seen = set()
-        cursor = a
-        while True:
-            seen.add(cursor)
-            header = self.headers[cursor]
-            if header.prev_hash == ZERO32 and header.height == 0:
-                break
-            cursor = header.prev_hash
-        cursor = b
-        while cursor not in seen:
-            cursor = self.headers[cursor].prev_hash
-        return self.headers[cursor].height
+        """Height of the deepest common ancestor of an indexed block ``a``
+        and a block ``b`` on the active chain. Walks from ``a`` only down
+        to its first active ancestor."""
+        while not self.on_active_chain(a):
+            a = self.headers[a].prev_hash
+        return min(self.headers[a].height, self.headers[b].height)

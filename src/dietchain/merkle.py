@@ -56,6 +56,23 @@ def build_root(leaves: list[bytes]) -> bytes:
     return build_levels(leaves)[-1][0]
 
 
+def pack_levels(leaves: list[bytes]) -> list[bytearray]:
+    """build_levels with each level packed into one buffer of 32-byte nodes."""
+    return [bytearray(b"".join(level)) for level in build_levels(leaves)]
+
+
+def update_levels(levels: list[bytearray], changed: dict[int, bytes]) -> None:
+    """Set leaves of packed ``levels`` (from pack_levels over a power of
+    two leaves) in place and re-hash only the nodes on their paths."""
+    for i, leaf in changed.items():
+        levels[0][32 * i:32 * i + 32] = leaf
+    frontier = set(changed)
+    for below, layer in zip(levels, levels[1:]):
+        frontier = {i >> 1 for i in frontier}
+        for j in frontier:
+            layer[32 * j:32 * j + 32] = hash256(below[64 * j:64 * j + 64])
+
+
 @dataclass(frozen=True)
 class MerkleTree:
     levels: tuple[tuple[bytes, ...], ...]

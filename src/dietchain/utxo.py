@@ -20,11 +20,22 @@ Two rules shape the commitment:
   average fits. The split runs before root computation, so committed
   roots always describe the post-split tree, and it is a pure function
   of the coin set, so any verifier holding all shards can replay it.
+
+Blocks are applied in place. The store keeps every level of its shard
+tree, so a block re-hashes only the paths above the shards it touched;
+a split rebuilds the tree once. The history doubles as the undo log:
+``undo_block`` drops the newest block's log entries and reloads the
+shards it changed from their previous versions, which returns the store
+exactly to its state before that block. Only the ``pending`` list each
+block replaced is kept apart. Previewing a block's root, dropping a
+block whose commitment is wrong and switching branches are all
+apply-then-undo; nothing copies the store.
 """
 
 from __future__ import annotations
 
 import bisect
+import copy
 import struct
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
@@ -32,7 +43,7 @@ from typing import Iterator, NamedTuple
 from .chain import KIND_PAYMENT, OutPoint, Reader, Transaction, txid
 from .crypto import hash256
 from .errors import DecodeError, HistoryUnavailableError, InconsistentStateError
-from .merkle import PartialMerkleTree, build_root, extract_partial
+from .merkle import PartialMerkleTree, extract_partial, pack_levels, update_levels
 
 COIN_SIZE = 76
 EMPTY_SHARD_BYTES = b"\x00\x00"
@@ -94,13 +105,10 @@ class Shard:
 
 def decode_shard(data: bytes, index: int) -> Shard:
     r = Reader(data)
-    count = r.u16()
-    coins = []
-    for _ in range(count):
-        tid = r.take(32)
-        idx, value = struct.unpack("<IQ", r.take(12))
-        coins.append(Coin(OutPoint(tid, idx), value, r.take(32)))
+    body = r.take(COIN_SIZE * r.u16())
     r.done()
+    coins = [Coin(OutPoint(tid, n), value, challenge)
+             for tid, n, value, challenge in struct.iter_unpack("<32sIQ32s", body)]
     if coins != sorted(coins):
         raise DecodeError("shard coins out of order", len(data))
     return Shard(index=index, coins=tuple(coins))
@@ -132,14 +140,17 @@ class VersionedShardStore:
     shards: dict[int, list[Coin]] = field(init=False)
     pending: list[Coin] = field(init=False, default_factory=list)
     height: int | None = field(init=False, default=None)
-    current_root: bytes = field(init=False)
-    # (k, shard index) -> [(height, encoded shard bytes)] in height order
-    versions: dict[tuple[int, int], list[tuple[int, bytes]]] = field(init=False, default_factory=dict)
+    # (k, shard index) -> ((height, encoded shard bytes), ...) in height order;
+    # tuples hold the append-only history at its exact size
+    versions: dict[tuple[int, int], tuple[tuple[int, bytes], ...]] = field(
+        init=False, default_factory=dict)
     root_log: dict[int, bytes] = field(init=False, default_factory=dict)
     touched_log: dict[int, TouchedRecord] = field(init=False, default_factory=dict)
     policy_log: list[tuple[int, int]] = field(init=False, default_factory=list)
     rebalance_log: list[RebalanceStep] = field(init=False, default_factory=list)
-    _leaf_cache: dict[int, bytes] = field(init=False, default_factory=dict)
+    _levels: list[bytearray] = field(init=False)  # packed shard tree, leaves first
+    _coin_count: int = field(init=False, default=0)
+    _undo_pending: list[list[Coin]] = field(init=False, default_factory=list)  # per block
 
     def __post_init__(self):
         if not 0 <= self.initial_k <= 32:
@@ -148,10 +159,13 @@ class VersionedShardStore:
             raise ValueError("size_cap must be positive")
         self.k = self.initial_k
         self.shards = {i: [] for i in range(1 << self.k)}
-        self._refresh_all_leaves()
-        self.current_root = build_root([self._leaf_cache[i] for i in range(1 << self.k)])
+        self._levels = pack_levels([shard_leaf_hash(EMPTY_SHARD_BYTES)] * (1 << self.k))
 
     # -- current-state queries -------------------------------------------
+
+    @property
+    def current_root(self) -> bytes:
+        return bytes(self._levels[-1])
 
     def get_coin(self, outpoint: OutPoint) -> Coin | None:
         """Look up a spendable coin, including not-yet-committed rewards."""
@@ -170,7 +184,7 @@ class VersionedShardStore:
         yield from self.pending
 
     def total_shard_bytes(self) -> int:
-        return sum(2 + COIN_SIZE * len(self.shards[i]) for i in range(1 << self.k))
+        return 2 * (1 << self.k) + COIN_SIZE * self._coin_count
 
     def average_shard_bytes(self) -> float:
         return self.total_shard_bytes() / (1 << self.k)
@@ -194,28 +208,26 @@ class VersionedShardStore:
         The caller must have validated the block: missing inputs here are
         an InconsistentStateError, not a verdict.
         """
-        if self.height is not None and height != self.height + 1:
-            raise InconsistentStateError(
-                f"expected height {self.height + 1}, got {height}")
-        if self.height is None and height != 0:
-            raise InconsistentStateError("first applied block must have height 0")
         coinbase = block.transactions[0]
         if not coinbase.is_coinbase:
             raise InconsistentStateError("block does not start with a coinbase")
         root = self._apply_core(list(block.transactions[1:]), height)
         self.pending = coins_of(coinbase)
-        self.height = height
         return root, self.touched_log[height].indices
 
     def preview_root(self, txs: list[Transaction], height: int) -> bytes:
-        """The root a block with these non-coinbase txs would commit,
-        without touching this store."""
-        return self.clone()._apply_core(txs, height)
+        """The root a block with these non-coinbase txs would commit;
+        the store is left as it was."""
+        root = self._apply_core(txs, height)
+        self.undo_block()
+        return root
 
     def _apply_core(self, txs: list[Transaction], height: int) -> bytes:
-        changed: set[int] = set()
-        for coin in self.pending:
-            changed.add(self._insert(coin))
+        expected = 0 if self.height is None else self.height + 1
+        if height != expected:
+            raise InconsistentStateError(f"expected height {expected}, got {height}")
+        changed = {self._insert(coin) for coin in self.pending}
+        self._undo_pending.append(self.pending)
         self.pending = []
         for tx in txs:
             for inp in tx.inputs:
@@ -237,19 +249,79 @@ class VersionedShardStore:
             self.policy_log.append((height, self.k))
             changed = set(range(1 << self.k))
 
+        leaves = {}
         for idx in sorted(changed):
             encoded = encode_shard_coins(self.shards[idx])
-            self.versions.setdefault((self.k, idx), []).append((height, encoded))
-            self._leaf_cache[idx] = shard_leaf_hash(encoded)
-        root = build_root([self._leaf_cache[i] for i in range(1 << self.k)])
-        self.current_root = root
-        self.root_log[height] = root
+            key = (self.k, idx)
+            self.versions[key] = self.versions.get(key, ()) + ((height, encoded),)
+            leaves[idx] = shard_leaf_hash(encoded)
+        if rebalanced:
+            self._levels = pack_levels([leaves[i] for i in range(1 << self.k)])
+        else:
+            update_levels(self._levels, leaves)
+        self.height = height
+        self.root_log[height] = self.current_root
         self.touched_log[height] = TouchedRecord(
             indices=frozenset(range(1 << k_before)) if rebalanced else frozenset(changed),
             k=k_before,
             rebalanced=rebalanced,
         )
-        return root
+        return self.current_root
+
+    def undo_block(self) -> None:
+        """Reverse the newest applied block, leaving the store exactly as
+        it was before it, history included. The shards it changed are
+        reloaded from their previous versions."""
+        if self.height is None:
+            raise HistoryUnavailableError("no applied block to undo")
+        height = self.height
+        del self.root_log[height]
+        record = self.touched_log.pop(height)
+        for idx in range(1 << self.k) if record.rebalanced else record.indices:
+            key = (self.k, idx)
+            if len(self.versions[key]) > 1:
+                self.versions[key] = self.versions[key][:-1]
+            else:
+                del self.versions[key]
+        if record.rebalanced:
+            self.policy_log.pop()
+            while self.rebalance_log and self.rebalance_log[-1].height == height:
+                self.rebalance_log.pop()
+            live = [coin for coins in self.shards.values() for coin in coins]
+            self.k = record.k
+            self.shards, self._coin_count = {}, 0
+            leaves = self._reload(range(1 << self.k), height - 1, live)
+            self._levels = pack_levels([leaves[i] for i in range(1 << self.k)])
+        else:
+            live = [coin for idx in record.indices for coin in self.shards[idx]]
+            update_levels(self._levels, self._reload(record.indices, height - 1, live))
+        self.pending = self._undo_pending.pop()
+        self.height = height - 1 if height else None
+
+    def _reload(self, indices, height: int, live: list[Coin]) -> dict[int, bytes]:
+        """Set shards to their versions as of ``height``; returns their leaf
+        hashes. Coins still ``live`` keep their objects, which share bytes
+        with the transactions that created them."""
+        live_at = {coin.outpoint: coin for coin in live}
+        leaves = {}
+        for idx in indices:
+            encoded = self._version_at(self.k, idx, height)
+            coins = [live_at.get(c.outpoint, c) for c in decode_shard(encoded, idx).coins]
+            self._coin_count += len(coins) - len(self.shards.get(idx, ()))
+            self.shards[idx] = coins
+            leaves[idx] = shard_leaf_hash(encoded)
+        return leaves
+
+    def rewind_to(self, height: int) -> None:
+        """Undo blocks until ``height`` is the newest applied one."""
+        if self.height is None or not 0 <= height <= self.height:
+            raise HistoryUnavailableError(f"cannot rewind to height {height}")
+        while self.height > height:
+            self.undo_block()
+
+    def clone(self) -> "VersionedShardStore":
+        """An independent deep copy; block application never needs one."""
+        return copy.deepcopy(self)
 
     def _insert(self, coin: Coin) -> int:
         idx = shard_key(coin.outpoint.txid, self.k)
@@ -258,6 +330,7 @@ class VersionedShardStore:
         if i < len(shard) and shard[i].outpoint == coin.outpoint:
             raise InconsistentStateError(f"duplicate coin {coin.outpoint}")
         shard.insert(i, coin)
+        self._coin_count += 1
         return idx
 
     def _remove(self, outpoint: OutPoint) -> int:
@@ -267,6 +340,7 @@ class VersionedShardStore:
         if i >= len(shard) or shard[i].outpoint != outpoint:
             raise InconsistentStateError(f"spent coin {outpoint} not in store")
         del shard[i]
+        self._coin_count -= 1
         return idx
 
     def _split(self) -> None:
@@ -279,13 +353,6 @@ class VersionedShardStore:
                 new_shards[shard_key(coin.outpoint.txid, new_k)].append(coin)
         self.k = new_k
         self.shards = new_shards  # per-shard order survives: the split preserves it
-        self._refresh_all_leaves()
-
-    def _refresh_all_leaves(self) -> None:
-        self._leaf_cache = {
-            i: shard_leaf_hash(encode_shard_coins(self.shards[i]))
-            for i in range(1 << self.k)
-        }
 
     # -- history ----------------------------------------------------------
 
@@ -307,49 +374,7 @@ class VersionedShardStore:
         return shards, partial
 
     def _version_at(self, k: int, index: int, height: int) -> bytes:
-        for h, encoded in reversed(self.versions.get((k, index), [])):
+        for h, encoded in reversed(self.versions.get((k, index), ())):
             if h <= height:
                 return encoded
         return EMPTY_SHARD_BYTES
-
-    # -- branch switching ---------------------------------------------------
-
-    def clone(self) -> "VersionedShardStore":
-        other = VersionedShardStore(initial_k=self.initial_k, size_cap=self.size_cap)
-        other.k = self.k
-        other.shards = {i: list(coins) for i, coins in self.shards.items()}
-        other.pending = list(self.pending)
-        other.height = self.height
-        other.current_root = self.current_root
-        other.versions = {key: list(entries) for key, entries in self.versions.items()}
-        other.root_log = dict(self.root_log)
-        other.touched_log = dict(self.touched_log)
-        other.policy_log = list(self.policy_log)
-        other.rebalance_log = list(self.rebalance_log)
-        other._leaf_cache = dict(self._leaf_cache)
-        return other
-
-    def rewind_to(self, height: int, block) -> None:
-        """Drop all state above ``height``; ``block`` is the block at that
-        height (its reward coins become pending again)."""
-        if self.height is None or height > self.height or height not in self.root_log:
-            raise HistoryUnavailableError(f"cannot rewind to height {height}")
-        for key in list(self.versions):
-            entries = [(h, enc) for h, enc in self.versions[key] if h <= height]
-            if entries:
-                self.versions[key] = entries
-            else:
-                del self.versions[key]
-        self.root_log = {h: r for h, r in self.root_log.items() if h <= height}
-        self.touched_log = {h: t for h, t in self.touched_log.items() if h <= height}
-        self.policy_log = [(h, k) for h, k in self.policy_log if h <= height]
-        self.rebalance_log = [s for s in self.rebalance_log if s.height <= height]
-        self.k = self.k_at(height)
-        self.shards = {}
-        for i in range(1 << self.k):
-            encoded = self._version_at(self.k, i, height)
-            self.shards[i] = list(decode_shard(encoded, i).coins)
-        self.pending = coins_of(block.transactions[0])
-        self.current_root = self.root_log[height]
-        self.height = height
-        self._refresh_all_leaves()

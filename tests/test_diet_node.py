@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import dataclasses
+
+import pytest
 from conftest import FAST, key_of, mined_node, payment
 
 from dietchain.chain import ChainParams
 from dietchain.diet_node import DietConfig, DietNode, compute_verification_range
+from dietchain.errors import ValidationError
 from dietchain.full_node import FullNode
-from dietchain.miner import mine_on
+from dietchain.miner import assemble_block, mine_on, node_template
 from dietchain.netsim import Bus, BusTransport, FullNodeService
 
 ALICE = key_of("alice")
@@ -185,3 +189,16 @@ def test_tampered_merkle_proof_is_rejected():
     # the substituted transaction is not under the header's tx root
     rejected = [v for v in result.verdicts if v.status == "rejected"]
     assert rejected and rejected[0].reason == "proof-mismatch"
+
+
+def test_zero_target_header_is_refused():
+    node = mined_node(FAST, ALICE, 4, seed=46)
+    diet = _wire(node, DietConfig(keys=(CAROL.public_key,)))
+    diet.update_chain()
+    template = dataclasses.replace(node_template(node, ALICE.public_key), target_bits=0)
+    free = assemble_block(template, node.utxo)  # nonce 0 meets a zero target
+    with pytest.raises(ValidationError) as info:
+        diet.headers.add(free.header)
+    assert info.value.code == "bad-target"
+    diet.ingest_headers([free.header])
+    assert diet.headers.tip == node.tip_hash

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from dietchain.chain import (
     KIND_COMMITMENT,
     KIND_PAYMENT,
     Transaction,
+    TxInput,
     TxOutput,
     ZERO32,
     block_hash,
@@ -252,11 +254,18 @@ def test_reorg_rejects_branch_with_invalid_body():
     assert branch.connect_block(forged1).accepted
 
     forged2 = mine_on(branch, BOB.public_key, seed=615)
+    store = node.utxo
+    before = (node.headers.active_chain(), store.root_log.copy(), store.touched_log.copy(),
+              dict(store.versions), list(store.pending),
+              sorted(store.all_coins()))
     node.connect_block(forged1)
     result = node.connect_block(forged2)
     assert not result.accepted
     assert result.reason == "utxo-root-mismatch"
     assert node.tip_hash == old_tip  # state restored
+    assert (node.headers.active_chain(), store.root_log, store.touched_log, store.versions,
+            store.pending, sorted(store.all_coins())) == before
+    assert block_hash(forged1) not in node.blocks
 
 
 def test_query_merkle_blocks_filters_and_proves():
@@ -324,3 +333,78 @@ def test_query_proof_size_beats_full_snapshot():
     shards, _ = node.utxo.state_before(block.header.height, set(range(1 << k)))
     full_bytes = sum(len(s.encode()) for s in shards.values())
     assert proof_bytes < full_bytes / 2
+
+
+def _spend_to(coin, owner, challenge) -> Transaction:
+    tx = Transaction(
+        version=0,
+        inputs=(TxInput(prevout=coin.outpoint, public_key=owner.public_key,
+                        signature=b"\x00" * 64),),
+        outputs=(TxOutput(value=coin.value - 1, kind=KIND_PAYMENT, payload=challenge),),
+    )
+    signature = owner.sign(sighash(tx))
+    return tx._replace(inputs=(tx.inputs[0]._replace(signature=signature),))
+
+
+def test_body_with_duplicated_last_tx_cannot_shadow_the_real_block():
+    node = mined_node(FAST, ALICE, 3, seed=118)
+    branch = FullNode(FAST)
+    for h in node.headers.active_chain()[:-1]:
+        branch.connect_block(node.blocks[h])
+    for coin in coins_owned(branch, ALICE)[:2]:
+        branch.submit_transaction(_spend_to(coin, ALICE, BOB.challenge))
+    rival = mine_on(branch, BOB.public_key, seed=618)
+    heavier = mine_on(branch, BOB.public_key, seed=619)
+    assert len(rival.transactions) == 3
+    # An odd last node pairs with itself, so the tx root does not change.
+    mutated = rival._replace(transactions=rival.transactions + rival.transactions[-1:])
+    assert tx_merkle_root(mutated.transactions) == rival.header.tx_mroot
+
+    result = node.connect_block(mutated)
+    assert (result.status, result.reason) == ("rejected", "bad-structure")
+    assert node.connect_block(rival).status == "branch"
+    assert node.connect_block(heavier).accepted
+    assert node.tip_hash == block_hash(heavier)
+
+
+def test_zero_target_block_is_rejected_on_the_tip_and_on_a_branch():
+    node = mined_node(FAST, ALICE, 3, seed=119)
+    tip, root = node.tip_hash, node.utxo.utxo_root()
+    template = dataclasses.replace(node_template(node, ALICE.public_key), target_bits=0)
+    free = assemble_block(template, node.utxo)  # nonce 0 meets a zero target
+    result = node.connect_block(free)
+    assert (result.status, result.reason) == ("rejected", "bad-target")
+
+    last = node.blocks[tip]
+    sibling = last._replace(header=last.header._replace(target_bits=0, nonce=1))
+    result = node.connect_block(sibling)
+    assert (result.status, result.reason) == ("rejected", "bad-target")
+    assert (node.tip_hash, node.utxo.utxo_root()) == (tip, root)
+
+
+def test_coinbase_version_must_be_the_height():
+    node = mined_node(FAST, ALICE, 3, seed=120)
+    block = assemble_block(node_template(node, ALICE.public_key), node.utxo)
+    txs = (block.transactions[0]._replace(version=0),) + block.transactions[1:]
+    header = block.header._replace(tx_mroot=tx_merkle_root(txs))
+    header = header._replace(nonce=solve_pow(header, 1 << 20, seed=320))
+    result = node.connect_block(Block(header=header, transactions=txs))
+    assert (result.status, result.reason) == ("rejected", "bad-coinbase")
+
+
+def test_rejected_commitment_leaves_the_store_untouched():
+    node = mined_node(FAST, ALICE, 3, seed=121)
+    node.submit_transaction(payment(node, ALICE, [(BOB.challenge, 5)]))
+    store = node.utxo
+    before = (store.height, store.utxo_root(), dict(store.root_log),
+              dict(store.versions), list(store.pending),
+              sorted(store.all_coins()))
+    template = node_template(node, ALICE.public_key)
+    txs = (make_coinbase(template, hash256(b"not the root")),) + template.transactions
+    header = assemble_block(template, store).header._replace(tx_mroot=tx_merkle_root(txs))
+    header = header._replace(nonce=solve_pow(header, 1 << 20, seed=321))
+    result = node.connect_block(Block(header=header, transactions=txs))
+    assert result.reason == "utxo-root-mismatch"
+    assert node.utxo is store
+    assert (store.height, store.utxo_root(), store.root_log, store.versions,
+            store.pending, sorted(store.all_coins())) == before

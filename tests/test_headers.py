@@ -1,0 +1,58 @@
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dietchain.chain import BlockHeader, ZERO32, header_hash
+from dietchain.errors import ValidationError
+from dietchain.headers import HeaderIndex, check_header
+
+
+def _ancestors(index: HeaderIndex, block_hash: bytes) -> list[bytes]:
+    """Genesis-first path to ``block_hash``, by walking every parent."""
+    path = []
+    while block_hash != ZERO32:
+        path.append(block_hash)
+        block_hash = index.headers[block_hash].prev_hash
+    return path[::-1]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(0, 1 << 16), min_size=1, max_size=40))
+def test_active_chain_and_fork_height_match_a_full_walk(picks):
+    # A zero target makes every header valid and worth one unit of work,
+    # so the heaviest branch is the first-seen highest one.
+    index = HeaderIndex(target_bits=0)
+    hashes = [index.add(BlockHeader(ZERO32, ZERO32, 0, 0, 0))]
+    for n, pick in enumerate(picks):
+        parent_hash = hashes[pick % len(hashes)]
+        header = BlockHeader(prev_hash=parent_hash, tx_mroot=n.to_bytes(32, "little"),
+                             target_bits=0, nonce=0,
+                             height=index.headers[parent_hash].height + 1)
+        old_tip = index.tip
+        hashes.append(index.add(header))
+
+        best = max(index.headers[h].height for h in hashes)
+        assert index.tip == next(h for h in hashes if index.headers[h].height == best)
+        assert index.active_chain() == _ancestors(index, index.tip)
+        common = set(_ancestors(index, old_tip)) & set(_ancestors(index, index.tip))
+        assert index.fork_height(old_tip, index.tip) == \
+            max(index.headers[h].height for h in common)
+        below = index.active_hash_at(pick % (best + 1))
+        assert index.fork_height(index.tip, below) == index.headers[below].height
+
+
+def test_check_header_codes():
+    genesis = BlockHeader(ZERO32, ZERO32, 0, 0, 0)
+    child = BlockHeader(header_hash(genesis), ZERO32, 0, 0, 1)
+    check_header(genesis, None, 0)
+    check_header(child, genesis, 0)
+    for header, parent, bits, code in [
+        (child, None, 0, "unknown-parent"),
+        (child._replace(height=2), genesis, 0, "bad-height"),
+        (child, genesis, 5, "bad-target"),
+        (child._replace(target_bits=255), genesis, 255, "pow-failure"),
+    ]:
+        with pytest.raises(ValidationError) as info:
+            check_header(header, parent, bits)
+        assert info.value.code == code

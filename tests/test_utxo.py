@@ -5,6 +5,7 @@ import random
 import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dietchain.chain import (
     KIND_COMMITMENT,
@@ -18,6 +19,7 @@ from dietchain.chain import (
     txid,
 )
 from dietchain.errors import HistoryUnavailableError, InconsistentStateError
+from dietchain.merkle import build_root
 from dietchain.utxo import (
     COIN_SIZE,
     EMPTY_SHARD_BYTES,
@@ -27,6 +29,7 @@ from dietchain.utxo import (
     coins_of,
     decode_shard,
     encode_coin,
+    encode_shard_coins,
     shard_key,
     shard_leaf_hash,
 )
@@ -321,7 +324,7 @@ def test_rewind_matches_fresh_replay():
     rng = random.Random(31)
     blocks, store = _random_history(rng, 20, cap=500)
     target = 9
-    store.rewind_to(target, blocks[target])
+    store.rewind_to(target)
 
     fresh = VersionedShardStore(initial_k=0, size_cap=500)
     for h in range(target + 1):
@@ -352,3 +355,89 @@ def test_coins_of_skips_commitment_outputs():
     assert [c.outpoint.index for c in coins] == [0, 2]
     assert all(c.outpoint.txid == txid(tx) for c in coins)
     assert coins[0].value == 50 and coins[1].value == 7
+
+
+# -- apply / undo / reorg against a replay from genesis ------------------------
+
+def _next_block(store: VersionedShardStore, rng: random.Random) -> Block:
+    """A random block that is valid on top of ``store``."""
+    height = 0 if store.height is None else store.height + 1
+    spendable = list(store.all_coins())
+    rng.shuffle(spendable)
+    txs = [_coinbase(height, rng.randrange(1, 3), rng)]
+    for _ in range(rng.randrange(0, 4)):
+        picked = spendable[:rng.randrange(1, 3)]
+        del spendable[:len(picked)]
+        if not picked:
+            break
+        txs.append(_spend(picked, rng.randrange(1, 4), rng))
+    return _block(height, txs)
+
+
+def _assert_matches_replay(store: VersionedShardStore, chain: list[Block]) -> None:
+    fresh = VersionedShardStore(initial_k=store.initial_k, size_cap=store.size_cap)
+    oracle = _FlatOracle()
+    for h, block in enumerate(chain):
+        fresh.apply_block(block, h)
+        oracle.apply(block)
+    leaves = [shard_leaf_hash(encode_shard_coins(store.shards[i])) for i in range(1 << store.k)]
+    assert store.current_root == build_root(leaves)
+    assert sorted(c for coins in store.shards.values() for c in coins) == \
+        sorted(oracle.committed.values())
+    assert store.pending == oracle.pending
+    assert store.total_shard_bytes() == sum(
+        len(encode_shard_coins(coins)) for coins in store.shards.values())
+    assert (store.height, store.k, store.root_log, store.versions, store.touched_log,
+            store.policy_log, store.rebalance_log) == \
+        (fresh.height, fresh.k, fresh.root_log, fresh.versions, fresh.touched_log,
+         fresh.policy_log, fresh.rebalance_log)
+    for h in range(1, len(chain) + 1):
+        every = set(range(1 << store.k_at(h - 1)))
+        assert store.state_before(h, every) == fresh.state_before(h, every)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(initial_k=st.integers(0, 2), cap=st.sampled_from([160, 240, 400]),
+       ops=st.lists(st.tuples(st.sampled_from(["apply", "preview", "undo", "reorg"]),
+                              st.integers(0, 2 ** 32 - 1)), min_size=1, max_size=24))
+def test_undo_and_reorg_match_a_replay_from_genesis(initial_k, cap, ops):
+    store = VersionedShardStore(initial_k=initial_k, size_cap=cap)
+    chain: list[Block] = []
+    for op, seed in ops:
+        rng = random.Random(seed)
+        if op == "undo" and chain:
+            store.undo_block()
+            chain.pop()
+        elif op == "reorg" and len(chain) > 1:
+            fork = rng.randrange(len(chain) - 1)
+            store.rewind_to(fork)
+            del chain[fork + 1:]
+            for _ in range(rng.randrange(1, 4)):
+                chain.append(_next_block(store, rng))
+                store.apply_block(chain[-1], len(chain) - 1)
+        else:
+            block = _next_block(store, rng)
+            if op == "preview":
+                root = store.preview_root(list(block.transactions[1:]), len(chain))
+                _assert_matches_replay(store, chain)
+            store.apply_block(block, len(chain))
+            chain.append(block)
+            if op == "preview":
+                assert store.current_root == root
+        _assert_matches_replay(store, chain)
+
+
+def test_undo_of_a_split_block_restores_the_coarser_tree():
+    rng = random.Random(32)
+    store = VersionedShardStore(initial_k=0, size_cap=160)
+    chain: list[Block] = []
+    while not store.rebalance_log:
+        chain.append(_next_block(store, rng))
+        store.apply_block(chain[-1], len(chain) - 1)
+    split_k = store.k
+    store.undo_block()
+    chain.pop()
+    assert store.k < split_k
+    _assert_matches_replay(store, chain)
+    store.rewind_to(0)
+    _assert_matches_replay(store, chain[:1])
