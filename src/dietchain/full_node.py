@@ -338,11 +338,7 @@ class FullNode:
         if record is None or height == 0:
             raise ValidationError("history-unavailable",
                                   "no pre-state exists for that block", height=height)
-        if record.rebalanced:
-            indices = set(range(1 << record.k))
-        else:
-            indices = set(record.indices)
-        shards, tree = self.utxo.state_before(height, indices)
+        shards, tree = self.utxo.state_before(height, set(record.indices))
         return UtxosResponse(shards=shards, tree=tree)
 
     def _active_block(self, block_hash: bytes) -> Block:

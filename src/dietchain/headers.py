@@ -58,14 +58,18 @@ class HeaderIndex:
     def add(self, header: BlockHeader) -> bytes:
         """Validate and index a header; returns its hash.
 
-        Raises ValidationError as check_header does. Re-adding a known
-        header is a no-op.
+        Raises ValidationError as check_header does, or 'bad-genesis'
+        for a second genesis: a chain from another genesis shares no
+        block with this one. Re-adding a known header is a no-op.
         """
         hh = header_hash(header)
         if hh in self.headers:
             return hh
         parent = self.parent_of(header)
         check_header(header, parent, self.target_bits)
+        if parent is None and self.tip is not None:
+            raise ValidationError("bad-genesis", "the index already holds a genesis",
+                                  height=header.height)
         self.headers[hh] = header
         parent_work = 0 if parent is None else self.work[header.prev_hash]
         self.work[hh] = parent_work + block_work(header)

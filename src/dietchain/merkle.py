@@ -103,29 +103,34 @@ class PartialMerkleTree:
 
 
 def extract_partial(leaves: list[bytes], include: set[int]) -> PartialMerkleTree:
-    """Build a partial tree proving the leaves at ``include``.
+    """Build a partial tree proving the leaves at ``include``."""
+    return partial_from_levels(pack_levels(leaves), include)
+
+
+def partial_from_levels(levels: list[bytearray], include: set[int]) -> PartialMerkleTree:
+    """A partial tree proving the leaves at ``include``, read from packed
+    ``levels`` (as pack_levels builds them) without hashing.
 
     The sibling set is minimal: per level, only nodes adjacent to the
     proven paths that the included leaves cannot reproduce.
     """
-    n = len(leaves)
+    n = len(levels[0]) // 32
     if not include:
         raise ValueError("must include at least one leaf")
     if not all(0 <= i < n for i in include):
         raise ValueError("include set out of range")
-    levels = build_levels(leaves)
     siblings: dict[tuple[int, int], bytes] = {}
     frontier = set(include)
-    for level in range(len(levels) - 1):
-        width = len(levels[level])
+    for level, layer in enumerate(levels[:-1]):
+        width = len(layer) // 32
         for i in frontier:
             sib = i ^ 1
             if sib < width and sib not in frontier:
-                siblings[(level, sib)] = levels[level][sib]
+                siblings[(level, sib)] = bytes(layer[32 * sib:32 * sib + 32])
         frontier = {i // 2 for i in frontier}
     return PartialMerkleTree(
         total_leaves=n,
-        included={i: leaves[i] for i in include},
+        included={i: bytes(levels[0][32 * i:32 * i + 32]) for i in include},
         siblings=siblings,
     )
 

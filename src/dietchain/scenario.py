@@ -188,9 +188,10 @@ def _act_pay(state: ScenarioState, step: dict) -> None:
         raise ScenarioError("amount too small to split across outputs")
 
     in_mempool = {i.prevout for tx in node.mempool for i in tx.inputs}
+    challenge = sender.challenge
     owned = sorted(
         (c for c in node.utxo.all_coins()
-         if c.challenge == sender.challenge and c.outpoint not in in_mempool),
+         if c.challenge == challenge and c.outpoint not in in_mempool),
         key=lambda c: (-c.value, c.outpoint),
     )
     picked: list[Coin] = []
@@ -211,7 +212,7 @@ def _act_pay(state: ScenarioState, step: dict) -> None:
                for i, v in enumerate(amounts)]
     if total - amount - fee > 0:
         outputs.append(TxOutput(value=total - amount - fee, kind=KIND_PAYMENT,
-                                payload=sender.challenge))
+                                payload=challenge))
     tx = Transaction(
         version=0,
         inputs=tuple(
@@ -404,8 +405,7 @@ def _chain_stats(state: ScenarioState) -> dict:
     per_block = []
     for h in range(store.height + 1):
         k = store.k_at(h)
-        shards, _ = store.state_before(h + 1, set(range(1 << k)))
-        total = sum(len(s.encode()) for s in shards.values())
+        total = store.bytes_log[h]
         record = store.touched_log[h]
         per_block.append({
             "height": h,

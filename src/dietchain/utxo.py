@@ -30,6 +30,13 @@ exactly to its state before that block. Only the ``pending`` list each
 block replaced is kept apart. Previewing a block's root, dropping a
 block whose commitment is wrong and switching branches are all
 apply-then-undo; nothing copies the store.
+
+A split keeps the tree it replaces as the final tree of the coarser
+``k``. ``state_before`` cuts a historical proof from the live tree or
+from that kept tree: it puts back the old versions of only the shards
+changed since the queried height and re-hashes their paths, so a recent
+height costs O((|indices| + shards changed since) * k) hashes, not a
+rebuild over all ``2**k`` leaves.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ from typing import Iterator, NamedTuple
 from .chain import KIND_PAYMENT, OutPoint, Reader, Transaction, txid
 from .crypto import hash256
 from .errors import DecodeError, HistoryUnavailableError, InconsistentStateError
-from .merkle import PartialMerkleTree, extract_partial, pack_levels, update_levels
+from .merkle import PartialMerkleTree, pack_levels, partial_from_levels, update_levels
 
 COIN_SIZE = 76
 EMPTY_SHARD_BYTES = b"\x00\x00"
@@ -126,8 +133,9 @@ class RebalanceStep:
 @dataclass(frozen=True)
 class TouchedRecord:
     """Which shards a block's application changed, in the coordinates of
-    the tree its proofs are checked against (the pre-split ``k``)."""
-    indices: frozenset[int]
+    the tree its proofs are checked against (the pre-split ``k``). A
+    split changes every shard: its record holds a ``range``, not 2**k ints."""
+    indices: frozenset[int] | range
     k: int
     rebalanced: bool
 
@@ -145,10 +153,13 @@ class VersionedShardStore:
     versions: dict[tuple[int, int], tuple[tuple[int, bytes], ...]] = field(
         init=False, default_factory=dict)
     root_log: dict[int, bytes] = field(init=False, default_factory=dict)
+    bytes_log: list[int] = field(init=False, default_factory=list)  # shard bytes, by height
     touched_log: dict[int, TouchedRecord] = field(init=False, default_factory=dict)
     policy_log: list[tuple[int, int]] = field(init=False, default_factory=list)
     rebalance_log: list[RebalanceStep] = field(init=False, default_factory=list)
     _levels: list[bytearray] = field(init=False)  # packed shard tree, leaves first
+    # k -> (last height committed at k, packed tree at that height); one per split
+    _frozen: dict[int, tuple[int, list[bytearray]]] = field(init=False, default_factory=dict)
     _coin_count: int = field(init=False, default=0)
     _undo_pending: list[list[Coin]] = field(init=False, default_factory=list)  # per block
 
@@ -202,7 +213,7 @@ class VersionedShardStore:
 
     # -- mutation ---------------------------------------------------------
 
-    def apply_block(self, block, height: int) -> tuple[bytes, frozenset[int]]:
+    def apply_block(self, block, height: int) -> tuple[bytes, frozenset[int] | range]:
         """Apply a validated block; returns (committed root, changed shards).
 
         The caller must have validated the block: missing inputs here are
@@ -256,13 +267,15 @@ class VersionedShardStore:
             self.versions[key] = self.versions.get(key, ()) + ((height, encoded),)
             leaves[idx] = shard_leaf_hash(encoded)
         if rebalanced:
+            self._frozen[k_before] = (height - 1, self._levels)
             self._levels = pack_levels([leaves[i] for i in range(1 << self.k)])
         else:
             update_levels(self._levels, leaves)
         self.height = height
         self.root_log[height] = self.current_root
+        self.bytes_log.append(self.total_shard_bytes())
         self.touched_log[height] = TouchedRecord(
-            indices=frozenset(range(1 << k_before)) if rebalanced else frozenset(changed),
+            indices=range(1 << k_before) if rebalanced else frozenset(changed),
             k=k_before,
             rebalanced=rebalanced,
         )
@@ -276,6 +289,7 @@ class VersionedShardStore:
             raise HistoryUnavailableError("no applied block to undo")
         height = self.height
         del self.root_log[height]
+        self.bytes_log.pop()
         record = self.touched_log.pop(height)
         for idx in range(1 << self.k) if record.rebalanced else record.indices:
             key = (self.k, idx)
@@ -290,27 +304,28 @@ class VersionedShardStore:
             live = [coin for coins in self.shards.values() for coin in coins]
             self.k = record.k
             self.shards, self._coin_count = {}, 0
-            leaves = self._reload(range(1 << self.k), height - 1, live)
-            self._levels = pack_levels([leaves[i] for i in range(1 << self.k)])
+            self._reload(range(1 << self.k), height - 1, live)
+            self._levels = self._frozen.pop(self.k)[1]
         else:
             live = [coin for idx in record.indices for coin in self.shards[idx]]
-            update_levels(self._levels, self._reload(record.indices, height - 1, live))
+            reloaded = self._reload(record.indices, height - 1, live)
+            update_levels(self._levels, {i: shard_leaf_hash(enc) for i, enc in reloaded.items()})
         self.pending = self._undo_pending.pop()
         self.height = height - 1 if height else None
 
     def _reload(self, indices, height: int, live: list[Coin]) -> dict[int, bytes]:
-        """Set shards to their versions as of ``height``; returns their leaf
-        hashes. Coins still ``live`` keep their objects, which share bytes
-        with the transactions that created them."""
+        """Set shards to their versions as of ``height``; returns those
+        encodings. Coins still ``live`` keep their objects, which share
+        bytes with the transactions that created them."""
         live_at = {coin.outpoint: coin for coin in live}
-        leaves = {}
+        reloaded = {}
         for idx in indices:
             encoded = self._version_at(self.k, idx, height)
             coins = [live_at.get(c.outpoint, c) for c in decode_shard(encoded, idx).coins]
             self._coin_count += len(coins) - len(self.shards.get(idx, ()))
             self.shards[idx] = coins
-            leaves[idx] = shard_leaf_hash(encoded)
-        return leaves
+            reloaded[idx] = encoded
+        return reloaded
 
     def rewind_to(self, height: int) -> None:
         """Undo blocks until ``height`` is the newest applied one."""
@@ -360,16 +375,24 @@ class VersionedShardStore:
         """Shards and proof for the state the given block was applied to.
 
         The returned partial tree recomputes the root committed at
-        ``height - 1`` and includes exactly ``indices``.
+        ``height - 1`` and includes exactly ``indices``. It is cut from
+        the newest tree at that height's ``k`` (the live one, or the one
+        kept when the tree split away from that ``k``), with only the
+        shards changed since put back to their old versions and re-hashed.
         """
         if self.height is None or not 1 <= height <= self.height + 1:
             raise HistoryUnavailableError(f"no history for height {height}")
         kb = self.k_at(height - 1)
         if not all(0 <= i < (1 << kb) for i in indices):
             raise ValueError("shard index out of range for the tree at that height")
-        encodings = [self._version_at(kb, i, height - 1) for i in range(1 << kb)]
-        leaves = [shard_leaf_hash(enc) for enc in encodings]
-        partial = extract_partial(leaves, set(indices))
+        include = set(indices)
+        newest, levels = (self.height, self._levels) if kb == self.k else self._frozen[kb]
+        since = set().union(*(self.touched_log[h].indices for h in range(height, newest + 1)))
+        encodings = {i: self._version_at(kb, i, height - 1) for i in since | include}
+        if since:
+            levels = [bytearray(level) for level in levels]
+            update_levels(levels, {i: shard_leaf_hash(encodings[i]) for i in since})
+        partial = partial_from_levels(levels, include)
         shards = {i: decode_shard(encodings[i], i) for i in indices}
         return shards, partial
 

@@ -202,3 +202,17 @@ def test_zero_target_header_is_refused():
     assert info.value.code == "bad-target"
     diet.ingest_headers([free.header])
     assert diet.headers.tip == node.tip_hash
+
+
+def test_headers_from_another_genesis_are_refused():
+    node = mined_node(FAST, ALICE, 2, seed=47)
+    foreign = mined_node(FAST, CAROL, 3, seed=147)
+    diet = _wire(node, DietConfig(keys=(CAROL.public_key,)))
+    diet.update_chain()
+    headers = [foreign.blocks[h].header for h in foreign.headers.active_chain()]
+    with pytest.raises(ValidationError) as info:
+        diet.headers.add(headers[0])
+    assert info.value.code == "bad-genesis"
+    diet.ingest_headers(headers)
+    assert diet.headers.tip == node.tip_hash
+    assert diet.headers.active_chain() == node.headers.active_chain()

@@ -268,6 +268,17 @@ def test_reorg_rejects_branch_with_invalid_body():
     assert block_hash(forged1) not in node.blocks
 
 
+def test_heavier_chain_from_another_genesis_is_rejected():
+    node = mined_node(FAST, ALICE, 2, seed=116)
+    foreign = mined_node(FAST, BOB, 3, seed=216)
+    chain, root = node.headers.active_chain(), node.utxo.current_root
+    results = [node.connect_block(foreign.blocks[h]) for h in foreign.headers.active_chain()]
+    assert [r.status for r in results] == ["rejected"] * 3
+    assert [r.reason for r in results] == ["bad-genesis", "unknown-parent", "unknown-parent"]
+    assert node.headers.active_chain() == chain
+    assert node.utxo.current_root == root and node.utxo.height == 1
+
+
 def test_query_merkle_blocks_filters_and_proves():
     node = mined_node(FAST, ALICE, 3, seed=114)
     node.submit_transaction(payment(node, ALICE, [(BOB.challenge, 9)]))

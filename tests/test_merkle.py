@@ -16,6 +16,8 @@ from dietchain.merkle import (
     decode_partial,
     encode_partial,
     extract_partial,
+    pack_levels,
+    partial_from_levels,
     partial_root,
     update_in_place,
 )
@@ -163,3 +165,37 @@ def test_decode_partial_rejects_truncation():
             decode_partial(wire[:cut])
     with pytest.raises(DecodeError):
         decode_partial(wire + b"\x00")
+
+
+def _reference_partial(leaves: list[bytes], include: set[int]) -> PartialMerkleTree:
+    """Minimal partial tree from a tree built with the local hash helper."""
+    levels = [list(leaves)]
+    while len(levels[-1]) > 1:
+        layer = levels[-1]
+        levels.append([_h(layer[i] + layer[min(i + 1, len(layer) - 1)])
+                       for i in range(0, len(layer), 2)])
+    siblings = {}
+    paths = set(include)
+    for level, layer in enumerate(levels[:-1]):
+        for i in paths:
+            if i ^ 1 < len(layer) and i ^ 1 not in paths:
+                siblings[(level, i ^ 1)] = layer[i ^ 1]
+        paths = {i // 2 for i in paths}
+    return PartialMerkleTree(total_leaves=len(leaves),
+                             included={i: leaves[i] for i in include}, siblings=siblings)
+
+
+def test_partial_from_levels_matches_extract_partial():
+    rng = random.Random(21)
+    for k in range(8):
+        leaves = _leaves(rng, 1 << k)
+        packed = pack_levels(leaves)
+        for _ in range(8):
+            include = set(rng.sample(range(1 << k), rng.randrange(1, (1 << k) + 1)))
+            expected = _reference_partial(leaves, include)
+            assert partial_from_levels(packed, include) == expected
+            assert extract_partial(leaves, include) == expected
+    for n in range(1, 40):  # odd layers: the last node has no sibling
+        leaves = _leaves(rng, n)
+        include = set(rng.sample(range(n), rng.randrange(1, min(n, 5) + 1)))
+        assert extract_partial(leaves, include) == _reference_partial(leaves, include)

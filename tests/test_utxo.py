@@ -19,7 +19,7 @@ from dietchain.chain import (
     txid,
 )
 from dietchain.errors import HistoryUnavailableError, InconsistentStateError
-from dietchain.merkle import build_root
+from dietchain.merkle import build_root, extract_partial, partial_root
 from dietchain.utxo import (
     COIN_SIZE,
     EMPTY_SHARD_BYTES,
@@ -128,18 +128,27 @@ class _FlatOracle:
                 self.committed[coin.outpoint] = coin
         self.pending = list(coins_of(block.transactions[0]))
 
-    def root(self, k: int) -> bytes:
+    def shard_blobs(self, k: int) -> list[bytes]:
+        """The committed coins bucketed into ``2**k`` serialized shards."""
         buckets: dict[int, list[Coin]] = {i: [] for i in range(1 << k)}
         for coin in self.committed.values():
             buckets[shard_key(coin.outpoint.txid, k)].append(coin)
-        leaves = []
+        blobs = []
         for i in range(1 << k):
             coins = sorted(buckets[i])
             blob = struct.pack("<H", len(coins))
             for c in coins:
                 blob += (c.outpoint.txid + struct.pack("<IQ", c.outpoint.index, c.value)
                          + c.challenge)
-            leaves.append(_h(b"") if blob == struct.pack("<H", 0) else _h(blob))
+            blobs.append(blob)
+        return blobs
+
+    @staticmethod
+    def leaves(blobs: list[bytes]) -> list[bytes]:
+        return [_h(b"") if blob == struct.pack("<H", 0) else _h(blob) for blob in blobs]
+
+    def root(self, k: int) -> bytes:
+        leaves = self.leaves(self.shard_blobs(k))
         while len(leaves) > 1:
             if len(leaves) % 2:
                 leaves.append(leaves[-1])
@@ -377,9 +386,11 @@ def _next_block(store: VersionedShardStore, rng: random.Random) -> Block:
 def _assert_matches_replay(store: VersionedShardStore, chain: list[Block]) -> None:
     fresh = VersionedShardStore(initial_k=store.initial_k, size_cap=store.size_cap)
     oracle = _FlatOracle()
+    committed = []  # per height, the oracle's committed shards
     for h, block in enumerate(chain):
         fresh.apply_block(block, h)
         oracle.apply(block)
+        committed.append(oracle.shard_blobs(store.k_at(h)))
     leaves = [shard_leaf_hash(encode_shard_coins(store.shards[i])) for i in range(1 << store.k)]
     assert store.current_root == build_root(leaves)
     assert sorted(c for coins in store.shards.values() for c in coins) == \
@@ -387,13 +398,28 @@ def _assert_matches_replay(store: VersionedShardStore, chain: list[Block]) -> No
     assert store.pending == oracle.pending
     assert store.total_shard_bytes() == sum(
         len(encode_shard_coins(coins)) for coins in store.shards.values())
-    assert (store.height, store.k, store.root_log, store.versions, store.touched_log,
-            store.policy_log, store.rebalance_log) == \
-        (fresh.height, fresh.k, fresh.root_log, fresh.versions, fresh.touched_log,
-         fresh.policy_log, fresh.rebalance_log)
+    assert (store.height, store.k, store.root_log, store.bytes_log, store.versions,
+            store.touched_log, store.policy_log, store.rebalance_log, store._frozen) == \
+        (fresh.height, fresh.k, fresh.root_log, fresh.bytes_log, fresh.versions,
+         fresh.touched_log, fresh.policy_log, fresh.rebalance_log, fresh._frozen)
+    assert store.bytes_log == [sum(map(len, blobs)) for blobs in committed]
+    # every pre-state proof, for the whole tree, the block's own served set
+    # and random strict subsets, against the oracle's shards
+    rng = random.Random(len(chain))
     for h in range(1, len(chain) + 1):
-        every = set(range(1 << store.k_at(h - 1)))
-        assert store.state_before(h, every) == fresh.state_before(h, every)
+        blobs = committed[h - 1]
+        leaves = _FlatOracle.leaves(blobs)
+        n = len(blobs)
+        subsets = [set(range(n)), {rng.randrange(n)},
+                   set(rng.sample(range(n), rng.randrange(1, n + 1)))]
+        if h in store.touched_log:
+            subsets.append(set(store.touched_log[h].indices))
+        for subset in subsets:
+            shards, partial = store.state_before(h, subset)
+            assert partial == extract_partial(leaves, subset)
+            assert partial_root(partial) == store.root_log[h - 1]
+            assert {i: shard.encode() for i, shard in shards.items()} == \
+                {i: blobs[i] for i in subset}
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -441,3 +467,29 @@ def test_undo_of_a_split_block_restores_the_coarser_tree():
     _assert_matches_replay(store, chain)
     store.rewind_to(0)
     _assert_matches_replay(store, chain[:1])
+
+
+def test_recent_state_before_rehashes_only_what_changed(monkeypatch):
+    rng = random.Random(33)
+    _, store = _random_history(rng, 12, initial_k=8)
+    split_rng = random.Random(34)
+    split = VersionedShardStore(initial_k=0, size_cap=160)
+    while not split.rebalance_log:
+        block = _next_block(split, split_rng)
+        split.apply_block(block, block.header.height)
+    calls = []
+
+    def counted(data: bytes) -> bytes:
+        calls.append(data)
+        return _h(data)
+
+    monkeypatch.setattr("dietchain.utxo.hash256", counted)
+    monkeypatch.setattr("dietchain.merkle.hash256", counted)
+    tip = store.height
+    store.state_before(tip, set(store.touched_log[tip].indices))
+    assert 0 < len(calls) < 1 << store.k
+    calls.clear()
+    store.state_before(tip + 1, set(range(1 << store.k)))
+    assert calls == []  # the live tree is the tip's state
+    split.state_before(split.height, set(range(1 << split.touched_log[split.height].k)))
+    assert calls == []  # a split block's pre-state is the tree kept at the split
