@@ -31,7 +31,7 @@ from .errors import (
     ScenarioError,
     ValidationError,
 )
-from .full_node import ConnectResult, FullNode, validate_transaction
+from .full_node import ConnectResult, FullNode
 from .merkle import (
     MerkleTree,
     PartialMerkleTree,
@@ -43,6 +43,7 @@ from .merkle import (
 )
 from .miner import BlockTemplate, assemble_block, make_genesis, mine_block, mine_on, solve_pow
 from .netsim import Adversary, Bus
+from .rules import validate_transaction
 from .utxo import Coin, Shard, VersionedShardStore, shard_key
 
 __version__ = "0.1.0"

@@ -245,6 +245,12 @@ def sighash(tx: Transaction) -> bytes:
     return hash256(encode_transaction(blanked))
 
 
+def tx_touches(tx: Transaction, watched) -> bool:
+    """Whether ``tx`` spends with a key or pays a challenge that ``watched`` accepts."""
+    return (any(not i.prevout.is_coinbase_marker and watched(i.public_key) for i in tx.inputs)
+            or any(o.kind == KIND_PAYMENT and watched(o.payload) for o in tx.outputs))
+
+
 def header_hash(h: BlockHeader) -> bytes:
     return hash256(encode_header(h))
 

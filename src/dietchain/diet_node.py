@@ -16,31 +16,35 @@ the decoded response together with its size in bytes on the wire.
 
 from __future__ import annotations
 
-import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .chain import (
     Block,
     ChainParams,
-    KIND_PAYMENT,
+    OutPoint,
     Transaction,
     ZERO32,
     header_hash,
-    sighash,
+    tx_touches,
     txid,
 )
-from .crypto import BloomFilter, hash256, verify
-from .errors import IncompleteProofError, ValidationError
-from .full_node import commitment_of, tx_merkle_root
+from .crypto import BloomFilter, hash256
+from .errors import DecodeError, IncompleteProofError, ValidationError
 from .headers import HeaderIndex
 from .merkle import build_root, contains, partial_root, update_in_place
+from .rules import check_block_structure, commitment_of, connect_transactions
 from .utxo import (
-    COIN_SIZE,
     Coin,
+    Shard,
     coins_of,
     encode_shard_coins,
+    find_coin,
+    insert_coin,
+    remove_coin,
     shard_key,
     shard_leaf_hash,
+    split_due,
+    split_shards,
 )
 
 
@@ -104,25 +108,28 @@ class DietNode:
         self.headers = HeaderIndex(params.target_bits)
         self.highest_verified = 0
         self.bytes_by_type: dict[str, int] = {}
-        self._challenges = {hash256(k) for k in config.keys}
+        # keys (33 bytes) as spenders, their challenges (32 bytes) as payees
+        self._watched = set(config.keys) | {hash256(k) for k in config.keys}
         self._per_height: list[dict] = []
 
     # -- sync ---------------------------------------------------------------
 
     def build_filter(self) -> BloomFilter:
-        """Bloom over the user's keys in both forms a transaction can
-        carry them: spending keys and receiving challenges."""
+        """Bloom over the user's keys and their challenges."""
         bloom = BloomFilter()
-        for key in self.config.keys:
-            bloom.add(key)
-            bloom.add(hash256(key))
+        for item in self._watched:
+            bloom.add(item)
         return bloom
 
     def update_chain(self) -> UpdateResult:
         since = self.headers.tip if self.headers.tip is not None else ZERO32
-        response, nbytes = self.transport.query_merkle_blocks(since, self.build_filter())
-        self._count("query_merkle_blocks", nbytes)
         self._per_height: list[dict] = []
+        verdicts: list[TxVerdict] = []
+        try:
+            response, nbytes = self.transport.query_merkle_blocks(since, self.build_filter())
+        except DecodeError:
+            return self._result(verdicts)  # a garbled answer changes nothing
+        self._count("query_merkle_blocks", nbytes)
 
         old_tip = self.headers.tip
         self.ingest_headers(response.headers)
@@ -131,11 +138,11 @@ class DietNode:
             if fork < self.highest_verified:
                 self.highest_verified = fork
 
-        verdicts: list[TxVerdict] = []
         for match in response.matches:
             match_hash = header_hash(match.header)
             height = match.header.height
-            relevant = [tx for tx in match.transactions if self._involves_user(tx)]
+            relevant = [tx for tx in match.transactions
+                        if tx_touches(tx, self._watched.__contains__)]
             if not relevant:
                 continue  # bloom false positive, nothing of ours inside
             if not self._match_proof_ok(match, match_hash):
@@ -159,9 +166,12 @@ class DietNode:
                                                reason=outcome.reason,
                                                fail_height=outcome.fail_height,
                                                first=outcome.first, last=outcome.last))
+        return self._result(verdicts)
+
+    def _result(self, verdicts: list[TxVerdict]) -> UpdateResult:
         return UpdateResult(
             verdicts=tuple(verdicts),
-            tip_height=self.headers.tip_height,
+            tip_height=self.headers.tip_height if self.headers.tip is not None else -1,
             bytes_by_type=dict(self.bytes_by_type),
             per_height=tuple(self._per_height),
         )
@@ -184,15 +194,6 @@ class DietNode:
         if root != match.header.tx_mroot:
             return False
         return all(contains(match.tx_tree, txid(tx)) for tx in match.transactions)
-
-    def _involves_user(self, tx: Transaction) -> bool:
-        for inp in tx.inputs:
-            if not inp.prevout.is_coinbase_marker and inp.public_key in self.config.keys:
-                return True
-        return any(
-            out.kind == KIND_PAYMENT and out.payload in self._challenges
-            for out in tx.outputs
-        )
 
     def _verdicts(self, txs, height, status, reason=None, fail_height=None,
                   first=None, last=None):
@@ -221,8 +222,7 @@ class DietNode:
 
     def _verify_window(self, first: int, last: int) -> None:
         base_hash = self.headers.active_hash_at(first)
-        trusted, nbytes = self.transport.query_utxo_mroot(base_hash)
-        self._count("query_utxo_mroot", nbytes)
+        trusted = self._ask("query_utxo_mroot", base_hash, first)
         # The base block itself is trusted, but its reward coins are not
         # under its committed root yet; they are needed as the deferred
         # insertions of the first verified block.
@@ -232,9 +232,7 @@ class DietNode:
         for height in range(first + 1, last + 1):
             block_hash = self.headers.active_hash_at(height)
             block = self._fetch_block(block_hash, height)
-            response, nbytes = self.transport.query_utxos(block_hash)
-            self._count("query_utxos", nbytes)
-            self._note_height(height, "utxos_bytes", nbytes)
+            response = self._ask("query_utxos", block_hash, height, "utxos_bytes")
 
             tree = response.tree
             total = tree.total_leaves
@@ -256,117 +254,55 @@ class DietNode:
             except IncompleteProofError as exc:
                 raise ValidationError("shard-proof-mismatch", str(exc), height=height)
 
-            local = {idx: list(shard.coins) for idx, shard in response.shards.items()}
+            view = _ShardView(response.shards, k, height)
             for coin in pending:
-                self._insert(local, k, coin, height)
-            fees = 0
-            for tx in block.transactions[1:]:
-                fees += self._apply_tx(local, k, tx, height)
-            reward = sum(out.value for out in block.transactions[0].outputs
-                         if out.kind == KIND_PAYMENT)
-            if reward > self.params.subsidy + fees:
-                raise ValidationError("value-creation", "coinbase overpays itself",
-                                      height=height)
+                view.insert(coin)
+            connect_transactions(block, view, self.params.subsidy)
 
             try:
                 committed = commitment_of(block)
             except ValidationError:
                 raise ValidationError("root-mismatch", "block commits to nothing",
                                       height=height)
-            rebuilt = self._rebuild_root(local, k, tree, height)
-            if rebuilt != committed:
+            if self._rebuild_root(view.shards, k, tree) != committed:
                 raise ValidationError("root-mismatch", height=height)
 
             trusted = committed
             pending = coins_of(block.transactions[0])
             self.highest_verified = height
 
+    def _ask(self, query: str, block_hash: bytes, height: int, note: str | None = None):
+        """Run one window query and count its bytes; bytes that do not
+        decode are the peer's fault at ``height``."""
+        try:
+            value, nbytes = getattr(self.transport, query)(block_hash)
+        except DecodeError as exc:
+            raise ValidationError("peer-fault", str(exc), height=height) from exc
+        self._count(query, nbytes)
+        if note is not None:
+            self._note_height(height, note, nbytes)
+        return value
+
     def _fetch_block(self, block_hash: bytes, height: int) -> Block:
-        block, nbytes = self.transport.query_block(block_hash)
-        self._count("query_block", nbytes)
-        self._note_height(height, "block_bytes", nbytes)
+        block = self._ask("query_block", block_hash, height, "block_bytes")
         if header_hash(block.header) != block_hash:
             raise ValidationError("proof-mismatch", "served block has the wrong header",
                                   height=height)
-        if not block.transactions or not block.transactions[0].is_coinbase:
-            raise ValidationError("proof-mismatch", "served block lacks a coinbase",
-                                  height=height)
-        if tx_merkle_root(block.transactions) != block.header.tx_mroot:
-            raise ValidationError("proof-mismatch", "block body does not match its header",
-                                  height=height)
+        check_block_structure(block)
         return block
 
-    def _insert(self, local, k: int, coin: Coin, height: int) -> int:
-        idx = shard_key(coin.outpoint.txid, k)
-        if idx not in local:
-            raise ValidationError("shard-proof-mismatch",
-                                  f"shard {idx} needed but not served", height=height)
-        shard = local[idx]
-        i = bisect.bisect_left(shard, coin.outpoint, key=lambda c: c.outpoint)
-        if i < len(shard) and shard[i].outpoint == coin.outpoint:
-            raise ValidationError("shard-proof-mismatch",
-                                  f"duplicate coin {coin.outpoint}", height=height)
-        shard.insert(i, coin)
-        return idx
-
-    def _apply_tx(self, local, k: int, tx: Transaction, height: int) -> int:
-        digest = sighash(tx)
-        seen = set()
-        total_in = 0
-        for inp in tx.inputs:
-            point = inp.prevout
-            if point in seen:
-                raise ValidationError("missing-input", f"{point} spent twice",
-                                      height=height)
-            seen.add(point)
-            idx = shard_key(point.txid, k)
-            if idx not in local:
-                raise ValidationError("shard-proof-mismatch",
-                                      f"shard {idx} needed but not served", height=height)
-            shard = local[idx]
-            i = bisect.bisect_left(shard, point, key=lambda c: c.outpoint)
-            if i >= len(shard) or shard[i].outpoint != point:
-                raise ValidationError("missing-input", f"{point} not in its shard",
-                                      height=height)
-            coin = shard[i]
-            if hash256(inp.public_key) != coin.challenge:
-                raise ValidationError("ownership-failure",
-                                      "key does not match the challenge", height=height)
-            if not verify(inp.public_key, digest, inp.signature):
-                raise ValidationError("ownership-failure", "bad signature", height=height)
-            del shard[i]
-            total_in += coin.value
-        total_out = sum(out.value for out in tx.outputs)
-        if total_in < total_out:
-            raise ValidationError("value-creation",
-                                  f"outputs {total_out} exceed inputs {total_in}",
-                                  height=height)
-        for coin in coins_of(tx):
-            self._insert(local, k, coin, height)
-        return total_in - total_out
-
-    def _rebuild_root(self, local, k: int, tree, height: int) -> bytes:
-        if len(local) == tree.total_leaves:
-            # Full snapshot: replay the deterministic split rule, then
-            # rebuild the whole tree at whatever k it lands on.
-            while self._total_bytes(local) > self.params.size_cap * (1 << k):
-                split: dict[int, list[Coin]] = {i: [] for i in range(1 << (k + 1))}
-                for coins in local.values():
-                    for coin in coins:
-                        split[shard_key(coin.outpoint.txid, k + 1)].append(coin)
-                local.clear()
-                local.update(split)
+    def _rebuild_root(self, shards: dict[int, list[Coin]], k: int, tree) -> bytes:
+        if len(shards) == tree.total_leaves:
+            # Full snapshot: replay the split rule, rebuild the whole tree.
+            coin_count = sum(len(coins) for coins in shards.values())
+            while split_due(k, coin_count, self.params.size_cap):
+                shards = split_shards(shards, k)
                 k += 1
-            leaves = [shard_leaf_hash(encode_shard_coins(local[i]))
-                      for i in range(1 << k)]
-            return build_root(leaves)
+            return build_root([shard_leaf_hash(encode_shard_coins(shards[i]))
+                               for i in range(1 << k)])
         changed = {idx: shard_leaf_hash(encode_shard_coins(coins))
-                   for idx, coins in local.items()}
+                   for idx, coins in shards.items()}
         return partial_root(update_in_place(tree, changed))
-
-    @staticmethod
-    def _total_bytes(local) -> int:
-        return sum(2 + COIN_SIZE * len(coins) for coins in local.values())
 
     def _note_height(self, height: int, key: str, nbytes: int) -> None:
         for entry in self._per_height:
@@ -374,3 +310,34 @@ class DietNode:
                 entry[key] = entry.get(key, 0) + nbytes
                 return
         self._per_height.append({"height": height, key: nbytes})
+
+
+class _ShardView:
+    """Coin view over the shards a peer served for one block, edited in place;
+    a shard it did not serve, or a coin it already holds, is a proof fault."""
+
+    def __init__(self, served: dict[int, Shard], k: int, height: int):
+        self.shards = {idx: list(shard.coins) for idx, shard in served.items()}
+        self.k = k
+        self.height = height
+
+    def _shard(self, outpoint: OutPoint) -> list[Coin]:
+        idx = shard_key(outpoint.txid, self.k)
+        if idx not in self.shards:
+            raise ValidationError("shard-proof-mismatch",
+                                  f"shard {idx} needed but not served", height=self.height)
+        return self.shards[idx]
+
+    def get_coin(self, outpoint: OutPoint) -> Coin | None:
+        return find_coin(self._shard(outpoint), outpoint)
+
+    def insert(self, coin: Coin) -> None:
+        if not insert_coin(self._shard(coin.outpoint), coin):
+            raise ValidationError("shard-proof-mismatch",
+                                  f"duplicate coin {coin.outpoint}", height=self.height)
+
+    def absorb(self, tx: Transaction) -> None:
+        for inp in tx.inputs:
+            remove_coin(self._shard(inp.prevout), inp.prevout)
+        for coin in coins_of(tx):
+            self.insert(coin)

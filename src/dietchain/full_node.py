@@ -14,18 +14,23 @@ from .chain import (
     Block,
     BlockHeader,
     ChainParams,
-    KIND_COMMITMENT,
-    KIND_PAYMENT,
-    OutPoint,
     Transaction,
     header_hash,
+    tx_touches,
     txid,
 )
-from .crypto import BloomFilter, hash256, verify
+from .crypto import BloomFilter
 from .errors import ValidationError
 from .headers import HeaderIndex, check_header
-from .merkle import PartialMerkleTree, build_root, extract_partial
-from .utxo import Coin, Shard, VersionedShardStore, coins_of
+from .merkle import PartialMerkleTree, extract_partial
+from .rules import (
+    CoinView,
+    check_block_structure,
+    commitment_of,
+    connect_transactions,
+    validate_transaction,
+)
+from .utxo import Shard, VersionedShardStore
 
 
 @dataclass(frozen=True)
@@ -58,97 +63,6 @@ class UtxosResponse:
     tree: PartialMerkleTree
 
 
-def tx_merkle_root(txs) -> bytes:
-    return build_root([txid(tx) for tx in txs])
-
-
-class _OverlayView:
-    """Coin view layering in-flight spends and creations over the store."""
-
-    def __init__(self, store: VersionedShardStore):
-        self.store = store
-        self.spent: set[OutPoint] = set()
-        self.created: dict[OutPoint, Coin] = {}
-
-    def get_coin(self, outpoint: OutPoint) -> Coin | None:
-        if outpoint in self.spent:
-            return None
-        if outpoint in self.created:
-            return self.created[outpoint]
-        return self.store.get_coin(outpoint)
-
-    def absorb(self, tx: Transaction) -> None:
-        for inp in tx.inputs:
-            self.spent.add(inp.prevout)
-        for coin in coins_of(tx):
-            self.created[coin.outpoint] = coin
-
-
-def validate_transaction(tx: Transaction, view) -> int:
-    """Check ownership, value balance, and double spends; returns the fee.
-
-    ``view`` needs a ``get_coin(outpoint)`` method. Raises
-    ValidationError with code 'missing-input', 'ownership-failure', or
-    'value-creation'.
-    """
-    from .chain import sighash as tx_sighash
-
-    if tx.is_coinbase or not tx.inputs:
-        raise ValidationError("bad-structure", "expected a spending transaction")
-    digest = tx_sighash(tx)
-    seen: set[OutPoint] = set()
-    total_in = 0
-    for inp in tx.inputs:
-        if inp.prevout in seen:
-            raise ValidationError("missing-input", f"{inp.prevout} spent twice in one tx")
-        seen.add(inp.prevout)
-        coin = view.get_coin(inp.prevout)
-        if coin is None:
-            raise ValidationError("missing-input", f"{inp.prevout} not in the UTXO set")
-        if hash256(inp.public_key) != coin.challenge:
-            raise ValidationError("ownership-failure", "key does not match the challenge")
-        if not verify(inp.public_key, digest, inp.signature):
-            raise ValidationError("ownership-failure", "bad signature")
-        total_in += coin.value
-    total_out = sum(out.value for out in tx.outputs)
-    if total_in < total_out:
-        raise ValidationError("value-creation", f"outputs {total_out} exceed inputs {total_in}")
-    return total_in - total_out
-
-
-def commitment_of(block: Block) -> bytes:
-    """The committed UTXO root a block carries in its coinbase."""
-    for out in block.transactions[0].outputs:
-        if out.kind == KIND_COMMITMENT:
-            return out.payload
-    raise ValidationError("utxo-root-mismatch", "coinbase carries no commitment",
-                          height=block.header.height)
-
-
-def check_block_structure(block: Block) -> None:
-    height = block.header.height
-    if not block.transactions:
-        raise ValidationError("bad-structure", "block has no transactions", height=height)
-    if not block.transactions[0].is_coinbase:
-        raise ValidationError("bad-structure", "first transaction is not a coinbase",
-                              height=height)
-    if block.transactions[0].version != height:
-        raise ValidationError("bad-coinbase", "coinbase version is not the block height",
-                              height=height)
-    for tx in block.transactions[1:]:
-        if any(i.prevout.is_coinbase_marker for i in tx.inputs):
-            raise ValidationError("bad-structure", "coinbase marker outside the coinbase",
-                                  height=height)
-    tx_ids = [txid(tx) for tx in block.transactions]
-    # The tx tree pairs an odd last node with itself, so repeating the
-    # last transactions keeps the root: such a body must not count as
-    # the block's (CVE-2012-2459).
-    if len(set(tx_ids)) != len(tx_ids):
-        raise ValidationError("bad-structure", "duplicate transaction", height=height)
-    if build_root(tx_ids) != block.header.tx_mroot:
-        raise ValidationError("tx-mroot-mismatch", height=height)
-
-
 @dataclass
 class FullNode:
     params: ChainParams
@@ -172,9 +86,6 @@ class FullNode:
     @property
     def tip_height(self) -> int:
         return self.headers.tip_height
-
-    def block_at(self, height: int) -> Block:
-        return self.blocks[self.headers.active_hash_at(height)]
 
     # -- block intake -------------------------------------------------------
 
@@ -219,17 +130,7 @@ class FullNode:
         place; a rejected block leaves the store as it was."""
         header = block.header
         check_header(header, self.headers.parent_of(header), self.params.target_bits)
-        view = _OverlayView(self.utxo)
-        fees = 0
-        for tx in block.transactions[1:]:
-            fees += validate_transaction(tx, view)
-            view.absorb(tx)
-        coinbase = block.transactions[0]
-        reward = sum(out.value for out in coinbase.outputs if out.kind == KIND_PAYMENT)
-        if reward > self.params.subsidy + fees:
-            raise ValidationError("bad-coinbase-value",
-                                  f"reward {reward} exceeds subsidy plus fees",
-                                  height=header.height)
+        connect_transactions(block, CoinView(self.utxo), self.params.subsidy)
         committed = commitment_of(block) if self.check_commitments else None
         root, _ = self.utxo.apply_block(block, header.height)
         if committed is not None and root != committed:
@@ -280,7 +181,7 @@ class FullNode:
 
     def submit_transaction(self, tx: Transaction) -> None:
         """Validate against the current view plus the pool, then queue."""
-        view = _OverlayView(self.utxo)
+        view = CoinView(self.utxo)
         for pooled in self.mempool:
             view.absorb(pooled)
         validate_transaction(tx, view)
@@ -288,7 +189,7 @@ class FullNode:
 
     def build_template(self) -> tuple[list[Transaction], int]:
         """Mempool txs that fit together on the current tip, plus total fees."""
-        view = _OverlayView(self.utxo)
+        view = CoinView(self.utxo)
         selected = []
         fees = 0
         for tx in self.mempool:
@@ -314,7 +215,7 @@ class FullNode:
             headers.append(block.header)
             matched = [
                 i for i, tx in enumerate(block.transactions)
-                if _tx_matches(tx, bloom)
+                if tx_touches(tx, bloom.may_contain)
             ]
             if matched:
                 tx_ids = [txid(tx) for tx in block.transactions]
@@ -345,13 +246,3 @@ class FullNode:
         if not self.headers.on_active_chain(block_hash) or block_hash not in self.blocks:
             raise ValidationError("unknown-block")
         return self.blocks[block_hash]
-
-
-def _tx_matches(tx: Transaction, bloom: BloomFilter) -> bool:
-    for inp in tx.inputs:
-        if not inp.prevout.is_coinbase_marker and bloom.may_contain(inp.public_key):
-            return True
-    return any(
-        out.kind == KIND_PAYMENT and bloom.may_contain(out.payload)
-        for out in tx.outputs
-    )

@@ -106,9 +106,6 @@ class HeaderIndex:
         height = self.headers[block_hash].height
         return height < len(self._active) and self._active[height] == block_hash
 
-    def header_at(self, height: int) -> BlockHeader:
-        return self.headers[self.active_hash_at(height)]
-
     def fork_height(self, a: bytes, b: bytes) -> int:
         """Height of the deepest common ancestor of an indexed block ``a``
         and a block ``b`` on the active chain. Walks from ``a`` only down

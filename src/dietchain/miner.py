@@ -30,7 +30,8 @@ from .chain import (
 )
 from .crypto import hash256
 from .errors import ValidationError
-from .full_node import FullNode, tx_merkle_root
+from .full_node import FullNode
+from .rules import tx_merkle_root
 from .utxo import VersionedShardStore
 
 

@@ -48,11 +48,11 @@ from .full_node import (
     MerkleBlockMatch,
     MerkleBlocksResponse,
     UtxosResponse,
-    tx_merkle_root,
 )
 from .merkle import encode_partial, read_partial
 from .miner import BlockTemplate, solve_pow, assemble_block, make_coinbase
-from .utxo import Coin, Shard, decode_shard
+from .rules import tx_merkle_root
+from .utxo import Coin, Shard, read_shard
 
 MSG_QUERY_MERKLE_BLOCKS = 0x01
 MSG_MERKLE_BLOCKS = 0x02
@@ -122,11 +122,7 @@ def decode_utxos_response(payload: bytes) -> UtxosResponse:
     shards: dict[int, Shard] = {}
     for _ in range(r.u16()):
         idx = r.u32()
-        count_at = r.offset
-        count = r.u16()
-        r.offset = count_at
-        raw = r.take(2 + 76 * count)
-        shards[idx] = decode_shard(raw, idx)
+        shards[idx] = read_shard(r, idx)
     tree = read_partial(r)
     r.done()
     return UtxosResponse(shards=shards, tree=tree)

@@ -16,11 +16,9 @@ from dataclasses import dataclass, field
 from .chain import (
     ChainParams,
     Transaction,
-    TxInput,
     TxOutput,
     KIND_PAYMENT,
     encode_block,
-    sighash,
     txid,
 )
 from .crypto import KeyPair, hash256
@@ -45,6 +43,7 @@ from .netsim import (
     decode_utxos_response,
     encode_utxos_response,
 )
+from .rules import signed_spend
 from .utxo import Coin, OutPoint, Shard
 
 ALL_QUERIES = frozenset({
@@ -213,16 +212,7 @@ def _act_pay(state: ScenarioState, step: dict) -> None:
     if total - amount - fee > 0:
         outputs.append(TxOutput(value=total - amount - fee, kind=KIND_PAYMENT,
                                 payload=challenge))
-    tx = Transaction(
-        version=0,
-        inputs=tuple(
-            TxInput(prevout=c.outpoint, public_key=sender.public_key,
-                    signature=b"\x00" * 64)
-            for c in picked),
-        outputs=tuple(outputs),
-    )
-    signature = sender.sign(sighash(tx))
-    tx = tx._replace(inputs=tuple(i._replace(signature=signature) for i in tx.inputs))
+    tx = signed_spend(sender, picked, outputs)
     node.submit_transaction(tx)
     if "label" in step:
         state.labeled[step["label"]] = (tx, picked)
@@ -253,17 +243,6 @@ def _victim_challenges(state: ScenarioState, victims: list[str]) -> list[bytes]:
         spec = next(n for n in state.config["nodes"] if n["id"] == victim)
         challenges.append(state.key(spec["keys"][0]).challenge)
     return challenges
-
-
-def _signed_spend(key: KeyPair, coins: list[Coin], outputs: list[TxOutput]) -> Transaction:
-    tx = Transaction(
-        version=0,
-        inputs=tuple(TxInput(prevout=c.outpoint, public_key=key.public_key,
-                             signature=b"\x00" * 64) for c in coins),
-        outputs=tuple(outputs),
-    )
-    signature = key.sign(sighash(tx))
-    return tx._replace(inputs=tuple(i._replace(signature=signature) for i in tx.inputs))
 
 
 def _act_corrupt_shard(state: ScenarioState, step: dict) -> None:
@@ -298,7 +277,7 @@ def _act_forge_commitment_tip(state: ScenarioState, step: dict) -> None:
     coin = owned[-1]
     victims = step["victims"] if "victims" in step else [step["victim"]]
     challenges = _victim_challenges(state, victims)
-    lure = _signed_spend(attacker, [coin], _split_outputs(coin.value, challenges))
+    lure = signed_spend(attacker, [coin], _split_outputs(coin.value, challenges))
     builder.mine([lure], attacker.public_key,
                  fake_commitment=state.rng.randbytes(32))
     _deploy(state, step, builder, victims, lure, [coin])
@@ -334,7 +313,7 @@ def _act_double_spend(state: ScenarioState, step: dict) -> None:
     builder.replay(_honest_blocks(state))
     builder.inject_coin(coin)
     victims = step["victims"]
-    lure = _signed_spend(attacker, [coin],
+    lure = signed_spend(attacker, [coin],
                          _split_outputs(coin.value, _victim_challenges(state, victims)))
     builder.mine([lure], attacker.public_key)
     _deploy(state, step, builder, victims, lure, [coin])
@@ -359,7 +338,7 @@ def _act_forge_chain(state: ScenarioState, step: dict) -> None:
     )
     builder.inject_coin(fake)
     victims = step["victims"] if "victims" in step else [step["victim"]]
-    lure = _signed_spend(attacker, [fake],
+    lure = signed_spend(attacker, [fake],
                          _split_outputs(fake.value, _victim_challenges(state, victims)))
     for _ in range(forge_count - 1):
         builder.mine([], attacker.public_key)

@@ -71,6 +71,55 @@ def shard_key(tx_id: bytes, k: int) -> int:
     return int.from_bytes(tx_id[:4], "big") >> (32 - k)
 
 
+def _locate(shard: list[Coin], outpoint: OutPoint) -> tuple[int, bool]:
+    """Where ``outpoint`` belongs in a sorted shard, and whether it is there."""
+    i = bisect.bisect_left(shard, outpoint, key=lambda c: c.outpoint)
+    return i, i < len(shard) and shard[i].outpoint == outpoint
+
+
+def find_coin(shard: list[Coin], outpoint: OutPoint) -> Coin | None:
+    i, found = _locate(shard, outpoint)
+    return shard[i] if found else None
+
+
+def insert_coin(shard: list[Coin], coin: Coin) -> bool:
+    """Insert in outpoint order; False if the outpoint is already there."""
+    i, found = _locate(shard, coin.outpoint)
+    if not found:
+        shard.insert(i, coin)
+    return not found
+
+
+def remove_coin(shard: list[Coin], outpoint: OutPoint) -> bool:
+    """Remove the coin at ``outpoint``; False if the shard has none."""
+    i, found = _locate(shard, outpoint)
+    if found:
+        del shard[i]
+    return found
+
+
+def shard_set_bytes(k: int, coin_count: int) -> int:
+    """Serialized bytes of all ``2**k`` shards holding ``coin_count`` coins."""
+    return 2 * (1 << k) + COIN_SIZE * coin_count
+
+
+def split_due(k: int, coin_count: int, size_cap: int) -> bool:
+    """The split rule's trigger: ``2**k`` shards average over ``size_cap`` bytes."""
+    return shard_set_bytes(k, coin_count) > size_cap * (1 << k)
+
+
+def split_shards(shards: dict[int, list[Coin]], k: int) -> dict[int, list[Coin]]:
+    """The ``2**(k+1)`` shards the split rule makes of ``2**k`` shards;
+    each keeps its coins in order."""
+    if k + 1 > 32:
+        raise InconsistentStateError("shard key space exhausted")
+    split: dict[int, list[Coin]] = {i: [] for i in range(1 << (k + 1))}
+    for coins in shards.values():
+        for coin in coins:
+            split[shard_key(coin.outpoint.txid, k + 1)].append(coin)
+    return split
+
+
 def coins_of(tx: Transaction) -> list[Coin]:
     """The spendable coins a transaction creates (payment outputs only)."""
     tid = txid(tx)
@@ -110,15 +159,21 @@ class Shard:
         return shard_leaf_hash(self.encode())
 
 
-def decode_shard(data: bytes, index: int) -> Shard:
-    r = Reader(data)
+def read_shard(r: Reader, index: int) -> Shard:
+    """Decode one serialized shard from a reader positioned at its count."""
     body = r.take(COIN_SIZE * r.u16())
-    r.done()
     coins = [Coin(OutPoint(tid, n), value, challenge)
              for tid, n, value, challenge in struct.iter_unpack("<32sIQ32s", body)]
     if coins != sorted(coins):
-        raise DecodeError("shard coins out of order", len(data))
+        raise DecodeError("shard coins out of order", r.offset)
     return Shard(index=index, coins=tuple(coins))
+
+
+def decode_shard(data: bytes, index: int) -> Shard:
+    r = Reader(data)
+    shard = read_shard(r, index)
+    r.done()
+    return shard
 
 
 @dataclass(frozen=True)
@@ -180,10 +235,9 @@ class VersionedShardStore:
 
     def get_coin(self, outpoint: OutPoint) -> Coin | None:
         """Look up a spendable coin, including not-yet-committed rewards."""
-        shard = self.shards[shard_key(outpoint.txid, self.k)]
-        i = bisect.bisect_left(shard, outpoint, key=lambda c: c.outpoint)
-        if i < len(shard) and shard[i].outpoint == outpoint:
-            return shard[i]
+        coin = find_coin(self.shards[shard_key(outpoint.txid, self.k)], outpoint)
+        if coin is not None:
+            return coin
         for coin in self.pending:
             if coin.outpoint == outpoint:
                 return coin
@@ -195,7 +249,7 @@ class VersionedShardStore:
         yield from self.pending
 
     def total_shard_bytes(self) -> int:
-        return 2 * (1 << self.k) + COIN_SIZE * self._coin_count
+        return shard_set_bytes(self.k, self._coin_count)
 
     def average_shard_bytes(self) -> float:
         return self.total_shard_bytes() / (1 << self.k)
@@ -248,9 +302,10 @@ class VersionedShardStore:
 
         k_before = self.k
         rebalanced = False
-        while self.total_shard_bytes() > self.size_cap * (1 << self.k):
+        while split_due(self.k, self._coin_count, self.size_cap):
             avg_before = self.average_shard_bytes()
-            self._split()
+            self.shards = split_shards(self.shards, self.k)
+            self.k += 1
             self.rebalance_log.append(RebalanceStep(
                 height=height, k_from=self.k - 1, k_to=self.k,
                 avg_before=avg_before, avg_after=self.average_shard_bytes(),
@@ -340,34 +395,17 @@ class VersionedShardStore:
 
     def _insert(self, coin: Coin) -> int:
         idx = shard_key(coin.outpoint.txid, self.k)
-        shard = self.shards[idx]
-        i = bisect.bisect_left(shard, coin.outpoint, key=lambda c: c.outpoint)
-        if i < len(shard) and shard[i].outpoint == coin.outpoint:
+        if not insert_coin(self.shards[idx], coin):
             raise InconsistentStateError(f"duplicate coin {coin.outpoint}")
-        shard.insert(i, coin)
         self._coin_count += 1
         return idx
 
     def _remove(self, outpoint: OutPoint) -> int:
         idx = shard_key(outpoint.txid, self.k)
-        shard = self.shards[idx]
-        i = bisect.bisect_left(shard, outpoint, key=lambda c: c.outpoint)
-        if i >= len(shard) or shard[i].outpoint != outpoint:
+        if not remove_coin(self.shards[idx], outpoint):
             raise InconsistentStateError(f"spent coin {outpoint} not in store")
-        del shard[i]
         self._coin_count -= 1
         return idx
-
-    def _split(self) -> None:
-        new_k = self.k + 1
-        if new_k > 32:
-            raise InconsistentStateError("shard key space exhausted")
-        new_shards: dict[int, list[Coin]] = {i: [] for i in range(1 << new_k)}
-        for coins in self.shards.values():
-            for coin in coins:
-                new_shards[shard_key(coin.outpoint.txid, new_k)].append(coin)
-        self.k = new_k
-        self.shards = new_shards  # per-shard order survives: the split preserves it
 
     # -- history ----------------------------------------------------------
 

@@ -3,16 +3,43 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
-from conftest import FAST, key_of, mined_node, payment
+from conftest import FAST, coins_owned, key_of, mined_node, payment
+from hypothesis import given, settings, strategies as st
 
-from dietchain.chain import ChainParams
+from dietchain.chain import (
+    Block,
+    ChainParams,
+    KIND_PAYMENT,
+    Transaction,
+    TxInput,
+    TxOutput,
+    block_hash,
+    encode_block,
+    make_coinbase_input,
+    sighash,
+)
 from dietchain.diet_node import DietConfig, DietNode, compute_verification_range
 from dietchain.errors import ValidationError
-from dietchain.full_node import FullNode
-from dietchain.miner import assemble_block, mine_on, node_template
-from dietchain.netsim import Bus, BusTransport, FullNodeService
+from dietchain.full_node import FullNode, UtxosResponse
+from dietchain.miner import (
+    BlockTemplate,
+    assemble_block,
+    mine_on,
+    node_template,
+    solve_pow,
+)
+from dietchain.netsim import (
+    MSG_QUERY_BLOCK,
+    MSG_QUERY_MERKLE_BLOCKS,
+    MSG_QUERY_UTXOS,
+    Bus,
+    BusTransport,
+    FullNodeService,
+)
+from dietchain.rules import tx_merkle_root
 
 ALICE = key_of("alice")
+BOB = key_of("bob")
 CAROL = key_of("carol")
 
 
@@ -216,3 +243,263 @@ def test_headers_from_another_genesis_are_refused():
     diet.ingest_headers(headers)
     assert diet.headers.tip == node.tip_hash
     assert diet.headers.active_chain() == node.headers.active_chain()
+
+
+# -- invalid blocks served with honest proofs ------------------------------------
+
+
+class _LenientNode(FullNode):
+    """A serving node that takes any block with valid proof-of-work on its
+    tip: its validation step only applies the block, so it serves an
+    invalid block together with honest proofs of the state before it."""
+
+    def _validate_and_apply(self, block: Block) -> None:
+        self.utxo.apply_block(block, block.header.height)
+
+    def plant(self, block: Block) -> None:
+        """Put a block on the tip without applying it, for bodies the
+        store cannot apply at all (a spent or made-up input)."""
+        self.headers.add(block.header)
+        self.blocks[block_hash(block)] = block
+
+    def serve_query_utxos(self, block_hash: bytes) -> UtxosResponse:
+        height = self.blocks[block_hash].header.height
+        if height in self.utxo.touched_log:
+            return super().serve_query_utxos(block_hash)
+        # A planted block: prove every shard of the state it sits on.
+        shards, tree = self.utxo.state_before(height, set(range(1 << self.utxo.k)))
+        return UtxosResponse(shards=shards, tree=tree)
+
+
+def _lenient_copy(node: FullNode) -> _LenientNode:
+    lenient = _LenientNode(node.params)
+    for hh in node.headers.active_chain():
+        assert lenient.connect_block(node.blocks[hh]).accepted
+    return lenient
+
+
+def _signed(key, outpoints, outputs) -> Transaction:
+    tx = Transaction(
+        version=0,
+        inputs=tuple(TxInput(prevout=o, public_key=key.public_key, signature=b"\x00" * 64)
+                     for o in outpoints),
+        outputs=tuple(outputs),
+    )
+    signature = key.sign(sighash(tx))
+    return tx._replace(inputs=tuple(i._replace(signature=signature) for i in tx.inputs))
+
+
+def _pay(coin, to: bytes, amount: int, fee: int = 1) -> Transaction:
+    """Alice spends one coin: ``amount`` to ``to``, the rest less the fee back."""
+    return _signed(ALICE, [coin.outpoint], [
+        TxOutput(value=amount, kind=KIND_PAYMENT, payload=to),
+        TxOutput(value=coin.value - amount - fee, kind=KIND_PAYMENT, payload=ALICE.challenge),
+    ])
+
+
+def _tip_block(node: FullNode, txs, fees: int, overpay: int = 0, seed: int = 0) -> Block:
+    """A solved block on the node's tip committing the root of ``txs``."""
+    template = BlockTemplate(
+        parent_hash=node.tip_hash, height=node.tip_height + 1,
+        target_bits=node.params.target_bits, transactions=tuple(txs),
+        reward_key=ALICE.public_key, reward_value=node.params.subsidy + fees + overpay)
+    return _solved(assemble_block(template, node.utxo), seed)
+
+
+def _solved(block: Block, seed: int) -> Block:
+    header = block.header._replace(tx_mroot=tx_merkle_root(block.transactions))
+    nonce = solve_pow(header, 1 << 20, seed=seed)
+    return Block(header=header._replace(nonce=nonce), transactions=block.transactions)
+
+
+def _tip_verdicts(diet: DietNode, height: int) -> set:
+    return {(v.status, v.reason, v.fail_height)
+            for v in diet.update_chain().verdicts if v.height == height}
+
+
+WATCH_CAROL = DietConfig(keys=(CAROL.public_key,), max_depth=10, max_length=2)
+
+
+def test_input_less_tx_in_window_is_bad_structure_on_both_nodes():
+    honest = mined_node(FAST, ALICE, 3, seed=60)
+    lenient = _lenient_copy(honest)
+    paid = _pay(coins_owned(honest, ALICE)[0], CAROL.challenge, 6)
+    free = Transaction(version=0, inputs=(),
+                       outputs=(TxOutput(value=0, kind=KIND_PAYMENT, payload=CAROL.challenge),))
+    block = _tip_block(lenient, [paid, free], fees=1, seed=160)
+    assert lenient.connect_block(block).accepted
+
+    result = honest.connect_block(block)
+    assert (result.status, result.reason) == ("rejected", "bad-structure")
+    diet = _wire(lenient, WATCH_CAROL)
+    assert _tip_verdicts(diet, 3) == {("rejected", "bad-structure", 3)}
+
+
+def test_coinbase_overpay_in_window_is_bad_coinbase_value_on_both_nodes():
+    honest = mined_node(FAST, ALICE, 3, seed=61)
+    lenient = _lenient_copy(honest)
+    paid = _pay(coins_owned(honest, ALICE)[0], CAROL.challenge, 6)
+    block = _tip_block(lenient, [paid], fees=1, overpay=1, seed=161)
+    assert lenient.connect_block(block).accepted
+
+    result = honest.connect_block(block)
+    assert (result.status, result.reason) == ("rejected", "bad-coinbase-value")
+    diet = _wire(lenient, WATCH_CAROL)
+    assert _tip_verdicts(diet, 3) == {("rejected", "bad-coinbase-value", 3)}
+
+
+def test_repeated_last_tx_body_is_bad_structure():
+    node = mined_node(FAST, ALICE, 3, seed=62)
+    first, second = coins_owned(node, ALICE)[:2]
+    node.submit_transaction(_pay(first, CAROL.challenge, 6))
+    node.submit_transaction(_pay(second, BOB.challenge, 4))
+    block = mine_on(node, ALICE.public_key, seed=162)
+    assert len(block.transactions) == 3  # odd: the last tx pairs with itself
+    target = block_hash(block)
+    doubled = block._replace(transactions=block.transactions + block.transactions[-1:])
+    assert tx_merkle_root(doubled.transactions) == block.header.tx_mroot
+
+    class RepeatingService(FullNodeService):
+        def handle_query(self, msg_type, payload):
+            if msg_type == MSG_QUERY_BLOCK and payload == target:
+                return encode_block(doubled)
+            return super().handle_query(msg_type, payload)
+
+    bus = Bus(seed=3)
+    bus.register("peer", RepeatingService(node))
+    diet = DietNode(FAST, WATCH_CAROL, BusTransport(bus, "client", "peer"))
+    assert _tip_verdicts(diet, 3) == {("rejected", "bad-structure", 3)}
+
+
+# -- a hostile peer gets a verdict, not an exception ---------------------------------
+
+
+class _TruncatingService(FullNodeService):
+    """Drops the last byte of every response of one query type."""
+
+    def __init__(self, node: FullNode, cut: int | None):
+        super().__init__(node)
+        self.cut = cut
+
+    def handle_query(self, msg_type, payload):
+        response = super().handle_query(msg_type, payload)
+        return response[:-1] if msg_type == self.cut else response
+
+
+def _truncated_window(cut: int):
+    node = mined_node(FAST, ALICE, 4, seed=63)
+    node.submit_transaction(payment(node, ALICE, [(CAROL.challenge, 6)]))
+    mine_on(node, ALICE.public_key, seed=163)
+    bus = Bus(seed=4)
+    bus.register("peer", _TruncatingService(node, cut))
+    diet = DietNode(FAST, WATCH_CAROL, BusTransport(bus, "client", "peer"))
+    return diet.update_chain().verdicts
+
+
+def test_truncated_block_is_a_peer_fault():
+    (verdict,) = _truncated_window(MSG_QUERY_BLOCK)
+    assert (verdict.status, verdict.reason) == ("rejected", "peer-fault")
+    assert verdict.fail_height == verdict.first  # the trusted base block comes first
+
+
+def test_truncated_utxos_is_a_peer_fault():
+    (verdict,) = _truncated_window(MSG_QUERY_UTXOS)
+    assert (verdict.status, verdict.reason) == ("rejected", "peer-fault")
+    assert verdict.fail_height == verdict.first + 1
+
+
+def test_truncated_merkle_blocks_changes_nothing():
+    node = mined_node(FAST, ALICE, 4, seed=64)
+    service = _TruncatingService(node, MSG_QUERY_MERKLE_BLOCKS)
+    bus = Bus(seed=5)
+    bus.register("peer", service)
+    diet = DietNode(FAST, WATCH_CAROL, BusTransport(bus, "client", "peer"))
+    first = diet.update_chain()  # nothing indexed yet
+    assert (first.verdicts, first.tip_height, diet.headers.tip) == ((), -1, None)
+
+    service.cut = None
+    diet.update_chain()
+    tip, verified = diet.headers.tip, diet.highest_verified
+
+    node.submit_transaction(payment(node, ALICE, [(CAROL.challenge, 6)]))
+    mine_on(node, ALICE.public_key, seed=164)
+    service.cut = MSG_QUERY_MERKLE_BLOCKS
+    result = diet.update_chain()
+    assert result.verdicts == ()
+    assert result.tip_height == 3
+    assert (diet.headers.tip, diet.highest_verified) == (tip, verified)
+
+    service.cut = None  # the next honest answer is taken as usual
+    assert [v.status for v in diet.update_chain().verdicts] == ["diet-verified"]
+
+
+# -- differential: a diet window verdict agrees with full-node acceptance -------------
+
+
+MUTATIONS = ("none", "flip-sig", "respend", "inflate", "overpay", "coinbase-version",
+             "stray-marker", "dup-last", "no-input")
+
+
+def _mutate(block: Block, mutation: str, spent) -> Block:
+    coinbase, paid, *rest = block.transactions
+    if mutation == "flip-sig":
+        inp = paid.inputs[0]
+        flipped = bytes([inp.signature[0] ^ 1]) + inp.signature[1:]
+        paid = paid._replace(inputs=(inp._replace(signature=flipped),) + paid.inputs[1:])
+    elif mutation == "respend":
+        paid = _signed(ALICE, [i.prevout for i in paid.inputs] + [spent], paid.outputs)
+    elif mutation == "inflate":
+        outputs = (paid.outputs[0]._replace(value=paid.outputs[0].value + 1000),)
+        paid = _signed(ALICE, [i.prevout for i in paid.inputs], outputs + paid.outputs[1:])
+    elif mutation == "coinbase-version":
+        coinbase = coinbase._replace(version=coinbase.version + 1)
+    elif mutation == "stray-marker":
+        paid = _signed(ALICE, [i.prevout for i in paid.inputs]
+                       + [make_coinbase_input().prevout], paid.outputs)
+    txs = (coinbase, paid, *rest)
+    if mutation == "dup-last":
+        txs += txs[-1:]
+    elif mutation == "no-input":
+        txs += (Transaction(version=0, inputs=(), outputs=(
+            TxOutput(value=0, kind=KIND_PAYMENT, payload=CAROL.challenge),)),)
+    return block._replace(transactions=txs)
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(initial_k=st.integers(0, 2), cap=st.sampled_from([160, 400, 1024]),
+       spends=st.lists(st.integers(0, 2), min_size=1, max_size=4),
+       extra=st.booleans(), seed=st.integers(0, 1 << 16))
+def test_diet_window_verdict_agrees_with_full_node(mutation, initial_k, cap, spends, extra,
+                                                   seed):
+    params = ChainParams(target_bits=5, subsidy=50, size_cap=cap, initial_k=initial_k)
+    honest = mined_node(params, ALICE, 1, seed=seed)
+    spends[0] = max(spends[0], 1)  # leave a spent coin behind to re-spend
+    spent = []
+    for i, count in enumerate(spends):
+        for coin in coins_owned(honest, ALICE)[:count]:
+            honest.submit_transaction(_pay(coin, BOB.challenge, 3))
+            spent.append(coin.outpoint)
+        mine_on(honest, ALICE.public_key, seed=seed + 1 + i)
+    lenient = _lenient_copy(honest)
+
+    coins = coins_owned(honest, ALICE)
+    txs = [_pay(coins[0], CAROL.challenge, 5)] + ([_pay(coins[1], BOB.challenge, 4)]
+                                                  if extra else [])
+    block = _tip_block(lenient, txs, fees=len(txs), overpay=int(mutation == "overpay"),
+                       seed=seed)
+    block = _solved(_mutate(block, mutation, spent[0]), seed)
+    height = block.header.height
+    if mutation in ("respend", "stray-marker", "dup-last") \
+            or not lenient.connect_block(block).accepted:
+        lenient.plant(block)
+
+    full = honest.connect_block(block)
+    verdicts = _tip_verdicts(_wire(lenient, WATCH_CAROL), height)
+    if full.accepted:
+        assert mutation == "none"
+        assert verdicts == {("diet-verified", None, None)}
+    else:
+        # The one code the nodes do not share: a wrong commitment.
+        code = "root-mismatch" if full.reason == "utxo-root-mismatch" else full.reason
+        assert verdicts == {("rejected", code, height)}, (mutation, full.reason)

@@ -22,12 +22,7 @@ from dietchain.chain import (
 )
 from dietchain.crypto import BloomFilter, hash256
 from dietchain.errors import ValidationError
-from dietchain.full_node import (
-    FullNode,
-    commitment_of,
-    tx_merkle_root,
-    validate_transaction,
-)
+from dietchain.full_node import FullNode
 from dietchain.merkle import contains, partial_root
 from dietchain.miner import (
     assemble_block,
@@ -37,6 +32,7 @@ from dietchain.miner import (
     node_template,
     solve_pow,
 )
+from dietchain.rules import commitment_of, tx_merkle_root, validate_transaction
 
 ALICE = key_of("alice")
 BOB = key_of("bob")

@@ -8,7 +8,7 @@ from conftest import FAST, coins_owned, key_of, mined_node, payment
 from dietchain.chain import ChainParams, pow_ok, txid
 from dietchain.crypto import hash256
 from dietchain.errors import ValidationError
-from dietchain.full_node import FullNode, commitment_of
+from dietchain.full_node import FullNode
 from dietchain.miner import (
     BlockTemplate,
     assemble_block,
@@ -19,6 +19,7 @@ from dietchain.miner import (
     node_template,
     nonce_start,
 )
+from dietchain.rules import commitment_of
 from dietchain.utxo import coins_of
 
 ALICE = key_of("alice")

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +53,36 @@ def test_every_bundled_scenario_passes():
     for name, text in sorted(bundled.items()):
         run = run_scenario(json.loads(text))
         assert run.passed, f"{name}: {run.report['expectations']}"
+
+
+GOLDEN = json.loads((Path(__file__).parent / "golden" / "digests.json").read_text())
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_bundled_scenarios_match_golden_digests():
+    """Reports and traces of every bundled scenario, at its own seed and
+    at seed 7, are byte-identical to the pinned ones."""
+    bundled = cli.bundled_scenarios()
+    assert sorted(GOLDEN) == sorted(bundled)
+    mismatches = []
+    for name, text in sorted(bundled.items()):
+        for label, seed in (("default", None), ("7", 7)):
+            run = run_scenario(json.loads(text), seed_override=seed)
+            got = {"report": _sha256(render_report(run.report)),
+                   "trace": _sha256(render_trace(run.trace))}
+            for part, digest in got.items():
+                if digest != GOLDEN[name][label][part]:
+                    flag = "" if seed is None else f" --seed {seed}"
+                    mismatches.append(
+                        f"{name} ({label} seed) {part} changed; diff the output of"
+                        f" `dietchain run {name}{flag} --report FILE`"
+                        f" (or `dietchain trace {name}{flag} --out FILE`)"
+                        " against the same command at the commit that pinned"
+                        " tests/golden/digests.json")
+    assert not mismatches, "\n".join(mismatches)
 
 
 def test_minimal_config_runs():
