@@ -13,6 +13,7 @@ Wire layout summary::
     BlockHeader  prev_hash(32) tx_mroot(32) target_bits(u8)
                  nonce(u64) height(u32)                       77 bytes
     Block        header(77) transactions(u16+...)
+    Coin         txid(32) index(u32) value(u64) challenge(32)  76 bytes
 
 A transaction's id is ``hash256`` of its encoding; its signing digest is
 ``hash256`` of the encoding with every input's public key and signature
@@ -21,6 +22,7 @@ zeroed, so signatures cover the spends and amounts but not each other.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -38,6 +40,19 @@ KIND_PAYMENT = 0x00
 KIND_COMMITMENT = 0x01
 
 HEADER_SIZE = 77
+COIN_SIZE = 76
+# A shard is a u16 coin count plus its coins. Under a cap smaller than a
+# shard of one coin the split rule settles only with more shards than
+# coins, and at a cap of 2 or less it splits without end.
+MIN_SIZE_CAP = 2 + COIN_SIZE
+
+# (field, lowest, highest) a ChainParams value may take
+_PARAM_LIMITS = (
+    ("target_bits", 0, 0xFF),          # the header's u8
+    ("subsidy", 0, (1 << 64) - 1),     # an output's u64
+    ("size_cap", MIN_SIZE_CAP, None),
+    ("initial_k", 0, 32),              # shard keys are a txid's first 32 bits
+)
 
 
 @dataclass(frozen=True)
@@ -48,6 +63,13 @@ class ChainParams:
     subsidy: int = 50
     size_cap: int = 1024
     initial_k: int = 0
+
+    def __post_init__(self):
+        for name, low, high in _PARAM_LIMITS:
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < low or (high is not None and value > high):
+                allowed = f"at least {low}" if high is None else f"in [{low}, {high}]"
+                raise ValueError(f"{name} must be an integer {allowed}, got {value!r}")
 
 
 class OutPoint(NamedTuple):
@@ -232,6 +254,10 @@ def decode_block(data: bytes) -> Block:
     return b
 
 
+# A tx on the write path is asked for its id many times (coin views, the
+# store, the pool, the block checks); a small memo hashes it once. Equal
+# transactions have equal encodings, so a hit is exact.
+@functools.lru_cache(maxsize=512)
 def txid(tx: Transaction) -> bytes:
     return hash256(encode_transaction(tx))
 

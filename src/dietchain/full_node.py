@@ -130,7 +130,8 @@ class FullNode:
         place; a rejected block leaves the store as it was."""
         header = block.header
         check_header(header, self.headers.parent_of(header), self.params.target_bits)
-        connect_transactions(block, CoinView(self.utxo), self.params.subsidy)
+        connect_transactions(block, CoinView(self.utxo), self.params.subsidy,
+                             self._pooled_txids())
         committed = commitment_of(block) if self.check_commitments else None
         root, _ = self.utxo.apply_block(block, header.height)
         if committed is not None and root != committed:
@@ -187,14 +188,20 @@ class FullNode:
         validate_transaction(tx, view)
         self.mempool.append(tx)
 
+    def _pooled_txids(self) -> set[bytes]:
+        """Txids whose signatures this node has verified: every pooled tx
+        passed full validation in ``submit_transaction``."""
+        return {txid(tx) for tx in self.mempool}
+
     def build_template(self) -> tuple[list[Transaction], int]:
         """Mempool txs that fit together on the current tip, plus total fees."""
         view = CoinView(self.utxo)
+        signed = self._pooled_txids()
         selected = []
         fees = 0
         for tx in self.mempool:
             try:
-                fees += validate_transaction(tx, view)
+                fees += validate_transaction(tx, view, signed)
             except ValidationError:
                 continue
             view.absorb(tx)

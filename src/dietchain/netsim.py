@@ -42,7 +42,7 @@ from .chain import (
     read_transaction,
 )
 from .crypto import BloomFilter
-from .errors import ScenarioError, ValidationError
+from .errors import ScenarioError
 from .full_node import (
     FullNode,
     MerkleBlockMatch,
@@ -246,9 +246,10 @@ class BusTransport:
 
     def query_utxo_mroot(self, block_hash: bytes):
         payload = self.bus.request(self.src, self.peer, MSG_QUERY_UTXO_MROOT, block_hash)
-        if len(payload) != 32:
-            raise ValidationError("proof-mismatch", "committed root has the wrong width")
-        return payload, len(payload)
+        r = Reader(payload)
+        root = r.take(32)
+        r.done()
+        return root, len(payload)
 
     def query_block(self, block_hash: bytes):
         payload = self.bus.request(self.src, self.peer, MSG_QUERY_BLOCK, block_hash)

@@ -102,12 +102,15 @@ def load_config(source) -> dict:
 
 
 def _build(cfg: dict) -> ScenarioState:
-    params = ChainParams(
-        target_bits=cfg.get("target_bits", 8),
-        subsidy=cfg.get("subsidy", 50),
-        size_cap=cfg.get("size_cap", 1024),
-        initial_k=cfg.get("initial_k", 0),
-    )
+    try:
+        params = ChainParams(
+            target_bits=cfg.get("target_bits", 8),
+            subsidy=cfg.get("subsidy", 50),
+            size_cap=cfg.get("size_cap", 1024),
+            initial_k=cfg.get("initial_k", 0),
+        )
+    except ValueError as exc:
+        raise ScenarioError(f"bad chain parameters: {exc}") from exc
     seed = cfg["seed"]
     state = ScenarioState(
         config=cfg,

@@ -47,12 +47,11 @@ import struct
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
-from .chain import KIND_PAYMENT, OutPoint, Reader, Transaction, txid
+from .chain import COIN_SIZE, KIND_PAYMENT, MIN_SIZE_CAP, OutPoint, Reader, Transaction, txid
 from .crypto import hash256
 from .errors import DecodeError, HistoryUnavailableError, InconsistentStateError
 from .merkle import PartialMerkleTree, pack_levels, partial_from_levels, update_levels
 
-COIN_SIZE = 76
 EMPTY_SHARD_BYTES = b"\x00\x00"
 
 
@@ -221,8 +220,8 @@ class VersionedShardStore:
     def __post_init__(self):
         if not 0 <= self.initial_k <= 32:
             raise ValueError("initial_k must be in [0, 32]")
-        if self.size_cap <= 0:
-            raise ValueError("size_cap must be positive")
+        if self.size_cap < MIN_SIZE_CAP:
+            raise ValueError(f"size_cap must be at least {MIN_SIZE_CAP}, one coin's shard")
         self.k = self.initial_k
         self.shards = {i: [] for i in range(1 << self.k)}
         self._levels = pack_levels([shard_leaf_hash(EMPTY_SHARD_BYTES)] * (1 << self.k))

@@ -11,9 +11,11 @@ from dietchain.chain import (
     HEADER_SIZE,
     KIND_COMMITMENT,
     KIND_PAYMENT,
+    MIN_SIZE_CAP,
     ZERO32,
     Block,
     BlockHeader,
+    ChainParams,
     OutPoint,
     Transaction,
     TxInput,
@@ -210,3 +212,22 @@ def test_header_hash_is_double_sha_of_encoding():
     header = _random_header(random.Random(10))
     wire = encode_header(header)
     assert header_hash(header) == hashlib.sha256(hashlib.sha256(wire).digest()).digest()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("target_bits", -1), ("target_bits", 256),
+    ("subsidy", -1), ("subsidy", 1 << 64),
+    ("initial_k", -1), ("initial_k", 33),
+    ("size_cap", 0), ("size_cap", 2), ("size_cap", MIN_SIZE_CAP - 1),
+    ("target_bits", "8"), ("size_cap", 1024.0),
+])
+def test_params_outside_the_wire_limits_are_refused(field, value):
+    # Construction only: a block under such params could split without end.
+    with pytest.raises(ValueError, match=field):
+        ChainParams(**{field: value})
+
+
+def test_params_at_the_wire_limits_are_accepted():
+    assert MIN_SIZE_CAP == 78
+    ChainParams(target_bits=0, subsidy=0, size_cap=MIN_SIZE_CAP, initial_k=0)
+    ChainParams(target_bits=255, subsidy=(1 << 64) - 1, size_cap=1 << 40, initial_k=32)

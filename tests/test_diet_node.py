@@ -31,6 +31,7 @@ from dietchain.miner import (
 from dietchain.netsim import (
     MSG_QUERY_BLOCK,
     MSG_QUERY_MERKLE_BLOCKS,
+    MSG_QUERY_UTXO_MROOT,
     MSG_QUERY_UTXOS,
     Bus,
     BusTransport,
@@ -406,6 +407,13 @@ def test_truncated_utxos_is_a_peer_fault():
     (verdict,) = _truncated_window(MSG_QUERY_UTXOS)
     assert (verdict.status, verdict.reason) == ("rejected", "peer-fault")
     assert verdict.fail_height == verdict.first + 1
+
+
+def test_truncated_root_is_a_peer_fault_at_the_base():
+    (verdict,) = _truncated_window(MSG_QUERY_UTXO_MROOT)
+    assert (verdict.status, verdict.reason) == ("rejected", "peer-fault")
+    assert (verdict.first, verdict.last) == (verdict.height - 2, verdict.height)
+    assert verdict.fail_height == verdict.first  # the base's root is asked for first
 
 
 def test_truncated_merkle_blocks_changes_nothing():

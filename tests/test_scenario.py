@@ -169,6 +169,21 @@ def test_non_string_key_name_is_a_config_error():
         run_scenario(cfg)
 
 
+@pytest.mark.parametrize("field, value", [("size_cap", 2), ("target_bits", 256),
+                                          ("subsidy", -1), ("initial_k", 40)])
+def test_out_of_range_chain_params_are_a_config_error(field, value):
+    # An empty script: nothing is mined even if the params got through.
+    with pytest.raises(ScenarioError, match=field):
+        run_scenario(_cfg(script=[], expect=[], **{field: value}))
+
+
+def test_cli_run_refuses_out_of_range_params(capsys, tmp_path):
+    path = tmp_path / "tiny_cap.json"
+    path.write_text(json.dumps(_cfg(size_cap=2, script=[], expect=[])))
+    assert cli.main(["run", str(path)]) == 2
+    assert "size_cap" in capsys.readouterr().err
+
+
 def test_key_derivation_is_name_and_seed_bound():
     alice_nine = derive_key(9, "alice")
     assert derive_key(9, "alice").public_key == alice_nine.public_key

@@ -493,3 +493,11 @@ def test_recent_state_before_rehashes_only_what_changed(monkeypatch):
     assert calls == []  # the live tree is the tip's state
     split.state_before(split.height, set(range(1 << split.touched_log[split.height].k)))
     assert calls == []  # a split block's pre-state is the tree kept at the split
+
+
+@pytest.mark.parametrize("cap", [-1, 0, 2, 77])
+def test_store_refuses_a_cap_below_one_coin_shard(cap):
+    # Construction only: under such a cap a block could split without end.
+    with pytest.raises(ValueError, match="size_cap"):
+        VersionedShardStore(initial_k=0, size_cap=cap)
+    VersionedShardStore(initial_k=0, size_cap=2 + COIN_SIZE)
