@@ -177,12 +177,15 @@ def encode_transaction(tx: Transaction) -> bytes:
     return b"".join(parts)
 
 
+_HEADER = struct.Struct("<32s32sBQI")  # BlockHeader's fields in order
+
+
 def encode_header(h: BlockHeader) -> bytes:
-    return (
+    # "32s" pads or truncates silently, so the widths are checked first.
+    if len(h.prev_hash) != 32 or len(h.tx_mroot) != 32:
         _check_width("prev_hash", h.prev_hash, 32)
-        + _check_width("tx_mroot", h.tx_mroot, 32)
-        + struct.pack("<BQI", h.target_bits, h.nonce, h.height)
-    )
+        _check_width("tx_mroot", h.tx_mroot, 32)
+    return _HEADER.pack(*h)
 
 
 def encode_block(b: Block) -> bytes:
@@ -296,9 +299,15 @@ def leading_zero_bits(digest: bytes) -> int:
     return count
 
 
+def meets_target(digest: bytes, target_bits: int) -> bool:
+    """Whether a 32-byte digest has at least ``target_bits`` (0..256)
+    leading zero bits, as :func:`leading_zero_bits` counts them."""
+    return int.from_bytes(digest, "big") >> (256 - target_bits) == 0
+
+
 def pow_ok(h: BlockHeader) -> bool:
     """Proof-of-work check: the header hash needs target_bits leading zero bits."""
-    return leading_zero_bits(header_hash(h)) >= h.target_bits
+    return meets_target(header_hash(h), h.target_bits)
 
 
 def block_work(h: BlockHeader) -> int:

@@ -32,7 +32,7 @@ from .crypto import BloomFilter, hash256
 from .errors import DecodeError, IncompleteProofError, ValidationError
 from .headers import HeaderIndex
 from .merkle import build_root, contains, partial_root, update_in_place
-from .rules import check_block_structure, commitment_of, connect_transactions
+from .rules import check_block_structure, check_coinbase_value, commitment_of, connect_body
 from .utxo import (
     Coin,
     Shard,
@@ -257,7 +257,8 @@ class DietNode:
             view = _ShardView(response.shards, k, height)
             for coin in pending:
                 view.insert(coin)
-            connect_transactions(block, view, self.params.subsidy)
+            fees = connect_body(block.transactions[1:], view, height)
+            check_coinbase_value(block.transactions[0], self.params.subsidy, fees, height)
 
             try:
                 committed = commitment_of(block)

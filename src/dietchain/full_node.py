@@ -26,8 +26,9 @@ from .merkle import PartialMerkleTree, extract_partial
 from .rules import (
     CoinView,
     check_block_structure,
+    check_coinbase_value,
     commitment_of,
-    connect_transactions,
+    connect_body,
     validate_transaction,
 )
 from .utxo import Shard, VersionedShardStore
@@ -108,9 +109,7 @@ class FullNode:
                 self._validate_and_apply(block)
             except ValidationError as exc:
                 return ConnectResult("rejected", exc.code, height)
-            self.headers.add(block.header)
-            self.blocks[hh] = block
-            self._drop_mined_from_mempool(block)
+            self._index(block)
             return ConnectResult("accepted", height=height)
 
         # Off-tip: index header and block, then reorganize if the new
@@ -130,13 +129,54 @@ class FullNode:
         place; a rejected block leaves the store as it was."""
         header = block.header
         check_header(header, self.headers.parent_of(header), self.params.target_bits)
-        connect_transactions(block, CoinView(self.utxo), self.params.subsidy,
-                             self._pooled_txids())
+        fees = self._connect_body(block.transactions[1:], header.height)
+        check_coinbase_value(block.transactions[0], self.params.subsidy, fees, header.height)
         committed = commitment_of(block) if self.check_commitments else None
         root, _ = self.utxo.apply_block(block, header.height)
         if committed is not None and root != committed:
             self.utxo.undo_block()
             raise ValidationError("utxo-root-mismatch", height=header.height)
+
+    def _connect_body(self, txs, height: int) -> int:
+        return connect_body(txs, CoinView(self.utxo), height, self._pooled_txids())
+
+    def _index(self, block: Block) -> None:
+        """Record an applied block as the new tip."""
+        hh = self.headers.add(block.header)
+        self.blocks[hh] = block
+        self._drop_mined_from_mempool(block)
+
+    # -- mining on the tip ----------------------------------------------------
+
+    def open_block(self, txs, height: int) -> tuple[bytes, int]:
+        """Validate a block body on the tip, as :meth:`connect_block` does,
+        and apply it; returns (root its coinbase must commit, fees).
+
+        The store then holds the body unsealed: the caller either passes
+        the finished block to :meth:`close_block` or undoes it with
+        ``utxo.undo_block()``.
+        """
+        fees = self._connect_body(txs, height)
+        return self.utxo.apply_body(list(txs), height), fees
+
+    def close_block(self, block: Block, root: bytes, fees: int) -> None:
+        """Finish a block whose body :meth:`open_block` applied: run the
+        header, coinbase-value and commitment checks, then seal and index
+        it. On a ValidationError the block is still open.
+
+        The structure checks of :meth:`connect_block` hold by
+        construction: the miner built the coinbase and tx root, and the
+        body rules refuse a tx that spends a coinbase marker or spends
+        an input twice, as any repeated tx would.
+        """
+        header = block.header
+        coinbase = block.transactions[0]
+        check_header(header, self.headers.parent_of(header), self.params.target_bits)
+        check_coinbase_value(coinbase, self.params.subsidy, fees, header.height)
+        if self.check_commitments and commitment_of(block) != root:
+            raise ValidationError("utxo-root-mismatch", height=header.height)
+        self.utxo.seal(coinbase)
+        self._index(block)
 
     def _reorganize(self, old_tip: bytes, new_block: Block) -> ConnectResult:
         new_tip = self.headers.tip
@@ -148,17 +188,27 @@ class FullNode:
             try:
                 self._validate_and_apply(block)
             except ValidationError as exc:
-                # The heavier branch is invalid: forget it and restore.
+                # The heavier branch is invalid: forget it and every block
+                # indexed on top of it, and restore.
                 self.utxo.rewind_to(fork)
                 for hh in reversed(old_branch):
                     old = self.blocks[hh]
                     self.utxo.apply_block(old, old.header.height)
-                for hh in self._branch_above(new_tip, fork):
+                forgotten = set(self._branch_above(new_tip, fork))
+                # A header is indexed after its parent, so one pass finds every descendant.
+                for hh, header in self.headers.headers.items():
+                    if header.prev_hash in forgotten:
+                        forgotten.add(hh)
+                for hh in forgotten:
                     del self.headers.headers[hh]
                     del self.headers.work[hh]
                     self.blocks.pop(hh, None)
                 self.headers.set_tip(old_tip)
                 return ConnectResult("rejected", exc.code, height)
+        # Orphaned payments still valid go back ahead of the pool; pool txs
+        # that the new branch mined or spent the inputs of drop out.
+        orphaned = [tx for hh in reversed(old_branch) for tx in self.blocks[hh].transactions[1:]]
+        self.mempool, _ = self._fitting(orphaned + self.mempool)
         return ConnectResult("accepted", height=new_block.header.height)
 
     def _branch_above(self, tip: bytes, fork: int) -> list[bytes]:
@@ -181,7 +231,10 @@ class FullNode:
     # -- mempool ------------------------------------------------------------
 
     def submit_transaction(self, tx: Transaction) -> None:
-        """Validate against the current view plus the pool, then queue."""
+        """Validate against the current view plus the pool, then queue;
+        a tx already pooled is left as it is."""
+        if txid(tx) in self._pooled_txids():
+            return
         view = CoinView(self.utxo)
         for pooled in self.mempool:
             view.absorb(pooled)
@@ -195,11 +248,17 @@ class FullNode:
 
     def build_template(self) -> tuple[list[Transaction], int]:
         """Mempool txs that fit together on the current tip, plus total fees."""
+        return self._fitting(self.mempool)
+
+    def _fitting(self, txs) -> tuple[list[Transaction], int]:
+        """The txs, in order, that are valid together on the current tip,
+        plus their total fees. Signatures of pooled txs are not checked
+        again; those of any other tx are."""
         view = CoinView(self.utxo)
         signed = self._pooled_txids()
         selected = []
         fees = 0
-        for tx in self.mempool:
+        for tx in txs:
             try:
                 fees += validate_transaction(tx, view, signed)
             except ValidationError:

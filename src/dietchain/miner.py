@@ -2,8 +2,12 @@
 
 The coinbase commits the UTXO root for the block being built. That root
 covers the block's non-coinbase transactions but never the coinbase's
-own reward coins, so assembly is two-pass: compute the root from the
-parent state plus the template, then build the coinbase around it.
+own reward coins, so the root comes first and the coinbase is built
+around it. A node mining on its own tip (``mine_on``) applies the
+template's body once, builds and solves the block on the returned root,
+then seals the block in place, or undoes the body if anything fails.
+``mine_block`` leaves the store it is given as it was: it previews the
+root (apply, then undo) and solves.
 
 The coinbase's version field carries the block height so that two
 otherwise identical coinbases can never collide on txid. If the 64-bit
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import Callable
 
 from .chain import (
     Block,
@@ -29,10 +34,12 @@ from .chain import (
     pow_ok,
 )
 from .crypto import hash256
-from .errors import ValidationError
 from .full_node import FullNode
 from .rules import tx_merkle_root
 from .utxo import VersionedShardStore
+
+
+MAX_ATTEMPTS = 1 << 20  # nonces scanned before the extra nonce rolls
 
 
 @dataclass(frozen=True)
@@ -66,6 +73,11 @@ def assemble_block(template: BlockTemplate, parent_state: VersionedShardStore,
                    extra_nonce: int = 0) -> Block:
     """Build an unmined block (nonce 0) committing the correct root."""
     root = parent_state.preview_root(list(template.transactions), template.height)
+    return block_on(template, root, extra_nonce)
+
+
+def block_on(template: BlockTemplate, root: bytes, extra_nonce: int = 0) -> Block:
+    """An unmined block (nonce 0) of the template committing ``root``."""
     coinbase = make_coinbase(template, root, extra_nonce)
     txs = (coinbase,) + template.transactions
     header = BlockHeader(
@@ -85,26 +97,33 @@ def nonce_start(seed: int) -> int:
 
 def solve_pow(header: BlockHeader, max_attempts: int, seed: int = 0) -> int | None:
     """Scan nonces from a seed-derived start; None when the budget runs out."""
+    prev_hash, tx_mroot, target_bits, _, height = header
     nonce = nonce_start(seed)
     for _ in range(max_attempts):
-        candidate = header._replace(nonce=nonce)
-        if pow_ok(candidate):
+        if pow_ok(BlockHeader(prev_hash, tx_mroot, target_bits, nonce, height)):
             return nonce
         nonce = (nonce + 1) & (1 << 64) - 1
     return None
 
 
-def mine_block(template: BlockTemplate, parent_state: VersionedShardStore,
-               seed: int = 0, max_attempts: int = 1 << 20) -> Block:
-    """Assemble and solve; rolls the extra nonce if a scan comes up empty."""
+def _solve(unmined: Callable[[int], Block], seed: int, max_attempts: int) -> Block:
+    """Solve ``unmined(extra_nonce)``, rolling the extra nonce whenever a
+    scan comes up empty."""
     extra_nonce = 0
     while True:
-        block = assemble_block(template, parent_state, extra_nonce)
+        block = unmined(extra_nonce)
         nonce = solve_pow(block.header, max_attempts, seed=seed + extra_nonce)
         if nonce is not None:
             return Block(header=block.header._replace(nonce=nonce),
                          transactions=block.transactions)
         extra_nonce += 1
+
+
+def mine_block(template: BlockTemplate, parent_state: VersionedShardStore,
+               seed: int = 0, max_attempts: int = MAX_ATTEMPTS) -> Block:
+    """Assemble and solve; ``parent_state`` is left as it was."""
+    return _solve(lambda extra: assemble_block(template, parent_state, extra),
+                  seed, max_attempts)
 
 
 def node_template(node: FullNode, reward_key: bytes) -> BlockTemplate:
@@ -121,12 +140,19 @@ def node_template(node: FullNode, reward_key: bytes) -> BlockTemplate:
 
 
 def mine_on(node: FullNode, reward_key: bytes, seed: int = 0) -> Block:
-    """Mine the next block on a node's tip and connect it there."""
-    block = mine_block(node_template(node, reward_key), node.utxo, seed=seed)
-    result = node.connect_block(block)
-    if not result.accepted:
-        raise ValidationError(result.reason or "rejected",
-                              "node rejected its own block", result.height)
+    """Mine the next block on a node's tip and connect it there, applying
+    its body once. Raises ValidationError if the node rejects the block;
+    on any failure the node is left as it was."""
+    template = node_template(node, reward_key)
+    root, fees = node.open_block(template.transactions, template.height)
+    closed = False
+    try:
+        block = _solve(lambda extra: block_on(template, root, extra), seed, MAX_ATTEMPTS)
+        node.close_block(block, root, fees)
+        closed = True
+    finally:
+        if not closed:
+            node.utxo.undo_block()
     return block
 
 

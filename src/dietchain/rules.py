@@ -94,30 +94,31 @@ def validate_transaction(tx: Transaction, view, signed=frozenset()) -> int:
     return total_in - total_out
 
 
-def connect_transactions(block: Block, view, subsidy: int, signed=frozenset()) -> int:
-    """Validate and absorb each spending tx in order, then check that the
-    coinbase pays at most ``subsidy`` plus fees; returns the fees. Errors
-    without a height get the block's.
+def connect_body(txs, view, height: int, signed=frozenset()) -> int:
+    """Validate and absorb each spending tx of a block body in order;
+    returns the fees. Errors without a height get ``height``, the block's.
 
     ``signed`` is passed on to :func:`validate_transaction`: txids whose
     signatures the caller has verified before. A full node passes its
     mempool's txids; a diet node passes nothing and checks every
     signature in its window.
     """
-    height = block.header.height
     fees = 0
     try:
-        for tx in block.transactions[1:]:
+        for tx in txs:
             fees += validate_transaction(tx, view, signed)
             view.absorb(tx)
     except ValidationError as exc:
         raise exc if exc.height is not None else ValidationError(exc.code, exc.detail, height)
-    reward = sum(out.value for out in block.transactions[0].outputs
-                 if out.kind == KIND_PAYMENT)
+    return fees
+
+
+def check_coinbase_value(coinbase: Transaction, subsidy: int, fees: int, height: int) -> None:
+    """The coinbase may pay at most ``subsidy`` plus the body's fees."""
+    reward = sum(out.value for out in coinbase.outputs if out.kind == KIND_PAYMENT)
     if reward > subsidy + fees:
         raise ValidationError("bad-coinbase-value",
                               f"reward {reward} exceeds subsidy plus fees", height=height)
-    return fees
 
 
 def commitment_of(block: Block) -> bytes:

@@ -31,6 +31,13 @@ block replaced is kept apart. Previewing a block's root, dropping a
 block whose commitment is wrong and switching branches are all
 apply-then-undo; nothing copies the store.
 
+Application has two steps: ``apply_body`` applies the non-coinbase txs
+and returns the root, and ``seal`` parks the coinbase's reward coins.
+A node mining on its own tip needs the root before its coinbase exists,
+so it applies the body once, builds the coinbase and header on the
+returned root, and seals the block, or undoes it if the block fails;
+its block is applied once, not previewed and then applied again.
+
 A split keeps the tree it replaces as the final tree of the coarser
 ``k``. ``state_before`` cuts a historical proof from the live tree or
 from that kept tree: it puts back the old versions of only the shards
@@ -275,18 +282,27 @@ class VersionedShardStore:
         coinbase = block.transactions[0]
         if not coinbase.is_coinbase:
             raise InconsistentStateError("block does not start with a coinbase")
-        root = self._apply_core(list(block.transactions[1:]), height)
-        self.pending = coins_of(coinbase)
+        root = self.apply_body(list(block.transactions[1:]), height)
+        self.seal(coinbase)
         return root, self.touched_log[height].indices
 
     def preview_root(self, txs: list[Transaction], height: int) -> bytes:
         """The root a block with these non-coinbase txs would commit;
         the store is left as it was."""
-        root = self._apply_core(txs, height)
+        root = self.apply_body(txs, height)
         self.undo_block()
         return root
 
-    def _apply_core(self, txs: list[Transaction], height: int) -> bytes:
+    def seal(self, coinbase: Transaction) -> None:
+        """Park the reward coins of the block just applied by
+        :meth:`apply_body`; they enter the shards with the next block."""
+        self.pending = coins_of(coinbase)
+
+    def apply_body(self, txs: list[Transaction], height: int) -> bytes:
+        """Apply a block's validated non-coinbase txs at ``height`` and
+        return the root its coinbase must commit. The block is applied,
+        history and all, except for its reward coins: :meth:`seal` adds
+        them, and :meth:`undo_block` reverses either state."""
         expected = 0 if self.height is None else self.height + 1
         if height != expected:
             raise InconsistentStateError(f"expected height {expected}, got {height}")

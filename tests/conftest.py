@@ -13,7 +13,7 @@ from dietchain.chain import (
 from dietchain.crypto import KeyPair, hash256
 from dietchain.full_node import FullNode
 from dietchain.miner import make_genesis, mine_on
-from dietchain.utxo import Coin
+from dietchain.utxo import Coin, VersionedShardStore
 
 FAST = ChainParams(target_bits=5, subsidy=50, size_cap=1024, initial_k=2)
 
@@ -62,3 +62,25 @@ def payment(node: FullNode, sender: KeyPair, pays: list[tuple[bytes, int]],
     signature = sender.sign(sighash(tx))
     return tx._replace(inputs=tuple(i._replace(signature=signature)
                                     for i in tx.inputs))
+
+
+def store_state(store: VersionedShardStore) -> dict:
+    """A copy of every field a block application writes, packed tree
+    levels as bytes, for comparing two stores or one store over time."""
+    return {
+        "height": store.height,
+        "k": store.k,
+        "versions": dict(store.versions),
+        "root_log": dict(store.root_log),
+        "touched_log": dict(store.touched_log),
+        "policy_log": list(store.policy_log),
+        "rebalance_log": list(store.rebalance_log),
+        "bytes_log": list(store.bytes_log),
+        "pending": list(store.pending),
+        "shards": {i: list(coins) for i, coins in store.shards.items()},
+        "levels": [bytes(level) for level in store._levels],
+        "frozen": {k: (h, [bytes(level) for level in levels])
+                   for k, (h, levels) in store._frozen.items()},
+        "coin_count": store._coin_count,
+        "undo_pending": [list(p) for p in store._undo_pending],
+    }

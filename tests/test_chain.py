@@ -4,6 +4,7 @@ import random
 import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dietchain.chain import (
     COINBASE_INDEX,
@@ -32,6 +33,7 @@ from dietchain.chain import (
     header_hash,
     leading_zero_bits,
     make_coinbase_input,
+    meets_target,
     pow_ok,
     sighash,
     txid,
@@ -180,6 +182,35 @@ def test_leading_zero_bits():
     assert leading_zero_bits(b"\x80" + b"\x00" * 31) == 0
     assert leading_zero_bits(b"\x08" + b"\x00" * 31) == 4
     assert leading_zero_bits(b"\x00\x01" + b"\x00" * 30) == 15
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(zeros=st.integers(0, 256), noise=st.binary(min_size=32, max_size=32),
+       target_bits=st.integers(0, 255))
+def test_meets_target_counts_leading_zero_bits(zeros, noise, target_bits):
+    digest = (int.from_bytes(noise, "big") >> zeros).to_bytes(32, "big")
+    assert meets_target(digest, target_bits) == (leading_zero_bits(digest) >= target_bits)
+
+
+def test_meets_target_at_the_edges():
+    assert meets_target(b"\xff" * 32, 0)
+    assert meets_target(b"\x00" * 32, 255)
+    assert meets_target(b"\x00\x7f" + b"\xff" * 30, 9)
+    assert not meets_target(b"\x00\x7f" + b"\xff" * 30, 10)
+
+
+@pytest.mark.parametrize("field", ["prev_hash", "tx_mroot"])
+@pytest.mark.parametrize("width", [0, 31, 33])
+def test_encode_header_refuses_a_wrong_width_hash(field, width):
+    header = _random_header(random.Random(11))._replace(**{field: b"\x07" * width})
+    with pytest.raises(ValueError, match=f"^{field} must be 32 bytes, got {width}$"):
+        encode_header(header)
+
+
+def test_encode_header_names_prev_hash_first_when_both_are_wrong():
+    header = _random_header(random.Random(12))._replace(prev_hash=b"", tx_mroot=b"")
+    with pytest.raises(ValueError, match="^prev_hash must be 32 bytes, got 0$"):
+        encode_header(header)
 
 
 def test_block_work_doubles_per_bit():

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import random
 
 import pytest
-from conftest import FAST, coins_owned, key_of, mined_node, payment
+from conftest import FAST, coins_owned, key_of, mined_node, payment, store_state
+from hypothesis import given, settings, strategies as st
 
 from dietchain.chain import (
     Block,
@@ -22,7 +24,7 @@ from dietchain.chain import (
 )
 from dietchain.crypto import BloomFilter, hash256
 from dietchain.errors import ValidationError
-from dietchain.full_node import FullNode
+from dietchain.full_node import ConnectResult, FullNode
 from dietchain.merkle import contains, partial_root
 from dietchain.miner import (
     assemble_block,
@@ -32,7 +34,8 @@ from dietchain.miner import (
     node_template,
     solve_pow,
 )
-from dietchain.rules import commitment_of, tx_merkle_root, validate_transaction
+from dietchain.rules import commitment_of, signed_spend, tx_merkle_root, validate_transaction
+from dietchain.utxo import coins_of
 
 ALICE = key_of("alice")
 BOB = key_of("bob")
@@ -264,6 +267,43 @@ def test_reorg_rejects_branch_with_invalid_body():
     assert block_hash(forged1) not in node.blocks
 
 
+def _junk_commitment_block(node: FullNode, seed: int) -> Block:
+    """A block with valid work on the node's tip that commits a junk root;
+    the node must not check commitments to accept it."""
+    template = node_template(node, BOB.public_key)
+    txs = (make_coinbase(template, hash256(b"junk")),) + template.transactions
+    header = assemble_block(template, node.utxo).header._replace(tx_mroot=tx_merkle_root(txs))
+    block = Block(header=header._replace(nonce=solve_pow(header, 1 << 20, seed=seed)),
+                  transactions=txs)
+    assert node.connect_block(block).accepted
+    return block
+
+
+def test_a_failed_reorg_forgets_sibling_branches_on_the_invalid_block():
+    node = mined_node(FAST, ALICE, 5, seed=124)  # heights 0..4
+    prefix = [node.blocks[h] for h in node.headers.active_chain()[:2]]
+    branches = []
+    for key, seed in ((BOB, 625), (MALLORY, 635)):
+        lenient = FullNode(FAST, check_commitments=False)
+        for block in prefix:
+            assert lenient.connect_block(block).accepted
+        bad = _junk_commitment_block(lenient, seed=615)  # the same block on both
+        branches.append([bad] + [mine_on(lenient, key.public_key, seed=seed + i)
+                                 for i in range(3)])  # heights 2..5
+    (bad, b3, b4, b5), (_, s3, s4, s5) = branches
+    tip, root = node.tip_hash, node.utxo.utxo_root()
+
+    for block in (bad, b3, s3, b4):
+        assert node.connect_block(block).status == "branch"
+    result = node.connect_block(b5)  # heavier, and invalid at height 2
+    assert (result.status, result.reason, result.height) == ("rejected", "utxo-root-mismatch", 2)
+    for block in (s4, s5):  # s3's parent is forgotten, so s3 must be too
+        result = node.connect_block(block)
+        assert (result.status, result.reason) == ("rejected", "unknown-parent")
+    assert (node.tip_hash, node.utxo.utxo_root()) == (tip, root)
+    assert block_hash(s3) not in node.headers and block_hash(s3) not in node.blocks
+
+
 def test_heavier_chain_from_another_genesis_is_rejected():
     node = mined_node(FAST, ALICE, 2, seed=116)
     foreign = mined_node(FAST, BOB, 3, seed=216)
@@ -415,3 +455,114 @@ def test_rejected_commitment_leaves_the_store_untouched():
     assert node.utxo is store
     assert (store.height, store.utxo_root(), store.root_log, store.versions,
             store.pending, sorted(store.all_coins())) == before
+
+
+def test_a_reorg_prunes_pool_txs_the_new_branch_mines_or_conflicts_with():
+    node = mined_node(FAST, ALICE, 3, seed=122)
+    prefix = [node.blocks[h] for h in node.headers.active_chain()]
+    first, second = coins_owned(node, ALICE)[:2]
+    mined = _spend_to(first, ALICE, BOB.challenge)
+    conflict = _spend_to(second, ALICE, BOB.challenge)
+    double_spend = _spend_to(second, ALICE, MALLORY.challenge)
+
+    mine_on(node, ALICE.public_key, seed=222)  # an empty block at height 3
+    node.submit_transaction(mined)
+    node.submit_transaction(conflict)
+    rival = FullNode(FAST)
+    for block in prefix:
+        assert rival.connect_block(block).accepted
+    rival.submit_transaction(mined)
+    rival.submit_transaction(double_spend)
+    r3 = mine_on(rival, BOB.public_key, seed=223)
+    r4 = mine_on(rival, BOB.public_key, seed=224)
+    assert {mined, double_spend} <= set(r3.transactions)
+
+    assert node.connect_block(r3).status == "branch"
+    assert node.connect_block(r4).accepted and node.tip_hash == rival.tip_hash
+    assert node.mempool == []
+    assert node.build_template() == ([], 0)
+
+
+@pytest.mark.parametrize("double_spent", [False, True])
+def test_a_pool_tx_on_an_orphan_follows_the_orphan(double_spent):
+    node = mined_node(FAST, ALICE, 3, seed=125)
+    prefix = [node.blocks[h] for h in node.headers.active_chain()]
+    coin = coins_owned(node, ALICE)[0]
+    orphan = _spend_to(coin, ALICE, BOB.challenge)
+    node.submit_transaction(orphan)
+    assert orphan in mine_on(node, ALICE.public_key, seed=225).transactions
+    child = _spend_to(coins_of(orphan)[0], BOB, MALLORY.challenge)
+    node.submit_transaction(child)
+
+    rival = FullNode(FAST)
+    for block in prefix:
+        assert rival.connect_block(block).accepted
+    if double_spent:
+        rival.submit_transaction(_spend_to(coin, ALICE, MALLORY.challenge))
+    r3 = mine_on(rival, BOB.public_key, seed=226)
+    r4 = mine_on(rival, BOB.public_key, seed=227)
+    assert node.connect_block(r3).status == "branch"
+    assert node.connect_block(r4).accepted
+    assert node.mempool == ([] if double_spent else [orphan, child])
+
+
+@pytest.fixture(scope="module")
+def fuzz_base():
+    """A node and a valid block for its tip whose second payment spends
+    the first one's change, plus another block's coinbase at that height."""
+    node = mined_node(FAST, ALICE, 4, seed=123)
+    first = payment(node, ALICE, [(BOB.challenge, 7)])
+    change = coins_of(first)[-1]
+    second = signed_spend(ALICE, [change],
+                          [TxOutput(value=change.value - 1, kind=KIND_PAYMENT,
+                                    payload=BOB.challenge)])
+    node.submit_transaction(first)
+    node.submit_transaction(second)
+    block = mine_block(node_template(node, ALICE.public_key), node.utxo, seed=323)
+    assert block.transactions[1:] == (first, second)
+    other = mine_block(dataclasses.replace(node_template(node, BOB.public_key),
+                                           transactions=()), node.utxo, seed=324)
+    return node, block, other.transactions[0]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["drop", "duplicate", "reorder", "swap-coinbase", "height"]),
+       index=st.integers(0, 5), position=st.integers(0, 5),
+       order=st.permutations(range(3)), delta=st.sampled_from([-2, -1, 1, 2]),
+       bump_version=st.booleans(), reseal=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_mutated_blocks_get_a_verdict_and_leave_no_trace(fuzz_base, kind, index, position,
+                                                         order, delta, bump_version, reseal,
+                                                         seed):
+    base, block, other_coinbase = fuzz_base
+    node = copy.deepcopy(base)
+
+    txs = list(block.transactions)
+    header = block.header
+    if kind == "drop":
+        del txs[index % len(txs)]
+    elif kind == "duplicate":
+        txs.insert(position % (len(txs) + 1), txs[index % len(txs)])
+    elif kind == "reorder":
+        txs = [txs[i] for i in order]
+    elif kind == "swap-coinbase" and index % 2:
+        txs[0] = other_coinbase
+    elif kind == "swap-coinbase":
+        txs.insert(1 + position % len(txs), txs.pop(0))
+    else:
+        header = header._replace(height=header.height + delta)
+        if bump_version:
+            txs[0] = txs[0]._replace(version=header.height)
+    if reseal:
+        header = header._replace(tx_mroot=tx_merkle_root(txs), nonce=0)
+        header = header._replace(nonce=solve_pow(header, 1 << 20, seed=seed))
+    mutated = Block(header=header, transactions=tuple(txs))
+
+    before = (store_state(node.utxo), node.tip_hash, list(node.mempool))
+    result = node.connect_block(mutated)
+    assert isinstance(result, ConnectResult)
+    if mutated.transactions == block.transactions and header.height == block.header.height:
+        assert result.accepted  # the identity permutation, resealed or not
+        return
+    assert result.status == "rejected" and result.reason is not None
+    assert (store_state(node.utxo), node.tip_hash, list(node.mempool)) == before
+    assert node.connect_block(block).accepted

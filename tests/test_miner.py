@@ -1,11 +1,21 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
-from conftest import FAST, coins_owned, key_of, mined_node, payment
+from conftest import FAST, coins_owned, key_of, mined_node, payment, store_state
+from hypothesis import given, settings, strategies as st
 
-from dietchain.chain import ChainParams, pow_ok, txid
+from dietchain import miner
+from dietchain.chain import (
+    BlockHeader,
+    ChainParams,
+    header_hash,
+    leading_zero_bits,
+    pow_ok,
+    txid,
+)
 from dietchain.crypto import hash256
 from dietchain.errors import ValidationError
 from dietchain.full_node import FullNode
@@ -18,6 +28,7 @@ from dietchain.miner import (
     mine_on,
     node_template,
     nonce_start,
+    solve_pow,
 )
 from dietchain.rules import commitment_of
 from dietchain.utxo import coins_of
@@ -77,8 +88,7 @@ def test_empty_template_commitment_absorbs_parent_coinbase():
 
 
 def test_mine_block_budget_exhaustion_returns_none():
-    from dietchain.miner import solve_pow
-    from dietchain.chain import BlockHeader, ZERO32
+    from dietchain.chain import ZERO32
     header = BlockHeader(prev_hash=ZERO32, tx_mroot=ZERO32, target_bits=64,
                          nonce=0, height=0)
     assert solve_pow(header, 64, seed=6) is None
@@ -110,3 +120,138 @@ def test_mine_on_rejects_nothing_on_honest_chain():
                 payment(node, ALICE, [(BOB.challenge, rng.randrange(1, 5))]))
         mine_on(node, ALICE.public_key, seed=200 + i)
     assert node.tip_height == 7
+
+
+def _replica(params: ChainParams, blocks) -> FullNode:
+    node = FullNode(params)
+    for block in blocks:
+        assert node.connect_block(block).accepted
+    return node
+
+
+def _active_blocks(node: FullNode):
+    return [node.blocks[h] for h in node.headers.active_chain()]
+
+
+def test_mined_store_equals_a_follower_fed_the_same_blocks():
+    # A small cap splits the tree a few times within a dozen blocks.
+    params = ChainParams(target_bits=5, subsidy=50, size_cap=160, initial_k=0)
+    node = mined_node(params, ALICE, 2, seed=140)
+    follower = _replica(params, _active_blocks(node))
+    reorged = False
+    for i in range(14):
+        node.submit_transaction(payment(node, ALICE, [(BOB.challenge, 3)]))
+        before = store_state(node.utxo)
+        mine_block(node_template(node, BOB.public_key), node.utxo, seed=340 + i)
+        assert store_state(node.utxo) == before  # a preview leaves no trace
+
+        parent = _active_blocks(node)
+        block = mine_on(node, ALICE.public_key, seed=240 + i)
+        assert follower.connect_block(block).accepted
+        if i == 6:
+            # A rival branch without the payment outgrows the block by one.
+            rival = _replica(params, parent)
+            rival_block = mine_on(rival, BOB.public_key, seed=440)
+            extension = mine_on(rival, BOB.public_key, seed=441)
+            for peer in (node, follower):
+                assert peer.connect_block(rival_block).status == "branch"
+                assert peer.connect_block(extension).accepted
+            assert node.tip_hash == follower.tip_hash == rival.tip_hash
+            assert node.mempool == list(block.transactions[1:])  # the orphan is back
+            reorged = True
+        assert store_state(node.utxo) == store_state(follower.utxo)
+    assert reorged and len(node.utxo.rebalance_log) >= 2
+    assert node.mempool == []
+
+
+def _node_snapshot(node: FullNode):
+    return (store_state(node.utxo), node.tip_hash, node.headers.active_chain(),
+            dict(node.headers.work), dict(node.blocks), list(node.mempool))
+
+
+def test_a_failed_solve_leaves_the_node_as_it_was(monkeypatch):
+    node = mined_node(FAST, ALICE, 3, seed=141)
+    tx = payment(node, ALICE, [(BOB.challenge, 5)])
+    node.submit_transaction(tx)
+    before = _node_snapshot(node)
+
+    def broken(header, max_attempts, seed=0):
+        raise RuntimeError("no nonce for you")
+
+    monkeypatch.setattr(miner, "solve_pow", broken)
+    with pytest.raises(RuntimeError):
+        mine_on(node, ALICE.public_key, seed=241)
+    assert _node_snapshot(node) == before
+    monkeypatch.undo()
+    assert tx in mine_on(node, ALICE.public_key, seed=241).transactions
+
+
+def _spending_twice(template):
+    return dataclasses.replace(template, transactions=template.transactions * 2)
+
+
+def _overpaying(template):
+    return dataclasses.replace(template, reward_value=template.reward_value + 1)
+
+
+def _off_target(template):
+    return dataclasses.replace(template, target_bits=template.target_bits + 1)
+
+
+def _junk_root(make):
+    return lambda template, root, extra_nonce=0: make(template, hash256(b"junk"), extra_nonce)
+
+
+@pytest.mark.parametrize("code, patch", [
+    ("missing-input", lambda mp: mp.setattr(
+        miner, "node_template", lambda *a: _spending_twice(node_template(*a)))),
+    ("bad-coinbase-value", lambda mp: mp.setattr(
+        miner, "node_template", lambda *a: _overpaying(node_template(*a)))),
+    ("bad-target", lambda mp: mp.setattr(
+        miner, "node_template", lambda *a: _off_target(node_template(*a)))),
+    ("utxo-root-mismatch", lambda mp: mp.setattr(miner, "make_coinbase", _junk_root(make_coinbase))),
+])
+def test_a_rejected_own_block_leaves_the_node_as_it_was(monkeypatch, code, patch):
+    node = mined_node(FAST, ALICE, 3, seed=142)
+    node.submit_transaction(payment(node, ALICE, [(BOB.challenge, 5)]))
+    before = _node_snapshot(node)
+    patch(monkeypatch)
+    with pytest.raises(ValidationError) as raised:
+        mine_on(node, ALICE.public_key, seed=242)
+    assert (raised.value.code, raised.value.height) == (code, 3)
+    assert _node_snapshot(node) == before
+
+
+def _reference_scan(header: BlockHeader, max_attempts: int, start: int):
+    """The nonce search as a plain scan over the leading-zero-bit count."""
+    nonce = start
+    for _ in range(max_attempts):
+        candidate = header._replace(nonce=nonce)
+        if leading_zero_bits(header_hash(candidate)) >= candidate.target_bits:
+            return nonce
+        nonce = (nonce + 1) % (1 << 64)
+    return None
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(prev_hash=st.binary(min_size=32, max_size=32),
+       tx_mroot=st.binary(min_size=32, max_size=32),
+       target_bits=st.integers(0, 16), nonce=st.integers(0, 2 ** 64 - 1),
+       height=st.integers(0, 2 ** 32 - 1), seed=st.integers(0, 2 ** 64 - 1),
+       max_attempts=st.integers(0, 300))
+def test_solve_pow_finds_the_reference_scan_nonce(prev_hash, tx_mroot, target_bits, nonce,
+                                                  height, seed, max_attempts):
+    header = BlockHeader(prev_hash, tx_mroot, target_bits, nonce, height)
+    expected = _reference_scan(header, max_attempts, nonce_start(seed))
+    assert solve_pow(header, max_attempts, seed) == expected
+    if expected is not None:
+        assert pow_ok(header._replace(nonce=expected))
+
+
+def test_solve_pow_scan_wraps_the_nonce_space(monkeypatch):
+    header = BlockHeader(b"\x01" * 32, b"\x02" * 32, 4, 0, 9)
+    start = (1 << 64) - 3
+    expected = _reference_scan(header, 200, start)
+    assert expected is not None and expected < start  # found after the wrap
+    monkeypatch.setattr(miner, "nonce_start", lambda seed: start)
+    assert solve_pow(header, 200) == expected

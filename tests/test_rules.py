@@ -144,7 +144,8 @@ def test_a_reorg_verifies_orphaned_txs_again_unless_resubmitted(verifies):
     assert node.connect_block(b4).accepted and node.tip_hash == block_hash(b4)
     assert len(verifies) == len(tx.inputs)  # the orphan is checked again, signature included
 
-    # A rival branch without tx orphans it; resubmitted, it is checked once more, on entry.
+    # A rival branch without tx orphans it: it returns to the pool, checked once
+    # more on the new tip, and a resubmit of the pooled tx costs nothing.
     node = _replica(prefix)
     node.submit_transaction(tx)
     mine_on(node, ALICE.public_key, seed=236)
@@ -152,10 +153,11 @@ def test_a_reorg_verifies_orphaned_txs_again_unless_resubmitted(verifies):
     c3 = mine_on(empty, BOB.public_key, seed=237)
     c4 = mine_on(empty, BOB.public_key, seed=238)
     assert node.connect_block(c3).status == "branch"
-    assert node.connect_block(c4).accepted
     verifies.clear()
+    assert node.connect_block(c4).accepted
+    assert node.mempool == [tx] and len(verifies) == len(tx.inputs)
     node.submit_transaction(tx)
-    assert len(verifies) == len(tx.inputs)
+    assert node.mempool == [tx] and len(verifies) == len(tx.inputs)
     assert tx in mine_on(node, ALICE.public_key, seed=239).transactions
     assert len(verifies) == len(tx.inputs)
 
