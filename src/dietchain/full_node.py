@@ -4,6 +4,12 @@ A full node validates every block in full, keeps the sharded UTXO store
 for the active branch only, and answers the four queries light clients
 need: filtered header/tx sync, committed roots, whole blocks, and the
 shards a block touched together with their membership proof.
+
+A block reaches the tip by one path: ``connect_block`` checks its
+structure and indexes its header, the header's one check; if its branch
+is then the heaviest, the store is undone to the fork (nothing, for a
+block on the tip) and the branch applied block by block. After every
+tip change, the node's own blocks included, one rule refits the pool.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from .chain import (
 )
 from .crypto import BloomFilter
 from .errors import ValidationError
-from .headers import HeaderIndex, check_header
+from .headers import HeaderIndex
 from .merkle import PartialMerkleTree, extract_partial
 from .rules import (
     CoinView,
@@ -91,60 +97,73 @@ class FullNode:
     # -- block intake -------------------------------------------------------
 
     def connect_block(self, block: Block) -> ConnectResult:
+        """Check the structure, index the header (its one check), and
+        switch to the block's branch if that is now the heaviest."""
         hh = header_hash(block.header)
         height = block.header.height
         if hh in self.blocks:
             return ConnectResult("duplicate", height=height)
-        try:
-            check_block_structure(block)
-        except ValidationError as exc:
-            return ConnectResult("rejected", exc.code, height)
-
-        extends_tip = (
-            self.headers.tip is None and block.header.height == 0
-        ) or (self.headers.tip is not None and block.header.prev_hash == self.headers.tip)
-
-        if extends_tip:
-            try:
-                self._validate_and_apply(block)
-            except ValidationError as exc:
-                return ConnectResult("rejected", exc.code, height)
-            self._index(block)
-            return ConnectResult("accepted", height=height)
-
-        # Off-tip: index header and block, then reorganize if the new
-        # branch is strictly heavier than the active one.
         old_tip = self.headers.tip
         try:
+            check_block_structure(block)
             self.headers.add(block.header)
         except ValidationError as exc:
             return ConnectResult("rejected", exc.code, height)
         self.blocks[hh] = block
         if self.headers.tip == old_tip:
             return ConnectResult("branch", height=height)
-        return self._reorganize(old_tip, block)
+        return self._switch_to(old_tip, block)
+
+    def _switch_to(self, old_tip: bytes | None, block: Block) -> ConnectResult:
+        """Make ``block``'s branch, now the heaviest indexed, the active
+        one: undo the store to the fork, apply the branch, refit the pool.
+        A block on the old tip, or a genesis, is a switch with nothing to
+        undo. If a block fails, the old tip is restored and the branch is
+        forgotten with every block indexed on it."""
+        if old_tip is None or block.header.prev_hash == old_tip:
+            fork, old_branch, new_branch = block.header.height - 1, [], [block]
+        else:
+            fork = self.headers.fork_height(old_tip, self.headers.tip)
+            old_branch = self._blocks_above(old_tip, fork)
+            new_branch = self._blocks_above(self.headers.tip, fork)
+            self.utxo.rewind_to(fork)
+        for applied, new in enumerate(new_branch):
+            try:
+                self._validate_and_apply(new)
+            except ValidationError as exc:
+                for _ in range(applied):
+                    self.utxo.undo_block()
+                for old in old_branch:
+                    self.utxo.apply_block(old, old.header.height)
+                for hh in self.headers.forget(self.headers.active_hash_at(fork + 1), old_tip):
+                    self.blocks.pop(hh, None)
+                return ConnectResult("rejected", exc.code, new.header.height)
+        self._refit_pool(new_branch, old_branch)
+        return ConnectResult("accepted", height=block.header.height)
 
     def _validate_and_apply(self, block: Block) -> None:
-        """Fully validate a block on the current state and apply it in
-        place; a rejected block leaves the store as it was."""
-        header = block.header
-        check_header(header, self.headers.parent_of(header), self.params.target_bits)
-        fees = self._connect_body(block.transactions[1:], header.height)
-        check_coinbase_value(block.transactions[0], self.params.subsidy, fees, header.height)
+        """Run the body rules, the coinbase value check and the commitment
+        check on a block whose header is indexed, applying it in place on
+        the tip; a rejected block leaves the store as it was."""
+        height = block.header.height
+        fees = self._connect_body(block.transactions[1:], height)
+        check_coinbase_value(block.transactions[0], self.params.subsidy, fees, height)
         committed = commitment_of(block) if self.check_commitments else None
-        root, _ = self.utxo.apply_block(block, header.height)
+        root, _ = self.utxo.apply_block(block, height)
         if committed is not None and root != committed:
             self.utxo.undo_block()
-            raise ValidationError("utxo-root-mismatch", height=header.height)
+            raise ValidationError("utxo-root-mismatch", height=height)
 
     def _connect_body(self, txs, height: int) -> int:
         return connect_body(txs, CoinView(self.utxo), height, self._pooled_txids())
 
-    def _index(self, block: Block) -> None:
-        """Record an applied block as the new tip."""
-        hh = self.headers.add(block.header)
-        self.blocks[hh] = block
-        self._drop_mined_from_mempool(block)
+    def _blocks_above(self, tip: bytes, fork: int) -> list[Block]:
+        """The blocks of ``tip``'s branch above height ``fork``, in order."""
+        branch = []
+        while self.headers.headers[tip].height > fork:
+            branch.append(self.blocks[tip])
+            tip = self.headers.headers[tip].prev_hash
+        return branch[::-1]
 
     # -- mining on the tip ----------------------------------------------------
 
@@ -161,72 +180,23 @@ class FullNode:
 
     def close_block(self, block: Block, root: bytes, fees: int) -> None:
         """Finish a block whose body :meth:`open_block` applied: run the
-        header, coinbase-value and commitment checks, then seal and index
-        it. On a ValidationError the block is still open.
+        coinbase-value and commitment checks, index the header (the one
+        header check), then seal the block and refit the pool. On a
+        ValidationError nothing is indexed and the block is still open.
 
         The structure checks of :meth:`connect_block` hold by
         construction: the miner built the coinbase and tx root, and the
         body rules refuse a tx that spends a coinbase marker or spends
         an input twice, as any repeated tx would.
         """
-        header = block.header
+        height = block.header.height
         coinbase = block.transactions[0]
-        check_header(header, self.headers.parent_of(header), self.params.target_bits)
-        check_coinbase_value(coinbase, self.params.subsidy, fees, header.height)
+        check_coinbase_value(coinbase, self.params.subsidy, fees, height)
         if self.check_commitments and commitment_of(block) != root:
-            raise ValidationError("utxo-root-mismatch", height=header.height)
+            raise ValidationError("utxo-root-mismatch", height=height)
+        self.blocks[self.headers.add(block.header)] = block
         self.utxo.seal(coinbase)
-        self._index(block)
-
-    def _reorganize(self, old_tip: bytes, new_block: Block) -> ConnectResult:
-        new_tip = self.headers.tip
-        fork = self.headers.fork_height(old_tip, new_tip)
-        old_branch = self._branch_above(old_tip, fork)
-        self.utxo.rewind_to(fork)
-        for height in range(fork + 1, self.headers.tip_height + 1):
-            block = self.blocks[self.headers.active_hash_at(height)]
-            try:
-                self._validate_and_apply(block)
-            except ValidationError as exc:
-                # The heavier branch is invalid: forget it and every block
-                # indexed on top of it, and restore.
-                self.utxo.rewind_to(fork)
-                for hh in reversed(old_branch):
-                    old = self.blocks[hh]
-                    self.utxo.apply_block(old, old.header.height)
-                forgotten = set(self._branch_above(new_tip, fork))
-                # A header is indexed after its parent, so one pass finds every descendant.
-                for hh, header in self.headers.headers.items():
-                    if header.prev_hash in forgotten:
-                        forgotten.add(hh)
-                for hh in forgotten:
-                    del self.headers.headers[hh]
-                    del self.headers.work[hh]
-                    self.blocks.pop(hh, None)
-                self.headers.set_tip(old_tip)
-                return ConnectResult("rejected", exc.code, height)
-        # Orphaned payments still valid go back ahead of the pool; pool txs
-        # that the new branch mined or spent the inputs of drop out.
-        orphaned = [tx for hh in reversed(old_branch) for tx in self.blocks[hh].transactions[1:]]
-        self.mempool, _ = self._fitting(orphaned + self.mempool)
-        return ConnectResult("accepted", height=new_block.header.height)
-
-    def _branch_above(self, tip: bytes, fork: int) -> list[bytes]:
-        """Hashes from ``tip`` down to the block just above height ``fork``."""
-        branch = []
-        cursor = tip
-        while self.headers.headers[cursor].height > fork:
-            branch.append(cursor)
-            cursor = self.headers.headers[cursor].prev_hash
-        return branch
-
-    def _drop_mined_from_mempool(self, block: Block) -> None:
-        mined = {txid(tx) for tx in block.transactions}
-        spent = {i.prevout for tx in block.transactions[1:] for i in tx.inputs}
-        self.mempool = [
-            tx for tx in self.mempool
-            if txid(tx) not in mined and not any(i.prevout in spent for i in tx.inputs)
-        ]
+        self._refit_pool([block], [])
 
     # -- mempool ------------------------------------------------------------
 
@@ -245,6 +215,13 @@ class FullNode:
         """Txids whose signatures this node has verified: every pooled tx
         passed full validation in ``submit_transaction``."""
         return {txid(tx) for tx in self.mempool}
+
+    def _refit_pool(self, applied: list[Block], orphaned: list[Block]) -> None:
+        """After a tip change, pool the orphaned payments (first) and pooled
+        txs that the applied blocks do not carry and that still fit."""
+        mined = {txid(tx) for block in applied for tx in block.transactions[1:]}
+        waiting = [tx for block in orphaned for tx in block.transactions[1:]] + self.mempool
+        self.mempool, _ = self._fitting([tx for tx in waiting if txid(tx) not in mined])
 
     def build_template(self) -> tuple[list[Transaction], int]:
         """Mempool txs that fit together on the current tip, plus total fees."""

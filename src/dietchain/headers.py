@@ -51,10 +51,6 @@ class HeaderIndex:
             raise ValidationError("unknown-block", "header index is empty")
         return self.headers[self.tip].height
 
-    def parent_of(self, header: BlockHeader) -> BlockHeader | None:
-        """The indexed parent of a header; None for a genesis or an orphan."""
-        return None if is_genesis(header) else self.headers.get(header.prev_hash)
-
     def add(self, header: BlockHeader) -> bytes:
         """Validate and index a header; returns its hash.
 
@@ -65,7 +61,7 @@ class HeaderIndex:
         hh = header_hash(header)
         if hh in self.headers:
             return hh
-        parent = self.parent_of(header)
+        parent = None if is_genesis(header) else self.headers.get(header.prev_hash)
         check_header(header, parent, self.target_bits)
         if parent is None and self.tip is not None:
             raise ValidationError("bad-genesis", "the index already holds a genesis",
@@ -91,6 +87,26 @@ class HeaderIndex:
         del self._active[self.headers[block_hash].height + 1 - len(branch):]
         self._active.extend(reversed(branch))
         self.tip = block_hash
+
+    def forget(self, block_hash: bytes, tip: bytes | None) -> set[bytes]:
+        """Drop an indexed header with every indexed descendant and make
+        ``tip``, which must not be one of them, the tip again (None: the
+        index is left empty, as after forgetting its genesis). Returns
+        the dropped hashes."""
+        dropped = {block_hash}
+        # A header is indexed after its parent, so one pass finds every descendant.
+        for hh, header in self.headers.items():
+            if header.prev_hash in dropped:
+                dropped.add(hh)
+        for hh in dropped:
+            del self.headers[hh]
+            del self.work[hh]
+        if tip is None:
+            self._active.clear()
+            self.tip = None
+        else:
+            self.set_tip(tip)
+        return dropped
 
     def active_chain(self) -> list[bytes]:
         return list(self._active)

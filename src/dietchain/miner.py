@@ -4,10 +4,12 @@ The coinbase commits the UTXO root for the block being built. That root
 covers the block's non-coinbase transactions but never the coinbase's
 own reward coins, so the root comes first and the coinbase is built
 around it. A node mining on its own tip (``mine_on``) applies the
-template's body once, builds and solves the block on the returned root,
-then seals the block in place, or undoes the body if anything fails.
-``mine_block`` leaves the store it is given as it was: it previews the
-root (apply, then undo) and solves.
+template's body once (``FullNode.open_block``) and builds and solves the
+block on the returned root; ``FullNode.close_block`` then checks the
+coinbase value and the commitment, indexes the header (its one check)
+and seals the block in place. If anything fails, the body is undone and
+nothing is indexed. ``mine_block`` leaves the store it is
+given as it was: it previews the root (apply, then undo) and solves.
 
 The coinbase's version field carries the block height so that two
 otherwise identical coinbases can never collide on txid. If the 64-bit

@@ -42,7 +42,7 @@ from .chain import (
     read_transaction,
 )
 from .crypto import BloomFilter
-from .errors import ScenarioError
+from .errors import ScenarioError, ValidationError
 from .full_node import (
     FullNode,
     MerkleBlockMatch,
@@ -50,8 +50,7 @@ from .full_node import (
     UtxosResponse,
 )
 from .merkle import encode_partial, read_partial
-from .miner import BlockTemplate, solve_pow, assemble_block, make_coinbase
-from .rules import tx_merkle_root
+from .miner import BlockTemplate, block_on, solve_pow
 from .utxo import Coin, Shard, read_shard
 
 MSG_QUERY_MERKLE_BLOCKS = 0x01
@@ -315,41 +314,40 @@ class ForgedChainBuilder:
 
     def mine(self, txs: list[Transaction], reward_key: bytes,
              fake_commitment: bytes | None = None) -> Block:
+        """Mine a counterfeit block of ``txs`` on the replica's tip and
+        connect it there, as ``miner.mine_on`` does: its body is applied
+        once, and on any failure the replica is left as it was."""
         if self.mined + 1 > self.budget:
             raise ScenarioError("adversary mining budget exceeded")
-        fees = 0
-        for tx in txs:
-            # Charge the declared fee; the replica re-validates on connect.
-            total_in = sum(
-                c.value for c in (self.node.utxo.get_coin(i.prevout) for i in tx.inputs)
-                if c is not None)
-            fees += max(0, total_in - sum(o.value for o in tx.outputs))
-        template = BlockTemplate(
-            parent_hash=self.node.tip_hash,
-            height=self.node.tip_height + 1,
-            target_bits=self.params.target_bits,
-            transactions=tuple(txs),
-            reward_key=reward_key,
-            reward_value=self.params.subsidy + fees,
-        )
-        block = assemble_block(template, self.node.utxo)
-        if fake_commitment is not None:
-            coinbase = make_coinbase(template, fake_commitment)
-            block_txs = (coinbase,) + template.transactions
-            block = Block(
-                header=block.header._replace(tx_mroot=tx_merkle_root(block_txs)),
-                transactions=block_txs,
+        node = self.node
+        height = node.tip_height + 1
+        opened = closed = False
+        try:
+            root, fees = node.open_block(txs, height)
+            opened = True
+            template = BlockTemplate(
+                parent_hash=node.tip_hash,
+                height=height,
+                target_bits=self.params.target_bits,
+                transactions=tuple(txs),
+                reward_key=reward_key,
+                reward_value=self.params.subsidy + fees,
             )
-        nonce = solve_pow(block.header, 1 << 20, seed=self.seed + self.mined)
-        if nonce is None:
-            raise ScenarioError("adversary failed to solve proof-of-work")
-        self.mined += 1
-        mined = Block(header=block.header._replace(nonce=nonce),
-                      transactions=block.transactions)
-        result = self.node.connect_block(mined)
-        if not result.accepted:
-            raise ScenarioError(f"replica rejected forged block: {result.reason}")
-        return mined
+            block = block_on(template, root if fake_commitment is None else fake_commitment)
+            nonce = solve_pow(block.header, 1 << 20, seed=self.seed + self.mined)
+            if nonce is None:
+                raise ScenarioError("adversary failed to solve proof-of-work")
+            self.mined += 1
+            block = Block(header=block.header._replace(nonce=nonce),
+                          transactions=block.transactions)
+            node.close_block(block, root, fees)
+            closed = True
+        except ValidationError as exc:
+            raise ScenarioError(f"replica rejected forged block: {exc.code}") from None
+        finally:
+            if opened and not closed:
+                node.utxo.undo_block()
+        return block
 
     def service(self) -> FullNodeService:
         return FullNodeService(self.node)

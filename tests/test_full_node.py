@@ -27,8 +27,11 @@ from dietchain.errors import ValidationError
 from dietchain.full_node import ConnectResult, FullNode
 from dietchain.merkle import contains, partial_root
 from dietchain.miner import (
+    BlockTemplate,
     assemble_block,
+    block_on,
     make_coinbase,
+    make_genesis,
     mine_block,
     mine_on,
     node_template,
@@ -506,6 +509,42 @@ def test_a_pool_tx_on_an_orphan_follows_the_orphan(double_spent):
     assert node.mempool == ([] if double_spent else [orphan, child])
 
 
+def test_a_block_spending_a_pool_txs_input_drops_its_pooled_child_too():
+    node = mined_node(FAST, ALICE, 3, seed=126)
+    prefix = [node.blocks[h] for h in node.headers.active_chain()]
+    coin = coins_owned(node, ALICE)[0]
+    parent = _spend_to(coin, ALICE, BOB.challenge)
+    child = _spend_to(coins_of(parent)[0], BOB, MALLORY.challenge)
+    node.submit_transaction(parent)
+    node.submit_transaction(child)
+
+    rival = FullNode(FAST)
+    for block in prefix:
+        assert rival.connect_block(block).accepted
+    rival.submit_transaction(_spend_to(coin, ALICE, MALLORY.challenge))
+    assert node.connect_block(mine_on(rival, BOB.public_key, seed=228)).accepted
+    assert node.mempool == []
+    assert node.build_template() == ([], 0)
+
+
+def test_a_rejected_genesis_leaves_an_empty_node_that_takes_the_real_one():
+    template = BlockTemplate(parent_hash=ZERO32, height=0, target_bits=FAST.target_bits,
+                             transactions=(), reward_key=ALICE.public_key,
+                             reward_value=FAST.subsidy)
+    junk = block_on(template, hash256(b"junk"))
+    junk = junk._replace(header=junk.header._replace(
+        nonce=solve_pow(junk.header, 1 << 20, seed=329)))
+    node = FullNode(FAST)
+    result = node.connect_block(junk)
+    assert (result.status, result.reason, result.height) == ("rejected", "utxo-root-mismatch", 0)
+    assert (node.headers.headers, node.headers.work, node.headers.tip) == ({}, {}, None)
+    assert node.headers.active_chain() == [] and node.blocks == {}
+    assert node.utxo.height is None and node.utxo.pending == []
+    genesis = make_genesis(FAST, ALICE.public_key, seed=329)
+    assert node.connect_block(genesis).accepted
+    assert node.headers.active_chain() == [block_hash(genesis)] == list(node.blocks)
+
+
 @pytest.fixture(scope="module")
 def fuzz_base():
     """A node and a valid block for its tip whose second payment spends
@@ -523,6 +562,12 @@ def fuzz_base():
     other = mine_block(dataclasses.replace(node_template(node, BOB.public_key),
                                            transactions=()), node.utxo, seed=324)
     return node, block, other.transactions[0]
+
+
+def _node_state(node: FullNode):
+    return (store_state(node.utxo), node.tip_hash, list(node.mempool),
+            dict(node.headers.headers), dict(node.headers.work),
+            node.headers.active_chain(), dict(node.blocks))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -557,12 +602,12 @@ def test_mutated_blocks_get_a_verdict_and_leave_no_trace(fuzz_base, kind, index,
         header = header._replace(nonce=solve_pow(header, 1 << 20, seed=seed))
     mutated = Block(header=header, transactions=tuple(txs))
 
-    before = (store_state(node.utxo), node.tip_hash, list(node.mempool))
+    before = _node_state(node)
     result = node.connect_block(mutated)
     assert isinstance(result, ConnectResult)
     if mutated.transactions == block.transactions and header.height == block.header.height:
         assert result.accepted  # the identity permutation, resealed or not
         return
     assert result.status == "rejected" and result.reason is not None
-    assert (store_state(node.utxo), node.tip_hash, list(node.mempool)) == before
+    assert _node_state(node) == before
     assert node.connect_block(block).accepted

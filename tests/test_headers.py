@@ -56,3 +56,25 @@ def test_check_header_codes():
         with pytest.raises(ValidationError) as info:
             check_header(header, parent, bits)
         assert info.value.code == code
+
+
+def test_forget_drops_a_branch_with_its_descendants_and_restores_the_tip():
+    index = HeaderIndex(target_bits=0)
+
+    def child(parent: bytes, n: int) -> bytes:
+        return index.add(BlockHeader(parent, n.to_bytes(32, "little"), 0, 0,
+                                     index.headers[parent].height + 1))
+
+    genesis = index.add(BlockHeader(ZERO32, ZERO32, 0, 0, 0))
+    a1 = child(genesis, 1)
+    a2 = child(a1, 2)
+    b1 = child(genesis, 3)
+    b2 = child(b1, 4)
+    b3 = child(b2, 5)
+    side = child(b1, 6)
+    assert index.tip == b3
+    assert index.forget(b1, a2) == {b1, b2, b3, side}
+    assert index.tip == a2 and index.active_chain() == [genesis, a1, a2]
+    assert set(index.headers) == set(index.work) == {genesis, a1, a2}
+    assert index.forget(genesis, None) == {genesis, a1, a2}
+    assert (index.headers, index.work, index.tip, index.active_chain()) == ({}, {}, None, [])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -166,7 +167,8 @@ def test_mined_store_equals_a_follower_fed_the_same_blocks():
 
 def _node_snapshot(node: FullNode):
     return (store_state(node.utxo), node.tip_hash, node.headers.active_chain(),
-            dict(node.headers.work), dict(node.blocks), list(node.mempool))
+            dict(node.headers.headers), dict(node.headers.work), dict(node.blocks),
+            list(node.mempool))
 
 
 def test_a_failed_solve_leaves_the_node_as_it_was(monkeypatch):
@@ -198,6 +200,10 @@ def _off_target(template):
     return dataclasses.replace(template, target_bits=template.target_bits + 1)
 
 
+def _failing_nonce(header, max_attempts, seed=0):
+    return next(n for n in itertools.count() if not pow_ok(header._replace(nonce=n)))
+
+
 def _junk_root(make):
     return lambda template, root, extra_nonce=0: make(template, hash256(b"junk"), extra_nonce)
 
@@ -210,6 +216,7 @@ def _junk_root(make):
     ("bad-target", lambda mp: mp.setattr(
         miner, "node_template", lambda *a: _off_target(node_template(*a)))),
     ("utxo-root-mismatch", lambda mp: mp.setattr(miner, "make_coinbase", _junk_root(make_coinbase))),
+    ("pow-failure", lambda mp: mp.setattr(miner, "solve_pow", _failing_nonce)),
 ])
 def test_a_rejected_own_block_leaves_the_node_as_it_was(monkeypatch, code, patch):
     node = mined_node(FAST, ALICE, 3, seed=142)

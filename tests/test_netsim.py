@@ -3,9 +3,9 @@ from __future__ import annotations
 import random
 
 import pytest
-from conftest import FAST, coins_owned, key_of, mined_node, payment
+from conftest import FAST, coins_owned, key_of, mined_node, payment, store_state
 
-from dietchain.chain import encode_block
+from dietchain.chain import KIND_PAYMENT, TxOutput, encode_block
 from dietchain.crypto import BloomFilter, hash256
 from dietchain.errors import ScenarioError
 from dietchain.full_node import FullNode, UtxosResponse
@@ -26,6 +26,8 @@ from dietchain.netsim import (
     encode_merkle_blocks_response,
     encode_utxos_response,
 )
+from dietchain.rules import signed_spend
+from dietchain.utxo import coins_of
 
 ALICE = key_of("alice")
 CAROL = key_of("carol")
@@ -197,3 +199,36 @@ def test_injected_coin_spendable_on_forged_branch():
     result = honest.connect_block(forged)
     assert not result.accepted
     assert result.reason in ("utxo-root-mismatch", "missing-input")
+
+
+def _forger(seed: int) -> tuple[FullNode, ForgedChainBuilder]:
+    honest = mined_node(FAST, ALICE, 3, seed=seed)
+    builder = ForgedChainBuilder(FAST, budget=2, seed=seed)
+    builder.replay([honest.blocks[h] for h in honest.headers.active_chain()])
+    return honest, builder
+
+
+def test_a_forged_block_charges_the_fee_of_a_tx_spending_an_in_block_parent():
+    honest, builder = _forger(81)
+    parent = payment(builder.node, ALICE, [(CAROL.challenge, 5)])
+    change = coins_of(parent)[-1]
+    child = signed_spend(ALICE, [change], [
+        TxOutput(value=change.value - 1, kind=KIND_PAYMENT, payload=CAROL.challenge)])
+    forged = builder.mine([parent, child], key_of("mallory").public_key)
+    assert forged.transactions[0].outputs[0].value == FAST.subsidy + 2
+    assert honest.connect_block(forged).accepted
+
+
+@pytest.mark.parametrize("code", ["missing-input", "utxo-root-mismatch"])
+def test_a_forged_block_the_replica_rejects_leaves_the_replica_as_it_was(code):
+    _, builder = _forger(82)
+    spend = payment(builder.node, ALICE, [(CAROL.challenge, 5)])
+    node = builder.node
+    before = (store_state(node.utxo), node.headers.active_chain(), dict(node.blocks))
+    with pytest.raises(ScenarioError, match=f"replica rejected forged block: {code}"):
+        if code == "missing-input":
+            builder.mine([spend, spend], key_of("mallory").public_key)
+        else:
+            builder.mine([spend], key_of("mallory").public_key,
+                         fake_commitment=hash256(b"lies"))
+    assert (store_state(node.utxo), node.headers.active_chain(), dict(node.blocks)) == before
