@@ -274,10 +274,16 @@ def sighash(tx: Transaction) -> bytes:
     return hash256(encode_transaction(blanked))
 
 
+def tx_items(tx: Transaction) -> list[bytes]:
+    """What a filter matches a tx on: the keys it spends with, then the
+    challenges it pays."""
+    return ([i.public_key for i in tx.inputs if not i.prevout.is_coinbase_marker]
+            + [o.payload for o in tx.outputs if o.kind == KIND_PAYMENT])
+
+
 def tx_touches(tx: Transaction, watched) -> bool:
     """Whether ``tx`` spends with a key or pays a challenge that ``watched`` accepts."""
-    return (any(not i.prevout.is_coinbase_marker and watched(i.public_key) for i in tx.inputs)
-            or any(o.kind == KIND_PAYMENT and watched(o.payload) for o in tx.outputs))
+    return any(watched(item) for item in tx_items(tx))
 
 
 def header_hash(h: BlockHeader) -> bytes:

@@ -29,6 +29,7 @@ SIGNATURE_SIZE = 64
 # Defaults used by nodes when building transaction filters.
 BLOOM_DEFAULT_BITS = 2048
 BLOOM_DEFAULT_HASHES = 7
+PROBE_SIZE = 8  # bytes of a probe digest a filter reads
 
 
 def hash256(data: bytes) -> bytes:
@@ -85,12 +86,23 @@ def verify(public_key: bytes, digest: bytes, signature: bytes) -> bool:
     return True
 
 
+def probe_digest(key: bytes, i: int) -> bytes:
+    """The i-th probe digest of ``key``: the first 8 bytes of
+    ``hash256(key || byte(i))``. It does not depend on any filter."""
+    return hash256(key + bytes([i]))[:PROBE_SIZE]
+
+
+def probe_digests(key: bytes, count: int = BLOOM_DEFAULT_HASHES) -> bytes:
+    """The first ``count`` probe digests of ``key``, concatenated."""
+    return b"".join(probe_digest(key, i) for i in range(count))
+
+
 class BloomFilter:
     """Fixed-size bloom filter over byte strings.
 
-    The i-th probe index for a key is the first 8 bytes of
-    ``hash256(key || byte(i))`` read big-endian, reduced mod ``m``. Bit i
-    of the filter lives in byte ``i // 8`` under mask ``1 << (i % 8)``.
+    The i-th probe index for a key is its i-th probe digest
+    (:func:`probe_digest`) read big-endian, reduced mod ``m``. Bit i of
+    the filter lives in byte ``i // 8`` under mask ``1 << (i % 8)``.
     """
 
     def __init__(self, m: int = BLOOM_DEFAULT_BITS, h: int = BLOOM_DEFAULT_HASHES,
@@ -108,17 +120,22 @@ class BloomFilter:
             raise ValueError(f"expected {nbytes} filter bytes, got {len(bits)}")
         self.bits = bits
 
-    def _indices(self, key: bytes):
-        for i in range(self.h):
-            probe = hash256(key + bytes([i]))
-            yield int.from_bytes(probe[:8], "big") % self.m
+    def _indices(self, key: bytes, digests: bytes = b""):
+        known = min(self.h, len(digests) // PROBE_SIZE)
+        for (digest,) in struct.iter_unpack(">Q", digests[:known * PROBE_SIZE]):
+            yield digest % self.m
+        for i in range(known, self.h):
+            yield int.from_bytes(probe_digest(key, i), "big") % self.m
 
     def add(self, key: bytes) -> None:
         for idx in self._indices(key):
             self.bits[idx // 8] |= 1 << (idx % 8)
 
-    def may_contain(self, key: bytes) -> bool:
-        return all(self.bits[idx // 8] & (1 << (idx % 8)) for idx in self._indices(key))
+    def may_contain(self, key: bytes, digests: bytes = b"") -> bool:
+        """Whether ``key`` may have been added. ``digests``, if given, are
+        the key's first probe digests (:func:`probe_digests`); only the
+        probes they do not cover are hashed."""
+        return all(self.bits[idx // 8] & (1 << (idx % 8)) for idx in self._indices(key, digests))
 
     def encode(self) -> bytes:
         return struct.pack("<IB", self.m, self.h) + bytes(self.bits)

@@ -31,7 +31,7 @@ from .chain import (
 from .crypto import BloomFilter, hash256
 from .errors import DecodeError, IncompleteProofError, ValidationError
 from .headers import HeaderIndex
-from .merkle import build_root, contains, partial_root, update_in_place
+from .merkle import PartialMerkleTree, build_root, contains, partial_root, update_in_place
 from .rules import check_block_structure, check_coinbase_value, commitment_of, connect_body
 from .utxo import (
     Coin,
@@ -232,29 +232,7 @@ class DietNode:
         for height in range(first + 1, last + 1):
             block_hash = self.headers.active_hash_at(height)
             block = self._fetch_block(block_hash, height)
-            response = self._ask("query_utxos", block_hash, height, "utxos_bytes")
-
-            tree = response.tree
-            total = tree.total_leaves
-            if total <= 0 or total & (total - 1):
-                raise ValidationError("shard-proof-mismatch",
-                                      "shard tree size is not a power of two",
-                                      height=height)
-            k = total.bit_length() - 1
-            for idx, shard in response.shards.items():
-                if shard.index != idx or tree.included.get(idx) != shard.leaf_hash:
-                    raise ValidationError("shard-proof-mismatch",
-                                          f"shard {idx} does not match its leaf",
-                                          height=height)
-            try:
-                if partial_root(tree) != trusted:
-                    raise ValidationError("shard-proof-mismatch",
-                                          "shard proof does not reach the trusted root",
-                                          height=height)
-            except IncompleteProofError as exc:
-                raise ValidationError("shard-proof-mismatch", str(exc), height=height)
-
-            view = _ShardView(response.shards, k, height)
+            view, tree = self._served_view(block_hash, height, trusted)
             for coin in pending:
                 view.insert(coin)
             fees = connect_body(block.transactions[1:], view, height)
@@ -265,12 +243,39 @@ class DietNode:
             except ValidationError:
                 raise ValidationError("root-mismatch", "block commits to nothing",
                                       height=height)
-            if self._rebuild_root(view.shards, k, tree) != committed:
+            if self._rebuild_root(view, tree) != committed:
                 raise ValidationError("root-mismatch", height=height)
 
             trusted = committed
             pending = coins_of(block.transactions[0])
             self.highest_verified = height
+
+    def _served_view(self, block_hash: bytes, height: int,
+                     trusted: bytes) -> tuple["_ShardView", PartialMerkleTree]:
+        """Ask for the shards the block touched, check each served leaf and
+        the proof against the ``trusted`` root, and return a coin view over
+        the shards with the proof. The served bytes are dropped on return;
+        the view holds the decoded coins."""
+        response = self._ask("query_utxos", block_hash, height, "utxos_bytes")
+        tree = response.tree
+        total = tree.total_leaves
+        if total <= 0 or total & (total - 1):
+            raise ValidationError("shard-proof-mismatch",
+                                  "shard tree size is not a power of two",
+                                  height=height)
+        for idx, shard in response.shards.items():
+            if shard.index != idx or tree.included.get(idx) != shard.leaf_hash:
+                raise ValidationError("shard-proof-mismatch",
+                                      f"shard {idx} does not match its leaf",
+                                      height=height)
+        try:
+            if partial_root(tree) != trusted:
+                raise ValidationError("shard-proof-mismatch",
+                                      "shard proof does not reach the trusted root",
+                                      height=height)
+        except IncompleteProofError as exc:
+            raise ValidationError("shard-proof-mismatch", str(exc), height=height)
+        return _ShardView(response.shards, total.bit_length() - 1, height), tree
 
     def _ask(self, query: str, block_hash: bytes, height: int, note: str | None = None):
         """Run one window query and count its bytes; bytes that do not
@@ -292,7 +297,8 @@ class DietNode:
         check_block_structure(block)
         return block
 
-    def _rebuild_root(self, shards: dict[int, list[Coin]], k: int, tree) -> bytes:
+    def _rebuild_root(self, view: "_ShardView", tree: PartialMerkleTree) -> bytes:
+        shards, k = view.shards, view.k
         if len(shards) == tree.total_leaves:
             # Full snapshot: replay the split rule, rebuild the whole tree.
             coin_count = sum(len(coins) for coins in shards.values())
@@ -301,8 +307,10 @@ class DietNode:
                 k += 1
             return build_root([shard_leaf_hash(encode_shard_coins(shards[i]))
                                for i in range(1 << k)])
-        changed = {idx: shard_leaf_hash(encode_shard_coins(coins))
-                   for idx, coins in shards.items()}
+        # The served leaves are checked hashes of the served bytes, so only
+        # the shards the replay edited are encoded and hashed again.
+        changed = {idx: shard_leaf_hash(encode_shard_coins(shards[idx]))
+                   for idx in view.edited}
         return partial_root(update_in_place(tree, changed))
 
     def _note_height(self, height: int, key: str, nbytes: int) -> None:
@@ -315,30 +323,34 @@ class DietNode:
 
 class _ShardView:
     """Coin view over the shards a peer served for one block, edited in place;
-    a shard it did not serve, or a coin it already holds, is a proof fault."""
+    a shard it did not serve, or a coin it already holds, is a proof fault.
+    ``edited`` holds the indices of the shards an edit reached."""
 
     def __init__(self, served: dict[int, Shard], k: int, height: int):
         self.shards = {idx: list(shard.coins) for idx, shard in served.items()}
         self.k = k
         self.height = height
+        self.edited: set[int] = set()
 
-    def _shard(self, outpoint: OutPoint) -> list[Coin]:
+    def _shard(self, outpoint: OutPoint, edit: bool = False) -> list[Coin]:
         idx = shard_key(outpoint.txid, self.k)
         if idx not in self.shards:
             raise ValidationError("shard-proof-mismatch",
                                   f"shard {idx} needed but not served", height=self.height)
+        if edit:
+            self.edited.add(idx)
         return self.shards[idx]
 
     def get_coin(self, outpoint: OutPoint) -> Coin | None:
         return find_coin(self._shard(outpoint), outpoint)
 
     def insert(self, coin: Coin) -> None:
-        if not insert_coin(self._shard(coin.outpoint), coin):
+        if not insert_coin(self._shard(coin.outpoint, edit=True), coin):
             raise ValidationError("shard-proof-mismatch",
                                   f"duplicate coin {coin.outpoint}", height=self.height)
 
     def absorb(self, tx: Transaction) -> None:
         for inp in tx.inputs:
-            remove_coin(self._shard(inp.prevout), inp.prevout)
+            remove_coin(self._shard(inp.prevout, edit=True), inp.prevout)
         for coin in coins_of(tx):
             self.insert(coin)

@@ -10,6 +10,12 @@ structure and indexes its header, the header's one check; if its branch
 is then the heaviest, the store is undone to the fork (nothing, for a
 block on the tip) and the branch applied block by block. After every
 tip change, the node's own blocks included, one rule refits the pool.
+
+Answers are built once and served from what the node keeps. A block's
+shard proof depends only on the block, so it is kept by block hash until
+the next tip change, which drops every kept proof to bound memory.
+Filtered sync keeps each filter item's probe digests and each matched
+block's tx-tree levels, which depend on no tip and stay.
 """
 
 from __future__ import annotations
@@ -25,10 +31,10 @@ from .chain import (
     tx_touches,
     txid,
 )
-from .crypto import BloomFilter
+from .crypto import BloomFilter, probe_digests
 from .errors import ValidationError
 from .headers import HeaderIndex
-from .merkle import PartialMerkleTree, extract_partial
+from .merkle import PartialMerkleTree, pack_levels, partial_from_levels
 from .rules import (
     CoinView,
     check_block_structure,
@@ -78,6 +84,12 @@ class FullNode:
     blocks: dict[bytes, Block] = field(init=False, default_factory=dict)
     utxo: VersionedShardStore = field(init=False)
     mempool: list[Transaction] = field(init=False, default_factory=list)
+    # block hash -> the query_utxos answer built for it; dropped on a tip change
+    _proofs: dict[bytes, UtxosResponse] = field(init=False, default_factory=dict)
+    # what filtered sync keeps: block hash -> packed tx-tree levels, from the
+    # block's first match; filter item -> its probe digests, from its first scan
+    _tx_levels: dict[bytes, list[bytearray]] = field(init=False, default_factory=dict)
+    _probes: dict[bytes, bytes] = field(init=False, default_factory=dict)
 
     def __post_init__(self):
         self.headers = HeaderIndex(self.params.target_bits)
@@ -137,8 +149,9 @@ class FullNode:
                     self.utxo.apply_block(old, old.header.height)
                 for hh in self.headers.forget(self.headers.active_hash_at(fork + 1), old_tip):
                     self.blocks.pop(hh, None)
+                    self._tx_levels.pop(hh, None)
                 return ConnectResult("rejected", exc.code, new.header.height)
-        self._refit_pool(new_branch, old_branch)
+        self._tip_changed(new_branch, old_branch)
         return ConnectResult("accepted", height=block.header.height)
 
     def _validate_and_apply(self, block: Block) -> None:
@@ -196,7 +209,7 @@ class FullNode:
             raise ValidationError("utxo-root-mismatch", height=height)
         self.blocks[self.headers.add(block.header)] = block
         self.utxo.seal(coinbase)
-        self._refit_pool([block], [])
+        self._tip_changed([block], [])
 
     # -- mempool ------------------------------------------------------------
 
@@ -216,9 +229,12 @@ class FullNode:
         passed full validation in ``submit_transaction``."""
         return {txid(tx) for tx in self.mempool}
 
-    def _refit_pool(self, applied: list[Block], orphaned: list[Block]) -> None:
-        """After a tip change, pool the orphaned payments (first) and pooled
-        txs that the applied blocks do not carry and that still fit."""
+    def _tip_changed(self, applied: list[Block], orphaned: list[Block]) -> None:
+        """After a tip change, drop the kept proofs (they never go stale;
+        dropping them bounds their memory) and refit the pool: pool the
+        orphaned payments (first) and pooled txs that the applied blocks
+        do not carry and that still fit."""
+        self._proofs.clear()
         mined = {txid(tx) for block in applied for tx in block.transactions[1:]}
         waiting = [tx for block in orphaned for tx in block.transactions[1:]] + self.mempool
         self.mempool, _ = self._fitting([tx for tx in waiting if txid(tx) not in mined])
@@ -247,27 +263,42 @@ class FullNode:
     # -- query services ------------------------------------------------------
 
     def serve_query_merkle_blocks(self, since: bytes, bloom: BloomFilter) -> MerkleBlocksResponse:
-        chain = self.headers.active_chain()
+        """Headers of the active chain above ``since`` (from genesis if it
+        is not on it) and every tx the filter may match, with its proof.
+        The probe digests of every filter item and the tx tree of every
+        matched block are kept from the first query that needs them."""
         start = 0
         if self.headers.on_active_chain(since):
             start = self.headers.headers[since].height + 1
+        may_match = self._may_match(bloom)
         headers = []
         matches = []
-        for hh in chain[start:]:
+        for hh in self.headers.active_from(start):
             block = self.blocks[hh]
             headers.append(block.header)
-            matched = [
-                i for i, tx in enumerate(block.transactions)
-                if tx_touches(tx, bloom.may_contain)
-            ]
+            matched = [i for i, tx in enumerate(block.transactions)
+                       if tx_touches(tx, may_match)]
             if matched:
-                tx_ids = [txid(tx) for tx in block.transactions]
+                levels = self._tx_levels.get(hh)
+                if levels is None:
+                    levels = self._tx_levels[hh] = pack_levels(
+                        [txid(tx) for tx in block.transactions])
                 matches.append(MerkleBlockMatch(
                     header=block.header,
-                    tx_tree=extract_partial(tx_ids, set(matched)),
+                    tx_tree=partial_from_levels(levels, set(matched)),
                     transactions=tuple(block.transactions[i] for i in matched),
                 ))
         return MerkleBlocksResponse(headers=tuple(headers), matches=tuple(matches))
+
+    def _may_match(self, bloom: BloomFilter):
+        """``bloom.may_contain`` fed with kept probe digests; an item's
+        digests depend on no filter, so each is hashed once and kept."""
+        def may_match(item: bytes) -> bool:
+            digests = self._probes.get(item)
+            if digests is None:
+                digests = self._probes[item] = probe_digests(item)
+            return bloom.may_contain(item, digests)
+        return may_match
 
     def serve_query_utxo_mroot(self, block_hash: bytes) -> bytes:
         return commitment_of(self._active_block(block_hash))
@@ -276,14 +307,23 @@ class FullNode:
         return self._active_block(block_hash)
 
     def serve_query_utxos(self, block_hash: bytes) -> UtxosResponse:
+        """The shards the block touched, as they stood before it, and
+        their proof against its parent's root. The block fixes its parent
+        chain, so the answer never goes stale: it is built once and kept
+        until the next tip change. Every caller gets the same object, so
+        callers must not change it."""
         block = self._active_block(block_hash)
+        kept = self._proofs.get(block_hash)
+        if kept is not None:
+            return kept
         height = block.header.height
         record = self.utxo.touched_log.get(height)
         if record is None or height == 0:
             raise ValidationError("history-unavailable",
                                   "no pre-state exists for that block", height=height)
         shards, tree = self.utxo.state_before(height, set(record.indices))
-        return UtxosResponse(shards=shards, tree=tree)
+        response = self._proofs[block_hash] = UtxosResponse(shards=shards, tree=tree)
+        return response
 
     def _active_block(self, block_hash: bytes) -> Block:
         if not self.headers.on_active_chain(block_hash) or block_hash not in self.blocks:

@@ -8,6 +8,9 @@ work, and only switch branches when a competitor is strictly heavier
 
 from __future__ import annotations
 
+import itertools
+from typing import Iterator
+
 from .chain import BlockHeader, ZERO32, block_work, header_hash, pow_ok
 from .errors import ValidationError
 
@@ -110,6 +113,10 @@ class HeaderIndex:
 
     def active_chain(self) -> list[bytes]:
         return list(self._active)
+
+    def active_from(self, height: int) -> Iterator[bytes]:
+        """The active chain's hashes from ``height`` up, without a copy."""
+        return itertools.islice(self._active, height, None)
 
     def active_hash_at(self, height: int) -> bytes:
         if not 0 <= height < len(self._active):

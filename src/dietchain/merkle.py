@@ -13,9 +13,10 @@ patch a few shard hashes and recompute the root without the full tree.
 Wire layout::
 
     total_leaves(u32)
-    included: count(u16), then per entry index(u32) hash(32), index-sorted
+    included: count(u16), then per entry index(u32) hash(32), in
+              strictly increasing index order
     siblings: count(u16), then per entry level(u8) index(u32) hash(32),
-              sorted by (level, index)
+              in strictly increasing (level, index) order
 """
 
 from __future__ import annotations
@@ -197,17 +198,26 @@ def encode_partial(p: PartialMerkleTree) -> bytes:
 
 
 def read_partial(r: Reader) -> PartialMerkleTree:
-    """Decode a partial tree from a reader positioned at its first byte."""
+    """Decode a partial tree from a reader positioned at its first byte.
+    Entries must come in the encoder's strictly increasing order, so
+    only the one canonical encoding of a tree decodes."""
     total = r.u32()
     included = {}
+    last = -1
     for _ in range(r.u16()):
         idx = r.u32()
+        if idx <= last:
+            raise DecodeError("included leaves not strictly increasing", r.offset - 4)
         included[idx] = r.take(32)
+        last = idx
     siblings = {}
+    last_pos = (-1, -1)
     for _ in range(r.u16()):
-        level = r.u8()
-        idx = r.u32()
-        siblings[(level, idx)] = r.take(32)
+        pos = (r.u8(), r.u32())
+        if pos <= last_pos:
+            raise DecodeError("siblings not strictly increasing", r.offset - 5)
+        siblings[pos] = r.take(32)
+        last_pos = pos
     try:
         return PartialMerkleTree(total_leaves=total, included=included, siblings=siblings)
     except ValueError as exc:

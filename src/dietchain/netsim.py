@@ -42,7 +42,7 @@ from .chain import (
     read_transaction,
 )
 from .crypto import BloomFilter
-from .errors import ScenarioError, ValidationError
+from .errors import DecodeError, ScenarioError, ValidationError
 from .full_node import (
     FullNode,
     MerkleBlockMatch,
@@ -111,17 +111,23 @@ def encode_utxos_response(resp: UtxosResponse) -> bytes:
     parts = [struct.pack("<H", len(resp.shards))]
     for idx in sorted(resp.shards):
         parts.append(struct.pack("<I", idx))
-        parts.append(resp.shards[idx].encode())
+        parts.append(resp.shards[idx].encoded)
     parts.append(encode_partial(resp.tree))
     return b"".join(parts)
 
 
 def decode_utxos_response(payload: bytes) -> UtxosResponse:
+    """Decode a shard proof; shard indices must strictly increase, so
+    only the one canonical encoding of an answer decodes."""
     r = Reader(payload)
     shards: dict[int, Shard] = {}
+    last = -1
     for _ in range(r.u16()):
         idx = r.u32()
+        if idx <= last:
+            raise DecodeError("shard indices not strictly increasing", r.offset - 4)
         shards[idx] = read_shard(r, idx)
+        last = idx
     tree = read_partial(r)
     r.done()
     return UtxosResponse(shards=shards, tree=tree)

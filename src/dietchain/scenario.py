@@ -256,7 +256,7 @@ def _act_corrupt_shard(state: ScenarioState, step: dict) -> None:
             shard = resp.shards[idx]
             if shard.coins:
                 first = shard.coins[0]
-                tampered = Shard(index=idx, coins=(
+                tampered = Shard.of_coins(idx, (
                     first._replace(value=first.value + 1),) + shard.coins[1:])
                 shards = dict(resp.shards)
                 shards[idx] = tampered

@@ -43,7 +43,9 @@ A split keeps the tree it replaces as the final tree of the coarser
 from that kept tree: it puts back the old versions of only the shards
 changed since the queried height and re-hashes their paths, so a recent
 height costs O((|indices| + shards changed since) * k) hashes, not a
-rebuild over all ``2**k`` leaves.
+rebuild over all ``2**k`` leaves. History holds each shard version as
+its wire bytes, and a proof serves them as they are: a :class:`Shard` is
+an index and its encoding, decoded only where a reader needs its coins.
 """
 
 from __future__ import annotations
@@ -152,27 +154,43 @@ def shard_leaf_hash(encoded: bytes) -> bytes:
     return hash256(encoded)
 
 
-@dataclass(frozen=True)
-class Shard:
-    index: int
-    coins: tuple[Coin, ...]  # sorted by outpoint
+_COIN = struct.Struct("<32sIQ32s")  # a coin's wire fields, in Coin's order
 
-    def encode(self) -> bytes:
-        return encode_shard_coins(list(self.coins))
+
+@dataclass(frozen=True, slots=True)
+class Shard:
+    """One shard as it travels: its index and its wire bytes (a u16 coin
+    count, then the coins in outpoint order). The store serves the bytes
+    it keeps, so serving decodes nothing."""
+    index: int
+    encoded: bytes
+
+    @classmethod
+    def of_coins(cls, index: int, coins) -> "Shard":
+        return cls(index, encode_shard_coins(list(coins)))
+
+    @property
+    def coins(self) -> tuple[Coin, ...]:
+        """The coins, decoded from the wire bytes on each call."""
+        return tuple(Coin(OutPoint(tid, n), value, challenge)
+                     for tid, n, value, challenge in _COIN.iter_unpack(self.encoded[2:]))
 
     @property
     def leaf_hash(self) -> bytes:
-        return shard_leaf_hash(self.encode())
+        return shard_leaf_hash(self.encoded)
 
 
 def read_shard(r: Reader, index: int) -> Shard:
-    """Decode one serialized shard from a reader positioned at its count."""
-    body = r.take(COIN_SIZE * r.u16())
-    coins = [Coin(OutPoint(tid, n), value, challenge)
-             for tid, n, value, challenge in struct.iter_unpack("<32sIQ32s", body)]
-    if coins != sorted(coins):
+    """Read one serialized shard from a reader positioned at its count.
+    Its coins must come in order; their raw fields order as the coins do,
+    so the check builds no Coin."""
+    start = r.offset
+    r.take(COIN_SIZE * r.u16())
+    shard = Shard(index, r.data[start:r.offset])
+    records = list(_COIN.iter_unpack(memoryview(shard.encoded)[2:]))
+    if any(a > b for a, b in zip(records, records[1:])):
         raise DecodeError("shard coins out of order", r.offset)
-    return Shard(index=index, coins=tuple(coins))
+    return shard
 
 
 def decode_shard(data: bytes, index: int) -> Shard:
@@ -391,7 +409,7 @@ class VersionedShardStore:
         reloaded = {}
         for idx in indices:
             encoded = self._version_at(self.k, idx, height)
-            coins = [live_at.get(c.outpoint, c) for c in decode_shard(encoded, idx).coins]
+            coins = [live_at.get(c.outpoint, c) for c in Shard(idx, encoded).coins]
             self._coin_count += len(coins) - len(self.shards.get(idx, ()))
             self.shards[idx] = coins
             reloaded[idx] = encoded
@@ -432,6 +450,7 @@ class VersionedShardStore:
         the newest tree at that height's ``k`` (the live one, or the one
         kept when the tree split away from that ``k``), with only the
         shards changed since put back to their old versions and re-hashed.
+        The shards are the encodings the store keeps, served undecoded.
         """
         if self.height is None or not 1 <= height <= self.height + 1:
             raise HistoryUnavailableError(f"no history for height {height}")
@@ -445,9 +464,7 @@ class VersionedShardStore:
         if since:
             levels = [bytearray(level) for level in levels]
             update_levels(levels, {i: shard_leaf_hash(encodings[i]) for i in since})
-        partial = partial_from_levels(levels, include)
-        shards = {i: decode_shard(encodings[i], i) for i in indices}
-        return shards, partial
+        return {i: Shard(i, encodings[i]) for i in indices}, partial_from_levels(levels, include)
 
     def _version_at(self, k: int, index: int, height: int) -> bytes:
         for h, encoded in reversed(self.versions.get((k, index), ())):

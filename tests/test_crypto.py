@@ -12,6 +12,7 @@ from dietchain.crypto import (
     BloomFilter,
     KeyPair,
     hash256,
+    probe_digests,
     verify,
 )
 from dietchain.errors import DecodeError
@@ -121,6 +122,26 @@ def test_bloom_false_positive_rate_near_theory():
     # empirically within a factor of two of theory
     assert hits / trials < theoretical * 2.0
     assert hits / trials > theoretical * 0.3
+
+
+def test_probe_digests_are_the_hash_prefixes_every_filter_reads():
+    key = b"item"
+    digests = probe_digests(key, 3)
+    assert digests == b"".join(hash256(key + bytes([i]))[:8] for i in range(3))
+    longer = probe_digests(key, BLOOM_DEFAULT_HASHES + 2)
+    assert probe_digests(key) == longer[:8 * BLOOM_DEFAULT_HASHES]
+
+
+def test_bloom_membership_is_the_same_from_any_number_of_kept_digests():
+    rng = random.Random(98)
+    for m, h in [(8, 1), (64, 3), (BLOOM_DEFAULT_BITS, BLOOM_DEFAULT_HASHES), (512, 11)]:
+        bloom = BloomFilter(m=m, h=h)
+        for _ in range(4):
+            bloom.add(rng.randbytes(33))
+        for key in [rng.randbytes(33) for _ in range(60)]:
+            expected = bloom.may_contain(key)
+            for count in range(h + 3):
+                assert bloom.may_contain(key, probe_digests(key, count)) == expected
 
 
 def test_bloom_encode_decode_roundtrip():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import struct
 
 import pytest
 from conftest import FAST, coins_owned, key_of, mined_node, payment
@@ -21,6 +22,7 @@ from dietchain.chain import (
 from dietchain.diet_node import DietConfig, DietNode, compute_verification_range
 from dietchain.errors import ValidationError
 from dietchain.full_node import FullNode, UtxosResponse
+from dietchain.merkle import encode_partial
 from dietchain.miner import (
     BlockTemplate,
     assemble_block,
@@ -414,6 +416,35 @@ def test_truncated_root_is_a_peer_fault_at_the_base():
     assert (verdict.status, verdict.reason) == ("rejected", "peer-fault")
     assert (verdict.first, verdict.last) == (verdict.height - 2, verdict.height)
     assert verdict.fail_height == verdict.first  # the base's root is asked for first
+
+
+class _ShardTwiceService(FullNodeService):
+    """Serves every query_utxos answer with its first shard twice: the
+    same shards and proof, in a non-canonical encoding."""
+
+    def handle_query(self, msg_type, payload):
+        if msg_type != MSG_QUERY_UTXOS:
+            return super().handle_query(msg_type, payload)
+        resp = self.node.serve_query_utxos(payload)
+        order = sorted(resp.shards)
+        order.insert(0, order[0])
+        parts = [struct.pack("<H", len(order))]
+        for idx in order:
+            parts += [struct.pack("<I", idx), resp.shards[idx].encoded]
+        parts.append(encode_partial(resp.tree))
+        return b"".join(parts)
+
+
+def test_a_shard_served_twice_is_a_peer_fault():
+    node = mined_node(FAST, ALICE, 4, seed=65)
+    node.submit_transaction(payment(node, ALICE, [(CAROL.challenge, 6)]))
+    mine_on(node, ALICE.public_key, seed=165)
+    bus = Bus(seed=6)
+    bus.register("peer", _ShardTwiceService(node))
+    diet = DietNode(FAST, WATCH_CAROL, BusTransport(bus, "client", "peer"))
+    (verdict,) = diet.update_chain().verdicts
+    assert (verdict.status, verdict.reason) == ("rejected", "peer-fault")
+    assert verdict.fail_height == verdict.first + 1
 
 
 def test_truncated_merkle_blocks_changes_nothing():

@@ -381,7 +381,7 @@ def test_query_proof_size_beats_full_snapshot():
     proof_bytes = len(encode_utxos_response(resp))
     k = node.utxo.k_at(block.header.height - 1)
     shards, _ = node.utxo.state_before(block.header.height, set(range(1 << k)))
-    full_bytes = sum(len(s.encode()) for s in shards.values())
+    full_bytes = sum(len(s.encoded) for s in shards.values())
     assert proof_bytes < full_bytes / 2
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import struct
 
 import pytest
 
@@ -165,6 +166,27 @@ def test_decode_partial_rejects_truncation():
             decode_partial(wire[:cut])
     with pytest.raises(DecodeError):
         decode_partial(wire + b"\x00")
+
+
+def test_decode_partial_requires_strictly_increasing_entries():
+    rng = random.Random(22)
+    partial = extract_partial(_leaves(rng, 16), {2, 9})
+    leaves = sorted(partial.included.items())
+    siblings = sorted(partial.siblings.items())
+
+    def wire(leaves, siblings):
+        parts = [struct.pack("<IH", 16, len(leaves))]
+        parts += [struct.pack("<I", i) + h for i, h in leaves]
+        parts.append(struct.pack("<H", len(siblings)))
+        parts += [struct.pack("<BI", *pos) + h for pos, h in siblings]
+        return b"".join(parts)
+
+    assert decode_partial(wire(leaves, siblings)) == partial
+    bad = [(leaves[::-1], siblings), (leaves + leaves[-1:], siblings),
+           (leaves, siblings[::-1]), (leaves, siblings[:1] + siblings)]
+    for entries in bad:
+        with pytest.raises(DecodeError, match="strictly increasing"):
+            decode_partial(wire(*entries))
 
 
 def _reference_partial(leaves: list[bytes], include: set[int]) -> PartialMerkleTree:

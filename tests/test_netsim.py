@@ -1,14 +1,16 @@
 from __future__ import annotations
 
 import random
+import struct
 
 import pytest
 from conftest import FAST, coins_owned, key_of, mined_node, payment, store_state
 
 from dietchain.chain import KIND_PAYMENT, TxOutput, encode_block
 from dietchain.crypto import BloomFilter, hash256
-from dietchain.errors import ScenarioError
+from dietchain.errors import DecodeError, ScenarioError
 from dietchain.full_node import FullNode, UtxosResponse
+from dietchain.merkle import encode_partial
 from dietchain.miner import mine_on
 from dietchain.netsim import (
     MSG_BLOCK_ANNOUNCE,
@@ -72,6 +74,24 @@ def test_utxos_response_round_trip():
     for idx, shard in shards.items():
         assert decoded.shards[idx].coins == shard.coins
     assert encode_utxos_response(decoded) == payload
+
+
+def test_utxos_response_decodes_only_in_increasing_shard_order():
+    node = mined_node(FAST, ALICE, 5, seed=71)
+    store = node.utxo
+    shards, tree = store.state_before(store.height + 1, frozenset(range(2 ** store.k)))
+    proof = encode_partial(tree)
+
+    def payload(order):
+        parts = [struct.pack("<H", len(order))]
+        for idx in order:
+            parts += [struct.pack("<I", idx), shards[idx].encoded]
+        return b"".join(parts) + proof
+
+    assert decode_utxos_response(payload(sorted(shards))).shards == shards
+    for order in ([1, 0, 2, 3], [0, 1, 1, 2, 3], [0, 0]):
+        with pytest.raises(DecodeError, match="shard indices"):
+            decode_utxos_response(payload(order))
 
 
 def test_bus_trace_identical_for_same_seed():

@@ -1,0 +1,225 @@
+"""What a full node keeps to serve light clients, pinned against answers
+built anew: kept shard proofs, kept tx trees and probe digests."""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+from conftest import FAST, key_of, mined_node, payment
+
+from dietchain.chain import ZERO32, block_hash, tx_touches, txid
+from dietchain.crypto import BloomFilter, hash256
+from dietchain.diet_node import DietConfig, DietNode
+from dietchain.errors import ValidationError
+from dietchain.full_node import FullNode, MerkleBlockMatch, MerkleBlocksResponse
+from dietchain.merkle import extract_partial
+from dietchain.miner import mine_on
+from dietchain.netsim import (
+    Bus,
+    BusTransport,
+    DietNodeService,
+    FullNodeService,
+    MSG_WAKE,
+    encode_merkle_blocks_response,
+    encode_utxos_response,
+)
+from dietchain.utxo import VersionedShardStore
+
+ALICE = key_of("alice")
+BOB = key_of("bob")
+PAYEES = [key_of(f"payee{i}") for i in range(6)]
+
+
+def _grow(node: FullNode, blocks: int, seed: int) -> None:
+    """Mine ``blocks`` blocks on the node's tip, each with a payment."""
+    rng = random.Random(seed)
+    for i in range(blocks):
+        pays = [(payee.challenge, rng.randrange(1, 5)) for payee in rng.sample(PAYEES, 2)]
+        node.submit_transaction(payment(node, ALICE, pays))
+        mine_on(node, ALICE.public_key, seed=seed + i)
+
+
+def _chain(node: FullNode) -> list:
+    return [node.blocks[h] for h in node.headers.active_chain()]
+
+
+def _replica(node: FullNode) -> FullNode:
+    """A node that replays ``node``'s active chain and has served nothing."""
+    fresh = FullNode(node.params)
+    for block in _chain(node):
+        assert fresh.connect_block(block).accepted
+    return fresh
+
+
+def _rival_blocks(node: FullNode, count: int, seed: int) -> list:
+    """``count`` blocks mined by another miner on the parent of the node's tip."""
+    rival = FullNode(node.params)
+    for block in _chain(node)[:-1]:
+        assert rival.connect_block(block).accepted
+    return [mine_on(rival, BOB.public_key, seed=seed + i) for i in range(count)]
+
+
+def _served_bytes(node: FullNode) -> dict[int, bytes]:
+    return {block.header.height: encode_utxos_response(node.serve_query_utxos(block_hash(block)))
+            for block in _chain(node)[1:]}
+
+
+def _assert_served_like_a_fresh_node(node: FullNode) -> None:
+    first = _served_bytes(node)
+    assert _served_bytes(node) == first  # answered again, from the kept proofs
+    assert first == _served_bytes(_replica(node))
+
+
+def test_kept_proofs_equal_a_fresh_nodes_at_every_height_through_a_reorg():
+    node = mined_node(FAST, ALICE, 3, seed=800)
+    _grow(node, 4, seed=810)
+    _assert_served_like_a_fresh_node(node)
+
+    _grow(node, 2, seed=820)  # further blocks
+    _assert_served_like_a_fresh_node(node)
+
+    # a one-block reorg away: a rival tip, then one block on it
+    away = _rival_blocks(node, 2, seed=830)
+    old_tip = node.tip_hash
+    assert node.connect_block(away[0]).status == "branch"
+    assert node.connect_block(away[1]).accepted
+    assert not node.headers.on_active_chain(old_tip)
+    _assert_served_like_a_fresh_node(node)
+
+    # and back: the old branch grows heavier again
+    back = FullNode(FAST)
+    for block in _chain(node)[:-2]:
+        assert back.connect_block(block).accepted
+    assert back.connect_block(node.blocks[old_tip]).accepted
+    statuses = [node.connect_block(mine_on(back, ALICE.public_key, seed=840 + i)).status
+                for i in range(2)]
+    assert statuses == ["branch", "accepted"]
+    assert node.headers.on_active_chain(old_tip)
+    _assert_served_like_a_fresh_node(node)
+
+
+def _counting_state_before(monkeypatch) -> list:
+    calls = []
+    original = VersionedShardStore.state_before
+
+    def counted(self, height, indices):
+        calls.append(height)
+        return original(self, height, indices)
+
+    monkeypatch.setattr(VersionedShardStore, "state_before", counted)
+    return calls
+
+
+def test_a_tip_change_drops_every_kept_proof(monkeypatch):
+    node = mined_node(FAST, ALICE, 3, seed=850)
+    _grow(node, 2, seed=851)
+    calls = _counting_state_before(monkeypatch)
+    tip = node.tip_hash
+    node.serve_query_utxos(tip)
+    node.serve_query_utxos(tip)
+    assert len(calls) == 1 and node._proofs
+
+    _grow(node, 1, seed=852)  # the node's own block
+    assert node._proofs == {}
+    node.serve_query_utxos(tip)
+    assert len(calls) == 2
+
+    follower = _replica(node)
+    follower.serve_query_utxos(tip)
+    assert follower._proofs
+    mine_on(node, ALICE.public_key, seed=853)
+    assert follower.connect_block(node.blocks[node.tip_hash]).accepted  # a received block
+    assert follower._proofs == {}
+
+
+def test_a_kept_proof_of_a_block_that_left_the_active_chain_is_not_served():
+    node = mined_node(FAST, ALICE, 3, seed=860)
+    _grow(node, 1, seed=861)
+    orphan = node.tip_hash
+    node.serve_query_utxos(orphan)
+    kept = dict(node._proofs)
+
+    for block in _rival_blocks(node, 2, seed=862):
+        node.connect_block(block)
+    assert not node.headers.on_active_chain(orphan)
+    node._proofs.update(kept)  # even if it were still kept, the chain check comes first
+    with pytest.raises(ValidationError) as info:
+        node.serve_query_utxos(orphan)
+    assert info.value.code == "unknown-block"
+
+
+def test_clients_checking_one_block_share_one_pre_state_proof(monkeypatch):
+    node = mined_node(FAST, ALICE, 3, seed=870)
+    _grow(node, 2, seed=871)
+    clients = [key_of(f"client{i}") for i in range(5)]
+    node.submit_transaction(payment(node, ALICE, [(k.challenge, 2) for k in clients]))
+    mine_on(node, ALICE.public_key, seed=872)
+    calls = _counting_state_before(monkeypatch)
+
+    bus = Bus(seed=0)
+    bus.register("full", FullNodeService(node))
+    services = []
+    for i, key in enumerate(clients):
+        config = DietConfig(keys=(key.public_key,), max_depth=10, max_length=1)
+        service = DietNodeService(DietNode(FAST, config, BusTransport(bus, f"c{i}", "full")))
+        bus.register(f"c{i}", service)
+        services.append(service)
+        bus.post("test", f"c{i}", MSG_WAKE, b"")
+    bus.run_until_idle()
+
+    verdicts = [v for s in services for r in s.results for v in r.verdicts]
+    assert [v.status for v in verdicts] == ["diet-verified"] * len(clients)
+    assert {v.height for v in verdicts} == {node.tip_height}
+    assert calls == [node.tip_height]
+
+
+# -- filtered sync -------------------------------------------------------------
+
+def _scan_keeping_nothing(node: FullNode, since: bytes, bloom: BloomFilter) -> MerkleBlocksResponse:
+    """Filtered sync as a node without kept digests or trees answers it:
+    hash every probe of every item, build every matched block's tree."""
+    chain = node.headers.active_chain()
+    start = node.headers.headers[since].height + 1 if node.headers.on_active_chain(since) else 0
+    headers, matches = [], []
+    for hh in chain[start:]:
+        block = node.blocks[hh]
+        headers.append(block.header)
+        matched = [i for i, tx in enumerate(block.transactions)
+                   if tx_touches(tx, bloom.may_contain)]
+        if matched:
+            matches.append(MerkleBlockMatch(
+                header=block.header,
+                tx_tree=extract_partial([txid(tx) for tx in block.transactions], set(matched)),
+                transactions=tuple(block.transactions[i] for i in matched)))
+    return MerkleBlocksResponse(headers=tuple(headers), matches=tuple(matches))
+
+
+def test_filtered_sync_equals_a_scan_keeping_nothing_for_random_filters():
+    node = mined_node(FAST, ALICE, 3, seed=880)
+    _grow(node, 5, seed=881)
+    orphan = node.tip_hash
+    node.serve_query_merkle_blocks(ZERO32, BloomFilter())  # orphan's block gets scanned
+    for block in _rival_blocks(node, 2, seed=882):
+        node.connect_block(block)
+    assert not node.headers.on_active_chain(orphan)
+
+    items = [k.public_key for k in PAYEES + [ALICE, BOB]]
+    items += [hash256(item) for item in items]
+    sinces = [ZERO32, orphan, hash256(b"nowhere")] + node.headers.active_chain()
+    rng = random.Random(883)
+    hits = false_hits = 0
+    for _ in range(60):
+        # small filters match many items they were not given
+        bloom = BloomFilter(m=rng.choice([8, 32, 256, 2048]), h=rng.randrange(1, 12))
+        added = set(rng.sample(items, rng.randrange(0, 4)))
+        for item in added:
+            bloom.add(item)
+        since = rng.choice(sinces)
+        served = node.serve_query_merkle_blocks(since, bloom)
+        txs = [tx for match in served.matches for tx in match.transactions]
+        hits += len(txs)
+        false_hits += sum(not tx_touches(tx, added.__contains__) for tx in txs)
+        assert encode_merkle_blocks_response(served) == \
+            encode_merkle_blocks_response(_scan_keeping_nothing(node, since, bloom))
+    assert 0 < false_hits < hits

@@ -418,7 +418,7 @@ def _assert_matches_replay(store: VersionedShardStore, chain: list[Block]) -> No
             shards, partial = store.state_before(h, subset)
             assert partial == extract_partial(leaves, subset)
             assert partial_root(partial) == store.root_log[h - 1]
-            assert {i: shard.encode() for i, shard in shards.items()} == \
+            assert {i: shard.encoded for i, shard in shards.items()} == \
                 {i: blobs[i] for i in subset}
 
 
