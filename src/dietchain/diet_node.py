@@ -147,7 +147,7 @@ class DietNode:
                 continue  # bloom false positive, nothing of ours inside
             if not self._match_proof_ok(match, match_hash):
                 verdicts.extend(self._verdicts(relevant, height, "rejected",
-                                               reason="proof-mismatch"))
+                                               reason="proof-mismatch", fail_height=height))
                 continue
             if not self.config.diet_enabled:
                 verdicts.extend(self._verdicts(relevant, height, "spv-only"))

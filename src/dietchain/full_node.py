@@ -9,7 +9,10 @@ A block reaches the tip by one path: ``connect_block`` checks its
 structure and indexes its header, the header's one check; if its branch
 is then the heaviest, the store is undone to the fork (nothing, for a
 block on the tip) and the branch applied block by block. After every
-tip change, the node's own blocks included, one rule refits the pool.
+tip change, the node's own blocks included, one rule refits the pool;
+with ``submit_transaction`` checking each tx against the tip plus the
+pool, and a failed switch or own block leaving tip and pool as they
+were, the pool always fits the tip, and the miner mines all of it.
 
 Answers are built once and served from what the node keeps. A block's
 shard proof depends only on the block, so it is kept by block hash until
@@ -240,7 +243,8 @@ class FullNode:
         self.mempool, _ = self._fitting([tx for tx in waiting if txid(tx) not in mined])
 
     def build_template(self) -> tuple[list[Transaction], int]:
-        """Mempool txs that fit together on the current tip, plus total fees."""
+        """Mempool txs that fit together on the current tip (all of them),
+        plus total fees."""
         return self._fitting(self.mempool)
 
     def _fitting(self, txs) -> tuple[list[Transaction], int]:

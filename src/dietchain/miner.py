@@ -3,18 +3,25 @@
 The coinbase commits the UTXO root for the block being built. That root
 covers the block's non-coinbase transactions but never the coinbase's
 own reward coins, so the root comes first and the coinbase is built
-around it. A node mining on its own tip (``mine_on``) applies the
-template's body once (``FullNode.open_block``) and builds and solves the
-block on the returned root; ``FullNode.close_block`` then checks the
-coinbase value and the commitment, indexes the header (its one check)
-and seals the block in place. If anything fails, the body is undone and
-nothing is indexed. ``mine_block`` leaves the store it is
-given as it was: it previews the root (apply, then undo) and solves.
+around it.
+
+Every block a node mines goes through ``mine_txs``: ``FullNode.open_block``
+runs the body rules and applies the body on the tip, the coinbase and
+header are built on the returned root and solved, and
+``FullNode.close_block`` checks the coinbase value and the commitment,
+indexes the header (its one check) and seals the block in place. If
+anything fails, the body is undone and nothing is indexed. ``mine_on``
+mines the node's whole pool, which always fits the tip, so the body
+rules run once per block; on a node with no chain it mines the genesis
+(``make_genesis``). The adversary's counterfeit blocks take the same path
+and the same proof of work. ``mine_block`` leaves the store it is given
+as it was: it previews the root (apply, then undo) and solves.
 
 The coinbase's version field carries the block height so that two
-otherwise identical coinbases can never collide on txid. If the 64-bit
-nonce space were ever exhausted, the extra nonce is folded into unused
-bits of the reward challenge, changing the tx Merkle root.
+otherwise identical coinbases can never collide on txid. When a nonce
+scan comes up empty, the extra nonce rolls in the coinbase input's
+signature bytes, which no rule reads (as Bitcoin rolls the coinbase
+script): the tx Merkle root changes, and nothing the block pays.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from .chain import (
     make_coinbase_input,
     pow_ok,
 )
-from .crypto import hash256
+from .crypto import SIGNATURE_SIZE, hash256
 from .full_node import FullNode
 from .rules import tx_merkle_root
 from .utxo import VersionedShardStore
@@ -56,16 +63,13 @@ class BlockTemplate:
 
 def make_coinbase(template: BlockTemplate, committed_root: bytes,
                   extra_nonce: int = 0) -> Transaction:
-    challenge = hash256(template.reward_key)
-    if extra_nonce:
-        # Overflow nonce space spills into the low challenge bytes.
-        low = int.from_bytes(challenge[24:], "little") ^ (extra_nonce & (1 << 64) - 1)
-        challenge = challenge[:24] + struct.pack("<Q", low)
     return Transaction(
         version=template.height,
-        inputs=(make_coinbase_input(),),
+        inputs=(make_coinbase_input()._replace(
+            signature=extra_nonce.to_bytes(SIGNATURE_SIZE, "little")),),
         outputs=(
-            TxOutput(value=template.reward_value, kind=KIND_PAYMENT, payload=challenge),
+            TxOutput(value=template.reward_value, kind=KIND_PAYMENT,
+                     payload=hash256(template.reward_key)),
             TxOutput(value=0, kind=KIND_COMMITMENT, payload=committed_root),
         ),
     )
@@ -128,12 +132,12 @@ def mine_block(template: BlockTemplate, parent_state: VersionedShardStore,
                   seed, max_attempts)
 
 
-def node_template(node: FullNode, reward_key: bytes) -> BlockTemplate:
-    """Template extending the node's tip with its current mempool."""
-    txs, fees = node.build_template()
+def template_on(node: FullNode, txs, fees: int, reward_key: bytes) -> BlockTemplate:
+    """A template of ``txs``, which pay ``fees``, on the node's tip; on a
+    node with no chain, a genesis template (parent ``ZERO32``, height 0)."""
     return BlockTemplate(
-        parent_hash=node.tip_hash,
-        height=node.tip_height + 1,
+        parent_hash=node.headers.tip or ZERO32,
+        height=_next_height(node),
         target_bits=node.params.target_bits,
         transactions=tuple(txs),
         reward_key=reward_key,
@@ -141,15 +145,29 @@ def node_template(node: FullNode, reward_key: bytes) -> BlockTemplate:
     )
 
 
-def mine_on(node: FullNode, reward_key: bytes, seed: int = 0) -> Block:
-    """Mine the next block on a node's tip and connect it there, applying
-    its body once. Raises ValidationError if the node rejects the block;
-    on any failure the node is left as it was."""
-    template = node_template(node, reward_key)
-    root, fees = node.open_block(template.transactions, template.height)
+def _next_height(node: FullNode) -> int:
+    return 0 if node.headers.tip is None else node.tip_height + 1
+
+
+def node_template(node: FullNode, reward_key: bytes) -> BlockTemplate:
+    """Template extending the node's tip with the pool txs that fit there."""
+    return template_on(node, *node.build_template(), reward_key)
+
+
+def mine_txs(node: FullNode, txs, reward_key: bytes, seed: int = 0,
+             commitment: bytes | None = None) -> Block:
+    """Mine a block of ``txs`` on the node's tip (its genesis, on a node
+    with no chain) and connect it there, applying its body once.
+    ``commitment`` replaces the committed root; only a node that does not
+    check commitments takes that. Raises ValidationError if the node
+    rejects the block; on any failure the node is left as it was."""
+    txs = tuple(txs)
+    root, fees = node.open_block(txs, _next_height(node))
     closed = False
     try:
-        block = _solve(lambda extra: block_on(template, root, extra), seed, MAX_ATTEMPTS)
+        template = template_on(node, txs, fees, reward_key)
+        committed = root if commitment is None else commitment
+        block = _solve(lambda extra: block_on(template, committed, extra), seed, MAX_ATTEMPTS)
         node.close_block(block, root, fees)
         closed = True
     finally:
@@ -158,15 +176,12 @@ def mine_on(node: FullNode, reward_key: bytes, seed: int = 0) -> Block:
     return block
 
 
+def mine_on(node: FullNode, reward_key: bytes, seed: int = 0) -> Block:
+    """Mine the node's whole pool, which always fits its tip, as
+    :func:`mine_txs` does."""
+    return mine_txs(node, node.mempool, reward_key, seed)
+
+
 def make_genesis(params: ChainParams, reward_key: bytes, seed: int = 0) -> Block:
     """Mine the height-0 block; it commits the root of an empty store."""
-    template = BlockTemplate(
-        parent_hash=ZERO32,
-        height=0,
-        target_bits=params.target_bits,
-        transactions=(),
-        reward_key=reward_key,
-        reward_value=params.subsidy,
-    )
-    fresh = VersionedShardStore(initial_k=params.initial_k, size_cap=params.size_cap)
-    return mine_block(template, fresh, seed=seed)
+    return mine_on(FullNode(params), reward_key, seed)

@@ -9,8 +9,9 @@ with the same seed produce byte-identical traces.
 An adversary owns one victim. It can divert the victim's queries to a
 shadow node serving a counterfeit branch, or rewrite individual
 responses in flight. Forged blocks are prepared up front by a builder
-that charges each proof-of-work solution against a mining budget;
-nothing the adversary serves is exempt from the proof-of-work check.
+that mines them as honest blocks are mined (``miner.mine_txs``) and
+charges each against a mining budget; nothing the adversary serves is
+exempt from the proof-of-work check.
 
 Message types::
 
@@ -50,7 +51,7 @@ from .full_node import (
     UtxosResponse,
 )
 from .merkle import encode_partial, read_partial
-from .miner import BlockTemplate, block_on, solve_pow
+from .miner import mine_txs
 from .utxo import Coin, Shard, read_shard
 
 MSG_QUERY_MERKLE_BLOCKS = 0x01
@@ -301,7 +302,6 @@ class ForgedChainBuilder:
 
     def __init__(self, params: ChainParams, budget: int, seed: int = 0,
                  accept_bad_commitments: bool = False):
-        self.params = params
         self.budget = budget
         self.seed = seed
         self.mined = 0
@@ -321,38 +321,17 @@ class ForgedChainBuilder:
     def mine(self, txs: list[Transaction], reward_key: bytes,
              fake_commitment: bytes | None = None) -> Block:
         """Mine a counterfeit block of ``txs`` on the replica's tip and
-        connect it there, as ``miner.mine_on`` does: its body is applied
-        once, and on any failure the replica is left as it was."""
+        connect it there, through the honest miner's one path
+        (``miner.mine_txs``); on any failure the replica is left as it
+        was."""
         if self.mined + 1 > self.budget:
             raise ScenarioError("adversary mining budget exceeded")
-        node = self.node
-        height = node.tip_height + 1
-        opened = closed = False
         try:
-            root, fees = node.open_block(txs, height)
-            opened = True
-            template = BlockTemplate(
-                parent_hash=node.tip_hash,
-                height=height,
-                target_bits=self.params.target_bits,
-                transactions=tuple(txs),
-                reward_key=reward_key,
-                reward_value=self.params.subsidy + fees,
-            )
-            block = block_on(template, root if fake_commitment is None else fake_commitment)
-            nonce = solve_pow(block.header, 1 << 20, seed=self.seed + self.mined)
-            if nonce is None:
-                raise ScenarioError("adversary failed to solve proof-of-work")
-            self.mined += 1
-            block = Block(header=block.header._replace(nonce=nonce),
-                          transactions=block.transactions)
-            node.close_block(block, root, fees)
-            closed = True
+            block = mine_txs(self.node, txs, reward_key, seed=self.seed + self.mined,
+                             commitment=fake_commitment)
         except ValidationError as exc:
             raise ScenarioError(f"replica rejected forged block: {exc.code}") from None
-        finally:
-            if opened and not closed:
-                node.utxo.undo_block()
+        self.mined += 1
         return block
 
     def service(self) -> FullNodeService:

@@ -25,7 +25,7 @@ from .crypto import KeyPair, hash256
 from .diet_node import DietConfig, DietNode
 from .errors import ScenarioError
 from .full_node import FullNode, UtxosResponse
-from .miner import make_genesis, mine_on
+from .miner import mine_on
 from .netsim import (
     MSG_BLOCK_ANNOUNCE,
     MSG_QUERY_BLOCK,
@@ -165,14 +165,7 @@ def _act_mine(state: ScenarioState, step: dict) -> None:
     node = state.full(node_id)
     reward = state.key(step["reward"]).public_key
     for _ in range(step.get("count", 1)):
-        pow_seed = state.rng.getrandbits(32)
-        if node.headers.tip is None:
-            block = make_genesis(state.params, reward, seed=pow_seed)
-            result = node.connect_block(block)
-            if not result.accepted:
-                raise ScenarioError(f"genesis rejected: {result.reason}")
-        else:
-            block = mine_on(node, reward, seed=pow_seed)
+        block = mine_on(node, reward, seed=state.rng.getrandbits(32))
         _announce(state, node_id, block)
 
 

@@ -160,6 +160,41 @@ def test_verification_across_a_split():
     assert any(first < h <= node.tip_height for h in split_heights)
 
 
+def test_the_diet_replay_edits_exactly_the_shards_served(monkeypatch):
+    """The replay of an honest block edits every shard the node served for
+    it and no other, so re-hashing the served paths after the edits costs
+    no leaf the block did not change; a split block is served every
+    shard, and the diet node rebuilds the whole tree."""
+    params = ChainParams(target_bits=5, subsidy=50, size_cap=256, initial_k=0)
+    node = mined_node(params, ALICE, 2, seed=48)
+    for i in range(8):
+        node.submit_transaction(payment(node, ALICE, [(ALICE.challenge, 2)] * 6
+                                        + [(CAROL.challenge, 3)]))
+        mine_on(node, ALICE.public_key, seed=248 + i)
+    replayed = {}
+    rebuild = DietNode._rebuild_root
+
+    def recording(self, view, tree):
+        replayed[view.height] = (set(view.edited), set(tree.included),
+                                 len(view.shards), tree.total_leaves)
+        return rebuild(self, view, tree)
+
+    monkeypatch.setattr(DietNode, "_rebuild_root", recording)
+    depth = node.tip_height
+    diet = _wire(node, DietConfig(keys=(CAROL.public_key,), max_depth=depth,
+                                  max_length=depth))
+    result = diet.update_chain()
+    assert {v.status for v in result.verdicts} == {"diet-verified"}
+    assert sorted(replayed) == list(range(1, node.tip_height + 1))
+    splits = {h for h in replayed if node.utxo.touched_log[h].rebalanced}
+    assert splits and len(splits) < len(replayed)
+    for height, (edited, included, served, total) in replayed.items():
+        if height in splits:
+            assert served == total
+        else:
+            assert edited == included == set(node.utxo.touched_log[height].indices)
+
+
 def test_reorg_rewinds_verified_mark():
     bob = key_of("bob")
     node = mined_node(FAST, ALICE, 3, seed=46)
@@ -219,6 +254,7 @@ def test_tampered_merkle_proof_is_rejected():
     # the substituted transaction is not under the header's tx root
     rejected = [v for v in result.verdicts if v.status == "rejected"]
     assert rejected and rejected[0].reason == "proof-mismatch"
+    assert rejected[0].fail_height == rejected[0].height == node.tip_height
 
 
 def test_zero_target_header_is_refused():

@@ -34,6 +34,7 @@ from dietchain.miner import (
     make_genesis,
     mine_block,
     mine_on,
+    mine_txs,
     node_template,
     solve_pow,
 )
@@ -611,3 +612,96 @@ def test_mutated_blocks_get_a_verdict_and_leave_no_trace(fuzz_base, kind, index,
     assert result.status == "rejected" and result.reason is not None
     assert _node_state(node) == before
     assert node.connect_block(block).accepted
+
+
+# -- the pool always fits the tip -------------------------------------------------
+
+POOL_KEYS = {key.challenge: key for key in (ALICE, BOB, MALLORY)}
+
+
+def _pool_spend(node: FullNode, rng: random.Random, kind: str) -> Transaction | None:
+    """A tx of ``kind`` for the node's pool: ``valid`` spends a confirmed
+    coin the pool leaves alone, ``chained`` a pooled tx's output,
+    ``conflicting`` a coin the pool already spends, and ``badly-signed``
+    is a valid tx with a zeroed signature. None if no coin fits."""
+    spent = {inp.prevout for tx in node.mempool for inp in tx.inputs}
+    if kind == "chained":
+        coins = [c for tx in node.mempool for c in coins_of(tx) if c.outpoint not in spent]
+    else:
+        coins = [c for c in node.utxo.all_coins()
+                 if (c.outpoint in spent) == (kind == "conflicting")]
+    coins = sorted(c for c in coins if c.challenge in POOL_KEYS and c.value >= 3)
+    if not coins:
+        return None
+    coin = rng.choice(coins)
+    part = rng.randrange(1, coin.value - 1)
+    tx = signed_spend(POOL_KEYS[coin.challenge], [coin], [
+        TxOutput(value=part, kind=KIND_PAYMENT, payload=rng.choice(sorted(POOL_KEYS))),
+        TxOutput(value=coin.value - part - 1, kind=KIND_PAYMENT,
+                 payload=rng.choice(sorted(POOL_KEYS)))])
+    if kind == "badly-signed":
+        tx = tx._replace(inputs=(tx.inputs[0]._replace(signature=bytes(64)),))
+    return tx
+
+
+def _rival_branch(node: FullNode, rng: random.Random, wins: bool, invalid: bool) -> list[Block]:
+    """Blocks forking off the node's active chain a few blocks down, that
+    mine some of the node's pool and may double-spend another pooled tx's
+    input. A winning (or invalid) branch outgrows the node's; an invalid
+    one commits a junk root in a block no lighter than the node's tip, so
+    the switch to it fails."""
+    depth = rng.randrange(min(3, node.tip_height) + 1)  # the node's blocks above the fork
+    rival = FullNode(FAST, check_commitments=not invalid)
+    for hh in node.headers.active_chain()[:node.tip_height - depth + 1]:
+        assert rival.connect_block(node.blocks[hh]).accepted
+    for tx in node.mempool:
+        conflict = _pool_spend(rival, rng, "valid") if rng.random() < 0.2 else None
+        try:
+            rival.submit_transaction(tx if conflict is None or rng.random() < 0.5 else conflict)
+        except ValidationError:
+            pass  # its input is not on the rival's chain
+    length = depth + 1 + rng.randrange(2) if wins or invalid else rng.randrange(depth + 1)
+    junk_at = rng.randrange(depth + 1) if invalid else -1  # the branch outgrows the node's there
+    key = rng.choice(list(POOL_KEYS.values()))
+    return [mine_txs(rival, rival.mempool, key.public_key, seed=rng.getrandbits(32),
+                     commitment=hash256(b"junk") if i == junk_at else None)
+            for i in range(length)]
+
+
+# submits drawn more often than the rest, so the pool grows between blocks
+POOL_STEPS = ["valid"] * 3 + ["chained"] * 2 + [
+    "conflicting", "badly-signed", "mine", "rival-wins", "rival-loses", "rival-invalid"]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(steps=st.lists(st.tuples(st.sampled_from(POOL_STEPS), st.integers(0, 2 ** 32 - 1)),
+                      min_size=1, max_size=30))
+def test_the_pool_always_fits_the_tip(steps):
+    node = mined_node(FAST, ALICE, 3, seed=130)
+    for kind, seed in steps:
+        rng = random.Random(seed)
+        tip, pool = node.tip_hash, list(node.mempool)
+        if kind == "mine":
+            block = mine_on(node, rng.choice(list(POOL_KEYS.values())).public_key, seed=seed)
+            assert block.transactions[1:] == tuple(pool) and node.mempool == []
+        elif kind.startswith("rival"):
+            branch = _rival_branch(node, rng, kind == "rival-wins", kind == "rival-invalid")
+            statuses = [node.connect_block(block).status for block in branch]
+            if kind == "rival-invalid":
+                assert statuses[-1] == "rejected"
+                assert (node.tip_hash, node.mempool) == (tip, pool)
+            else:
+                assert "rejected" not in statuses
+                assert (node.tip_hash != tip) == (kind == "rival-wins")
+        else:
+            tx = _pool_spend(node, rng, kind)
+            if tx is None:
+                continue
+            fits = kind in ("valid", "chained") or txid(tx) in {txid(p) for p in pool}
+            try:
+                node.submit_transaction(tx)
+            except ValidationError:
+                assert not fits
+            else:
+                assert fits
+        assert node.build_template()[0] == node.mempool

@@ -12,8 +12,12 @@ from dietchain import miner
 from dietchain.chain import (
     BlockHeader,
     ChainParams,
+    KIND_PAYMENT,
+    TxOutput,
+    ZERO32,
     header_hash,
     leading_zero_bits,
+    make_coinbase_input,
     pow_ok,
     txid,
 )
@@ -30,9 +34,10 @@ from dietchain.miner import (
     node_template,
     nonce_start,
     solve_pow,
+    template_on,
 )
-from dietchain.rules import commitment_of
-from dietchain.utxo import coins_of
+from dietchain.rules import commitment_of, signed_spend
+from dietchain.utxo import VersionedShardStore, coins_of
 
 ALICE = key_of("alice")
 BOB = key_of("bob")
@@ -95,7 +100,7 @@ def test_mine_block_budget_exhaustion_returns_none():
     assert solve_pow(header, 64, seed=6) is None
 
 
-def test_extra_nonce_changes_reward_challenge_only():
+def test_extra_nonce_changes_the_txid_and_nothing_the_coinbase_pays():
     template = BlockTemplate(parent_hash=bytes(32), height=4, target_bits=5,
                              transactions=(), reward_key=ALICE.public_key,
                              reward_value=50)
@@ -103,8 +108,37 @@ def test_extra_nonce_changes_reward_challenge_only():
     base = make_coinbase(template, root)
     rolled = make_coinbase(template, root, extra_nonce=7)
     assert txid(base) != txid(rolled)
-    assert base.outputs[0].payload[:24] == rolled.outputs[0].payload[:24]
-    assert base.outputs[1] == rolled.outputs[1]  # commitment untouched
+    assert base.inputs[0] == make_coinbase_input()  # no roll, no trace
+    assert base.outputs == rolled.outputs
+    assert rolled.outputs[0].payload == hash256(template.reward_key)
+    assert rolled.outputs[1].payload == root  # commitment untouched
+
+
+def test_a_reward_mined_after_a_rolled_extra_nonce_is_spendable(monkeypatch):
+    node = mined_node(FAST, ALICE, 2, seed=143)
+    scans = []
+    monkeypatch.setattr(miner, "MAX_ATTEMPTS", 1)  # nearly every scan comes up empty
+    monkeypatch.setattr(miner, "solve_pow", lambda *a, **kw: scans.append(a) or solve_pow(*a, **kw))
+    block = mine_on(node, BOB.public_key, seed=243)
+    assert len(scans) > 1  # the extra nonce rolled
+    mine_on(node, ALICE.public_key, seed=244)
+    reward = coins_of(block.transactions[0])[0]
+    spend = signed_spend(BOB, [reward], [
+        TxOutput(value=reward.value - 1, kind=KIND_PAYMENT, payload=ALICE.challenge)])
+    node.submit_transaction(spend)  # the reward's key is the one the template named
+    assert spend in mine_on(node, ALICE.public_key, seed=245).transactions
+
+
+def test_a_genesis_mined_on_an_empty_node_is_the_reference_genesis():
+    node = FullNode(FAST)
+    genesis = mine_on(node, ALICE.public_key, seed=1)
+    template = BlockTemplate(parent_hash=ZERO32, height=0, target_bits=FAST.target_bits,
+                             transactions=(), reward_key=ALICE.public_key,
+                             reward_value=FAST.subsidy)
+    empty = VersionedShardStore(initial_k=FAST.initial_k, size_cap=FAST.size_cap)
+    assert genesis == mine_block(template, empty, seed=1) == make_genesis(FAST, ALICE.public_key, 1)
+    assert node.headers.active_chain() == [header_hash(genesis.header)]
+    assert node.utxo.height == 0 and node.utxo.pending == list(coins_of(genesis.transactions[0]))
 
 
 def test_nonce_start_spreads_miners():
@@ -188,10 +222,6 @@ def test_a_failed_solve_leaves_the_node_as_it_was(monkeypatch):
     assert tx in mine_on(node, ALICE.public_key, seed=241).transactions
 
 
-def _spending_twice(template):
-    return dataclasses.replace(template, transactions=template.transactions * 2)
-
-
 def _overpaying(template):
     return dataclasses.replace(template, reward_value=template.reward_value + 1)
 
@@ -209,20 +239,21 @@ def _junk_root(make):
 
 
 @pytest.mark.parametrize("code, patch", [
-    ("missing-input", lambda mp: mp.setattr(
-        miner, "node_template", lambda *a: _spending_twice(node_template(*a)))),
-    ("bad-coinbase-value", lambda mp: mp.setattr(
-        miner, "node_template", lambda *a: _overpaying(node_template(*a)))),
-    ("bad-target", lambda mp: mp.setattr(
-        miner, "node_template", lambda *a: _off_target(node_template(*a)))),
-    ("utxo-root-mismatch", lambda mp: mp.setattr(miner, "make_coinbase", _junk_root(make_coinbase))),
-    ("pow-failure", lambda mp: mp.setattr(miner, "solve_pow", _failing_nonce)),
+    # a corrupted pool (one tx twice) is refused when the body is opened
+    ("missing-input", lambda mp, node: mp.setattr(node, "mempool", node.mempool * 2)),
+    ("bad-coinbase-value", lambda mp, node: mp.setattr(
+        miner, "template_on", lambda *a: _overpaying(template_on(*a)))),
+    ("bad-target", lambda mp, node: mp.setattr(
+        miner, "template_on", lambda *a: _off_target(template_on(*a)))),
+    ("utxo-root-mismatch", lambda mp, node: mp.setattr(
+        miner, "make_coinbase", _junk_root(make_coinbase))),
+    ("pow-failure", lambda mp, node: mp.setattr(miner, "solve_pow", _failing_nonce)),
 ])
 def test_a_rejected_own_block_leaves_the_node_as_it_was(monkeypatch, code, patch):
     node = mined_node(FAST, ALICE, 3, seed=142)
     node.submit_transaction(payment(node, ALICE, [(BOB.challenge, 5)]))
+    patch(monkeypatch, node)
     before = _node_snapshot(node)
-    patch(monkeypatch)
     with pytest.raises(ValidationError) as raised:
         mine_on(node, ALICE.public_key, seed=242)
     assert (raised.value.code, raised.value.height) == (code, 3)
