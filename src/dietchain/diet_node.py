@@ -5,9 +5,12 @@ matching its keys and trusts proof-of-work alone. A diet client goes
 further: before trusting a transaction at height ``last`` it re-derives
 the chain state across a window of recent blocks, using only the UTXO
 shards each block touched plus their membership proofs against the
-committed root of the block before the window. Faking a transaction
-inside the window therefore requires forging every block of the window
-and the one before it, each with valid proof-of-work.
+committed root of the block before the window. It replays each block on
+a ``utxo.ShardView`` over the served shards, the code a full node's store
+applies blocks with, so the deferred rewards and the split rule are the
+store's own. Faking a transaction inside the window therefore requires
+forging every block of the window and the one before it, each with valid
+proof-of-work.
 
 Remote calls go through a transport (``query_merkle_blocks``,
 ``query_utxo_mroot``, ``query_block``, ``query_utxos``), each returning
@@ -21,31 +24,17 @@ from dataclasses import dataclass
 from .chain import (
     Block,
     ChainParams,
-    OutPoint,
-    Transaction,
     ZERO32,
     header_hash,
     tx_touches,
     txid,
 )
 from .crypto import BloomFilter, hash256
-from .errors import DecodeError, IncompleteProofError, ValidationError
+from .errors import DecodeError, IncompleteProofError, InconsistentStateError, ValidationError
 from .headers import HeaderIndex
 from .merkle import PartialMerkleTree, build_root, contains, partial_root, update_in_place
 from .rules import check_block_structure, check_coinbase_value, commitment_of, connect_body
-from .utxo import (
-    Coin,
-    Shard,
-    coins_of,
-    encode_shard_coins,
-    find_coin,
-    insert_coin,
-    remove_coin,
-    shard_key,
-    shard_leaf_hash,
-    split_due,
-    split_shards,
-)
+from .utxo import Coin, ShardView, coins_of, shard_leaf_hash
 
 
 @dataclass(frozen=True)
@@ -232,10 +221,13 @@ class DietNode:
         for height in range(first + 1, last + 1):
             block_hash = self.headers.active_hash_at(height)
             block = self._fetch_block(block_hash, height)
-            view, tree = self._served_view(block_hash, height, trusted)
-            for coin in pending:
-                view.insert(coin)
-            fees = connect_body(block.transactions[1:], view, height)
+            try:
+                view, tree = self._served_view(block_hash, height, trusted, pending)
+                fees = connect_body(block.transactions[1:], view, height)
+                root = self._rebuild_root(view, tree)
+            except InconsistentStateError as exc:
+                # The served shards cannot take the block: they do not cover it.
+                raise ValidationError("shard-proof-mismatch", str(exc), height=height) from exc
             check_coinbase_value(block.transactions[0], self.params.subsidy, fees, height)
 
             try:
@@ -243,19 +235,19 @@ class DietNode:
             except ValidationError:
                 raise ValidationError("root-mismatch", "block commits to nothing",
                                       height=height)
-            if self._rebuild_root(view, tree) != committed:
+            if root != committed:
                 raise ValidationError("root-mismatch", height=height)
 
             trusted = committed
             pending = coins_of(block.transactions[0])
             self.highest_verified = height
 
-    def _served_view(self, block_hash: bytes, height: int,
-                     trusted: bytes) -> tuple["_ShardView", PartialMerkleTree]:
+    def _served_view(self, block_hash: bytes, height: int, trusted: bytes,
+                     pending: list[Coin]) -> tuple[ShardView, PartialMerkleTree]:
         """Ask for the shards the block touched, check each served leaf and
-        the proof against the ``trusted`` root, and return a coin view over
-        the shards with the proof. The served bytes are dropped on return;
-        the view holds the decoded coins."""
+        the proof against the ``trusted`` root, and open the block's view
+        on the shards, with ``pending`` placed, plus the proof. The served
+        bytes are dropped on return; the view holds the decoded coins."""
         response = self._ask("query_utxos", block_hash, height, "utxos_bytes")
         tree = response.tree
         total = tree.total_leaves
@@ -275,7 +267,10 @@ class DietNode:
                                       height=height)
         except IncompleteProofError as exc:
             raise ValidationError("shard-proof-mismatch", str(exc), height=height)
-        return _ShardView(response.shards, total.bit_length() - 1, height), tree
+        shards = {idx: shard.coins for idx, shard in response.shards.items()}
+        view = ShardView(shards, total.bit_length() - 1, sum(map(len, shards.values())),
+                         pending, height)
+        return view, tree
 
     def _ask(self, query: str, block_hash: bytes, height: int, note: str | None = None):
         """Run one window query and count its bytes; bytes that do not
@@ -297,21 +292,17 @@ class DietNode:
         check_block_structure(block)
         return block
 
-    def _rebuild_root(self, view: "_ShardView", tree: PartialMerkleTree) -> bytes:
-        shards, k = view.shards, view.k
-        if len(shards) == tree.total_leaves:
-            # Full snapshot: replay the split rule, rebuild the whole tree.
-            coin_count = sum(len(coins) for coins in shards.values())
-            while split_due(k, coin_count, self.params.size_cap):
-                shards = split_shards(shards, k)
-                k += 1
-            return build_root([shard_leaf_hash(encode_shard_coins(shards[i]))
-                               for i in range(1 << k)])
-        # The served leaves are checked hashes of the served bytes, so only
-        # the shards the replay edited are encoded and hashed again.
-        changed = {idx: shard_leaf_hash(encode_shard_coins(shards[idx]))
-                   for idx in view.edited}
-        return partial_root(update_in_place(tree, changed))
+    def _rebuild_root(self, view: ShardView, tree: PartialMerkleTree) -> bytes:
+        """Close the replayed view and compute the root after the block.
+        The served leaves are checked hashes of the served bytes, so only
+        the shards the view returns are hashed again. A view that holds
+        every shard (it may have split) rebuilds the whole tree."""
+        leaves = {idx: shard_leaf_hash(encoded)
+                  for idx, encoded in view.close(self.params.size_cap).items()}
+        if len(view.shards) == 1 << view.k:
+            return build_root([leaves[i] if i in leaves else tree.included[i]
+                               for i in range(1 << view.k)])
+        return partial_root(update_in_place(tree, leaves))
 
     def _note_height(self, height: int, key: str, nbytes: int) -> None:
         for entry in self._per_height:
@@ -319,38 +310,3 @@ class DietNode:
                 entry[key] = entry.get(key, 0) + nbytes
                 return
         self._per_height.append({"height": height, key: nbytes})
-
-
-class _ShardView:
-    """Coin view over the shards a peer served for one block, edited in place;
-    a shard it did not serve, or a coin it already holds, is a proof fault.
-    ``edited`` holds the indices of the shards an edit reached."""
-
-    def __init__(self, served: dict[int, Shard], k: int, height: int):
-        self.shards = {idx: list(shard.coins) for idx, shard in served.items()}
-        self.k = k
-        self.height = height
-        self.edited: set[int] = set()
-
-    def _shard(self, outpoint: OutPoint, edit: bool = False) -> list[Coin]:
-        idx = shard_key(outpoint.txid, self.k)
-        if idx not in self.shards:
-            raise ValidationError("shard-proof-mismatch",
-                                  f"shard {idx} needed but not served", height=self.height)
-        if edit:
-            self.edited.add(idx)
-        return self.shards[idx]
-
-    def get_coin(self, outpoint: OutPoint) -> Coin | None:
-        return find_coin(self._shard(outpoint), outpoint)
-
-    def insert(self, coin: Coin) -> None:
-        if not insert_coin(self._shard(coin.outpoint, edit=True), coin):
-            raise ValidationError("shard-proof-mismatch",
-                                  f"duplicate coin {coin.outpoint}", height=self.height)
-
-    def absorb(self, tx: Transaction) -> None:
-        for inp in tx.inputs:
-            remove_coin(self._shard(inp.prevout, edit=True), inp.prevout)
-        for coin in coins_of(tx):
-            self.insert(coin)

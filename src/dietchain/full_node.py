@@ -8,7 +8,10 @@ shards a block touched together with their membership proof.
 A block reaches the tip by one path: ``connect_block`` checks its
 structure and indexes its header, the header's one check; if its branch
 is then the heaviest, the store is undone to the fork (nothing, for a
-block on the tip) and the branch applied block by block. After every
+block on the tip) and the branch applied block by block. Each block is
+applied as a mined one is: ``open_block`` runs the body rules on the
+store's own view of the tip, walking the body once, and one check of
+the coinbase's value and commitment closes it. After every
 tip change, the node's own blocks included, one rule refits the pool;
 with ``submit_transaction`` checking each tx against the tip plus the
 pool, and a failed switch or own block leaving tip and pool as they
@@ -158,20 +161,16 @@ class FullNode:
         return ConnectResult("accepted", height=block.header.height)
 
     def _validate_and_apply(self, block: Block) -> None:
-        """Run the body rules, the coinbase value check and the commitment
-        check on a block whose header is indexed, applying it in place on
-        the tip; a rejected block leaves the store as it was."""
-        height = block.header.height
-        fees = self._connect_body(block.transactions[1:], height)
-        check_coinbase_value(block.transactions[0], self.params.subsidy, fees, height)
-        committed = commitment_of(block) if self.check_commitments else None
-        root, _ = self.utxo.apply_block(block, height)
-        if committed is not None and root != committed:
+        """Open the body on the tip as a mined block is opened, then run
+        the close checks and seal it; a rejected block leaves the store
+        as it was."""
+        root, fees = self.open_block(block.transactions[1:], block.header.height)
+        try:
+            self._check_close(block, root, fees)
+        except ValidationError:
             self.utxo.undo_block()
-            raise ValidationError("utxo-root-mismatch", height=height)
-
-    def _connect_body(self, txs, height: int) -> int:
-        return connect_body(txs, CoinView(self.utxo), height, self._pooled_txids())
+            raise
+        self.utxo.seal(block.transactions[0])
 
     def _blocks_above(self, tip: bytes, fork: int) -> list[Block]:
         """The blocks of ``tip``'s branch above height ``fork``, in order."""
@@ -184,44 +183,50 @@ class FullNode:
     # -- mining on the tip ----------------------------------------------------
 
     def open_block(self, txs, height: int) -> tuple[bytes, int]:
-        """Validate a block body on the tip, as :meth:`connect_block` does,
-        and apply it; returns (root its coinbase must commit, fees).
+        """Run the body rules on the store's view of the tip and commit
+        the body; returns (root its coinbase must commit, fees). A body
+        the rules reject leaves the store as it was.
 
         The store then holds the body unsealed: the caller either passes
         the finished block to :meth:`close_block` or undoes it with
         ``utxo.undo_block()``.
         """
-        fees = self._connect_body(txs, height)
-        return self.utxo.apply_body(list(txs), height), fees
+        view = self.utxo.open(height)
+        fees = connect_body(txs, view, height, self._pooled_txids())
+        return self.utxo.commit(view), fees
 
     def close_block(self, block: Block, root: bytes, fees: int) -> None:
         """Finish a block whose body :meth:`open_block` applied: run the
-        coinbase-value and commitment checks, index the header (the one
-        header check), then seal the block and refit the pool. On a
-        ValidationError nothing is indexed and the block is still open.
+        close checks, index the header (the one header check), then seal
+        the block and refit the pool. On a ValidationError nothing is
+        indexed and the block is still open.
 
         The structure checks of :meth:`connect_block` hold by
         construction: the miner built the coinbase and tx root, and the
         body rules refuse a tx that spends a coinbase marker or spends
         an input twice, as any repeated tx would.
         """
+        self._check_close(block, root, fees)
+        self.blocks[self.headers.add(block.header)] = block
+        self.utxo.seal(block.transactions[0])
+        self._tip_changed([block], [])
+
+    def _check_close(self, block: Block, root: bytes, fees: int) -> None:
+        """The checks of an opened block's coinbase: it pays at most the
+        subsidy plus ``fees`` and commits ``root``, the opened body's."""
         height = block.header.height
-        coinbase = block.transactions[0]
-        check_coinbase_value(coinbase, self.params.subsidy, fees, height)
+        check_coinbase_value(block.transactions[0], self.params.subsidy, fees, height)
         if self.check_commitments and commitment_of(block) != root:
             raise ValidationError("utxo-root-mismatch", height=height)
-        self.blocks[self.headers.add(block.header)] = block
-        self.utxo.seal(coinbase)
-        self._tip_changed([block], [])
 
     # -- mempool ------------------------------------------------------------
 
     def submit_transaction(self, tx: Transaction) -> None:
-        """Validate against the current view plus the pool, then queue;
-        a tx already pooled is left as it is."""
+        """Validate against the tip, as the next block sees it, plus the
+        pool, then queue; a tx already pooled is left as it is."""
         if txid(tx) in self._pooled_txids():
             return
-        view = CoinView(self.utxo)
+        view = CoinView(self.utxo.open(self.utxo.next_height))
         for pooled in self.mempool:
             view.absorb(pooled)
         validate_transaction(tx, view)
@@ -251,7 +256,7 @@ class FullNode:
         """The txs, in order, that are valid together on the current tip,
         plus their total fees. Signatures of pooled txs are not checked
         again; those of any other tx are."""
-        view = CoinView(self.utxo)
+        view = CoinView(self.utxo.open(self.utxo.next_height))
         signed = self._pooled_txids()
         selected = []
         fees = 0

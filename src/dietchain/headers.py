@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator
 
-from .chain import BlockHeader, ZERO32, block_work, header_hash, pow_ok
+from .chain import BlockHeader, ZERO32, block_work, header_hash, meets_target
 from .errors import ValidationError
 
 
@@ -19,13 +19,15 @@ def is_genesis(header: BlockHeader) -> bool:
     return header.prev_hash == ZERO32 and header.height == 0
 
 
-def check_header(header: BlockHeader, parent: BlockHeader | None, target_bits: int) -> None:
-    """Context checks of a header against its parent (None: not indexed).
+def check_header(header: BlockHeader, digest: bytes, parent: BlockHeader | None,
+                 target_bits: int) -> None:
+    """Context checks of a header, whose hash is ``digest``, against its
+    parent (None: not indexed).
 
     Raises ValidationError with code 'pow-failure', 'bad-target',
     'unknown-parent' or 'bad-height'.
     """
-    if not pow_ok(header):
+    if not meets_target(digest, header.target_bits):
         raise ValidationError("pow-failure", height=header.height)
     if header.target_bits != target_bits:
         raise ValidationError("bad-target", f"target_bits {header.target_bits}, "
@@ -65,7 +67,7 @@ class HeaderIndex:
         if hh in self.headers:
             return hh
         parent = None if is_genesis(header) else self.headers.get(header.prev_hash)
-        check_header(header, parent, self.target_bits)
+        check_header(header, hh, parent, self.target_bits)
         if parent is None and self.tip is not None:
             raise ValidationError("bad-genesis", "the index already holds a genesis",
                                   height=header.height)

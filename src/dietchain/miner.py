@@ -15,7 +15,8 @@ mines the node's whole pool, which always fits the tip, so the body
 rules run once per block; on a node with no chain it mines the genesis
 (``make_genesis``). The adversary's counterfeit blocks take the same path
 and the same proof of work. ``mine_block`` leaves the store it is given
-as it was: it previews the root (apply, then undo) and solves.
+as it was: it previews the root (apply, then undo) and solves; a
+template the store cannot apply raises before the store changes.
 
 The coinbase's version field carries the block height so that two
 otherwise identical coinbases can never collide on txid. When a nonce

@@ -36,10 +36,11 @@ def signed_spend(key: KeyPair, coins: list[Coin], outputs) -> Transaction:
 
 
 class CoinView:
-    """Coin view layering in-flight spends and creations over a store."""
+    """Coin view layering in-flight spends and creations over another
+    view, which it never changes: a full node checks pool txs this way."""
 
-    def __init__(self, store):
-        self.store = store
+    def __init__(self, base):
+        self.base = base
         self.spent: set[OutPoint] = set()
         self.created: dict[OutPoint, Coin] = {}
 
@@ -48,7 +49,7 @@ class CoinView:
             return None
         if outpoint in self.created:
             return self.created[outpoint]
-        return self.store.get_coin(outpoint)
+        return self.base.get_coin(outpoint)
 
     def absorb(self, tx: Transaction) -> None:
         for inp in tx.inputs:

@@ -6,14 +6,14 @@ commits to a root over all shard hashes after every block and keeps
 every previous version of every shard it ever changed, so it can later
 prove what any shard looked like just before a given block.
 
-Two rules shape the commitment:
+Two rules shape the commitment; :class:`ShardView` holds the one
+implementation of each, which the store and a diet node both run:
 
 * The committed root for a block covers the state after that block's
   non-coinbase transactions. The block's own reward coins depend on the
   coinbase txid, which embeds the root itself, so they cannot be under
-  it; they are parked in ``pending`` and enter the shards at the start
-  of the next block's application, making them spendable immediately
-  but first reflected in the next committed root.
+  it; they are parked in ``pending`` and placed first when the next
+  block opens its view: spendable at once, committed one block later.
 
 * When total serialized shard bytes exceed ``size_cap`` per shard on
   average, ``k`` increments (splitting every shard in two) until the
@@ -21,22 +21,20 @@ Two rules shape the commitment:
   roots always describe the post-split tree, and it is a pure function
   of the coin set, so any verifier holding all shards can replay it.
 
-Blocks are applied in place. The store keeps every level of its shard
-tree, so a block re-hashes only the paths above the shards it touched;
-a split rebuilds the tree once. The history doubles as the undo log:
-``undo_block`` drops the newest block's log entries and reloads the
-shards it changed from their previous versions, which returns the store
-exactly to its state before that block. Only the ``pending`` list each
-block replaced is kept apart. Previewing a block's root, dropping a
-block whose commitment is wrong and switching branches are all
-apply-then-undo; nothing copies the store.
+A block is applied in three steps: ``open`` returns a view of the live
+shards, on which the body rules run; ``commit`` closes the view and
+records it; ``seal`` parks the coinbase's reward coins. A body that
+fails before ``commit`` leaves the store as it was. A node mining on its
+own tip commits the body, builds the coinbase on the returned root and
+seals the block, or undoes it.
 
-Application has two steps: ``apply_body`` applies the non-coinbase txs
-and returns the root, and ``seal`` parks the coinbase's reward coins.
-A node mining on its own tip needs the root before its coinbase exists,
-so it applies the body once, builds the coinbase and header on the
-returned root, and seals the block, or undoes it if the block fails;
-its block is applied once, not previewed and then applied again.
+The store keeps every level of its shard tree, so a block re-hashes only
+the paths above the shards it touched; a split rebuilds the tree once.
+The history doubles as the undo log: ``undo_block`` drops the newest
+block's log entries and reloads the shards it changed from their
+previous versions; only the ``pending`` list each block replaced is kept
+apart. Previewing a root, dropping a block whose commitment is wrong and
+switching branches are all apply-then-undo; nothing copies the store.
 
 A split keeps the tree it replaces as the final tree of the coarser
 ``k``. ``state_before`` cuts a historical proof from the live tree or
@@ -54,14 +52,16 @@ import bisect
 import copy
 import struct
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from operator import attrgetter
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .chain import COIN_SIZE, KIND_PAYMENT, MIN_SIZE_CAP, OutPoint, Reader, Transaction, txid
 from .crypto import hash256
-from .errors import DecodeError, HistoryUnavailableError, InconsistentStateError
+from .errors import DecodeError, HistoryUnavailableError, InconsistentStateError, ValidationError
 from .merkle import PartialMerkleTree, pack_levels, partial_from_levels, update_levels
 
 EMPTY_SHARD_BYTES = b"\x00\x00"
+MAX_SHARD_COINS = 0xFFFF  # a shard's wire encoding counts its coins in a u16
 
 
 class Coin(NamedTuple):
@@ -79,53 +79,9 @@ def shard_key(tx_id: bytes, k: int) -> int:
     return int.from_bytes(tx_id[:4], "big") >> (32 - k)
 
 
-def _locate(shard: list[Coin], outpoint: OutPoint) -> tuple[int, bool]:
-    """Where ``outpoint`` belongs in a sorted shard, and whether it is there."""
-    i = bisect.bisect_left(shard, outpoint, key=lambda c: c.outpoint)
-    return i, i < len(shard) and shard[i].outpoint == outpoint
-
-
-def find_coin(shard: list[Coin], outpoint: OutPoint) -> Coin | None:
-    i, found = _locate(shard, outpoint)
-    return shard[i] if found else None
-
-
-def insert_coin(shard: list[Coin], coin: Coin) -> bool:
-    """Insert in outpoint order; False if the outpoint is already there."""
-    i, found = _locate(shard, coin.outpoint)
-    if not found:
-        shard.insert(i, coin)
-    return not found
-
-
-def remove_coin(shard: list[Coin], outpoint: OutPoint) -> bool:
-    """Remove the coin at ``outpoint``; False if the shard has none."""
-    i, found = _locate(shard, outpoint)
-    if found:
-        del shard[i]
-    return found
-
-
 def shard_set_bytes(k: int, coin_count: int) -> int:
     """Serialized bytes of all ``2**k`` shards holding ``coin_count`` coins."""
     return 2 * (1 << k) + COIN_SIZE * coin_count
-
-
-def split_due(k: int, coin_count: int, size_cap: int) -> bool:
-    """The split rule's trigger: ``2**k`` shards average over ``size_cap`` bytes."""
-    return shard_set_bytes(k, coin_count) > size_cap * (1 << k)
-
-
-def split_shards(shards: dict[int, list[Coin]], k: int) -> dict[int, list[Coin]]:
-    """The ``2**(k+1)`` shards the split rule makes of ``2**k`` shards;
-    each keeps its coins in order."""
-    if k + 1 > 32:
-        raise InconsistentStateError("shard key space exhausted")
-    split: dict[int, list[Coin]] = {i: [] for i in range(1 << (k + 1))}
-    for coins in shards.values():
-        for coin in coins:
-            split[shard_key(coin.outpoint.txid, k + 1)].append(coin)
-    return split
 
 
 def coins_of(tx: Transaction) -> list[Coin]:
@@ -200,6 +156,87 @@ def decode_shard(data: bytes, index: int) -> Shard:
     return shard
 
 
+class ShardView:
+    """One block's edits to the shards: the state transition both the
+    store (over all its shards) and a diet node (over the shards a peer
+    served) run. It places ``pending``, the reward coins of the block
+    before, then absorbs the body through the coin-view interface the
+    body rules read, and :meth:`close` finishes the block. The shards
+    handed in never change: an edit goes to the view's own copy of the
+    shard (``edited``), so dropping a view drops its edits. An edit the
+    shards cannot take (a shard not held, a coin already there, a spent
+    coin missing) is an :class:`InconsistentStateError`.
+    """
+
+    def __init__(self, shards: Mapping[int, Sequence[Coin]], k: int, coin_count: int,
+                 pending: Iterable[Coin], height: int):
+        self.shards = shards
+        self.k = k
+        self.coin_count = coin_count  # coins in the shards held
+        self.height = height
+        self.edited: dict[int, list[Coin]] = {}  # index -> the view's copy of that shard
+        for coin in pending:
+            self.insert(coin)
+
+    def _locate(self, outpoint: OutPoint, edit: bool) -> tuple[list[Coin], int, bool]:
+        """The shard ``outpoint`` belongs in, where in it, and whether it
+        is there; ``edit`` makes that shard the view's own copy."""
+        idx = shard_key(outpoint.txid, self.k)
+        shard = self.edited.get(idx)
+        if shard is None:
+            shard = self.shards.get(idx)
+            if shard is None:
+                raise InconsistentStateError(f"shard {idx} needed but not held")
+            if edit:
+                shard = self.edited[idx] = list(shard)
+        i = bisect.bisect_left(shard, outpoint, key=attrgetter("outpoint"))
+        return shard, i, i < len(shard) and shard[i].outpoint == outpoint
+
+    def get_coin(self, outpoint: OutPoint) -> Coin | None:
+        shard, i, found = self._locate(outpoint, False)
+        return shard[i] if found else None
+
+    def insert(self, coin: Coin) -> None:
+        shard, i, found = self._locate(coin.outpoint, True)
+        if found:
+            raise InconsistentStateError(f"duplicate coin {coin.outpoint}")
+        shard.insert(i, coin)
+        self.coin_count += 1
+
+    def absorb(self, tx: Transaction) -> None:
+        """Spend the tx's inputs and add its payment outputs."""
+        for inp in tx.inputs:
+            shard, i, found = self._locate(inp.prevout, True)
+            if not found:
+                raise InconsistentStateError(f"spent coin {inp.prevout} not held")
+            del shard[i]
+            self.coin_count -= 1
+        for coin in coins_of(tx):
+            self.insert(coin)
+
+    def close(self, size_cap: int) -> dict[int, bytes]:
+        """Finish the block: the split rule, when the view holds every
+        shard (while the ``2**k`` shards average over ``size_cap`` bytes,
+        each splits in two by one more txid bit), then ``shard-overflow``
+        for a shard over the u16 count of the wire format. Returns the
+        encodings of the edited shards (all, after a split) by index."""
+        if len(self.shards) == 1 << self.k:
+            while shard_set_bytes(self.k, self.coin_count) > size_cap << self.k:
+                if self.k == 32:
+                    raise InconsistentStateError("shard key space exhausted")
+                self.k += 1
+                split: dict[int, list[Coin]] = {i: [] for i in range(1 << self.k)}
+                for idx, coins in self.shards.items():
+                    for coin in self.edited.get(idx, coins):
+                        split[shard_key(coin.outpoint.txid, self.k)].append(coin)
+                self.shards = self.edited = split
+        for idx, coins in self.edited.items():
+            if len(coins) > MAX_SHARD_COINS:
+                raise ValidationError("shard-overflow", f"shard {idx} would hold {len(coins)} "
+                                      f"coins, over {MAX_SHARD_COINS}", height=self.height)
+        return {idx: encode_shard_coins(self.edited[idx]) for idx in sorted(self.edited)}
+
+
 @dataclass(frozen=True)
 class RebalanceStep:
     height: int
@@ -258,14 +295,8 @@ class VersionedShardStore:
         return bytes(self._levels[-1])
 
     def get_coin(self, outpoint: OutPoint) -> Coin | None:
-        """Look up a spendable coin, including not-yet-committed rewards."""
-        coin = find_coin(self.shards[shard_key(outpoint.txid, self.k)], outpoint)
-        if coin is not None:
-            return coin
-        for coin in self.pending:
-            if coin.outpoint == outpoint:
-                return coin
-        return None
+        """A spendable coin as the next block sees it, reward coins included."""
+        return self.open(self.next_height).get_coin(outpoint)
 
     def all_coins(self) -> Iterator[Coin]:
         for i in range(1 << self.k):
@@ -291,18 +322,80 @@ class VersionedShardStore:
 
     # -- mutation ---------------------------------------------------------
 
-    def apply_block(self, block, height: int) -> tuple[bytes, frozenset[int] | range]:
-        """Apply a validated block; returns (committed root, changed shards).
+    @property
+    def next_height(self) -> int:
+        return 0 if self.height is None else self.height + 1
 
-        The caller must have validated the block: missing inputs here are
-        an InconsistentStateError, not a verdict.
-        """
+    def open(self, height: int) -> ShardView:
+        """The view a block at ``height`` is absorbed on: the live shards
+        with the pending reward coins placed. The store is unchanged
+        until :meth:`commit`; dropping the view drops the block."""
+        if height != self.next_height:
+            raise InconsistentStateError(f"expected height {self.next_height}, got {height}")
+        return ShardView(self.shards, self.k, self._coin_count, self.pending, height)
+
+    def commit(self, view: ShardView) -> bytes:
+        """Close a view :meth:`open` returned and make it the store's
+        state, history and all, except for the block's reward coins:
+        :meth:`seal` adds them, and :meth:`undo_block` reverses either
+        state. Returns the root the block's coinbase must commit. If
+        closing the view raises, the store is left as it was."""
+        k_before = self.k
+        encodings = view.close(self.size_cap)
+        height = view.height
+        rebalanced = view.k != k_before
+        for k in range(k_before, view.k):
+            self.rebalance_log.append(RebalanceStep(
+                height=height, k_from=k, k_to=k + 1,
+                avg_before=shard_set_bytes(k, view.coin_count) / (1 << k),
+                avg_after=shard_set_bytes(k + 1, view.coin_count) / (1 << (k + 1)),
+            ))
+        self.k, self._coin_count = view.k, view.coin_count
+        self._undo_pending.append(self.pending)
+        self.pending = []
+
+        leaves = {}
+        for idx, encoded in encodings.items():
+            key = (self.k, idx)
+            self.versions[key] = self.versions.get(key, ()) + ((height, encoded),)
+            leaves[idx] = shard_leaf_hash(encoded)
+        if rebalanced:
+            self.policy_log.append((height, self.k))
+            self.shards = view.edited  # after a split the view's copies are every shard
+            self._frozen[k_before] = (height - 1, self._levels)
+            self._levels = pack_levels([leaves[i] for i in range(1 << self.k)])
+        else:
+            self.shards.update(view.edited)
+            update_levels(self._levels, leaves)
+        self.height = height
+        self.root_log[height] = self.current_root
+        self.bytes_log.append(self.total_shard_bytes())
+        self.touched_log[height] = TouchedRecord(
+            indices=range(1 << k_before) if rebalanced else frozenset(encodings),
+            k=k_before,
+            rebalanced=rebalanced,
+        )
+        return self.current_root
+
+    def apply_body(self, txs: Iterable[Transaction], height: int) -> bytes:
+        """Open, absorb a block's non-coinbase txs unvalidated, and
+        commit; returns the root. A body the store cannot apply (a
+        missing input is an InconsistentStateError, not a verdict)
+        leaves the store as it was."""
+        view = self.open(height)
+        for tx in txs:
+            view.absorb(tx)
+        return self.commit(view)
+
+    def apply_block(self, block, height: int) -> bytes:
+        """Apply a block validated before, as a node re-applying its old
+        branch does; returns the committed root."""
         coinbase = block.transactions[0]
         if not coinbase.is_coinbase:
             raise InconsistentStateError("block does not start with a coinbase")
-        root = self.apply_body(list(block.transactions[1:]), height)
+        root = self.apply_body(block.transactions[1:], height)
         self.seal(coinbase)
-        return root, self.touched_log[height].indices
+        return root
 
     def preview_root(self, txs: list[Transaction], height: int) -> bytes:
         """The root a block with these non-coinbase txs would commit;
@@ -312,62 +405,9 @@ class VersionedShardStore:
         return root
 
     def seal(self, coinbase: Transaction) -> None:
-        """Park the reward coins of the block just applied by
-        :meth:`apply_body`; they enter the shards with the next block."""
+        """Park the reward coins of the block just committed; they enter
+        the shards with the next block."""
         self.pending = coins_of(coinbase)
-
-    def apply_body(self, txs: list[Transaction], height: int) -> bytes:
-        """Apply a block's validated non-coinbase txs at ``height`` and
-        return the root its coinbase must commit. The block is applied,
-        history and all, except for its reward coins: :meth:`seal` adds
-        them, and :meth:`undo_block` reverses either state."""
-        expected = 0 if self.height is None else self.height + 1
-        if height != expected:
-            raise InconsistentStateError(f"expected height {expected}, got {height}")
-        changed = {self._insert(coin) for coin in self.pending}
-        self._undo_pending.append(self.pending)
-        self.pending = []
-        for tx in txs:
-            for inp in tx.inputs:
-                changed.add(self._remove(inp.prevout))
-            for coin in coins_of(tx):
-                changed.add(self._insert(coin))
-
-        k_before = self.k
-        rebalanced = False
-        while split_due(self.k, self._coin_count, self.size_cap):
-            avg_before = self.average_shard_bytes()
-            self.shards = split_shards(self.shards, self.k)
-            self.k += 1
-            self.rebalance_log.append(RebalanceStep(
-                height=height, k_from=self.k - 1, k_to=self.k,
-                avg_before=avg_before, avg_after=self.average_shard_bytes(),
-            ))
-            rebalanced = True
-        if rebalanced:
-            self.policy_log.append((height, self.k))
-            changed = set(range(1 << self.k))
-
-        leaves = {}
-        for idx in sorted(changed):
-            encoded = encode_shard_coins(self.shards[idx])
-            key = (self.k, idx)
-            self.versions[key] = self.versions.get(key, ()) + ((height, encoded),)
-            leaves[idx] = shard_leaf_hash(encoded)
-        if rebalanced:
-            self._frozen[k_before] = (height - 1, self._levels)
-            self._levels = pack_levels([leaves[i] for i in range(1 << self.k)])
-        else:
-            update_levels(self._levels, leaves)
-        self.height = height
-        self.root_log[height] = self.current_root
-        self.bytes_log.append(self.total_shard_bytes())
-        self.touched_log[height] = TouchedRecord(
-            indices=range(1 << k_before) if rebalanced else frozenset(changed),
-            k=k_before,
-            rebalanced=rebalanced,
-        )
-        return self.current_root
 
     def undo_block(self) -> None:
         """Reverse the newest applied block, leaving the store exactly as
@@ -425,20 +465,6 @@ class VersionedShardStore:
     def clone(self) -> "VersionedShardStore":
         """An independent deep copy; block application never needs one."""
         return copy.deepcopy(self)
-
-    def _insert(self, coin: Coin) -> int:
-        idx = shard_key(coin.outpoint.txid, self.k)
-        if not insert_coin(self.shards[idx], coin):
-            raise InconsistentStateError(f"duplicate coin {coin.outpoint}")
-        self._coin_count += 1
-        return idx
-
-    def _remove(self, outpoint: OutPoint) -> int:
-        idx = shard_key(outpoint.txid, self.k)
-        if not remove_coin(self.shards[idx], outpoint):
-            raise InconsistentStateError(f"spent coin {outpoint} not in store")
-        self._coin_count -= 1
-        return idx
 
     # -- history ----------------------------------------------------------
 

@@ -4,7 +4,7 @@ import dataclasses
 import struct
 
 import pytest
-from conftest import FAST, coins_owned, key_of, mined_node, payment
+from conftest import FAST, coins_owned, key_of, mined_node, payment, store_state
 from hypothesis import given, settings, strategies as st
 
 from dietchain.chain import (
@@ -26,6 +26,7 @@ from dietchain.merkle import encode_partial
 from dietchain.miner import (
     BlockTemplate,
     assemble_block,
+    block_on,
     mine_on,
     node_template,
     solve_pow,
@@ -385,6 +386,38 @@ def test_coinbase_overpay_in_window_is_bad_coinbase_value_on_both_nodes():
     assert (result.status, result.reason) == ("rejected", "bad-coinbase-value")
     diet = _wire(lenient, WATCH_CAROL)
     assert _tip_verdicts(diet, 3) == {("rejected", "bad-coinbase-value", 3)}
+
+
+def test_a_shard_over_the_u16_coin_count_is_shard_overflow_on_both_nodes():
+    """A block that leaves a shard with more coins than its u16 count can
+    hold gets a verdict, not an encoding crash: the miner refuses it and
+    leaves its node as it was, a full node rejects it, and a diet node
+    replaying it over an honest proof rejects it with the same code."""
+    params = ChainParams(target_bits=4, size_cap=6_000_000, initial_k=0)
+    honest = mined_node(params, ALICE, 2, seed=63)
+    lenient = _lenient_copy(honest)
+    coin = coins_owned(honest, ALICE)[0]
+    flood = _signed(ALICE, [coin.outpoint], [
+        TxOutput(value=0, kind=KIND_PAYMENT, payload=CAROL.challenge)] * 0xFFFF)
+    honest.submit_transaction(flood)
+    before = store_state(honest.utxo)
+    with pytest.raises(ValidationError) as info:
+        mine_on(honest, ALICE.public_key, seed=163)
+    assert (info.value.code, info.value.height) == ("shard-overflow", 2)
+    assert store_state(honest.utxo) == before and honest.tip_height == 1
+
+    template = BlockTemplate(
+        parent_hash=honest.tip_hash, height=2, target_bits=params.target_bits,
+        transactions=(flood,), reward_key=ALICE.public_key,
+        reward_value=params.subsidy + coin.value)
+    block = _solved(block_on(template, bytes(32)), seed=163)
+    result = honest.connect_block(block)
+    assert (result.status, result.reason) == ("rejected", "shard-overflow")
+    assert store_state(honest.utxo) == before
+
+    lenient.plant(block)
+    diet = _wire(lenient, WATCH_CAROL)
+    assert _tip_verdicts(diet, 2) == {("rejected", "shard-overflow", 2)}
 
 
 def test_repeated_last_tx_body_is_bad_structure():

@@ -45,8 +45,8 @@ def test_active_chain_and_fork_height_match_a_full_walk(picks):
 def test_check_header_codes():
     genesis = BlockHeader(ZERO32, ZERO32, 0, 0, 0)
     child = BlockHeader(header_hash(genesis), ZERO32, 0, 0, 1)
-    check_header(genesis, None, 0)
-    check_header(child, genesis, 0)
+    check_header(genesis, header_hash(genesis), None, 0)
+    check_header(child, header_hash(child), genesis, 0)
     for header, parent, bits, code in [
         (child, None, 0, "unknown-parent"),
         (child._replace(height=2), genesis, 0, "bad-height"),
@@ -54,7 +54,7 @@ def test_check_header_codes():
         (child._replace(target_bits=255), genesis, 255, "pow-failure"),
     ]:
         with pytest.raises(ValidationError) as info:
-            check_header(header, parent, bits)
+            check_header(header, header_hash(header), parent, bits)
         assert info.value.code == code
 
 

@@ -5,6 +5,7 @@ import random
 import struct
 
 import pytest
+from conftest import store_state
 from hypothesis import given, settings, strategies as st
 
 from dietchain.chain import (
@@ -20,6 +21,7 @@ from dietchain.chain import (
 )
 from dietchain.errors import HistoryUnavailableError, InconsistentStateError
 from dietchain.merkle import build_root, extract_partial, partial_root
+from dietchain.miner import BlockTemplate, mine_block
 from dietchain.utxo import (
     COIN_SIZE,
     EMPTY_SHARD_BYTES,
@@ -242,6 +244,37 @@ def test_missing_input_is_a_store_invariant_violation():
     bad = _spend([ghost], 1, rng)
     with pytest.raises(InconsistentStateError):
         store.apply_block(_block(1, [_coinbase(1, 1, rng), bad]), 1)
+
+
+def test_a_failed_application_leaves_the_store_as_it_was():
+    """A body the store cannot apply (a ghost input after a real spend and
+    a new coin) raises and changes nothing, so the next valid block commits
+    the root a fresh store commits; ``mine_block`` on such a template
+    leaves its store as it was too."""
+    rng = random.Random(31)
+    cb0, cb1 = _coinbase(0, 2, rng), _coinbase(1, 2, rng)
+    ghost = Coin(OutPoint(rng.randbytes(32), 0), 5, rng.randbytes(32))
+    spend = _spend(coins_of(cb0)[:1], 2, rng)
+    stores = [VersionedShardStore(initial_k=1, size_cap=1 << 20) for _ in range(2)]
+    for store in stores:
+        store.apply_block(_block(0, [cb0]), 0)
+        store.apply_block(_block(1, [cb1]), 1)
+    store, fresh = stores
+    before = store_state(store)
+    bad = _block(2, [_coinbase(2, 1, rng), spend, _spend([ghost], 1, rng)])
+    with pytest.raises(InconsistentStateError):
+        store.apply_block(bad, 2)
+    assert store_state(store) == before
+    template = BlockTemplate(parent_hash=ZERO32, height=2, target_bits=0,
+                             transactions=bad.transactions[1:],
+                             reward_key=rng.randbytes(33), reward_value=50)
+    with pytest.raises(InconsistentStateError):
+        mine_block(template, store)
+    assert store_state(store) == before
+
+    good = _block(2, [_coinbase(2, 1, rng), spend])
+    assert store.apply_block(good, 2) == fresh.apply_block(good, 2)
+    assert store_state(store) == store_state(fresh)
 
 
 def test_apply_requires_consecutive_heights():
