@@ -14,8 +14,18 @@ store's own view of the tip, walking the body once, and one check of
 the coinbase's value and commitment closes it. After every
 tip change, the node's own blocks included, one rule refits the pool;
 with ``submit_transaction`` checking each tx against the tip plus the
-pool, and a failed switch or own block leaving tip and pool as they
-were, the pool always fits the tip, and the miner mines all of it.
+pool (the body rules and the shard-width check, on the store's view of
+the next block, which keeps the pool absorbed until the tip changes),
+and a failed switch or own block leaving tip and pool as they were, the
+pool always fits the tip, and the miner mines all of it.
+
+The store keeps ``utxo.HISTORY_HORIZON`` blocks of shard history below
+the tip, so the node can undo only to its floor. A heavier branch that
+forks below the floor it would have once on that branch's tip is
+rejected as ``reorg-too-deep`` before anything is undone, and forgotten
+as a branch with a bad block is; a pre-state below the floor is
+``history-unavailable`` to a peer. Block bodies stay from genesis, for
+filtered sync.
 
 Answers are built once and served from what the node keeps. A block's
 shard proof depends only on the block, so it is kept by block hash until
@@ -38,18 +48,17 @@ from .chain import (
     txid,
 )
 from .crypto import BloomFilter, probe_digests
-from .errors import ValidationError
+from .errors import HistoryUnavailableError, ValidationError
 from .headers import HeaderIndex
 from .merkle import PartialMerkleTree, pack_levels, partial_from_levels
 from .rules import (
-    CoinView,
     check_block_structure,
     check_coinbase_value,
     commitment_of,
     connect_body,
     validate_transaction,
 )
-from .utxo import Shard, VersionedShardStore
+from .utxo import Shard, ShardView, VersionedShardStore
 
 
 @dataclass(frozen=True)
@@ -92,6 +101,10 @@ class FullNode:
     mempool: list[Transaction] = field(init=False, default_factory=list)
     # block hash -> the query_utxos answer built for it; dropped on a tip change
     _proofs: dict[bytes, UtxosResponse] = field(init=False, default_factory=dict)
+    # the store's view of the next block with the pool absorbed, so a submit
+    # absorbs only its own tx; None after a tip change or a failed switch,
+    # which may leave the store's shards in other objects: built again on use
+    _pool_view: ShardView | None = field(init=False, default=None)
     # what filtered sync keeps: block hash -> packed tx-tree levels, from the
     # block's first match; filter item -> its probe digests, from its first scan
     _tx_levels: dict[bytes, list[bytearray]] = field(init=False, default_factory=dict)
@@ -136,29 +149,47 @@ class FullNode:
         """Make ``block``'s branch, now the heaviest indexed, the active
         one: undo the store to the fork, apply the branch, refit the pool.
         A block on the old tip, or a genesis, is a switch with nothing to
-        undo. If a block fails, the old tip is restored and the branch is
-        forgotten with every block indexed on it."""
+        undo. A fork below the store's floor on the new tip is
+        ``reorg-too-deep``. If the switch fails, the old tip is restored
+        and the branch is forgotten with every block indexed on it."""
         if old_tip is None or block.header.prev_hash == old_tip:
             fork, old_branch, new_branch = block.header.height - 1, [], [block]
         else:
             fork = self.headers.fork_height(old_tip, self.headers.tip)
             old_branch = self._blocks_above(old_tip, fork)
             new_branch = self._blocks_above(self.headers.tip, fork)
+        try:
+            self._apply_branch(fork, old_branch, new_branch)
+        except ValidationError as exc:
+            self._pool_view = None
+            for hh in self.headers.forget(self.headers.active_hash_at(fork + 1), old_tip):
+                self.blocks.pop(hh, None)
+                self._tx_levels.pop(hh, None)
+            return ConnectResult("rejected", exc.code, exc.height)
+        self._tip_changed(new_branch, old_branch)
+        return ConnectResult("accepted", height=block.header.height)
+
+    def _apply_branch(self, fork: int, old_branch: list[Block], new_branch: list[Block]) -> None:
+        """Undo the store to ``fork`` and apply ``new_branch``. On a
+        ValidationError the store is back on ``old_branch``. The fork is
+        checked against the floor the new tip's commit would set, so the
+        undo back to the fork can always run."""
+        new_tip = new_branch[-1].header.height
+        floor = self.utxo.floor_after(new_tip)
+        if fork < floor:
+            raise ValidationError("reorg-too-deep", f"the branch forks at {fork}, below "
+                                  f"the floor {floor} of its tip", height=new_tip)
+        if old_branch:
             self.utxo.rewind_to(fork)
         for applied, new in enumerate(new_branch):
             try:
                 self._validate_and_apply(new)
-            except ValidationError as exc:
+            except ValidationError:
                 for _ in range(applied):
                     self.utxo.undo_block()
                 for old in old_branch:
                     self.utxo.apply_block(old, old.header.height)
-                for hh in self.headers.forget(self.headers.active_hash_at(fork + 1), old_tip):
-                    self.blocks.pop(hh, None)
-                    self._tx_levels.pop(hh, None)
-                return ConnectResult("rejected", exc.code, new.header.height)
-        self._tip_changed(new_branch, old_branch)
-        return ConnectResult("accepted", height=block.header.height)
+                raise
 
     def _validate_and_apply(self, block: Block) -> None:
         """Open the body on the tip as a mined block is opened, then run
@@ -223,14 +254,20 @@ class FullNode:
 
     def submit_transaction(self, tx: Transaction) -> None:
         """Validate against the tip, as the next block sees it, plus the
-        pool, then queue; a tx already pooled is left as it is."""
+        pool, then queue; a tx already pooled is left as it is. A tx that
+        would leave a shard of the next block over its coin limit is
+        ``shard-overflow``: no block could carry the pool with it."""
         if txid(tx) in self._pooled_txids():
             return
-        view = CoinView(self.utxo.open(self.utxo.next_height))
-        for pooled in self.mempool:
-            view.absorb(pooled)
+        if self._pool_view is None:
+            self._pool_view = self._next_view(self.mempool)
+        view = self._pool_view
         validate_transaction(tx, view)
+        self._pool_view = None  # the view takes the tx before its width is checked
+        view.absorb(tx)
+        view.check_width(self.params.size_cap)
         self.mempool.append(tx)
+        self._pool_view = view
 
     def _pooled_txids(self) -> set[bytes]:
         """Txids whose signatures this node has verified: every pooled tx
@@ -243,6 +280,7 @@ class FullNode:
         orphaned payments (first) and pooled txs that the applied blocks
         do not carry and that still fit."""
         self._proofs.clear()
+        self._pool_view = None
         mined = {txid(tx) for block in applied for tx in block.transactions[1:]}
         waiting = [tx for block in orphaned for tx in block.transactions[1:]] + self.mempool
         self.mempool, _ = self._fitting([tx for tx in waiting if txid(tx) not in mined])
@@ -253,21 +291,36 @@ class FullNode:
         return self._fitting(self.mempool)
 
     def _fitting(self, txs) -> tuple[list[Transaction], int]:
-        """The txs, in order, that are valid together on the current tip,
-        plus their total fees. Signatures of pooled txs are not checked
-        again; those of any other tx are."""
-        view = CoinView(self.utxo.open(self.utxo.next_height))
+        """The txs, in order, that are valid together on the current tip
+        and leave every shard within its coin limit, plus their total
+        fees. Signatures of pooled txs are not checked again; those of
+        any other tx are."""
+        view = self._next_view([])
         signed = self._pooled_txids()
         selected = []
         fees = 0
         for tx in txs:
             try:
-                fees += validate_transaction(tx, view, signed)
+                fee = validate_transaction(tx, view, signed)
             except ValidationError:
                 continue
             view.absorb(tx)
+            try:
+                view.check_width(self.params.size_cap)
+            except ValidationError:
+                view = self._next_view(selected)  # a view cannot drop a tx it absorbed
+                continue
             selected.append(tx)
+            fees += fee
         return selected, fees
+
+    def _next_view(self, txs) -> ShardView:
+        """The store's view of the next block with ``txs``, valid there
+        together, absorbed; the store is left as it was."""
+        view = self.utxo.open(self.utxo.next_height)
+        for tx in txs:
+            view.absorb(tx)
+        return view
 
     # -- query services ------------------------------------------------------
 
@@ -326,11 +379,11 @@ class FullNode:
         if kept is not None:
             return kept
         height = block.header.height
-        record = self.utxo.touched_log.get(height)
-        if record is None or height == 0:
-            raise ValidationError("history-unavailable",
-                                  "no pre-state exists for that block", height=height)
-        shards, tree = self.utxo.state_before(height, set(record.indices))
+        try:
+            shards, tree = self.utxo.state_before(
+                height, set(self.utxo.touched_log[height].indices))
+        except HistoryUnavailableError as exc:
+            raise ValidationError("history-unavailable", str(exc), height=height) from exc
         response = self._proofs[block_hash] = UtxosResponse(shards=shards, tree=tree)
         return response
 

@@ -1,7 +1,7 @@
 """Block-body consensus rules, the one copy both the full node and the diet
-node run. Rules that read coins take a coin view: ``get_coin(outpoint)``
-returns a spendable coin or None, ``absorb(tx)`` spends a validated tx's
-inputs and adds its outputs.
+node run. Rules that read coins take a coin view, a ``utxo.ShardView``
+on both node kinds: ``get_coin(outpoint)`` returns a spendable coin or
+None, ``absorb(tx)`` spends a validated tx's inputs and adds its outputs.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .chain import (
 from .crypto import KeyPair, hash256, verify
 from .errors import ValidationError
 from .merkle import build_root
-from .utxo import Coin, coins_of
+from .utxo import Coin
 
 
 def tx_merkle_root(txs) -> bytes:
@@ -33,29 +33,6 @@ def signed_spend(key: KeyPair, coins: list[Coin], outputs) -> Transaction:
         for c in coins), outputs=tuple(outputs))
     signature = key.sign(sighash(tx))
     return tx._replace(inputs=tuple(i._replace(signature=signature) for i in tx.inputs))
-
-
-class CoinView:
-    """Coin view layering in-flight spends and creations over another
-    view, which it never changes: a full node checks pool txs this way."""
-
-    def __init__(self, base):
-        self.base = base
-        self.spent: set[OutPoint] = set()
-        self.created: dict[OutPoint, Coin] = {}
-
-    def get_coin(self, outpoint: OutPoint) -> Coin | None:
-        if outpoint in self.spent:
-            return None
-        if outpoint in self.created:
-            return self.created[outpoint]
-        return self.base.get_coin(outpoint)
-
-    def absorb(self, tx: Transaction) -> None:
-        for inp in tx.inputs:
-            self.spent.add(inp.prevout)
-        for coin in coins_of(tx):
-            self.created[coin.outpoint] = coin
 
 
 def validate_transaction(tx: Transaction, view, signed=frozenset()) -> int:

@@ -2,9 +2,10 @@
 
 Coins are bucketed by the first ``k`` bits of their creating txid (byte
 0 first, most significant bit first), giving ``2**k`` shards. The store
-commits to a root over all shard hashes after every block and keeps
-every previous version of every shard it ever changed, so it can later
-prove what any shard looked like just before a given block.
+commits to a root over all shard hashes after every block and keeps the
+versions of each shard it changed over the last ``HISTORY_HORIZON``
+blocks, so it can prove what any shard looked like just before a recent
+block, and undo back to any height at or above its ``floor``.
 
 Two rules shape the commitment; :class:`ShardView` holds the one
 implementation of each, which the store and a diet node both run:
@@ -44,6 +45,16 @@ height costs O((|indices| + shards changed since) * k) hashes, not a
 rebuild over all ``2**k`` leaves. History holds each shard version as
 its wire bytes, and a proof serves them as they are: a :class:`Shard` is
 an index and its encoding, decoded only where a reader needs its coins.
+
+History is bounded. Committing height ``h`` prunes height
+``p = h - HISTORY_HORIZON``: the versions that the shards written at
+``p`` supersede can serve no height at or above ``p`` and are dropped,
+so each block prunes only as many shards as one block touched. A split
+at ``p`` drops the coarser ``k``'s versions and kept tree. ``p`` becomes
+the ``floor``: ``state_before``, ``undo_block`` and ``rewind_to`` raise
+:class:`HistoryUnavailableError` for a state below it, and an undo does
+not lower it. The per-height logs (roots, bytes, touched shards, ``k``,
+splits) are small and stay whole.
 """
 
 from __future__ import annotations
@@ -51,6 +62,7 @@ from __future__ import annotations
 import bisect
 import copy
 import struct
+from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -62,6 +74,9 @@ from .merkle import PartialMerkleTree, pack_levels, partial_from_levels, update_
 
 EMPTY_SHARD_BYTES = b"\x00\x00"
 MAX_SHARD_COINS = 0xFFFF  # a shard's wire encoding counts its coins in a u16
+# Blocks of shard history a store keeps below its tip: Bitcoin Core's
+# pruned minimum (MIN_BLOCKS_TO_KEEP). Node policy, not consensus; at least 1.
+HISTORY_HORIZON = 288
 
 
 class Coin(NamedTuple):
@@ -214,26 +229,45 @@ class ShardView:
         for coin in coins_of(tx):
             self.insert(coin)
 
-    def close(self, size_cap: int) -> dict[int, bytes]:
-        """Finish the block: the split rule, when the view holds every
-        shard (while the ``2**k`` shards average over ``size_cap`` bytes,
-        each splits in two by one more txid bit), then ``shard-overflow``
-        for a shard over the u16 count of the wire format. Returns the
-        encodings of the edited shards (all, after a split) by index."""
+    def _split_k(self, size_cap: int) -> int:
+        """The ``k`` the split rule gives the view's coins: while the
+        ``2**k`` shards average over ``size_cap`` bytes, one more txid
+        bit. Only a view that holds every shard splits."""
+        k = self.k
         if len(self.shards) == 1 << self.k:
-            while shard_set_bytes(self.k, self.coin_count) > size_cap << self.k:
-                if self.k == 32:
+            while shard_set_bytes(k, self.coin_count) > size_cap << k:
+                if k == 32:
                     raise InconsistentStateError("shard key space exhausted")
-                self.k += 1
-                split: dict[int, list[Coin]] = {i: [] for i in range(1 << self.k)}
-                for idx, coins in self.shards.items():
-                    for coin in self.edited.get(idx, coins):
-                        split[shard_key(coin.outpoint.txid, self.k)].append(coin)
-                self.shards = self.edited = split
-        for idx, coins in self.edited.items():
+                k += 1
+        return k
+
+    def check_width(self, size_cap: int) -> None:
+        """``shard-overflow`` if an edited shard, split as :meth:`close`
+        would split the view now, holds more coins than the u16 count of
+        the wire format. Costs O(edited shards): only a shard over the
+        limit is split to see where its coins would go."""
+        if max(map(len, self.edited.values()), default=0) <= MAX_SHARD_COINS:
+            return
+        k = self._split_k(size_cap)
+        for coins in self.edited.values():
             if len(coins) > MAX_SHARD_COINS:
-                raise ValidationError("shard-overflow", f"shard {idx} would hold {len(coins)} "
-                                      f"coins, over {MAX_SHARD_COINS}", height=self.height)
+                idx, n = Counter(shard_key(c.outpoint.txid, k) for c in coins).most_common(1)[0]
+                if n > MAX_SHARD_COINS:
+                    raise ValidationError("shard-overflow", f"shard {idx} would hold {n} "
+                                          f"coins, over {MAX_SHARD_COINS}", height=self.height)
+
+    def close(self, size_cap: int) -> dict[int, bytes]:
+        """Finish the block: the split (:meth:`_split_k`; each shard splits
+        by the txid bits it gains), then :meth:`check_width`. Returns the
+        encodings of the edited shards (all, after a split) by index."""
+        k = self._split_k(size_cap)
+        if k != self.k:
+            split: dict[int, list[Coin]] = {i: [] for i in range(1 << k)}
+            for idx, coins in self.shards.items():
+                for coin in self.edited.get(idx, coins):
+                    split[shard_key(coin.outpoint.txid, k)].append(coin)
+            self.k, self.shards, self.edited = k, split, split
+        self.check_width(size_cap)
         return {idx: encode_shard_coins(self.edited[idx]) for idx in sorted(self.edited)}
 
 
@@ -264,6 +298,8 @@ class VersionedShardStore:
     shards: dict[int, list[Coin]] = field(init=False)
     pending: list[Coin] = field(init=False, default_factory=list)
     height: int | None = field(init=False, default=None)
+    # lowest height whose state the store can rebuild; -1: the empty store
+    floor: int = field(init=False, default=-1)
     # (k, shard index) -> ((height, encoded shard bytes), ...) in height order;
     # tuples hold the append-only history at its exact size
     versions: dict[tuple[int, int], tuple[tuple[int, bytes], ...]] = field(
@@ -375,7 +411,32 @@ class VersionedShardStore:
             k=k_before,
             rebalanced=rebalanced,
         )
+        self._prune(height - HISTORY_HORIZON)
         return self.current_root
+
+    def floor_after(self, height: int) -> int:
+        """The floor once a block at ``height`` is committed."""
+        return max(self.floor, height - HISTORY_HORIZON)
+
+    def _prune(self, height: int) -> None:
+        """Make ``height`` the floor, dropping the history no state at or
+        above it needs: the versions that the shards written at
+        ``height`` supersede or, if ``height`` split the tree, every
+        version and the kept tree of the coarser ``k``."""
+        if height <= self.floor:
+            return
+        record = self.touched_log[height]
+        if record.rebalanced:
+            for k in range(record.k, self.k_at(height)):
+                for idx in range(1 << k):
+                    self.versions.pop((k, idx), None)
+                self._frozen.pop(k, None)
+        else:
+            for idx in record.indices:
+                key = (record.k, idx)
+                kept = self.versions[key]
+                self.versions[key] = kept[bisect.bisect_left(kept, (height,)):]
+        self.floor = height
 
     def apply_body(self, txs: Iterable[Transaction], height: int) -> bytes:
         """Open, absorb a block's non-coinbase txs unvalidated, and
@@ -410,12 +471,15 @@ class VersionedShardStore:
         self.pending = coins_of(coinbase)
 
     def undo_block(self) -> None:
-        """Reverse the newest applied block, leaving the store exactly as
-        it was before it, history included. The shards it changed are
+        """Reverse the newest applied block, leaving the store as it was
+        before it, history included, except that what pruning dropped
+        stays dropped and the floor stays. The shards it changed are
         reloaded from their previous versions."""
         if self.height is None:
             raise HistoryUnavailableError("no applied block to undo")
         height = self.height
+        if height - 1 < self.floor:
+            raise HistoryUnavailableError(f"height {height - 1} is below the floor {self.floor}")
         del self.root_log[height]
         self.bytes_log.pop()
         record = self.touched_log.pop(height)
@@ -456,8 +520,9 @@ class VersionedShardStore:
         return reloaded
 
     def rewind_to(self, height: int) -> None:
-        """Undo blocks until ``height`` is the newest applied one."""
-        if self.height is None or not 0 <= height <= self.height:
+        """Undo blocks until ``height`` is the newest applied one; it must
+        be at or above the floor."""
+        if self.height is None or not max(self.floor, 0) <= height <= self.height:
             raise HistoryUnavailableError(f"cannot rewind to height {height}")
         while self.height > height:
             self.undo_block()
@@ -472,13 +537,14 @@ class VersionedShardStore:
         """Shards and proof for the state the given block was applied to.
 
         The returned partial tree recomputes the root committed at
-        ``height - 1`` and includes exactly ``indices``. It is cut from
+        ``height - 1``, which must be at or above the floor, and includes
+        exactly ``indices``. It is cut from
         the newest tree at that height's ``k`` (the live one, or the one
         kept when the tree split away from that ``k``), with only the
         shards changed since put back to their old versions and re-hashed.
         The shards are the encodings the store keeps, served undecoded.
         """
-        if self.height is None or not 1 <= height <= self.height + 1:
+        if self.height is None or not max(self.floor, 0) + 1 <= height <= self.height + 1:
             raise HistoryUnavailableError(f"no history for height {height}")
         kb = self.k_at(height - 1)
         if not all(0 <= i < (1 << kb) for i in indices):

@@ -69,6 +69,7 @@ def store_state(store: VersionedShardStore) -> dict:
     levels as bytes, for comparing two stores or one store over time."""
     return {
         "height": store.height,
+        "floor": store.floor,
         "k": store.k,
         "versions": dict(store.versions),
         "root_log": dict(store.root_log),

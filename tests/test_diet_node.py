@@ -28,6 +28,7 @@ from dietchain.miner import (
     assemble_block,
     block_on,
     mine_on,
+    mine_txs,
     node_template,
     solve_pow,
 )
@@ -390,19 +391,23 @@ def test_coinbase_overpay_in_window_is_bad_coinbase_value_on_both_nodes():
 
 def test_a_shard_over_the_u16_coin_count_is_shard_overflow_on_both_nodes():
     """A block that leaves a shard with more coins than its u16 count can
-    hold gets a verdict, not an encoding crash: the miner refuses it and
-    leaves its node as it was, a full node rejects it, and a diet node
-    replaying it over an honest proof rejects it with the same code."""
+    hold gets a verdict, not an encoding crash: the pool refuses the tx,
+    the miner refuses the block and leaves its node as it was, a full
+    node rejects it, and a diet node replaying it over an honest proof
+    rejects it with the same code."""
     params = ChainParams(target_bits=4, size_cap=6_000_000, initial_k=0)
     honest = mined_node(params, ALICE, 2, seed=63)
     lenient = _lenient_copy(honest)
     coin = coins_owned(honest, ALICE)[0]
     flood = _signed(ALICE, [coin.outpoint], [
         TxOutput(value=0, kind=KIND_PAYMENT, payload=CAROL.challenge)] * 0xFFFF)
-    honest.submit_transaction(flood)
     before = store_state(honest.utxo)
     with pytest.raises(ValidationError) as info:
-        mine_on(honest, ALICE.public_key, seed=163)
+        honest.submit_transaction(flood)
+    assert (info.value.code, info.value.height) == ("shard-overflow", 2)
+    assert honest.mempool == []
+    with pytest.raises(ValidationError) as info:
+        mine_txs(honest, [flood], ALICE.public_key, seed=163)
     assert (info.value.code, info.value.height) == ("shard-overflow", 2)
     assert store_state(honest.utxo) == before and honest.tip_height == 1
 
@@ -418,6 +423,27 @@ def test_a_shard_over_the_u16_coin_count_is_shard_overflow_on_both_nodes():
     lenient.plant(block)
     diet = _wire(lenient, WATCH_CAROL)
     assert _tip_verdicts(diet, 2) == {("rejected", "shard-overflow", 2)}
+
+
+def test_a_window_below_the_peers_floor_is_history_unavailable(monkeypatch):
+    """A peer keeps pre-states only down to its floor (tip 10 less a
+    horizon of 3). A window that needs an older one gets a ``rejected``
+    verdict at the first block the peer cannot serve, not an exception; a
+    window at the floor verifies."""
+    monkeypatch.setattr("dietchain.utxo.HISTORY_HORIZON", 3)
+    node = mined_node(FAST, ALICE, 4, seed=64)
+    payees = {4: CAROL, 9: BOB}
+    for height in range(4, 11):
+        if height in payees:
+            coin = coins_owned(node, ALICE)[0]
+            node.submit_transaction(_pay(coin, payees[height].challenge, 6))
+        mine_on(node, ALICE.public_key, seed=160 + height)
+    assert (node.tip_height, node.utxo.floor) == (10, 7)
+    carol = _wire(node, DietConfig(keys=(CAROL.public_key,), max_depth=10, max_length=3))
+    assert _tip_verdicts(carol, 4) == {("rejected", "history-unavailable", 2)}
+    bob = _wire(node, DietConfig(keys=(BOB.public_key,), max_depth=10, max_length=2))
+    verdicts = bob.update_chain().verdicts
+    assert {(v.status, v.first, v.last) for v in verdicts} == {("diet-verified", 7, 9)}
 
 
 def test_repeated_last_tx_body_is_bad_structure():

@@ -39,7 +39,7 @@ from dietchain.miner import (
     solve_pow,
 )
 from dietchain.rules import commitment_of, signed_spend, tx_merkle_root, validate_transaction
-from dietchain.utxo import coins_of
+from dietchain.utxo import MAX_SHARD_COINS, coins_of
 
 ALICE = key_of("alice")
 BOB = key_of("bob")
@@ -705,3 +705,201 @@ def test_the_pool_always_fits_the_tip(steps):
             else:
                 assert fits
         assert node.build_template()[0] == node.mempool
+        _assert_pool_view_is_fresh(node)
+
+
+def _assert_pool_view_is_fresh(node: FullNode) -> None:
+    """The pool view the node keeps, if any, reads as a view built afresh
+    for its pool does."""
+    view = node._pool_view
+    if view is None:
+        return
+    fresh = node._next_view(node.mempool)
+    assert (view.k, view.coin_count, view.height) == (fresh.k, fresh.coin_count, fresh.height)
+    assert {i: list(view.edited.get(i, coins)) for i, coins in view.shards.items()} == \
+        {i: list(fresh.edited.get(i, coins)) for i, coins in fresh.shards.items()}
+
+
+# -- the pool refuses what no block could carry ------------------------------------
+
+WIDE = ChainParams(target_bits=4, size_cap=6_000_000, initial_k=0)  # k = 0 up to ~78,900 coins
+
+
+def _flood(coin, n_outputs: int, payee: bytes = BOB.challenge) -> Transaction:
+    """Alice spends one coin to ``n_outputs`` zero-value outputs."""
+    return signed_spend(ALICE, [coin], [TxOutput(value=0, kind=KIND_PAYMENT,
+                                                 payload=payee)] * n_outputs)
+
+
+@pytest.mark.parametrize("n_outputs", [MAX_SHARD_COINS - 1, MAX_SHARD_COINS])
+def test_the_pool_refuses_a_tx_that_would_overflow_the_next_blocks_shard(n_outputs):
+    """At k = 0 the next block's one shard holds the parent's reward coin
+    plus the outputs: 65,534 outputs fill it to the u16 limit and are
+    mined; one more is ``shard-overflow`` at submission, so the pool never
+    holds a tx that no block can carry and the node keeps mining."""
+    node = mined_node(WIDE, ALICE, 2, seed=131)
+    flood = _flood(coins_owned(node, ALICE)[0], n_outputs)
+    if n_outputs < MAX_SHARD_COINS:
+        node.submit_transaction(flood)
+        assert mine_on(node, ALICE.public_key, seed=231).transactions[1:] == (flood,)
+        assert len(node.utxo.shards[0]) == MAX_SHARD_COINS
+        return
+    with pytest.raises(ValidationError) as info:
+        node.submit_transaction(flood)
+    assert (info.value.code, info.value.height) == ("shard-overflow", 2)
+    assert node.mempool == []
+    small = _spend_to(coins_owned(node, ALICE)[0], ALICE, BOB.challenge)
+    node.submit_transaction(small)
+    assert mine_on(node, ALICE.public_key, seed=231).transactions[1:] == (small,)
+    assert mine_on(node, ALICE.public_key, seed=232).transactions[1:] == ()
+    assert node.tip_height == 3
+
+
+def test_the_width_check_sees_the_split_the_next_block_makes():
+    """Two floods of 40,000 outputs would put 80,000 coins in the one
+    shard of k = 0, but together they take the next block to k = 1, where
+    each flood's coins go to the half its txid's first bit names."""
+    params = ChainParams(target_bits=4, size_cap=4_000_000, initial_k=0)
+    node = mined_node(params, ALICE, 3, seed=132)
+    first, second = coins_owned(node, ALICE)[:2]
+    a = _flood(first, 40_000)
+    payees = (key_of(f"payee{i}").challenge for i in range(64))
+    b = next(tx for tx in (_flood(second, 40_000, p) for p in payees)
+             if txid(tx)[0] >> 7 != txid(a)[0] >> 7)
+    node.submit_transaction(a)
+    node.submit_transaction(b)
+    assert node.mempool == [a, b]
+    mine_on(node, ALICE.public_key, seed=232)
+    assert node.utxo.k == 1
+    assert sorted(map(len, node.utxo.shards.values())) == [40_000, 40_001]
+
+
+def test_a_pooled_tx_a_new_block_leaves_no_room_for_drops_out_of_the_pool():
+    """A block from a peer fills the shard a pooled flood needs: the refit
+    drops the flood, keeps the small payment pooled after it, and the node
+    mines that payment."""
+    node = mined_node(WIDE, ALICE, 3, seed=133)
+    peer = FullNode(WIDE)
+    for hh in node.headers.active_chain():
+        assert peer.connect_block(node.blocks[hh]).accepted
+    first, second, third = coins_owned(node, ALICE)[:3]
+    small = _spend_to(third, ALICE, BOB.challenge)
+    node.submit_transaction(_flood(second, 30_000))
+    node.submit_transaction(small)
+    peer.submit_transaction(_flood(first, 40_000))
+    assert node.connect_block(mine_on(peer, BOB.public_key, seed=233)).accepted
+    assert node.mempool == [small]
+    assert mine_on(node, ALICE.public_key, seed=234).transactions[1:] == (small,)
+
+
+# -- bounded history: the floor on a full node ---------------------------------------
+
+SPLITTING = ChainParams(target_bits=3, subsidy=50, size_cap=240, initial_k=0)
+
+
+def _header_state(node: FullNode) -> tuple:
+    index = node.headers
+    return dict(index.headers), dict(index.work), index.tip, index.active_chain()
+
+
+def _branch_from(node: FullNode, fork: int, length: int, miner: bytes, seed: int) -> list[Block]:
+    """``length`` empty blocks paying ``miner`` that another node mines on
+    the node's active chain at height ``fork``."""
+    rival = FullNode(node.params)
+    for hh in node.headers.active_chain()[:fork + 1]:
+        assert rival.connect_block(node.blocks[hh]).accepted
+    return [mine_on(rival, miner, seed=seed + i) for i in range(length)]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(horizon=st.integers(1, 5),
+       steps=st.lists(st.tuples(st.sampled_from(["mine", "mine", "reorg"]), st.integers(0, 7),
+                                st.integers(0, 2 ** 32 - 1)), min_size=4, max_size=16))
+def test_a_branch_forking_below_the_floor_is_reorg_too_deep(horizon, steps):
+    """Mined payments (with splits) and heavier branches of random depth
+    under a short horizon. A branch whose fork lies below the floor its
+    tip would set is ``reorg-too-deep`` and changes nothing the node had
+    before the branch arrived; any other switches. After every step the
+    coin set equals a flat replay of the active chain, and the node serves
+    a block's pre-state exactly when it lies at or above the floor."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("dietchain.utxo.HISTORY_HORIZON", horizon)
+        node = mined_node(SPLITTING, ALICE, 2, seed=134)
+        highest = node.tip_height
+        for step, (kind, depth, seed) in enumerate(steps):
+            if kind == "mine":
+                if not node.mempool:
+                    node.submit_transaction(payment(node, ALICE, [(BOB.challenge, 1)] * 3))
+                mine_on(node, ALICE.public_key, seed=seed)
+            else:
+                fork = max(0, node.tip_height - depth)
+                branch = _branch_from(node, fork, node.tip_height - fork + 1,
+                                      key_of(f"rival{step}").public_key, seed)
+                new_tip = branch[-1].header.height
+                before = (_header_state(node), store_state(node.utxo), list(node.mempool),
+                          set(node.blocks))
+                results = [node.connect_block(block) for block in branch]
+                assert [r.status for r in results[:-1]] == ["branch"] * (len(branch) - 1)
+                last = results[-1]
+                if fork < max(highest, new_tip) - horizon:
+                    assert (last.status, last.reason, last.height) == \
+                        ("rejected", "reorg-too-deep", new_tip)
+                    assert (_header_state(node), store_state(node.utxo), node.mempool,
+                            set(node.blocks)) == before
+                else:
+                    assert last.status == "accepted" and node.tip_hash == block_hash(branch[-1])
+            highest = max(highest, node.tip_height)
+            _assert_pool_view_is_fresh(node)
+            assert node.utxo.floor == max(-1, highest - horizon)
+            _assert_coins_replay(node)
+            for h in range(1, node.tip_height + 1):
+                hh = node.headers.active_hash_at(h)
+                if h - 1 < node.utxo.floor:
+                    with pytest.raises(ValidationError) as info:
+                        node.serve_query_utxos(hh)
+                    assert (info.value.code, info.value.height) == ("history-unavailable", h)
+                    continue
+                parent = node.blocks[node.headers.active_hash_at(h - 1)]
+                assert partial_root(node.serve_query_utxos(hh).tree) == commitment_of(parent)
+
+
+def _assert_coins_replay(node: FullNode) -> None:
+    """The store's coins, reward coins included, equal a flat replay of
+    the active chain."""
+    coins = {}
+    for hh in node.headers.active_chain():
+        for tx in node.blocks[hh].transactions:
+            for inp in tx.inputs if not tx.is_coinbase else ():
+                del coins[inp.prevout]
+            coins.update((c.outpoint, c) for c in coins_of(tx))
+    assert sorted(node.utxo.all_coins()) == sorted(coins.values())
+
+
+def test_a_failed_switch_across_a_split_leaves_the_pool_view_on_the_tip():
+    """A failed switch that undoes a split and applies it again leaves the
+    store's shards in new objects. The pool's view must follow: a payment
+    spending a coin of the block above the split is still admitted."""
+    node = mined_node(SPLITTING, ALICE, 2, seed=135)
+    while node.utxo.k < 3 or node.utxo.policy_log[-1][0] != node.tip_height:
+        node.submit_transaction(payment(node, ALICE, [(BOB.challenge, 1)] * 3))
+        mine_on(node, ALICE.public_key, seed=335 + node.tip_height)
+    split_at = node.tip_height
+    paid = [_spend_to(coin, ALICE, BOB.challenge) for coin in coins_owned(node, ALICE)[:4]]
+    for tx in paid:
+        node.submit_transaction(tx)
+    mine_on(node, ALICE.public_key, seed=336)  # touches shards the pool view below does not
+    node.submit_transaction(payment(node, ALICE, [(MALLORY.challenge, 1)]))
+
+    rival = FullNode(SPLITTING, check_commitments=False)
+    for hh in node.headers.active_chain()[:split_at]:
+        assert rival.connect_block(node.blocks[hh]).accepted
+    branch = [mine_txs(rival, [], BOB.public_key, seed=337 + i,
+                       commitment=hash256(b"junk") if i == 2 else None) for i in range(3)]
+    results = [node.connect_block(block) for block in branch]
+    assert [(r.status, r.reason) for r in results] == \
+        [("branch", None), ("branch", None), ("rejected", "utxo-root-mismatch")]
+    _assert_pool_view_is_fresh(node)
+    for tx in paid:
+        node.submit_transaction(_spend_to(coins_of(tx)[0], BOB, MALLORY.challenge))
+    assert len(node.mempool) == 5
+    _assert_pool_view_is_fresh(node)

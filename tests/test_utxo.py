@@ -25,6 +25,7 @@ from dietchain.miner import BlockTemplate, mine_block
 from dietchain.utxo import (
     COIN_SIZE,
     EMPTY_SHARD_BYTES,
+    HISTORY_HORIZON,
     Coin,
     Shard,
     VersionedShardStore,
@@ -534,3 +535,98 @@ def test_store_refuses_a_cap_below_one_coin_shard(cap):
     with pytest.raises(ValueError, match="size_cap"):
         VersionedShardStore(initial_k=0, size_cap=cap)
     VersionedShardStore(initial_k=0, size_cap=2 + COIN_SIZE)
+
+
+# -- bounded history ---------------------------------------------------------------
+
+def test_the_default_horizon_keeps_288_blocks_of_history():
+    rng = random.Random(35)
+    store = VersionedShardStore(initial_k=0, size_cap=240)
+    chain: list[Block] = []
+    while len(chain) < HISTORY_HORIZON + 12:
+        chain.append(_next_block(store, rng))
+        store.apply_block(chain[-1], len(chain) - 1)
+    assert HISTORY_HORIZON == 288
+    assert store.floor == store.height - 288 == 11
+    _assert_bounded_history(store, chain)
+
+
+def _assert_bounded_history(store: VersionedShardStore, chain: list[Block]) -> None:
+    """The store equals a replay of ``chain`` from genesis on everything
+    but pruned history, serves every pre-state at or above its floor as
+    the replay does, refuses every one below it, and keeps at most one
+    version at or below the floor per shard, at the floor's ``k``."""
+    fresh = VersionedShardStore(initial_k=store.initial_k, size_cap=store.size_cap)
+    oracle = _FlatOracle()
+    for h, block in enumerate(chain):
+        fresh.apply_block(block, h)
+        oracle.apply(block)
+    assert fresh.floor <= store.floor
+    assert sorted(c for coins in store.shards.values() for c in coins) == \
+        sorted(oracle.committed.values())
+    assert store.pending == oracle.pending
+    assert store.current_root == fresh.current_root == oracle.root(store.k)
+    assert (store.height, store.k, store.root_log, store.bytes_log, store.touched_log,
+            store.policy_log, store.rebalance_log) == \
+        (fresh.height, fresh.k, fresh.root_log, fresh.bytes_log, fresh.touched_log,
+         fresh.policy_log, fresh.rebalance_log)
+    rng = random.Random(len(chain))
+    for h in range(1, len(chain) + 1):
+        n = 1 << store.k_at(h - 1)
+        subset = set(rng.sample(range(n), rng.randrange(1, n + 1)))
+        if h - 1 < store.floor:
+            with pytest.raises(HistoryUnavailableError):
+                store.state_before(h, subset)
+            continue
+        shards, partial = store.state_before(h, subset)
+        assert (shards, partial) == fresh.state_before(h, subset)
+        assert partial_root(partial) == store.root_log[h - 1]
+    if store.floor >= 0:
+        k_floor = store.k_at(store.floor)
+        assert all(k >= k_floor for k, _ in store.versions)
+        assert all(k >= k_floor for k in store._frozen)
+        assert all(sum(h <= store.floor for h, _ in kept) <= 1
+                   for kept in store.versions.values())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(horizon=st.integers(1, 5), initial_k=st.integers(0, 2),
+       cap=st.sampled_from([160, 240, 400]),
+       ops=st.lists(st.tuples(st.sampled_from(["apply", "preview", "undo", "reorg"]),
+                              st.integers(0, 2 ** 32 - 1)), min_size=4, max_size=24))
+def test_bounded_history_matches_a_replay_from_genesis(horizon, initial_k, cap, ops):
+    """Random apply, preview, undo and reorg steps, with splits, under a
+    short horizon. The floor is the highest height ever committed less the
+    horizon; an undo or a rewind below it raises and changes nothing."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("dietchain.utxo.HISTORY_HORIZON", horizon)
+        store = VersionedShardStore(initial_k=initial_k, size_cap=cap)
+        chain: list[Block] = []
+        highest = -1  # the highest height the store ever committed
+        for op, seed in ops:
+            rng = random.Random(seed)
+            if op in ("undo", "reorg") and chain:
+                fork = len(chain) - 2 if op == "undo" else rng.randrange(len(chain))
+                if fork < store.floor:
+                    before = store_state(store)
+                    with pytest.raises(HistoryUnavailableError):
+                        store.undo_block() if op == "undo" else store.rewind_to(fork)
+                    assert store_state(store) == before
+                    continue
+                if op == "undo":
+                    store.undo_block()
+                else:
+                    store.rewind_to(fork)
+                del chain[fork + 1:]
+                for _ in range(rng.randrange(1, 4) if op == "reorg" else 0):
+                    chain.append(_next_block(store, rng))
+                    store.apply_block(chain[-1], len(chain) - 1)
+            else:
+                block = _next_block(store, rng)
+                if op == "preview":
+                    store.preview_root(list(block.transactions[1:]), len(chain))
+                store.apply_block(block, len(chain))
+                chain.append(block)
+            highest = max(highest, len(chain) - 1)
+            assert store.floor == max(-1, highest - horizon)
+            _assert_bounded_history(store, chain)
