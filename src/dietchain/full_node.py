@@ -14,18 +14,27 @@ store's own view of the tip, walking the body once, and one check of
 the coinbase's value and commitment closes it. After every
 tip change, the node's own blocks included, one rule refits the pool;
 with ``submit_transaction`` checking each tx against the tip plus the
-pool (the body rules and the shard-width check, on the store's view of
-the next block, which keeps the pool absorbed until the tip changes),
-and a failed switch or own block leaving tip and pool as they were, the
-pool always fits the tip, and the miner mines all of it.
+pool (the body rules and the shard-width check), and a failed switch or
+own block leaving tip and pool as they were, the pool always fits the
+tip, and the miner mines all of it.
+
+The pool is the node's next block: the store's view of that block with
+the pooled txs absorbed, kept with those tx objects in order and their
+fees. A submit validates and absorbs only its own tx there, and when the
+miner opens a block of exactly those objects, ``open_block`` commits the
+kept view with no second pass over the body. Any other body walks the
+body rules on a fresh view. Opening any block uses the kept view up, and
+every tip change or failed switch opens one before it returns; a refused
+tx drops the view too, and the next submit builds it again.
 
 The store keeps ``utxo.HISTORY_HORIZON`` blocks of shard history below
 the tip, so the node can undo only to its floor. A heavier branch that
 forks below the floor it would have once on that branch's tip is
 rejected as ``reorg-too-deep`` before anything is undone, and forgotten
-as a branch with a bad block is; a pre-state below the floor is
-``history-unavailable`` to a peer. Block bodies stay from genesis, for
-filtered sync.
+as a branch with a bad block is; a block whose branch forks below the
+current floor is ``reorg-too-deep`` at once and never indexed. A
+pre-state below the floor is ``history-unavailable`` to a peer. Block
+bodies stay from genesis, for filtered sync.
 
 Answers are built once and served from what the node keeps. A block's
 shard proof depends only on the block, so it is kept by block hash until
@@ -36,6 +45,7 @@ block's tx-tree levels, which depend on no tip and stay.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 from .chain import (
@@ -99,11 +109,19 @@ class FullNode:
     blocks: dict[bytes, Block] = field(init=False, default_factory=dict)
     utxo: VersionedShardStore = field(init=False)
     mempool: list[Transaction] = field(init=False, default_factory=list)
+    # txids of pooled txs, each verified by this node; rebuilt at every refit
+    _pooled: set[bytes] = field(init=False, default_factory=set)
     # block hash -> the query_utxos answer built for it; dropped on a tip change
     _proofs: dict[bytes, UtxosResponse] = field(init=False, default_factory=dict)
-    # the store's view of the next block with the pool absorbed, so a submit
-    # absorbs only its own tx; None after a tip change or a failed switch,
-    # which may leave the store's shards in other objects: built again on use
+    # the pool as the next block: the tx objects of the pool's last refit and
+    # submits, in order, their fees, and the store's view of the next block
+    # with them absorbed. A submit absorbs only its own tx, and the miner
+    # commits the view as the body. The view is None once a block is opened
+    # (every tip change or failed switch opens one before it returns, so no
+    # view outlives a change to the store) and after a refused tx; the next
+    # submit builds it again
+    _pool_txs: list[Transaction] = field(init=False, default_factory=list)
+    _pool_fees: int = field(init=False, default=0)
     _pool_view: ShardView | None = field(init=False, default=None)
     # what filtered sync keeps: block hash -> packed tx-tree levels, from the
     # block's first match; filter item -> its probe digests, from its first scan
@@ -129,7 +147,9 @@ class FullNode:
 
     def connect_block(self, block: Block) -> ConnectResult:
         """Check the structure, index the header (its one check), and
-        switch to the block's branch if that is now the heaviest."""
+        switch to the block's branch if that is now the heaviest. A block
+        whose branch forks below the store's floor is ``reorg-too-deep``
+        and not indexed: no switch to that branch could ever run."""
         hh = header_hash(block.header)
         height = block.header.height
         if hh in self.blocks:
@@ -137,6 +157,7 @@ class FullNode:
         old_tip = self.headers.tip
         try:
             check_block_structure(block)
+            self._check_fork(block.header)
             self.headers.add(block.header)
         except ValidationError as exc:
             return ConnectResult("rejected", exc.code, height)
@@ -144,6 +165,16 @@ class FullNode:
         if self.headers.tip == old_tip:
             return ConnectResult("branch", height=height)
         return self._switch_to(old_tip, block)
+
+    def _check_fork(self, header: BlockHeader) -> None:
+        """``reorg-too-deep`` if the header's parent is indexed and its
+        branch leaves the active chain below the store's floor."""
+        if header.prev_hash not in self.headers:
+            return  # a genesis, or no parent: the header check decides
+        fork = self.headers.active_ancestor_height(header.prev_hash)
+        if fork < self.utxo.floor:
+            raise ValidationError("reorg-too-deep", f"the branch forks at {fork}, below "
+                                  f"the floor {self.utxo.floor}", height=header.height)
 
     def _switch_to(self, old_tip: bytes | None, block: Block) -> ConnectResult:
         """Make ``block``'s branch, now the heaviest indexed, the active
@@ -161,7 +192,6 @@ class FullNode:
         try:
             self._apply_branch(fork, old_branch, new_branch)
         except ValidationError as exc:
-            self._pool_view = None
             for hh in self.headers.forget(self.headers.active_hash_at(fork + 1), old_tip):
                 self.blocks.pop(hh, None)
                 self._tx_levels.pop(hh, None)
@@ -218,12 +248,23 @@ class FullNode:
         the body; returns (root its coinbase must commit, fees). A body
         the rules reject leaves the store as it was.
 
+        When ``txs`` are the very tx objects the kept pool view absorbed,
+        in that order, that view already holds the body, each tx checked
+        against the tip plus the txs before it, so it is committed as it
+        stands. Any other body, equal txs that are other objects
+        included, is walked by the body rules. Either way the kept view
+        is used up.
+
         The store then holds the body unsealed: the caller either passes
         the finished block to :meth:`close_block` or undoes it with
         ``utxo.undo_block()``.
         """
-        view = self.utxo.open(height)
-        fees = connect_body(txs, view, height, self._pooled_txids())
+        view, self._pool_view = self._pool_view, None
+        if view is not None and view.height == height and _same_objects(txs, self._pool_txs):
+            fees = self._pool_fees
+        else:
+            view = self.utxo.open(height)
+            fees = connect_body(txs, view, height, self._pooled)
         return self.utxo.commit(view), fees
 
     def close_block(self, block: Block, root: bytes, fees: int) -> None:
@@ -257,46 +298,49 @@ class FullNode:
         pool, then queue; a tx already pooled is left as it is. A tx that
         would leave a shard of the next block over its coin limit is
         ``shard-overflow``: no block could carry the pool with it."""
-        if txid(tx) in self._pooled_txids():
+        tx_id = txid(tx)
+        if tx_id in self._pooled:
             return
         if self._pool_view is None:
-            self._pool_view = self._next_view(self.mempool)
+            self._pool_view = self._next_view(self._pool_txs)
         view = self._pool_view
-        validate_transaction(tx, view)
+        fee = validate_transaction(tx, view)
         self._pool_view = None  # the view takes the tx before its width is checked
         view.absorb(tx)
         view.check_width(self.params.size_cap)
         self.mempool.append(tx)
+        self._pooled.add(tx_id)
+        self._pool_txs.append(tx)
+        self._pool_fees += fee
         self._pool_view = view
-
-    def _pooled_txids(self) -> set[bytes]:
-        """Txids whose signatures this node has verified: every pooled tx
-        passed full validation in ``submit_transaction``."""
-        return {txid(tx) for tx in self.mempool}
 
     def _tip_changed(self, applied: list[Block], orphaned: list[Block]) -> None:
         """After a tip change, drop the kept proofs (they never go stale;
         dropping them bounds their memory) and refit the pool: pool the
         orphaned payments (first) and pooled txs that the applied blocks
-        do not carry and that still fit."""
+        do not carry and that still fit. This node verified the orphaned
+        payments' signatures when it applied their block, so the refit
+        skips those checks as it does for pooled txs."""
         self._proofs.clear()
-        self._pool_view = None
         mined = {txid(tx) for block in applied for tx in block.transactions[1:]}
-        waiting = [tx for block in orphaned for tx in block.transactions[1:]] + self.mempool
-        self.mempool, _ = self._fitting([tx for tx in waiting if txid(tx) not in mined])
+        returned = [tx for block in orphaned for tx in block.transactions[1:]]
+        self.mempool, self._pool_fees = self._fitting(
+            [tx for tx in returned + self.mempool if txid(tx) not in mined],
+            self._pooled.union(map(txid, returned)))
+        self._pool_txs = list(self.mempool)
+        self._pooled = {txid(tx) for tx in self.mempool}
 
     def build_template(self) -> tuple[list[Transaction], int]:
         """Mempool txs that fit together on the current tip (all of them),
         plus total fees."""
-        return self._fitting(self.mempool)
+        return self._fitting(self.mempool, self._pooled)
 
-    def _fitting(self, txs) -> tuple[list[Transaction], int]:
+    def _fitting(self, txs, signed) -> tuple[list[Transaction], int]:
         """The txs, in order, that are valid together on the current tip
-        and leave every shard within its coin limit, plus their total
-        fees. Signatures of pooled txs are not checked again; those of
-        any other tx are."""
+        and leave every shard within its coin limit, plus their total fees.
+        Signatures of txs in ``signed``, txids this node has verified,
+        are not checked again; those of any other tx are."""
         view = self._next_view([])
-        signed = self._pooled_txids()
         selected = []
         fees = 0
         for tx in txs:
@@ -391,3 +435,9 @@ class FullNode:
         if not self.headers.on_active_chain(block_hash) or block_hash not in self.blocks:
             raise ValidationError("unknown-block")
         return self.blocks[block_hash]
+
+
+def _same_objects(txs, kept: list[Transaction]) -> bool:
+    """Whether ``txs`` are the ``kept`` tx objects themselves, in order;
+    one pointer compare per tx, where equality would compare encodings."""
+    return len(txs) == len(kept) and all(map(operator.is_, txs, kept))

@@ -133,8 +133,13 @@ class HeaderIndex:
 
     def fork_height(self, a: bytes, b: bytes) -> int:
         """Height of the deepest common ancestor of an indexed block ``a``
-        and a block ``b`` on the active chain. Walks from ``a`` only down
-        to its first active ancestor."""
-        while not self.on_active_chain(a):
-            a = self.headers[a].prev_hash
-        return min(self.headers[a].height, self.headers[b].height)
+        and a block ``b`` on the active chain."""
+        return min(self.active_ancestor_height(a), self.headers[b].height)
+
+    def active_ancestor_height(self, block_hash: bytes) -> int:
+        """Height where an indexed block's branch leaves the active chain:
+        that of its first ancestor on it, itself included. Walks only down
+        to that ancestor."""
+        while not self.on_active_chain(block_hash):
+            block_hash = self.headers[block_hash].prev_hash
+        return self.headers[block_hash].height

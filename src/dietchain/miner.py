@@ -11,8 +11,10 @@ header are built on the returned root and solved, and
 ``FullNode.close_block`` checks the coinbase value and the commitment,
 indexes the header (its one check) and seals the block in place. If
 anything fails, the body is undone and nothing is indexed. ``mine_on``
-mines the node's whole pool, which always fits the tip, so the body
-rules run once per block; on a node with no chain it mines the genesis
+mines the node's whole pool, which always fits the tip. The node keeps
+the pool as a view of the next block that its submits validated, and
+``open_block`` commits that view, so each payment is validated once, at
+submission; on a node with no chain it mines the genesis
 (``make_genesis``). The adversary's counterfeit blocks take the same path
 and the same proof of work. ``mine_block`` leaves the store it is given
 as it was: it previews the root (apply, then undo) and solves; a
@@ -179,7 +181,8 @@ def mine_txs(node: FullNode, txs, reward_key: bytes, seed: int = 0,
 
 def mine_on(node: FullNode, reward_key: bytes, seed: int = 0) -> Block:
     """Mine the node's whole pool, which always fits its tip, as
-    :func:`mine_txs` does."""
+    :func:`mine_txs` does; the pool's own tx objects let ``open_block``
+    commit the view the submits built."""
     return mine_txs(node, node.mempool, reward_key, seed)
 
 

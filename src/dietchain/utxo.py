@@ -109,12 +109,20 @@ def coins_of(tx: Transaction) -> list[Coin]:
     ]
 
 
+_COIN = struct.Struct("<32sIQ32s")  # a coin's wire fields, in Coin's order
+
+
 def encode_coin(c: Coin) -> bytes:
-    return c.outpoint.txid + struct.pack("<IQ", c.outpoint.index, c.value) + c.challenge
+    return _COIN.pack(c.outpoint.txid, c.outpoint.index, c.value, c.challenge)
 
 
 def encode_shard_coins(coins: list[Coin]) -> bytes:
-    return struct.pack("<H", len(coins)) + b"".join(encode_coin(c) for c in coins)
+    """A shard's wire bytes: a u16 coin count, then each coin packed in
+    one call (txids and challenges are always 32 bytes)."""
+    pack = _COIN.pack
+    return struct.pack("<H", len(coins)) + b"".join(
+        [pack(outpoint.txid, outpoint.index, value, challenge)
+         for outpoint, value, challenge in coins])
 
 
 def shard_leaf_hash(encoded: bytes) -> bytes:
@@ -123,9 +131,6 @@ def shard_leaf_hash(encoded: bytes) -> bytes:
     if encoded == EMPTY_SHARD_BYTES:
         return hash256(b"")
     return hash256(encoded)
-
-
-_COIN = struct.Struct("<32sIQ32s")  # a coin's wire fields, in Coin's order
 
 
 @dataclass(frozen=True, slots=True)

@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import operator
 import random
 
 import pytest
 from conftest import FAST, coins_owned, key_of, mined_node, payment, store_state
 from hypothesis import given, settings, strategies as st
 
+from dietchain import chain, full_node, rules
 from dietchain.chain import (
     Block,
     ChainParams,
@@ -619,11 +621,13 @@ def test_mutated_blocks_get_a_verdict_and_leave_no_trace(fuzz_base, kind, index,
 POOL_KEYS = {key.challenge: key for key in (ALICE, BOB, MALLORY)}
 
 
-def _pool_spend(node: FullNode, rng: random.Random, kind: str) -> Transaction | None:
+def _pool_spend(node: FullNode, rng: random.Random, kind: str,
+                floods: int = 0) -> Transaction | None:
     """A tx of ``kind`` for the node's pool: ``valid`` spends a confirmed
     coin the pool leaves alone, ``chained`` a pooled tx's output,
     ``conflicting`` a coin the pool already spends, and ``badly-signed``
-    is a valid tx with a zeroed signature. None if no coin fits."""
+    is a valid tx with a zeroed signature. ``floods`` more zero-value
+    outputs pay the coin's owner, to fill a shard. None if no coin fits."""
     spent = {inp.prevout for tx in node.mempool for inp in tx.inputs}
     if kind == "chained":
         coins = [c for tx in node.mempool for c in coins_of(tx) if c.outpoint not in spent]
@@ -638,7 +642,8 @@ def _pool_spend(node: FullNode, rng: random.Random, kind: str) -> Transaction | 
     tx = signed_spend(POOL_KEYS[coin.challenge], [coin], [
         TxOutput(value=part, kind=KIND_PAYMENT, payload=rng.choice(sorted(POOL_KEYS))),
         TxOutput(value=coin.value - part - 1, kind=KIND_PAYMENT,
-                 payload=rng.choice(sorted(POOL_KEYS)))])
+                 payload=rng.choice(sorted(POOL_KEYS)))]
+        + [TxOutput(value=0, kind=KIND_PAYMENT, payload=coin.challenge)] * floods)
     if kind == "badly-signed":
         tx = tx._replace(inputs=(tx.inputs[0]._replace(signature=bytes(64)),))
     return tx
@@ -709,8 +714,12 @@ def test_the_pool_always_fits_the_tip(steps):
 
 
 def _assert_pool_view_is_fresh(node: FullNode) -> None:
-    """The pool view the node keeps, if any, reads as a view built afresh
-    for its pool does."""
+    """The pool the node keeps as its next block holds the pool's own tx
+    objects in order and their fees, and its view, if any, reads as a
+    view built afresh for the pool does."""
+    assert len(node._pool_txs) == len(node.mempool)
+    assert all(map(operator.is_, node._pool_txs, node.mempool))
+    assert node._pool_fees == node.build_template()[1]
     view = node._pool_view
     if view is None:
         return
@@ -718,6 +727,109 @@ def _assert_pool_view_is_fresh(node: FullNode) -> None:
     assert (view.k, view.coin_count, view.height) == (fresh.k, fresh.coin_count, fresh.height)
     assert {i: list(view.edited.get(i, coins)) for i, coins in view.shards.items()} == \
         {i: list(fresh.edited.get(i, coins)) for i, coins in fresh.shards.items()}
+
+
+# -- the miner commits the pool's view --------------------------------------------
+
+# submits drawn more often than the rest; floods fill a shard near its width
+KEPT_VIEW_STEPS = ["valid"] * 3 + ["chained"] * 2 + [
+    "conflicting", "badly-signed", "flood", "flood", "mine", "mine", "mine", "rival-wins",
+    "rival-invalid"]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(width=st.integers(16, 40),
+       steps=st.lists(st.tuples(st.sampled_from(KEPT_VIEW_STEPS), st.integers(0, 2 ** 32 - 1)),
+                      min_size=8, max_size=30))
+def test_mining_the_kept_pool_view_matches_a_full_body_pass(width, steps):
+    """Random submits (valid, chained, conflicting, badly signed, and
+    floods near a shard's coin limit, here shrunk to ``width``), heavier
+    and failing rival branches, and blocks mined with ``mine_on``. Each
+    block is mined twice from the same state: by the node, committing
+    the view its pool keeps without a validation, and by a replica whose
+    view is dropped, which walks the body. Both give the same block
+    bytes, store and pool."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("dietchain.utxo.MAX_SHARD_COINS", width)
+        validations = []
+        for module in (rules, full_node):
+            real = module.validate_transaction
+            patch.setattr(module, "validate_transaction",
+                          lambda *args, real=real: validations.append(args[0]) or real(*args))
+        node = mined_node(FAST, ALICE, 3, seed=136)
+        for kind, seed in steps:
+            rng = random.Random(seed)
+            if kind == "mine":
+                replica = copy.deepcopy(node)
+                replica._pool_view = None
+                key = rng.choice(list(POOL_KEYS.values())).public_key
+                kept, pool = node._pool_view is not None, list(node.mempool)
+                validations.clear()
+                mined = _mine_outcome(node, key, seed)
+                assert validations == ([] if kept else pool)
+                assert _mine_outcome(replica, key, seed) == mined
+                assert store_state(replica.utxo) == store_state(node.utxo)
+                assert replica.mempool == node.mempool
+            elif kind.startswith("rival"):
+                try:
+                    branch = _rival_branch(node, rng, kind == "rival-wins",
+                                           kind == "rival-invalid")
+                except ValidationError as exc:
+                    assert exc.code == "shard-overflow"  # the rival's block, not the node's
+                    branch = []
+                for block in branch:
+                    node.connect_block(block)
+            else:
+                tx = _pool_spend(node, rng, "valid", rng.randrange(width // 2, width)) \
+                    if kind == "flood" else _pool_spend(node, rng, kind)
+                try:
+                    if tx is not None:
+                        node.submit_transaction(tx)
+                except ValidationError as exc:
+                    assert exc.code == {"conflicting": "missing-input",
+                                        "badly-signed": "ownership-failure"}.get(
+                                            kind, "shard-overflow")
+            _assert_pool_view_is_fresh(node)
+            _assert_coins_replay(node)
+
+
+def _mine_outcome(node: FullNode, reward_key: bytes, seed: int) -> bytes | str:
+    """The mined block's bytes, or the code of the error that left the
+    store as it was. A block that leaves a shard full to its limit can
+    leave no room for its own reward coin in the next block, so a mine
+    may fail with ``shard-overflow`` on an empty pool."""
+    before = store_state(node.utxo)
+    try:
+        return encode_block(mine_on(node, reward_key, seed=seed))
+    except ValidationError as exc:
+        assert store_state(node.utxo) == before
+        return exc.code
+
+
+def test_one_submit_hashes_the_same_at_any_pool_size():
+    """A submit hashes only its own tx, whatever the pool holds: the pool
+    keeps its txids, so a deep pool is not hashed again (the txid memo
+    holds 512 ids)."""
+    node = mined_node(FAST, ALICE, 2, seed=137)
+    coin = coins_owned(node, ALICE)[0]
+    hashes = {}
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        for pooled in range(1001):
+            tx = signed_spend(ALICE, [coin], [TxOutput(value=coin.value, kind=KIND_PAYMENT,
+                                                       payload=ALICE.challenge)])
+            if pooled in (100, 1000):
+                for module in (chain, rules):
+                    real = module.hash256
+                    patch.setattr(module, "hash256",
+                                  lambda data, real=real: calls.append(data) or real(data))
+            node.submit_transaction(tx)
+            if pooled in (100, 1000):
+                patch.undo()
+                hashes[pooled], calls[:] = len(calls), []
+            coin = coins_of(tx)[0]
+    assert len(node.mempool) == 1001
+    assert hashes[100] == hashes[1000] == 3  # the txid, the sighash, the key
 
 
 # -- the pool refuses what no block could carry ------------------------------------
@@ -817,11 +929,14 @@ def _branch_from(node: FullNode, fork: int, length: int, miner: bytes, seed: int
                                 st.integers(0, 2 ** 32 - 1)), min_size=4, max_size=16))
 def test_a_branch_forking_below_the_floor_is_reorg_too_deep(horizon, steps):
     """Mined payments (with splits) and heavier branches of random depth
-    under a short horizon. A branch whose fork lies below the floor its
-    tip would set is ``reorg-too-deep`` and changes nothing the node had
-    before the branch arrived; any other switches. After every step the
-    coin set equals a flat replay of the active chain, and the node serves
-    a block's pre-state exactly when it lies at or above the floor."""
+    under a short horizon. A branch whose fork lies below the floor is
+    ``reorg-too-deep`` at its first block, whose children then have no
+    parent; one whose fork lies below the floor its tip would set is
+    ``reorg-too-deep`` at its last block. Neither changes anything the
+    node had before the branch arrived; any other branch switches. After
+    every step the coin set equals a flat replay of the active chain, and
+    the node serves a block's pre-state exactly when it lies at or above
+    the floor."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("dietchain.utxo.HISTORY_HORIZON", horizon)
         node = mined_node(SPLITTING, ALICE, 2, seed=134)
@@ -838,16 +953,23 @@ def test_a_branch_forking_below_the_floor_is_reorg_too_deep(horizon, steps):
                 new_tip = branch[-1].header.height
                 before = (_header_state(node), store_state(node.utxo), list(node.mempool),
                           set(node.blocks))
-                results = [node.connect_block(block) for block in branch]
-                assert [r.status for r in results[:-1]] == ["branch"] * (len(branch) - 1)
-                last = results[-1]
+                floor = node.utxo.floor
+                connected = [node.connect_block(block) for block in branch]
+                assert [r.height for r in connected] == [b.header.height for b in branch]
+                results = [(r.status, r.reason) for r in connected]
+                if fork < floor:
+                    assert results == [("rejected", "reorg-too-deep")] + \
+                        [("rejected", "unknown-parent")] * (len(branch) - 1)
+                elif fork < max(highest, new_tip) - horizon:
+                    assert results == [("branch", None)] * (len(branch) - 1) + \
+                        [("rejected", "reorg-too-deep")]
+                else:
+                    assert results == [("branch", None)] * (len(branch) - 1) + \
+                        [("accepted", None)]
+                    assert node.tip_hash == block_hash(branch[-1])
                 if fork < max(highest, new_tip) - horizon:
-                    assert (last.status, last.reason, last.height) == \
-                        ("rejected", "reorg-too-deep", new_tip)
                     assert (_header_state(node), store_state(node.utxo), node.mempool,
                             set(node.blocks)) == before
-                else:
-                    assert last.status == "accepted" and node.tip_hash == block_hash(branch[-1])
             highest = max(highest, node.tip_height)
             _assert_pool_view_is_fresh(node)
             assert node.utxo.floor == max(-1, highest - horizon)
@@ -861,6 +983,24 @@ def test_a_branch_forking_below_the_floor_is_reorg_too_deep(horizon, steps):
                     continue
                 parent = node.blocks[node.headers.active_hash_at(h - 1)]
                 assert partial_root(node.serve_query_utxos(hh).tree) == commitment_of(parent)
+
+
+def test_a_side_branch_forking_below_the_floor_is_not_kept(monkeypatch):
+    """With a horizon of 3 an 11-block chain has floor 7. Blocks another
+    node mines on height 2 could never become the active branch: the
+    first is ``reorg-too-deep`` and not indexed, so the rest have no
+    parent, and the node keeps only its own 11 blocks."""
+    monkeypatch.setattr("dietchain.utxo.HISTORY_HORIZON", 3)
+    node = mined_node(FAST, ALICE, 11, seed=138)
+    assert node.utxo.floor == 7
+    before = (_header_state(node), store_state(node.utxo), set(node.blocks))
+    branch = _branch_from(node, 2, 4, BOB.public_key, seed=338)
+    results = [node.connect_block(block) for block in branch]
+    assert [(r.status, r.reason, r.height) for r in results] == \
+        [("rejected", "reorg-too-deep", 3)] + \
+        [("rejected", "unknown-parent", h) for h in (4, 5, 6)]
+    assert (_header_state(node), store_state(node.utxo), set(node.blocks)) == before
+    assert len(node.blocks) == len(node.headers.headers) == 11
 
 
 def _assert_coins_replay(node: FullNode) -> None:

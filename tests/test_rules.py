@@ -144,8 +144,9 @@ def test_a_reorg_verifies_orphaned_txs_again_unless_resubmitted(verifies):
     assert node.connect_block(b4).accepted and node.tip_hash == block_hash(b4)
     assert len(verifies) == len(tx.inputs)  # the orphan is checked again, signature included
 
-    # A rival branch without tx orphans it: it returns to the pool, checked once
-    # more on the new tip, and a resubmit of the pooled tx costs nothing.
+    # A rival branch without tx orphans it: it returns to the pool, checked
+    # on the new tip without its signature (the node verified that when it
+    # applied its own block), and a resubmit of the pooled tx costs nothing.
     node = _replica(prefix)
     node.submit_transaction(tx)
     mine_on(node, ALICE.public_key, seed=236)
@@ -155,11 +156,37 @@ def test_a_reorg_verifies_orphaned_txs_again_unless_resubmitted(verifies):
     assert node.connect_block(c3).status == "branch"
     verifies.clear()
     assert node.connect_block(c4).accepted
-    assert node.mempool == [tx] and len(verifies) == len(tx.inputs)
+    assert node.mempool == [tx] and verifies == []
     node.submit_transaction(tx)
-    assert node.mempool == [tx] and len(verifies) == len(tx.inputs)
+    assert node.mempool == [tx] and verifies == []
     assert tx in mine_on(node, ALICE.public_key, seed=239).transactions
-    assert len(verifies) == len(tx.inputs)
+    assert verifies == []
+
+
+def test_a_one_block_reorg_verifies_no_returned_payment_again(verifies):
+    """The node applied its block, signatures and all, so the payments a
+    one-block reorg returns to the pool are refit without a signature
+    check; a tx the node never saw, carried by the winning branch, is
+    still verified."""
+    base = mined_node(FAST, ALICE, 3, seed=140)
+    prefix = _chain_of(base)
+    first, second, third = [
+        rules.signed_spend(ALICE, [coin], [TxOutput(value=coin.value - 1, kind=KIND_PAYMENT,
+                                                    payload=BOB.challenge)])
+        for coin in coins_owned(base, ALICE)[:3]]
+    node = _replica(prefix)
+    node.submit_transaction(first)
+    node.submit_transaction(second)
+    mine_on(node, ALICE.public_key, seed=240)
+    rival = _replica(prefix)
+    rival.submit_transaction(third)
+    branch = [mine_on(rival, BOB.public_key, seed=241 + i) for i in range(2)]
+
+    assert node.connect_block(branch[0]).status == "branch"
+    verifies.clear()
+    assert node.connect_block(branch[1]).accepted
+    assert [signature for *_, signature in verifies] == [third.inputs[0].signature]
+    assert node.mempool == [first, second]
 
 
 def test_a_diet_window_verifies_every_signature(verifies):
