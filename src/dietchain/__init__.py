@@ -33,7 +33,6 @@ from .errors import (
 )
 from .full_node import ConnectResult, FullNode
 from .merkle import (
-    MerkleTree,
     PartialMerkleTree,
     build_root,
     contains,
@@ -67,7 +66,6 @@ __all__ = [
     "IncompleteProofError",
     "InconsistentStateError",
     "KeyPair",
-    "MerkleTree",
     "OutPoint",
     "PartialMerkleTree",
     "ScenarioError",

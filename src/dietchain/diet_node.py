@@ -33,7 +33,7 @@ from .crypto import BloomFilter, hash256
 from .errors import DecodeError, IncompleteProofError, InconsistentStateError, ValidationError
 from .headers import HeaderIndex
 from .merkle import PartialMerkleTree, build_root, contains, partial_root, update_in_place
-from .rules import check_block_structure, check_coinbase_value, commitment_of, connect_body
+from .rules import check_block_structure, check_coinbase_value, check_commitment, connect_body
 from .utxo import Coin, ShardView, coins_of, shard_leaf_hash
 
 
@@ -229,16 +229,8 @@ class DietNode:
                 # The served shards cannot take the block: they do not cover it.
                 raise ValidationError("shard-proof-mismatch", str(exc), height=height) from exc
             check_coinbase_value(block.transactions[0], self.params.subsidy, fees, height)
-
-            try:
-                committed = commitment_of(block)
-            except ValidationError:
-                raise ValidationError("root-mismatch", "block commits to nothing",
-                                      height=height)
-            if root != committed:
-                raise ValidationError("root-mismatch", height=height)
-
-            trusted = committed
+            check_commitment(block, root)
+            trusted = root
             pending = coins_of(block.transactions[0])
             self.highest_verified = height
 

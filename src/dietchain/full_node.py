@@ -11,21 +11,25 @@ is then the heaviest, the store is undone to the fork (nothing, for a
 block on the tip) and the branch applied block by block. Each block is
 applied as a mined one is: ``open_block`` runs the body rules on the
 store's own view of the tip, walking the body once, and one check of
-the coinbase's value and commitment closes it. After every
-tip change, the node's own blocks included, one rule refits the pool;
-with ``submit_transaction`` checking each tx against the tip plus the
-pool (the body rules and the shard-width check), and a failed switch or
-own block leaving tip and pool as they were, the pool always fits the
-tip, and the miner mines all of it.
+the coinbase's value and commitment closes it.
+
+A tx enters the pool by one admission step, which checks it against the
+tip plus the pool (the body rules and the shard-width check). A submit
+takes it, and so does every tx of the refit after a tip change (the
+node's own blocks included), which empties the pool and admits the
+orphaned payments and then the pooled txs the new blocks do not carry.
+With a failed switch or own block leaving tip and pool as they were, the
+pool always fits the tip: the miner mines all of it, and
+``build_template`` is the pool as it stands.
 
 The pool is the node's next block: the store's view of that block with
 the pooled txs absorbed, kept with those tx objects in order and their
-fees. A submit validates and absorbs only its own tx there, and when the
-miner opens a block of exactly those objects, ``open_block`` commits the
-kept view with no second pass over the body. Any other body walks the
-body rules on a fresh view. Opening any block uses the kept view up, and
-every tip change or failed switch opens one before it returns; a refused
-tx drops the view too, and the next submit builds it again.
+fees. Admission validates and absorbs only its own tx there, and when
+the miner opens a block of exactly those objects, ``open_block`` commits
+the kept view with no second pass over the body. Any other body walks
+the body rules on a fresh view. Opening any block uses the kept view up,
+and a tx too wide for it spoils it; the next admission first refits the
+pool onto a fresh view.
 
 The store keeps ``utxo.HISTORY_HORIZON`` blocks of shard history below
 the tip, so the node can undo only to its floor. A heavier branch that
@@ -64,6 +68,7 @@ from .merkle import PartialMerkleTree, pack_levels, partial_from_levels
 from .rules import (
     check_block_structure,
     check_coinbase_value,
+    check_commitment,
     commitment_of,
     connect_body,
     validate_transaction,
@@ -113,13 +118,12 @@ class FullNode:
     _pooled: set[bytes] = field(init=False, default_factory=set)
     # block hash -> the query_utxos answer built for it; dropped on a tip change
     _proofs: dict[bytes, UtxosResponse] = field(init=False, default_factory=dict)
-    # the pool as the next block: the tx objects of the pool's last refit and
-    # submits, in order, their fees, and the store's view of the next block
-    # with them absorbed. A submit absorbs only its own tx, and the miner
-    # commits the view as the body. The view is None once a block is opened
-    # (every tip change or failed switch opens one before it returns, so no
-    # view outlives a change to the store) and after a refused tx; the next
-    # submit builds it again
+    # the pool as the next block: the pooled tx objects in the order they were
+    # admitted, their fees, and the store's view of the next block with them
+    # absorbed, which the miner commits as the body. The view is None once a
+    # block is opened (a tip change or failed switch opens one, and only the
+    # refit after a tip change opens a new view) and after a tx too wide for
+    # it; the next admission refits the pool onto a fresh view first
     _pool_txs: list[Transaction] = field(init=False, default_factory=list)
     _pool_fees: int = field(init=False, default=0)
     _pool_view: ShardView | None = field(init=False, default=None)
@@ -286,85 +290,70 @@ class FullNode:
     def _check_close(self, block: Block, root: bytes, fees: int) -> None:
         """The checks of an opened block's coinbase: it pays at most the
         subsidy plus ``fees`` and commits ``root``, the opened body's."""
-        height = block.header.height
-        check_coinbase_value(block.transactions[0], self.params.subsidy, fees, height)
-        if self.check_commitments and commitment_of(block) != root:
-            raise ValidationError("utxo-root-mismatch", height=height)
+        check_coinbase_value(block.transactions[0], self.params.subsidy, fees,
+                             block.header.height)
+        if self.check_commitments:
+            check_commitment(block, root)
 
     # -- mempool ------------------------------------------------------------
 
     def submit_transaction(self, tx: Transaction) -> None:
-        """Validate against the tip, as the next block sees it, plus the
-        pool, then queue; a tx already pooled is left as it is. A tx that
-        would leave a shard of the next block over its coin limit is
-        ``shard-overflow``: no block could carry the pool with it."""
+        """Admit a tx to the pool if it fits the tip plus the pool; a tx
+        already pooled is left as it is. A tx that would leave a shard of
+        the next block over its coin limit is ``shard-overflow``: no
+        block could carry the pool with it."""
+        self._admit(tx)
+
+    def _admit(self, tx: Transaction, signed=frozenset()) -> None:
+        """The one admission step: unless ``tx`` is pooled already,
+        validate it on the pool's view of the next block, absorb it
+        there, check the shard widths and pool it. Signatures of txs in
+        ``signed``, txids this node has verified, are not checked again.
+        A view that opening a block used up, or that took a tx too wide
+        for it, is built again by a refit of the pool first."""
         tx_id = txid(tx)
         if tx_id in self._pooled:
             return
         if self._pool_view is None:
-            self._pool_view = self._next_view(self._pool_txs)
+            self._refit(self.mempool, self._pooled)
         view = self._pool_view
-        fee = validate_transaction(tx, view)
+        fee = validate_transaction(tx, view, signed)
         self._pool_view = None  # the view takes the tx before its width is checked
         view.absorb(tx)
         view.check_width(self.params.size_cap)
+        self._pool_view = view
         self.mempool.append(tx)
         self._pooled.add(tx_id)
         self._pool_txs.append(tx)
         self._pool_fees += fee
-        self._pool_view = view
 
     def _tip_changed(self, applied: list[Block], orphaned: list[Block]) -> None:
         """After a tip change, drop the kept proofs (they never go stale;
-        dropping them bounds their memory) and refit the pool: pool the
-        orphaned payments (first) and pooled txs that the applied blocks
-        do not carry and that still fit. This node verified the orphaned
-        payments' signatures when it applied their block, so the refit
-        skips those checks as it does for pooled txs."""
+        dropping them bounds their memory) and refit the pool from the
+        orphaned payments (first) and the pooled txs that the applied
+        blocks do not carry. This node verified the orphaned payments'
+        signatures when it applied their block, so the refit skips those
+        checks as it does for pooled txs."""
         self._proofs.clear()
         mined = {txid(tx) for block in applied for tx in block.transactions[1:]}
         returned = [tx for block in orphaned for tx in block.transactions[1:]]
-        self.mempool, self._pool_fees = self._fitting(
-            [tx for tx in returned + self.mempool if txid(tx) not in mined],
-            self._pooled.union(map(txid, returned)))
-        self._pool_txs = list(self.mempool)
-        self._pooled = {txid(tx) for tx in self.mempool}
+        self._refit([tx for tx in returned + self.mempool if txid(tx) not in mined],
+                    self._pooled.union(map(txid, returned)))
+
+    def _refit(self, candidates, signed) -> None:
+        """Empty the pool onto a fresh view of the next block and admit
+        each candidate in order; a candidate refused drops out."""
+        self.mempool, self._pool_txs, self._pooled, self._pool_fees = [], [], set(), 0
+        self._pool_view = self.utxo.open(self.utxo.next_height)
+        for tx in candidates:
+            try:
+                self._admit(tx, signed)
+            except ValidationError:
+                pass
 
     def build_template(self) -> tuple[list[Transaction], int]:
-        """Mempool txs that fit together on the current tip (all of them),
-        plus total fees."""
-        return self._fitting(self.mempool, self._pooled)
-
-    def _fitting(self, txs, signed) -> tuple[list[Transaction], int]:
-        """The txs, in order, that are valid together on the current tip
-        and leave every shard within its coin limit, plus their total fees.
-        Signatures of txs in ``signed``, txids this node has verified,
-        are not checked again; those of any other tx are."""
-        view = self._next_view([])
-        selected = []
-        fees = 0
-        for tx in txs:
-            try:
-                fee = validate_transaction(tx, view, signed)
-            except ValidationError:
-                continue
-            view.absorb(tx)
-            try:
-                view.check_width(self.params.size_cap)
-            except ValidationError:
-                view = self._next_view(selected)  # a view cannot drop a tx it absorbed
-                continue
-            selected.append(tx)
-            fees += fee
-        return selected, fees
-
-    def _next_view(self, txs) -> ShardView:
-        """The store's view of the next block with ``txs``, valid there
-        together, absorbed; the store is left as it was."""
-        view = self.utxo.open(self.utxo.next_height)
-        for tx in txs:
-            view.absorb(tx)
-        return view
+        """The pool, which always fits the tip, and its total fees."""
+        return list(self._pool_txs), self._pool_fees
 
     # -- query services ------------------------------------------------------
 

@@ -75,19 +75,6 @@ def update_levels(levels: list[bytearray], changed: dict[int, bytes]) -> None:
 
 
 @dataclass(frozen=True)
-class MerkleTree:
-    levels: tuple[tuple[bytes, ...], ...]
-
-    @classmethod
-    def from_leaves(cls, leaves: list[bytes]) -> "MerkleTree":
-        return cls(levels=tuple(tuple(level) for level in build_levels(leaves)))
-
-    @property
-    def root(self) -> bytes:
-        return self.levels[-1][0]
-
-
-@dataclass(frozen=True)
 class PartialMerkleTree:
     total_leaves: int
     included: dict[int, bytes]          # leaf index -> leaf hash

@@ -12,9 +12,9 @@ header are built on the returned root and solved, and
 indexes the header (its one check) and seals the block in place. If
 anything fails, the body is undone and nothing is indexed. ``mine_on``
 mines the node's whole pool, which always fits the tip. The node keeps
-the pool as a view of the next block that its submits validated, and
+the pool as a view of the next block that admitted each pooled tx, and
 ``open_block`` commits that view, so each payment is validated once, at
-submission; on a node with no chain it mines the genesis
+admission; on a node with no chain it mines the genesis
 (``make_genesis``). The adversary's counterfeit blocks take the same path
 and the same proof of work. ``mine_block`` leaves the store it is given
 as it was: it previews the root (apply, then undo) and solves; a
@@ -153,7 +153,7 @@ def _next_height(node: FullNode) -> int:
 
 
 def node_template(node: FullNode, reward_key: bytes) -> BlockTemplate:
-    """Template extending the node's tip with the pool txs that fit there."""
+    """Template extending the node's tip with its pool, which fits there."""
     return template_on(node, *node.build_template(), reward_key)
 
 
@@ -182,7 +182,7 @@ def mine_txs(node: FullNode, txs, reward_key: bytes, seed: int = 0,
 def mine_on(node: FullNode, reward_key: bytes, seed: int = 0) -> Block:
     """Mine the node's whole pool, which always fits its tip, as
     :func:`mine_txs` does; the pool's own tx objects let ``open_block``
-    commit the view the submits built."""
+    commit the view that admission built."""
     return mine_txs(node, node.mempool, reward_key, seed)
 
 

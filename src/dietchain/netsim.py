@@ -145,37 +145,25 @@ class Adversary:
     transforms: dict[int, Callable[[bytes], bytes]] = field(default_factory=dict)
 
 
-class Bus:
-    def __init__(self, seed: int = 0):
-        self.rng = random.Random(seed)
-        self.services: dict[str, object] = {}
-        self.queues: dict[tuple[str, str], deque] = {}
-        self.trace: list[dict] = []
+class QuerySide:
+    """What a query needs of the bus: the services that answer queries,
+    the adversaries, and the trace with its sequence counter. A transport
+    holds this and not the bus, so no node on a bus refers back to it
+    and a finished bus is freed without the cycle collector."""
+
+    def __init__(self):
+        self.responders: dict[str, object] = {}
         self.adversaries: list[Adversary] = []
-        self._seq = 0
+        self.trace: list[dict] = []
+        self.seq = 0
 
-    def register(self, node_id: str, service) -> None:
-        if node_id in self.services:
-            raise ScenarioError(f"duplicate node id {node_id!r}")
-        self.services[node_id] = service
-        service.node_id = node_id
-
-    def attach_adversary(self, adversary: Adversary) -> None:
-        self.adversaries.append(adversary)
-
-    def _record(self, kind: str, **fields) -> dict:
-        event = {"seq": self._seq, "kind": kind, **fields}
-        self._seq += 1
-        self.trace.append(event)
-        return event
-
-    def note(self, kind: str, **fields) -> None:
-        """Trace a node-level event (verdicts, connects) between messages."""
-        self._record(kind, **fields)
+    def record(self, kind: str, **fields) -> None:
+        self.trace.append({"seq": self.seq, "kind": kind, **fields})
+        self.seq += 1
 
     def request(self, src: str, dst: str, msg_type: int, payload: bytes) -> bytes:
-        self._record("message", type=msg_type, src=src, dst=dst, bytes=len(payload))
-        responder = self.services[dst]
+        self.record("message", type=msg_type, src=src, dst=dst, bytes=len(payload))
+        responder = self.responders[dst]
         hijacked = False
         for adv in self.adversaries:
             if adv.victim == src and msg_type in adv.hijack and adv.shadow is not None:
@@ -187,9 +175,43 @@ class Bus:
             if adv.victim == src and resp_type in adv.transforms:
                 response = adv.transforms[resp_type](response)
                 hijacked = True
-        self._record("message", type=resp_type, src=dst, dst=src,
-                     bytes=len(response), intercepted=hijacked)
+        self.record("message", type=resp_type, src=dst, dst=src,
+                    bytes=len(response), intercepted=hijacked)
         return response
+
+
+class Bus:
+    def __init__(self, seed: int = 0):
+        self.rng = random.Random(seed)
+        self.services: dict[str, object] = {}
+        self.queues: dict[tuple[str, str], deque] = {}
+        self.queries = QuerySide()
+
+    @property
+    def trace(self) -> list[dict]:
+        return self.queries.trace
+
+    @property
+    def adversaries(self) -> list[Adversary]:
+        return self.queries.adversaries
+
+    def register(self, node_id: str, service) -> None:
+        if node_id in self.services:
+            raise ScenarioError(f"duplicate node id {node_id!r}")
+        self.services[node_id] = service
+        if hasattr(service, "handle_query"):  # a diet node's service would close a cycle
+            self.queries.responders[node_id] = service
+        service.node_id = node_id
+
+    def attach_adversary(self, adversary: Adversary) -> None:
+        self.adversaries.append(adversary)
+
+    def note(self, kind: str, **fields) -> None:
+        """Trace a node-level event (verdicts, connects) between messages."""
+        self.queries.record(kind, **fields)
+
+    def request(self, src: str, dst: str, msg_type: int, payload: bytes) -> bytes:
+        return self.queries.request(src, dst, msg_type, payload)
 
     def post(self, src: str, dst: str, msg_type: int, payload: bytes) -> None:
         self.queues.setdefault((src, dst), deque()).append((msg_type, payload))
@@ -202,7 +224,7 @@ class Bus:
             link = self.rng.choice(links)
             msg_type, payload = self.queues[link].popleft()
             src, dst = link
-            self._record("message", type=msg_type, src=src, dst=dst, bytes=len(payload))
+            self.queries.record("message", type=msg_type, src=src, dst=dst, bytes=len(payload))
             self.services[dst].handle_message(self, src, msg_type, payload)
 
 
@@ -241,31 +263,31 @@ class BusTransport:
     """Remote-query transport for light clients; returns (value, wire bytes)."""
 
     def __init__(self, bus: Bus, src: str, peer: str):
-        self.bus = bus
+        self.queries = bus.queries  # not the bus: see QuerySide
         self.src = src
         self.peer = peer
 
     def query_merkle_blocks(self, since: bytes, bloom: BloomFilter):
-        payload = self.bus.request(self.src, self.peer, MSG_QUERY_MERKLE_BLOCKS,
-                                   encode_merkle_blocks_request(since, bloom))
+        payload = self.queries.request(self.src, self.peer, MSG_QUERY_MERKLE_BLOCKS,
+                                       encode_merkle_blocks_request(since, bloom))
         return decode_merkle_blocks_response(payload), len(payload)
 
     def query_utxo_mroot(self, block_hash: bytes):
-        payload = self.bus.request(self.src, self.peer, MSG_QUERY_UTXO_MROOT, block_hash)
+        payload = self.queries.request(self.src, self.peer, MSG_QUERY_UTXO_MROOT, block_hash)
         r = Reader(payload)
         root = r.take(32)
         r.done()
         return root, len(payload)
 
     def query_block(self, block_hash: bytes):
-        payload = self.bus.request(self.src, self.peer, MSG_QUERY_BLOCK, block_hash)
+        payload = self.queries.request(self.src, self.peer, MSG_QUERY_BLOCK, block_hash)
         r = Reader(payload)
         block = read_block(r)
         r.done()
         return block, len(payload)
 
     def query_utxos(self, block_hash: bytes):
-        payload = self.bus.request(self.src, self.peer, MSG_QUERY_UTXOS, block_hash)
+        payload = self.queries.request(self.src, self.peer, MSG_QUERY_UTXOS, block_hash)
         return decode_utxos_response(payload), len(payload)
 
 
@@ -315,8 +337,11 @@ class ForgedChainBuilder:
                     f"replayed honest block failed: {result.reason}")
 
     def inject_coin(self, coin: Coin) -> None:
-        """Plant a coin the next counterfeit commitment will cover."""
+        """Plant a coin the next counterfeit commitment will cover. The
+        replica's pool view was opened without it, so it is dropped: the
+        next block opens a view of the store with the coin placed."""
         self.node.utxo.pending.append(coin)
+        self.node._pool_view = None
 
     def mine(self, txs: list[Transaction], reward_key: bytes,
              fake_commitment: bytes | None = None) -> Block:

@@ -104,8 +104,15 @@ def commitment_of(block: Block) -> bytes:
     for out in block.transactions[0].outputs:
         if out.kind == KIND_COMMITMENT:
             return out.payload
-    raise ValidationError("utxo-root-mismatch", "coinbase carries no commitment",
+    raise ValidationError("root-mismatch", "coinbase carries no commitment",
                           height=block.header.height)
+
+
+def check_commitment(block: Block, root: bytes) -> None:
+    """The block's coinbase must commit ``root``, the UTXO root after its
+    body; ``root-mismatch`` on both node kinds if it does not."""
+    if commitment_of(block) != root:
+        raise ValidationError("root-mismatch", height=block.header.height)
 
 
 def check_block_structure(block: Block) -> None:

@@ -53,8 +53,9 @@ so each block prunes only as many shards as one block touched. A split
 at ``p`` drops the coarser ``k``'s versions and kept tree. ``p`` becomes
 the ``floor``: ``state_before``, ``undo_block`` and ``rewind_to`` raise
 :class:`HistoryUnavailableError` for a state below it, and an undo does
-not lower it. The per-height logs (roots, bytes, touched shards, ``k``,
-splits) are small and stay whole.
+not lower it, so the pending list each block replaced is kept only for
+the heights above it. The per-height logs (roots, bytes, touched shards,
+``k``, splits) are small and stay whole.
 """
 
 from __future__ import annotations
@@ -318,7 +319,8 @@ class VersionedShardStore:
     # k -> (last height committed at k, packed tree at that height); one per split
     _frozen: dict[int, tuple[int, list[bytearray]]] = field(init=False, default_factory=dict)
     _coin_count: int = field(init=False, default=0)
-    _undo_pending: list[list[Coin]] = field(init=False, default_factory=list)  # per block
+    # the pending list each block above the floor replaced, oldest first
+    _undo_pending: list[list[Coin]] = field(init=False, default_factory=list)
 
     def __post_init__(self):
         if not 0 <= self.initial_k <= 32:
@@ -427,7 +429,8 @@ class VersionedShardStore:
         """Make ``height`` the floor, dropping the history no state at or
         above it needs: the versions that the shards written at
         ``height`` supersede or, if ``height`` split the tree, every
-        version and the kept tree of the coarser ``k``."""
+        version and the kept tree of the coarser ``k``; and the pending
+        lists of the heights up to it, which no undo can reach."""
         if height <= self.floor:
             return
         record = self.touched_log[height]
@@ -441,6 +444,7 @@ class VersionedShardStore:
                 key = (record.k, idx)
                 kept = self.versions[key]
                 self.versions[key] = kept[bisect.bisect_left(kept, (height,)):]
+        del self._undo_pending[:height - self.floor]
         self.floor = height
 
     def apply_body(self, txs: Iterable[Transaction], height: int) -> bytes:

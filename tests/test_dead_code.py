@@ -1,9 +1,10 @@
 """Dead-code check over ``src/dietchain``, with the standard library's ``ast``.
 
 Fails on an import that its module never uses (``__all__`` counts as a
-use) and on a private (single leading underscore) module-level function
+use), on a private (single leading underscore) module-level function
 or class, or a private method, that no module of the package references
-by name or attribute.
+by name or attribute, and on a private attribute that the package sets
+but never reads.
 """
 
 from __future__ import annotations
@@ -91,3 +92,27 @@ def test_every_private_definition_is_referenced():
                         and _is_private(item.name) and item.name not in referenced):
                     unreferenced.append(f"{module}: {item.name}")
     assert unreferenced == []
+
+
+def test_every_private_attribute_is_read():
+    """A private attribute set through an attribute (``x._name = ...``) or
+    declared as a class field, and read nowhere in the package, is state
+    nothing uses. An augmented assignment reads its target."""
+    assigned: dict[str, str] = {}
+    read = set()
+    for module, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute):
+                read.add(node.target.attr)
+            if isinstance(node, ast.Attribute):
+                if isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+                elif _is_private(node.attr):
+                    assigned.setdefault(node.attr, module)
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                            and _is_private(item.target.id)):
+                        assigned.setdefault(item.target.id, module)
+    assert sorted(f"{module}: {name}" for name, module in assigned.items()
+                  if name not in read) == []

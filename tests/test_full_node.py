@@ -166,7 +166,7 @@ def test_tampered_commitment_rejected_by_full_node():
                    transactions=forged.transactions)
     result = node.connect_block(forged)
     assert not result.accepted
-    assert result.reason == "utxo-root-mismatch"
+    assert result.reason == "root-mismatch"
     # a node with commitment checks off takes the same block
     easy = FullNode(FAST, check_commitments=False)
     for h in node.headers.active_chain():
@@ -266,7 +266,7 @@ def test_reorg_rejects_branch_with_invalid_body():
     node.connect_block(forged1)
     result = node.connect_block(forged2)
     assert not result.accepted
-    assert result.reason == "utxo-root-mismatch"
+    assert result.reason == "root-mismatch"
     assert node.tip_hash == old_tip  # state restored
     assert (node.headers.active_chain(), store.root_log, store.touched_log, store.versions,
             store.pending, sorted(store.all_coins())) == before
@@ -302,7 +302,7 @@ def test_a_failed_reorg_forgets_sibling_branches_on_the_invalid_block():
     for block in (bad, b3, s3, b4):
         assert node.connect_block(block).status == "branch"
     result = node.connect_block(b5)  # heavier, and invalid at height 2
-    assert (result.status, result.reason, result.height) == ("rejected", "utxo-root-mismatch", 2)
+    assert (result.status, result.reason, result.height) == ("rejected", "root-mismatch", 2)
     for block in (s4, s5):  # s3's parent is forgotten, so s3 must be too
         result = node.connect_block(block)
         assert (result.status, result.reason) == ("rejected", "unknown-parent")
@@ -457,7 +457,7 @@ def test_rejected_commitment_leaves_the_store_untouched():
     header = assemble_block(template, store).header._replace(tx_mroot=tx_merkle_root(txs))
     header = header._replace(nonce=solve_pow(header, 1 << 20, seed=321))
     result = node.connect_block(Block(header=header, transactions=txs))
-    assert result.reason == "utxo-root-mismatch"
+    assert result.reason == "root-mismatch"
     assert node.utxo is store
     assert (store.height, store.utxo_root(), store.root_log, store.versions,
             store.pending, sorted(store.all_coins())) == before
@@ -539,7 +539,7 @@ def test_a_rejected_genesis_leaves_an_empty_node_that_takes_the_real_one():
         nonce=solve_pow(junk.header, 1 << 20, seed=329)))
     node = FullNode(FAST)
     result = node.connect_block(junk)
-    assert (result.status, result.reason, result.height) == ("rejected", "utxo-root-mismatch", 0)
+    assert (result.status, result.reason, result.height) == ("rejected", "root-mismatch", 0)
     assert (node.headers.headers, node.headers.work, node.headers.tip) == ({}, {}, None)
     assert node.headers.active_chain() == [] and node.blocks == {}
     assert node.utxo.height is None and node.utxo.pending == []
@@ -723,7 +723,9 @@ def _assert_pool_view_is_fresh(node: FullNode) -> None:
     view = node._pool_view
     if view is None:
         return
-    fresh = node._next_view(node.mempool)
+    fresh = node.utxo.open(node.utxo.next_height)
+    for tx in node.mempool:
+        fresh.absorb(tx)
     assert (view.k, view.coin_count, view.height) == (fresh.k, fresh.coin_count, fresh.height)
     assert {i: list(view.edited.get(i, coins)) for i, coins in view.shards.items()} == \
         {i: list(fresh.edited.get(i, coins)) for i, coins in fresh.shards.items()}
@@ -1037,7 +1039,7 @@ def test_a_failed_switch_across_a_split_leaves_the_pool_view_on_the_tip():
                        commitment=hash256(b"junk") if i == 2 else None) for i in range(3)]
     results = [node.connect_block(block) for block in branch]
     assert [(r.status, r.reason) for r in results] == \
-        [("branch", None), ("branch", None), ("rejected", "utxo-root-mismatch")]
+        [("branch", None), ("branch", None), ("rejected", "root-mismatch")]
     _assert_pool_view_is_fresh(node)
     for tx in paid:
         node.submit_transaction(_spend_to(coins_of(tx)[0], BOB, MALLORY.challenge))

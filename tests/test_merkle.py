@@ -9,7 +9,6 @@ import pytest
 
 from dietchain.errors import DecodeError, IncompleteProofError
 from dietchain.merkle import (
-    MerkleTree,
     PartialMerkleTree,
     build_levels,
     build_root,
@@ -49,8 +48,6 @@ def test_build_levels_shapes():
     rng = random.Random(11)
     levels = build_levels(_leaves(rng, 6))
     assert [len(level) for level in levels] == [6, 3, 2, 1]
-    tree = MerkleTree.from_leaves(_leaves(rng, 6))
-    assert tree.root == tree.levels[-1][0]
 
 
 def test_extract_partial_minimal_sibling_counts():

@@ -245,7 +245,7 @@ def _junk_root(make):
         miner, "template_on", lambda *a: _overpaying(template_on(*a)))),
     ("bad-target", lambda mp, node: mp.setattr(
         miner, "template_on", lambda *a: _off_target(template_on(*a)))),
-    ("utxo-root-mismatch", lambda mp, node: mp.setattr(
+    ("root-mismatch", lambda mp, node: mp.setattr(
         miner, "make_coinbase", _junk_root(make_coinbase))),
     ("pow-failure", lambda mp, node: mp.setattr(miner, "solve_pow", _failing_nonce)),
 ])

@@ -218,7 +218,7 @@ def test_injected_coin_spendable_on_forged_branch():
     # the honest node sees through the counterfeit commitment
     result = honest.connect_block(forged)
     assert not result.accepted
-    assert result.reason in ("utxo-root-mismatch", "missing-input")
+    assert result.reason in ("root-mismatch", "missing-input")
 
 
 def _forger(seed: int) -> tuple[FullNode, ForgedChainBuilder]:
@@ -239,7 +239,7 @@ def test_a_forged_block_charges_the_fee_of_a_tx_spending_an_in_block_parent():
     assert honest.connect_block(forged).accepted
 
 
-@pytest.mark.parametrize("code", ["missing-input", "utxo-root-mismatch"])
+@pytest.mark.parametrize("code", ["missing-input", "root-mismatch"])
 def test_a_forged_block_the_replica_rejects_leaves_the_replica_as_it_was(code):
     _, builder = _forger(82)
     spend = payment(builder.node, ALICE, [(CAROL.challenge, 5)])

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
+import weakref
 from pathlib import Path
 
 import pytest
@@ -53,6 +55,23 @@ def test_every_bundled_scenario_passes():
     for name, text in sorted(bundled.items()):
         run = run_scenario(json.loads(text))
         assert run.passed, f"{name}: {run.report['expectations']}"
+
+
+def test_a_dropped_run_frees_its_bus_and_nodes_without_the_cycle_collector():
+    """No reference cycle keeps a finished run alive: with the cycle
+    collector off, dropping each bundled scenario's run frees its bus and
+    every full and diet node on it."""
+    gc.disable()
+    try:
+        for name, text in sorted(cli.bundled_scenarios().items()):
+            run = run_scenario(json.loads(text))
+            state = run.state
+            refs = [weakref.ref(state.bus), *map(weakref.ref, state.full_nodes.values()),
+                    *(weakref.ref(service.diet) for service in state.diet_services.values())]
+            del run, state
+            assert sum(ref() is not None for ref in refs) == 0, name
+    finally:
+        gc.enable()
 
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "digests.json").read_text())

@@ -581,12 +581,35 @@ def _assert_bounded_history(store: VersionedShardStore, chain: list[Block]) -> N
         shards, partial = store.state_before(h, subset)
         assert (shards, partial) == fresh.state_before(h, subset)
         assert partial_root(partial) == store.root_log[h - 1]
+    assert len(store._undo_pending) == len(chain) - 1 - store.floor
     if store.floor >= 0:
         k_floor = store.k_at(store.floor)
         assert all(k >= k_floor for k, _ in store.versions)
         assert all(k >= k_floor for k in store._frozen)
         assert all(sum(h <= store.floor for h, _ in kept) <= 1
                    for kept in store.versions.values())
+
+
+def test_the_undo_record_is_bounded_by_the_floor(monkeypatch):
+    """A store keeps the pending list a block replaced only for the
+    heights an undo can reach: after 40 blocks under a horizon of 4 it
+    holds four, and undoing down to the floor restores each height's
+    pending list exactly."""
+    monkeypatch.setattr("dietchain.utxo.HISTORY_HORIZON", 4)
+    rng = random.Random(36)
+    store = VersionedShardStore(initial_k=0, size_cap=240)
+    pending = []  # the store's pending list after each height
+    for h in range(40):
+        store.apply_block(_next_block(store, rng), h)
+        pending.append(list(store.pending))
+        assert len(store._undo_pending) == min(h + 1, 4)
+    assert store.floor == 35
+    while store.height > store.floor:
+        store.undo_block()
+        assert store.pending == pending[store.height]
+    assert store._undo_pending == []
+    with pytest.raises(HistoryUnavailableError):
+        store.undo_block()
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
