@@ -41,10 +41,9 @@ KIND_COMMITMENT = 0x01
 
 HEADER_SIZE = 77
 COIN_SIZE = 76
-# A shard is a u16 coin count plus its coins. Under a cap smaller than a
-# shard of one coin the split rule settles only with more shards than
-# coins, and at a cap of 2 or less it splits without end.
-MIN_SIZE_CAP = 2 + COIN_SIZE
+# A shard is its coins' bytes. Under a cap smaller than one coin the
+# split rule settles only with more shards than coins.
+MIN_SIZE_CAP = COIN_SIZE
 
 # (field, lowest, highest) a ChainParams value may take
 _PARAM_LIMITS = (
@@ -147,26 +146,26 @@ class Reader:
             raise DecodeError("trailing bytes after value", self.offset)
 
 
-def _check_width(name: str, value: bytes, width: int) -> bytes:
+def _exact_width(name: str, value: bytes, width: int) -> bytes:
     if len(value) != width:
         raise ValueError(f"{name} must be {width} bytes, got {len(value)}")
     return value
 
 
 def encode_outpoint(o: OutPoint) -> bytes:
-    return _check_width("txid", o.txid, 32) + struct.pack("<I", o.index)
+    return _exact_width("txid", o.txid, 32) + struct.pack("<I", o.index)
 
 
 def encode_input(i: TxInput) -> bytes:
     return (
         encode_outpoint(i.prevout)
-        + _check_width("public_key", i.public_key, PUBLIC_KEY_SIZE)
-        + _check_width("signature", i.signature, SIGNATURE_SIZE)
+        + _exact_width("public_key", i.public_key, PUBLIC_KEY_SIZE)
+        + _exact_width("signature", i.signature, SIGNATURE_SIZE)
     )
 
 
 def encode_output(o: TxOutput) -> bytes:
-    return struct.pack("<QB", o.value, o.kind) + _check_width("payload", o.payload, 32)
+    return struct.pack("<QB", o.value, o.kind) + _exact_width("payload", o.payload, 32)
 
 
 def encode_transaction(tx: Transaction) -> bytes:
@@ -183,8 +182,8 @@ _HEADER = struct.Struct("<32s32sBQI")  # BlockHeader's fields in order
 def encode_header(h: BlockHeader) -> bytes:
     # "32s" pads or truncates silently, so the widths are checked first.
     if len(h.prev_hash) != 32 or len(h.tx_mroot) != 32:
-        _check_width("prev_hash", h.prev_hash, 32)
-        _check_width("tx_mroot", h.tx_mroot, 32)
+        _exact_width("prev_hash", h.prev_hash, 32)
+        _exact_width("tx_mroot", h.tx_mroot, 32)
     return _HEADER.pack(*h)
 
 

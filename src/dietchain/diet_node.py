@@ -34,7 +34,7 @@ from .errors import DecodeError, IncompleteProofError, InconsistentStateError, V
 from .headers import HeaderIndex
 from .merkle import PartialMerkleTree, build_root, contains, partial_root, update_in_place
 from .rules import check_block_structure, check_coinbase_value, check_commitment, connect_body
-from .utxo import Coin, ShardView, coins_of, shard_leaf_hash
+from .utxo import Coin, ShardView, coins_of
 
 
 @dataclass(frozen=True)
@@ -289,7 +289,7 @@ class DietNode:
         The served leaves are checked hashes of the served bytes, so only
         the shards the view returns are hashed again. A view that holds
         every shard (it may have split) rebuilds the whole tree."""
-        leaves = {idx: shard_leaf_hash(encoded)
+        leaves = {idx: hash256(encoded)
                   for idx, encoded in view.close(self.params.size_cap).items()}
         if len(view.shards) == 1 << view.k:
             return build_root([leaves[i] if i in leaves else tree.included[i]

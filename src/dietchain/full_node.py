@@ -14,10 +14,10 @@ store's own view of the tip, walking the body once, and one check of
 the coinbase's value and commitment closes it.
 
 A tx enters the pool by one admission step, which checks it against the
-tip plus the pool (the body rules and the shard-width check). A submit
-takes it, and so does every tx of the refit after a tip change (the
-node's own blocks included), which empties the pool and admits the
-orphaned payments and then the pooled txs the new blocks do not carry.
+tip plus the pool with the body rules. A submit takes it, and so does
+every tx of the refit after a tip change (the node's own blocks
+included), which empties the pool and admits the orphaned payments and
+then the pooled txs the new blocks do not carry.
 With a failed switch or own block leaving tip and pool as they were, the
 pool always fits the tip: the miner mines all of it, and
 ``build_template`` is the pool as it stands.
@@ -27,9 +27,8 @@ the pooled txs absorbed, kept with those tx objects in order and their
 fees. Admission validates and absorbs only its own tx there, and when
 the miner opens a block of exactly those objects, ``open_block`` commits
 the kept view with no second pass over the body. Any other body walks
-the body rules on a fresh view. Opening any block uses the kept view up,
-and a tx too wide for it spoils it; the next admission first refits the
-pool onto a fresh view.
+the body rules on a fresh view. Opening any block uses the kept view up;
+the next admission first refits the pool onto a fresh view.
 
 The store keeps ``utxo.HISTORY_HORIZON`` blocks of shard history below
 the tip, so the node can undo only to its floor. A heavier branch that
@@ -122,8 +121,8 @@ class FullNode:
     # admitted, their fees, and the store's view of the next block with them
     # absorbed, which the miner commits as the body. The view is None once a
     # block is opened (a tip change or failed switch opens one, and only the
-    # refit after a tip change opens a new view) and after a tx too wide for
-    # it; the next admission refits the pool onto a fresh view first
+    # refit after a tip change opens a new view); the next admission refits
+    # the pool onto a fresh view first
     _pool_txs: list[Transaction] = field(init=False, default_factory=list)
     _pool_fees: int = field(init=False, default=0)
     _pool_view: ShardView | None = field(init=False, default=None)
@@ -299,18 +298,15 @@ class FullNode:
 
     def submit_transaction(self, tx: Transaction) -> None:
         """Admit a tx to the pool if it fits the tip plus the pool; a tx
-        already pooled is left as it is. A tx that would leave a shard of
-        the next block over its coin limit is ``shard-overflow``: no
-        block could carry the pool with it."""
+        already pooled is left as it is."""
         self._admit(tx)
 
     def _admit(self, tx: Transaction, signed=frozenset()) -> None:
         """The one admission step: unless ``tx`` is pooled already,
         validate it on the pool's view of the next block, absorb it
-        there, check the shard widths and pool it. Signatures of txs in
-        ``signed``, txids this node has verified, are not checked again.
-        A view that opening a block used up, or that took a tx too wide
-        for it, is built again by a refit of the pool first."""
+        there and pool it. Signatures of txs in ``signed``, txids this
+        node has verified, are not checked again. A view that opening a
+        block used up is built again by a refit of the pool first."""
         tx_id = txid(tx)
         if tx_id in self._pooled:
             return
@@ -318,10 +314,7 @@ class FullNode:
             self._refit(self.mempool, self._pooled)
         view = self._pool_view
         fee = validate_transaction(tx, view, signed)
-        self._pool_view = None  # the view takes the tx before its width is checked
         view.absorb(tx)
-        view.check_width(self.params.size_cap)
-        self._pool_view = view
         self.mempool.append(tx)
         self._pooled.add(tx_id)
         self._pool_txs.append(tx)

@@ -20,6 +20,11 @@ Message types::
     0x05/0x06  query_block           block hash      | whole block
     0x07/0x08  query_utxos           block hash      | shards, shard proof
     0x10       block_announce        whole block     (no response)
+
+A ``utxos`` answer is a u16 shard count; per shard, in increasing index
+order, its index (u32), its coin count (u32) and its coins; then the
+partial tree. The shard's own bytes, which its leaf hashes, are the
+coins alone: the count frames them in the answer and is not stored.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .chain import (
+    COIN_SIZE,
     Block,
     ChainParams,
     Reader,
@@ -52,7 +58,7 @@ from .full_node import (
 )
 from .merkle import encode_partial, read_partial
 from .miner import mine_txs
-from .utxo import Coin, Shard, read_shard
+from .utxo import Coin, Shard, decode_shard
 
 MSG_QUERY_MERKLE_BLOCKS = 0x01
 MSG_MERKLE_BLOCKS = 0x02
@@ -111,15 +117,18 @@ def decode_merkle_blocks_response(payload: bytes) -> MerkleBlocksResponse:
 def encode_utxos_response(resp: UtxosResponse) -> bytes:
     parts = [struct.pack("<H", len(resp.shards))]
     for idx in sorted(resp.shards):
-        parts.append(struct.pack("<I", idx))
-        parts.append(resp.shards[idx].encoded)
+        encoded = resp.shards[idx].encoded
+        parts.append(struct.pack("<II", idx, len(encoded) // COIN_SIZE))
+        parts.append(encoded)
     parts.append(encode_partial(resp.tree))
     return b"".join(parts)
 
 
 def decode_utxos_response(payload: bytes) -> UtxosResponse:
-    """Decode a shard proof; shard indices must strictly increase, so
-    only the one canonical encoding of an answer decodes."""
+    """Decode a shard proof; shard indices must strictly increase and
+    each shard's coins must come in order, so only the one canonical
+    encoding of an answer decodes. A count past the answer's end is a
+    DecodeError before anything is allocated for it."""
     r = Reader(payload)
     shards: dict[int, Shard] = {}
     last = -1
@@ -127,7 +136,7 @@ def decode_utxos_response(payload: bytes) -> UtxosResponse:
         idx = r.u32()
         if idx <= last:
             raise DecodeError("shard indices not strictly increasing", r.offset - 4)
-        shards[idx] = read_shard(r, idx)
+        shards[idx] = decode_shard(r.take(COIN_SIZE * r.u32()), idx)
         last = idx
     tree = read_partial(r)
     r.done()

@@ -505,8 +505,10 @@ def run_scenario(source, seed_override: int | None = None) -> ScenarioRun:
         last = service.results[-1] if service.results else None
         queries[node_id] = {
             "verdicts": verdicts,
+            # both over the whole run: the node's byte counts are running totals,
+            # and each update lists the heights it verified
             "bytes_by_type": dict(last.bytes_by_type) if last else {},
-            "per_height": list(last.per_height) if last else [],
+            "per_height": [entry for result in service.results for entry in result.per_height],
         }
 
     report = {

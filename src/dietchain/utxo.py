@@ -16,9 +16,9 @@ implementation of each, which the store and a diet node both run:
   it; they are parked in ``pending`` and placed first when the next
   block opens its view: spendable at once, committed one block later.
 
-* When total serialized shard bytes exceed ``size_cap`` per shard on
-  average, ``k`` increments (splitting every shard in two) until the
-  average fits. The split runs before root computation, so committed
+* When the coins' bytes exceed ``size_cap`` per shard on average,
+  ``k`` increments (splitting every shard in two) until the average
+  fits. The split runs before root computation, so committed
   roots always describe the post-split tree, and it is a pure function
   of the coin set, so any verifier holding all shards can replay it.
 
@@ -45,6 +45,9 @@ height costs O((|indices| + shards changed since) * k) hashes, not a
 rebuild over all ``2**k`` leaves. History holds each shard version as
 its wire bytes, and a proof serves them as they are: a :class:`Shard` is
 an index and its encoding, decoded only where a reader needs its coins.
+A shard's encoding is its coins' bytes alone, in outpoint order, and its
+leaf hash is the hash of those bytes (of ``b""`` for an empty shard); it
+carries no count, so no rule limits how many coins a shard holds.
 
 History is bounded. Committing height ``h`` prunes height
 ``p = h - HISTORY_HORIZON``: the versions that the shards written at
@@ -63,18 +66,15 @@ from __future__ import annotations
 import bisect
 import copy
 import struct
-from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .chain import COIN_SIZE, KIND_PAYMENT, MIN_SIZE_CAP, OutPoint, Reader, Transaction, txid
+from .chain import COIN_SIZE, KIND_PAYMENT, MIN_SIZE_CAP, OutPoint, Transaction, txid
 from .crypto import hash256
-from .errors import DecodeError, HistoryUnavailableError, InconsistentStateError, ValidationError
+from .errors import DecodeError, HistoryUnavailableError, InconsistentStateError
 from .merkle import PartialMerkleTree, pack_levels, partial_from_levels, update_levels
 
-EMPTY_SHARD_BYTES = b"\x00\x00"
-MAX_SHARD_COINS = 0xFFFF  # a shard's wire encoding counts its coins in a u16
 # Blocks of shard history a store keeps below its tip: Bitcoin Core's
 # pruned minimum (MIN_BLOCKS_TO_KEEP). Node policy, not consensus; at least 1.
 HISTORY_HORIZON = 288
@@ -95,11 +95,6 @@ def shard_key(tx_id: bytes, k: int) -> int:
     return int.from_bytes(tx_id[:4], "big") >> (32 - k)
 
 
-def shard_set_bytes(k: int, coin_count: int) -> int:
-    """Serialized bytes of all ``2**k`` shards holding ``coin_count`` coins."""
-    return 2 * (1 << k) + COIN_SIZE * coin_count
-
-
 def coins_of(tx: Transaction) -> list[Coin]:
     """The spendable coins a transaction creates (payment outputs only)."""
     tid = txid(tx)
@@ -118,27 +113,18 @@ def encode_coin(c: Coin) -> bytes:
 
 
 def encode_shard_coins(coins: list[Coin]) -> bytes:
-    """A shard's wire bytes: a u16 coin count, then each coin packed in
-    one call (txids and challenges are always 32 bytes)."""
+    """A shard's wire bytes: its coins, each packed in one call (txids
+    and challenges are always 32 bytes)."""
     pack = _COIN.pack
-    return struct.pack("<H", len(coins)) + b"".join(
-        [pack(outpoint.txid, outpoint.index, value, challenge)
-         for outpoint, value, challenge in coins])
-
-
-def shard_leaf_hash(encoded: bytes) -> bytes:
-    """Leaf hash of a serialized shard; an empty shard hashes as the
-    empty byte string, not as its two count bytes."""
-    if encoded == EMPTY_SHARD_BYTES:
-        return hash256(b"")
-    return hash256(encoded)
+    return b"".join([pack(outpoint.txid, outpoint.index, value, challenge)
+                     for outpoint, value, challenge in coins])
 
 
 @dataclass(frozen=True, slots=True)
 class Shard:
-    """One shard as it travels: its index and its wire bytes (a u16 coin
-    count, then the coins in outpoint order). The store serves the bytes
-    it keeps, so serving decodes nothing."""
+    """One shard as it travels: its index and its wire bytes (its coins
+    in outpoint order). The store serves the bytes it keeps, so serving
+    decodes nothing."""
     index: int
     encoded: bytes
 
@@ -150,31 +136,22 @@ class Shard:
     def coins(self) -> tuple[Coin, ...]:
         """The coins, decoded from the wire bytes on each call."""
         return tuple(Coin(OutPoint(tid, n), value, challenge)
-                     for tid, n, value, challenge in _COIN.iter_unpack(self.encoded[2:]))
+                     for tid, n, value, challenge in _COIN.iter_unpack(self.encoded))
 
     @property
     def leaf_hash(self) -> bytes:
-        return shard_leaf_hash(self.encoded)
-
-
-def read_shard(r: Reader, index: int) -> Shard:
-    """Read one serialized shard from a reader positioned at its count.
-    Its coins must come in order; their raw fields order as the coins do,
-    so the check builds no Coin."""
-    start = r.offset
-    r.take(COIN_SIZE * r.u16())
-    shard = Shard(index, r.data[start:r.offset])
-    records = list(_COIN.iter_unpack(memoryview(shard.encoded)[2:]))
-    if any(a > b for a, b in zip(records, records[1:])):
-        raise DecodeError("shard coins out of order", r.offset)
-    return shard
+        return hash256(self.encoded)
 
 
 def decode_shard(data: bytes, index: int) -> Shard:
-    r = Reader(data)
-    shard = read_shard(r, index)
-    r.done()
-    return shard
+    """A shard from its wire bytes, which must be whole coins in order;
+    their raw fields order as the coins do, so the check builds no Coin."""
+    if len(data) % COIN_SIZE:
+        raise DecodeError("shard bytes are not whole coins", len(data))
+    records = list(_COIN.iter_unpack(data))
+    if any(a > b for a, b in zip(records, records[1:])):
+        raise DecodeError("shard coins out of order", len(data))
+    return Shard(index, data)
 
 
 class ShardView:
@@ -241,31 +218,16 @@ class ShardView:
         bit. Only a view that holds every shard splits."""
         k = self.k
         if len(self.shards) == 1 << self.k:
-            while shard_set_bytes(k, self.coin_count) > size_cap << k:
+            while COIN_SIZE * self.coin_count > size_cap << k:
                 if k == 32:
                     raise InconsistentStateError("shard key space exhausted")
                 k += 1
         return k
 
-    def check_width(self, size_cap: int) -> None:
-        """``shard-overflow`` if an edited shard, split as :meth:`close`
-        would split the view now, holds more coins than the u16 count of
-        the wire format. Costs O(edited shards): only a shard over the
-        limit is split to see where its coins would go."""
-        if max(map(len, self.edited.values()), default=0) <= MAX_SHARD_COINS:
-            return
-        k = self._split_k(size_cap)
-        for coins in self.edited.values():
-            if len(coins) > MAX_SHARD_COINS:
-                idx, n = Counter(shard_key(c.outpoint.txid, k) for c in coins).most_common(1)[0]
-                if n > MAX_SHARD_COINS:
-                    raise ValidationError("shard-overflow", f"shard {idx} would hold {n} "
-                                          f"coins, over {MAX_SHARD_COINS}", height=self.height)
-
     def close(self, size_cap: int) -> dict[int, bytes]:
         """Finish the block: the split (:meth:`_split_k`; each shard splits
-        by the txid bits it gains), then :meth:`check_width`. Returns the
-        encodings of the edited shards (all, after a split) by index."""
+        by the txid bits it gains). Returns the encodings of the edited
+        shards (all, after a split) by index."""
         k = self._split_k(size_cap)
         if k != self.k:
             split: dict[int, list[Coin]] = {i: [] for i in range(1 << k)}
@@ -273,7 +235,6 @@ class ShardView:
                 for coin in self.edited.get(idx, coins):
                     split[shard_key(coin.outpoint.txid, k)].append(coin)
             self.k, self.shards, self.edited = k, split, split
-        self.check_width(size_cap)
         return {idx: encode_shard_coins(self.edited[idx]) for idx in sorted(self.edited)}
 
 
@@ -326,10 +287,10 @@ class VersionedShardStore:
         if not 0 <= self.initial_k <= 32:
             raise ValueError("initial_k must be in [0, 32]")
         if self.size_cap < MIN_SIZE_CAP:
-            raise ValueError(f"size_cap must be at least {MIN_SIZE_CAP}, one coin's shard")
+            raise ValueError(f"size_cap must be at least {MIN_SIZE_CAP}, one coin")
         self.k = self.initial_k
         self.shards = {i: [] for i in range(1 << self.k)}
-        self._levels = pack_levels([shard_leaf_hash(EMPTY_SHARD_BYTES)] * (1 << self.k))
+        self._levels = pack_levels([hash256(b"")] * (1 << self.k))
 
     # -- current-state queries -------------------------------------------
 
@@ -347,7 +308,7 @@ class VersionedShardStore:
         yield from self.pending
 
     def total_shard_bytes(self) -> int:
-        return shard_set_bytes(self.k, self._coin_count)
+        return COIN_SIZE * self._coin_count
 
     def average_shard_bytes(self) -> float:
         return self.total_shard_bytes() / (1 << self.k)
@@ -390,8 +351,8 @@ class VersionedShardStore:
         for k in range(k_before, view.k):
             self.rebalance_log.append(RebalanceStep(
                 height=height, k_from=k, k_to=k + 1,
-                avg_before=shard_set_bytes(k, view.coin_count) / (1 << k),
-                avg_after=shard_set_bytes(k + 1, view.coin_count) / (1 << (k + 1)),
+                avg_before=COIN_SIZE * view.coin_count / (1 << k),
+                avg_after=COIN_SIZE * view.coin_count / (1 << (k + 1)),
             ))
         self.k, self._coin_count = view.k, view.coin_count
         self._undo_pending.append(self.pending)
@@ -401,7 +362,7 @@ class VersionedShardStore:
         for idx, encoded in encodings.items():
             key = (self.k, idx)
             self.versions[key] = self.versions.get(key, ()) + ((height, encoded),)
-            leaves[idx] = shard_leaf_hash(encoded)
+            leaves[idx] = hash256(encoded)
         if rebalanced:
             self.policy_log.append((height, self.k))
             self.shards = view.edited  # after a split the view's copies are every shard
@@ -510,7 +471,7 @@ class VersionedShardStore:
         else:
             live = [coin for idx in record.indices for coin in self.shards[idx]]
             reloaded = self._reload(record.indices, height - 1, live)
-            update_levels(self._levels, {i: shard_leaf_hash(enc) for i, enc in reloaded.items()})
+            update_levels(self._levels, {i: hash256(enc) for i, enc in reloaded.items()})
         self.pending = self._undo_pending.pop()
         self.height = height - 1 if height else None
 
@@ -564,11 +525,11 @@ class VersionedShardStore:
         encodings = {i: self._version_at(kb, i, height - 1) for i in since | include}
         if since:
             levels = [bytearray(level) for level in levels]
-            update_levels(levels, {i: shard_leaf_hash(encodings[i]) for i in since})
+            update_levels(levels, {i: hash256(encodings[i]) for i in since})
         return {i: Shard(i, encodings[i]) for i in indices}, partial_from_levels(levels, include)
 
     def _version_at(self, k: int, index: int, height: int) -> bytes:
         for h, encoded in reversed(self.versions.get((k, index), ())):
             if h <= height:
                 return encoded
-        return EMPTY_SHARD_BYTES
+        return b""

@@ -52,11 +52,11 @@ def _oracle_root(coins: list[Coin], k: int) -> bytes:
         buckets[shard_key(coin.outpoint.txid, k)].append(coin)
     leaves = []
     for i in range(1 << k):
-        blob = struct.pack("<H", len(buckets[i]))
+        blob = b""
         for c in sorted(buckets[i]):
             blob += (c.outpoint.txid + struct.pack("<IQ", c.outpoint.index, c.value)
                      + c.challenge)
-        leaves.append(_h(b"") if len(blob) == 2 else _h(blob))
+        leaves.append(_h(blob))
     while len(leaves) > 1:
         leaves = [_h(leaves[i] + leaves[i + 1]) for i in range(0, len(leaves), 2)]
     return leaves[0]

@@ -253,12 +253,12 @@ def test_header_hash_is_double_sha_of_encoding():
     ("target_bits", "8"), ("size_cap", 1024.0),
 ])
 def test_params_outside_the_wire_limits_are_refused(field, value):
-    # Construction only: a block under such params could split without end.
+    # Construction only: under such a cap a block needs more shards than coins.
     with pytest.raises(ValueError, match=field):
         ChainParams(**{field: value})
 
 
 def test_params_at_the_wire_limits_are_accepted():
-    assert MIN_SIZE_CAP == 78
+    assert MIN_SIZE_CAP == 76
     ChainParams(target_bits=0, subsidy=0, size_cap=MIN_SIZE_CAP, initial_k=0)
     ChainParams(target_bits=255, subsidy=(1 << 64) - 1, size_cap=1 << 40, initial_k=32)

@@ -4,6 +4,7 @@ very same bytes, or raise DecodeError; no other exception gets out."""
 
 from __future__ import annotations
 
+import random
 import struct
 
 import pytest
@@ -11,6 +12,8 @@ from conftest import FAST, key_of, mined_node, payment
 from hypothesis import given, settings, strategies as st
 
 from dietchain.chain import (
+    COIN_SIZE,
+    OutPoint,
     block_hash,
     decode_block,
     decode_header,
@@ -32,7 +35,7 @@ from dietchain.netsim import (
     encode_merkle_blocks_response,
     encode_utxos_response,
 )
-from dietchain.utxo import Shard, decode_shard, encode_shard_coins
+from dietchain.utxo import Coin, Shard, decode_shard, encode_shard_coins
 
 ALICE = key_of("alice")
 PAYEES = [key_of(f"fuzz{i}") for i in range(3)]
@@ -46,7 +49,10 @@ def _honest_payloads() -> dict[str, bytes]:
     for key in PAYEES[:2]:
         bloom.add(key.public_key)
         bloom.add(hash256(key.public_key))
-    utxos = node.serve_query_utxos(block_hash(block))
+    # the next block spends one of the payment's coins, so its pre-state
+    # proof serves the shard that holds all of them
+    node.submit_transaction(payment(node, PAYEES[0], [(ALICE.challenge, 1)]))
+    utxos = node.serve_query_utxos(block_hash(mine_on(node, ALICE.public_key, seed=902)))
     shard = max(utxos.shards.values(), key=lambda s: len(s.coins))
     return {
         "shard": shard.encoded,
@@ -159,10 +165,65 @@ def test_shards_in_any_order_round_trip_or_are_a_decode_error(order):
     shards = sorted(honest.shards.items())
     entries = [shards[j % len(shards)] for j in order]
     data = b"".join([struct.pack("<H", len(entries)),
-                     *(struct.pack("<I", i) + shard.encoded for i, shard in entries),
+                     *(struct.pack("<II", i, len(shard.coins)) + shard.encoded
+                       for i, shard in entries),
                      encode_partial(honest.tree)])
     try:
         again = ROUND_TRIPS["utxos"](data)
     except DecodeError:
         return
     assert again == data
+
+
+# The framing of a shard in a utxos answer: index (u32), coin count (u32),
+# coins. The first shard's count sits after the u16 shard count and its index.
+
+def _with_first_count(data: bytes, count: int) -> bytes:
+    return data[:6] + struct.pack("<I", count) + data[10:]
+
+
+def test_the_first_shards_count_is_where_the_framing_puts_it():
+    honest = decode_utxos_response(HONEST["utxos"])
+    first = honest.shards[min(honest.shards)]
+    assert struct.unpack_from("<HII", HONEST["utxos"]) == \
+        (len(honest.shards), first.index, len(first.coins))
+
+
+@pytest.mark.parametrize("count", ["one past the end", 0xFFFFFFFF])
+def test_a_shard_count_overrunning_the_answer_is_a_decode_error(count):
+    """A count whose coins would run past the answer's end is refused
+    before anything is read or allocated for it; a diet node turns it
+    into a ``peer-fault`` (``tests/test_diet_node.py``)."""
+    data = HONEST["utxos"]
+    if count == "one past the end":
+        count = (len(data) - 10) // COIN_SIZE + 1
+    with pytest.raises(DecodeError, match="truncated"):
+        decode_utxos_response(_with_first_count(data, count))
+
+
+def test_shard_coins_out_of_order_in_an_answer_are_a_decode_error():
+    honest = decode_utxos_response(HONEST["utxos"])
+    idx, shard = next((i, s) for i, s in sorted(honest.shards.items()) if len(s.coins) > 1)
+    coins = shard.coins
+    swapped = Shard(idx, encode_shard_coins([coins[1], coins[0], *coins[2:]]))
+    data = encode_utxos_response(UtxosResponse(shards={**honest.shards, idx: swapped},
+                                               tree=honest.tree))
+    with pytest.raises(DecodeError, match="out of order"):
+        decode_utxos_response(data)
+    with pytest.raises(DecodeError, match="out of order"):
+        decode_shard(swapped.encoded, idx)
+
+
+def test_a_shard_of_65536_coins_round_trips():
+    """One coin past what a u16 count could hold: the shard's own bytes
+    and a utxos answer serving it both decode to the same bytes."""
+    rng = random.Random(902)
+    coins = sorted(Coin(OutPoint(rng.randbytes(32), 0), 1, bytes(32)) for _ in range(1 << 16))
+    encoded = encode_shard_coins(coins)
+    assert len(encoded) == COIN_SIZE << 16
+    assert ROUND_TRIPS["shard"](encoded) == encoded
+    tree = decode_utxos_response(HONEST["utxos"]).tree
+    data = encode_utxos_response(UtxosResponse(shards={3: Shard(3, encoded)}, tree=tree))
+    assert struct.unpack_from("<HII", data) == (1, 3, 1 << 16)
+    assert decode_utxos_response(data).shards == {3: Shard(3, encoded)}
+    assert ROUND_TRIPS["utxos"](data) == data

@@ -8,6 +8,7 @@ from conftest import FAST, coins_owned, key_of, mined_node, payment, store_state
 from hypothesis import given, settings, strategies as st
 
 from dietchain.chain import (
+    COIN_SIZE,
     Block,
     ChainParams,
     KIND_PAYMENT,
@@ -26,9 +27,7 @@ from dietchain.merkle import encode_partial
 from dietchain.miner import (
     BlockTemplate,
     assemble_block,
-    block_on,
     mine_on,
-    mine_txs,
     node_template,
     solve_pow,
 )
@@ -37,6 +36,8 @@ from dietchain.netsim import (
     MSG_QUERY_MERKLE_BLOCKS,
     MSG_QUERY_UTXO_MROOT,
     MSG_QUERY_UTXOS,
+    MSG_UTXOS,
+    Adversary,
     Bus,
     BusTransport,
     FullNodeService,
@@ -389,40 +390,27 @@ def test_coinbase_overpay_in_window_is_bad_coinbase_value_on_both_nodes():
     assert _tip_verdicts(diet, 3) == {("rejected", "bad-coinbase-value", 3)}
 
 
-def test_a_shard_over_the_u16_coin_count_is_shard_overflow_on_both_nodes():
-    """A block that leaves a shard with more coins than its u16 count can
-    hold gets a verdict, not an encoding crash: the pool refuses the tx,
-    the miner refuses the block and leaves its node as it was, a full
-    node rejects it, and a diet node replaying it over an honest proof
-    rejects it with the same code."""
+def test_a_shard_past_a_u16_coin_count_is_accepted_on_both_nodes():
+    """A shard's encoding counts no coins, so no rule limits them: a
+    block that leaves 65,536 coins in the one shard of k = 0 is mined
+    and connected by a full node, and a diet node verifies the window
+    whose pre-state proof serves that shard."""
     params = ChainParams(target_bits=4, size_cap=6_000_000, initial_k=0)
-    honest = mined_node(params, ALICE, 2, seed=63)
-    lenient = _lenient_copy(honest)
-    coin = coins_owned(honest, ALICE)[0]
-    flood = _signed(ALICE, [coin.outpoint], [
+    miner = mined_node(params, ALICE, 2, seed=63)
+    flood = _signed(ALICE, [coins_owned(miner, ALICE)[0].outpoint], [
         TxOutput(value=0, kind=KIND_PAYMENT, payload=CAROL.challenge)] * 0xFFFF)
-    before = store_state(honest.utxo)
-    with pytest.raises(ValidationError) as info:
-        honest.submit_transaction(flood)
-    assert (info.value.code, info.value.height) == ("shard-overflow", 2)
-    assert honest.mempool == []
-    with pytest.raises(ValidationError) as info:
-        mine_txs(honest, [flood], ALICE.public_key, seed=163)
-    assert (info.value.code, info.value.height) == ("shard-overflow", 2)
-    assert store_state(honest.utxo) == before and honest.tip_height == 1
+    miner.submit_transaction(flood)
+    mine_on(miner, ALICE.public_key, seed=163)
+    miner.submit_transaction(_pay(coins_owned(miner, ALICE)[0], CAROL.challenge, 6))
+    mine_on(miner, ALICE.public_key, seed=164)
+    follower = _lenient_copy(miner)
+    assert store_state(follower.utxo) == store_state(miner.utxo)
 
-    template = BlockTemplate(
-        parent_hash=honest.tip_hash, height=2, target_bits=params.target_bits,
-        transactions=(flood,), reward_key=ALICE.public_key,
-        reward_value=params.subsidy + coin.value)
-    block = _solved(block_on(template, bytes(32)), seed=163)
-    result = honest.connect_block(block)
-    assert (result.status, result.reason) == ("rejected", "shard-overflow")
-    assert store_state(honest.utxo) == before
-
-    lenient.plant(block)
-    diet = _wire(lenient, WATCH_CAROL)
-    assert _tip_verdicts(diet, 2) == {("rejected", "shard-overflow", 2)}
+    served = miner.serve_query_utxos(miner.tip_hash)
+    assert (miner.utxo.k, len(served.shards[0].coins)) == (0, 0x10000)
+    diet = _wire(miner, WATCH_CAROL)
+    assert {(v.height, v.status, v.first, v.last) for v in diet.update_chain().verdicts} == \
+        {(2, "diet-verified", 0, 2), (3, "diet-verified", 2, 3)}  # 3 replays on that shard
 
 
 def test_a_window_below_the_peers_floor_is_history_unavailable(monkeypatch):
@@ -525,9 +513,26 @@ class _ShardTwiceService(FullNodeService):
         order.insert(0, order[0])
         parts = [struct.pack("<H", len(order))]
         for idx in order:
-            parts += [struct.pack("<I", idx), resp.shards[idx].encoded]
+            encoded = resp.shards[idx].encoded
+            parts += [struct.pack("<II", idx, len(encoded) // COIN_SIZE), encoded]
         parts.append(encode_partial(resp.tree))
         return b"".join(parts)
+
+
+def test_a_shard_count_overrunning_the_answer_is_a_peer_fault():
+    """A peer that frames its first shard with a coin count past the
+    end of its answer gets ``peer-fault`` at the block asked about."""
+    node = mined_node(FAST, ALICE, 4, seed=66)
+    node.submit_transaction(payment(node, ALICE, [(CAROL.challenge, 6)]))
+    mine_on(node, ALICE.public_key, seed=166)
+    bus = Bus(seed=7)
+    bus.register("peer", FullNodeService(node))
+    bus.attach_adversary(Adversary(victim="client", transforms={
+        MSG_UTXOS: lambda data: data[:6] + struct.pack("<I", 0xFFFFFFFF) + data[10:]}))
+    diet = DietNode(FAST, WATCH_CAROL, BusTransport(bus, "client", "peer"))
+    (verdict,) = diet.update_chain().verdicts
+    assert (verdict.status, verdict.reason) == ("rejected", "peer-fault")
+    assert verdict.fail_height == verdict.first + 1
 
 
 def test_a_shard_served_twice_is_a_peer_fault():

@@ -41,7 +41,7 @@ from dietchain.miner import (
     solve_pow,
 )
 from dietchain.rules import commitment_of, signed_spend, tx_merkle_root, validate_transaction
-from dietchain.utxo import MAX_SHARD_COINS, coins_of
+from dietchain.utxo import coins_of
 
 ALICE = key_of("alice")
 BOB = key_of("bob")
@@ -733,7 +733,7 @@ def _assert_pool_view_is_fresh(node: FullNode) -> None:
 
 # -- the miner commits the pool's view --------------------------------------------
 
-# submits drawn more often than the rest; floods fill a shard near its width
+# submits drawn more often than the rest; floods spend one coin to many outputs
 KEPT_VIEW_STEPS = ["valid"] * 3 + ["chained"] * 2 + [
     "conflicting", "badly-signed", "flood", "flood", "mine", "mine", "mine", "rival-wins",
     "rival-invalid"]
@@ -745,14 +745,13 @@ KEPT_VIEW_STEPS = ["valid"] * 3 + ["chained"] * 2 + [
                       min_size=8, max_size=30))
 def test_mining_the_kept_pool_view_matches_a_full_body_pass(width, steps):
     """Random submits (valid, chained, conflicting, badly signed, and
-    floods near a shard's coin limit, here shrunk to ``width``), heavier
-    and failing rival branches, and blocks mined with ``mine_on``. Each
-    block is mined twice from the same state: by the node, committing
-    the view its pool keeps without a validation, and by a replica whose
-    view is dropped, which walks the body. Both give the same block
-    bytes, store and pool."""
+    floods of up to ``width`` outputs), heavier and failing rival
+    branches, and blocks mined with ``mine_on``. Each block is mined
+    twice from the same state: by the node, committing the view its pool
+    keeps without a validation, and by a replica whose view is dropped,
+    which walks the body. Both give the same block bytes, store and
+    pool."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("dietchain.utxo.MAX_SHARD_COINS", width)
         validations = []
         for module in (rules, full_node):
             real = module.validate_transaction
@@ -767,19 +766,14 @@ def test_mining_the_kept_pool_view_matches_a_full_body_pass(width, steps):
                 key = rng.choice(list(POOL_KEYS.values())).public_key
                 kept, pool = node._pool_view is not None, list(node.mempool)
                 validations.clear()
-                mined = _mine_outcome(node, key, seed)
+                mined = encode_block(mine_on(node, key, seed=seed))
                 assert validations == ([] if kept else pool)
-                assert _mine_outcome(replica, key, seed) == mined
+                assert encode_block(mine_on(replica, key, seed=seed)) == mined
                 assert store_state(replica.utxo) == store_state(node.utxo)
                 assert replica.mempool == node.mempool
             elif kind.startswith("rival"):
-                try:
-                    branch = _rival_branch(node, rng, kind == "rival-wins",
-                                           kind == "rival-invalid")
-                except ValidationError as exc:
-                    assert exc.code == "shard-overflow"  # the rival's block, not the node's
-                    branch = []
-                for block in branch:
+                for block in _rival_branch(node, rng, kind == "rival-wins",
+                                           kind == "rival-invalid"):
                     node.connect_block(block)
             else:
                 tx = _pool_spend(node, rng, "valid", rng.randrange(width // 2, width)) \
@@ -789,23 +783,9 @@ def test_mining_the_kept_pool_view_matches_a_full_body_pass(width, steps):
                         node.submit_transaction(tx)
                 except ValidationError as exc:
                     assert exc.code == {"conflicting": "missing-input",
-                                        "badly-signed": "ownership-failure"}.get(
-                                            kind, "shard-overflow")
+                                        "badly-signed": "ownership-failure"}.get(kind)
             _assert_pool_view_is_fresh(node)
             _assert_coins_replay(node)
-
-
-def _mine_outcome(node: FullNode, reward_key: bytes, seed: int) -> bytes | str:
-    """The mined block's bytes, or the code of the error that left the
-    store as it was. A block that leaves a shard full to its limit can
-    leave no room for its own reward coin in the next block, so a mine
-    may fail with ``shard-overflow`` on an empty pool."""
-    before = store_state(node.utxo)
-    try:
-        return encode_block(mine_on(node, reward_key, seed=seed))
-    except ValidationError as exc:
-        assert store_state(node.utxo) == before
-        return exc.code
 
 
 def test_one_submit_hashes_the_same_at_any_pool_size():
@@ -834,7 +814,7 @@ def test_one_submit_hashes_the_same_at_any_pool_size():
     assert hashes[100] == hashes[1000] == 3  # the txid, the sighash, the key
 
 
-# -- the pool refuses what no block could carry ------------------------------------
+# -- a shard has no coin limit ----------------------------------------------------
 
 WIDE = ChainParams(target_bits=4, size_cap=6_000_000, initial_k=0)  # k = 0 up to ~78,900 coins
 
@@ -845,34 +825,31 @@ def _flood(coin, n_outputs: int, payee: bytes = BOB.challenge) -> Transaction:
                                                  payload=payee)] * n_outputs)
 
 
-@pytest.mark.parametrize("n_outputs", [MAX_SHARD_COINS - 1, MAX_SHARD_COINS])
-def test_the_pool_refuses_a_tx_that_would_overflow_the_next_blocks_shard(n_outputs):
+@pytest.mark.parametrize("n_outputs", [65_534, 65_535])
+def test_blocks_follow_a_flood_past_a_u16_coin_count(n_outputs):
     """At k = 0 the next block's one shard holds the parent's reward coin
-    plus the outputs: 65,534 outputs fill it to the u16 limit and are
-    mined; one more is ``shard-overflow`` at submission, so the pool never
-    holds a tx that no block can carry and the node keeps mining."""
+    plus the flood's outputs, and each later block adds its parent's
+    reward coin to it: 65,534 outputs leave 65,535 coins, which once
+    halted the chain, and 65,535 leave 65,536. A shard's encoding counts
+    no coins, so the pool admits either flood, and blocks 3 and 4
+    follow it."""
     node = mined_node(WIDE, ALICE, 2, seed=131)
     flood = _flood(coins_owned(node, ALICE)[0], n_outputs)
-    if n_outputs < MAX_SHARD_COINS:
-        node.submit_transaction(flood)
-        assert mine_on(node, ALICE.public_key, seed=231).transactions[1:] == (flood,)
-        assert len(node.utxo.shards[0]) == MAX_SHARD_COINS
-        return
-    with pytest.raises(ValidationError) as info:
-        node.submit_transaction(flood)
-    assert (info.value.code, info.value.height) == ("shard-overflow", 2)
-    assert node.mempool == []
+    node.submit_transaction(flood)
+    assert mine_on(node, ALICE.public_key, seed=231).transactions[1:] == (flood,)
+    assert len(node.utxo.shards[0]) == n_outputs + 1
     small = _spend_to(coins_owned(node, ALICE)[0], ALICE, BOB.challenge)
     node.submit_transaction(small)
-    assert mine_on(node, ALICE.public_key, seed=231).transactions[1:] == (small,)
-    assert mine_on(node, ALICE.public_key, seed=232).transactions[1:] == ()
-    assert node.tip_height == 3
+    assert mine_on(node, ALICE.public_key, seed=232).transactions[1:] == (small,)
+    assert mine_on(node, ALICE.public_key, seed=233).transactions[1:] == ()
+    assert (node.tip_height, node.utxo.k) == (4, 0)
+    _assert_coins_replay(node)
 
 
-def test_the_width_check_sees_the_split_the_next_block_makes():
-    """Two floods of 40,000 outputs would put 80,000 coins in the one
-    shard of k = 0, but together they take the next block to k = 1, where
-    each flood's coins go to the half its txid's first bit names."""
+def test_two_floods_split_the_one_shard_of_the_next_block():
+    """Two floods of 40,000 outputs put 80,000 coins in the one shard of
+    k = 0, past the cap, so the block that carries them splits to k = 1,
+    where each flood's coins go to the half its txid's first bit names."""
     params = ChainParams(target_bits=4, size_cap=4_000_000, initial_k=0)
     node = mined_node(params, ALICE, 3, seed=132)
     first, second = coins_owned(node, ALICE)[:2]
@@ -886,24 +863,6 @@ def test_the_width_check_sees_the_split_the_next_block_makes():
     mine_on(node, ALICE.public_key, seed=232)
     assert node.utxo.k == 1
     assert sorted(map(len, node.utxo.shards.values())) == [40_000, 40_001]
-
-
-def test_a_pooled_tx_a_new_block_leaves_no_room_for_drops_out_of_the_pool():
-    """A block from a peer fills the shard a pooled flood needs: the refit
-    drops the flood, keeps the small payment pooled after it, and the node
-    mines that payment."""
-    node = mined_node(WIDE, ALICE, 3, seed=133)
-    peer = FullNode(WIDE)
-    for hh in node.headers.active_chain():
-        assert peer.connect_block(node.blocks[hh]).accepted
-    first, second, third = coins_owned(node, ALICE)[:3]
-    small = _spend_to(third, ALICE, BOB.challenge)
-    node.submit_transaction(_flood(second, 30_000))
-    node.submit_transaction(small)
-    peer.submit_transaction(_flood(first, 40_000))
-    assert node.connect_block(mine_on(peer, BOB.public_key, seed=233)).accepted
-    assert node.mempool == [small]
-    assert mine_on(node, ALICE.public_key, seed=234).transactions[1:] == (small,)
 
 
 # -- bounded history: the floor on a full node ---------------------------------------

@@ -6,7 +6,7 @@ import struct
 import pytest
 from conftest import FAST, coins_owned, key_of, mined_node, payment, store_state
 
-from dietchain.chain import KIND_PAYMENT, TxOutput, encode_block
+from dietchain.chain import COIN_SIZE, KIND_PAYMENT, TxOutput, encode_block
 from dietchain.crypto import BloomFilter, hash256
 from dietchain.errors import DecodeError, ScenarioError
 from dietchain.full_node import FullNode, UtxosResponse
@@ -85,7 +85,8 @@ def test_utxos_response_decodes_only_in_increasing_shard_order():
     def payload(order):
         parts = [struct.pack("<H", len(order))]
         for idx in order:
-            parts += [struct.pack("<I", idx), shards[idx].encoded]
+            encoded = shards[idx].encoded
+            parts += [struct.pack("<II", idx, len(encoded) // COIN_SIZE), encoded]
         return b"".join(parts) + proof
 
     assert decode_utxos_response(payload(sorted(shards))).shards == shards

@@ -104,6 +104,45 @@ def test_bundled_scenarios_match_golden_digests():
     assert not mismatches, "\n".join(mismatches)
 
 
+VERDICTS_FILE = Path(__file__).parent / "golden" / "verdicts.json"
+
+
+def verdict_record(run) -> dict:
+    """What a change that moves only bytes must keep: each expectation
+    and whether it passed, and each node's verdicts as (status, reason):
+    a diet or SPV node's tx verdicts and a full node's connect results,
+    in the order they came."""
+    verdicts = {node_id: [[v["status"], v["reason"]] for v in info["verdicts"]]
+                for node_id, info in run.report["queries"].items()}
+    for event in run.trace:
+        if event["kind"] == "connect":
+            verdicts.setdefault(event["node"], []).append([event["status"], event["reason"]])
+    return {
+        "expectations": [[{k: v for k, v in e.items() if k not in ("pass", "detail")},
+                          e["pass"]] for e in run.report["expectations"]],
+        "verdicts": dict(sorted(verdicts.items())),
+    }
+
+
+def bundled_verdicts() -> dict:
+    return {name: {label: verdict_record(run_scenario(json.loads(text), seed_override=seed))
+                   for label, seed in (("default", None), ("7", 7))}
+            for name, text in sorted(cli.bundled_scenarios().items())}
+
+
+def test_bundled_scenarios_keep_their_pinned_verdicts():
+    """Every expectation outcome and every verdict of every bundled
+    scenario, at its own seed and at seed 7, is the pinned one. Unlike
+    the digests, these hold across a change that moves roots, txids or
+    bytes; rewrite them (``PYTHONPATH=src python tests/test_scenario.py``)
+    only when a scenario's outcome is meant to change."""
+    pinned = json.loads(VERDICTS_FILE.read_text())
+    got = json.loads(json.dumps(bundled_verdicts()))
+    assert sorted(got) == sorted(pinned)
+    for name in sorted(pinned):
+        assert got[name] == pinned[name], name
+
+
 def test_minimal_config_runs():
     run = run_scenario(_cfg())
     assert run.passed
@@ -112,6 +151,26 @@ def test_minimal_config_runs():
     assert report["chain"]["tip_height"] == 3
     verdicts = report["queries"]["carol-node"]["verdicts"]
     assert [v["status"] for v in verdicts] == ["diet-verified"]
+
+
+def test_per_height_covers_every_update_as_bytes_by_type_does():
+    """A diet node that verifies in two updates reports the heights of
+    both, so its per-height bytes add up to its running totals."""
+    cfg = _cfg(expect=[])
+    cfg["script"] += [
+        {"action": "pay", "label": "p2", "from": "alice", "to": "carol",
+         "amount": 5, "node": "full-1"},
+        {"action": "mine", "node": "full-1", "reward": "alice"},
+        {"action": "update", "nodes": ["carol-node"]},
+    ]
+    run = run_scenario(cfg)
+    results = run.state.diet_services["carol-node"].results
+    assert len(results) == 2 and all(result.per_height for result in results)
+    info = run.report["queries"]["carol-node"]
+    assert info["per_height"] == [entry for result in results for entry in result.per_height]
+    for key, query in (("utxos_bytes", "query_utxos"), ("block_bytes", "query_block")):
+        assert sum(entry.get(key, 0) for entry in info["per_height"]) == \
+            info["bytes_by_type"][query]
 
 
 def test_same_seed_same_bytes():
@@ -261,3 +320,7 @@ def test_cli_trace_writes_jsonl(tmp_path, capsys):
     assert lines, "trace should not be empty"
     kinds = {json.loads(line)["kind"] for line in lines}
     assert "message" in kinds and "verdict" in kinds
+
+
+if __name__ == "__main__":
+    VERDICTS_FILE.write_text(json.dumps(bundled_verdicts(), indent=1, sort_keys=True) + "\n")

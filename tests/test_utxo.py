@@ -24,7 +24,6 @@ from dietchain.merkle import build_root, extract_partial, partial_root
 from dietchain.miner import BlockTemplate, mine_block
 from dietchain.utxo import (
     COIN_SIZE,
-    EMPTY_SHARD_BYTES,
     HISTORY_HORIZON,
     Coin,
     Shard,
@@ -34,7 +33,6 @@ from dietchain.utxo import (
     encode_coin,
     encode_shard_coins,
     shard_key,
-    shard_leaf_hash,
 )
 from dietchain.chain import Block, BlockHeader
 
@@ -73,19 +71,23 @@ def test_coin_encoding_width_and_order():
 
 
 def test_empty_shard_leaf_hash_is_hash_of_empty_string():
-    assert shard_leaf_hash(EMPTY_SHARD_BYTES) == _h(b"")
-    assert shard_leaf_hash(EMPTY_SHARD_BYTES) != _h(EMPTY_SHARD_BYTES)
+    assert encode_shard_coins([]) == b""
+    assert Shard(0, b"").leaf_hash == _h(b"")
+    assert VersionedShardStore(initial_k=1).current_root == _h(_h(b"") + _h(b""))
 
 
 def test_shard_decode_checks_sortedness():
     a = Coin(OutPoint(b"\x02" * 32, 0), 5, bytes(32))
     b = Coin(OutPoint(b"\x01" * 32, 0), 5, bytes(32))
-    good = struct.pack("<H", 2) + encode_coin(b) + encode_coin(a)
+    good = encode_coin(b) + encode_coin(a)
+    assert good == encode_shard_coins([b, a])
     assert decode_shard(good, 0).coins == (b, a)
-    bad = struct.pack("<H", 2) + encode_coin(a) + encode_coin(b)
+    bad = encode_coin(a) + encode_coin(b)
     from dietchain.errors import DecodeError
-    with pytest.raises(DecodeError):
+    with pytest.raises(DecodeError, match="out of order"):
         decode_shard(bad, 0)
+    with pytest.raises(DecodeError, match="whole coins"):
+        decode_shard(good[:-1], 0)
 
 
 # -- synthetic chain helpers ---------------------------------------------------
@@ -139,7 +141,7 @@ class _FlatOracle:
         blobs = []
         for i in range(1 << k):
             coins = sorted(buckets[i])
-            blob = struct.pack("<H", len(coins))
+            blob = b""
             for c in coins:
                 blob += (c.outpoint.txid + struct.pack("<IQ", c.outpoint.index, c.value)
                          + c.challenge)
@@ -148,7 +150,7 @@ class _FlatOracle:
 
     @staticmethod
     def leaves(blobs: list[bytes]) -> list[bytes]:
-        return [_h(b"") if blob == struct.pack("<H", 0) else _h(blob) for blob in blobs]
+        return [_h(blob) for blob in blobs]
 
     def root(self, k: int) -> bytes:
         leaves = self.leaves(self.shard_blobs(k))
@@ -308,8 +310,8 @@ def test_split_refines_shards_and_halves_averages():
     assert store.k >= 3
 
     for step in store.rebalance_log:
-        # the 2-byte per-shard framing makes halving exact up to +1
-        assert step.avg_after == pytest.approx(step.avg_before / 2 + 1)
+        # a shard is its coins' bytes alone, so a split halves the average exactly
+        assert step.avg_after == step.avg_before / 2
         assert step.k_to == step.k_from + 1
 
     # every coin stays reachable under the refined key
@@ -425,7 +427,7 @@ def _assert_matches_replay(store: VersionedShardStore, chain: list[Block]) -> No
         fresh.apply_block(block, h)
         oracle.apply(block)
         committed.append(oracle.shard_blobs(store.k_at(h)))
-    leaves = [shard_leaf_hash(encode_shard_coins(store.shards[i])) for i in range(1 << store.k)]
+    leaves = [_h(encode_shard_coins(store.shards[i])) for i in range(1 << store.k)]
     assert store.current_root == build_root(leaves)
     assert sorted(c for coins in store.shards.values() for c in coins) == \
         sorted(oracle.committed.values())
@@ -529,12 +531,12 @@ def test_recent_state_before_rehashes_only_what_changed(monkeypatch):
     assert calls == []  # a split block's pre-state is the tree kept at the split
 
 
-@pytest.mark.parametrize("cap", [-1, 0, 2, 77])
+@pytest.mark.parametrize("cap", [-1, 0, 2, COIN_SIZE - 1])
 def test_store_refuses_a_cap_below_one_coin_shard(cap):
-    # Construction only: under such a cap a block could split without end.
+    # Construction only: under such a cap a block needs more shards than coins.
     with pytest.raises(ValueError, match="size_cap"):
         VersionedShardStore(initial_k=0, size_cap=cap)
-    VersionedShardStore(initial_k=0, size_cap=2 + COIN_SIZE)
+    VersionedShardStore(initial_k=0, size_cap=COIN_SIZE)
 
 
 # -- bounded history ---------------------------------------------------------------
