@@ -9,9 +9,10 @@ with the same seed produce byte-identical traces.
 An adversary owns one victim. It can divert the victim's queries to a
 shadow node serving a counterfeit branch, or rewrite individual
 responses in flight. Forged blocks are prepared up front by a builder
-that mines them as honest blocks are mined (``miner.mine_txs``) and
-charges each against a mining budget; nothing the adversary serves is
-exempt from the proof-of-work check.
+that starts from the honest node's state at the fork, mines them as
+honest blocks are mined (``miner.mine_txs``) and charges each against a
+mining budget; nothing the adversary serves is exempt from the
+proof-of-work check.
 
 Message types::
 
@@ -325,9 +326,11 @@ class DietNodeService:
 class ForgedChainBuilder:
     """Builds the counterfeit branch an adversary serves.
 
-    The builder replays an honest prefix into its own replica node, may
-    slip extra coins into the replica's not-yet-committed set (the seam
-    every forgery needs), and then mines counterfeit blocks with real
+    The builder starts its replica node from the honest node's own state
+    at the fork (its headers, its blocks and a copy of its store rewound
+    there, validated once already by the honest node), may slip extra
+    coins into the replica's not-yet-committed set (the seam every
+    forgery needs), and then mines counterfeit blocks with real
     proof-of-work, each solution charged against the mining budget.
     """
 
@@ -338,12 +341,21 @@ class ForgedChainBuilder:
         self.mined = 0
         self.node = FullNode(params, check_commitments=not accept_bad_commitments)
 
-    def replay(self, blocks: list[Block]) -> None:
-        for block in blocks:
-            result = self.node.connect_block(block)
-            if not result.accepted:
-                raise ScenarioError(
-                    f"replayed honest block failed: {result.reason}")
+    def replay(self, honest: FullNode, height: int) -> None:
+        """Make the replica ``honest``'s active chain up to ``height``:
+        index its headers, share its blocks, and take a copy of its store
+        rewound to ``height``. No block is validated again. The fork must
+        lie within the history the honest store keeps (at or above its
+        floor)."""
+        store = honest.utxo
+        if not max(store.floor, 0) <= height <= honest.tip_height:
+            raise ScenarioError(
+                f"cannot fork at height {height}: the honest node keeps the states of "
+                f"heights {max(store.floor, 0)} (its floor) to {honest.tip_height}")
+        for hh in honest.headers.active_chain()[:height + 1]:
+            self.node.blocks[self.node.headers.add(honest.headers.headers[hh])] = honest.blocks[hh]
+        self.node.utxo = store.clone()
+        self.node.utxo.rewind_to(height)
 
     def inject_coin(self, coin: Coin) -> None:
         """Plant a coin the next counterfeit commitment will cover. The

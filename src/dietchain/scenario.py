@@ -228,11 +228,6 @@ def _act_repeat(state: ScenarioState, step: dict) -> None:
             _run_step(state, inner)
 
 
-def _honest_blocks(state: ScenarioState) -> list:
-    ref = state.full(state.reference)
-    return [ref.blocks[h] for h in ref.headers.active_chain()]
-
-
 def _victim_challenges(state: ScenarioState, victims: list[str]) -> list[bytes]:
     challenges = []
     for victim in victims:
@@ -265,7 +260,8 @@ def _act_forge_commitment_tip(state: ScenarioState, step: dict) -> None:
     builder = ForgedChainBuilder(state.params, budget=1,
                                  seed=state.rng.getrandbits(32),
                                  accept_bad_commitments=True)
-    builder.replay(_honest_blocks(state))
+    ref = state.full(state.reference)
+    builder.replay(ref, ref.tip_height)
     owned = sorted(c for c in builder.node.utxo.all_coins()
                    if c.challenge == attacker.challenge)
     if not owned:
@@ -306,7 +302,8 @@ def _act_double_spend(state: ScenarioState, step: dict) -> None:
     attacker = state.key_by_public(spent_tx.inputs[0].public_key)
     builder = ForgedChainBuilder(state.params, budget=1,
                                  seed=state.rng.getrandbits(32))
-    builder.replay(_honest_blocks(state))
+    ref = state.full(state.reference)
+    builder.replay(ref, ref.tip_height)
     builder.inject_coin(coin)
     victims = step["victims"]
     lure = signed_spend(attacker, [coin],
@@ -326,7 +323,7 @@ def _act_forge_chain(state: ScenarioState, step: dict) -> None:
         raise ScenarioError("honest chain too short for that forge length")
     builder = ForgedChainBuilder(state.params, budget=forge_count,
                                  seed=state.rng.getrandbits(32))
-    builder.replay(_honest_blocks(state)[:fork + 1])
+    builder.replay(ref, fork)
     fake = Coin(
         outpoint=OutPoint(txid=state.rng.randbytes(32), index=0),
         value=step.get("amount", 40),

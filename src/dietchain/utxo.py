@@ -35,7 +35,9 @@ The history doubles as the undo log: ``undo_block`` drops the newest
 block's log entries and reloads the shards it changed from their
 previous versions; only the ``pending`` list each block replaced is kept
 apart. Previewing a root, dropping a block whose commitment is wrong and
-switching branches are all apply-then-undo; nothing copies the store.
+switching branches are all apply-then-undo; no block application copies
+the store. Only a forger's replica starts from a copy (``clone``), which
+copies the containers and shares the coins and encodings they hold.
 
 A split keeps the tree it replaces as the final tree of the coarser
 ``k``. ``state_before`` cuts a historical proof from the live tree or
@@ -498,8 +500,23 @@ class VersionedShardStore:
             self.undo_block()
 
     def clone(self) -> "VersionedShardStore":
-        """An independent deep copy; block application never needs one."""
-        return copy.deepcopy(self)
+        """An independent copy, for a node that starts from this one's
+        state (a forger's replica). Every container is copied, the packed
+        trees included; the coins, encodings and records they hold never
+        change in place and are shared."""
+        twin = copy.copy(self)
+        twin.shards = {idx: list(coins) for idx, coins in self.shards.items()}
+        twin.pending = list(self.pending)
+        twin.versions = dict(self.versions)
+        twin.root_log = dict(self.root_log)
+        twin.bytes_log = list(self.bytes_log)
+        twin.touched_log = dict(self.touched_log)
+        twin.policy_log = list(self.policy_log)
+        twin.rebalance_log = list(self.rebalance_log)
+        twin._levels = _copy_levels(self._levels)
+        twin._frozen = {k: (h, _copy_levels(levels)) for k, (h, levels) in self._frozen.items()}
+        twin._undo_pending = [list(replaced) for replaced in self._undo_pending]
+        return twin
 
     # -- history ----------------------------------------------------------
 
@@ -524,7 +541,7 @@ class VersionedShardStore:
         since = set().union(*(self.touched_log[h].indices for h in range(height, newest + 1)))
         encodings = {i: self._version_at(kb, i, height - 1) for i in since | include}
         if since:
-            levels = [bytearray(level) for level in levels]
+            levels = _copy_levels(levels)
             update_levels(levels, {i: hash256(encodings[i]) for i in since})
         return {i: Shard(i, encodings[i]) for i in indices}, partial_from_levels(levels, include)
 
@@ -533,3 +550,7 @@ class VersionedShardStore:
             if h <= height:
                 return encoded
         return b""
+
+
+def _copy_levels(levels: list[bytearray]) -> list[bytearray]:
+    return [bytearray(level) for level in levels]

@@ -1,17 +1,20 @@
 from __future__ import annotations
 
+import copy
 import random
 import struct
+from collections import Counter
 
 import pytest
 from conftest import FAST, coins_owned, key_of, mined_node, payment, store_state
 
-from dietchain.chain import COIN_SIZE, KIND_PAYMENT, TxOutput, encode_block
+from dietchain import headers, rules
+from dietchain.chain import COIN_SIZE, KIND_PAYMENT, ChainParams, TxOutput, encode_block
 from dietchain.crypto import BloomFilter, hash256
 from dietchain.errors import DecodeError, ScenarioError
 from dietchain.full_node import FullNode, UtxosResponse
 from dietchain.merkle import encode_partial
-from dietchain.miner import mine_on
+from dietchain.miner import mine_on, mine_txs
 from dietchain.netsim import (
     MSG_BLOCK_ANNOUNCE,
     MSG_QUERY_BLOCK,
@@ -29,7 +32,7 @@ from dietchain.netsim import (
     encode_utxos_response,
 )
 from dietchain.rules import signed_spend
-from dietchain.utxo import coins_of
+from dietchain.utxo import Coin, OutPoint, coins_of
 
 ALICE = key_of("alice")
 CAROL = key_of("carol")
@@ -179,8 +182,7 @@ def test_transform_rewrites_response_in_flight():
 def test_forged_builder_budget_is_hard():
     honest = mined_node(FAST, ALICE, 3, seed=77)
     builder = ForgedChainBuilder(FAST, budget=1, seed=7)
-    chain = honest.headers.active_chain()
-    builder.replay([honest.blocks[h] for h in chain])
+    builder.replay(honest, honest.tip_height)
     builder.mine([], key_of("mallory").public_key)
     with pytest.raises(ScenarioError):
         builder.mine([], key_of("mallory").public_key)
@@ -189,8 +191,7 @@ def test_forged_builder_budget_is_hard():
 def test_forged_blocks_carry_real_pow():
     honest = mined_node(FAST, ALICE, 3, seed=78)
     builder = ForgedChainBuilder(FAST, budget=2, seed=8)
-    chain = honest.headers.active_chain()
-    builder.replay([honest.blocks[h] for h in chain])
+    builder.replay(honest, honest.tip_height)
     forged = builder.mine([], key_of("mallory").public_key)
 
     # without tampering the block is indistinguishable from honest work
@@ -202,8 +203,7 @@ def test_injected_coin_spendable_on_forged_branch():
     honest = mined_node(FAST, ALICE, 3, seed=79)
     builder = ForgedChainBuilder(FAST, budget=2, seed=9,
                                  accept_bad_commitments=True)
-    chain = honest.headers.active_chain()
-    builder.replay([honest.blocks[h] for h in chain])
+    builder.replay(honest, honest.tip_height)
 
     mallory = key_of("mallory")
     template = coins_owned(honest, ALICE)[0]
@@ -225,7 +225,7 @@ def test_injected_coin_spendable_on_forged_branch():
 def _forger(seed: int) -> tuple[FullNode, ForgedChainBuilder]:
     honest = mined_node(FAST, ALICE, 3, seed=seed)
     builder = ForgedChainBuilder(FAST, budget=2, seed=seed)
-    builder.replay([honest.blocks[h] for h in honest.headers.active_chain()])
+    builder.replay(honest, honest.tip_height)
     return honest, builder
 
 
@@ -253,3 +253,120 @@ def test_a_forged_block_the_replica_rejects_leaves_the_replica_as_it_was(code):
             builder.mine([spend], key_of("mallory").public_key,
                          fake_commitment=hash256(b"lies"))
     assert (store_state(node.utxo), node.headers.active_chain(), dict(node.blocks)) == before
+
+
+# -- a replica from the honest node's state -------------------------------------
+
+SPLITTING = ChainParams(target_bits=5, subsidy=50, size_cap=256, initial_k=1)
+MALLORY = key_of("mallory")
+
+
+def _splitting_chain() -> FullNode:
+    """16 blocks, each after the first two carrying a 3-payee payment;
+    the store splits at heights 3, 5, 8 and 15."""
+    node = mined_node(SPLITTING, ALICE, 2, seed=90)
+    for i in range(2, 16):
+        node.submit_transaction(payment(
+            node, ALICE, [(ALICE.challenge, 2), (ALICE.challenge, 2), (CAROL.challenge, 1)]))
+        mine_on(node, ALICE.public_key, seed=90 + i)
+    assert [step.height for step in node.utxo.rebalance_log] == [3, 5, 8, 15]
+    return node
+
+
+def _chain_state(node: FullNode) -> tuple:
+    return (node.tip_hash, node.utxo.current_root, node.utxo.k,
+            sorted(node.utxo.all_coins()), node.utxo.pending)
+
+
+def test_a_replica_equals_a_node_that_connected_the_same_prefix():
+    """At every fork height, across each split, the replica a replay
+    builds is the state a node reaches by connecting the honest prefix,
+    and the first block each mines with the same seed is the same."""
+    honest = _splitting_chain()
+    chain = [honest.blocks[hh] for hh in honest.headers.active_chain()]
+    connected = FullNode(SPLITTING)
+    for height, block in enumerate(chain):
+        assert connected.connect_block(block).accepted
+        builder = ForgedChainBuilder(SPLITTING, budget=1, seed=height)
+        builder.replay(honest, height)
+        replica = builder.node
+        assert _chain_state(replica) == _chain_state(connected)
+        assert replica.headers.active_chain() == connected.headers.active_chain()
+
+        trial = copy.deepcopy(connected)
+        spend = payment(trial, ALICE, [(CAROL.challenge, 3)])
+        assert builder.mine([spend], MALLORY.public_key) == \
+            mine_txs(trial, [spend], MALLORY.public_key, seed=height)
+        assert _chain_state(replica) == _chain_state(trial)
+
+
+@pytest.mark.parametrize("fork", [15, 14, 7])
+def test_forging_leaves_the_honest_node_as_it_was(monkeypatch, fork):
+    """Forking at the tip, below the split at 15, and at the floor below
+    the split at 8: planting a coin and mining the whole budget on the
+    replica changes nothing of the honest node, which then connects its
+    next block and rewinds to its floor as a copy of it does."""
+    monkeypatch.setattr("dietchain.utxo.HISTORY_HORIZON", 8)
+    honest = _splitting_chain()
+    assert honest.utxo.floor == 7
+    twin = copy.deepcopy(honest)
+    twin.submit_transaction(payment(twin, ALICE, [(CAROL.challenge, 4)]))
+    next_block = mine_on(twin, ALICE.public_key, seed=7)
+    before = store_state(honest.utxo)
+    pending = honest.utxo.pending
+
+    budget = honest.tip_height + 1 - fork
+    builder = ForgedChainBuilder(SPLITTING, budget=budget, seed=fork)
+    builder.replay(honest, fork)
+    fake = Coin(OutPoint(hash256(b"nowhere"), 0), 40, MALLORY.challenge)
+    builder.inject_coin(fake)
+    for _ in range(budget - 1):
+        builder.mine([], MALLORY.public_key)
+    lure = signed_spend(MALLORY, [fake], [
+        TxOutput(value=40, kind=KIND_PAYMENT, payload=CAROL.challenge)])
+    builder.mine([lure], MALLORY.public_key)
+    assert builder.node.tip_height == honest.tip_height + 1
+
+    assert store_state(honest.utxo) == before
+    assert honest.utxo.pending is pending and fake not in pending
+    assert honest.connect_block(next_block).accepted
+    assert store_state(honest.utxo) == store_state(twin.utxo)
+    honest.utxo.rewind_to(honest.utxo.floor)
+    twin.utxo.rewind_to(twin.utxo.floor)
+    assert store_state(honest.utxo) == store_state(twin.utxo)
+
+
+def test_a_replay_validates_nothing_and_hashes_each_header_once(monkeypatch):
+    honest = _splitting_chain()
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(rules, "verify", counted("verify", rules.verify))
+    monkeypatch.setattr(headers, "header_hash", counted("header_hash", headers.header_hash))
+    monkeypatch.setattr(FullNode, "connect_block",
+                        counted("connect_block", FullNode.connect_block))
+    ForgedChainBuilder(SPLITTING, budget=1).replay(honest, 12)
+    assert calls == {"header_hash": 13}
+
+    calls.clear()  # the counters see a node that connects the same prefix
+    connected = FullNode(SPLITTING)
+    for hh in honest.headers.active_chain()[:13]:
+        connected.connect_block(honest.blocks[hh])
+    assert calls["connect_block"] == 13 and calls["verify"] == 11
+
+
+def test_a_fork_below_the_honest_floor_is_a_scenario_error(monkeypatch):
+    monkeypatch.setattr("dietchain.utxo.HISTORY_HORIZON", 4)
+    honest = _splitting_chain()
+    assert honest.utxo.floor == 11
+    builder = ForgedChainBuilder(SPLITTING, budget=1)
+    with pytest.raises(ScenarioError, match=r"height 10: .* 11 \(its floor\)"):
+        builder.replay(honest, 10)
+    assert builder.node.headers.tip is None and not builder.node.blocks
+    builder.replay(honest, 11)
+    assert builder.node.tip_hash == honest.headers.active_hash_at(11)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import hashlib
 import random
 import struct
@@ -655,3 +656,46 @@ def test_bounded_history_matches_a_replay_from_genesis(horizon, initial_k, cap, 
             highest = max(highest, len(chain) - 1)
             assert store.floor == max(-1, highest - horizon)
             _assert_bounded_history(store, chain)
+
+
+def test_a_clone_and_its_source_evolve_apart(monkeypatch):
+    """A clone shares no container with its source: each side undoes
+    across a split, takes a coin into ``pending`` in place (as a forger
+    does), commits its own blocks and prunes past the split, and after
+    every step each side equals a ``copy.deepcopy`` of the source that
+    took the same steps."""
+    monkeypatch.setattr("dietchain.utxo.HISTORY_HORIZON", 4)
+    rng = random.Random(37)
+    source = VersionedShardStore(initial_k=0, size_cap=160)
+    while len(source.rebalance_log) < 2 or source.height < source.rebalance_log[-1].height + 2:
+        source.apply_block(_next_block(source, rng), source.next_height)
+    split = source.rebalance_log[-1].height
+    k_split = source.k_at(split)
+    assert source.floor < split - 1
+    twin = source.clone()
+    sides = [(source, copy.deepcopy(source), random.Random(1)),
+             (twin, copy.deepcopy(source), random.Random(2))]
+
+    def step(act) -> None:
+        for store, reference, side_rng in sides:
+            act(store, reference, side_rng)
+            for other, other_reference, _ in sides:
+                assert store_state(other) == store_state(other_reference)
+
+    step(lambda store, ref, _: (store.rewind_to(split - 1), ref.rewind_to(split - 1)))
+    assert source.k == twin.k < k_split
+
+    def plant(store, ref, side_rng):
+        coin = Coin(OutPoint(side_rng.randbytes(32), 0), 7, side_rng.randbytes(32))
+        store.pending.append(coin)
+        ref.pending.append(coin)
+    step(plant)
+
+    def commit(store, ref, side_rng):
+        block = _next_block(ref, side_rng)
+        ref.apply_block(block, ref.next_height)
+        store.apply_block(block, store.next_height)
+    for _ in range(8):
+        step(commit)
+    assert source.floor > split and twin.floor > split  # the split's history is pruned
+    assert source.current_root != twin.current_root
