@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import serialization
@@ -50,6 +50,8 @@ class KeyPair:
 
     seed: bytes
     public_key: bytes  # 33 bytes, zero-padded
+    # the seed parsed once; it is the seed, so it takes no part in equality
+    private: Ed25519PrivateKey = field(compare=False, repr=False)
 
     @classmethod
     def from_seed(cls, seed: bytes) -> "KeyPair":
@@ -57,14 +59,13 @@ class KeyPair:
             raise ValueError(f"seed must be 32 bytes, got {len(seed)}")
         private = Ed25519PrivateKey.from_private_bytes(seed)
         public = _raw_public_key(private.public_key()) + b"\x00"
-        return cls(seed=seed, public_key=public)
+        return cls(seed=seed, public_key=public, private=private)
 
     def sign(self, digest: bytes) -> bytes:
         """Sign a 32-byte digest; the signature is always 64 bytes."""
         if len(digest) != DIGEST_SIZE:
             raise ValueError(f"digest must be {DIGEST_SIZE} bytes, got {len(digest)}")
-        private = Ed25519PrivateKey.from_private_bytes(self.seed)
-        return private.sign(digest)
+        return self.private.sign(digest)
 
     @property
     def challenge(self) -> bytes:

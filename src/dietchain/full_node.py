@@ -43,7 +43,8 @@ Answers are built once and served from what the node keeps. A block's
 shard proof depends only on the block, so it is kept by block hash until
 the next tip change, which drops every kept proof to bound memory.
 Filtered sync keeps each filter item's probe digests and each matched
-block's tx-tree levels, which depend on no tip and stay.
+block's tx-tree levels, which depend on no tip and stay. Within one
+query the filter is asked once per distinct item.
 """
 
 from __future__ import annotations
@@ -379,13 +380,20 @@ class FullNode:
         return MerkleBlocksResponse(headers=tuple(headers), matches=tuple(matches))
 
     def _may_match(self, bloom: BloomFilter):
-        """``bloom.may_contain`` fed with kept probe digests; an item's
-        digests depend on no filter, so each is hashed once and kept."""
+        """``bloom.may_contain`` fed with kept probe digests, asked once
+        per distinct item: the verdicts are kept for this filter only,
+        while an item's digests depend on no filter, so each is hashed
+        once and kept by the node."""
+        verdicts: dict[bytes, bool] = {}
+
         def may_match(item: bytes) -> bool:
-            digests = self._probes.get(item)
-            if digests is None:
-                digests = self._probes[item] = probe_digests(item)
-            return bloom.may_contain(item, digests)
+            verdict = verdicts.get(item)
+            if verdict is None:
+                digests = self._probes.get(item)
+                if digests is None:
+                    digests = self._probes[item] = probe_digests(item)
+                verdict = verdicts[item] = bloom.may_contain(item, digests)
+            return verdict
         return may_match
 
     def serve_query_utxo_mroot(self, block_hash: bytes) -> bytes:

@@ -9,6 +9,7 @@ config produce byte-identical traces and reports.
 
 from __future__ import annotations
 
+import heapq
 import json
 import random
 from dataclasses import dataclass, field
@@ -44,7 +45,7 @@ from .netsim import (
     encode_utxos_response,
 )
 from .rules import signed_spend
-from .utxo import Coin, OutPoint, Shard
+from .utxo import Coin, OutPoint, Shard, coins_of
 
 ALL_QUERIES = frozenset({
     MSG_QUERY_MERKLE_BLOCKS, MSG_QUERY_UTXO_MROOT, MSG_QUERY_BLOCK, MSG_QUERY_UTXOS,
@@ -58,6 +59,72 @@ def derive_key(seed: int, name: str) -> KeyPair:
     return KeyPair.from_seed(material)
 
 
+class Wallet:
+    """A full node's coins by challenge, kept in step with its active chain.
+
+    ``coins`` maps each challenge to its coins by outpoint, as of the
+    active tip ``tip``, and holds no empty map. When the node's tip
+    extends the kept one, only the new blocks are replayed, in the order
+    the store applies them: each tx's spends out and its coins in, the
+    coinbase's coins last. A spent coin is found under the hash of the
+    key that spends it, which the body rules require to be its
+    challenge. Any other tip (the first pick, a reorg) is read back
+    with one scan of the node's coin set.
+    """
+
+    def __init__(self, node: FullNode):
+        self.node = node
+        self.coins: dict[bytes, dict[OutPoint, Coin]] = {}
+        self.tip: bytes | None = None
+
+    def pick(self, challenge: bytes, needed: int) -> list[Coin]:
+        """The coins of ``challenge`` that a payment of ``needed`` spends:
+        the largest first, ties broken by outpoint, coins the pool
+        already spends skipped, until ``needed`` is covered or none are
+        left."""
+        self._sync()
+        owned = self.coins.get(challenge, {})
+        pooled = {i.prevout for tx in self.node.mempool for i in tx.inputs}
+        heap = [(-coin.value, outpoint) for outpoint, coin in owned.items()]
+        heapq.heapify(heap)
+        picked: list[Coin] = []
+        total = 0
+        while heap and total < needed:
+            _, outpoint = heapq.heappop(heap)
+            if outpoint not in pooled:
+                coin = owned[outpoint]
+                picked.append(coin)
+                total += coin.value
+        return picked
+
+    def _sync(self) -> None:
+        headers = self.node.headers
+        if headers.tip == self.tip:
+            return
+        if self.tip is not None and headers.on_active_chain(self.tip):
+            for block_hash in headers.active_from(headers.headers[self.tip].height + 1):
+                self._replay(self.node.blocks[block_hash].transactions)
+        else:
+            self.coins = {}
+            self._add(self.node.utxo.all_coins())
+        self.tip = headers.tip
+
+    def _replay(self, transactions) -> None:
+        for tx in transactions[1:]:
+            for inp in tx.inputs:
+                challenge = hash256(inp.public_key)
+                owned = self.coins[challenge]
+                del owned[inp.prevout]
+                if not owned:
+                    del self.coins[challenge]
+            self._add(coins_of(tx))
+        self._add(coins_of(transactions[0]))
+
+    def _add(self, coins) -> None:
+        for coin in coins:
+            self.coins.setdefault(coin.challenge, {})[coin.outpoint] = coin
+
+
 @dataclass
 class ScenarioState:
     config: dict
@@ -69,6 +136,7 @@ class ScenarioState:
     diet_services: dict[str, DietNodeService] = field(default_factory=dict)
     reference: str = ""                      # chain-of-record full node
     labeled: dict[str, tuple[Transaction, list[Coin]]] = field(default_factory=dict)
+    wallets: dict[str, Wallet] = field(default_factory=dict)  # by paying node
 
     def full(self, node_id: str) -> FullNode:
         if node_id not in self.full_nodes:
@@ -170,9 +238,12 @@ def _act_mine(state: ScenarioState, step: dict) -> None:
 
 
 def _act_pay(state: ScenarioState, step: dict) -> None:
-    node = state.full(step.get("node", state.reference))
+    node_id = step.get("node", state.reference)
+    node = state.full(node_id)
     sender = state.key(step["from"])
     names = step["to"] if isinstance(step["to"], list) else [step["to"]]
+    if not names:
+        raise ScenarioError("pay step has no recipients")
     receivers = [state.key(name) for name in names]
     amount = step["amount"]
     fee = step.get("fee", 1)
@@ -181,19 +252,14 @@ def _act_pay(state: ScenarioState, step: dict) -> None:
         raise ScenarioError("fewer outputs than recipients")
     if amount < n_out:
         raise ScenarioError("amount too small to split across outputs")
+    if fee < 0:
+        raise ScenarioError("negative fee")
 
-    in_mempool = {i.prevout for tx in node.mempool for i in tx.inputs}
+    wallet = state.wallets.get(node_id)
+    if wallet is None:
+        wallet = state.wallets[node_id] = Wallet(node)
     challenge = sender.challenge
-    owned = sorted(
-        (c for c in node.utxo.all_coins()
-         if c.challenge == challenge and c.outpoint not in in_mempool),
-        key=lambda c: (-c.value, c.outpoint),
-    )
-    picked: list[Coin] = []
-    for coin in owned:
-        picked.append(coin)
-        if sum(c.value for c in picked) >= amount + fee:
-            break
+    picked = wallet.pick(challenge, amount + fee)
     total = sum(c.value for c in picked)
     if total < amount + fee:
         raise ScenarioError(
@@ -228,9 +294,20 @@ def _act_repeat(state: ScenarioState, step: dict) -> None:
             _run_step(state, inner)
 
 
+def _victims(step: dict) -> list[str]:
+    """The light nodes a forging step lures: ``victims``, or one ``victim``."""
+    if "victims" in step:
+        return step["victims"]
+    if "victim" in step:
+        return [step["victim"]]
+    raise ScenarioError(f"{step['action']} step is missing 'victim' or 'victims'")
+
+
 def _victim_challenges(state: ScenarioState, victims: list[str]) -> list[bytes]:
     challenges = []
     for victim in victims:
+        if victim not in state.diet_services:
+            raise ScenarioError(f"{victim!r} is not a light node")
         spec = next(n for n in state.config["nodes"] if n["id"] == victim)
         challenges.append(state.key(spec["keys"][0]).challenge)
     return challenges
@@ -267,7 +344,7 @@ def _act_forge_commitment_tip(state: ScenarioState, step: dict) -> None:
     if not owned:
         raise ScenarioError("attacker owns nothing to lure with")
     coin = owned[-1]
-    victims = step["victims"] if "victims" in step else [step["victim"]]
+    victims = _victims(step)
     challenges = _victim_challenges(state, victims)
     lure = signed_spend(attacker, [coin], _split_outputs(coin.value, challenges))
     builder.mine([lure], attacker.public_key,
@@ -330,7 +407,7 @@ def _act_forge_chain(state: ScenarioState, step: dict) -> None:
         challenge=attacker.challenge,
     )
     builder.inject_coin(fake)
-    victims = step["victims"] if "victims" in step else [step["victim"]]
+    victims = _victims(step)
     lure = signed_spend(attacker, [fake],
                          _split_outputs(fake.value, _victim_challenges(state, victims)))
     for _ in range(forge_count - 1):
@@ -339,15 +416,16 @@ def _act_forge_chain(state: ScenarioState, step: dict) -> None:
     _deploy(state, step, builder, victims, lure, [fake])
 
 
+# action -> (handler, the step keys it cannot run without)
 _ACTIONS = {
-    "mine": _act_mine,
-    "pay": _act_pay,
-    "update": _act_update,
-    "repeat": _act_repeat,
-    "corrupt_shard": _act_corrupt_shard,
-    "forge_commitment_tip": _act_forge_commitment_tip,
-    "double_spend": _act_double_spend,
-    "forge_chain": _act_forge_chain,
+    "mine": (_act_mine, ("reward",)),
+    "pay": (_act_pay, ("from", "to", "amount")),
+    "update": (_act_update, ("nodes",)),
+    "repeat": (_act_repeat, ("count", "steps")),
+    "corrupt_shard": (_act_corrupt_shard, ("victim",)),
+    "forge_commitment_tip": (_act_forge_commitment_tip, ("attacker",)),
+    "double_spend": (_act_double_spend, ("spent_tx", "victims")),
+    "forge_chain": (_act_forge_chain, ("attacker", "forge_count")),
 }
 
 
@@ -355,7 +433,11 @@ def _run_step(state: ScenarioState, step: dict) -> None:
     action = step.get("action")
     if action not in _ACTIONS:
         raise ScenarioError(f"unknown action {action!r}")
-    _ACTIONS[action](state, step)
+    handler, required = _ACTIONS[action]
+    for key in required:
+        if key not in step:
+            raise ScenarioError(f"{action} step is missing {key!r}")
+    handler(state, step)
 
 
 # -- expectations ---------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 import random
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
 from dietchain.crypto import (
     BLOOM_DEFAULT_BITS,
@@ -42,6 +43,24 @@ def test_keypair_is_deterministic_from_seed():
     assert a.public_key[32] == 0  # pad byte
     digest = hash256(b"message")
     assert a.sign(digest) == b.sign(digest)
+
+
+def test_a_keypair_signs_as_a_freshly_parsed_key_does():
+    """The key parsed once in ``from_seed`` signs every digest to the
+    bytes a key parsed anew from the seed gives, and takes no part in
+    equality, hashing or the repr."""
+    rng = random.Random(17)
+    for i in range(20):
+        seed = hash256(b"kept key" + bytes([i]))
+        pair = KeyPair.from_seed(seed)
+        for _ in range(3):
+            digest = rng.randbytes(32)
+            assert pair.sign(digest) == \
+                Ed25519PrivateKey.from_private_bytes(seed).sign(digest)
+        twin = KeyPair.from_seed(seed)
+        assert twin.private is not pair.private
+        assert twin == pair and hash(twin) == hash(pair)
+        assert repr(twin) == repr(pair) and "private" not in repr(pair)
 
 
 def test_sign_and_verify_roundtrip():

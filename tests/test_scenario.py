@@ -262,6 +262,39 @@ def test_cli_run_refuses_out_of_range_params(capsys, tmp_path):
     assert "size_cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("step, message", [
+    ({"action": "pay", "from": "alice", "to": [], "amount": 10}, "no recipients"),
+    ({"action": "pay", "from": "alice", "to": "carol", "amount": 10, "fee": -1},
+     "negative fee"),
+    ({"action": "pay", "from": "alice", "to": "carol"}, "pay step is missing 'amount'"),
+    ({"action": "pay", "to": "carol", "amount": 10}, "pay step is missing 'from'"),
+    ({"action": "repeat", "count": 2}, "repeat step is missing 'steps'"),
+    ({"action": "repeat", "steps": []}, "repeat step is missing 'count'"),
+    ({"action": "mine"}, "mine step is missing 'reward'"),
+    ({"action": "update"}, "update step is missing 'nodes'"),
+    ({"action": "corrupt_shard"}, "corrupt_shard step is missing 'victim'"),
+    ({"action": "double_spend", "victims": ["carol-node"]},
+     "double_spend step is missing 'spent_tx'"),
+    ({"action": "forge_chain", "attacker": "alice", "forge_count": 1},
+     "forge_chain step is missing 'victim' or 'victims'"),
+    ({"action": "forge_chain", "attacker": "alice", "forge_count": 1, "victim": "full-1"},
+     "'full-1' is not a light node"),
+    ({"action": "forge_commitment_tip", "victim": "carol-node"},
+     "forge_commitment_tip step is missing 'attacker'"),
+])
+def test_cli_run_reports_a_bad_step_as_a_config_error(capsys, tmp_path, step, message):
+    """A step that cannot run is a config error naming what is wrong:
+    exit status 2, one error line, no traceback."""
+    cfg = _cfg(expect=[])
+    cfg["script"].insert(1, step)
+    path = tmp_path / "bad_step.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_key_derivation_is_name_and_seed_bound():
     alice_nine = derive_key(9, "alice")
     assert derive_key(9, "alice").public_key == alice_nine.public_key

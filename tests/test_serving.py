@@ -7,8 +7,9 @@ import random
 
 import pytest
 from conftest import FAST, key_of, mined_node, payment
+from hypothesis import given, settings, strategies as st
 
-from dietchain.chain import ZERO32, block_hash, tx_touches, txid
+from dietchain.chain import ZERO32, block_hash, tx_items, tx_touches, txid
 from dietchain.crypto import BloomFilter, hash256
 from dietchain.diet_node import DietConfig, DietNode
 from dietchain.errors import ValidationError
@@ -223,3 +224,56 @@ def test_filtered_sync_equals_a_scan_keeping_nothing_for_random_filters():
         assert encode_merkle_blocks_response(served) == \
             encode_merkle_blocks_response(_scan_keeping_nothing(node, since, bloom))
     assert 0 < false_hits < hits
+
+
+def test_a_query_asks_the_filter_once_per_distinct_item(monkeypatch):
+    """Items recur across a chain's txs (the miner's key, each payee's
+    challenge); within one query the filter is asked about each once,
+    and the next query asks again."""
+    node = mined_node(FAST, ALICE, 3, seed=890)
+    _grow(node, 6, seed=891)
+    asked = []
+    may_contain = BloomFilter.may_contain
+
+    def counted(self, item, digests=b""):
+        asked.append(item)
+        return may_contain(self, item, digests)
+    monkeypatch.setattr(BloomFilter, "may_contain", counted)
+
+    items = [item for block in _chain(node) for tx in block.transactions
+             for item in tx_items(tx)]
+    assert len(items) > 2 * len(set(items))
+    node.serve_query_merkle_blocks(ZERO32, BloomFilter())  # matches nothing
+    assert sorted(asked) == sorted(set(items))
+    for bloom in (BloomFilter(m=8, h=1), BloomFilter(m=64, h=3)):
+        bloom.add(PAYEES[0].challenge)
+        asked.clear()
+        served = node.serve_query_merkle_blocks(ZERO32, bloom)
+        assert served.matches
+        assert len(asked) == len(set(asked)) > 0
+
+
+_ITEMS = [k.public_key for k in PAYEES + [ALICE, BOB]]
+_ITEMS += [hash256(item) for item in _ITEMS]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 1000), blocks=st.integers(0, 4),
+       m=st.sampled_from([1, 8, 32, 256, 2048]), h=st.integers(1, 11),
+       added=st.sets(st.sampled_from(_ITEMS), max_size=4),
+       since=st.integers(-1, 6))
+def test_filtered_sync_equals_asking_the_filter_at_every_item(seed, blocks, m, h, added, since):
+    """For random chains and filters, the served answer, with its
+    per-query verdicts and the node's kept digests, equals the one built
+    by asking the filter afresh at every item of every tx."""
+    node = mined_node(FAST, ALICE, 2, seed=seed)
+    _grow(node, blocks, seed=seed + 100)
+    bloom = BloomFilter(m=m, h=h)
+    for item in added:
+        bloom.add(item)
+    chain = node.headers.active_chain()
+    start = ZERO32 if since < 0 else chain[min(since, len(chain) - 1)]
+    expected = encode_merkle_blocks_response(_scan_keeping_nothing(node, start, bloom))
+    for _ in range(2):  # the second query reads the digests the first kept
+        assert encode_merkle_blocks_response(
+            node.serve_query_merkle_blocks(start, bloom)) == expected
