@@ -41,10 +41,16 @@ bodies stay from genesis, for filtered sync.
 
 Answers are built once and served from what the node keeps. A block's
 shard proof depends only on the block, so it is kept by block hash until
-the next tip change, which drops every kept proof to bound memory.
-Filtered sync keeps each filter item's probe digests and each matched
-block's tx-tree levels, which depend on no tip and stay. Within one
-query the filter is asked once per distinct item.
+the next tip change, which drops every kept proof to bound memory; the
+wire bytes of a ``query_block`` or ``query_utxos`` answer are kept for
+the same lifetime, so a block asked about by many clients is encoded
+once. Filtered sync keeps one record per block it has scanned: the
+distinct filter items of the block's txs and, from the block's first
+match, its tx-tree levels. It keeps each filter item's probe digests
+too. None of these depend on the tip, and they stay; a branch forgotten
+after a failed switch takes its blocks' records with it. Within one
+query the filter is asked once per distinct item, and a block none of
+whose items it may contain is passed over without looking at its txs.
 """
 
 from __future__ import annotations
@@ -58,6 +64,7 @@ from .chain import (
     ChainParams,
     Transaction,
     header_hash,
+    tx_items,
     tx_touches,
     txid,
 )
@@ -106,6 +113,20 @@ class UtxosResponse:
     tree: PartialMerkleTree
 
 
+@dataclass(slots=True)
+class FilterRecord:
+    """What filtered sync keeps of one block: the distinct filter items of
+    its txs, in the order they first appear, and its packed tx-tree
+    levels, built at its first match."""
+    items: tuple[bytes, ...]
+    levels: list[bytearray] | None = None
+
+    @classmethod
+    def of_block(cls, block: Block) -> "FilterRecord":
+        return cls(tuple(dict.fromkeys(
+            item for tx in block.transactions for item in tx_items(tx))))
+
+
 @dataclass
 class FullNode:
     params: ChainParams
@@ -118,6 +139,8 @@ class FullNode:
     _pooled: set[bytes] = field(init=False, default_factory=set)
     # block hash -> the query_utxos answer built for it; dropped on a tip change
     _proofs: dict[bytes, UtxosResponse] = field(init=False, default_factory=dict)
+    # (query type, block hash) -> that answer's wire bytes; dropped with _proofs
+    _answers: dict[tuple[int, bytes], bytes] = field(init=False, default_factory=dict)
     # the pool as the next block: the pooled tx objects in the order they were
     # admitted, their fees, and the store's view of the next block with them
     # absorbed, which the miner commits as the body. The view is None once a
@@ -127,9 +150,9 @@ class FullNode:
     _pool_txs: list[Transaction] = field(init=False, default_factory=list)
     _pool_fees: int = field(init=False, default=0)
     _pool_view: ShardView | None = field(init=False, default=None)
-    # what filtered sync keeps: block hash -> packed tx-tree levels, from the
-    # block's first match; filter item -> its probe digests, from its first scan
-    _tx_levels: dict[bytes, list[bytearray]] = field(init=False, default_factory=dict)
+    # what filtered sync keeps: block hash -> the block's record, from its
+    # first scan; filter item -> its probe digests, from its first scan
+    _filter_index: dict[bytes, FilterRecord] = field(init=False, default_factory=dict)
     _probes: dict[bytes, bytes] = field(init=False, default_factory=dict)
 
     def __post_init__(self):
@@ -198,7 +221,7 @@ class FullNode:
         except ValidationError as exc:
             for hh in self.headers.forget(self.headers.active_hash_at(fork + 1), old_tip):
                 self.blocks.pop(hh, None)
-                self._tx_levels.pop(hh, None)
+                self._filter_index.pop(hh, None)
             return ConnectResult("rejected", exc.code, exc.height)
         self._tip_changed(new_branch, old_branch)
         return ConnectResult("accepted", height=block.header.height)
@@ -322,13 +345,14 @@ class FullNode:
         self._pool_fees += fee
 
     def _tip_changed(self, applied: list[Block], orphaned: list[Block]) -> None:
-        """After a tip change, drop the kept proofs (they never go stale;
-        dropping them bounds their memory) and refit the pool from the
+        """After a tip change, drop the kept proofs and answer bytes (they
+        never go stale; dropping them bounds their memory) and refit the pool from the
         orphaned payments (first) and the pooled txs that the applied
         blocks do not carry. This node verified the orphaned payments'
         signatures when it applied their block, so the refit skips those
         checks as it does for pooled txs."""
         self._proofs.clear()
+        self._answers.clear()
         mined = {txid(tx) for block in applied for tx in block.transactions[1:]}
         returned = [tx for block in orphaned for tx in block.transactions[1:]]
         self._refit([tx for tx in returned + self.mempool if txid(tx) not in mined],
@@ -354,29 +378,35 @@ class FullNode:
     def serve_query_merkle_blocks(self, since: bytes, bloom: BloomFilter) -> MerkleBlocksResponse:
         """Headers of the active chain above ``since`` (from genesis if it
         is not on it) and every tx the filter may match, with its proof.
-        The probe digests of every filter item and the tx tree of every
-        matched block are kept from the first query that needs them."""
+        A block is first asked about by its record's distinct items, and
+        only a block where one may match has its txs scanned. The record
+        of every scanned block, with the tx tree of every matched one,
+        and the probe digests of every filter item are kept from the
+        first query that needs them."""
         start = 0
         if self.headers.on_active_chain(since):
             start = self.headers.headers[since].height + 1
         may_match = self._may_match(bloom)
+        index = self._filter_index
         headers = []
         matches = []
         for hh in self.headers.active_from(start):
             block = self.blocks[hh]
             headers.append(block.header)
+            record = index.get(hh)
+            if record is None:
+                record = index[hh] = FilterRecord.of_block(block)
+            if not any(map(may_match, record.items)):
+                continue
             matched = [i for i, tx in enumerate(block.transactions)
                        if tx_touches(tx, may_match)]
-            if matched:
-                levels = self._tx_levels.get(hh)
-                if levels is None:
-                    levels = self._tx_levels[hh] = pack_levels(
-                        [txid(tx) for tx in block.transactions])
-                matches.append(MerkleBlockMatch(
-                    header=block.header,
-                    tx_tree=partial_from_levels(levels, set(matched)),
-                    transactions=tuple(block.transactions[i] for i in matched),
-                ))
+            if record.levels is None:
+                record.levels = pack_levels([txid(tx) for tx in block.transactions])
+            matches.append(MerkleBlockMatch(
+                header=block.header,
+                tx_tree=partial_from_levels(record.levels, set(matched)),
+                transactions=tuple(block.transactions[i] for i in matched),
+            ))
         return MerkleBlocksResponse(headers=tuple(headers), matches=tuple(matches))
 
     def _may_match(self, bloom: BloomFilter):
@@ -420,6 +450,17 @@ class FullNode:
             raise ValidationError("history-unavailable", str(exc), height=height) from exc
         response = self._proofs[block_hash] = UtxosResponse(shards=shards, tree=tree)
         return response
+
+    def kept_answer(self, query: int, block_hash: bytes, build) -> bytes:
+        """The wire bytes of the ``query`` answer about ``block_hash``:
+        ``build(block_hash)`` the first time, then the bytes it returned,
+        kept as the shard proofs are until the next tip change. A build
+        that raises keeps nothing."""
+        key = (query, block_hash)
+        data = self._answers.get(key)
+        if data is None:
+            data = self._answers[key] = build(block_hash)
+        return data
 
     def _active_block(self, block_hash: bytes) -> Block:
         if not self.headers.on_active_chain(block_hash) or block_hash not in self.blocks:

@@ -128,33 +128,42 @@ def partial_root(p: PartialMerkleTree) -> bytes:
 
     Raises IncompleteProofError if a needed node is neither included,
     provided as a sibling, nor an odd-layer self-pair.
+
+    The walk keeps one ``{index: hash}`` dict per level, in increasing
+    index order: the nodes the proof's paths reach there. A node of the
+    paths wins over a sibling given at the same place.
     """
     widths = _layer_widths(p.total_leaves)
-    known: dict[tuple[int, int], bytes] = {}
-    for idx, h in p.included.items():
-        known[(0, idx)] = h
+    given: list[dict[int, bytes]] = [{} for _ in widths]
     for (level, idx), h in p.siblings.items():
         if level >= len(widths) or not 0 <= idx < widths[level]:
             raise IncompleteProofError(f"sibling ({level}, {idx}) outside the tree")
-        known.setdefault((level, idx), h)
+        given[level][idx] = h
 
-    frontier = sorted(p.included)
-    for level in range(len(widths) - 1):
-        width = widths[level]
-        parents = sorted({i // 2 for i in frontier})
-        for j in parents:
-            left = known.get((level, 2 * j))
+    nodes = dict(sorted(p.included.items()))
+    for level, width in enumerate(widths[:-1]):
+        siblings = given[level]
+        parents: dict[int, bytes] = {}
+        for i in nodes:
+            j = i >> 1
+            if j in parents:
+                continue
+            left = nodes.get(2 * j)
+            if left is None:
+                left = siblings.get(2 * j)
             if 2 * j + 1 < width:
-                right = known.get((level, 2 * j + 1))
+                right = nodes.get(2 * j + 1)
+                if right is None:
+                    right = siblings.get(2 * j + 1)
             else:
                 right = left  # odd layer: last node pairs with itself
             if left is None or right is None:
                 raise IncompleteProofError(
                     f"missing node at level {level}, pair {j}"
                 )
-            known[(level + 1, j)] = hash256(left + right)
-        frontier = parents
-    return known[(len(widths) - 1, 0)]
+            parents[j] = hash256(left + right)
+        nodes = parents
+    return nodes[0]
 
 
 def contains(p: PartialMerkleTree, leaf_hash: bytes) -> bool:
@@ -184,26 +193,36 @@ def encode_partial(p: PartialMerkleTree) -> bytes:
     return b"".join(parts)
 
 
+_INCLUDED = struct.Struct("<I32s")   # index, hash
+_SIBLING = struct.Struct("<BI32s")   # level, index, hash
+
+
 def read_partial(r: Reader) -> PartialMerkleTree:
     """Decode a partial tree from a reader positioned at its first byte.
-    Entries must come in the encoder's strictly increasing order, so
-    only the one canonical encoding of a tree decodes."""
+    Each run of entries is taken whole and unpacked in one pass; entries
+    must come in the encoder's strictly increasing order, so only the
+    one canonical encoding of a tree decodes."""
     total = r.u32()
+    start = r.offset + 2
+    run = r.take(_INCLUDED.size * r.u16())
     included = {}
     last = -1
-    for _ in range(r.u16()):
-        idx = r.u32()
+    for n, (idx, h) in enumerate(_INCLUDED.iter_unpack(run)):
         if idx <= last:
-            raise DecodeError("included leaves not strictly increasing", r.offset - 4)
-        included[idx] = r.take(32)
+            raise DecodeError("included leaves not strictly increasing",
+                              start + n * _INCLUDED.size)
+        included[idx] = h
         last = idx
+    start = r.offset + 2
+    run = r.take(_SIBLING.size * r.u16())
     siblings = {}
     last_pos = (-1, -1)
-    for _ in range(r.u16()):
-        pos = (r.u8(), r.u32())
+    for n, (level, idx, h) in enumerate(_SIBLING.iter_unpack(run)):
+        pos = (level, idx)
         if pos <= last_pos:
-            raise DecodeError("siblings not strictly increasing", r.offset - 5)
-        siblings[pos] = r.take(32)
+            raise DecodeError("siblings not strictly increasing",
+                              start + n * _SIBLING.size)
+        siblings[pos] = h
         last_pos = pos
     try:
         return PartialMerkleTree(total_leaves=total, included=included, siblings=siblings)

@@ -115,11 +115,14 @@ def decode_merkle_blocks_response(payload: bytes) -> MerkleBlocksResponse:
     return MerkleBlocksResponse(headers=headers, matches=tuple(matches))
 
 
+_SHARD_FRAME = struct.Struct("<II")  # a served shard's index and coin count
+
+
 def encode_utxos_response(resp: UtxosResponse) -> bytes:
     parts = [struct.pack("<H", len(resp.shards))]
     for idx in sorted(resp.shards):
         encoded = resp.shards[idx].encoded
-        parts.append(struct.pack("<II", idx, len(encoded) // COIN_SIZE))
+        parts.append(_SHARD_FRAME.pack(idx, len(encoded) // COIN_SIZE))
         parts.append(encoded)
     parts.append(encode_partial(resp.tree))
     return b"".join(parts)
@@ -134,10 +137,10 @@ def decode_utxos_response(payload: bytes) -> UtxosResponse:
     shards: dict[int, Shard] = {}
     last = -1
     for _ in range(r.u16()):
-        idx = r.u32()
+        idx, count = _SHARD_FRAME.unpack(r.take(_SHARD_FRAME.size))
         if idx <= last:
-            raise DecodeError("shard indices not strictly increasing", r.offset - 4)
-        shards[idx] = decode_shard(r.take(COIN_SIZE * r.u32()), idx)
+            raise DecodeError("shard indices not strictly increasing", r.offset - 8)
+        shards[idx] = decode_shard(r.take(COIN_SIZE * count), idx)
         last = idx
     tree = read_partial(r)
     r.done()
@@ -241,7 +244,9 @@ class Bus:
 # -- node adapters -------------------------------------------------------------
 
 class FullNodeService:
-    """Wire adapter: decodes queries for a FullNode and encodes answers."""
+    """Wire adapter: decodes queries for a FullNode and encodes answers.
+    The bytes of a ``query_block`` or ``query_utxos`` answer are kept by
+    the node (:meth:`FullNode.kept_answer`) until its next tip change."""
 
     def __init__(self, node: FullNode):
         self.node = node
@@ -255,9 +260,11 @@ class FullNodeService:
         if msg_type == MSG_QUERY_UTXO_MROOT:
             return self.node.serve_query_utxo_mroot(payload)
         if msg_type == MSG_QUERY_BLOCK:
-            return encode_block(self.node.serve_query_block(payload))
+            return self.node.kept_answer(msg_type, payload, lambda block_hash: encode_block(
+                self.node.serve_query_block(block_hash)))
         if msg_type == MSG_QUERY_UTXOS:
-            return encode_utxos_response(self.node.serve_query_utxos(payload))
+            return self.node.kept_answer(msg_type, payload, lambda block_hash: (
+                encode_utxos_response(self.node.serve_query_utxos(block_hash))))
         raise ScenarioError(f"unhandled query type 0x{msg_type:02x}")
 
     def handle_message(self, bus: Bus, src: str, msg_type: int, payload: bytes) -> None:

@@ -9,7 +9,7 @@ config produce byte-identical traces and reports.
 
 from __future__ import annotations
 
-import heapq
+import bisect
 import json
 import random
 from dataclasses import dataclass, field
@@ -63,34 +63,38 @@ class Wallet:
     """A full node's coins by challenge, kept in step with its active chain.
 
     ``coins`` maps each challenge to its coins by outpoint, as of the
-    active tip ``tip``, and holds no empty map. When the node's tip
-    extends the kept one, only the new blocks are replayed, in the order
-    the store applies them: each tx's spends out and its coins in, the
-    coinbase's coins last. A spent coin is found under the hash of the
-    key that spends it, which the body rules require to be its
-    challenge. Any other tip (the first pick, a reorg) is read back
-    with one scan of the node's coin set.
+    active tip ``tip``, and holds no empty map. ``order`` keeps, per
+    challenge, its coins' ``(-value, outpoint)`` in sorted order, the
+    order a pick takes them in, with no entry for a spent coin. When the
+    node's tip extends the kept one, only the new blocks are replayed, in
+    the order the store applies them: each tx's spends out and its coins
+    in, the coinbase's coins last. A spent coin is found under the hash
+    of the key that spends it, which the body rules require to be its
+    challenge. Any other tip (the first pick, a reorg) is read back with
+    one scan of the node's coin set.
     """
 
     def __init__(self, node: FullNode):
         self.node = node
         self.coins: dict[bytes, dict[OutPoint, Coin]] = {}
+        self.order: dict[bytes, list[tuple[int, OutPoint]]] = {}
         self.tip: bytes | None = None
 
     def pick(self, challenge: bytes, needed: int) -> list[Coin]:
         """The coins of ``challenge`` that a payment of ``needed`` spends:
         the largest first, ties broken by outpoint, coins the pool
         already spends skipped, until ``needed`` is covered or none are
-        left."""
+        left. It reads only the entries it takes or skips."""
         self._sync()
-        owned = self.coins.get(challenge, {})
+        owned = self.coins.get(challenge)
+        if owned is None:
+            return []
         pooled = {i.prevout for tx in self.node.mempool for i in tx.inputs}
-        heap = [(-coin.value, outpoint) for outpoint, coin in owned.items()]
-        heapq.heapify(heap)
         picked: list[Coin] = []
         total = 0
-        while heap and total < needed:
-            _, outpoint = heapq.heappop(heap)
+        for _, outpoint in self.order[challenge]:
+            if total >= needed:
+                break
             if outpoint not in pooled:
                 coin = owned[outpoint]
                 picked.append(coin)
@@ -106,7 +110,11 @@ class Wallet:
                 self._replay(self.node.blocks[block_hash].transactions)
         else:
             self.coins = {}
-            self._add(self.node.utxo.all_coins())
+            for coin in self.node.utxo.all_coins():
+                self.coins.setdefault(coin.challenge, {})[coin.outpoint] = coin
+            self.order = {challenge: sorted((-coin.value, outpoint)
+                                            for outpoint, coin in owned.items())
+                          for challenge, owned in self.coins.items()}
         self.tip = headers.tip
 
     def _replay(self, transactions) -> None:
@@ -114,15 +122,19 @@ class Wallet:
             for inp in tx.inputs:
                 challenge = hash256(inp.public_key)
                 owned = self.coins[challenge]
-                del owned[inp.prevout]
+                order = self.order[challenge]
+                coin = owned.pop(inp.prevout)
+                del order[bisect.bisect_left(order, (-coin.value, inp.prevout))]
                 if not owned:
-                    del self.coins[challenge]
+                    del self.coins[challenge], self.order[challenge]
             self._add(coins_of(tx))
         self._add(coins_of(transactions[0]))
 
     def _add(self, coins) -> None:
         for coin in coins:
             self.coins.setdefault(coin.challenge, {})[coin.outpoint] = coin
+            bisect.insort(self.order.setdefault(coin.challenge, []),
+                          (-coin.value, coin.outpoint))
 
 
 @dataclass

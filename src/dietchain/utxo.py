@@ -67,6 +67,7 @@ from __future__ import annotations
 
 import bisect
 import copy
+import operator
 import struct
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -126,9 +127,11 @@ def encode_shard_coins(coins: list[Coin]) -> bytes:
 class Shard:
     """One shard as it travels: its index and its wire bytes (its coins
     in outpoint order). The store serves the bytes it keeps, so serving
-    decodes nothing."""
+    decodes nothing; a shard read off the wire (:func:`decode_shard`)
+    keeps the coins it was checked with, so a reader unpacks it once."""
     index: int
     encoded: bytes
+    decoded: tuple[Coin, ...] | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def of_coins(cls, index: int, coins) -> "Shard":
@@ -136,24 +139,32 @@ class Shard:
 
     @property
     def coins(self) -> tuple[Coin, ...]:
-        """The coins, decoded from the wire bytes on each call."""
-        return tuple(Coin(OutPoint(tid, n), value, challenge)
-                     for tid, n, value, challenge in _COIN.iter_unpack(self.encoded))
+        """The coins: the decoded ones if kept, else decoded from the
+        wire bytes on each call."""
+        if self.decoded is not None:
+            return self.decoded
+        return _unpack_coins(self.encoded)
 
     @property
     def leaf_hash(self) -> bytes:
         return hash256(self.encoded)
 
 
+def _unpack_coins(data: bytes) -> tuple[Coin, ...]:
+    return tuple([Coin(OutPoint(tid, n), value, challenge)
+                  for tid, n, value, challenge in _COIN.iter_unpack(data)])
+
+
 def decode_shard(data: bytes, index: int) -> Shard:
-    """A shard from its wire bytes, which must be whole coins in order;
-    their raw fields order as the coins do, so the check builds no Coin."""
+    """A shard from its wire bytes, which must be whole coins in order.
+    The bytes are unpacked once: the coins built from them are checked
+    for order (a coin orders as its raw fields do) and kept."""
     if len(data) % COIN_SIZE:
         raise DecodeError("shard bytes are not whole coins", len(data))
-    records = list(_COIN.iter_unpack(data))
-    if any(a > b for a, b in zip(records, records[1:])):
+    coins = _unpack_coins(data)
+    if not all(map(operator.le, coins, coins[1:])):
         raise DecodeError("shard coins out of order", len(data))
-    return Shard(index, data)
+    return Shard(index, data, coins)
 
 
 class ShardView:

@@ -227,3 +227,100 @@ def test_a_shard_of_65536_coins_round_trips():
     assert struct.unpack_from("<HII", data) == (1, 3, 1 << 16)
     assert decode_utxos_response(data).shards == {3: Shard(3, encoded)}
     assert ROUND_TRIPS["utxos"](data) == data
+
+
+# Each run of entries is taken whole and unpacked in one pass; these pin
+# that every order rule and every count still holds entry by entry.
+
+def _partial_wire(total: int, leaves, siblings, leaf_count=None, sibling_count=None) -> bytes:
+    return b"".join([
+        struct.pack("<IH", total, len(leaves) if leaf_count is None else leaf_count),
+        *(struct.pack("<I", i) + h for i, h in leaves),
+        struct.pack("<H", len(siblings) if sibling_count is None else sibling_count),
+        *(struct.pack("<BI", level, i) + h for (level, i), h in siblings)])
+
+
+def _honest_partial():
+    tree = decode_partial(HONEST["partial"])
+    return tree.total_leaves, sorted(tree.included.items()), sorted(tree.siblings.items())
+
+
+@pytest.mark.parametrize("where", range(4))
+@pytest.mark.parametrize("run", ["included", "siblings"])
+def test_a_partial_entry_not_above_the_one_before_is_a_decode_error(run, where):
+    """Repeating or moving back any one entry of either run is refused,
+    at the offset of that entry."""
+    total, leaves, siblings = _honest_partial()
+    entries = list(leaves if run == "included" else siblings)
+    if len(entries) < 2:
+        pytest.skip("the honest tree has one entry in that run")
+    at = 1 + where % (len(entries) - 1)
+    bad = entries[:at] + [entries[at - 1 if where < 2 else 0]] + entries[at + 1:]
+    data = (_partial_wire(total, bad, siblings) if run == "included"
+            else _partial_wire(total, leaves, bad))
+    offset = (6 + 36 * at if run == "included"
+              else 6 + 36 * len(leaves) + 2 + 37 * at)
+    with pytest.raises(DecodeError, match=rf"not strictly increasing \(at byte {offset}\)"):
+        decode_partial(data)
+
+
+@pytest.mark.parametrize("count", ["one past the end", 0xFFFF])
+@pytest.mark.parametrize("run", ["included", "siblings"])
+def test_a_partial_count_past_the_end_is_a_decode_error(run, count):
+    """A run whose entries would reach past the tree's last byte is
+    refused before any of it is read."""
+    total, leaves, siblings = _honest_partial()
+    if count == "one past the end":
+        after = (36 * len(leaves) + 2 + 37 * len(siblings) if run == "included"
+                 else 37 * len(siblings))  # the bytes after the count
+        count = after // (36 if run == "included" else 37) + 1
+    data = (_partial_wire(total, leaves, siblings, leaf_count=count) if run == "included"
+            else _partial_wire(total, leaves, siblings, sibling_count=count))
+    with pytest.raises(DecodeError, match="truncated"):
+        decode_partial(data)
+    with pytest.raises(DecodeError, match="truncated"):
+        decode_utxos_response(HONEST["utxos"][:-len(HONEST["partial"])] + data)
+
+
+def _utxos_wire(entries, tree_bytes: bytes) -> bytes:
+    return b"".join([struct.pack("<H", len(entries)),
+                     *(struct.pack("<II", i, len(encoded) // COIN_SIZE) + encoded
+                       for i, encoded in entries),
+                     tree_bytes])
+
+
+@pytest.mark.parametrize("kind", ["repeated", "decreasing"])
+def test_a_shard_index_not_above_the_one_before_is_a_decode_error(kind):
+    honest = decode_utxos_response(HONEST["utxos"])
+    entries = [(i, s.encoded) for i, s in sorted(honest.shards.items())]
+    assert len(entries) >= 2
+    bad = ([entries[0], entries[0], *entries[1:]] if kind == "repeated"
+           else [entries[1], entries[0], *entries[2:]])
+    offset = 2 + 8 + len(bad[0][1])  # the second shard's index
+    with pytest.raises(DecodeError, match=rf"not strictly increasing \(at byte {offset}\)"):
+        decode_utxos_response(_utxos_wire(bad, encode_partial(honest.tree)))
+
+
+def test_shard_coins_out_of_order_anywhere_in_the_shard_are_a_decode_error():
+    honest = decode_utxos_response(HONEST["utxos"])
+    idx, shard = max(honest.shards.items(), key=lambda item: len(item[1].coins))
+    coins = list(shard.coins)
+    assert len(coins) >= 3
+    entries = dict((i, s.encoded) for i, s in honest.shards.items())
+    for at in range(1, len(coins)):
+        swapped = coins[:at - 1] + [coins[at], coins[at - 1]] + coins[at + 1:]
+        entries[idx] = encode_shard_coins(swapped)
+        with pytest.raises(DecodeError, match="out of order"):
+            decode_utxos_response(_utxos_wire(sorted(entries.items()),
+                                              encode_partial(honest.tree)))
+
+
+def test_a_decoded_shard_keeps_the_coins_it_was_checked_with():
+    """A shard read off the wire is unpacked once: its coins are the
+    ones its order was checked on, equal to a fresh decode of its bytes,
+    and the shard equals one built from its bytes alone."""
+    for idx, shard in decode_utxos_response(HONEST["utxos"]).shards.items():
+        assert shard.coins is shard.coins
+        assert shard.coins == Shard(idx, shard.encoded).coins
+        assert shard == Shard(idx, shard.encoded)
+        assert encode_shard_coins(list(shard.coins)) == shard.encoded

@@ -3,10 +3,13 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import re
 import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dietchain import merkle
 from dietchain.errors import DecodeError, IncompleteProofError
 from dietchain.merkle import (
     PartialMerkleTree,
@@ -218,3 +221,103 @@ def test_partial_from_levels_matches_extract_partial():
         leaves = _leaves(rng, n)
         include = set(rng.sample(range(n), rng.randrange(1, min(n, 5) + 1)))
         assert extract_partial(leaves, include) == _reference_partial(leaves, include)
+
+
+def _path_nodes(n: int, include: set[int]) -> int:
+    """How many nodes above the leaves lie on an included leaf's path:
+    the hashes a root walk over ``include`` makes."""
+    count, paths = 0, set(include)
+    while n > 1:
+        paths = {i // 2 for i in paths}
+        n = (n + 1) // 2
+        count += len(paths)
+    return count
+
+
+def _reference_walk(p: PartialMerkleTree) -> bytes:
+    """The root walk over one (level, index)-keyed map of every known
+    node, with the local hash helper: what ``partial_root`` returns, and
+    the error it raises first."""
+    widths = [p.total_leaves]
+    while widths[-1] > 1:
+        widths.append((widths[-1] + 1) // 2)
+    known = {(0, i): h for i, h in p.included.items()}
+    for (level, i), h in p.siblings.items():
+        if level >= len(widths) or not 0 <= i < widths[level]:
+            raise IncompleteProofError(f"sibling ({level}, {i}) outside the tree")
+        known.setdefault((level, i), h)
+    frontier = set(p.included)
+    for level, width in enumerate(widths[:-1]):
+        frontier = sorted({i // 2 for i in frontier})
+        for j in frontier:
+            left = known.get((level, 2 * j))
+            right = known.get((level, 2 * j + 1)) if 2 * j + 1 < width else left
+            if left is None or right is None:
+                raise IncompleteProofError(f"missing node at level {level}, pair {j}")
+            known[(level + 1, j)] = _h(left + right)
+    return known[(len(widths) - 1, 0)]
+
+
+def _counted_root(p: PartialMerkleTree) -> tuple[bytes, int]:
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(merkle, "hash256", lambda data: calls.append(data) or _h(data))
+        return merkle.partial_root(p), len(calls)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), n=st.integers(1, 80))
+def test_partial_root_is_build_root_and_needs_every_sibling(data, n):
+    """For random sizes, odd widths included, and random include sets,
+    given in any order: the root is ``build_root``'s, with one hash per
+    node on the included paths; dropping any one sibling raises
+    ``IncompleteProofError``, the same error the (level, index)-keyed
+    reference walk raises first."""
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+    leaves = _leaves(rng, n)
+    include = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
+    partial = extract_partial(leaves, include)
+    order = data.draw(st.permutations(sorted(include)))
+    shuffled = PartialMerkleTree(n, {i: partial.included[i] for i in order}, partial.siblings)
+    assert _counted_root(shuffled) == (build_root(leaves), _path_nodes(n, include))
+    assert _reference_walk(shuffled) == build_root(leaves)
+    for key in partial.siblings:
+        pruned = PartialMerkleTree(n, dict(partial.included),
+                                   {k: v for k, v in partial.siblings.items() if k != key})
+        with pytest.raises(IncompleteProofError) as info:
+            partial_root(pruned)
+        with pytest.raises(IncompleteProofError, match=re.escape(str(info.value))):
+            _reference_walk(pruned)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(total=st.integers(1, 40),
+       leaves=st.dictionaries(st.integers(0, 39), st.binary(min_size=32, max_size=32),
+                              min_size=1, max_size=6),
+       siblings=st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 40)),
+                                st.binary(min_size=32, max_size=32), max_size=8))
+def test_partial_root_of_any_tree_is_the_reference_walks(total, leaves, siblings):
+    """Any included and sibling entries, redundant and missing ones
+    included: the same root, or the same first error, as the reference."""
+    leaves = {i: h for i, h in leaves.items() if i < total} or {0: bytes(32)}
+    p = PartialMerkleTree(total, leaves, siblings)
+    try:
+        expected = _reference_walk(p)
+    except IncompleteProofError as exc:
+        with pytest.raises(IncompleteProofError, match=re.escape(str(exc))):
+            partial_root(p)
+    else:
+        assert partial_root(p) == expected
+
+
+def test_a_sibling_given_where_the_paths_reach_is_ignored():
+    """A sibling placed on an included leaf, or on a node the included
+    leaves hash to, never replaces that node, left or right of its pair."""
+    rng = random.Random(23)
+    leaves = _leaves(rng, 8)
+    for include in ({0, 1}, {2, 3, 6}, {5}):
+        partial = extract_partial(leaves, include)
+        for level, idx in [(0, i) for i in include] + [(1, i // 2) for i in include]:
+            junk = PartialMerkleTree(8, dict(partial.included),
+                                     {**partial.siblings, (level, idx): _h(b"junk")})
+            assert partial_root(junk) == _reference_walk(junk) == build_root(leaves)

@@ -1,5 +1,6 @@
 """What a full node keeps to serve light clients, pinned against answers
-built anew: kept shard proofs, kept tx trees and probe digests."""
+built anew: kept shard proofs and answer bytes, the per-block filter
+records with their tx trees, and probe digests."""
 
 from __future__ import annotations
 
@@ -9,18 +10,21 @@ import pytest
 from conftest import FAST, key_of, mined_node, payment
 from hypothesis import given, settings, strategies as st
 
-from dietchain.chain import ZERO32, block_hash, tx_items, tx_touches, txid
+from dietchain import chain, full_node
+from dietchain.chain import ZERO32, block_hash, encode_block, tx_items, tx_touches, txid
 from dietchain.crypto import BloomFilter, hash256
 from dietchain.diet_node import DietConfig, DietNode
 from dietchain.errors import ValidationError
 from dietchain.full_node import FullNode, MerkleBlockMatch, MerkleBlocksResponse
 from dietchain.merkle import extract_partial
-from dietchain.miner import mine_on
+from dietchain.miner import mine_on, mine_txs
 from dietchain.netsim import (
     Bus,
     BusTransport,
     DietNodeService,
     FullNodeService,
+    MSG_QUERY_BLOCK,
+    MSG_QUERY_UTXOS,
     MSG_WAKE,
     encode_merkle_blocks_response,
     encode_utxos_response,
@@ -277,3 +281,134 @@ def test_filtered_sync_equals_asking_the_filter_at_every_item(seed, blocks, m, h
     for _ in range(2):  # the second query reads the digests the first kept
         assert encode_merkle_blocks_response(
             node.serve_query_merkle_blocks(start, bloom)) == expected
+
+
+# -- the per-block filter index -------------------------------------------------
+
+def _random_filters(rng: random.Random, count: int):
+    """Empty filters, filters that match everything (every bit set, or
+    one bit for every item), and random small and large ones."""
+    yield BloomFilter()
+    full = BloomFilter(m=64, h=2)
+    full.bits[:] = b"\xff" * len(full.bits)
+    yield full
+    one_bit = BloomFilter(m=1, h=1)
+    one_bit.add(b"anything")
+    yield one_bit
+    for _ in range(count):
+        bloom = BloomFilter(m=rng.choice([8, 32, 256, 2048]), h=rng.randrange(1, 12))
+        for item in rng.sample(_ITEMS, rng.randrange(0, 4)):
+            bloom.add(item)
+        yield bloom
+
+
+def _assert_index_serves_as_a_full_scan(node: FullNode, sinces, seed: int) -> None:
+    rng = random.Random(seed)
+    for bloom in _random_filters(rng, 30):
+        since = rng.choice(sinces)
+        assert encode_merkle_blocks_response(node.serve_query_merkle_blocks(since, bloom)) == \
+            encode_merkle_blocks_response(_scan_keeping_nothing(node, since, bloom))
+    assert set(node._filter_index) <= set(node.blocks)
+
+
+def test_the_filter_index_serves_as_a_full_scan_through_a_reorg_and_a_forgotten_branch():
+    """Served answers equal a scan that runs ``tx_touches`` over every
+    tx, for random, empty and match-everything filters: before a reorg,
+    after it, and after a failed switch back to the orphaned branch,
+    which forgets that branch's blocks together with their records."""
+    node = mined_node(FAST, ALICE, 3, seed=900)
+    _grow(node, 4, seed=901)
+    node.serve_query_merkle_blocks(ZERO32, BloomFilter())  # every active block gets a record
+    old_chain = _chain(node)
+    orphan = node.tip_hash
+    assert set(node._filter_index) == set(node.headers.active_chain())
+    _assert_index_serves_as_a_full_scan(node, [ZERO32, *node.headers.active_chain()], 902)
+
+    for block in _rival_blocks(node, 2, seed=903):
+        assert node.connect_block(block).status in ("branch", "accepted")
+    assert not node.headers.on_active_chain(orphan) and orphan in node._filter_index
+    _assert_index_serves_as_a_full_scan(
+        node, [ZERO32, orphan, *node.headers.active_chain()], 904)
+
+    # the orphaned branch comes back heavier, its first new block committing
+    # a junk root: the switch fails and the branch from the fork is forgotten
+    lenient = FullNode(FAST, check_commitments=False)
+    for block in old_chain:
+        assert lenient.connect_block(block).accepted
+    junk = mine_txs(lenient, [], ALICE.public_key, seed=905, commitment=hash256(b"junk"))
+    heavier = mine_on(lenient, ALICE.public_key, seed=906)
+    assert node.connect_block(junk).status == "branch"
+    tip = node.tip_hash
+    result = node.connect_block(heavier)
+    assert (result.status, result.reason) == ("rejected", "root-mismatch")
+    assert node.tip_hash == tip
+    for hh in (orphan, block_hash(junk), block_hash(heavier)):
+        assert hh not in node.blocks and hh not in node._filter_index
+    _assert_index_serves_as_a_full_scan(
+        node, [ZERO32, orphan, *node.headers.active_chain()], 907)
+
+
+def test_a_block_the_filter_cannot_match_is_passed_over_by_its_record(monkeypatch):
+    """Once a block has a record, a query whose filter may contain none
+    of its items never looks at its txs; one that may match scans them."""
+    node = mined_node(FAST, ALICE, 3, seed=910)
+    _grow(node, 3, seed=911)
+    node.serve_query_merkle_blocks(ZERO32, BloomFilter())
+    listed = []
+    monkeypatch.setattr(chain, "tx_items", lambda tx: listed.append(tx) or tx_items(tx))
+    monkeypatch.setattr(full_node, "tx_items", chain.tx_items)
+
+    served = node.serve_query_merkle_blocks(ZERO32, BloomFilter())
+    assert served.matches == () and listed == []
+
+    paid = node.blocks[node.tip_hash].transactions[1].outputs[0].payload
+    matched = {h for h in node.headers.active_chain()
+               if any(paid in tx_items(tx) for tx in node.blocks[h].transactions)}
+    bloom = BloomFilter()
+    bloom.add(paid)
+    served = node.serve_query_merkle_blocks(ZERO32, bloom)
+    assert len(served.matches) == len(matched) > 0
+    assert {txid(tx) for tx in listed} == {
+        txid(tx) for h in matched for tx in node.blocks[h].transactions}
+
+
+# -- kept answer bytes ------------------------------------------------------------
+
+def _wire_answers(service: FullNodeService, node: FullNode) -> dict:
+    return {(msg, hh): service.handle_query(msg, hh)
+            for hh in node.headers.active_chain()[1:]
+            for msg in (MSG_QUERY_BLOCK, MSG_QUERY_UTXOS)}
+
+
+def test_kept_answer_bytes_equal_fresh_encodings_until_a_tip_change():
+    node = mined_node(FAST, ALICE, 3, seed=920)
+    _grow(node, 3, seed=921)
+    service = FullNodeService(node)
+    served = _wire_answers(service, node)
+    assert served == {key: node._answers[key] for key in served}
+    for (msg, hh), data in served.items():
+        fresh = (encode_block(node.blocks[hh]) if msg == MSG_QUERY_BLOCK
+                 else encode_utxos_response(_replica(node).serve_query_utxos(hh)))
+        assert data == fresh
+    again = _wire_answers(service, node)
+    assert all(again[key] is served[key] for key in served)  # the kept bytes themselves
+
+    _grow(node, 1, seed=922)  # the node's own block
+    assert node._answers == {}
+    follower = _replica(node)
+    follower_service = FullNodeService(follower)
+    _wire_answers(follower_service, follower)
+    assert follower._answers
+    mine_on(node, ALICE.public_key, seed=923)
+    assert follower.connect_block(node.blocks[node.tip_hash]).accepted  # a received block
+    assert follower._answers == {}
+    assert _wire_answers(follower_service, follower) == _wire_answers(service, node)
+
+
+def test_a_query_about_an_unknown_block_keeps_no_bytes():
+    node = mined_node(FAST, ALICE, 3, seed=930)
+    service = FullNodeService(node)
+    for msg in (MSG_QUERY_BLOCK, MSG_QUERY_UTXOS):
+        with pytest.raises(ValidationError):
+            service.handle_query(msg, hash256(b"nowhere"))
+    assert node._answers == {}

@@ -1,6 +1,6 @@
 """The scenario's wallet against the store it follows: after every pay of
 every bundled scenario, through a reorg, and in how often it reads the
-whole coin set."""
+whole coin set. Its pick order is checked against a fresh sort."""
 
 from __future__ import annotations
 
@@ -25,6 +25,13 @@ def _by_challenge(node) -> dict:
     for coin in node.utxo.all_coins():
         grouped.setdefault(coin.challenge, {})[coin.outpoint] = coin
     return grouped
+
+
+def _pick_order(grouped: dict) -> dict:
+    """Each challenge's coins as ``(-value, outpoint)``, sorted: the
+    order a wallet keeps for its picks, with nothing spent in it."""
+    return {challenge: sorted((-coin.value, outpoint) for outpoint, coin in owned.items())
+            for challenge, owned in grouped.items()}
 
 
 def _sorted_pick(node, challenge: bytes, needed: int) -> list:
@@ -62,7 +69,9 @@ def test_after_every_pay_the_wallet_is_the_store_by_challenge(monkeypatch, seed)
     def checked_pay(state, step):
         handler(state, step)
         node_id = step.get("node", state.reference)
-        assert state.wallets[node_id].coins == _by_challenge(state.full(node_id))
+        wallet = state.wallets[node_id]
+        assert wallet.coins == _by_challenge(state.full(node_id))
+        assert wallet.order == _pick_order(wallet.coins)
         pays.append(node_id)
 
     monkeypatch.setattr(Wallet, "pick", checked_pick)
@@ -107,7 +116,9 @@ def test_a_reorg_makes_the_next_pick_rebuild_the_wallet(monkeypatch):
     assert scans == []
     assert picked == _sorted_pick(node, ALICE.challenge, 60)
     assert wallet.coins == _by_challenge(node)
+    assert wallet.order == _pick_order(wallet.coins)
     assert CAROL.challenge not in wallet.coins and BOB.challenge in wallet.coins
+    assert CAROL.challenge not in wallet.order
 
     # a heavier rival branch from height 1 orphans the blocks that paid bob
     for i in range(5):
@@ -121,6 +132,7 @@ def test_a_reorg_makes_the_next_pick_rebuild_the_wallet(monkeypatch):
     assert [store is node.utxo for store in scans] == [True]
     assert picked == _sorted_pick(node, BOB.challenge, 30)
     assert wallet.coins == _by_challenge(node)
+    assert wallet.order == _pick_order(wallet.coins)
     assert wallet.tip == node.tip_hash
 
 
