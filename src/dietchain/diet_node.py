@@ -5,7 +5,8 @@ matching its keys and trusts proof-of-work alone. A diet client goes
 further: before trusting a transaction at height ``last`` it re-derives
 the chain state across a window of recent blocks, using only the UTXO
 shards each block touched plus their membership proofs against the
-committed root of the block before the window. It replays each block on
+root committed by the coinbase of the block before the window, which it
+fetches and checks against its header. It replays each block on
 a ``utxo.ShardView`` over the served shards, the code a full node's store
 applies blocks with, so the deferred rewards and the split rule are the
 store's own. Faking a transaction inside the window therefore requires
@@ -13,8 +14,10 @@ forging every block of the window and the one before it, each with valid
 proof-of-work.
 
 Remote calls go through a transport (``query_merkle_blocks``,
-``query_utxo_mroot``, ``query_block``, ``query_utxos``), each returning
-the decoded response together with its size in bytes on the wire.
+``query_block``, ``query_utxos``), each returning the decoded response
+together with its size in bytes on the wire. A diet node never asks a
+peer for a committed root: a peer's word on the base root would let a
+forger prove a made-up state with l proofs of work instead of l+1.
 """
 
 from __future__ import annotations
@@ -33,7 +36,13 @@ from .crypto import BloomFilter, hash256
 from .errors import DecodeError, IncompleteProofError, InconsistentStateError, ValidationError
 from .headers import HeaderIndex
 from .merkle import PartialMerkleTree, build_root, contains, partial_root, update_in_place
-from .rules import check_block_structure, check_coinbase_value, check_commitment, connect_body
+from .rules import (
+    check_block_structure,
+    check_coinbase_value,
+    check_commitment,
+    commitment_of,
+    connect_body,
+)
 from .utxo import Coin, ShardView, coins_of
 
 
@@ -210,12 +219,13 @@ class DietNode:
         return VerifyOutcome("verified", first=first, last=last)
 
     def _verify_window(self, first: int, last: int) -> None:
-        base_hash = self.headers.active_hash_at(first)
-        trusted = self._ask("query_utxo_mroot", base_hash, first)
-        # The base block itself is trusted, but its reward coins are not
-        # under its committed root yet; they are needed as the deferred
-        # insertions of the first verified block.
-        base_block = self._fetch_block(base_hash, first)
+        # The base block is trusted by its header: the root its coinbase
+        # commits is the state the window starts from, and its reward
+        # coins, not under that root yet, are the deferred insertions of
+        # the first verified block. Nothing about the base is taken from
+        # the peer's word.
+        base_block = self._fetch_block(self.headers.active_hash_at(first), first)
+        trusted = commitment_of(base_block)
         pending = coins_of(base_block.transactions[0])
 
         for height in range(first + 1, last + 1):

@@ -12,6 +12,7 @@ from dietchain.chain import (
     Block,
     ChainParams,
     KIND_PAYMENT,
+    OutPoint,
     Transaction,
     TxInput,
     TxOutput,
@@ -20,10 +21,11 @@ from dietchain.chain import (
     make_coinbase_input,
     sighash,
 )
+from dietchain.crypto import hash256
 from dietchain.diet_node import DietConfig, DietNode, compute_verification_range
 from dietchain.errors import ValidationError
 from dietchain.full_node import FullNode, UtxosResponse
-from dietchain.merkle import encode_partial
+from dietchain.merkle import encode_partial, update_levels
 from dietchain.miner import (
     BlockTemplate,
     assemble_block,
@@ -40,9 +42,11 @@ from dietchain.netsim import (
     Adversary,
     Bus,
     BusTransport,
+    ForgedChainBuilder,
     FullNodeService,
 )
-from dietchain.rules import tx_merkle_root
+from dietchain.rules import commitment_of, signed_spend, tx_merkle_root
+from dietchain.utxo import Coin, encode_shard_coins, shard_key
 
 ALICE = key_of("alice")
 BOB = key_of("bob")
@@ -111,8 +115,8 @@ def test_bytes_accounting_by_query_type():
                                   max_length=2))
     result = diet.update_chain()
     counted = result.bytes_by_type
-    assert set(counted) == {"query_merkle_blocks", "query_utxo_mroot",
-                            "query_block", "query_utxos"}
+    # the window's base root is read from the base block, never asked for
+    assert set(counted) == {"query_merkle_blocks", "query_block", "query_utxos"}
     assert all(v > 0 for v in counted.values())
     # per-height log pairs block bytes with proof bytes inside the window
     verified = [e for e in result.per_height if "utxos_bytes" in e]
@@ -494,11 +498,79 @@ def test_truncated_utxos_is_a_peer_fault():
     assert verdict.fail_height == verdict.first + 1
 
 
-def test_truncated_root_is_a_peer_fault_at_the_base():
+def test_a_window_asks_no_root_so_a_truncated_root_answer_changes_nothing():
+    """The base root comes from the base block, whose truncation is the
+    peer fault at the base (above); a root answer is never asked for."""
     (verdict,) = _truncated_window(MSG_QUERY_UTXO_MROOT)
-    assert (verdict.status, verdict.reason) == ("rejected", "peer-fault")
+    assert verdict.status == "diet-verified"
     assert (verdict.first, verdict.last) == (verdict.height - 2, verdict.height)
-    assert verdict.fail_height == verdict.first  # the base's root is asked for first
+
+
+# -- a peer that lies about the window's base root -------------------------------
+
+
+class _LyingRootService(FullNodeService):
+    """Serves a forger's replica, and answers a root query about the base
+    block with the root of the replica's made-up state there."""
+
+    def __init__(self, node: FullNode, base: bytes, lie: bytes):
+        super().__init__(node)
+        self.base, self.lie = base, lie
+
+    def handle_query(self, msg_type, payload):
+        if msg_type == MSG_QUERY_UTXO_MROOT and payload == self.base:
+            return self.lie
+        return super().handle_query(msg_type, payload)
+
+
+def _forge_on_a_made_up_base(honest: FullNode, l: int) -> tuple[ForgedChainBuilder, bytes, bytes]:
+    """A forger that forks at ``T = tip - (l - 1)`` with a made-up coin of
+    Alice's in its state at ``T`` (so its root there is a lie), mines
+    ``l - 1`` empty blocks and one that spends the coin to Carol: ``l``
+    real proofs of work. Returns the forger, the base hash and the lie."""
+    fork = honest.tip_height - (l - 1)
+    forger = ForgedChainBuilder(FAST, budget=l, seed=77)
+    forger.replay(honest, fork)
+    store = forger.node.utxo
+    coin = Coin(OutPoint(hash256(b"made up"), 0), 1000, ALICE.challenge)
+    idx = shard_key(coin.outpoint.txid, store.k)
+    store.shards[idx] = sorted(store.shards[idx] + [coin])
+    encoded = encode_shard_coins(store.shards[idx])
+    kept = store.versions.get((store.k, idx), ())
+    store.versions[(store.k, idx)] = tuple(v for v in kept if v[0] < fork) + ((fork, encoded),)
+    update_levels(store._levels, {idx: hash256(encoded)})
+    store._coin_count += 1
+    lie = store.current_root
+    assert lie != commitment_of(honest.blocks[honest.headers.active_hash_at(fork)])
+    for _ in range(l - 1):
+        forger.mine([], ALICE.public_key)
+    spend = signed_spend(ALICE, [coin], [
+        TxOutput(value=10, kind=KIND_PAYMENT, payload=CAROL.challenge),
+        TxOutput(value=989, kind=KIND_PAYMENT, payload=ALICE.challenge)])
+    forger.mine([spend], ALICE.public_key)
+    return forger, forger.node.headers.active_hash_at(fork), lie
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_a_lying_base_root_cannot_save_a_proof_of_work(l):
+    """A forger with ``l`` proofs of work, under a window of ``l``, whose
+    peer serves shards of a made-up base state and vouches for its root,
+    has the spend at height 8 rejected: the base root is the base
+    block's own commitment, which the made-up shards served for the
+    window's first block do not reach."""
+    honest = mined_node(FAST, ALICE, 8, seed=3)  # tip 7
+    forger, base, lie = _forge_on_a_made_up_base(honest, l)
+    assert forger.node.tip_height == 8 and forger.mined == l
+    bus = Bus(seed=5)
+    bus.register("peer", _LyingRootService(forger.node, base, lie))
+    config = DietConfig(keys=(CAROL.public_key,), max_depth=l, max_length=l)
+    diet = DietNode(FAST, config, BusTransport(bus, "client", "peer"))
+    result = diet.update_chain()
+    (verdict,) = result.verdicts
+    assert (verdict.height, verdict.status, verdict.reason) == \
+        (8, "rejected", "shard-proof-mismatch")
+    assert (verdict.first, verdict.last, verdict.fail_height) == (8 - l, 8, 8 - l + 1)
+    assert "query_utxo_mroot" not in result.bytes_by_type
 
 
 class _ShardTwiceService(FullNodeService):
