@@ -346,9 +346,9 @@ class FullNode:
 
     def _tip_changed(self, applied: list[Block], orphaned: list[Block]) -> None:
         """After a tip change, drop the kept proofs and answer bytes (they
-        never go stale; dropping them bounds their memory) and refit the pool from the
-        orphaned payments (first) and the pooled txs that the applied
-        blocks do not carry. This node verified the orphaned payments'
+        never go stale; dropping them bounds their memory) and refit the
+        pool from the orphaned payments (first) and the pooled txs that
+        the applied blocks do not carry. This node verified the orphaned payments'
         signatures when it applied their block, so the refit skips those
         checks as it does for pooled txs."""
         self._proofs.clear()
@@ -452,10 +452,12 @@ class FullNode:
         return response
 
     def kept_answer(self, query: int, block_hash: bytes, build) -> bytes:
-        """The wire bytes of the ``query`` answer about ``block_hash``:
-        ``build(block_hash)`` the first time, then the bytes it returned,
-        kept as the shard proofs are until the next tip change. A build
-        that raises keeps nothing."""
+        """The wire bytes of the ``query`` answer about ``block_hash``, a
+        block of the active chain: ``build(block_hash)`` the first time,
+        then the bytes it returned, kept as the shard proofs are until the
+        next tip change. The active-chain check runs before the lookup; a
+        build that raises keeps nothing."""
+        self._active_block(block_hash)
         key = (query, block_hash)
         data = self._answers.get(key)
         if data is None:

@@ -22,6 +22,9 @@ Message types::
     0x07/0x08  query_utxos           block hash      | shards, shard proof
     0x10       block_announce        whole block     (no response)
 
+No diet node asks ``query_utxo_mroot``: it reads a window's base root
+from the base block. A full node still answers it.
+
 A ``utxos`` answer is a u16 shard count; per shard, in increasing index
 order, its index (u32), its coin count (u32) and its coins; then the
 partial tree. The shard's own bytes, which its leaf hashes, are the
@@ -260,11 +263,11 @@ class FullNodeService:
         if msg_type == MSG_QUERY_UTXO_MROOT:
             return self.node.serve_query_utxo_mroot(payload)
         if msg_type == MSG_QUERY_BLOCK:
-            return self.node.kept_answer(msg_type, payload, lambda block_hash: encode_block(
-                self.node.serve_query_block(block_hash)))
+            return self.node.kept_answer(
+                msg_type, payload, lambda h: encode_block(self.node.serve_query_block(h)))
         if msg_type == MSG_QUERY_UTXOS:
-            return self.node.kept_answer(msg_type, payload, lambda block_hash: (
-                encode_utxos_response(self.node.serve_query_utxos(block_hash))))
+            return self.node.kept_answer(
+                msg_type, payload, lambda h: encode_utxos_response(self.node.serve_query_utxos(h)))
         raise ScenarioError(f"unhandled query type 0x{msg_type:02x}")
 
     def handle_message(self, bus: Bus, src: str, msg_type: int, payload: bytes) -> None:

@@ -405,6 +405,25 @@ def test_kept_answer_bytes_equal_fresh_encodings_until_a_tip_change():
     assert _wire_answers(follower_service, follower) == _wire_answers(service, node)
 
 
+def test_kept_answer_bytes_of_a_block_that_left_the_active_chain_are_not_served():
+    node = mined_node(FAST, ALICE, 3, seed=925)
+    _grow(node, 1, seed=926)
+    orphan = node.tip_hash
+    service = FullNodeService(node)
+    for msg in (MSG_QUERY_BLOCK, MSG_QUERY_UTXOS):
+        service.handle_query(msg, orphan)
+    kept = dict(node._answers)
+
+    for block in _rival_blocks(node, 2, seed=927):
+        node.connect_block(block)
+    assert not node.headers.on_active_chain(orphan)
+    node._answers.update(kept)  # even if they were still kept, the chain check comes first
+    for msg in (MSG_QUERY_BLOCK, MSG_QUERY_UTXOS):
+        with pytest.raises(ValidationError) as info:
+            service.handle_query(msg, orphan)
+        assert info.value.code == "unknown-block"
+
+
 def test_a_query_about_an_unknown_block_keeps_no_bytes():
     node = mined_node(FAST, ALICE, 3, seed=930)
     service = FullNodeService(node)
