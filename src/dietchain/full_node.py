@@ -39,18 +39,18 @@ current floor is ``reorg-too-deep`` at once and never indexed. A
 pre-state below the floor is ``history-unavailable`` to a peer. Block
 bodies stay from genesis, for filtered sync.
 
-Answers are built once and served from what the node keeps. A block's
-shard proof depends only on the block, so it is kept by block hash until
-the next tip change, which drops every kept proof to bound memory; the
-wire bytes of a ``query_block`` or ``query_utxos`` answer are kept for
-the same lifetime, so a block asked about by many clients is encoded
-once. Filtered sync keeps one record per block it has scanned: the
-distinct filter items of the block's txs and, from the block's first
-match, its tx-tree levels. It keeps each filter item's probe digests
-too. None of these depend on the tip, and they stay; a branch forgotten
-after a failed switch takes its blocks' records with it. Within one
-query the filter is asked once per distinct item, and a block none of
-whose items it may contain is passed over without looking at its txs.
+Answers are built once and served from what the node keeps. A
+``query_block`` or ``query_utxos`` answer depends only on the block, so
+its wire bytes are kept by query and block hash until the next tip
+change, which drops them all to bound memory: a block asked about by
+many clients is proved and encoded once. Filtered sync keeps one record
+per block it has scanned: the distinct filter items of the block's txs
+and, from the block's first match, its tx-tree levels. It keeps each
+filter item's probe digests too. None of these depend on the tip, and
+they stay; a branch forgotten after a failed switch takes its blocks'
+records with it. Within one query the filter is asked once per distinct
+item, and a block none of whose items it may contain is passed over
+without looking at its txs.
 """
 
 from __future__ import annotations
@@ -137,9 +137,7 @@ class FullNode:
     mempool: list[Transaction] = field(init=False, default_factory=list)
     # txids of pooled txs, each verified by this node; rebuilt at every refit
     _pooled: set[bytes] = field(init=False, default_factory=set)
-    # block hash -> the query_utxos answer built for it; dropped on a tip change
-    _proofs: dict[bytes, UtxosResponse] = field(init=False, default_factory=dict)
-    # (query type, block hash) -> that answer's wire bytes; dropped with _proofs
+    # (query type, block hash) -> that answer's wire bytes; dropped on a tip change
     _answers: dict[tuple[int, bytes], bytes] = field(init=False, default_factory=dict)
     # the pool as the next block: the pooled tx objects in the order they were
     # admitted, their fees, and the store's view of the next block with them
@@ -345,13 +343,12 @@ class FullNode:
         self._pool_fees += fee
 
     def _tip_changed(self, applied: list[Block], orphaned: list[Block]) -> None:
-        """After a tip change, drop the kept proofs and answer bytes (they
-        never go stale; dropping them bounds their memory) and refit the
+        """After a tip change, drop the kept answer bytes (they never go
+        stale; dropping them bounds their memory) and refit the
         pool from the orphaned payments (first) and the pooled txs that
         the applied blocks do not carry. This node verified the orphaned payments'
         signatures when it applied their block, so the refit skips those
         checks as it does for pooled txs."""
-        self._proofs.clear()
         self._answers.clear()
         mined = {txid(tx) for block in applied for tx in block.transactions[1:]}
         returned = [tx for block in orphaned for tx in block.transactions[1:]]
@@ -434,29 +431,22 @@ class FullNode:
 
     def serve_query_utxos(self, block_hash: bytes) -> UtxosResponse:
         """The shards the block touched, as they stood before it, and
-        their proof against its parent's root. The block fixes its parent
-        chain, so the answer never goes stale: it is built once and kept
-        until the next tip change. Every caller gets the same object, so
-        callers must not change it."""
-        block = self._active_block(block_hash)
-        kept = self._proofs.get(block_hash)
-        if kept is not None:
-            return kept
-        height = block.header.height
+        their proof against its parent's root, built on each call;
+        :meth:`kept_answer` keeps its wire bytes."""
+        height = self._active_block(block_hash).header.height
         try:
             shards, tree = self.utxo.state_before(
                 height, set(self.utxo.touched_log[height].indices))
         except HistoryUnavailableError as exc:
             raise ValidationError("history-unavailable", str(exc), height=height) from exc
-        response = self._proofs[block_hash] = UtxosResponse(shards=shards, tree=tree)
-        return response
+        return UtxosResponse(shards=shards, tree=tree)
 
     def kept_answer(self, query: int, block_hash: bytes, build) -> bytes:
         """The wire bytes of the ``query`` answer about ``block_hash``, a
         block of the active chain: ``build(block_hash)`` the first time,
-        then the bytes it returned, kept as the shard proofs are until the
-        next tip change. The active-chain check runs before the lookup; a
-        build that raises keeps nothing."""
+        then the bytes it returned, kept until the next tip change. The
+        active-chain check runs before the lookup; a build that raises
+        keeps nothing."""
         self._active_block(block_hash)
         key = (query, block_hash)
         data = self._answers.get(key)

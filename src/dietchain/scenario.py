@@ -468,23 +468,21 @@ def _last_verdict(state: ScenarioState, node_id: str, label: str):
 
 def _chain_stats(state: ScenarioState) -> dict:
     store = state.full(state.reference).utxo
-    per_block = []
-    for h in range(store.height + 1):
-        k = store.k_at(h)
-        total = store.bytes_log[h]
-        record = store.touched_log[h]
-        per_block.append({
-            "height": h,
-            "k": k,
-            "total_bytes": total,
-            "average_bytes": total / (1 << k),
-            "touched": len(record.indices),
-            "rebalanced": record.rebalanced,
-        })
+    if store.height is None:
+        raise ScenarioError("the script mines no block")
+    per_block = [{
+        "height": h,
+        "k": record.k_after,
+        "total_bytes": record.shard_bytes,
+        "average_bytes": record.shard_bytes / (1 << record.k_after),
+        "touched": len(record.indices),
+        "rebalanced": record.rebalanced,
+    } for h, record in store.touched_log.items()]
     return {
         "tip_height": state.full(state.reference).tip_height,
         "k_final": store.k,
-        "k_history": [[h, k] for h, k in store.policy_log],
+        "k_history": [[h, record.k_after] for h, record in store.touched_log.items()
+                      if record.rebalanced],
         "per_block": per_block,
         "rebalances": [{
             "height": s.height, "k_from": s.k_from, "k_to": s.k_to,

@@ -59,8 +59,9 @@ at ``p`` drops the coarser ``k``'s versions and kept tree. ``p`` becomes
 the ``floor``: ``state_before``, ``undo_block`` and ``rewind_to`` raise
 :class:`HistoryUnavailableError` for a state below it, and an undo does
 not lower it, so the pending list each block replaced is kept only for
-the heights above it. The per-height logs (roots, bytes, touched shards,
-``k``, splits) are small and stay whole.
+the heights above it. The store keeps one small record per height (the
+shards the block touched, ``k`` before and after it, the shard bytes
+after it), and those records stay whole.
 """
 
 from __future__ import annotations
@@ -262,12 +263,18 @@ class RebalanceStep:
 
 @dataclass(frozen=True)
 class TouchedRecord:
-    """Which shards a block's application changed, in the coordinates of
-    the tree its proofs are checked against (the pre-split ``k``). A
+    """What a block's application did: which shards it changed, in the
+    coordinates of the tree its proofs are checked against (the
+    pre-split ``k``), the ``k`` after it and the shard bytes after it. A
     split changes every shard: its record holds a ``range``, not 2**k ints."""
     indices: frozenset[int] | range
     k: int
-    rebalanced: bool
+    k_after: int
+    shard_bytes: int
+
+    @property
+    def rebalanced(self) -> bool:
+        return self.k_after != self.k
 
 
 @dataclass
@@ -284,11 +291,8 @@ class VersionedShardStore:
     # tuples hold the append-only history at its exact size
     versions: dict[tuple[int, int], tuple[tuple[int, bytes], ...]] = field(
         init=False, default_factory=dict)
-    root_log: dict[int, bytes] = field(init=False, default_factory=dict)
-    bytes_log: list[int] = field(init=False, default_factory=list)  # shard bytes, by height
+    # height -> that block's record, every committed height in height order
     touched_log: dict[int, TouchedRecord] = field(init=False, default_factory=dict)
-    policy_log: list[tuple[int, int]] = field(init=False, default_factory=list)
-    rebalance_log: list[RebalanceStep] = field(init=False, default_factory=list)
     _levels: list[bytearray] = field(init=False)  # packed shard tree, leaves first
     # k -> (last height committed at k, packed tree at that height); one per split
     _frozen: dict[int, tuple[int, list[bytearray]]] = field(init=False, default_factory=dict)
@@ -330,12 +334,18 @@ class VersionedShardStore:
         return self.current_root
 
     def k_at(self, height: int) -> int:
-        """The shard count exponent in effect after applying ``height``."""
-        k = self.initial_k
-        for h, new_k in self.policy_log:
-            if h <= height:
-                k = new_k
-        return k
+        """The shard count exponent in effect after applying ``height``,
+        a committed height."""
+        return self.touched_log[height].k_after
+
+    @property
+    def rebalance_log(self) -> list[RebalanceStep]:
+        """Every split, one step per txid bit gained, in height order."""
+        return [RebalanceStep(height=h, k_from=k, k_to=k + 1,
+                              avg_before=record.shard_bytes / (1 << k),
+                              avg_after=record.shard_bytes / (1 << (k + 1)))
+                for h, record in self.touched_log.items()
+                for k in range(record.k, record.k_after)]
 
     # -- mutation ---------------------------------------------------------
 
@@ -361,12 +371,6 @@ class VersionedShardStore:
         encodings = view.close(self.size_cap)
         height = view.height
         rebalanced = view.k != k_before
-        for k in range(k_before, view.k):
-            self.rebalance_log.append(RebalanceStep(
-                height=height, k_from=k, k_to=k + 1,
-                avg_before=COIN_SIZE * view.coin_count / (1 << k),
-                avg_after=COIN_SIZE * view.coin_count / (1 << (k + 1)),
-            ))
         self.k, self._coin_count = view.k, view.coin_count
         self._undo_pending.append(self.pending)
         self.pending = []
@@ -377,7 +381,6 @@ class VersionedShardStore:
             self.versions[key] = self.versions.get(key, ()) + ((height, encoded),)
             leaves[idx] = hash256(encoded)
         if rebalanced:
-            self.policy_log.append((height, self.k))
             self.shards = view.edited  # after a split the view's copies are every shard
             self._frozen[k_before] = (height - 1, self._levels)
             self._levels = pack_levels([leaves[i] for i in range(1 << self.k)])
@@ -385,12 +388,11 @@ class VersionedShardStore:
             self.shards.update(view.edited)
             update_levels(self._levels, leaves)
         self.height = height
-        self.root_log[height] = self.current_root
-        self.bytes_log.append(self.total_shard_bytes())
         self.touched_log[height] = TouchedRecord(
             indices=range(1 << k_before) if rebalanced else frozenset(encodings),
             k=k_before,
-            rebalanced=rebalanced,
+            k_after=self.k,
+            shard_bytes=self.total_shard_bytes(),
         )
         self._prune(height - HISTORY_HORIZON)
         return self.current_root
@@ -409,7 +411,7 @@ class VersionedShardStore:
             return
         record = self.touched_log[height]
         if record.rebalanced:
-            for k in range(record.k, self.k_at(height)):
+            for k in range(record.k, record.k_after):
                 for idx in range(1 << k):
                     self.versions.pop((k, idx), None)
                 self._frozen.pop(k, None)
@@ -463,8 +465,6 @@ class VersionedShardStore:
         height = self.height
         if height - 1 < self.floor:
             raise HistoryUnavailableError(f"height {height - 1} is below the floor {self.floor}")
-        del self.root_log[height]
-        self.bytes_log.pop()
         record = self.touched_log.pop(height)
         for idx in range(1 << self.k) if record.rebalanced else record.indices:
             key = (self.k, idx)
@@ -473,9 +473,6 @@ class VersionedShardStore:
             else:
                 del self.versions[key]
         if record.rebalanced:
-            self.policy_log.pop()
-            while self.rebalance_log and self.rebalance_log[-1].height == height:
-                self.rebalance_log.pop()
             live = [coin for coins in self.shards.values() for coin in coins]
             self.k = record.k
             self.shards, self._coin_count = {}, 0
@@ -519,11 +516,7 @@ class VersionedShardStore:
         twin.shards = {idx: list(coins) for idx, coins in self.shards.items()}
         twin.pending = list(self.pending)
         twin.versions = dict(self.versions)
-        twin.root_log = dict(self.root_log)
-        twin.bytes_log = list(self.bytes_log)
         twin.touched_log = dict(self.touched_log)
-        twin.policy_log = list(self.policy_log)
-        twin.rebalance_log = list(self.rebalance_log)
         twin._levels = _copy_levels(self._levels)
         twin._frozen = {k: (h, _copy_levels(levels)) for k, (h, levels) in self._frozen.items()}
         twin._undo_pending = [list(replaced) for replaced in self._undo_pending]

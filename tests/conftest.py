@@ -72,11 +72,7 @@ def store_state(store: VersionedShardStore) -> dict:
         "floor": store.floor,
         "k": store.k,
         "versions": dict(store.versions),
-        "root_log": dict(store.root_log),
         "touched_log": dict(store.touched_log),
-        "policy_log": list(store.policy_log),
-        "rebalance_log": list(store.rebalance_log),
-        "bytes_log": list(store.bytes_log),
         "pending": list(store.pending),
         "shards": {i: list(coins) for i, coins in store.shards.items()},
         "levels": [bytes(level) for level in store._levels],

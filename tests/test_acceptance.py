@@ -16,10 +16,11 @@ import struct
 from conftest import key_of, mined_node, payment
 
 from dietchain import cli
-from dietchain.chain import ChainParams, OutPoint
+from dietchain.chain import COIN_SIZE, ChainParams, OutPoint
 from dietchain.diet_node import compute_verification_range
 from dietchain.merkle import build_root, extract_partial, partial_root, update_in_place
 from dietchain.miner import mine_on
+from dietchain.rules import commitment_of
 from dietchain.scenario import render_report, render_trace, run_scenario
 from dietchain.utxo import Coin, coins_of, shard_key
 
@@ -70,6 +71,7 @@ def test_01_sharded_store_equals_flat_oracle():
     committed: dict[OutPoint, Coin] = {}
     pending: list[Coin] = list(coins_of(node.blocks[node.tip_hash].transactions[0]))
     checked = 0
+    k = params.initial_k  # the split rule, run on the oracle's coins
     for height in range(1, 50):
         if rng.random() < 0.8:
             recipients = [(ALICE.challenge if rng.random() < 0.7 else BOB.challenge,
@@ -95,10 +97,16 @@ def test_01_sharded_store_equals_flat_oracle():
         if sorted(store.pending) != sorted(pending):
             assert _criterion(1, "sharded store equals flat oracle", False,
                               f"pending set diverged at height {height}")
-        rebuilt = _oracle_root(list(committed.values()), store.k_at(height))
-        if store.root_log[height] != rebuilt:
+        while COIN_SIZE * len(committed) > params.size_cap << k:
+            k += 1
+        rebuilt = _oracle_root(list(committed.values()), k)
+        if commitment_of(block) != rebuilt:
             assert _criterion(1, "sharded store equals flat oracle", False,
                               f"committed root diverged at height {height}")
+        record = store.touched_log[height]
+        if (record.k_after, record.shard_bytes) != (k, COIN_SIZE * len(committed)):
+            assert _criterion(1, "sharded store equals flat oracle", False,
+                              f"height record diverged at height {height}")
         checked += 1
 
     splits = len(node.utxo.rebalance_log)

@@ -150,7 +150,7 @@ def test_full_block_cycle_and_commitment_checked():
     assert len(block.transactions) == 2
     assert any(c.challenge == BOB.challenge for c in node.utxo.all_coins())
     # the block's committed root is exactly the staged store root
-    assert commitment_of(block) == node.utxo.root_log[4]
+    assert commitment_of(block) == node.utxo.utxo_root()
 
 
 def test_tampered_commitment_rejected_by_full_node():
@@ -260,7 +260,7 @@ def test_reorg_rejects_branch_with_invalid_body():
 
     forged2 = mine_on(branch, BOB.public_key, seed=615)
     store = node.utxo
-    before = (node.headers.active_chain(), store.root_log.copy(), store.touched_log.copy(),
+    before = (node.headers.active_chain(), store.utxo_root(), store.touched_log.copy(),
               dict(store.versions), list(store.pending),
               sorted(store.all_coins()))
     node.connect_block(forged1)
@@ -268,7 +268,7 @@ def test_reorg_rejects_branch_with_invalid_body():
     assert not result.accepted
     assert result.reason == "root-mismatch"
     assert node.tip_hash == old_tip  # state restored
-    assert (node.headers.active_chain(), store.root_log, store.touched_log, store.versions,
+    assert (node.headers.active_chain(), store.utxo_root(), store.touched_log, store.versions,
             store.pending, sorted(store.all_coins())) == before
     assert block_hash(forged1) not in node.blocks
 
@@ -356,7 +356,7 @@ def test_query_utxos_serves_only_touched_shards():
     assert resp.tree.total_leaves == 1 << record.k
     # proof hangs together against the parent's committed root
     parent_height = block.header.height - 1
-    assert partial_root(resp.tree) == node.utxo.root_log[parent_height]
+    assert partial_root(resp.tree) == commitment_of(node.blocks[block.header.prev_hash])
     for idx, shard in resp.shards.items():
         assert resp.tree.included[idx] == shard.leaf_hash
 
@@ -449,7 +449,7 @@ def test_rejected_commitment_leaves_the_store_untouched():
     node = mined_node(FAST, ALICE, 3, seed=121)
     node.submit_transaction(payment(node, ALICE, [(BOB.challenge, 5)]))
     store = node.utxo
-    before = (store.height, store.utxo_root(), dict(store.root_log),
+    before = (store.height, store.utxo_root(), dict(store.touched_log),
               dict(store.versions), list(store.pending),
               sorted(store.all_coins()))
     template = node_template(node, ALICE.public_key)
@@ -459,7 +459,7 @@ def test_rejected_commitment_leaves_the_store_untouched():
     result = node.connect_block(Block(header=header, transactions=txs))
     assert result.reason == "root-mismatch"
     assert node.utxo is store
-    assert (store.height, store.utxo_root(), store.root_log, store.versions,
+    assert (store.height, store.utxo_root(), store.touched_log, store.versions,
             store.pending, sorted(store.all_coins())) == before
 
 
@@ -981,7 +981,7 @@ def test_a_failed_switch_across_a_split_leaves_the_pool_view_on_the_tip():
     store's shards in new objects. The pool's view must follow: a payment
     spending a coin of the block above the split is still admitted."""
     node = mined_node(SPLITTING, ALICE, 2, seed=135)
-    while node.utxo.k < 3 or node.utxo.policy_log[-1][0] != node.tip_height:
+    while node.utxo.k < 3 or not node.utxo.touched_log[node.tip_height].rebalanced:
         node.submit_transaction(payment(node, ALICE, [(BOB.challenge, 1)] * 3))
         mine_on(node, ALICE.public_key, seed=335 + node.tip_height)
     split_at = node.tip_height

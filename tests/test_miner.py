@@ -84,13 +84,11 @@ def test_closed_mining_loop_collects_fees():
 
 def test_empty_template_commitment_absorbs_parent_coinbase():
     node = mined_node(FAST, ALICE, 3, seed=5)
-    parent_height = node.tip_height
-    parent_root = node.utxo.root_log[parent_height]
+    parent_root = commitment_of(node.blocks[node.tip_hash])
     block = mine_on(node, ALICE.public_key, seed=105)  # empty template
     # the new root covers the parent's reward, so it moves
     assert commitment_of(block) != parent_root
-    preview = node.utxo.root_log[block.header.height]
-    assert commitment_of(block) == preview
+    assert commitment_of(block) == node.utxo.utxo_root()
 
 
 def test_mine_block_budget_exhaustion_returns_none():

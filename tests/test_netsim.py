@@ -31,7 +31,7 @@ from dietchain.netsim import (
     encode_merkle_blocks_response,
     encode_utxos_response,
 )
-from dietchain.rules import signed_spend
+from dietchain.rules import commitment_of, signed_spend
 from dietchain.utxo import Coin, OutPoint, coins_of
 
 ALICE = key_of("alice")
@@ -150,7 +150,7 @@ def test_hijack_reroutes_to_shadow():
     transport = BusTransport(bus, "victim", "peer")
 
     root, _ = transport.query_utxo_mroot(shadow_node.tip_hash)
-    assert root == shadow_node.utxo.root_log[shadow_node.tip_height]
+    assert root == commitment_of(shadow_node.blocks[shadow_node.tip_hash])
 
     # other query types still reach the honest peer
     block, _ = transport.query_block(honest.tip_hash)

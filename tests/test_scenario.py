@@ -295,6 +295,19 @@ def test_cli_run_reports_a_bad_step_as_a_config_error(capsys, tmp_path, step, me
     assert "Traceback" not in captured.out + captured.err
 
 
+def test_cli_run_reports_a_script_that_mines_no_block_as_a_config_error(capsys, tmp_path):
+    """A report describes the chain a script mined; with no block there
+    is none to describe."""
+    cfg = {"name": "empty", "seed": 1, "keys": ["alice"], "nodes": [{"id": "full-1"}],
+           "script": [], "expect": []}
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "the script mines no block" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_key_derivation_is_name_and_seed_bound():
     alice_nine = derive_key(9, "alice")
     assert derive_key(9, "alice").public_key == alice_nine.public_key

@@ -1,6 +1,6 @@
 """What a full node keeps to serve light clients, pinned against answers
-built anew: kept shard proofs and answer bytes, the per-block filter
-records with their tx trees, and probe digests."""
+built anew: kept answer bytes, the per-block filter records with their
+tx trees, and probe digests."""
 
 from __future__ import annotations
 
@@ -66,13 +66,14 @@ def _rival_blocks(node: FullNode, count: int, seed: int) -> list:
 
 
 def _served_bytes(node: FullNode) -> dict[int, bytes]:
-    return {block.header.height: encode_utxos_response(node.serve_query_utxos(block_hash(block)))
+    service = FullNodeService(node)
+    return {block.header.height: service.handle_query(MSG_QUERY_UTXOS, block_hash(block))
             for block in _chain(node)[1:]}
 
 
 def _assert_served_like_a_fresh_node(node: FullNode) -> None:
     first = _served_bytes(node)
-    assert _served_bytes(node) == first  # answered again, from the kept proofs
+    assert _served_bytes(node) == first  # answered again, from the kept answers
     assert first == _served_bytes(_replica(node))
 
 
@@ -121,37 +122,24 @@ def test_a_tip_change_drops_every_kept_proof(monkeypatch):
     _grow(node, 2, seed=851)
     calls = _counting_state_before(monkeypatch)
     tip = node.tip_hash
-    node.serve_query_utxos(tip)
-    node.serve_query_utxos(tip)
-    assert len(calls) == 1 and node._proofs
+    service = FullNodeService(node)
+    service.handle_query(MSG_QUERY_UTXOS, tip)
+    service.handle_query(MSG_QUERY_UTXOS, tip)
+    assert len(calls) == 1
 
     _grow(node, 1, seed=852)  # the node's own block
-    assert node._proofs == {}
-    node.serve_query_utxos(tip)
+    service.handle_query(MSG_QUERY_UTXOS, tip)
     assert len(calls) == 2
 
     follower = _replica(node)
-    follower.serve_query_utxos(tip)
-    assert follower._proofs
+    follower_service = FullNodeService(follower)
+    follower_service.handle_query(MSG_QUERY_UTXOS, tip)
+    follower_service.handle_query(MSG_QUERY_UTXOS, tip)
+    assert len(calls) == 3
     mine_on(node, ALICE.public_key, seed=853)
     assert follower.connect_block(node.blocks[node.tip_hash]).accepted  # a received block
-    assert follower._proofs == {}
-
-
-def test_a_kept_proof_of_a_block_that_left_the_active_chain_is_not_served():
-    node = mined_node(FAST, ALICE, 3, seed=860)
-    _grow(node, 1, seed=861)
-    orphan = node.tip_hash
-    node.serve_query_utxos(orphan)
-    kept = dict(node._proofs)
-
-    for block in _rival_blocks(node, 2, seed=862):
-        node.connect_block(block)
-    assert not node.headers.on_active_chain(orphan)
-    node._proofs.update(kept)  # even if it were still kept, the chain check comes first
-    with pytest.raises(ValidationError) as info:
-        node.serve_query_utxos(orphan)
-    assert info.value.code == "unknown-block"
+    follower_service.handle_query(MSG_QUERY_UTXOS, tip)
+    assert len(calls) == 4
 
 
 def test_clients_checking_one_block_share_one_pre_state_proof(monkeypatch):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import random
 import struct
@@ -339,12 +340,9 @@ def test_average_never_exceeds_cap_after_application():
 def test_state_before_reconstructs_committed_history():
     rng = random.Random(29)
     blocks, store = _random_history(rng, 18, cap=400)
-    oracle = _FlatOracle()
-    roots = []
-    for block in blocks:
-        oracle.apply(block)
-        roots.append(store.root_log[block.header.height])
-    # replay the oracle once more, checking each height's reconstruction
+    replay = VersionedShardStore(initial_k=0, size_cap=400)
+    roots = [replay.apply_block(block, h) for h, block in enumerate(blocks)]
+    # replay the oracle, checking each height's reconstruction
     oracle = _FlatOracle()
     for h, block in enumerate(blocks):
         oracle.apply(block)
@@ -382,7 +380,7 @@ def test_rewind_matches_fresh_replay():
     assert {i: sorted(c) for i, c in store.shards.items() if c} == \
            {i: sorted(c) for i, c in fresh.shards.items() if c}
     assert sorted(store.pending) == sorted(fresh.pending)
-    assert store.root_log == fresh.root_log
+    assert store.touched_log == fresh.touched_log
 
     # the rewound store keeps working
     for h in range(target + 1, len(blocks)):
@@ -424,8 +422,9 @@ def _assert_matches_replay(store: VersionedShardStore, chain: list[Block]) -> No
     fresh = VersionedShardStore(initial_k=store.initial_k, size_cap=store.size_cap)
     oracle = _FlatOracle()
     committed = []  # per height, the oracle's committed shards
+    roots = []  # per height, the root the replay committed
     for h, block in enumerate(chain):
-        fresh.apply_block(block, h)
+        roots.append(fresh.apply_block(block, h))
         oracle.apply(block)
         committed.append(oracle.shard_blobs(store.k_at(h)))
     leaves = [_h(encode_shard_coins(store.shards[i])) for i in range(1 << store.k)]
@@ -435,11 +434,12 @@ def _assert_matches_replay(store: VersionedShardStore, chain: list[Block]) -> No
     assert store.pending == oracle.pending
     assert store.total_shard_bytes() == sum(
         len(encode_shard_coins(coins)) for coins in store.shards.values())
-    assert (store.height, store.k, store.root_log, store.bytes_log, store.versions,
-            store.touched_log, store.policy_log, store.rebalance_log, store._frozen) == \
-        (fresh.height, fresh.k, fresh.root_log, fresh.bytes_log, fresh.versions,
-         fresh.touched_log, fresh.policy_log, fresh.rebalance_log, fresh._frozen)
-    assert store.bytes_log == [sum(map(len, blobs)) for blobs in committed]
+    assert (store.height, store.k, store.versions, store.touched_log, store.rebalance_log,
+            store._frozen) == \
+        (fresh.height, fresh.k, fresh.versions, fresh.touched_log, fresh.rebalance_log,
+         fresh._frozen)
+    assert [record.shard_bytes for record in store.touched_log.values()] == \
+        [sum(map(len, blobs)) for blobs in committed]
     # every pre-state proof, for the whole tree, the block's own served set
     # and random strict subsets, against the oracle's shards
     rng = random.Random(len(chain))
@@ -454,7 +454,7 @@ def _assert_matches_replay(store: VersionedShardStore, chain: list[Block]) -> No
         for subset in subsets:
             shards, partial = store.state_before(h, subset)
             assert partial == extract_partial(leaves, subset)
-            assert partial_root(partial) == store.root_log[h - 1]
+            assert partial_root(partial) == roots[h - 1]
             assert {i: shard.encoded for i, shard in shards.items()} == \
                 {i: blobs[i] for i in subset}
 
@@ -561,18 +561,16 @@ def _assert_bounded_history(store: VersionedShardStore, chain: list[Block]) -> N
     version at or below the floor per shard, at the floor's ``k``."""
     fresh = VersionedShardStore(initial_k=store.initial_k, size_cap=store.size_cap)
     oracle = _FlatOracle()
-    for h, block in enumerate(chain):
-        fresh.apply_block(block, h)
+    roots = [fresh.apply_block(block, h) for h, block in enumerate(chain)]
+    for block in chain:
         oracle.apply(block)
     assert fresh.floor <= store.floor
     assert sorted(c for coins in store.shards.values() for c in coins) == \
         sorted(oracle.committed.values())
     assert store.pending == oracle.pending
     assert store.current_root == fresh.current_root == oracle.root(store.k)
-    assert (store.height, store.k, store.root_log, store.bytes_log, store.touched_log,
-            store.policy_log, store.rebalance_log) == \
-        (fresh.height, fresh.k, fresh.root_log, fresh.bytes_log, fresh.touched_log,
-         fresh.policy_log, fresh.rebalance_log)
+    assert (store.height, store.k, store.touched_log, store.rebalance_log) == \
+        (fresh.height, fresh.k, fresh.touched_log, fresh.rebalance_log)
     rng = random.Random(len(chain))
     for h in range(1, len(chain) + 1):
         n = 1 << store.k_at(h - 1)
@@ -583,7 +581,7 @@ def _assert_bounded_history(store: VersionedShardStore, chain: list[Block]) -> N
             continue
         shards, partial = store.state_before(h, subset)
         assert (shards, partial) == fresh.state_before(h, subset)
-        assert partial_root(partial) == store.root_log[h - 1]
+        assert partial_root(partial) == roots[h - 1]
     assert len(store._undo_pending) == len(chain) - 1 - store.floor
     if store.floor >= 0:
         k_floor = store.k_at(store.floor)
@@ -656,6 +654,14 @@ def test_bounded_history_matches_a_replay_from_genesis(horizon, initial_k, cap, 
             highest = max(highest, len(chain) - 1)
             assert store.floor == max(-1, highest - horizon)
             _assert_bounded_history(store, chain)
+
+
+def test_store_state_covers_every_state_field():
+    """The undo, rewind and clone tests compare stores by
+    ``conftest.store_state``, so it names every field the store writes
+    (its ``init=False`` fields, leading underscore dropped)."""
+    state = {f.name.lstrip("_") for f in dataclasses.fields(VersionedShardStore) if not f.init}
+    assert set(store_state(VersionedShardStore())) == state
 
 
 def test_a_clone_and_its_source_evolve_apart(monkeypatch):
