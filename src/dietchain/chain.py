@@ -15,6 +15,13 @@ Wire layout summary::
     Block        header(77) transactions(u16+...)
     Coin         txid(32) index(u32) value(u64) challenge(32)  76 bytes
 
+Each fixed-width record (a header, an input, an output, a transaction's
+version and input count) is read and written with one ``struct`` call,
+and a run of inputs or outputs is unpacked in one pass. Bytes that do
+not decode are read again field by field from the record's start, so a
+short run or an unknown output kind raises the same DecodeError, with
+the same message and offset, as reading each field in turn would.
+
 A transaction's id is ``hash256`` of its encoding; its signing digest is
 ``hash256`` of the encoding with every input's public key and signature
 zeroed, so signatures cover the spends and amounts but not each other.
@@ -152,35 +159,42 @@ def _exact_width(name: str, value: bytes, width: int) -> bytes:
     return value
 
 
-def encode_outpoint(o: OutPoint) -> bytes:
-    return _exact_width("txid", o.txid, 32) + struct.pack("<I", o.index)
+# One struct per fixed-width record. A "32s"/"33s"/"64s" field pads or
+# truncates silently, so the encoders check byte widths before packing.
+_HEADER = struct.Struct("<32s32sBQI")   # BlockHeader's fields in order
+_TX_START = struct.Struct("<IH")        # a transaction's version and input count
+_INPUT = struct.Struct("<32sI33s64s")   # prevout txid and index, public key, signature
+_OUTPUT = struct.Struct("<QB32s")       # TxOutput's fields in order
+_COUNT = struct.Struct("<H")            # a list's element count
+_KIND_AT = 8                            # an output's kind byte follows its u64 value
+_KINDS = frozenset((KIND_PAYMENT, KIND_COMMITMENT))
 
 
 def encode_input(i: TxInput) -> bytes:
-    return (
-        encode_outpoint(i.prevout)
-        + _exact_width("public_key", i.public_key, PUBLIC_KEY_SIZE)
-        + _exact_width("signature", i.signature, SIGNATURE_SIZE)
-    )
+    txid, index = i.prevout
+    if (len(txid) != 32 or len(i.public_key) != PUBLIC_KEY_SIZE
+            or len(i.signature) != SIGNATURE_SIZE):
+        _exact_width("txid", txid, 32)
+        _exact_width("public_key", i.public_key, PUBLIC_KEY_SIZE)
+        _exact_width("signature", i.signature, SIGNATURE_SIZE)
+    return _INPUT.pack(txid, index, i.public_key, i.signature)
 
 
 def encode_output(o: TxOutput) -> bytes:
-    return struct.pack("<QB", o.value, o.kind) + _exact_width("payload", o.payload, 32)
+    if len(o.payload) != 32:
+        _exact_width("payload", o.payload, 32)
+    return _OUTPUT.pack(*o)
 
 
 def encode_transaction(tx: Transaction) -> bytes:
-    parts = [struct.pack("<IH", tx.version, len(tx.inputs))]
-    parts.extend(encode_input(i) for i in tx.inputs)
-    parts.append(struct.pack("<H", len(tx.outputs)))
-    parts.extend(encode_output(o) for o in tx.outputs)
+    parts = [_TX_START.pack(tx.version, len(tx.inputs))]
+    parts.extend(map(encode_input, tx.inputs))
+    parts.append(_COUNT.pack(len(tx.outputs)))
+    parts.extend(map(encode_output, tx.outputs))
     return b"".join(parts)
 
 
-_HEADER = struct.Struct("<32s32sBQI")  # BlockHeader's fields in order
-
-
 def encode_header(h: BlockHeader) -> bytes:
-    # "32s" pads or truncates silently, so the widths are checked first.
     if len(h.prev_hash) != 32 or len(h.tx_mroot) != 32:
         _exact_width("prev_hash", h.prev_hash, 32)
         _exact_width("tx_mroot", h.tx_mroot, 32)
@@ -188,39 +202,42 @@ def encode_header(h: BlockHeader) -> bytes:
 
 
 def encode_block(b: Block) -> bytes:
-    parts = [encode_header(b.header), struct.pack("<H", len(b.transactions))]
-    parts.extend(encode_transaction(tx) for tx in b.transactions)
+    parts = [encode_header(b.header), _COUNT.pack(len(b.transactions))]
+    parts.extend(map(encode_transaction, b.transactions))
     return b"".join(parts)
 
 
-def _read_outpoint(r: Reader) -> OutPoint:
+# Field by field: these name the DecodeError of bytes the record readers
+# below refuse, and nothing else calls them.
+
+def _read_outpoint_fields(r: Reader) -> OutPoint:
     return OutPoint(txid=r.take(32), index=r.u32())
 
 
-def _read_input(r: Reader) -> TxInput:
+def _read_input_fields(r: Reader) -> TxInput:
     return TxInput(
-        prevout=_read_outpoint(r),
+        prevout=_read_outpoint_fields(r),
         public_key=r.take(PUBLIC_KEY_SIZE),
         signature=r.take(SIGNATURE_SIZE),
     )
 
 
-def _read_output(r: Reader) -> TxOutput:
+def _read_output_fields(r: Reader) -> TxOutput:
     value = r.u64()
     kind = r.u8()
-    if kind not in (KIND_PAYMENT, KIND_COMMITMENT):
+    if kind not in _KINDS:
         raise DecodeError(f"unknown output kind 0x{kind:02x}", r.offset - 1)
     return TxOutput(value=value, kind=kind, payload=r.take(32))
 
 
-def read_transaction(r: Reader) -> Transaction:
+def _read_transaction_fields(r: Reader) -> Transaction:
     version = r.u32()
-    inputs = tuple(_read_input(r) for _ in range(r.u16()))
-    outputs = tuple(_read_output(r) for _ in range(r.u16()))
+    inputs = tuple(_read_input_fields(r) for _ in range(r.u16()))
+    outputs = tuple(_read_output_fields(r) for _ in range(r.u16()))
     return Transaction(version=version, inputs=inputs, outputs=outputs)
 
 
-def read_header(r: Reader) -> BlockHeader:
+def _read_header_fields(r: Reader) -> BlockHeader:
     prev_hash = r.take(32)
     tx_mroot = r.take(32)
     target_bits = r.u8()
@@ -229,9 +246,50 @@ def read_header(r: Reader) -> BlockHeader:
     return BlockHeader(prev_hash, tx_mroot, target_bits, nonce, height)
 
 
+def _field_error(read_fields, r: Reader, start: int) -> DecodeError:
+    """The DecodeError that ``read_fields`` raises reading from ``start``.
+    A record reader asks for it only on bytes it refused, which reading
+    field by field refuses too, so malformed bytes keep their message
+    and offset."""
+    r.offset = start
+    try:
+        read_fields(r)
+    except DecodeError as exc:
+        return exc
+    raise AssertionError(f"{read_fields.__name__} decoded bytes a record reader refused")
+
+
+def read_transaction(r: Reader) -> Transaction:
+    data, start = r.data, r.offset
+    try:
+        version, n_in = _TX_START.unpack_from(data, start)
+        inputs_at = start + _TX_START.size
+        count_at = inputs_at + _INPUT.size * n_in
+        (n_out,) = _COUNT.unpack_from(data, count_at)
+    except struct.error:  # the bytes end before the output count
+        raise _field_error(_read_transaction_fields, r, start) from None
+    outputs_at = count_at + _COUNT.size
+    end = outputs_at + _OUTPUT.size * n_out
+    if end > len(data) or not _KINDS.issuperset(data[outputs_at + _KIND_AT:end:_OUTPUT.size]):
+        raise _field_error(_read_transaction_fields, r, start)
+    inputs = tuple([TxInput(OutPoint(txid, index), key, sig) for txid, index, key, sig
+                    in _INPUT.iter_unpack(data[inputs_at:count_at])])
+    outputs = tuple(map(TxOutput._make, _OUTPUT.iter_unpack(data[outputs_at:end])))
+    r.offset = end
+    return Transaction(version, inputs, outputs)
+
+
+def read_header(r: Reader) -> BlockHeader:
+    data, start = r.data, r.offset
+    if len(data) - start < HEADER_SIZE:
+        raise _field_error(_read_header_fields, r, start)
+    r.offset = start + HEADER_SIZE
+    return BlockHeader._make(_HEADER.unpack_from(data, start))
+
+
 def read_block(r: Reader) -> Block:
     header = read_header(r)
-    txs = tuple(read_transaction(r) for _ in range(r.u16()))
+    txs = tuple([read_transaction(r) for _ in range(r.u16())])
     return Block(header=header, transactions=txs)
 
 
@@ -264,12 +322,13 @@ def txid(tx: Transaction) -> bytes:
     return hash256(encode_transaction(tx))
 
 
+_BLANK_PROOF = (b"\x00" * PUBLIC_KEY_SIZE, b"\x00" * SIGNATURE_SIZE)  # key, signature
+
+
 def sighash(tx: Transaction) -> bytes:
     """Signing digest: the encoding with all input proofs blanked."""
-    blanked = tx._replace(inputs=tuple(
-        i._replace(public_key=b"\x00" * PUBLIC_KEY_SIZE, signature=b"\x00" * SIGNATURE_SIZE)
-        for i in tx.inputs
-    ))
+    blanked = Transaction(tx.version, tuple([TxInput(i.prevout, *_BLANK_PROOF) for i in tx.inputs]),
+                          tx.outputs)
     return hash256(encode_transaction(blanked))
 
 

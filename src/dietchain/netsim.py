@@ -23,7 +23,9 @@ Message types::
     0x10       block_announce        whole block     (no response)
 
 No diet node asks ``query_utxo_mroot``: it reads a window's base root
-from the base block. A full node still answers it.
+from the base block. A full node still answers it. An announce whose
+bytes do not decode as exactly one block connects nothing; it is traced
+as a ``rejected`` / ``peer-fault`` connect with no height.
 
 A ``utxos`` answer is a u16 shard count; per shard, in increasing index
 order, its index (u32), its coin count (u32) and its coins; then the
@@ -45,10 +47,10 @@ from .chain import (
     ChainParams,
     Reader,
     Transaction,
+    decode_block,
     encode_block,
     encode_header,
     encode_transaction,
-    read_block,
     read_header,
     read_transaction,
 )
@@ -273,7 +275,12 @@ class FullNodeService:
     def handle_message(self, bus: Bus, src: str, msg_type: int, payload: bytes) -> None:
         if msg_type != MSG_BLOCK_ANNOUNCE:
             raise ScenarioError(f"unhandled message type 0x{msg_type:02x}")
-        block = read_block(Reader(payload))
+        try:
+            block = decode_block(payload)
+        except DecodeError:
+            bus.note("connect", node=self.node_id, height=None,
+                     status="rejected", reason="peer-fault")
+            return
         result = self.node.connect_block(block)
         bus.note("connect", node=self.node_id, height=block.header.height,
                  status=result.status, reason=result.reason)
@@ -301,10 +308,7 @@ class BusTransport:
 
     def query_block(self, block_hash: bytes):
         payload = self.queries.request(self.src, self.peer, MSG_QUERY_BLOCK, block_hash)
-        r = Reader(payload)
-        block = read_block(r)
-        r.done()
-        return block, len(payload)
+        return decode_block(payload), len(payload)
 
     def query_utxos(self, block_hash: bytes):
         payload = self.queries.request(self.src, self.peer, MSG_QUERY_UTXOS, block_hash)

@@ -38,6 +38,7 @@ from dietchain.chain import (
     sighash,
     txid,
 )
+from dietchain.crypto import hash256
 from dietchain.errors import DecodeError
 from dietchain.miner import nonce_start, solve_pow
 
@@ -211,6 +212,52 @@ def test_encode_header_names_prev_hash_first_when_both_are_wrong():
     header = _random_header(random.Random(12))._replace(prev_hash=b"", tx_mroot=b"")
     with pytest.raises(ValueError, match="^prev_hash must be 32 bytes, got 0$"):
         encode_header(header)
+
+
+_TX_FIELD_WIDTHS = {"txid": 32, "public_key": 33, "signature": 64, "payload": 32}
+
+
+def _with_field(tx: Transaction, field: str, value: bytes) -> Transaction:
+    """``tx`` with ``field`` of its first input (or output) set to ``value``."""
+    if field == "payload":
+        first = tx.outputs[0]._replace(payload=value)
+        return tx._replace(outputs=(first, *tx.outputs[1:]))
+    first = tx.inputs[0]
+    first = (first._replace(prevout=first.prevout._replace(txid=value)) if field == "txid"
+             else first._replace(**{field: value}))
+    return tx._replace(inputs=(first, *tx.inputs[1:]))
+
+
+@pytest.mark.parametrize("delta", [-1, 1, "empty"])
+@pytest.mark.parametrize("field", sorted(_TX_FIELD_WIDTHS))
+def test_encode_transaction_refuses_a_wrong_width_field(field, delta):
+    """A fixed-width bytes field of the wrong width is a ValueError naming
+    it, never a record silently padded or cut to width."""
+    width = _TX_FIELD_WIDTHS[field]
+    got = 0 if delta == "empty" else width + delta
+    tx = _with_field(_random_tx(random.Random(13)), field, b"\x05" * got)
+    with pytest.raises(ValueError, match=f"^{field} must be {width} bytes, got {got}$"):
+        encode_transaction(tx)
+
+
+def _sighash_the_old_way(tx: Transaction) -> bytes:
+    """The reference signing digest: every input rebuilt with
+    ``_replace``, its key and signature zeroed."""
+    blanked = tx._replace(inputs=tuple(
+        i._replace(public_key=b"\x00" * 33, signature=b"\x00" * 64) for i in tx.inputs))
+    return hash256(encode_transaction(blanked))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 1 << 32), inputs=st.integers(0, 3), outputs=st.integers(0, 4))
+def test_sighash_is_the_hash_of_the_zeroed_proof_encoding(seed, inputs, outputs):
+    rng = random.Random(seed)
+    tx = Transaction(
+        version=rng.randrange(1 << 32),
+        inputs=tuple(TxInput(OutPoint(rng.randbytes(32), rng.randrange(1 << 32)),
+                             rng.randbytes(33), rng.randbytes(64)) for _ in range(inputs)),
+        outputs=tuple(_random_output(rng) for _ in range(outputs)))
+    assert sighash(tx) == _sighash_the_old_way(tx)
 
 
 def test_block_work_doubles_per_bit():

@@ -13,7 +13,15 @@ from hypothesis import given, settings, strategies as st
 
 from dietchain.chain import (
     COIN_SIZE,
+    KIND_COMMITMENT,
+    KIND_PAYMENT,
+    Block,
+    BlockHeader,
     OutPoint,
+    Reader,
+    Transaction,
+    TxInput,
+    TxOutput,
     block_hash,
     decode_block,
     decode_header,
@@ -21,11 +29,14 @@ from dietchain.chain import (
     encode_block,
     encode_header,
     encode_transaction,
+    read_block,
+    read_header,
+    read_transaction,
 )
 from dietchain.crypto import BloomFilter, hash256
 from dietchain.errors import DecodeError
-from dietchain.full_node import UtxosResponse
-from dietchain.merkle import decode_partial, encode_partial
+from dietchain.full_node import MerkleBlockMatch, MerkleBlocksResponse, UtxosResponse
+from dietchain.merkle import decode_partial, encode_partial, read_partial
 from dietchain.miner import mine_on
 from dietchain.netsim import (
     decode_merkle_blocks_request,
@@ -134,6 +145,96 @@ def test_a_mutated_payload_round_trips_or_is_a_decode_error(name, edits):
     except DecodeError:
         return
     assert again == data
+
+
+# The field-by-field readers the record readers replaced, kept as the
+# oracle: every record a reader unpacks in one call must decode as these
+# read it, and bytes that do not decode must fail with the same message
+# at the same offset.
+
+def _oracle_outpoint(r: Reader) -> OutPoint:
+    return OutPoint(txid=r.take(32), index=r.u32())
+
+
+def _oracle_input(r: Reader) -> TxInput:
+    return TxInput(prevout=_oracle_outpoint(r), public_key=r.take(33), signature=r.take(64))
+
+
+def _oracle_output(r: Reader) -> TxOutput:
+    value = r.u64()
+    kind = r.u8()
+    if kind not in (KIND_PAYMENT, KIND_COMMITMENT):
+        raise DecodeError(f"unknown output kind 0x{kind:02x}", r.offset - 1)
+    return TxOutput(value=value, kind=kind, payload=r.take(32))
+
+
+def _oracle_transaction(r: Reader) -> Transaction:
+    version = r.u32()
+    inputs = tuple(_oracle_input(r) for _ in range(r.u16()))
+    outputs = tuple(_oracle_output(r) for _ in range(r.u16()))
+    return Transaction(version=version, inputs=inputs, outputs=outputs)
+
+
+def _oracle_header(r: Reader) -> BlockHeader:
+    prev_hash = r.take(32)
+    tx_mroot = r.take(32)
+    target_bits = r.u8()
+    nonce = r.u64()
+    height = r.u32()
+    return BlockHeader(prev_hash, tx_mroot, target_bits, nonce, height)
+
+
+def _oracle_block(r: Reader) -> Block:
+    header = _oracle_header(r)
+    txs = tuple(_oracle_transaction(r) for _ in range(r.u16()))
+    return Block(header=header, transactions=txs)
+
+
+def _oracle_merkle_blocks(r: Reader) -> MerkleBlocksResponse:
+    headers = tuple(_oracle_header(r) for _ in range(r.u16()))
+    matches = []
+    for _ in range(r.u16()):
+        header = _oracle_header(r)
+        tree = read_partial(r)
+        txs = tuple(_oracle_transaction(r) for _ in range(r.u16()))
+        matches.append(MerkleBlockMatch(header=header, tx_tree=tree, transactions=txs))
+    r.done()
+    return MerkleBlocksResponse(headers=headers, matches=tuple(matches))
+
+
+def _merkle_blocks(r: Reader) -> MerkleBlocksResponse:
+    response = decode_merkle_blocks_response(r.data[r.offset:])
+    r.offset = len(r.data)
+    return response
+
+
+# payload name -> (reader under test, oracle)
+READERS = {
+    "transaction": (read_transaction, _oracle_transaction),
+    "header": (read_header, _oracle_header),
+    "block": (read_block, _oracle_block),
+    "merkle_blocks": (_merkle_blocks, _oracle_merkle_blocks),
+}
+
+
+def _outcome(read, data: bytes):
+    """(value, offset after it), or the DecodeError's (message, offset)."""
+    r = Reader(data)
+    try:
+        return "value", read(r), r.offset
+    except DecodeError as exc:
+        return "error", str(exc), exc.offset
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(edits=st.lists(_edits(), max_size=3))
+def test_record_readers_agree_with_reading_field_by_field(name, edits):
+    data = HONEST[name]
+    for edit in edits:
+        data = _apply(data, edit)
+    read, oracle = READERS[name]
+    assert _outcome(read, data) == _outcome(oracle, data)
 
 
 # Byte edits rarely land on an index field with a value that breaks the

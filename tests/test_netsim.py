@@ -139,6 +139,33 @@ def test_announce_records_connect_outcome():
     assert bus.trace[-1]["status"] == "duplicate"
 
 
+@pytest.mark.parametrize("garble", [lambda wire: wire + b"junk", lambda wire: wire[:50]],
+                         ids=["trailing junk", "cut short"])
+def test_an_announce_that_is_not_one_block_is_a_peer_fault(garble):
+    """Bytes that do not decode as exactly one block connect nothing: the
+    announce is traced as rejected with no height, and nothing raises."""
+    node_a = mined_node(FAST, ALICE, 2, seed=73)
+    node_b = FullNode(FAST)
+    before = store_state(node_b.utxo)
+    bus = Bus(seed=0)
+    bus.register("a", FullNodeService(node_a))
+    bus.register("b", FullNodeService(node_b))
+    block = node_a.blocks[node_a.headers.active_chain()[0]]
+    bus.post("a", "b", MSG_BLOCK_ANNOUNCE, garble(encode_block(block)))
+    bus.run_until_idle()
+    connects = [e for e in bus.trace if e["kind"] == "connect"]
+    assert connects == [{"seq": connects[0]["seq"], "kind": "connect",
+                         "node": "b", "height": None, "status": "rejected",
+                         "reason": "peer-fault"}]
+    assert node_b.blocks == {}
+    assert node_b.headers.tip is None
+    assert store_state(node_b.utxo) == before
+    # the honest bytes still connect afterwards
+    bus.post("a", "b", MSG_BLOCK_ANNOUNCE, encode_block(block))
+    bus.run_until_idle()
+    assert bus.trace[-1]["status"] == "accepted"
+
+
 def test_hijack_reroutes_to_shadow():
     honest = mined_node(FAST, ALICE, 4, seed=74)
     shadow_node = mined_node(FAST, key_of("mallory"), 4, seed=75)
