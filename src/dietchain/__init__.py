@@ -38,7 +38,6 @@ from .merkle import (
     contains,
     extract_partial,
     partial_root,
-    update_in_place,
 )
 from .miner import BlockTemplate, assemble_block, make_genesis, mine_block, mine_on, solve_pow
 from .netsim import Adversary, Bus
@@ -92,7 +91,6 @@ __all__ = [
     "sighash",
     "solve_pow",
     "txid",
-    "update_in_place",
     "validate_transaction",
     "verify",
 ]

@@ -374,12 +374,6 @@ def pow_ok(h: BlockHeader) -> bool:
     return meets_target(header_hash(h), h.target_bits)
 
 
-def block_work(h: BlockHeader) -> int:
-    """Work contributed to fork choice; derived from the same field the
-    proof-of-work check uses, so overstating it only makes mining harder."""
-    return 1 << h.target_bits
-
-
 def make_coinbase_input() -> TxInput:
     return TxInput(
         prevout=OutPoint(COINBASE_TXID, COINBASE_INDEX),

@@ -35,7 +35,7 @@ from .chain import (
 from .crypto import BloomFilter, hash256
 from .errors import DecodeError, IncompleteProofError, InconsistentStateError, ValidationError
 from .headers import HeaderIndex
-from .merkle import PartialMerkleTree, build_root, contains, partial_root, update_in_place
+from .merkle import PartialMerkleTree, contains, partial_root
 from .rules import (
     check_block_structure,
     check_coinbase_value,
@@ -295,16 +295,16 @@ class DietNode:
         return block
 
     def _rebuild_root(self, view: ShardView, tree: PartialMerkleTree) -> bytes:
-        """Close the replayed view and compute the root after the block.
-        The served leaves are checked hashes of the served bytes, so only
-        the shards the view returns are hashed again. A view that holds
-        every shard (it may have split) rebuilds the whole tree."""
+        """Close the replayed view and compute the root after the block,
+        over the view's ``2**k`` leaves. The served leaves are checked
+        hashes of the served bytes, so only the shards the view returns
+        are hashed again. Without a split the served siblings stay valid;
+        after one the view returns every shard, so every leaf is given
+        and no sibling is read."""
         leaves = {idx: hash256(encoded)
                   for idx, encoded in view.close(self.params.size_cap).items()}
-        if len(view.shards) == 1 << view.k:
-            return build_root([leaves[i] if i in leaves else tree.included[i]
-                               for i in range(1 << view.k)])
-        return partial_root(update_in_place(tree, leaves))
+        return partial_root(PartialMerkleTree(1 << view.k, {**tree.included, **leaves},
+                                              tree.siblings))
 
     def _note_height(self, height: int, key: str, nbytes: int) -> None:
         for entry in self._per_height:

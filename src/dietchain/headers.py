@@ -1,9 +1,12 @@
-"""Header tree with cumulative-work fork choice.
+"""Header tree with fork choice by height.
 
 Shared by full nodes and light clients: both track every valid header
-they have seen, keep the tip on the branch with the most accumulated
-work, and only switch branches when a competitor is strictly heavier
-(ties keep the first-seen branch).
+they have seen, keep the tip on the highest branch, and only switch
+branches when a competitor is strictly higher (ties keep the first-seen
+branch). The highest branch is the one with the most work: every
+indexed header carries the chain's one ``target_bits`` (check_header
+refuses any other), so a branch up to height h holds (h + 1) *
+2**target_bits of work.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator
 
-from .chain import BlockHeader, ZERO32, block_work, header_hash, meets_target
+from .chain import BlockHeader, ZERO32, header_hash, meets_target
 from .errors import ValidationError
 
 
@@ -43,7 +46,6 @@ class HeaderIndex:
     def __init__(self, target_bits: int):
         self.target_bits = target_bits
         self.headers: dict[bytes, BlockHeader] = {}
-        self.work: dict[bytes, int] = {}
         self.tip: bytes | None = None
         self._active: list[bytes] = []  # hashes by height on the tip's branch
 
@@ -72,9 +74,7 @@ class HeaderIndex:
             raise ValidationError("bad-genesis", "the index already holds a genesis",
                                   height=header.height)
         self.headers[hh] = header
-        parent_work = 0 if parent is None else self.work[header.prev_hash]
-        self.work[hh] = parent_work + block_work(header)
-        if self.tip is None or self.work[hh] > self.work[self.tip]:
+        if self.tip is None or header.height > self.headers[self.tip].height:
             self.set_tip(hh)
         return hh
 
@@ -105,7 +105,6 @@ class HeaderIndex:
                 dropped.add(hh)
         for hh in dropped:
             del self.headers[hh]
-            del self.work[hh]
         if tip is None:
             self._active.clear()
             self.tip = None

@@ -171,18 +171,6 @@ def contains(p: PartialMerkleTree, leaf_hash: bytes) -> bool:
     return leaf_hash in p.included.values()
 
 
-def update_in_place(p: PartialMerkleTree, changed: dict[int, bytes]) -> PartialMerkleTree:
-    """Replace included leaf hashes; siblings stay valid by construction."""
-    for idx in changed:
-        if idx not in p.included:
-            raise ValueError(f"leaf {idx} is not included in the partial tree")
-    return PartialMerkleTree(
-        total_leaves=p.total_leaves,
-        included={**p.included, **changed},
-        siblings=p.siblings,
-    )
-
-
 def encode_partial(p: PartialMerkleTree) -> bytes:
     parts = [struct.pack("<IH", p.total_leaves, len(p.included))]
     for idx in sorted(p.included):

@@ -142,9 +142,13 @@ def decode_utxos_response(payload: bytes) -> UtxosResponse:
     shards: dict[int, Shard] = {}
     last = -1
     for _ in range(r.u16()):
-        idx, count = _SHARD_FRAME.unpack(r.take(_SHARD_FRAME.size))
+        start = r.offset
+        if len(payload) - start < _SHARD_FRAME.size:
+            raise DecodeError("input truncated", start)
+        idx, count = _SHARD_FRAME.unpack_from(payload, start)
         if idx <= last:
-            raise DecodeError("shard indices not strictly increasing", r.offset - 8)
+            raise DecodeError("shard indices not strictly increasing", start)
+        r.offset = start + _SHARD_FRAME.size
         shards[idx] = decode_shard(r.take(COIN_SIZE * count), idx)
         last = idx
     tree = read_partial(r)
@@ -209,10 +213,6 @@ class Bus:
     def trace(self) -> list[dict]:
         return self.queries.trace
 
-    @property
-    def adversaries(self) -> list[Adversary]:
-        return self.queries.adversaries
-
     def register(self, node_id: str, service) -> None:
         if node_id in self.services:
             raise ScenarioError(f"duplicate node id {node_id!r}")
@@ -222,14 +222,11 @@ class Bus:
         service.node_id = node_id
 
     def attach_adversary(self, adversary: Adversary) -> None:
-        self.adversaries.append(adversary)
+        self.queries.adversaries.append(adversary)
 
     def note(self, kind: str, **fields) -> None:
         """Trace a node-level event (verdicts, connects) between messages."""
         self.queries.record(kind, **fields)
-
-    def request(self, src: str, dst: str, msg_type: int, payload: bytes) -> bytes:
-        return self.queries.request(src, dst, msg_type, payload)
 
     def post(self, src: str, dst: str, msg_type: int, payload: bytes) -> None:
         self.queues.setdefault((src, dst), deque()).append((msg_type, payload))

@@ -18,7 +18,7 @@ from conftest import key_of, mined_node, payment
 from dietchain import cli
 from dietchain.chain import COIN_SIZE, ChainParams, OutPoint
 from dietchain.diet_node import compute_verification_range
-from dietchain.merkle import build_root, extract_partial, partial_root, update_in_place
+from dietchain.merkle import PartialMerkleTree, build_root, extract_partial, partial_root
 from dietchain.miner import mine_on
 from dietchain.rules import commitment_of
 from dietchain.scenario import render_report, render_trace, run_scenario
@@ -135,7 +135,7 @@ def test_02_partial_tree_matches_rebuild_within_size_bound():
 
         changed = {i: rng.randbytes(32)
                    for i in rng.sample(sorted(include), rng.randrange(1, len(include) + 1))}
-        updated = update_in_place(tree, changed)
+        updated = PartialMerkleTree(n, {**tree.included, **changed}, tree.siblings)
         patched = list(leaves)
         for i, leaf in changed.items():
             patched[i] = leaf

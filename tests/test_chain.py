@@ -21,7 +21,6 @@ from dietchain.chain import (
     Transaction,
     TxInput,
     TxOutput,
-    block_work,
     decode_block,
     decode_header,
     decode_transaction,
@@ -258,15 +257,6 @@ def test_sighash_is_the_hash_of_the_zeroed_proof_encoding(seed, inputs, outputs)
                              rng.randbytes(33), rng.randbytes(64)) for _ in range(inputs)),
         outputs=tuple(_random_output(rng) for _ in range(outputs)))
     assert sighash(tx) == _sighash_the_old_way(tx)
-
-
-def test_block_work_doubles_per_bit():
-    def at(bits: int) -> int:
-        return block_work(BlockHeader(prev_hash=ZERO32, tx_mroot=ZERO32,
-                                      target_bits=bits, nonce=0, height=0))
-    assert at(0) == 1
-    assert at(8) == 256
-    assert at(9) == 2 * at(8)
 
 
 def test_pow_mean_attempts_matches_target():

@@ -202,10 +202,27 @@ def _oracle_merkle_blocks(r: Reader) -> MerkleBlocksResponse:
     return MerkleBlocksResponse(headers=headers, matches=tuple(matches))
 
 
-def _merkle_blocks(r: Reader) -> MerkleBlocksResponse:
-    response = decode_merkle_blocks_response(r.data[r.offset:])
-    r.offset = len(r.data)
-    return response
+def _oracle_utxos(r: Reader) -> UtxosResponse:
+    shards = {}
+    last = -1
+    for _ in range(r.u16()):
+        idx, count = struct.unpack("<II", r.take(8))
+        if idx <= last:
+            raise DecodeError("shard indices not strictly increasing", r.offset - 8)
+        shards[idx] = decode_shard(r.take(COIN_SIZE * count), idx)
+        last = idx
+    tree = read_partial(r)
+    r.done()
+    return UtxosResponse(shards=shards, tree=tree)
+
+
+def _whole_payload(decode):
+    """A whole-payload decoder as a reader that starts at byte 0."""
+    def read(r: Reader):
+        value = decode(r.data[r.offset:])
+        r.offset = len(r.data)
+        return value
+    return read
 
 
 # payload name -> (reader under test, oracle)
@@ -213,7 +230,8 @@ READERS = {
     "transaction": (read_transaction, _oracle_transaction),
     "header": (read_header, _oracle_header),
     "block": (read_block, _oracle_block),
-    "merkle_blocks": (_merkle_blocks, _oracle_merkle_blocks),
+    "merkle_blocks": (_whole_payload(decode_merkle_blocks_response), _oracle_merkle_blocks),
+    "utxos": (_whole_payload(decode_utxos_response), _oracle_utxos),
 }
 
 

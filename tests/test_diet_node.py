@@ -44,6 +44,7 @@ from dietchain.netsim import (
     BusTransport,
     ForgedChainBuilder,
     FullNodeService,
+    encode_utxos_response,
 )
 from dietchain.rules import commitment_of, signed_spend, tx_merkle_root
 from dietchain.utxo import Coin, encode_shard_coins, shard_key
@@ -200,6 +201,45 @@ def test_the_diet_replay_edits_exactly_the_shards_served(monkeypatch):
             assert served == total
         else:
             assert edited == included == set(node.utxo.touched_log[height].indices)
+
+
+class _ExtraSiblingService(FullNodeService):
+    """Adds one sibling, at a node the included leaves already give, to
+    the proof of every block that split the shards."""
+
+    def handle_query(self, msg_type, payload):
+        response = super().handle_query(msg_type, payload)
+        if msg_type != MSG_QUERY_UTXOS:
+            return response
+        height = self.node.blocks[payload].header.height
+        if not self.node.utxo.touched_log[height].rebalanced:
+            return response
+        resp = self.node.serve_query_utxos(payload)
+        tree = dataclasses.replace(resp.tree, siblings={(0, 0): hash256(b"extra")})
+        return encode_utxos_response(UtxosResponse(shards=resp.shards, tree=tree))
+
+
+def test_a_window_across_a_split_ignores_an_extra_sibling():
+    """A split block is served every shard; the root after it is walked
+    from the replayed leaves alone, so a sibling the peer adds where a
+    leaf already stands changes nothing."""
+    params = ChainParams(target_bits=5, subsidy=50, size_cap=256, initial_k=0)
+    node = mined_node(params, ALICE, 2, seed=49)
+    for i in range(6):
+        node.submit_transaction(payment(node, ALICE, [(ALICE.challenge, 2)] * 8))
+        mine_on(node, ALICE.public_key, seed=249 + i)
+    node.submit_transaction(payment(node, ALICE, [(CAROL.challenge, 3)]))
+    mine_on(node, ALICE.public_key, seed=255)
+    splits = {h for h, record in node.utxo.touched_log.items() if record.rebalanced}
+    assert splits
+    depth = node.tip_height
+    bus = Bus(seed=9)
+    bus.register("peer", _ExtraSiblingService(node))
+    diet = DietNode(params, DietConfig(keys=(CAROL.public_key,), max_depth=depth,
+                                       max_length=depth), BusTransport(bus, "client", "peer"))
+    (verdict,) = diet.update_chain().verdicts
+    assert verdict.status == "diet-verified"
+    assert any(verdict.first < h <= verdict.last for h in splits)
 
 
 def test_reorg_rewinds_verified_mark():
@@ -589,6 +629,84 @@ class _ShardTwiceService(FullNodeService):
             parts += [struct.pack("<II", idx, len(encoded) // COIN_SIZE), encoded]
         parts.append(encode_partial(resp.tree))
         return b"".join(parts)
+
+
+class _RewritingService(FullNodeService):
+    """Answers one query about the block at ``height`` otherwise than an
+    honest node: as ``case`` says, a ``query_utxos`` answer loses a
+    touched shard or gains an untouched one (proved with the shards it
+    then holds), gets a tree size that is not a power of two or loses a
+    sibling, or a ``query_block`` answer is the block below."""
+
+    def __init__(self, node: FullNode, height: int, case: str):
+        super().__init__(node)
+        self.target = node.headers.active_hash_at(height)
+        self.height = height
+        self.case = case
+
+    def handle_query(self, msg_type, payload):
+        if payload != self.target:
+            return super().handle_query(msg_type, payload)
+        if self.case == "other-block":
+            if msg_type != MSG_QUERY_BLOCK:
+                return super().handle_query(msg_type, payload)
+            return encode_block(self.node.blocks[self.node.headers.active_hash_at(self.height - 1)])
+        if msg_type != MSG_QUERY_UTXOS:
+            return super().handle_query(msg_type, payload)
+        resp = self.node.serve_query_utxos(payload)
+        tree = resp.tree
+        held = set(resp.shards)
+        if self.case in ("drop-shard", "extra-shard"):
+            if self.case == "drop-shard":
+                held.remove(max(held))
+            else:
+                held.add(min(set(range(tree.total_leaves)) - held))
+            shards, tree = self.node.utxo.state_before(self.height, held)
+            return encode_utxos_response(UtxosResponse(shards=shards, tree=tree))
+        if self.case == "size":
+            tree = dataclasses.replace(tree, total_leaves=3 * tree.total_leaves)
+        else:  # "drop-sibling"
+            siblings = dict(tree.siblings)
+            del siblings[min(siblings)]
+            tree = dataclasses.replace(tree, siblings=siblings)
+        return encode_utxos_response(UtxosResponse(shards=resp.shards, tree=tree))
+
+
+@pytest.mark.parametrize("case, reason", [("drop-shard", "shard-proof-mismatch"),
+                                          ("size", "shard-proof-mismatch"),
+                                          ("drop-sibling", "shard-proof-mismatch"),
+                                          ("other-block", "proof-mismatch")])
+def test_a_rewritten_window_answer_is_a_verdict_at_its_height(case, reason):
+    """Each lie ends the window at the height it was told about; the
+    payment below it is still verified."""
+    first, second, height = _rewritten_window(case)
+    assert (first.status, first.height) == ("diet-verified", height - 1)
+    assert (second.status, second.reason, second.fail_height) == ("rejected", reason, height)
+
+
+def test_an_untouched_shard_served_with_its_proof_is_still_verified():
+    """A served shard the block leaves alone keeps its leaf in the root
+    walked after the block."""
+    first, second, _ = _rewritten_window("extra-shard")
+    assert (first.status, second.status) == ("diet-verified", "diet-verified")
+
+
+def _rewritten_window(case: str):
+    """The two verdicts of a diet client paid at the last two heights of a
+    chain whose peer rewrites one answer about the tip block, and that
+    height."""
+    node = mined_node(FAST, ALICE, 4, seed=63)
+    for seed in (163, 164):
+        node.submit_transaction(payment(node, ALICE, [(CAROL.challenge, 6)]))
+        mine_on(node, ALICE.public_key, seed=seed)
+    height = node.tip_height
+    served = node.serve_query_utxos(node.headers.active_hash_at(height))
+    assert 2 <= len(served.shards) < served.tree.total_leaves and served.tree.siblings
+    bus = Bus(seed=8)
+    bus.register("peer", _RewritingService(node, height, case))
+    diet = DietNode(FAST, WATCH_CAROL, BusTransport(bus, "client", "peer"))
+    first, second = diet.update_chain().verdicts
+    return first, second, height
 
 
 def test_a_shard_count_overrunning_the_answer_is_a_peer_fault():

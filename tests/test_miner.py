@@ -199,7 +199,7 @@ def test_mined_store_equals_a_follower_fed_the_same_blocks():
 
 def _node_snapshot(node: FullNode):
     return (store_state(node.utxo), node.tip_hash, node.headers.active_chain(),
-            dict(node.headers.headers), dict(node.headers.work), dict(node.blocks),
+            dict(node.headers.headers), dict(node.blocks),
             list(node.mempool))
 
 
