@@ -74,8 +74,7 @@ from .headers import HeaderIndex
 from .merkle import PartialMerkleTree, pack_levels, partial_from_levels
 from .rules import (
     check_block_structure,
-    check_coinbase_value,
-    check_commitment,
+    check_coinbase,
     commitment_of,
     connect_body,
     validate_transaction,
@@ -309,12 +308,11 @@ class FullNode:
         self._tip_changed([block], [])
 
     def _check_close(self, block: Block, root: bytes, fees: int) -> None:
-        """The checks of an opened block's coinbase: it pays at most the
-        subsidy plus ``fees`` and commits ``root``, the opened body's."""
-        check_coinbase_value(block.transactions[0], self.params.subsidy, fees,
-                             block.header.height)
-        if self.check_commitments:
-            check_commitment(block, root)
+        """The close rule of an opened block: its coinbase pays at most the
+        subsidy plus ``fees`` and, unless commitments are off, commits
+        ``root``, the opened body's."""
+        check_coinbase(block, self.params.subsidy, fees,
+                       root if self.check_commitments else None)
 
     # -- mempool ------------------------------------------------------------
 

@@ -100,13 +100,10 @@ def partial_from_levels(levels: list[bytearray], include: set[int]) -> PartialMe
     ``levels`` (as pack_levels builds them) without hashing.
 
     The sibling set is minimal: per level, only nodes adjacent to the
-    proven paths that the included leaves cannot reproduce.
+    proven paths that the included leaves cannot reproduce. An empty or
+    out-of-range ``include`` is the tree's ValueError.
     """
     n = len(levels[0]) // 32
-    if not include:
-        raise ValueError("must include at least one leaf")
-    if not all(0 <= i < n for i in include):
-        raise ValueError("include set out of range")
     siblings: dict[tuple[int, int], bytes] = {}
     frontier = set(include)
     for level, layer in enumerate(levels[:-1]):
@@ -216,10 +213,3 @@ def read_partial(r: Reader) -> PartialMerkleTree:
         return PartialMerkleTree(total_leaves=total, included=included, siblings=siblings)
     except ValueError as exc:
         raise DecodeError(str(exc), r.offset) from exc
-
-
-def decode_partial(data: bytes) -> PartialMerkleTree:
-    r = Reader(data)
-    p = read_partial(r)
-    r.done()
-    return p

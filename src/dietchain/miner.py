@@ -152,11 +152,6 @@ def _next_height(node: FullNode) -> int:
     return 0 if node.headers.tip is None else node.tip_height + 1
 
 
-def node_template(node: FullNode, reward_key: bytes) -> BlockTemplate:
-    """Template extending the node's tip with its pool, which fits there."""
-    return template_on(node, *node.build_template(), reward_key)
-
-
 def mine_txs(node: FullNode, txs, reward_key: bytes, seed: int = 0,
              commitment: bytes | None = None) -> Block:
     """Mine a block of ``txs`` on the node's tip (its genesis, on a node

@@ -77,13 +77,6 @@ MSG_UTXOS = 0x08
 MSG_BLOCK_ANNOUNCE = 0x10
 MSG_WAKE = 0x00  # bus-internal: tells a client to run its sync loop
 
-QUERY_NAMES = {
-    MSG_QUERY_MERKLE_BLOCKS: "query_merkle_blocks",
-    MSG_QUERY_UTXO_MROOT: "query_utxo_mroot",
-    MSG_QUERY_BLOCK: "query_block",
-    MSG_QUERY_UTXOS: "query_utxos",
-}
-
 
 # -- payload codecs ----------------------------------------------------------
 
@@ -149,7 +142,7 @@ def decode_utxos_response(payload: bytes) -> UtxosResponse:
         if idx <= last:
             raise DecodeError("shard indices not strictly increasing", start)
         r.offset = start + _SHARD_FRAME.size
-        shards[idx] = decode_shard(r.take(COIN_SIZE * count), idx)
+        shards[idx] = decode_shard(r.take(COIN_SIZE * count))
         last = idx
     tree = read_partial(r)
     r.done()

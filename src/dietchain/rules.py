@@ -91,14 +91,6 @@ def connect_body(txs, view, height: int, signed=frozenset()) -> int:
     return fees
 
 
-def check_coinbase_value(coinbase: Transaction, subsidy: int, fees: int, height: int) -> None:
-    """The coinbase may pay at most ``subsidy`` plus the body's fees."""
-    reward = sum(out.value for out in coinbase.outputs if out.kind == KIND_PAYMENT)
-    if reward > subsidy + fees:
-        raise ValidationError("bad-coinbase-value",
-                              f"reward {reward} exceeds subsidy plus fees", height=height)
-
-
 def commitment_of(block: Block) -> bytes:
     """The committed UTXO root a block carries in its coinbase."""
     for out in block.transactions[0].outputs:
@@ -108,11 +100,18 @@ def commitment_of(block: Block) -> bytes:
                           height=block.header.height)
 
 
-def check_commitment(block: Block, root: bytes) -> None:
-    """The block's coinbase must commit ``root``, the UTXO root after its
-    body; ``root-mismatch`` on both node kinds if it does not."""
-    if commitment_of(block) != root:
-        raise ValidationError("root-mismatch", height=block.header.height)
+def check_coinbase(block: Block, subsidy: int, fees: int, root: bytes | None) -> None:
+    """The close rule of a block whose body paid ``fees``: its coinbase
+    pays at most ``subsidy`` plus the fees (``bad-coinbase-value``), then
+    commits ``root``, the UTXO root after the body (``root-mismatch``).
+    ``root=None`` skips the commitment."""
+    height = block.header.height
+    reward = sum(out.value for out in block.transactions[0].outputs if out.kind == KIND_PAYMENT)
+    if reward > subsidy + fees:
+        raise ValidationError("bad-coinbase-value",
+                              f"reward {reward} exceeds subsidy plus fees", height=height)
+    if root is not None and commitment_of(block) != root:
+        raise ValidationError("root-mismatch", height=height)
 
 
 def check_block_structure(block: Block) -> None:

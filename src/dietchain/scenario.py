@@ -277,12 +277,8 @@ def _act_pay(state: ScenarioState, step: dict) -> None:
         raise ScenarioError(
             f"insufficient funds: {step['from']} has {total}, needs {amount + fee}")
 
-    part = amount // n_out
-    amounts = [part] * n_out
-    amounts[0] += amount - part * n_out
-    outputs = [TxOutput(value=v, kind=KIND_PAYMENT,
-                        payload=receivers[i % len(receivers)].challenge)
-               for i, v in enumerate(amounts)]
+    outputs = _split_outputs(amount, [receivers[i % len(receivers)].challenge
+                                      for i in range(n_out)])
     if total - amount - fee > 0:
         outputs.append(TxOutput(value=total - amount - fee, kind=KIND_PAYMENT,
                                 payload=challenge))
@@ -333,7 +329,7 @@ def _act_corrupt_shard(state: ScenarioState, step: dict) -> None:
             shard = resp.shards[idx]
             if shard.coins:
                 first = shard.coins[0]
-                tampered = Shard.of_coins(idx, (
+                tampered = Shard.of_coins((
                     first._replace(value=first.value + 1),) + shard.coins[1:])
                 shards = dict(resp.shards)
                 shards[idx] = tampered
@@ -343,25 +339,35 @@ def _act_corrupt_shard(state: ScenarioState, step: dict) -> None:
         Adversary(victim=step["victim"], transforms={MSG_UTXOS: transform}))
 
 
-def _act_forge_commitment_tip(state: ScenarioState, step: dict) -> None:
-    """One forged block on the honest tip whose commitment is garbage."""
-    attacker = state.key(step["attacker"])
-    builder = ForgedChainBuilder(state.params, budget=1,
+def _forger(state: ScenarioState, fork: int, budget: int = 1,
+            lenient: bool = False) -> ForgedChainBuilder:
+    """A builder whose replica is the reference node's chain up to
+    ``fork``, seeded by the next draw of the scenario's rng; a
+    ``lenient`` replica takes any commitment."""
+    builder = ForgedChainBuilder(state.params, budget=budget,
                                  seed=state.rng.getrandbits(32),
-                                 accept_bad_commitments=True)
-    ref = state.full(state.reference)
-    builder.replay(ref, ref.tip_height)
-    owned = sorted(c for c in builder.node.utxo.all_coins()
-                   if c.challenge == attacker.challenge)
-    if not owned:
-        raise ScenarioError("attacker owns nothing to lure with")
-    coin = owned[-1]
-    victims = _victims(step)
-    challenges = _victim_challenges(state, victims)
-    lure = signed_spend(attacker, [coin], _split_outputs(coin.value, challenges))
-    builder.mine([lure], attacker.public_key,
-                 fake_commitment=state.rng.randbytes(32))
-    _deploy(state, step, builder, victims, lure, [coin])
+                                 accept_bad_commitments=lenient)
+    builder.replay(state.full(state.reference), fork)
+    return builder
+
+
+def _lure(state: ScenarioState, step: dict, builder: ForgedChainBuilder, attacker: KeyPair,
+          coin: Coin, victims: list[str], empty: int = 0,
+          commitment: bytes | None = None) -> None:
+    """Mine ``empty`` empty blocks, then one whose lure spends ``coin`` to
+    the victims (committing ``commitment`` if given), and divert every
+    query of the victims to the builder's branch."""
+    lure = signed_spend(attacker, [coin],
+                        _split_outputs(coin.value, _victim_challenges(state, victims)))
+    for _ in range(empty):
+        builder.mine([], attacker.public_key)
+    builder.mine([lure], attacker.public_key, fake_commitment=commitment)
+    shadow = builder.service()
+    for victim in victims:
+        state.bus.attach_adversary(
+            Adversary(victim=victim, shadow=shadow, hijack=set(ALL_QUERIES)))
+    if "label" in step:
+        state.labeled[step["label"]] = (lure, [coin])
 
 
 def _split_outputs(value: int, challenges: list[bytes]) -> list[TxOutput]:
@@ -372,14 +378,16 @@ def _split_outputs(value: int, challenges: list[bytes]) -> list[TxOutput]:
             for v, ch in zip(amounts, challenges)]
 
 
-def _deploy(state: ScenarioState, step: dict, builder: ForgedChainBuilder,
-            victims: list[str], lure: Transaction, consumed: list[Coin]) -> None:
-    shadow = builder.service()
-    for victim in victims:
-        state.bus.attach_adversary(
-            Adversary(victim=victim, shadow=shadow, hijack=set(ALL_QUERIES)))
-    if "label" in step:
-        state.labeled[step["label"]] = (lure, consumed)
+def _act_forge_commitment_tip(state: ScenarioState, step: dict) -> None:
+    """One forged block on the honest tip whose commitment is garbage."""
+    attacker = state.key(step["attacker"])
+    builder = _forger(state, state.full(state.reference).tip_height, lenient=True)
+    owned = sorted(c for c in builder.node.utxo.all_coins()
+                   if c.challenge == attacker.challenge)
+    if not owned:
+        raise ScenarioError("attacker owns nothing to lure with")
+    _lure(state, step, builder, attacker, owned[-1], _victims(step),
+          commitment=state.rng.randbytes(32))
 
 
 def _act_double_spend(state: ScenarioState, step: dict) -> None:
@@ -389,16 +397,9 @@ def _act_double_spend(state: ScenarioState, step: dict) -> None:
     spent_tx, consumed = state.labeled[step["spent_tx"]]
     coin = consumed[0]
     attacker = state.key_by_public(spent_tx.inputs[0].public_key)
-    builder = ForgedChainBuilder(state.params, budget=1,
-                                 seed=state.rng.getrandbits(32))
-    ref = state.full(state.reference)
-    builder.replay(ref, ref.tip_height)
+    builder = _forger(state, state.full(state.reference).tip_height)
     builder.inject_coin(coin)
-    victims = step["victims"]
-    lure = signed_spend(attacker, [coin],
-                         _split_outputs(coin.value, _victim_challenges(state, victims)))
-    builder.mine([lure], attacker.public_key)
-    _deploy(state, step, builder, victims, lure, [coin])
+    _lure(state, step, builder, attacker, coin, step["victims"])
 
 
 def _act_forge_chain(state: ScenarioState, step: dict) -> None:
@@ -406,26 +407,17 @@ def _act_forge_chain(state: ScenarioState, step: dict) -> None:
     victim at the end of a freshly mined branch one block past the honest tip."""
     attacker = state.key(step["attacker"])
     forge_count = step["forge_count"]
-    ref = state.full(state.reference)
-    fork = ref.tip_height + 1 - forge_count
+    fork = state.full(state.reference).tip_height + 1 - forge_count
     if fork < 0:
         raise ScenarioError("honest chain too short for that forge length")
-    builder = ForgedChainBuilder(state.params, budget=forge_count,
-                                 seed=state.rng.getrandbits(32))
-    builder.replay(ref, fork)
+    builder = _forger(state, fork, budget=forge_count)
     fake = Coin(
         outpoint=OutPoint(txid=state.rng.randbytes(32), index=0),
         value=step.get("amount", 40),
         challenge=attacker.challenge,
     )
     builder.inject_coin(fake)
-    victims = _victims(step)
-    lure = signed_spend(attacker, [fake],
-                         _split_outputs(fake.value, _victim_challenges(state, victims)))
-    for _ in range(forge_count - 1):
-        builder.mine([], attacker.public_key)
-    builder.mine([lure], attacker.public_key)
-    _deploy(state, step, builder, victims, lure, [fake])
+    _lure(state, step, builder, attacker, fake, _victims(step), empty=forge_count - 1)
 
 
 # action -> (handler, the step keys it cannot run without)

@@ -46,7 +46,7 @@ changed since the queried height and re-hashes their paths, so a recent
 height costs O((|indices| + shards changed since) * k) hashes, not a
 rebuild over all ``2**k`` leaves. History holds each shard version as
 its wire bytes, and a proof serves them as they are: a :class:`Shard` is
-an index and its encoding, decoded only where a reader needs its coins.
+its encoding, keyed by its index, decoded only where a reader needs its coins.
 A shard's encoding is its coins' bytes alone, in outpoint order, and its
 leaf hash is the hash of those bytes (of ``b""`` for an empty shard); it
 carries no count, so no rule limits how many coins a shard holds.
@@ -112,10 +112,6 @@ def coins_of(tx: Transaction) -> list[Coin]:
 _COIN = struct.Struct("<32sIQ32s")  # a coin's wire fields, in Coin's order
 
 
-def encode_coin(c: Coin) -> bytes:
-    return _COIN.pack(c.outpoint.txid, c.outpoint.index, c.value, c.challenge)
-
-
 def encode_shard_coins(coins: list[Coin]) -> bytes:
     """A shard's wire bytes: its coins, each packed in one call (txids
     and challenges are always 32 bytes)."""
@@ -126,17 +122,17 @@ def encode_shard_coins(coins: list[Coin]) -> bytes:
 
 @dataclass(frozen=True, slots=True)
 class Shard:
-    """One shard as it travels: its index and its wire bytes (its coins
-    in outpoint order). The store serves the bytes it keeps, so serving
-    decodes nothing; a shard read off the wire (:func:`decode_shard`)
-    keeps the coins it was checked with, so a reader unpacks it once."""
-    index: int
+    """One shard as it travels: its wire bytes (its coins in outpoint
+    order), kept under its index by whoever holds it. The store serves
+    the bytes it keeps, so serving decodes nothing; a shard read off the
+    wire (:func:`decode_shard`) keeps the coins it was checked with, so a
+    reader unpacks it once."""
     encoded: bytes
     decoded: tuple[Coin, ...] | None = field(default=None, compare=False, repr=False)
 
     @classmethod
-    def of_coins(cls, index: int, coins) -> "Shard":
-        return cls(index, encode_shard_coins(list(coins)))
+    def of_coins(cls, coins) -> "Shard":
+        return cls(encode_shard_coins(list(coins)))
 
     @property
     def coins(self) -> tuple[Coin, ...]:
@@ -156,7 +152,7 @@ def _unpack_coins(data: bytes) -> tuple[Coin, ...]:
                   for tid, n, value, challenge in _COIN.iter_unpack(data)])
 
 
-def decode_shard(data: bytes, index: int) -> Shard:
+def decode_shard(data: bytes) -> Shard:
     """A shard from its wire bytes, which must be whole coins in order.
     The bytes are unpacked once: the coins built from them are checked
     for order (a coin orders as its raw fields do) and kept."""
@@ -165,7 +161,7 @@ def decode_shard(data: bytes, index: int) -> Shard:
     coins = _unpack_coins(data)
     if not all(map(operator.le, coins, coins[1:])):
         raise DecodeError("shard coins out of order", len(data))
-    return Shard(index, data, coins)
+    return Shard(data, coins)
 
 
 class ShardView:
@@ -315,10 +311,6 @@ class VersionedShardStore:
     def current_root(self) -> bytes:
         return bytes(self._levels[-1])
 
-    def get_coin(self, outpoint: OutPoint) -> Coin | None:
-        """A spendable coin as the next block sees it, reward coins included."""
-        return self.open(self.next_height).get_coin(outpoint)
-
     def all_coins(self) -> Iterator[Coin]:
         for i in range(1 << self.k):
             yield from self.shards[i]
@@ -326,9 +318,6 @@ class VersionedShardStore:
 
     def total_shard_bytes(self) -> int:
         return COIN_SIZE * self._coin_count
-
-    def average_shard_bytes(self) -> float:
-        return self.total_shard_bytes() / (1 << self.k)
 
     def utxo_root(self) -> bytes:
         return self.current_root
@@ -493,7 +482,7 @@ class VersionedShardStore:
         reloaded = {}
         for idx in indices:
             encoded = self._version_at(self.k, idx, height)
-            coins = [live_at.get(c.outpoint, c) for c in Shard(idx, encoded).coins]
+            coins = [live_at.get(c.outpoint, c) for c in _unpack_coins(encoded)]
             self._coin_count += len(coins) - len(self.shards.get(idx, ()))
             self.shards[idx] = coins
             reloaded[idx] = encoded
@@ -534,12 +523,11 @@ class VersionedShardStore:
         kept when the tree split away from that ``k``), with only the
         shards changed since put back to their old versions and re-hashed.
         The shards are the encodings the store keeps, served undecoded.
+        An index outside that tree is the partial tree's ValueError.
         """
         if self.height is None or not max(self.floor, 0) + 1 <= height <= self.height + 1:
             raise HistoryUnavailableError(f"no history for height {height}")
         kb = self.k_at(height - 1)
-        if not all(0 <= i < (1 << kb) for i in indices):
-            raise ValueError("shard index out of range for the tree at that height")
         include = set(indices)
         newest, levels = (self.height, self._levels) if kb == self.k else self._frozen[kb]
         since = set().union(*(self.touched_log[h].indices for h in range(height, newest + 1)))
@@ -547,7 +535,7 @@ class VersionedShardStore:
         if since:
             levels = _copy_levels(levels)
             update_levels(levels, {i: hash256(encodings[i]) for i in since})
-        return {i: Shard(i, encodings[i]) for i in indices}, partial_from_levels(levels, include)
+        return {i: Shard(encodings[i]) for i in indices}, partial_from_levels(levels, include)
 
     def _version_at(self, k: int, index: int, height: int) -> bytes:
         for h, encoded in reversed(self.versions.get((k, index), ())):

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dietchain.chain import (
     ChainParams,
     KIND_PAYMENT,
+    Reader,
     Transaction,
     TxInput,
     TxOutput,
@@ -16,6 +17,15 @@ from dietchain.miner import make_genesis, mine_on
 from dietchain.utxo import Coin, VersionedShardStore
 
 FAST = ChainParams(target_bits=5, subsidy=50, size_cap=1024, initial_k=2)
+
+
+def read_whole(read, data: bytes):
+    """What ``read`` takes from a reader over ``data``, which must be all
+    of it: trailing bytes are a DecodeError, as for a whole payload."""
+    r = Reader(data)
+    value = read(r)
+    r.done()
+    return value
 
 
 def key_of(name: str) -> KeyPair:

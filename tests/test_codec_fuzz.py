@@ -8,7 +8,7 @@ import random
 import struct
 
 import pytest
-from conftest import FAST, key_of, mined_node, payment
+from conftest import FAST, key_of, mined_node, payment, read_whole
 from hypothesis import given, settings, strategies as st
 
 from dietchain.chain import (
@@ -36,7 +36,7 @@ from dietchain.chain import (
 from dietchain.crypto import BloomFilter, hash256
 from dietchain.errors import DecodeError
 from dietchain.full_node import MerkleBlockMatch, MerkleBlocksResponse, UtxosResponse
-from dietchain.merkle import decode_partial, encode_partial, read_partial
+from dietchain.merkle import encode_partial, read_partial
 from dietchain.miner import mine_on
 from dietchain.netsim import (
     decode_merkle_blocks_request,
@@ -81,15 +81,15 @@ def _honest_payloads() -> dict[str, bytes]:
 
 def _reencode_utxos(data: bytes) -> bytes:
     resp = decode_utxos_response(data)
-    shards = {i: Shard.of_coins(i, shard.coins) for i, shard in resp.shards.items()}
+    shards = {i: Shard.of_coins(shard.coins) for i, shard in resp.shards.items()}
     return encode_utxos_response(UtxosResponse(shards=shards, tree=resp.tree))
 
 
 # codec name -> bytes -> the decoded value encoded again
 ROUND_TRIPS = {
-    "shard": lambda data: encode_shard_coins(list(decode_shard(data, 0).coins)),
+    "shard": lambda data: encode_shard_coins(list(decode_shard(data).coins)),
     "utxos": _reencode_utxos,
-    "partial": lambda data: encode_partial(decode_partial(data)),
+    "partial": lambda data: encode_partial(read_whole(read_partial, data)),
     "merkle_blocks_request": lambda data: encode_merkle_blocks_request(
         *decode_merkle_blocks_request(data)),
     "merkle_blocks": lambda data: encode_merkle_blocks_response(
@@ -209,7 +209,7 @@ def _oracle_utxos(r: Reader) -> UtxosResponse:
         idx, count = struct.unpack("<II", r.take(8))
         if idx <= last:
             raise DecodeError("shard indices not strictly increasing", r.offset - 8)
-        shards[idx] = decode_shard(r.take(COIN_SIZE * count), idx)
+        shards[idx] = decode_shard(r.take(COIN_SIZE * count))
         last = idx
     tree = read_partial(r)
     r.done()
@@ -303,9 +303,9 @@ def _with_first_count(data: bytes, count: int) -> bytes:
 
 def test_the_first_shards_count_is_where_the_framing_puts_it():
     honest = decode_utxos_response(HONEST["utxos"])
-    first = honest.shards[min(honest.shards)]
+    first = min(honest.shards)
     assert struct.unpack_from("<HII", HONEST["utxos"]) == \
-        (len(honest.shards), first.index, len(first.coins))
+        (len(honest.shards), first, len(honest.shards[first].coins))
 
 
 @pytest.mark.parametrize("count", ["one past the end", 0xFFFFFFFF])
@@ -324,13 +324,13 @@ def test_shard_coins_out_of_order_in_an_answer_are_a_decode_error():
     honest = decode_utxos_response(HONEST["utxos"])
     idx, shard = next((i, s) for i, s in sorted(honest.shards.items()) if len(s.coins) > 1)
     coins = shard.coins
-    swapped = Shard(idx, encode_shard_coins([coins[1], coins[0], *coins[2:]]))
+    swapped = Shard(encode_shard_coins([coins[1], coins[0], *coins[2:]]))
     data = encode_utxos_response(UtxosResponse(shards={**honest.shards, idx: swapped},
                                                tree=honest.tree))
     with pytest.raises(DecodeError, match="out of order"):
         decode_utxos_response(data)
     with pytest.raises(DecodeError, match="out of order"):
-        decode_shard(swapped.encoded, idx)
+        decode_shard(swapped.encoded)
 
 
 def test_a_shard_of_65536_coins_round_trips():
@@ -342,9 +342,9 @@ def test_a_shard_of_65536_coins_round_trips():
     assert len(encoded) == COIN_SIZE << 16
     assert ROUND_TRIPS["shard"](encoded) == encoded
     tree = decode_utxos_response(HONEST["utxos"]).tree
-    data = encode_utxos_response(UtxosResponse(shards={3: Shard(3, encoded)}, tree=tree))
+    data = encode_utxos_response(UtxosResponse(shards={3: Shard(encoded)}, tree=tree))
     assert struct.unpack_from("<HII", data) == (1, 3, 1 << 16)
-    assert decode_utxos_response(data).shards == {3: Shard(3, encoded)}
+    assert decode_utxos_response(data).shards == {3: Shard(encoded)}
     assert ROUND_TRIPS["utxos"](data) == data
 
 
@@ -360,7 +360,7 @@ def _partial_wire(total: int, leaves, siblings, leaf_count=None, sibling_count=N
 
 
 def _honest_partial():
-    tree = decode_partial(HONEST["partial"])
+    tree = read_whole(read_partial, HONEST["partial"])
     return tree.total_leaves, sorted(tree.included.items()), sorted(tree.siblings.items())
 
 
@@ -380,7 +380,7 @@ def test_a_partial_entry_not_above_the_one_before_is_a_decode_error(run, where):
     offset = (6 + 36 * at if run == "included"
               else 6 + 36 * len(leaves) + 2 + 37 * at)
     with pytest.raises(DecodeError, match=rf"not strictly increasing \(at byte {offset}\)"):
-        decode_partial(data)
+        read_whole(read_partial, data)
 
 
 @pytest.mark.parametrize("count", ["one past the end", 0xFFFF])
@@ -396,7 +396,7 @@ def test_a_partial_count_past_the_end_is_a_decode_error(run, count):
     data = (_partial_wire(total, leaves, siblings, leaf_count=count) if run == "included"
             else _partial_wire(total, leaves, siblings, sibling_count=count))
     with pytest.raises(DecodeError, match="truncated"):
-        decode_partial(data)
+        read_whole(read_partial, data)
     with pytest.raises(DecodeError, match="truncated"):
         decode_utxos_response(HONEST["utxos"][:-len(HONEST["partial"])] + data)
 
@@ -438,8 +438,8 @@ def test_a_decoded_shard_keeps_the_coins_it_was_checked_with():
     """A shard read off the wire is unpacked once: its coins are the
     ones its order was checked on, equal to a fresh decode of its bytes,
     and the shard equals one built from its bytes alone."""
-    for idx, shard in decode_utxos_response(HONEST["utxos"]).shards.items():
+    for shard in decode_utxos_response(HONEST["utxos"]).shards.values():
         assert shard.coins is shard.coins
-        assert shard.coins == Shard(idx, shard.encoded).coins
-        assert shard == Shard(idx, shard.encoded)
+        assert shard.coins == Shard(shard.encoded).coins
+        assert shard == Shard(shard.encoded)
         assert encode_shard_coins(list(shard.coins)) == shard.encoded

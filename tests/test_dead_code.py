@@ -3,16 +3,27 @@
 Fails on an import that its module never uses (``__all__`` counts as a
 use), on a private (single leading underscore) module-level function
 or class, or a private method, that no module of the package references
-by name or attribute, and on a private attribute that the package sets
-but never reads.
+by name or attribute, on a public one, or a public module-level
+constant, that only tests use, and on a private attribute that the
+package sets but never reads.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dietchain"
+import dietchain
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "dietchain"
+
+# public name -> why it stays although only tests use it
+ONLY_FOR_TESTS = {
+    "leading_zero_bits": "the oracle that test_meets_target_counts_leading_zero_bits "
+                         "compares chain.meets_target against",
+}
 
 
 def _modules() -> dict[str, ast.Module]:
@@ -43,15 +54,43 @@ def _used_names(tree: ast.Module) -> set[str]:
     used = set()
     for root in [tree, *_annotation_strings(tree)]:
         for node in ast.walk(root):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 used.add(node.attr)
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
             used.update(elt.value for elt in node.value.elts)
     return used
+
+
+def _package_reads(modules: dict[str, ast.Module]) -> set[str]:
+    """Every name some module of the package uses or imports."""
+    reads = set().union(*(_used_names(tree) for tree in modules.values()))
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                reads.update(alias.name for alias in node.names)
+    return reads
+
+
+def _definitions(tree: ast.Module):
+    """Module-level functions and classes, and the methods of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            yield from (item.name for item in node.body
+                        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)))
+
+
+def _constants(tree: ast.Module):
+    """Names bound by module-level assignments."""
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        yield from (t.id for t in targets if isinstance(t, ast.Name))
 
 
 def _is_private(name: str) -> bool:
@@ -75,23 +114,27 @@ def test_every_import_is_used():
 
 def test_every_private_definition_is_referenced():
     modules = _modules()
-    referenced = set().union(*(_used_names(tree) for tree in modules.values()))
-    for tree in modules.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                referenced.update(alias.name for alias in node.names)
-    unreferenced = []
-    for module, tree in modules.items():
-        for node in tree.body:
-            defs = [node]
-            if isinstance(node, ast.ClassDef):
-                defs += [item for item in node.body
-                         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
-            for item in defs:
-                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                        and _is_private(item.name) and item.name not in referenced):
-                    unreferenced.append(f"{module}: {item.name}")
-    assert unreferenced == []
+    referenced = _package_reads(modules)
+    assert [f"{module}: {name}" for module, tree in modules.items()
+            for name in _definitions(tree)
+            if _is_private(name) and name not in referenced] == []
+
+
+def test_no_public_definition_serves_only_the_tests():
+    """A public function, class, method or module-level constant that no
+    module of the package reads, no file under ``bench/`` names and
+    ``dietchain.__all__`` does not export is API only tests call: the
+    tests should take the path the program takes. ``ONLY_FOR_TESTS``
+    names the exemptions, each with its reason."""
+    modules = _modules()
+    reads = _package_reads(modules) | set(dietchain.__all__)
+    for path in (ROOT / "bench").rglob("*"):
+        if path.is_file():
+            reads.update(re.findall(r"\w+", path.read_text(errors="replace")))
+    assert [f"{module}: {name}" for module, tree in modules.items()
+            for name in [*_definitions(tree), *_constants(tree)]
+            if not name.startswith("_") and name not in reads
+            and name not in ONLY_FOR_TESTS] == []
 
 
 def test_every_private_attribute_is_read():

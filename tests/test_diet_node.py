@@ -30,8 +30,8 @@ from dietchain.miner import (
     BlockTemplate,
     assemble_block,
     mine_on,
-    node_template,
     solve_pow,
+    template_on,
 )
 from dietchain.netsim import (
     MSG_QUERY_BLOCK,
@@ -44,6 +44,7 @@ from dietchain.netsim import (
     BusTransport,
     ForgedChainBuilder,
     FullNodeService,
+    decode_utxos_response,
     encode_utxos_response,
 )
 from dietchain.rules import commitment_of, signed_spend, tx_merkle_root
@@ -308,7 +309,8 @@ def test_zero_target_header_is_refused():
     node = mined_node(FAST, ALICE, 4, seed=46)
     diet = _wire(node, DietConfig(keys=(CAROL.public_key,)))
     diet.update_chain()
-    template = dataclasses.replace(node_template(node, ALICE.public_key), target_bits=0)
+    template = dataclasses.replace(
+        template_on(node, *node.build_template(), ALICE.public_key), target_bits=0)
     free = assemble_block(template, node.utxo)  # nonce 0 meets a zero target
     with pytest.raises(ValidationError) as info:
         diet.headers.add(free.header)
@@ -432,6 +434,21 @@ def test_coinbase_overpay_in_window_is_bad_coinbase_value_on_both_nodes():
     assert (result.status, result.reason) == ("rejected", "bad-coinbase-value")
     diet = _wire(lenient, WATCH_CAROL)
     assert _tip_verdicts(diet, 3) == {("rejected", "bad-coinbase-value", 3)}
+
+
+def test_coinbase_overpay_is_bad_coinbase_value_on_a_node_checking_no_commitments():
+    """With commitments off the close rule skips only the root: the
+    overpaying block above is still refused for its value."""
+    honest = mined_node(FAST, ALICE, 3, seed=61)
+    legacy = FullNode(FAST, check_commitments=False)
+    for hh in honest.headers.active_chain():
+        assert legacy.connect_block(honest.blocks[hh]).accepted
+    paid = _pay(coins_owned(honest, ALICE)[0], CAROL.challenge, 6)
+    block = _tip_block(honest, [paid], fees=1, overpay=1, seed=161)
+
+    result = legacy.connect_block(block)
+    assert (result.status, result.reason, result.height) == \
+        ("rejected", "bad-coinbase-value", 3)
 
 
 def test_a_shard_past_a_u16_coin_count_is_accepted_on_both_nodes():
@@ -719,6 +736,26 @@ def test_a_shard_count_overrunning_the_answer_is_a_peer_fault():
     bus.register("peer", FullNodeService(node))
     bus.attach_adversary(Adversary(victim="client", transforms={
         MSG_UTXOS: lambda data: data[:6] + struct.pack("<I", 0xFFFFFFFF) + data[10:]}))
+    diet = DietNode(FAST, WATCH_CAROL, BusTransport(bus, "client", "peer"))
+    (verdict,) = diet.update_chain().verdicts
+    assert (verdict.status, verdict.reason) == ("rejected", "peer-fault")
+    assert verdict.fail_height == verdict.first + 1
+
+
+def test_a_utxos_tree_of_zero_leaves_is_a_peer_fault():
+    """A peer whose ``utxos`` answer gives its tree no leaves gets
+    ``peer-fault`` at the block asked about: such a tree never decodes."""
+    node = mined_node(FAST, ALICE, 4, seed=66)
+    node.submit_transaction(payment(node, ALICE, [(CAROL.challenge, 6)]))
+    mine_on(node, ALICE.public_key, seed=166)
+
+    def no_leaves(data: bytes) -> bytes:
+        at = len(data) - len(encode_partial(decode_utxos_response(data).tree))
+        return data[:at] + struct.pack("<I", 0) + data[at + 4:]
+
+    bus = Bus(seed=7)
+    bus.register("peer", FullNodeService(node))
+    bus.attach_adversary(Adversary(victim="client", transforms={MSG_UTXOS: no_leaves}))
     diet = DietNode(FAST, WATCH_CAROL, BusTransport(bus, "client", "peer"))
     (verdict,) = diet.update_chain().verdicts
     assert (verdict.status, verdict.reason) == ("rejected", "peer-fault")

@@ -37,8 +37,8 @@ from dietchain.miner import (
     mine_block,
     mine_on,
     mine_txs,
-    node_template,
     solve_pow,
+    template_on,
 )
 from dietchain.rules import commitment_of, signed_spend, tx_merkle_root, validate_transaction
 from dietchain.utxo import coins_of
@@ -52,8 +52,8 @@ def test_fee_is_input_sum_minus_output_sum():
     node = mined_node(FAST, ALICE, 3, seed=100)
     coin = coins_owned(node, ALICE)[0]
     tx = payment(node, ALICE, [(BOB.challenge, 7)], fee=4)
-    total_in = sum(
-        node.utxo.get_coin(i.prevout).value for i in tx.inputs)
+    view = node.utxo.open(node.utxo.next_height)
+    total_in = sum(view.get_coin(i.prevout).value for i in tx.inputs)
     assert total_in - sum(o.value for o in tx.outputs) == 4
     node.submit_transaction(tx)
     _, fees = node.build_template()
@@ -127,7 +127,7 @@ def test_double_spend_within_one_transaction_rejected():
     doubled = doubled._replace(inputs=tuple(
         i._replace(signature=signature) for i in doubled.inputs))
     with pytest.raises(ValidationError) as info:
-        validate_transaction(doubled, node.utxo)
+        validate_transaction(doubled, node.utxo.open(node.utxo.next_height))
     assert info.value.code == "missing-input"
     assert "twice" in info.value.detail
 
@@ -155,7 +155,7 @@ def test_full_block_cycle_and_commitment_checked():
 
 def test_tampered_commitment_rejected_by_full_node():
     node = mined_node(FAST, ALICE, 3, seed=108)
-    template = node_template(node, ALICE.public_key)
+    template = template_on(node, *node.build_template(), ALICE.public_key)
     block = assemble_block(template, node.utxo)
     fake = make_coinbase(template, hash256(b"not the root"))
     txs = (fake,) + template.transactions
@@ -176,7 +176,7 @@ def test_tampered_commitment_rejected_by_full_node():
 
 def test_pow_failure_rejected():
     node = mined_node(FAST, ALICE, 2, seed=109)
-    template = node_template(node, ALICE.public_key)
+    template = template_on(node, *node.build_template(), ALICE.public_key)
     block = assemble_block(template, node.utxo)  # nonce 0, almost surely bad
     if not block.header.target_bits or not block_hash_ok(block):
         result = node.connect_block(block)
@@ -245,7 +245,7 @@ def test_reorg_rejects_branch_with_invalid_body():
     branch = FullNode(FAST, check_commitments=False)
     for h in node.headers.active_chain()[:-1]:
         branch.connect_block(node.blocks[h])
-    template = node_template(branch, BOB.public_key)
+    template = template_on(branch, *branch.build_template(), BOB.public_key)
     bad_cb = make_coinbase(template, hash256(b"junk"))
     txs = (bad_cb,) + template.transactions
     from dietchain.chain import BlockHeader
@@ -276,7 +276,7 @@ def test_reorg_rejects_branch_with_invalid_body():
 def _junk_commitment_block(node: FullNode, seed: int) -> Block:
     """A block with valid work on the node's tip that commits a junk root;
     the node must not check commitments to accept it."""
-    template = node_template(node, BOB.public_key)
+    template = template_on(node, *node.build_template(), BOB.public_key)
     txs = (make_coinbase(template, hash256(b"junk")),) + template.transactions
     header = assemble_block(template, node.utxo).header._replace(tx_mroot=tx_merkle_root(txs))
     block = Block(header=header._replace(nonce=solve_pow(header, 1 << 20, seed=seed)),
@@ -423,7 +423,8 @@ def test_body_with_duplicated_last_tx_cannot_shadow_the_real_block():
 def test_zero_target_block_is_rejected_on_the_tip_and_on_a_branch():
     node = mined_node(FAST, ALICE, 3, seed=119)
     tip, root = node.tip_hash, node.utxo.utxo_root()
-    template = dataclasses.replace(node_template(node, ALICE.public_key), target_bits=0)
+    template = dataclasses.replace(
+        template_on(node, *node.build_template(), ALICE.public_key), target_bits=0)
     free = assemble_block(template, node.utxo)  # nonce 0 meets a zero target
     result = node.connect_block(free)
     assert (result.status, result.reason) == ("rejected", "bad-target")
@@ -437,7 +438,8 @@ def test_zero_target_block_is_rejected_on_the_tip_and_on_a_branch():
 
 def test_coinbase_version_must_be_the_height():
     node = mined_node(FAST, ALICE, 3, seed=120)
-    block = assemble_block(node_template(node, ALICE.public_key), node.utxo)
+    block = assemble_block(template_on(node, *node.build_template(), ALICE.public_key),
+                           node.utxo)
     txs = (block.transactions[0]._replace(version=0),) + block.transactions[1:]
     header = block.header._replace(tx_mroot=tx_merkle_root(txs))
     header = header._replace(nonce=solve_pow(header, 1 << 20, seed=320))
@@ -452,7 +454,7 @@ def test_rejected_commitment_leaves_the_store_untouched():
     before = (store.height, store.utxo_root(), dict(store.touched_log),
               dict(store.versions), list(store.pending),
               sorted(store.all_coins()))
-    template = node_template(node, ALICE.public_key)
+    template = template_on(node, *node.build_template(), ALICE.public_key)
     txs = (make_coinbase(template, hash256(b"not the root")),) + template.transactions
     header = assemble_block(template, store).header._replace(tx_mroot=tx_merkle_root(txs))
     header = header._replace(nonce=solve_pow(header, 1 << 20, seed=321))
@@ -560,10 +562,12 @@ def fuzz_base():
                                     payload=BOB.challenge)])
     node.submit_transaction(first)
     node.submit_transaction(second)
-    block = mine_block(node_template(node, ALICE.public_key), node.utxo, seed=323)
+    block = mine_block(template_on(node, *node.build_template(), ALICE.public_key),
+                       node.utxo, seed=323)
     assert block.transactions[1:] == (first, second)
-    other = mine_block(dataclasses.replace(node_template(node, BOB.public_key),
-                                           transactions=()), node.utxo, seed=324)
+    other = mine_block(dataclasses.replace(
+        template_on(node, *node.build_template(), BOB.public_key), transactions=()),
+        node.utxo, seed=324)
     return node, block, other.transactions[0]
 
 

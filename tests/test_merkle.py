@@ -7,6 +7,7 @@ import re
 import struct
 
 import pytest
+from conftest import read_whole
 from hypothesis import given, settings, strategies as st
 
 from dietchain import merkle
@@ -16,12 +17,12 @@ from dietchain.merkle import (
     build_levels,
     build_root,
     contains,
-    decode_partial,
     encode_partial,
     extract_partial,
     pack_levels,
     partial_from_levels,
     partial_root,
+    read_partial,
 )
 
 
@@ -143,7 +144,7 @@ def test_encode_decode_partial_roundtrip():
         include = {rng.randrange(n) for _ in range(rng.randrange(1, 5))}
         partial = extract_partial(leaves, include)
         wire = encode_partial(partial)
-        again = decode_partial(wire)
+        again = read_whole(read_partial, wire)
         assert again == partial
         assert partial_root(again) == build_root(leaves)
 
@@ -154,9 +155,9 @@ def test_decode_partial_rejects_truncation():
     wire = encode_partial(partial)
     for cut in (0, 3, 10, len(wire) - 1):
         with pytest.raises(DecodeError):
-            decode_partial(wire[:cut])
+            read_whole(read_partial, wire[:cut])
     with pytest.raises(DecodeError):
-        decode_partial(wire + b"\x00")
+        read_whole(read_partial, wire + b"\x00")
 
 
 def test_decode_partial_requires_strictly_increasing_entries():
@@ -172,12 +173,12 @@ def test_decode_partial_requires_strictly_increasing_entries():
         parts += [struct.pack("<BI", *pos) + h for pos, h in siblings]
         return b"".join(parts)
 
-    assert decode_partial(wire(leaves, siblings)) == partial
+    assert read_whole(read_partial, wire(leaves, siblings)) == partial
     bad = [(leaves[::-1], siblings), (leaves + leaves[-1:], siblings),
            (leaves, siblings[::-1]), (leaves, siblings[:1] + siblings)]
     for entries in bad:
         with pytest.raises(DecodeError, match="strictly increasing"):
-            decode_partial(wire(*entries))
+            read_whole(read_partial, wire(*entries))
 
 
 def _reference_partial(leaves: list[bytes], include: set[int]) -> PartialMerkleTree:
@@ -212,6 +213,14 @@ def test_partial_from_levels_matches_extract_partial():
         leaves = _leaves(rng, n)
         include = set(rng.sample(range(n), rng.randrange(1, min(n, 5) + 1)))
         assert extract_partial(leaves, include) == _reference_partial(leaves, include)
+
+
+@pytest.mark.parametrize("include", [set(), {-1}, {8}, {0, 8}])
+def test_partial_from_levels_refuses_an_empty_or_out_of_range_include(include):
+    """The partial tree it builds is the one check of ``include``."""
+    packed = pack_levels(_leaves(random.Random(23), 8))
+    with pytest.raises(ValueError):
+        partial_from_levels(packed, include)
 
 
 def _path_nodes(n: int, include: set[int]) -> int:

@@ -31,7 +31,6 @@ from dietchain.miner import (
     make_genesis,
     mine_block,
     mine_on,
-    node_template,
     nonce_start,
     solve_pow,
     template_on,
@@ -175,7 +174,8 @@ def test_mined_store_equals_a_follower_fed_the_same_blocks():
     for i in range(14):
         node.submit_transaction(payment(node, ALICE, [(BOB.challenge, 3)]))
         before = store_state(node.utxo)
-        mine_block(node_template(node, BOB.public_key), node.utxo, seed=340 + i)
+        mine_block(template_on(node, *node.build_template(), BOB.public_key), node.utxo,
+                   seed=340 + i)
         assert store_state(node.utxo) == before  # a preview leaves no trace
 
         parent = _active_blocks(node)

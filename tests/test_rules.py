@@ -23,7 +23,7 @@ from dietchain.chain import (
 from dietchain.crypto import hash256
 from dietchain.diet_node import DietConfig, DietNode
 from dietchain.full_node import FullNode
-from dietchain.miner import mine_block, mine_on, node_template
+from dietchain.miner import mine_block, mine_on, template_on
 from dietchain.netsim import Bus, BusTransport, FullNodeService
 
 ALICE = key_of("alice")
@@ -64,7 +64,7 @@ def _flip_signature(tx: Transaction) -> Transaction:
 
 def _mine_with(node: FullNode, txs, seed: int):
     """A block on the node's tip carrying ``txs`` instead of its pool."""
-    template = dataclasses.replace(node_template(node, ALICE.public_key),
+    template = dataclasses.replace(template_on(node, *node.build_template(), ALICE.public_key),
                                    transactions=tuple(txs))
     return mine_block(template, node.utxo, seed=seed)
 

@@ -32,7 +32,6 @@ from dietchain.utxo import (
     VersionedShardStore,
     coins_of,
     decode_shard,
-    encode_coin,
     encode_shard_coins,
     shard_key,
 )
@@ -64,7 +63,7 @@ def test_shard_key_partitions_everything():
 def test_coin_encoding_width_and_order():
     coin = Coin(outpoint=OutPoint(txid=b"\xAA" * 32, index=5), value=1000,
                 challenge=b"\xBB" * 32)
-    wire = encode_coin(coin)
+    wire = encode_shard_coins([coin])
     assert len(wire) == COIN_SIZE == 76
     assert wire[:32] == b"\xAA" * 32
     assert wire[32:36] == struct.pack("<I", 5)
@@ -74,22 +73,22 @@ def test_coin_encoding_width_and_order():
 
 def test_empty_shard_leaf_hash_is_hash_of_empty_string():
     assert encode_shard_coins([]) == b""
-    assert Shard(0, b"").leaf_hash == _h(b"")
+    assert Shard(b"").leaf_hash == _h(b"")
     assert VersionedShardStore(initial_k=1).current_root == _h(_h(b"") + _h(b""))
 
 
 def test_shard_decode_checks_sortedness():
     a = Coin(OutPoint(b"\x02" * 32, 0), 5, bytes(32))
     b = Coin(OutPoint(b"\x01" * 32, 0), 5, bytes(32))
-    good = encode_coin(b) + encode_coin(a)
+    good = encode_shard_coins([b]) + encode_shard_coins([a])
     assert good == encode_shard_coins([b, a])
-    assert decode_shard(good, 0).coins == (b, a)
-    bad = encode_coin(a) + encode_coin(b)
+    assert decode_shard(good).coins == (b, a)
+    bad = encode_shard_coins([a]) + encode_shard_coins([b])
     from dietchain.errors import DecodeError
     with pytest.raises(DecodeError, match="out of order"):
-        decode_shard(bad, 0)
+        decode_shard(bad)
     with pytest.raises(DecodeError, match="whole coins"):
-        decode_shard(good[:-1], 0)
+        decode_shard(good[:-1])
 
 
 # -- synthetic chain helpers ---------------------------------------------------
@@ -208,17 +207,17 @@ def test_pending_coins_are_spendable_but_uncommitted():
     store.apply_block(_block(0, [cb0]), 0)
     reward = coins_of(cb0)[0]
     # visible to spend lookups, absent from every shard
-    assert store.get_coin(reward.outpoint) == reward
+    assert store.open(store.next_height).get_coin(reward.outpoint) == reward
     assert all(reward not in coins for coins in store.shards.values())
     root_before = store.current_root
 
     spend = _spend([reward], 2, rng)
     store.apply_block(_block(1, [_coinbase(1, 1, rng), spend]), 1)
     # the reward was inserted then spent within block 1
-    assert store.get_coin(reward.outpoint) is None
+    assert store.open(store.next_height).get_coin(reward.outpoint) is None
     assert store.current_root != root_before
     for coin in coins_of(spend):
-        assert store.get_coin(coin.outpoint) == coin
+        assert store.open(store.next_height).get_coin(coin.outpoint) == coin
 
 
 def test_empty_block_root_moves_by_parent_coinbase():
@@ -334,7 +333,7 @@ def test_average_never_exceeds_cap_after_application():
         for tx in txs[1:]:
             spendable.extend(coins_of(tx))
         spendable.extend(coins_of(txs[0]))
-        assert store.average_shard_bytes() <= store.size_cap
+        assert store.total_shard_bytes() / (1 << store.k) <= store.size_cap
 
 
 def test_state_before_reconstructs_committed_history():
@@ -362,6 +361,15 @@ def test_state_before_bounds():
         store.state_before(0, {0})
     with pytest.raises(HistoryUnavailableError):
         store.state_before(store.height + 2, {0})
+
+
+def test_state_before_refuses_an_index_outside_the_tree():
+    rng = random.Random(30)
+    blocks, store = _random_history(rng, 5)
+    k = store.k_at(store.height - 1)
+    store.state_before(store.height, {(1 << k) - 1})
+    with pytest.raises(ValueError):
+        store.state_before(store.height, {1 << k})
 
 
 def test_rewind_matches_fresh_replay():
