@@ -107,7 +107,7 @@ class DietNode:
         self.bytes_by_type: dict[str, int] = {}
         # keys (33 bytes) as spenders, their challenges (32 bytes) as payees
         self._watched = set(config.keys) | {hash256(k) for k in config.keys}
-        self._per_height: list[dict] = []
+        self._per_height: dict[int, dict] = {}  # height -> its byte counts, this update
 
     # -- sync ---------------------------------------------------------------
 
@@ -120,7 +120,7 @@ class DietNode:
 
     def update_chain(self) -> UpdateResult:
         since = self.headers.tip if self.headers.tip is not None else ZERO32
-        self._per_height: list[dict] = []
+        self._per_height = {}
         verdicts: list[TxVerdict] = []
         try:
             response, nbytes = self.transport.query_merkle_blocks(since, self.build_filter())
@@ -170,7 +170,7 @@ class DietNode:
             verdicts=tuple(verdicts),
             tip_height=self.headers.tip_height if self.headers.tip is not None else -1,
             bytes_by_type=dict(self.bytes_by_type),
-            per_height=tuple(self._per_height),
+            per_height=tuple(self._per_height.values()),
         )
 
     def ingest_headers(self, headers) -> None:
@@ -305,8 +305,5 @@ class DietNode:
                                               tree.siblings))
 
     def _note_height(self, height: int, key: str, nbytes: int) -> None:
-        for entry in self._per_height:
-            if entry["height"] == height:
-                entry[key] = entry.get(key, 0) + nbytes
-                return
-        self._per_height.append({"height": height, key: nbytes})
+        entry = self._per_height.setdefault(height, {"height": height})
+        entry[key] = entry.get(key, 0) + nbytes

@@ -428,13 +428,13 @@ class FullNode:
         return self._active_block(block_hash)
 
     def serve_query_utxos(self, block_hash: bytes) -> UtxosResponse:
-        """The shards the block touched, as they stood before it, and
-        their proof against its parent's root, built on each call;
-        :meth:`kept_answer` keeps its wire bytes."""
+        """The shards the block touched (its journal entry's keys), as
+        they stood before it, and their proof against its parent's root,
+        built on each call; :meth:`kept_answer` keeps its wire bytes."""
         height = self._active_block(block_hash).header.height
         try:
             shards, tree = self.utxo.state_before(
-                height, set(self.utxo.touched_log[height].indices))
+                height, set(self.utxo.versions.get(height, ())))
         except HistoryUnavailableError as exc:
             raise ValidationError("history-unavailable", str(exc), height=height) from exc
         return UtxosResponse(shards=shards, tree=tree)

@@ -178,6 +178,26 @@ def load_config(source) -> dict:
             raise ScenarioError(f"config is missing {req!r}")
     cfg.setdefault("keys", [])
     cfg.setdefault("expect", [])
+    roles = {spec["id"]: spec.get("role", "full") for spec in cfg["nodes"]}
+    if "full" not in roles.values():
+        raise ScenarioError("at least one full node is required")
+    for spec in cfg["nodes"]:
+        if spec.get("role", "full") not in _NODE_ROLES:
+            raise ScenarioError(f"unknown role {spec.get('role')!r} for node {spec['id']!r}")
+    for check in cfg["expect"]:
+        kind = check.get("check")
+        if kind not in _CHECKS:
+            raise ScenarioError(f"unknown expectation {kind!r}")
+        required, allowed = _CHECKS[kind]
+        for key in required:
+            if key not in check:
+                raise ScenarioError(f"{kind} expectation is missing {key!r}")
+        named = ([check["node"]] if "node" in required
+                 else check["nodes"] if "nodes" in required else [])
+        for node_id in named:
+            if roles.get(node_id) not in allowed:
+                raise ScenarioError(f"{kind} expectation names {node_id!r},"
+                                    f" not a {' or '.join(allowed)} node")
     return cfg
 
 
@@ -199,15 +219,10 @@ def _build(cfg: dict) -> ScenarioState:
         bus=Bus(seed=seed),
         keys={name: derive_key(seed, name) for name in cfg["keys"]},
     )
-    full_ids = [n["id"] for n in cfg["nodes"] if n.get("role", "full") == "full"]
-    if not full_ids:
-        raise ScenarioError("at least one full node is required")
-    state.reference = full_ids[0]
+    state.reference = next(n["id"] for n in cfg["nodes"] if n.get("role", "full") == "full")
     for spec in cfg["nodes"]:
         role = spec.get("role", "full")
         node_id = spec["id"]
-        if role not in _NODE_ROLES:
-            raise ScenarioError(f"unknown role {role!r} for node {node_id!r}")
         if role == "full":
             node = FullNode(params, check_commitments=not spec.get("legacy", False))
             state.full_nodes[node_id] = node
@@ -446,6 +461,17 @@ def _run_step(state: ScenarioState, step: dict) -> None:
 
 # -- expectations ---------------------------------------------------------------
 
+# expectation kind -> (the keys it cannot run without, the roles of the nodes it names)
+_CHECKS = {
+    "verdict": (("node", "tx", "status"), ("spv", "diet")),
+    "tip_height": (("node", "height"), _NODE_ROLES),
+    "same_tip": (("nodes",), _NODE_ROLES),
+    "utxos_bytes_ratio": (("node", "max"), ("diet",)),
+    "k_final": (("min",), ()), "touched_max": (("max",), ()),
+    "cap_every_block": ((), ()), "halving": ((), ()),
+}
+
+
 def _last_verdict(state: ScenarioState, node_id: str, label: str):
     if label not in state.labeled:
         return None
@@ -467,7 +493,7 @@ def _chain_stats(state: ScenarioState) -> dict:
         "k": record.k_after,
         "total_bytes": record.shard_bytes,
         "average_bytes": record.shard_bytes / (1 << record.k_after),
-        "touched": len(record.indices),
+        "touched": record.touched,
         "rebalanced": record.rebalanced,
     } for h, record in store.touched_log.items()]
     return {
@@ -483,6 +509,13 @@ def _chain_stats(state: ScenarioState) -> dict:
     }
 
 
+def _headers(state: ScenarioState, node_id: str):
+    """The header index of a full or light node."""
+    if node_id in state.full_nodes:
+        return state.full_nodes[node_id].headers
+    return state.diet_services[node_id].diet.headers
+
+
 def _check_one(state: ScenarioState, chain: dict, check: dict) -> tuple[bool, str]:
     kind = check["check"]
     if kind == "verdict":
@@ -496,19 +529,10 @@ def _check_one(state: ScenarioState, chain: dict, check: dict) -> tuple[bool, st
         return True, f"status {verdict.status}" + (
             f", reason {verdict.reason}" if verdict.reason else "")
     if kind == "tip_height":
-        node_id = check["node"]
-        if node_id in state.full_nodes:
-            tip = state.full_nodes[node_id].tip_height
-        else:
-            tip = state.diet_services[node_id].diet.headers.tip_height
+        tip = _headers(state, check["node"]).tip_height
         return tip == check["height"], f"tip at {tip}"
     if kind == "same_tip":
-        tips = []
-        for node_id in check["nodes"]:
-            if node_id in state.full_nodes:
-                tips.append(state.full_nodes[node_id].tip_hash)
-            else:
-                tips.append(state.diet_services[node_id].diet.headers.tip)
+        tips = [_headers(state, node_id).tip for node_id in check["nodes"]]
         same = all(t == tips[0] for t in tips)
         return same, "tips agree" if same else "tips diverge"
     if kind == "cap_every_block":
@@ -535,15 +559,13 @@ def _check_one(state: ScenarioState, chain: dict, check: dict) -> tuple[bool, st
         samples = 0
         for result in state.diet_services[check["node"]].results:
             for entry in result.per_height:
-                if "utxos_bytes" not in entry:
-                    continue
-                # proofs for block h describe the set as of block h-1
-                denominator = totals[entry["height"] - 1]
-                worst = max(worst, entry["utxos_bytes"] / denominator)
-                samples += 1
+                # proofs for block h describe the set as of block h-1; a set
+                # of no coin bytes gives no sample
+                if "utxos_bytes" in entry and totals.get(entry["height"] - 1):
+                    worst = max(worst, entry["utxos_bytes"] / totals[entry["height"] - 1])
+                    samples += 1
         ok = samples > 0 and worst <= check["max"]
         return ok, f"{samples} samples, worst ratio {worst:.3f}"
-    raise ScenarioError(f"unknown expectation {kind!r}")
 
 
 # -- entry point -----------------------------------------------------------------

@@ -1,11 +1,11 @@
-"""Sharded UTXO set with height-versioned history and a Merkle root.
+"""Sharded UTXO set with a per-height undo journal and a Merkle root.
 
 Coins are bucketed by the first ``k`` bits of their creating txid (byte
 0 first, most significant bit first), giving ``2**k`` shards. The store
-commits to a root over all shard hashes after every block and keeps the
-versions of each shard it changed over the last ``HISTORY_HORIZON``
-blocks, so it can prove what any shard looked like just before a recent
-block, and undo back to any height at or above its ``floor``.
+commits to a root over all shard hashes after every block and keeps, for
+each of the last ``HISTORY_HORIZON`` blocks, the bytes of the shards that
+block replaced, so it can prove what any shard looked like just before a
+recent block, and undo back to any height at or above its ``floor``.
 
 Two rules shape the commitment; :class:`ShardView` holds the one
 implementation of each, which the store and a diet node both run:
@@ -31,37 +31,39 @@ seals the block, or undoes it.
 
 The store keeps every level of its shard tree, so a block re-hashes only
 the paths above the shards it touched; a split rebuilds the tree once.
-The history doubles as the undo log: ``undo_block`` drops the newest
-block's log entries and reloads the shards it changed from their
-previous versions; only the ``pending`` list each block replaced is kept
-apart. Previewing a root, dropping a block whose commitment is wrong and
-switching branches are all apply-then-undo; no block application copies
-the store. Only a forger's replica starts from a copy (``clone``), which
-copies the containers and shares the coins and encodings they hold.
+
+History is an undo journal with one entry per height, as Bitcoin Core
+keeps one undo record per block: ``versions[h]`` maps each shard block
+``h`` changed, in its pre-block ``k`` (every shard, for a split), to its
+bytes before the block, which ``commit`` copies from the live bytes
+(``encoded``) before it changes them. ``undo_block`` pops the newest
+entry and reloads exactly those shards; only the ``pending`` list each
+block replaced is kept apart. Previewing a root, dropping a block whose
+commitment is wrong and switching branches are all apply-then-undo; no
+block application copies the store. Only a forger's replica starts from
+a copy (``clone``), which copies the containers and shares what they hold.
 
 A split keeps the tree it replaces as the final tree of the coarser
 ``k``. ``state_before`` cuts a historical proof from the live tree or
-from that kept tree: it puts back the old versions of only the shards
-changed since the queried height and re-hashes their paths, so a recent
-height costs O((|indices| + shards changed since) * k) hashes, not a
-rebuild over all ``2**k`` leaves. History holds each shard version as
-its wire bytes, and a proof serves them as they are: a :class:`Shard` is
-its encoding, keyed by its index, decoded only where a reader needs its coins.
-A shard's encoding is its coins' bytes alone, in outpoint order, and its
+that kept tree: it merges the journal from that tree's height down to
+the queried one and re-hashes the paths of only the shards changed
+since, so a recent height costs O((|indices| + shards changed since) * k)
+hashes, not a rebuild over all ``2**k`` leaves. A proof serves the wire
+bytes the store keeps as they are: a :class:`Shard` is its encoding,
+keyed by its index, decoded only where a reader needs its coins. A
+shard's encoding is its coins' bytes alone, in outpoint order, and its
 leaf hash is the hash of those bytes (of ``b""`` for an empty shard); it
 carries no count, so no rule limits how many coins a shard holds.
 
 History is bounded. Committing height ``h`` prunes height
-``p = h - HISTORY_HORIZON``: the versions that the shards written at
-``p`` supersede can serve no height at or above ``p`` and are dropped,
-so each block prunes only as many shards as one block touched. A split
-at ``p`` drops the coarser ``k``'s versions and kept tree. ``p`` becomes
-the ``floor``: ``state_before``, ``undo_block`` and ``rewind_to`` raise
-:class:`HistoryUnavailableError` for a state below it, and an undo does
-not lower it, so the pending list each block replaced is kept only for
-the heights above it. The store keeps one small record per height (the
-shards the block touched, ``k`` before and after it, the shard bytes
-after it), and those records stay whole.
+``p = h - HISTORY_HORIZON``: it drops the entry of ``p``, which no state
+at or above ``p`` reads, and the kept tree of the coarser ``k`` if ``p``
+split the tree. ``p`` becomes the ``floor``: ``state_before``,
+``undo_block`` and ``rewind_to`` raise :class:`HistoryUnavailableError`
+for a state below it, and an undo does not lower it, so the journal and
+the pending lists are kept only for the heights above it. The store also
+keeps one small record per height (how many shards the block touched,
+``k`` before and after it, the shard bytes after it); those stay whole.
 """
 
 from __future__ import annotations
@@ -259,11 +261,12 @@ class RebalanceStep:
 
 @dataclass(frozen=True)
 class TouchedRecord:
-    """What a block's application did: which shards it changed, in the
-    coordinates of the tree its proofs are checked against (the
-    pre-split ``k``), the ``k`` after it and the shard bytes after it. A
-    split changes every shard: its record holds a ``range``, not 2**k ints."""
-    indices: frozenset[int] | range
+    """What a block's application did, in numbers: how many shards it
+    changed, counted in the tree its proofs are checked against (the
+    pre-split ``k``, so a split touches all ``2**k``), ``k`` before and
+    after it and the shard bytes after it. Which shards, above the floor,
+    are the keys of the block's journal entry."""
+    touched: int
     k: int
     k_after: int
     shard_bytes: int
@@ -283,10 +286,11 @@ class VersionedShardStore:
     height: int | None = field(init=False, default=None)
     # lowest height whose state the store can rebuild; -1: the empty store
     floor: int = field(init=False, default=-1)
-    # (k, shard index) -> ((height, encoded shard bytes), ...) in height order;
-    # tuples hold the append-only history at its exact size
-    versions: dict[tuple[int, int], tuple[tuple[int, bytes], ...]] = field(
-        init=False, default_factory=dict)
+    # height -> {shard index: its bytes before that block}, every height
+    # above the floor in height order; an entry never changes once written
+    versions: dict[int, dict[int, bytes]] = field(init=False, default_factory=dict)
+    # shard index -> its live bytes (b"" when empty), all 2**k keys
+    encoded: dict[int, bytes] = field(init=False)
     # height -> that block's record, every committed height in height order
     touched_log: dict[int, TouchedRecord] = field(init=False, default_factory=dict)
     _levels: list[bytearray] = field(init=False)  # packed shard tree, leaves first
@@ -303,6 +307,7 @@ class VersionedShardStore:
             raise ValueError(f"size_cap must be at least {MIN_SIZE_CAP}, one coin")
         self.k = self.initial_k
         self.shards = {i: [] for i in range(1 << self.k)}
+        self.encoded = dict.fromkeys(range(1 << self.k), b"")
         self._levels = pack_levels([hash256(b"")] * (1 << self.k))
 
     # -- current-state queries -------------------------------------------
@@ -360,29 +365,25 @@ class VersionedShardStore:
         encodings = view.close(self.size_cap)
         height = view.height
         rebalanced = view.k != k_before
+        replaced = self.versions[height] = dict(self.encoded) if rebalanced else {
+            idx: self.encoded[idx] for idx in encodings}
         self.k, self._coin_count = view.k, view.coin_count
         self._undo_pending.append(self.pending)
         self.pending = []
 
-        leaves = {}
-        for idx, encoded in encodings.items():
-            key = (self.k, idx)
-            self.versions[key] = self.versions.get(key, ()) + ((height, encoded),)
-            leaves[idx] = hash256(encoded)
+        leaves = {idx: hash256(encoded) for idx, encoded in encodings.items()}
         if rebalanced:
-            self.shards = view.edited  # after a split the view's copies are every shard
+            # after a split the view's copies and encodings are every shard
+            self.shards, self.encoded = view.edited, encodings
             self._frozen[k_before] = (height - 1, self._levels)
             self._levels = pack_levels([leaves[i] for i in range(1 << self.k)])
         else:
             self.shards.update(view.edited)
+            self.encoded.update(encodings)
             update_levels(self._levels, leaves)
         self.height = height
         self.touched_log[height] = TouchedRecord(
-            indices=range(1 << k_before) if rebalanced else frozenset(encodings),
-            k=k_before,
-            k_after=self.k,
-            shard_bytes=self.total_shard_bytes(),
-        )
+            touched=len(replaced), k=k_before, k_after=self.k, shard_bytes=self.total_shard_bytes())
         self._prune(height - HISTORY_HORIZON)
         return self.current_root
 
@@ -392,23 +393,15 @@ class VersionedShardStore:
 
     def _prune(self, height: int) -> None:
         """Make ``height`` the floor, dropping the history no state at or
-        above it needs: the versions that the shards written at
-        ``height`` supersede or, if ``height`` split the tree, every
-        version and the kept tree of the coarser ``k``; and the pending
+        above it needs: the journal entry of ``height``, the kept tree of
+        the coarser ``k`` if ``height`` split the tree, and the pending
         lists of the heights up to it, which no undo can reach."""
         if height <= self.floor:
             return
         record = self.touched_log[height]
-        if record.rebalanced:
-            for k in range(record.k, record.k_after):
-                for idx in range(1 << k):
-                    self.versions.pop((k, idx), None)
-                self._frozen.pop(k, None)
-        else:
-            for idx in record.indices:
-                key = (record.k, idx)
-                kept = self.versions[key]
-                self.versions[key] = kept[bisect.bisect_left(kept, (height,)):]
+        del self.versions[height]
+        for k in range(record.k, record.k_after):
+            self._frozen.pop(k, None)
         del self._undo_pending[:height - self.floor]
         self.floor = height
 
@@ -447,46 +440,31 @@ class VersionedShardStore:
     def undo_block(self) -> None:
         """Reverse the newest applied block, leaving the store as it was
         before it, history included, except that what pruning dropped
-        stays dropped and the floor stays. The shards it changed are
-        reloaded from their previous versions."""
+        stays dropped and the floor stays. The shards in its journal entry
+        are reloaded from the bytes the entry kept."""
         if self.height is None:
             raise HistoryUnavailableError("no applied block to undo")
         height = self.height
         if height - 1 < self.floor:
             raise HistoryUnavailableError(f"height {height - 1} is below the floor {self.floor}")
         record = self.touched_log.pop(height)
-        for idx in range(1 << self.k) if record.rebalanced else record.indices:
-            key = (self.k, idx)
-            if len(self.versions[key]) > 1:
-                self.versions[key] = self.versions[key][:-1]
-            else:
-                del self.versions[key]
+        replaced = self.versions.pop(height)
+        # coins still live keep their objects, which share bytes with the
+        # transactions that created them
         if record.rebalanced:
-            live = [coin for coins in self.shards.values() for coin in coins]
-            self.k = record.k
-            self.shards, self._coin_count = {}, 0
-            self._reload(range(1 << self.k), height - 1, live)
+            live = {c.outpoint: c for coins in self.shards.values() for c in coins}
+            self.k, self.shards, self.encoded, self._coin_count = record.k, {}, {}, 0
             self._levels = self._frozen.pop(self.k)[1]
         else:
-            live = [coin for idx in record.indices for coin in self.shards[idx]]
-            reloaded = self._reload(record.indices, height - 1, live)
-            update_levels(self._levels, {i: hash256(enc) for i, enc in reloaded.items()})
-        self.pending = self._undo_pending.pop()
-        self.height = height - 1 if height else None
-
-    def _reload(self, indices, height: int, live: list[Coin]) -> dict[int, bytes]:
-        """Set shards to their versions as of ``height``; returns those
-        encodings. Coins still ``live`` keep their objects, which share
-        bytes with the transactions that created them."""
-        live_at = {coin.outpoint: coin for coin in live}
-        reloaded = {}
-        for idx in indices:
-            encoded = self._version_at(self.k, idx, height)
-            coins = [live_at.get(c.outpoint, c) for c in _unpack_coins(encoded)]
+            live = {c.outpoint: c for idx in replaced for c in self.shards[idx]}
+            update_levels(self._levels, {i: hash256(enc) for i, enc in replaced.items()})
+        for idx, encoded in replaced.items():
+            coins = [live.get(c.outpoint, c) for c in _unpack_coins(encoded)]
             self._coin_count += len(coins) - len(self.shards.get(idx, ()))
             self.shards[idx] = coins
-            reloaded[idx] = encoded
-        return reloaded
+        self.encoded.update(replaced)
+        self.pending = self._undo_pending.pop()
+        self.height = height - 1 if height else None
 
     def rewind_to(self, height: int) -> None:
         """Undo blocks until ``height`` is the newest applied one; it must
@@ -499,10 +477,11 @@ class VersionedShardStore:
     def clone(self) -> "VersionedShardStore":
         """An independent copy, for a node that starts from this one's
         state (a forger's replica). Every container is copied, the packed
-        trees included; the coins, encodings and records they hold never
-        change in place and are shared."""
+        trees included; the coins, encodings, journal entries and records
+        they hold never change in place and are shared."""
         twin = copy.copy(self)
         twin.shards = {idx: list(coins) for idx, coins in self.shards.items()}
+        twin.encoded = dict(self.encoded)
         twin.pending = list(self.pending)
         twin.versions = dict(self.versions)
         twin.touched_log = dict(self.touched_log)
@@ -518,30 +497,27 @@ class VersionedShardStore:
 
         The returned partial tree recomputes the root committed at
         ``height - 1``, which must be at or above the floor, and includes
-        exactly ``indices``. It is cut from
-        the newest tree at that height's ``k`` (the live one, or the one
-        kept when the tree split away from that ``k``), with only the
-        shards changed since put back to their old versions and re-hashed.
-        The shards are the encodings the store keeps, served undecoded.
-        An index outside that tree is the partial tree's ValueError.
+        exactly ``indices``. It is cut from the newest tree at that
+        height's ``k`` (the live one, or the one kept when the tree split
+        away from that ``k``), with the shards changed since put back and
+        re-hashed: the journal merged from that tree's height down to
+        ``height``, the oldest entry winning. Other shards are the live
+        bytes, or the split's entry at a pre-split ``k``, served
+        undecoded. An index outside that tree is the partial tree's ValueError.
         """
         if self.height is None or not max(self.floor, 0) + 1 <= height <= self.height + 1:
             raise HistoryUnavailableError(f"no history for height {height}")
         kb = self.k_at(height - 1)
-        include = set(indices)
         newest, levels = (self.height, self._levels) if kb == self.k else self._frozen[kb]
-        since = set().union(*(self.touched_log[h].indices for h in range(height, newest + 1)))
-        encodings = {i: self._version_at(kb, i, height - 1) for i in since | include}
+        since: dict[int, bytes] = {}
+        for h in range(newest, height - 1, -1):
+            since.update(self.versions[h])
         if since:
             levels = _copy_levels(levels)
-            update_levels(levels, {i: hash256(encodings[i]) for i in since})
-        return {i: Shard(encodings[i]) for i in indices}, partial_from_levels(levels, include)
-
-    def _version_at(self, k: int, index: int, height: int) -> bytes:
-        for h, encoded in reversed(self.versions.get((k, index), ())):
-            if h <= height:
-                return encoded
-        return b""
+            update_levels(levels, {i: hash256(encoded) for i, encoded in since.items()})
+        tree = partial_from_levels(levels, set(indices))
+        unchanged = self.encoded if kb == self.k else self.versions[newest + 1]
+        return {i: Shard(since[i] if i in since else unchanged[i]) for i in indices}, tree
 
 
 def _copy_levels(levels: list[bytearray]) -> list[bytearray]:

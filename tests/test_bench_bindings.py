@@ -1,8 +1,9 @@
 """The benchmark reaches into the package by name: its tracer wraps
-package functions and methods, and its workloads read module constants
-and store attributes. A rename or deletion in ``src/`` breaks the bench
-run, so this pins every name ``bench/tracer.py`` resolves when it
-installs and every package name ``bench/workloads.py`` reads."""
+package functions and methods, and its workloads and its own tests read
+module constants and store attributes. A rename or deletion in ``src/``
+breaks the bench run, so this pins every name ``bench/tracer.py``
+resolves when it installs and every package name ``bench/workloads.py``
+and ``bench/test_bench.py`` read."""
 
 from __future__ import annotations
 
@@ -46,26 +47,73 @@ def test_every_binding_the_tracer_wraps_exists():
     assert not missing, f"bench/tracer.py wraps bindings the package lacks: {missing}"
 
 
+def _package_modules(tree: ast.Module) -> set[str]:
+    """The package modules a file imports as ``from dietchain import ...``."""
+    return {alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "dietchain"
+            for alias in node.names}
+
+
+def _named_chains(name: str, via: dict[str, set[str]]) -> set[tuple[str, ...]]:
+    """Each dotted name in ``bench/<name>`` that starts at a package module
+    the file imports, or at ``<bench module>.<package module>`` for a
+    bench module in ``via`` (with the package modules it imports): the
+    package module, then the attributes read off it."""
+    tree = ast.parse((ROOT / "bench" / name).read_text())
+    modules = _package_modules(tree)
+    chains = set()
+    for node in ast.walk(tree):
+        attrs = []
+        while isinstance(node, ast.Attribute):
+            attrs.insert(0, node.attr)
+            node = node.value
+        if isinstance(node, ast.Name) and attrs and attrs[0] in via.get(node.id, ()):
+            chains.add(tuple(attrs))
+        elif isinstance(node, ast.Name) and attrs and node.id in modules:
+            chains.add((node.id, *attrs))
+    return chains
+
+
+def _missing(chains: set[tuple[str, ...]]) -> list[str]:
+    """The chains that do not resolve, as dotted names."""
+    missing = []
+    for module, *attrs in chains:
+        owner = importlib.import_module(f"dietchain.{module}")
+        for attr in attrs:
+            if not hasattr(owner, attr):
+                missing.append(".".join(("dietchain", module, *attrs)))
+                break
+            owner = getattr(owner, attr)
+    return sorted(missing)
+
+
 def test_every_module_attribute_the_workloads_name_exists():
-    """Each ``<module>.<name>`` in ``bench/workloads.py`` whose module it
+    """Each ``<module>.<name>...`` in ``bench/workloads.py`` whose module it
     imports from the package, ``netsim.MSG_*`` of ``MESSAGE_NAMES`` among them."""
-    tree = ast.parse((ROOT / "bench" / "workloads.py").read_text())
-    modules = {alias.asname or alias.name for node in ast.walk(tree)
-               if isinstance(node, ast.ImportFrom) and node.module == "dietchain"
-               for alias in node.names}
-    named = {(node.value.id, node.attr) for node in ast.walk(tree)
-             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-             and node.value.id in modules}
+    named = _named_chains("workloads.py", {})
     assert ("netsim", "MSG_QUERY_UTXO_MROOT") in named
-    missing = sorted(f"dietchain.{module}.{attr}" for module, attr in named
-                     if not _has(module, None, attr))
+    missing = _missing(named)
     assert not missing, f"bench/workloads.py names attributes the package lacks: {missing}"
+
+
+def test_every_package_name_the_bench_tests_read_exists():
+    """Each ``<module>.<name>...`` in ``bench/test_bench.py`` whose module
+    it imports from the package, and each ``workloads.<module>.<name>...``
+    whose module ``bench/workloads.py`` imports from it."""
+    workloads = _package_modules(ast.parse((ROOT / "bench" / "workloads.py").read_text()))
+    named = _named_chains("test_bench.py", via={"workloads": workloads})
+    assert {("crypto", "hash256"), ("scenario", "mine_on"),
+            ("full_node", "FullNode", "connect_block"),
+            ("diet_node", "VerifyOutcome")} <= named
+    missing = _missing(named)
+    assert not missing, f"bench/test_bench.py names attributes the package lacks: {missing}"
 
 
 def test_the_store_reads_of_the_workloads_work_on_a_store_that_has_split():
     """``bench/workloads.py`` reads these off a node's store: the split
     heights from ``touched_log``, the split count, the kept versions,
-    the coins and the root."""
+    the coins and the root; ``bench/test_bench.py`` pops a coin off a
+    shard, a list, and expects ``all_coins`` to lose it."""
     params = ChainParams(target_bits=5, subsidy=50, size_cap=MIN_SIZE_CAP, initial_k=0)
     store = mined_node(params, key_of("alice"), 4, seed=40).utxo
     rebalanced = frozenset(h for h, rec in store.touched_log.items() if rec.rebalanced)
@@ -75,3 +123,7 @@ def test_the_store_reads_of_the_workloads_work_on_a_store_that_has_split():
     assert sum(len(v) for v in store.versions.values()) > 0
     assert len(list(store.all_coins())) == 4
     assert len(store.utxo_root()) == 32
+    assert set(store.shards) == set(range(1 << store.k))
+    assert all(type(coins) is list for coins in store.shards.values())
+    popped = next(coins for coins in store.shards.values() if coins).pop()
+    assert popped not in set(store.all_coins()) and len(list(store.all_coins())) == 3

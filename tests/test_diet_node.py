@@ -201,7 +201,7 @@ def test_the_diet_replay_edits_exactly_the_shards_served(monkeypatch):
         if height in splits:
             assert served == total
         else:
-            assert edited == included == set(node.utxo.touched_log[height].indices)
+            assert edited == included == set(node.utxo.versions[height])
 
 
 class _ExtraSiblingService(FullNodeService):
@@ -593,8 +593,7 @@ def _forge_on_a_made_up_base(honest: FullNode, l: int) -> tuple[ForgedChainBuild
     idx = shard_key(coin.outpoint.txid, store.k)
     store.shards[idx] = sorted(store.shards[idx] + [coin])
     encoded = encode_shard_coins(store.shards[idx])
-    kept = store.versions.get((store.k, idx), ())
-    store.versions[(store.k, idx)] = tuple(v for v in kept if v[0] < fork) + ((fork, encoded),)
+    store.encoded[idx] = encoded
     update_levels(store._levels, {idx: hash256(encoded)})
     store._coin_count += 1
     lie = store.current_root

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from dietchain import cli
+from dietchain import cli, scenario
 from dietchain.errors import ScenarioError
 from dietchain.scenario import (
     derive_key,
@@ -305,6 +305,60 @@ def test_cli_run_reports_a_script_that_mines_no_block_as_a_config_error(capsys, 
     assert cli.main(["run", str(path)]) == 2
     captured = capsys.readouterr()
     assert "the script mines no block" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("check, message", [
+    ({"check": "tip_height", "node": "nobody", "height": 3},
+     "tip_height expectation names 'nobody'"),
+    ({"check": "same_tip", "nodes": ["full-1", "nobody"]},
+     "same_tip expectation names 'nobody'"),
+    ({"check": "utxos_bytes_ratio", "node": "full-1", "max": 1},
+     "'full-1', not a diet node"),
+    ({"node": "full-1", "height": 3}, "unknown expectation None"),
+    ({"check": "verdict", "node": "carol-node", "status": "diet-verified"},
+     "verdict expectation is missing 'tx'"),
+    ({"check": "touched_max"}, "touched_max expectation is missing 'max'"),
+    ({"check": "tip_hieght", "node": "full-1", "height": 3},
+     "unknown expectation 'tip_hieght'"),
+    ({"check": "verdict", "node": "nobody", "tx": "p1", "status": "diet-verified"},
+     "verdict expectation names 'nobody'"),
+])
+def test_cli_run_reports_a_bad_expectation_before_any_step(capsys, tmp_path, monkeypatch,
+                                                           check, message):
+    """An expectation that cannot be checked is a config error found
+    before the script runs: exit status 2, one error line, no traceback."""
+    steps = []
+    monkeypatch.setattr(scenario, "_run_step", lambda state, step: steps.append(step))
+    path = tmp_path / "bad_check.json"
+    path.write_text(json.dumps(_cfg(expect=[check])))
+    assert cli.main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Traceback" not in captured.out + captured.err
+    assert steps == []
+
+
+def test_cli_run_takes_no_bytes_ratio_sample_from_a_block_whose_pre_state_is_empty(
+        capsys, tmp_path):
+    """The window's one block, 1, was applied to a set of no coin bytes
+    (block 0's reward is not committed until block 1), so it gives no
+    sample: the run reports a failed check, with no division by zero."""
+    cfg = {"name": "empty-pre-state", "seed": 9, "keys": ["alice", "carol"],
+           "nodes": [{"id": "full-1"},
+                     {"id": "carol-node", "role": "diet", "keys": ["carol"]}],
+           "script": [
+               {"action": "mine", "node": "full-1", "reward": "alice"},
+               {"action": "pay", "from": "alice", "to": "carol", "amount": 10,
+                "node": "full-1"},
+               {"action": "mine", "node": "full-1", "reward": "alice"},
+               {"action": "update", "nodes": ["carol-node"]}],
+           "expect": [{"check": "utxos_bytes_ratio", "node": "carol-node", "max": 100}]}
+    path = tmp_path / "empty_pre_state.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "0 samples" in captured.out and "overall: FAIL" in captured.out
     assert "Traceback" not in captured.out + captured.err
 
 

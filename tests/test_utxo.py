@@ -457,8 +457,8 @@ def _assert_matches_replay(store: VersionedShardStore, chain: list[Block]) -> No
         n = len(blobs)
         subsets = [set(range(n)), {rng.randrange(n)},
                    set(rng.sample(range(n), rng.randrange(1, n + 1)))]
-        if h in store.touched_log:
-            subsets.append(set(store.touched_log[h].indices))
+        if h in store.versions:
+            subsets.append(set(store.versions[h]))
         for subset in subsets:
             shards, partial = store.state_before(h, subset)
             assert partial == extract_partial(leaves, subset)
@@ -531,7 +531,7 @@ def test_recent_state_before_rehashes_only_what_changed(monkeypatch):
     monkeypatch.setattr("dietchain.utxo.hash256", counted)
     monkeypatch.setattr("dietchain.merkle.hash256", counted)
     tip = store.height
-    store.state_before(tip, set(store.touched_log[tip].indices))
+    store.state_before(tip, set(store.versions[tip]))
     assert 0 < len(calls) < 1 << store.k
     calls.clear()
     store.state_before(tip + 1, set(range(1 << store.k)))
@@ -565,8 +565,9 @@ def test_the_default_horizon_keeps_288_blocks_of_history():
 def _assert_bounded_history(store: VersionedShardStore, chain: list[Block]) -> None:
     """The store equals a replay of ``chain`` from genesis on everything
     but pruned history, serves every pre-state at or above its floor as
-    the replay does, refuses every one below it, and keeps at most one
-    version at or below the floor per shard, at the floor's ``k``."""
+    the replay does, refuses every one below it, keeps a journal entry
+    for exactly the heights above its floor and no kept tree of a ``k``
+    below the floor's."""
     fresh = VersionedShardStore(initial_k=store.initial_k, size_cap=store.size_cap)
     oracle = _FlatOracle()
     roots = [fresh.apply_block(block, h) for h, block in enumerate(chain)]
@@ -593,10 +594,8 @@ def _assert_bounded_history(store: VersionedShardStore, chain: list[Block]) -> N
     assert len(store._undo_pending) == len(chain) - 1 - store.floor
     if store.floor >= 0:
         k_floor = store.k_at(store.floor)
-        assert all(k >= k_floor for k, _ in store.versions)
         assert all(k >= k_floor for k in store._frozen)
-        assert all(sum(h <= store.floor for h, _ in kept) <= 1
-                   for kept in store.versions.values())
+    assert list(store.versions) == list(range(store.floor + 1, store.next_height))
 
 
 def test_the_undo_record_is_bounded_by_the_floor(monkeypatch):
