@@ -295,12 +295,11 @@ class DietNode:
     def _rebuild_root(self, view: ShardView, tree: PartialMerkleTree) -> bytes:
         """Close the replayed view and compute the root after the block,
         over the view's ``2**k`` leaves. The served leaves are checked
-        hashes of the served bytes, so only the shards the view returns
+        hashes of the served bytes, so only the shards the view edited
         are hashed again. Without a split the served siblings stay valid;
         after one the view returns every shard, so every leaf is given
         and no sibling is read."""
-        leaves = {idx: hash256(encoded)
-                  for idx, encoded in view.close(self.params.size_cap).items()}
+        leaves = view.close(self.params.size_cap)
         return partial_root(PartialMerkleTree(1 << view.k, {**tree.included, **leaves},
                                               tree.siblings))
 

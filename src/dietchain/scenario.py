@@ -155,6 +155,11 @@ class ScenarioState:
             raise ScenarioError(f"{node_id!r} is not a full node")
         return self.full_nodes[node_id]
 
+    def light(self, node_id: str) -> DietNodeService:
+        if node_id not in self.diet_services:
+            raise ScenarioError(f"{node_id!r} is not a light node")
+        return self.diet_services[node_id]
+
     def key(self, name: str) -> KeyPair:
         if not isinstance(name, str) or name not in self.keys:
             raise ScenarioError(f"unknown key {name!r}")
@@ -178,13 +183,25 @@ def load_config(source) -> dict:
             raise ScenarioError(f"config is missing {req!r}")
     cfg.setdefault("keys", [])
     cfg.setdefault("expect", [])
+    for name in ("nodes", "expect"):
+        if not isinstance(cfg[name], list):
+            raise ScenarioError(f"config {name!r} is not a list")
+    for spec in cfg["nodes"]:
+        if not isinstance(spec, dict) or not isinstance(spec.get("id"), str):
+            raise ScenarioError(f"node spec {spec!r} has no string 'id'")
     roles = {spec["id"]: spec.get("role", "full") for spec in cfg["nodes"]}
-    if "full" not in roles.values():
+    full_ids = [node_id for node_id, role in roles.items() if role == "full"]
+    if not full_ids:
         raise ScenarioError("at least one full node is required")
     for spec in cfg["nodes"]:
         if spec.get("role", "full") not in _NODE_ROLES:
             raise ScenarioError(f"unknown role {spec.get('role')!r} for node {spec['id']!r}")
+        if spec.get("role", "full") != "full" and spec.get("peer", full_ids[0]) not in full_ids:
+            raise ScenarioError(f"{spec['peer']!r} is not a full node")
+    _check_script(cfg["script"])
     for check in cfg["expect"]:
+        if not isinstance(check, dict):
+            raise ScenarioError(f"expectation {check!r} is not an object")
         kind = check.get("check")
         if kind not in _CHECKS:
             raise ScenarioError(f"unknown expectation {kind!r}")
@@ -199,6 +216,24 @@ def load_config(source) -> dict:
                 raise ScenarioError(f"{kind} expectation names {node_id!r},"
                                     f" not a {' or '.join(allowed)} node")
     return cfg
+
+
+def _check_script(steps) -> None:
+    """Refuse, before any step runs, steps that are not a list of objects
+    each naming a known action and holding the keys it needs."""
+    if not isinstance(steps, list):
+        raise ScenarioError(f"steps {steps!r} are not a list")
+    for step in steps:
+        if not isinstance(step, dict):
+            raise ScenarioError(f"step {step!r} is not an object")
+        action = step.get("action")
+        if action not in _ACTIONS:
+            raise ScenarioError(f"unknown action {action!r}")
+        for key in _ACTIONS[action][1]:
+            if key not in step:
+                raise ScenarioError(f"{action} step is missing {key!r}")
+        if action == "repeat":
+            _check_script(step["steps"])
 
 
 def _build(cfg: dict) -> ScenarioState:
@@ -305,8 +340,7 @@ def _act_pay(state: ScenarioState, step: dict) -> None:
 
 def _act_update(state: ScenarioState, step: dict) -> None:
     for node_id in step["nodes"]:
-        if node_id not in state.diet_services:
-            raise ScenarioError(f"{node_id!r} is not a light node")
+        state.light(node_id)
         state.bus.post("script", node_id, MSG_WAKE, b"")
     state.bus.run_until_idle()
 
@@ -329,8 +363,7 @@ def _victims(step: dict) -> list[str]:
 def _victim_challenges(state: ScenarioState, victims: list[str]) -> list[bytes]:
     challenges = []
     for victim in victims:
-        if victim not in state.diet_services:
-            raise ScenarioError(f"{victim!r} is not a light node")
+        state.light(victim)
         spec = next(n for n in state.config["nodes"] if n["id"] == victim)
         challenges.append(state.key(spec["keys"][0]).challenge)
     return challenges
@@ -338,6 +371,8 @@ def _victim_challenges(state: ScenarioState, victims: list[str]) -> list[bytes]:
 
 def _act_corrupt_shard(state: ScenarioState, step: dict) -> None:
     """Flip a coin value inside every utxo response headed for the victim."""
+    state.light(step["victim"])
+
     def transform(payload: bytes) -> bytes:
         resp = decode_utxos_response(payload)
         for idx in sorted(resp.shards):
@@ -449,14 +484,7 @@ _ACTIONS = {
 
 
 def _run_step(state: ScenarioState, step: dict) -> None:
-    action = step.get("action")
-    if action not in _ACTIONS:
-        raise ScenarioError(f"unknown action {action!r}")
-    handler, required = _ACTIONS[action]
-    for key in required:
-        if key not in step:
-            raise ScenarioError(f"{action} step is missing {key!r}")
-    handler(state, step)
+    _ACTIONS[step["action"]][0](state, step)
 
 
 # -- expectations ---------------------------------------------------------------
@@ -529,8 +557,10 @@ def _check_one(state: ScenarioState, chain: dict, check: dict) -> tuple[bool, st
         return True, f"status {verdict.status}" + (
             f", reason {verdict.reason}" if verdict.reason else "")
     if kind == "tip_height":
-        tip = _headers(state, check["node"]).tip_height
-        return tip == check["height"], f"tip at {tip}"
+        headers = _headers(state, check["node"])
+        if headers.tip is None:
+            return False, "no tip"
+        return headers.tip_height == check["height"], f"tip at {headers.tip_height}"
     if kind == "same_tip":
         tips = [_headers(state, node_id).tip for node_id in check["nodes"]]
         same = all(t == tips[0] for t in tips)

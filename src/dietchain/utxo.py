@@ -3,8 +3,8 @@
 Coins are bucketed by the first ``k`` bits of their creating txid (byte
 0 first, most significant bit first), giving ``2**k`` shards. The store
 commits to a root over all shard hashes after every block and keeps, for
-each of the last ``HISTORY_HORIZON`` blocks, the bytes of the shards that
-block replaced, so it can prove what any shard looked like just before a
+each of the last ``HISTORY_HORIZON`` blocks, the shards that block
+replaced, so it can prove what any shard looked like just before a
 recent block, and undo back to any height at or above its ``floor``.
 
 Two rules shape the commitment; :class:`ShardView` holds the one
@@ -34,11 +34,11 @@ the paths above the shards it touched; a split rebuilds the tree once.
 
 History is an undo journal with one entry per height, as Bitcoin Core
 keeps one undo record per block: ``versions[h]`` maps each shard block
-``h`` changed, in its pre-block ``k`` (every shard, for a split), to its
-bytes before the block, which ``commit`` copies from the live bytes
-(``encoded``) before it changes them. ``undo_block`` pops the newest
-entry and reloads exactly those shards; only the ``pending`` list each
-block replaced is kept apart. Previewing a root, dropping a block whose
+``h`` changed, in its pre-block ``k`` (every shard, for a split), to the
+coin list the block replaced. The store never edits a list in place (a
+view edits its own copy), so the entry shares it, and ``undo_block``
+puts exactly those lists back; only the ``pending`` list each block
+replaced is kept apart. Previewing a root, dropping a block whose
 commitment is wrong and switching branches are all apply-then-undo; no
 block application copies the store. Only a forger's replica starts from
 a copy (``clone``), which copies the containers and shares what they hold.
@@ -48,12 +48,12 @@ A split keeps the tree it replaces as the final tree of the coarser
 that kept tree: it merges the journal from that tree's height down to
 the queried one and re-hashes the paths of only the shards changed
 since, so a recent height costs O((|indices| + shards changed since) * k)
-hashes, not a rebuild over all ``2**k`` leaves. A proof serves the wire
-bytes the store keeps as they are: a :class:`Shard` is its encoding,
-keyed by its index, decoded only where a reader needs its coins. A
-shard's encoding is its coins' bytes alone, in outpoint order, and its
-leaf hash is the hash of those bytes (of ``b""`` for an empty shard); it
-carries no count, so no rule limits how many coins a shard holds.
+hashes, not a rebuild over all ``2**k`` leaves. A proof encodes the
+shards it serves: a :class:`Shard` is its wire bytes, keyed by its
+index, decoded only where a reader needs its coins. A shard's encoding
+is its coins' bytes alone, in outpoint order, and its leaf
+(:func:`shard_leaf`) is the hash of those bytes (of ``b""`` for an empty
+shard); it carries no count, so no rule limits how many coins a shard holds.
 
 History is bounded. Committing height ``h`` prunes height
 ``p = h - HISTORY_HORIZON``: it drops the entry of ``p``, which no state
@@ -122,13 +122,17 @@ def encode_shard_coins(coins: list[Coin]) -> bytes:
                      for outpoint, value, challenge in coins])
 
 
+def shard_leaf(encoded: bytes) -> bytes:
+    """A shard's leaf in the shard tree, from its wire bytes."""
+    return hash256(encoded)
+
+
 @dataclass(frozen=True, slots=True)
 class Shard:
     """One shard as it travels: its wire bytes (its coins in outpoint
-    order), kept under its index by whoever holds it. The store serves
-    the bytes it keeps, so serving decodes nothing; a shard read off the
-    wire (:func:`decode_shard`) keeps the coins it was checked with, so a
-    reader unpacks it once."""
+    order), kept under its index by whoever holds it. A shard read off
+    the wire (:func:`decode_shard`) keeps the coins it was checked with,
+    so a reader unpacks it once."""
     encoded: bytes
     decoded: tuple[Coin, ...] | None = field(default=None, compare=False, repr=False)
 
@@ -146,7 +150,7 @@ class Shard:
 
     @property
     def leaf_hash(self) -> bytes:
-        return hash256(self.encoded)
+        return shard_leaf(self.encoded)
 
 
 def _unpack_coins(data: bytes) -> tuple[Coin, ...]:
@@ -238,7 +242,7 @@ class ShardView:
 
     def close(self, size_cap: int) -> dict[int, bytes]:
         """Finish the block: the split (:meth:`_split_k`; each shard splits
-        by the txid bits it gains). Returns the encodings of the edited
+        by the txid bits it gains). Returns the leaf hashes of the edited
         shards (all, after a split) by index."""
         k = self._split_k(size_cap)
         if k != self.k:
@@ -247,7 +251,8 @@ class ShardView:
                 for coin in self.edited.get(idx, coins):
                     split[shard_key(coin.outpoint.txid, k)].append(coin)
             self.k, self.shards, self.edited = k, split, split
-        return {idx: encode_shard_coins(self.edited[idx]) for idx in sorted(self.edited)}
+        return {idx: shard_leaf(encode_shard_coins(self.edited[idx]))
+                for idx in sorted(self.edited)}
 
 
 @dataclass(frozen=True)
@@ -286,11 +291,11 @@ class VersionedShardStore:
     height: int | None = field(init=False, default=None)
     # lowest height whose state the store can rebuild; -1: the empty store
     floor: int = field(init=False, default=-1)
-    # height -> {shard index: its bytes before that block}, every height
-    # above the floor in height order; an entry never changes once written
-    versions: dict[int, dict[int, bytes]] = field(init=False, default_factory=dict)
-    # shard index -> its live bytes (b"" when empty), all 2**k keys
-    encoded: dict[int, bytes] = field(init=False)
+    # height -> {shard index: the coin list that block replaced}, every
+    # height above the floor in height order. No entry, and no list in an
+    # entry or in ``shards``, changes once written: an edit goes to a
+    # view's copy, so entries, undos and clones share the lists.
+    versions: dict[int, dict[int, list[Coin]]] = field(init=False, default_factory=dict)
     # height -> that block's record, every committed height in height order
     touched_log: dict[int, TouchedRecord] = field(init=False, default_factory=dict)
     _levels: list[bytearray] = field(init=False)  # packed shard tree, leaves first
@@ -307,8 +312,7 @@ class VersionedShardStore:
             raise ValueError(f"size_cap must be at least {MIN_SIZE_CAP}, one coin")
         self.k = self.initial_k
         self.shards = {i: [] for i in range(1 << self.k)}
-        self.encoded = dict.fromkeys(range(1 << self.k), b"")
-        self._levels = pack_levels([hash256(b"")] * (1 << self.k))
+        self._levels = pack_levels([shard_leaf(b"")] * (1 << self.k))
 
     # -- current-state queries -------------------------------------------
 
@@ -362,24 +366,22 @@ class VersionedShardStore:
         state. Returns the root the block's coinbase must commit. If
         closing the view raises, the store is left as it was."""
         k_before = self.k
-        encodings = view.close(self.size_cap)
+        leaves = view.close(self.size_cap)
         height = view.height
         rebalanced = view.k != k_before
-        replaced = self.versions[height] = dict(self.encoded) if rebalanced else {
-            idx: self.encoded[idx] for idx in encodings}
+        replaced = self.versions[height] = dict(self.shards) if rebalanced else {
+            idx: self.shards[idx] for idx in leaves}
         self.k, self._coin_count = view.k, view.coin_count
         self._undo_pending.append(self.pending)
         self.pending = []
 
-        leaves = {idx: hash256(encoded) for idx, encoded in encodings.items()}
         if rebalanced:
-            # after a split the view's copies and encodings are every shard
-            self.shards, self.encoded = view.edited, encodings
+            # after a split the view's copies are every shard
+            self.shards = view.edited
             self._frozen[k_before] = (height - 1, self._levels)
             self._levels = pack_levels([leaves[i] for i in range(1 << self.k)])
         else:
             self.shards.update(view.edited)
-            self.encoded.update(encodings)
             update_levels(self._levels, leaves)
         self.height = height
         self.touched_log[height] = TouchedRecord(
@@ -440,8 +442,8 @@ class VersionedShardStore:
     def undo_block(self) -> None:
         """Reverse the newest applied block, leaving the store as it was
         before it, history included, except that what pruning dropped
-        stays dropped and the floor stays. The shards in its journal entry
-        are reloaded from the bytes the entry kept."""
+        stays dropped and the floor stays. The lists in its journal entry
+        go back in place of the block's, as they are."""
         if self.height is None:
             raise HistoryUnavailableError("no applied block to undo")
         height = self.height
@@ -449,20 +451,15 @@ class VersionedShardStore:
             raise HistoryUnavailableError(f"height {height - 1} is below the floor {self.floor}")
         record = self.touched_log.pop(height)
         replaced = self.versions.pop(height)
-        # coins still live keep their objects, which share bytes with the
-        # transactions that created them
         if record.rebalanced:
-            live = {c.outpoint: c for coins in self.shards.values() for c in coins}
-            self.k, self.shards, self.encoded, self._coin_count = record.k, {}, {}, 0
+            self.k, self.shards, self._coin_count = record.k, {}, 0
             self._levels = self._frozen.pop(self.k)[1]
         else:
-            live = {c.outpoint: c for idx in replaced for c in self.shards[idx]}
-            update_levels(self._levels, {i: hash256(enc) for i, enc in replaced.items()})
-        for idx, encoded in replaced.items():
-            coins = [live.get(c.outpoint, c) for c in _unpack_coins(encoded)]
+            update_levels(self._levels, {i: shard_leaf(encode_shard_coins(coins))
+                                         for i, coins in replaced.items()})
+        for idx, coins in replaced.items():
             self._coin_count += len(coins) - len(self.shards.get(idx, ()))
-            self.shards[idx] = coins
-        self.encoded.update(replaced)
+        self.shards.update(replaced)
         self.pending = self._undo_pending.pop()
         self.height = height - 1 if height else None
 
@@ -477,11 +474,10 @@ class VersionedShardStore:
     def clone(self) -> "VersionedShardStore":
         """An independent copy, for a node that starts from this one's
         state (a forger's replica). Every container is copied, the packed
-        trees included; the coins, encodings, journal entries and records
-        they hold never change in place and are shared."""
+        trees and pending lists included; the coin lists, journal entries
+        and records they hold never change in place and are shared."""
         twin = copy.copy(self)
-        twin.shards = {idx: list(coins) for idx, coins in self.shards.items()}
-        twin.encoded = dict(self.encoded)
+        twin.shards = dict(self.shards)
         twin.pending = list(self.pending)
         twin.versions = dict(self.versions)
         twin.touched_log = dict(self.touched_log)
@@ -501,23 +497,25 @@ class VersionedShardStore:
         height's ``k`` (the live one, or the one kept when the tree split
         away from that ``k``), with the shards changed since put back and
         re-hashed: the journal merged from that tree's height down to
-        ``height``, the oldest entry winning. Other shards are the live
-        bytes, or the split's entry at a pre-split ``k``, served
-        undecoded. An index outside that tree is the partial tree's ValueError.
+        ``height``, the oldest entry winning, encoded once each. Other
+        shards are encoded from the live lists, or the split's entry at a
+        pre-split ``k``. An index outside that tree is the partial tree's ValueError.
         """
         if self.height is None or not max(self.floor, 0) + 1 <= height <= self.height + 1:
             raise HistoryUnavailableError(f"no history for height {height}")
         kb = self.k_at(height - 1)
         newest, levels = (self.height, self._levels) if kb == self.k else self._frozen[kb]
-        since: dict[int, bytes] = {}
+        merged: dict[int, list[Coin]] = {}
         for h in range(newest, height - 1, -1):
-            since.update(self.versions[h])
+            merged.update(self.versions[h])
+        since = {i: encode_shard_coins(coins) for i, coins in merged.items()}
         if since:
             levels = _copy_levels(levels)
-            update_levels(levels, {i: hash256(encoded) for i, encoded in since.items()})
+            update_levels(levels, {i: shard_leaf(encoded) for i, encoded in since.items()})
         tree = partial_from_levels(levels, set(indices))
-        unchanged = self.encoded if kb == self.k else self.versions[newest + 1]
-        return {i: Shard(since[i] if i in since else unchanged[i]) for i in indices}, tree
+        unchanged = self.shards if kb == self.k else self.versions[newest + 1]
+        return {i: Shard(since[i] if i in since else encode_shard_coins(unchanged[i]))
+                for i in indices}, tree
 
 
 def _copy_levels(levels: list[bytearray]) -> list[bytearray]:

@@ -82,7 +82,6 @@ def store_state(store: VersionedShardStore) -> dict:
         "floor": store.floor,
         "k": store.k,
         "versions": dict(store.versions),
-        "encoded": dict(store.encoded),
         "touched_log": dict(store.touched_log),
         "pending": list(store.pending),
         "shards": {i: list(coins) for i, coins in store.shards.items()},

@@ -10,11 +10,14 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
+import pytest
 from conftest import key_of, mined_node
 
 from dietchain.chain import MIN_SIZE_CAP, ChainParams
+from dietchain.scenario import load_config
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -127,3 +130,20 @@ def test_the_store_reads_of_the_workloads_work_on_a_store_that_has_split():
     assert all(type(coins) is list for coins in store.shards.values())
     popped = next(coins for coins in store.shards.values() if coins).pop()
     assert popped not in set(store.all_coins()) and len(list(store.all_coins())) == 3
+
+
+@pytest.mark.parametrize("seed", [1, 7, 9001])
+def test_the_bench_scenario_is_a_valid_config(monkeypatch, seed):
+    """The scale workload runs ``load_config`` on the scenario it
+    generates, and on its smaller warm-up; a check that refused either
+    would turn the workload into a config error."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    size = workloads.ScenarioSize()
+    for cfg in (workloads.scenario_config(seed, size),
+                workloads.scenario_config(seed, workloads.ScenarioSize(
+                    blocks=size.warmup_blocks, clients=2))):
+        assert load_config(cfg) is cfg

@@ -592,9 +592,7 @@ def _forge_on_a_made_up_base(honest: FullNode, l: int) -> tuple[ForgedChainBuild
     coin = Coin(OutPoint(hash256(b"made up"), 0), 1000, ALICE.challenge)
     idx = shard_key(coin.outpoint.txid, store.k)
     store.shards[idx] = sorted(store.shards[idx] + [coin])
-    encoded = encode_shard_coins(store.shards[idx])
-    store.encoded[idx] = encoded
-    update_levels(store._levels, {idx: hash256(encoded)})
+    update_levels(store._levels, {idx: hash256(encode_shard_coins(store.shards[idx]))})
     store._coin_count += 1
     lie = store.current_root
     assert lie != commitment_of(honest.blocks[honest.headers.active_hash_at(fork)])

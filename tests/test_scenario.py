@@ -281,6 +281,9 @@ def test_cli_run_refuses_out_of_range_params(capsys, tmp_path):
      "'full-1' is not a light node"),
     ({"action": "forge_commitment_tip", "victim": "carol-node"},
      "forge_commitment_tip step is missing 'attacker'"),
+    ({"action": "corrupt_shard", "victim": "nobody"}, "'nobody' is not a light node"),
+    ("mine", "step 'mine' is not an object"),
+    ({"action": "repeat", "count": 2, "steps": ["mine"]}, "step 'mine' is not an object"),
 ])
 def test_cli_run_reports_a_bad_step_as_a_config_error(capsys, tmp_path, step, message):
     """A step that cannot run is a config error naming what is wrong:
@@ -323,6 +326,7 @@ def test_cli_run_reports_a_script_that_mines_no_block_as_a_config_error(capsys, 
      "unknown expectation 'tip_hieght'"),
     ({"check": "verdict", "node": "nobody", "tx": "p1", "status": "diet-verified"},
      "verdict expectation names 'nobody'"),
+    ("tip_height", "expectation 'tip_height' is not an object"),
 ])
 def test_cli_run_reports_a_bad_expectation_before_any_step(capsys, tmp_path, monkeypatch,
                                                            check, message):
@@ -337,6 +341,48 @@ def test_cli_run_reports_a_bad_expectation_before_any_step(capsys, tmp_path, mon
     assert message in captured.err
     assert "Traceback" not in captured.out + captured.err
     assert steps == []
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"nodes": [{"role": "full"}]}, "node spec {'role': 'full'} has no string 'id'"),
+    ({"nodes": ["full-1"]}, "node spec 'full-1' has no string 'id'"),
+    ({"nodes": [{"id": "full-1"},
+                {"id": "carol-node", "role": "diet", "keys": ["carol"], "peer": "nobody"}]},
+     "'nobody' is not a full node"),
+    ({"nodes": [{"id": "full-1"},
+                {"id": "carol-node", "role": "diet", "keys": ["carol"], "peer": "sable-node"},
+                {"id": "sable-node", "role": "spv", "keys": ["carol"]}]},
+     "'sable-node' is not a full node"),
+    ({"script": "mine"}, "steps 'mine' are not a list"),
+])
+def test_cli_run_reports_a_bad_node_spec_before_any_step(capsys, tmp_path, monkeypatch,
+                                                         overrides, message):
+    """A node spec without an id, or a light node whose peer is not a
+    full node, is a config error found before the script runs, as is a
+    script that is not a list of steps."""
+    steps = []
+    monkeypatch.setattr(scenario, "_run_step", lambda state, step: steps.append(step))
+    path = tmp_path / "bad_nodes.json"
+    path.write_text(json.dumps(_cfg(expect=[], **overrides)))
+    assert cli.main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Traceback" not in captured.out + captured.err
+    assert steps == []
+
+
+def test_cli_run_fails_a_tip_height_check_on_a_light_node_that_never_synced(capsys, tmp_path):
+    """A light node that no update woke has no tip: its tip_height check
+    fails, and the run still reports every check."""
+    cfg = _cfg(script=BASE["script"][:1],
+               expect=[{"check": "tip_height", "node": "carol-node", "height": 2}])
+    path = tmp_path / "unsynced.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "FAIL" in captured.out and "-- no tip" in captured.out
+    assert "overall: FAIL" in captured.out
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_cli_run_takes_no_bytes_ratio_sample_from_a_block_whose_pre_state_is_empty(

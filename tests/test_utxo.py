@@ -672,11 +672,12 @@ def test_store_state_covers_every_state_field():
 
 
 def test_a_clone_and_its_source_evolve_apart(monkeypatch):
-    """A clone shares no container with its source: each side undoes
-    across a split, takes a coin into ``pending`` in place (as a forger
-    does), commits its own blocks and prunes past the split, and after
-    every step each side equals a ``copy.deepcopy`` of the source that
-    took the same steps."""
+    """A clone shares with its source only what neither edits in place
+    (coin lists, journal entries, records): each side undoes across a
+    split, takes a coin into ``pending`` in place (as a forger does),
+    commits its own blocks and prunes past the split, and after every
+    step each side equals a ``copy.deepcopy`` of the source that took
+    the same steps."""
     monkeypatch.setattr("dietchain.utxo.HISTORY_HORIZON", 4)
     rng = random.Random(37)
     source = VersionedShardStore(initial_k=0, size_cap=160)
@@ -712,3 +713,54 @@ def test_a_clone_and_its_source_evolve_apart(monkeypatch):
         step(commit)
     assert source.floor > split and twin.floor > split  # the split's history is pruned
     assert source.current_root != twin.current_root
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_undo_puts_back_the_very_lists_a_block_replaced(split):
+    """The journal keeps the lists a block replaced, not copies, so an
+    undo restores the shards (and ``pending``) as the same objects."""
+    rng = random.Random(41)
+    store = VersionedShardStore(initial_k=0, size_cap=160)
+    while True:
+        before, pending, k = dict(store.shards), store.pending, store.k
+        store.apply_block(_next_block(store, rng), store.next_height)
+        if (store.k != k) == split and store.touched_log[store.height].touched:
+            break
+    store.undo_block()
+    assert store.k == k and store.shards.keys() == before.keys()
+    assert all(store.shards[i] is coins for i, coins in before.items())
+    assert store.pending is pending
+
+
+def test_no_shard_list_or_journal_entry_changes_while_it_is_kept(monkeypatch):
+    """Entries, undos and clones share coin lists because the store never
+    edits one in place. Over a seeded history of blocks, undos, rewinds,
+    splits and a clone that mines its own blocks, every live list and
+    journal entry reads as it did when first seen."""
+    monkeypatch.setattr("dietchain.utxo.HISTORY_HORIZON", 6)
+    rng = random.Random(43)
+    stores = [VersionedShardStore(initial_k=0, size_cap=160)]
+    seen: dict[int, tuple[object, tuple]] = {}  # id -> (the object, kept alive; its snapshot)
+
+    def check(obj, snapshot: tuple) -> None:
+        kept = seen.setdefault(id(obj), (obj, snapshot))
+        assert kept[0] is obj and kept[1] == snapshot
+
+    for step in range(120):
+        if step == 60:
+            stores.append(stores[0].clone())
+        for store in stores:
+            roll = rng.random()
+            if roll < 0.15 and store.height is not None and store.height - 1 >= store.floor:
+                store.undo_block()
+            elif roll < 0.25 and store.height is not None and store.height > max(store.floor, 0):
+                store.rewind_to(rng.randrange(max(store.floor, 0), store.height))
+            else:
+                store.apply_block(_next_block(store, rng), store.next_height)
+            for coins in store.shards.values():
+                check(coins, tuple(coins))
+            for entry in store.versions.values():
+                check(entry, tuple((i, id(coins)) for i, coins in entry.items()))
+                for coins in entry.values():
+                    check(coins, tuple(coins))
+    assert len(stores[0].rebalance_log) >= 2 and stores[0].current_root != stores[1].current_root
