@@ -155,8 +155,7 @@ def decode_utxos_response(payload: bytes) -> UtxosResponse:
 class Adversary:
     """Interception rules applied to one victim's traffic."""
     victim: str
-    shadow: "FullNodeService | None" = None
-    hijack: set[int] = field(default_factory=set)            # request types
+    shadow: "FullNodeService | None" = None  # answers every query the victim sends
     transforms: dict[int, Callable[[bytes], bytes]] = field(default_factory=dict)
 
 
@@ -179,19 +178,19 @@ class QuerySide:
     def request(self, src: str, dst: str, msg_type: int, payload: bytes) -> bytes:
         self.record("message", type=msg_type, src=src, dst=dst, bytes=len(payload))
         responder = self.responders[dst]
-        hijacked = False
+        intercepted = False
         for adv in self.adversaries:
-            if adv.victim == src and msg_type in adv.hijack and adv.shadow is not None:
+            if adv.victim == src and adv.shadow is not None:
                 responder = adv.shadow
-                hijacked = True
+                intercepted = True
         response = responder.handle_query(msg_type, payload)
         resp_type = msg_type + 1
         for adv in self.adversaries:
             if adv.victim == src and resp_type in adv.transforms:
                 response = adv.transforms[resp_type](response)
-                hijacked = True
+                intercepted = True
         self.record("message", type=resp_type, src=dst, dst=src,
-                    bytes=len(response), intercepted=hijacked)
+                    bytes=len(response), intercepted=intercepted)
         return response
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .chain import (
     ChainParams,
@@ -29,10 +29,6 @@ from .full_node import FullNode, UtxosResponse
 from .miner import mine_on
 from .netsim import (
     MSG_BLOCK_ANNOUNCE,
-    MSG_QUERY_BLOCK,
-    MSG_QUERY_MERKLE_BLOCKS,
-    MSG_QUERY_UTXO_MROOT,
-    MSG_QUERY_UTXOS,
     MSG_UTXOS,
     MSG_WAKE,
     Adversary,
@@ -47,14 +43,12 @@ from .netsim import (
 from .rules import signed_spend
 from .utxo import Coin, OutPoint, Shard, coins_of
 
-ALL_QUERIES = frozenset({
-    MSG_QUERY_MERKLE_BLOCKS, MSG_QUERY_UTXO_MROOT, MSG_QUERY_BLOCK, MSG_QUERY_UTXOS,
-})
-
 _NODE_ROLES = ("full", "spv", "diet")
 
 
 def derive_key(seed: int, name: str) -> KeyPair:
+    if not 0 <= seed < 1 << 64:
+        raise ScenarioError(f"seed {seed} is not in [0, 2**64)")
     material = hash256(b"dietchain-key" + seed.to_bytes(8, "little") + name.encode())
     return KeyPair.from_seed(material)
 
@@ -183,12 +177,14 @@ def load_config(source) -> dict:
             raise ScenarioError(f"config is missing {req!r}")
     cfg.setdefault("keys", [])
     cfg.setdefault("expect", [])
+    _check_types("config", {name: cfg[name] for name in ("seed", "keys")})
     for name in ("nodes", "expect"):
         if not isinstance(cfg[name], list):
             raise ScenarioError(f"config {name!r} is not a list")
     for spec in cfg["nodes"]:
         if not isinstance(spec, dict) or not isinstance(spec.get("id"), str):
             raise ScenarioError(f"node spec {spec!r} has no string 'id'")
+        _check_types(f"node {spec['id']!r}", spec)
     roles = {spec["id"]: spec.get("role", "full") for spec in cfg["nodes"]}
     full_ids = [node_id for node_id, role in roles.items() if role == "full"]
     if not full_ids:
@@ -220,7 +216,7 @@ def load_config(source) -> dict:
 
 def _check_script(steps) -> None:
     """Refuse, before any step runs, steps that are not a list of objects
-    each naming a known action and holding the keys it needs."""
+    each naming a known action and holding the keys it needs, well typed."""
     if not isinstance(steps, list):
         raise ScenarioError(f"steps {steps!r} are not a list")
     for step in steps:
@@ -232,18 +228,25 @@ def _check_script(steps) -> None:
         for key in _ACTIONS[action][1]:
             if key not in step:
                 raise ScenarioError(f"{action} step is missing {key!r}")
+        _check_types(f"{action} step", step)
         if action == "repeat":
             _check_script(step["steps"])
 
 
+def _check_types(where: str, spec: dict) -> None:
+    """Refuse a value of the wrong type under a key :data:`_TYPES` names:
+    a bool is no integer, and a list must hold names."""
+    for key, value in spec.items():
+        kind = _TYPES.get(key)
+        if kind and (not isinstance(value, kind) or isinstance(value, bool) or kind is list
+                     and not all(isinstance(item, str) for item in value)):
+            raise ScenarioError(f"{where} {key!r} is {value!r}, not {_TYPE_NAMES[kind]}")
+
+
 def _build(cfg: dict) -> ScenarioState:
     try:
-        params = ChainParams(
-            target_bits=cfg.get("target_bits", 8),
-            subsidy=cfg.get("subsidy", 50),
-            size_cap=cfg.get("size_cap", 1024),
-            initial_k=cfg.get("initial_k", 0),
-        )
+        params = ChainParams(**{f.name: cfg[f.name] for f in fields(ChainParams)
+                                if f.name in cfg})
     except ValueError as exc:
         raise ScenarioError(f"bad chain parameters: {exc}") from exc
     seed = cfg["seed"]
@@ -268,9 +271,8 @@ def _build(cfg: dict) -> ScenarioState:
                 raise ScenarioError(f"light node {node_id!r} watches no keys")
             config = DietConfig(
                 keys=tuple(state.key(n).public_key for n in key_names),
-                max_depth=spec.get("max_depth", 6),
-                max_length=spec.get("max_length", 2),
                 diet_enabled=role == "diet",
+                **{name: spec[name] for name in ("max_depth", "max_length") if name in spec},
             )
             peer = spec.get("peer", state.reference)
             diet = DietNode(params, config, BusTransport(state.bus, node_id, peer))
@@ -414,8 +416,7 @@ def _lure(state: ScenarioState, step: dict, builder: ForgedChainBuilder, attacke
     builder.mine([lure], attacker.public_key, fake_commitment=commitment)
     shadow = builder.service()
     for victim in victims:
-        state.bus.attach_adversary(
-            Adversary(victim=victim, shadow=shadow, hijack=set(ALL_QUERIES)))
+        state.bus.attach_adversary(Adversary(victim=victim, shadow=shadow))
     if "label" in step:
         state.labeled[step["label"]] = (lure, [coin])
 
@@ -481,6 +482,14 @@ _ACTIONS = {
     "double_spend": (_act_double_spend, ("spent_tx", "victims")),
     "forge_chain": (_act_forge_chain, ("attacker", "forge_count")),
 }
+
+
+# key of a step, a node spec or the config -> the type its value must have
+_TYPES = {"seed": int, "count": int, "amount": int, "fee": int, "outputs": int,
+          "forge_count": int, "max_depth": int, "max_length": int, "node": str,
+          "victim": str, "label": str, "spent_tx": str, "keys": list, "nodes": list,
+          "victims": list}
+_TYPE_NAMES = {int: "an integer", str: "a name", list: "a list of names"}
 
 
 def _run_step(state: ScenarioState, step: dict) -> None:

@@ -43,12 +43,12 @@ commitment is wrong and switching branches are all apply-then-undo; no
 block application copies the store. Only a forger's replica starts from
 a copy (``clone``), which copies the containers and shares what they hold.
 
-A split keeps the tree it replaces as the final tree of the coarser
-``k``. ``state_before`` cuts a historical proof from the live tree or
-that kept tree: it merges the journal from that tree's height down to
-the queried one and re-hashes the paths of only the shards changed
-since, so a recent height costs O((|indices| + shards changed since) * k)
-hashes, not a rebuild over all ``2**k`` leaves. A proof encodes the
+A split keeps no old tree: its entry holds every shard of the coarser
+``k``. ``state_before`` merges the journal from the tip down to the
+queried height and re-hashes, on a copy of the live tree, the paths of
+only the shards changed since, so a recent height costs O((|indices| +
+shards changed since) * k) hashes; across a split it builds the tree
+from the merged shards, as an undo of the split does. A proof encodes the
 shards it serves: a :class:`Shard` is its wire bytes, keyed by its
 index, decoded only where a reader needs its coins. A shard's encoding
 is its coins' bytes alone, in outpoint order, and its leaf
@@ -57,8 +57,7 @@ shard); it carries no count, so no rule limits how many coins a shard holds.
 
 History is bounded. Committing height ``h`` prunes height
 ``p = h - HISTORY_HORIZON``: it drops the entry of ``p``, which no state
-at or above ``p`` reads, and the kept tree of the coarser ``k`` if ``p``
-split the tree. ``p`` becomes the ``floor``: ``state_before``,
+at or above ``p`` reads. ``p`` becomes the ``floor``: ``state_before``,
 ``undo_block`` and ``rewind_to`` raise :class:`HistoryUnavailableError`
 for a state below it, and an undo does not lower it, so the journal and
 the pending lists are kept only for the heights above it. The store also
@@ -299,8 +298,6 @@ class VersionedShardStore:
     # height -> that block's record, every committed height in height order
     touched_log: dict[int, TouchedRecord] = field(init=False, default_factory=dict)
     _levels: list[bytearray] = field(init=False)  # packed shard tree, leaves first
-    # k -> (last height committed at k, packed tree at that height); one per split
-    _frozen: dict[int, tuple[int, list[bytearray]]] = field(init=False, default_factory=dict)
     _coin_count: int = field(init=False, default=0)
     # the pending list each block above the floor replaced, oldest first
     _undo_pending: list[list[Coin]] = field(init=False, default_factory=list)
@@ -330,11 +327,6 @@ class VersionedShardStore:
 
     def utxo_root(self) -> bytes:
         return self.current_root
-
-    def k_at(self, height: int) -> int:
-        """The shard count exponent in effect after applying ``height``,
-        a committed height."""
-        return self.touched_log[height].k_after
 
     @property
     def rebalance_log(self) -> list[RebalanceStep]:
@@ -378,7 +370,6 @@ class VersionedShardStore:
         if rebalanced:
             # after a split the view's copies are every shard
             self.shards = view.edited
-            self._frozen[k_before] = (height - 1, self._levels)
             self._levels = pack_levels([leaves[i] for i in range(1 << self.k)])
         else:
             self.shards.update(view.edited)
@@ -395,15 +386,11 @@ class VersionedShardStore:
 
     def _prune(self, height: int) -> None:
         """Make ``height`` the floor, dropping the history no state at or
-        above it needs: the journal entry of ``height``, the kept tree of
-        the coarser ``k`` if ``height`` split the tree, and the pending
+        above it needs: the journal entry of ``height`` and the pending
         lists of the heights up to it, which no undo can reach."""
         if height <= self.floor:
             return
-        record = self.touched_log[height]
         del self.versions[height]
-        for k in range(record.k, record.k_after):
-            self._frozen.pop(k, None)
         del self._undo_pending[:height - self.floor]
         self.floor = height
 
@@ -443,7 +430,8 @@ class VersionedShardStore:
         """Reverse the newest applied block, leaving the store as it was
         before it, history included, except that what pruning dropped
         stays dropped and the floor stays. The lists in its journal entry
-        go back in place of the block's, as they are."""
+        go back in place of the block's, as they are; a split's are every
+        shard of the coarser ``k``, and its tree is built from them."""
         if self.height is None:
             raise HistoryUnavailableError("no applied block to undo")
         height = self.height
@@ -451,12 +439,12 @@ class VersionedShardStore:
             raise HistoryUnavailableError(f"height {height - 1} is below the floor {self.floor}")
         record = self.touched_log.pop(height)
         replaced = self.versions.pop(height)
+        leaves = {i: shard_leaf(encode_shard_coins(coins)) for i, coins in replaced.items()}
         if record.rebalanced:
             self.k, self.shards, self._coin_count = record.k, {}, 0
-            self._levels = self._frozen.pop(self.k)[1]
+            self._levels = pack_levels([leaves[i] for i in range(1 << self.k)])
         else:
-            update_levels(self._levels, {i: shard_leaf(encode_shard_coins(coins))
-                                         for i, coins in replaced.items()})
+            update_levels(self._levels, leaves)
         for idx, coins in replaced.items():
             self._coin_count += len(coins) - len(self.shards.get(idx, ()))
         self.shards.update(replaced)
@@ -474,7 +462,7 @@ class VersionedShardStore:
     def clone(self) -> "VersionedShardStore":
         """An independent copy, for a node that starts from this one's
         state (a forger's replica). Every container is copied, the packed
-        trees and pending lists included; the coin lists, journal entries
+        tree and pending lists included; the coin lists, journal entries
         and records they hold never change in place and are shared."""
         twin = copy.copy(self)
         twin.shards = dict(self.shards)
@@ -482,7 +470,6 @@ class VersionedShardStore:
         twin.versions = dict(self.versions)
         twin.touched_log = dict(self.touched_log)
         twin._levels = _copy_levels(self._levels)
-        twin._frozen = {k: (h, _copy_levels(levels)) for k, (h, levels) in self._frozen.items()}
         twin._undo_pending = [list(replaced) for replaced in self._undo_pending]
         return twin
 
@@ -493,28 +480,28 @@ class VersionedShardStore:
 
         The returned partial tree recomputes the root committed at
         ``height - 1``, which must be at or above the floor, and includes
-        exactly ``indices``. It is cut from the newest tree at that
-        height's ``k`` (the live one, or the one kept when the tree split
-        away from that ``k``), with the shards changed since put back and
-        re-hashed: the journal merged from that tree's height down to
-        ``height``, the oldest entry winning, encoded once each. Other
-        shards are encoded from the live lists, or the split's entry at a
-        pre-split ``k``. An index outside that tree is the partial tree's ValueError.
+        exactly ``indices``. The journal is merged from the tip down to
+        ``height``, the oldest entry winning; a split's entry, every shard
+        of the coarser ``k``, starts the merge afresh. Each merged shard is
+        encoded once. Across a split the tree is built from them; otherwise
+        their paths are re-hashed on a copy of the live tree, and other
+        shards are encoded from the live lists. An index outside that tree
+        is the partial tree's ValueError.
         """
         if self.height is None or not max(self.floor, 0) + 1 <= height <= self.height + 1:
             raise HistoryUnavailableError(f"no history for height {height}")
-        kb = self.k_at(height - 1)
-        newest, levels = (self.height, self._levels) if kb == self.k else self._frozen[kb]
         merged: dict[int, list[Coin]] = {}
-        for h in range(newest, height - 1, -1):
-            merged.update(self.versions[h])
+        for h in range(self.height, height - 1, -1):
+            merged = ({} if self.touched_log[h].rebalanced else merged) | self.versions[h]
         since = {i: encode_shard_coins(coins) for i, coins in merged.items()}
-        if since:
-            levels = _copy_levels(levels)
-            update_levels(levels, {i: shard_leaf(encoded) for i, encoded in since.items()})
+        leaves = {i: shard_leaf(encoded) for i, encoded in since.items()}
+        if self.touched_log[height - 1].k_after != self.k:
+            levels = pack_levels([leaves[i] for i in range(len(leaves))])
+        else:
+            levels = _copy_levels(self._levels)
+            update_levels(levels, leaves)
         tree = partial_from_levels(levels, set(indices))
-        unchanged = self.shards if kb == self.k else self.versions[newest + 1]
-        return {i: Shard(since[i] if i in since else encode_shard_coins(unchanged[i]))
+        return {i: Shard(since[i] if i in since else encode_shard_coins(self.shards[i]))
                 for i in indices}, tree
 
 

@@ -86,8 +86,6 @@ def store_state(store: VersionedShardStore) -> dict:
         "pending": list(store.pending),
         "shards": {i: list(coins) for i, coins in store.shards.items()},
         "levels": [bytes(level) for level in store._levels],
-        "frozen": {k: (h, [bytes(level) for level in levels])
-                   for k, (h, levels) in store._frozen.items()},
         "coin_count": store._coin_count,
         "undo_pending": [list(p) for p in store._undo_pending],
     }

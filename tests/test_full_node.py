@@ -41,7 +41,7 @@ from dietchain.miner import (
     template_on,
 )
 from dietchain.rules import commitment_of, signed_spend, tx_merkle_root, validate_transaction
-from dietchain.utxo import coins_of
+from dietchain.utxo import VersionedShardStore, coins_of
 
 ALICE = key_of("alice")
 BOB = key_of("bob")
@@ -382,7 +382,7 @@ def test_query_proof_size_beats_full_snapshot():
     resp = node.serve_query_utxos(block_hash(block))
     from dietchain.netsim import encode_utxos_response
     proof_bytes = len(encode_utxos_response(resp))
-    k = node.utxo.k_at(block.header.height - 1)
+    k = node.utxo.touched_log[block.header.height - 1].k_after
     shards, _ = node.utxo.state_before(block.header.height, set(range(1 << k)))
     full_bytes = sum(len(s.encoded) for s in shards.values())
     assert proof_bytes < full_bytes / 2
@@ -1007,3 +1007,62 @@ def test_a_failed_switch_across_a_split_leaves_the_pool_view_on_the_tip():
         node.submit_transaction(_spend_to(coins_of(tx)[0], BOB, MALLORY.challenge))
     assert len(node.mempool) == 5
     _assert_pool_view_is_fresh(node)
+
+
+@pytest.fixture(scope="module")
+def delivery_tree():
+    """A block tree and the node that took it in order: a trunk of paying
+    blocks up to k = 2, a losing branch of paying blocks that splits the
+    store again above the fork, and a longer winning branch of empty
+    blocks from the same fork."""
+    node = mined_node(SPLITTING, ALICE, 3, seed=139)
+
+    def pay_and_mine() -> None:
+        node.submit_transaction(payment(node, ALICE, [(BOB.challenge, 1)] * 3))
+        mine_on(node, ALICE.public_key, seed=339 + node.tip_height)
+    while node.utxo.k < 2:
+        pay_and_mine()
+    fork = node.tip_height
+    while not any(node.utxo.touched_log[h].rebalanced for h in range(fork + 1, node.tip_height)):
+        pay_and_mine()
+    chain = [node.blocks[hh] for hh in node.headers.active_chain()]
+    winning = _branch_from(node, fork, node.tip_height - fork + 1, BOB.public_key, seed=439)
+    in_order = FullNode(SPLITTING)
+    for block in chain + winning:
+        assert in_order.connect_block(block).status in ("accepted", "branch")
+    assert in_order.tip_hash == block_hash(winning[-1])
+    return chain[0], chain[1:] + winning, in_order
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_any_delivery_order_ends_where_the_in_order_node_does(delivery_tree, data):
+    """Blocks of the tree delivered in any order, each ``unknown-parent``
+    block retried until a pass connects nothing, end at the in-order tip
+    and root, with the store a flat replay of the active chain would
+    build, and the same pre-state served at every height above the floor,
+    across the losing branch's split undone or never applied."""
+    genesis, blocks, in_order = delivery_tree
+    node = FullNode(SPLITTING)
+    assert node.connect_block(genesis).accepted
+    waiting = data.draw(st.permutations(blocks))
+    while waiting:
+        results = [(block, node.connect_block(block)) for block in waiting]
+        assert {(r.status, r.reason) for _, r in results} <= {
+            ("accepted", None), ("branch", None), ("rejected", "unknown-parent")}
+        retry = [block for block, r in results if r.reason == "unknown-parent"]
+        assert len(retry) < len(waiting)
+        waiting = retry
+    assert (node.tip_hash, node.utxo.current_root) == \
+        (in_order.tip_hash, in_order.utxo.current_root)
+    _assert_coins_replay(node)
+    replay = VersionedShardStore(initial_k=SPLITTING.initial_k, size_cap=SPLITTING.size_cap)
+    for h, hh in enumerate(node.headers.active_chain()):
+        replay.apply_block(node.blocks[hh], h)
+    assert store_state(node.utxo) == store_state(replay) == store_state(in_order.utxo)
+    for h in range(max(node.utxo.floor, 0) + 1, node.tip_height + 2):
+        everything = set(range(1 << node.utxo.touched_log[h - 1].k_after))
+        served = node.utxo.state_before(h, everything)
+        assert served == in_order.utxo.state_before(h, everything)
+        parent = node.blocks[node.headers.active_hash_at(h - 1)]
+        assert partial_root(served[1]) == commitment_of(parent)

@@ -18,7 +18,6 @@ from dietchain.miner import mine_on, mine_txs
 from dietchain.netsim import (
     MSG_BLOCK_ANNOUNCE,
     MSG_QUERY_BLOCK,
-    MSG_QUERY_UTXO_MROOT,
     Adversary,
     Bus,
     BusTransport,
@@ -167,25 +166,26 @@ def test_an_announce_that_is_not_one_block_is_a_peer_fault(garble):
 
 
 def test_hijack_reroutes_to_shadow():
+    """A shadow answers every query its victim sends, marked intercepted;
+    another client's queries still reach the honest peer."""
     honest = mined_node(FAST, ALICE, 4, seed=74)
     shadow_node = mined_node(FAST, key_of("mallory"), 4, seed=75)
     bus = Bus(seed=0)
     bus.register("peer", FullNodeService(honest))
-    bus.attach_adversary(Adversary(victim="victim",
-                                   shadow=FullNodeService(shadow_node),
-                                   hijack={MSG_QUERY_UTXO_MROOT}))
-    transport = BusTransport(bus, "victim", "peer")
+    bus.attach_adversary(Adversary(victim="victim", shadow=FullNodeService(shadow_node)))
+    victim = BusTransport(bus, "victim", "peer")
+    other = BusTransport(bus, "other", "peer")
 
-    root, _ = transport.query_utxo_mroot(shadow_node.tip_hash)
+    root, _ = victim.query_utxo_mroot(shadow_node.tip_hash)
     assert root == commitment_of(shadow_node.blocks[shadow_node.tip_hash])
+    block, _ = victim.query_block(shadow_node.tip_hash)
+    assert block == shadow_node.blocks[shadow_node.tip_hash]
+    block, _ = other.query_block(honest.tip_hash)
+    assert block == honest.blocks[honest.tip_hash]
 
-    # other query types still reach the honest peer
-    block, _ = transport.query_block(honest.tip_hash)
-    assert block.header.height == honest.tip_height
-
-    flags = [e.get("intercepted") for e in bus.trace
-             if e["kind"] == "message" and e["dst"] == "victim"]
-    assert flags == [True, False]
+    flags = [(e["dst"], e.get("intercepted")) for e in bus.trace
+             if e["kind"] == "message" and e["dst"] in ("victim", "other")]
+    assert flags == [("victim", True), ("victim", True), ("other", False)]
 
 
 def test_transform_rewrites_response_in_flight():
@@ -193,7 +193,7 @@ def test_transform_rewrites_response_in_flight():
     bus = Bus(seed=0)
     bus.register("peer", FullNodeService(node))
     bus.attach_adversary(Adversary(
-        victim="victim", shadow=None, hijack=set(),
+        victim="victim", shadow=None,
         transforms={MSG_QUERY_BLOCK + 1: lambda raw: raw[:-1] + bytes([raw[-1] ^ 1])}))
     transport = BusTransport(bus, "victim", "peer")
     clean = BusTransport(bus, "other", "peer")

@@ -186,6 +186,11 @@ def test_seed_override_lands_in_report():
     assert run.passed  # expectations here do not depend on the seed
 
 
+def test_a_seed_override_outside_the_key_derivation_is_a_config_error():
+    with pytest.raises(ScenarioError, match=r"seed 18446744073709551616 is not in \[0, 2\*\*64\)"):
+        run_scenario(_cfg(), seed_override=1 << 64)
+
+
 def test_missing_required_key_rejected():
     for dropped in ("name", "seed", "nodes", "script"):
         cfg = _cfg()
@@ -284,6 +289,31 @@ def test_cli_run_refuses_out_of_range_params(capsys, tmp_path):
     ({"action": "corrupt_shard", "victim": "nobody"}, "'nobody' is not a light node"),
     ("mine", "step 'mine' is not an object"),
     ({"action": "repeat", "count": 2, "steps": ["mine"]}, "step 'mine' is not an object"),
+    ({"action": "mine", "reward": "alice", "count": "3"},
+     "mine step 'count' is '3', not an integer"),
+    ({"action": "mine", "reward": "alice", "count": True},
+     "mine step 'count' is True, not an integer"),
+    ({"action": "mine", "node": ["full-1"], "reward": "alice"},
+     "mine step 'node' is ['full-1'], not a name"),
+    ({"action": "repeat", "count": "2", "steps": []},
+     "repeat step 'count' is '2', not an integer"),
+    ({"action": "repeat", "count": 2, "steps": [{"action": "mine", "reward": "alice",
+                                                  "count": 1.5}]},
+     "mine step 'count' is 1.5, not an integer"),
+    ({"action": "pay", "from": "alice", "to": "carol", "amount": "10"},
+     "pay step 'amount' is '10', not an integer"),
+    ({"action": "pay", "from": "alice", "to": "carol", "amount": 10, "fee": "1"},
+     "pay step 'fee' is '1', not an integer"),
+    ({"action": "pay", "from": "alice", "to": "carol", "amount": 10, "label": ["p"]},
+     "pay step 'label' is ['p'], not a name"),
+    ({"action": "forge_chain", "attacker": "alice", "forge_count": "2", "victim": "carol-node"},
+     "forge_chain step 'forge_count' is '2', not an integer"),
+    ({"action": "update", "nodes": "carol-node"},
+     "update step 'nodes' is 'carol-node', not a list of names"),
+    ({"action": "corrupt_shard", "victim": ["carol-node"]},
+     "corrupt_shard step 'victim' is ['carol-node'], not a name"),
+    ({"action": "double_spend", "spent_tx": "p1", "victims": "carol-node"},
+     "double_spend step 'victims' is 'carol-node', not a list of names"),
 ])
 def test_cli_run_reports_a_bad_step_as_a_config_error(capsys, tmp_path, step, message):
     """A step that cannot run is a config error naming what is wrong:
@@ -354,6 +384,17 @@ def test_cli_run_reports_a_bad_expectation_before_any_step(capsys, tmp_path, mon
                 {"id": "sable-node", "role": "spv", "keys": ["carol"]}]},
      "'sable-node' is not a full node"),
     ({"script": "mine"}, "steps 'mine' are not a list"),
+    ({"seed": "1"}, "config 'seed' is '1', not an integer"),
+    ({"seed": -1}, "seed -1 is not in [0, 2**64)"),
+    ({"keys": "alice"}, "config 'keys' is 'alice', not a list of names"),
+    ({"nodes": [{"id": "full-1"}, {"id": "carol-node", "role": "diet", "keys": "carol"}]},
+     "node 'carol-node' 'keys' is 'carol', not a list of names"),
+    ({"nodes": [{"id": "full-1"},
+                {"id": "carol-node", "role": "diet", "keys": ["carol"], "max_length": "2"}]},
+     "node 'carol-node' 'max_length' is '2', not an integer"),
+    ({"nodes": [{"id": "full-1"},
+                {"id": "carol-node", "role": "diet", "keys": ["carol"], "max_depth": False}]},
+     "node 'carol-node' 'max_depth' is False, not an integer"),
 ])
 def test_cli_run_reports_a_bad_node_spec_before_any_step(capsys, tmp_path, monkeypatch,
                                                          overrides, message):

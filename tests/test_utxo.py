@@ -345,7 +345,7 @@ def test_state_before_reconstructs_committed_history():
     oracle = _FlatOracle()
     for h, block in enumerate(blocks):
         oracle.apply(block)
-        k = store.k_at(h)
+        k = store.touched_log[h].k_after
         shards, partial = store.state_before(h + 1, set(range(1 << k)))
         flat = sorted(c for s in shards.values() for c in s.coins)
         assert flat == sorted(oracle.committed.values())
@@ -366,7 +366,7 @@ def test_state_before_bounds():
 def test_state_before_refuses_an_index_outside_the_tree():
     rng = random.Random(30)
     blocks, store = _random_history(rng, 5)
-    k = store.k_at(store.height - 1)
+    k = store.touched_log[store.height - 1].k_after
     store.state_before(store.height, {(1 << k) - 1})
     with pytest.raises(ValueError):
         store.state_before(store.height, {1 << k})
@@ -434,7 +434,7 @@ def _assert_matches_replay(store: VersionedShardStore, chain: list[Block]) -> No
     for h, block in enumerate(chain):
         roots.append(fresh.apply_block(block, h))
         oracle.apply(block)
-        committed.append(oracle.shard_blobs(store.k_at(h)))
+        committed.append(oracle.shard_blobs(store.touched_log[h].k_after))
     leaves = [_h(encode_shard_coins(store.shards[i])) for i in range(1 << store.k)]
     assert store.current_root == build_root(leaves)
     assert sorted(c for coins in store.shards.values() for c in coins) == \
@@ -442,10 +442,8 @@ def _assert_matches_replay(store: VersionedShardStore, chain: list[Block]) -> No
     assert store.pending == oracle.pending
     assert store.total_shard_bytes() == sum(
         len(encode_shard_coins(coins)) for coins in store.shards.values())
-    assert (store.height, store.k, store.versions, store.touched_log, store.rebalance_log,
-            store._frozen) == \
-        (fresh.height, fresh.k, fresh.versions, fresh.touched_log, fresh.rebalance_log,
-         fresh._frozen)
+    assert (store.height, store.k, store.versions, store.touched_log, store.rebalance_log) == \
+        (fresh.height, fresh.k, fresh.versions, fresh.touched_log, fresh.rebalance_log)
     assert [record.shard_bytes for record in store.touched_log.values()] == \
         [sum(map(len, blobs)) for blobs in committed]
     # every pre-state proof, for the whole tree, the block's own served set
@@ -518,7 +516,7 @@ def test_recent_state_before_rehashes_only_what_changed(monkeypatch):
     rng = random.Random(33)
     _, store = _random_history(rng, 12, initial_k=8)
     split_rng = random.Random(34)
-    split = VersionedShardStore(initial_k=0, size_cap=160)
+    split = VersionedShardStore(initial_k=2, size_cap=160)
     while not split.rebalance_log:
         block = _next_block(split, split_rng)
         split.apply_block(block, block.header.height)
@@ -536,8 +534,70 @@ def test_recent_state_before_rehashes_only_what_changed(monkeypatch):
     calls.clear()
     store.state_before(tip + 1, set(range(1 << store.k)))
     assert calls == []  # the live tree is the tip's state
-    split.state_before(split.height, set(range(1 << split.touched_log[split.height].k)))
-    assert calls == []  # a split block's pre-state is the tree kept at the split
+    k = split.touched_log[split.height].k
+    split.state_before(split.height, set(range(1 << k)))
+    # a split block's pre-state is built from its journal entry: every
+    # leaf of the coarser tree, then every inner node
+    assert k == 2 and len(calls) == 2 * (1 << k) - 1
+
+
+def test_state_before_across_two_splits_matches_the_flat_oracle(monkeypatch):
+    """Under a horizon that keeps two splits and the blocks around them,
+    every pre-state above the floor, whole and in a random part, equals
+    the flat oracle's shards at that height, and its tree recomputes the
+    root committed there. A pre-state below a split is rebuilt from the
+    split's journal entry, with the entries below it merged in."""
+    monkeypatch.setattr("dietchain.utxo.HISTORY_HORIZON", 8)
+    rng = random.Random(44)
+    store = VersionedShardStore(initial_k=0, size_cap=160)
+    oracle = _FlatOracle()
+    blobs, roots = [], []  # per height: the oracle's shards, the committed root
+
+    def splits_above_the_floor() -> list[int]:
+        return sorted({step.height for step in store.rebalance_log if step.height > store.floor})
+    while (store.floor < 1 or len(splits_above_the_floor()) < 2
+           or store.height < store.rebalance_log[-1].height + 2):
+        block = _next_block(store, rng)
+        roots.append(store.apply_block(block, store.next_height))
+        oracle.apply(block)
+        blobs.append(oracle.shard_blobs(store.k))
+    assert splits_above_the_floor() == [2, 4, 7] and store.floor == 1
+    for h in range(store.floor + 1, store.height + 2):
+        n = len(blobs[h - 1])
+        for subset in (set(range(n)), set(rng.sample(range(n), rng.randrange(1, n + 1)))):
+            shards, partial = store.state_before(h, subset)
+            assert {i: shard.encoded for i, shard in shards.items()} == \
+                {i: blobs[h - 1][i] for i in subset}
+            assert partial == extract_partial(_FlatOracle.leaves(blobs[h - 1]), subset)
+            assert partial_root(partial) == roots[h - 1]
+
+
+def test_a_clone_rewound_across_a_split_serves_what_its_source_served():
+    """A clone rewound below a split rebuilds the coarser tree from the
+    split's journal entry: it serves every pre-state its source served at
+    or below its new tip, and after taking the same blocks again it
+    serves all of them."""
+    rng = random.Random(45)
+    source = VersionedShardStore(initial_k=1, size_cap=160)
+    blocks = []
+    while not source.rebalance_log or source.height < source.rebalance_log[-1].height + 2:
+        blocks.append(_next_block(source, rng))
+        source.apply_block(blocks[-1], source.next_height)
+    split = source.rebalance_log[-1].height
+
+    def served(store: VersionedShardStore, heights) -> dict:
+        return {h: store.state_before(h, set(range(1 << store.touched_log[h - 1].k_after)))
+                for h in heights}
+
+    before = served(source, range(1, source.height + 2))
+    twin = source.clone()
+    twin.rewind_to(split - 1)
+    assert twin.k < source.k
+    assert served(twin, range(1, split + 1)) == {h: before[h] for h in range(1, split + 1)}
+    for block in blocks[split:]:
+        twin.apply_block(block, twin.next_height)
+    assert served(twin, range(1, twin.height + 2)) == before
+    assert store_state(twin) == store_state(source)
 
 
 @pytest.mark.parametrize("cap", [-1, 0, 2, COIN_SIZE - 1])
@@ -565,9 +625,8 @@ def test_the_default_horizon_keeps_288_blocks_of_history():
 def _assert_bounded_history(store: VersionedShardStore, chain: list[Block]) -> None:
     """The store equals a replay of ``chain`` from genesis on everything
     but pruned history, serves every pre-state at or above its floor as
-    the replay does, refuses every one below it, keeps a journal entry
-    for exactly the heights above its floor and no kept tree of a ``k``
-    below the floor's."""
+    the replay does, refuses every one below it and keeps a journal entry
+    for exactly the heights above its floor."""
     fresh = VersionedShardStore(initial_k=store.initial_k, size_cap=store.size_cap)
     oracle = _FlatOracle()
     roots = [fresh.apply_block(block, h) for h, block in enumerate(chain)]
@@ -582,7 +641,7 @@ def _assert_bounded_history(store: VersionedShardStore, chain: list[Block]) -> N
         (fresh.height, fresh.k, fresh.touched_log, fresh.rebalance_log)
     rng = random.Random(len(chain))
     for h in range(1, len(chain) + 1):
-        n = 1 << store.k_at(h - 1)
+        n = 1 << store.touched_log[h - 1].k_after
         subset = set(rng.sample(range(n), rng.randrange(1, n + 1)))
         if h - 1 < store.floor:
             with pytest.raises(HistoryUnavailableError):
@@ -592,9 +651,6 @@ def _assert_bounded_history(store: VersionedShardStore, chain: list[Block]) -> N
         assert (shards, partial) == fresh.state_before(h, subset)
         assert partial_root(partial) == roots[h - 1]
     assert len(store._undo_pending) == len(chain) - 1 - store.floor
-    if store.floor >= 0:
-        k_floor = store.k_at(store.floor)
-        assert all(k >= k_floor for k in store._frozen)
     assert list(store.versions) == list(range(store.floor + 1, store.next_height))
 
 
@@ -664,11 +720,21 @@ def test_bounded_history_matches_a_replay_from_genesis(horizon, initial_k, cap, 
 
 
 def test_store_state_covers_every_state_field():
-    """The undo, rewind and clone tests compare stores by
-    ``conftest.store_state``, so it names every field the store writes
-    (its ``init=False`` fields, leading underscore dropped)."""
-    state = {f.name.lstrip("_") for f in dataclasses.fields(VersionedShardStore) if not f.init}
-    assert set(store_state(VersionedShardStore())) == state
+    """The undo, rewind, replay and clone tests compare stores by
+    ``conftest.store_state``, so it copies every field of the store,
+    leading underscore dropped, but the two settings a store never
+    changes: a field added without it would escape every such check.
+    Each copy is a new container, so later blocks leave it as it was."""
+    state = {f.name.lstrip("_") for f in dataclasses.fields(VersionedShardStore)} - \
+        {"initial_k", "size_cap"}
+    store = VersionedShardStore(initial_k=1, size_cap=160)
+    store.apply_block(_next_block(store, random.Random(46)), 0)
+    snapshot = store_state(store)
+    assert set(snapshot) == state
+    for name, value in snapshot.items():
+        live = getattr(store, name if hasattr(store, name) else "_" + name)
+        assert value == live
+        assert value is not live or isinstance(value, (int, type(None)))
 
 
 def test_a_clone_and_its_source_evolve_apart(monkeypatch):
@@ -684,7 +750,7 @@ def test_a_clone_and_its_source_evolve_apart(monkeypatch):
     while len(source.rebalance_log) < 2 or source.height < source.rebalance_log[-1].height + 2:
         source.apply_block(_next_block(source, rng), source.next_height)
     split = source.rebalance_log[-1].height
-    k_split = source.k_at(split)
+    k_split = source.touched_log[split].k_after
     assert source.floor < split - 1
     twin = source.clone()
     sides = [(source, copy.deepcopy(source), random.Random(1)),
