@@ -52,6 +52,12 @@ class DietConfig:
     max_length: int = 2       # verification window length
     diet_enabled: bool = True # off: behave as a plain SPV client
 
+    def __post_init__(self):
+        # below one block, no window is ever verified: every payment would be spv-only
+        for name in ("max_depth", "max_length"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+
 
 def compute_verification_range(highest_verified: int, tip_height: int,
                                max_depth: int, max_length: int,
@@ -246,8 +252,9 @@ class DietNode:
                      pending: list[Coin]) -> tuple[ShardView, PartialMerkleTree]:
         """Ask for the shards the block touched, check each served leaf and
         the proof against the ``trusted`` root, and open the block's view
-        on the shards, with ``pending`` placed, plus the proof. The served
-        bytes are dropped on return; the view holds the decoded coins."""
+        on the shards, with ``pending`` placed, plus the proof. The view
+        holds each served shard's decoded coins and its checked bytes,
+        which a split slices instead of packing the shard again."""
         response = self._ask("query_utxos", block_hash, height, "utxos_bytes")
         tree = response.tree
         total = tree.total_leaves
@@ -269,7 +276,8 @@ class DietNode:
             raise ValidationError("shard-proof-mismatch", str(exc), height=height)
         shards = {idx: shard.coins for idx, shard in response.shards.items()}
         view = ShardView(shards, total.bit_length() - 1, sum(map(len, shards.values())),
-                         pending, height)
+                         pending, height,
+                         {idx: shard.encoded for idx, shard in response.shards.items()})
         return view, tree
 
     def _ask(self, query: str, block_hash: bytes, height: int, note: str | None = None):

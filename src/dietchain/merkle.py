@@ -126,9 +126,10 @@ def partial_root(p: PartialMerkleTree) -> bytes:
     Raises IncompleteProofError if a needed node is neither included,
     provided as a sibling, nor an odd-layer self-pair.
 
-    The walk keeps one ``{index: hash}`` dict per level, in increasing
-    index order: the nodes the proof's paths reach there. A node of the
-    paths wins over a sibling given at the same place.
+    The walk keeps, per level, the sorted indices the proof's paths reach
+    there and their hashes, and pairs each with its neighbour: the next
+    path node if that is its pair, else a sibling. A node of the paths
+    wins over a sibling given at the same place.
     """
     widths = _layer_widths(p.total_leaves)
     given: list[dict[int, bytes]] = [{} for _ in widths]
@@ -137,30 +138,31 @@ def partial_root(p: PartialMerkleTree) -> bytes:
             raise IncompleteProofError(f"sibling ({level}, {idx}) outside the tree")
         given[level][idx] = h
 
-    nodes = dict(sorted(p.included.items()))
+    indices = sorted(p.included)
+    hashes = [p.included[i] for i in indices]
     for level, width in enumerate(widths[:-1]):
         siblings = given[level]
-        parents: dict[int, bytes] = {}
-        for i in nodes:
-            j = i >> 1
-            if j in parents:
-                continue
-            left = nodes.get(2 * j)
-            if left is None:
-                left = siblings.get(2 * j)
-            if 2 * j + 1 < width:
-                right = nodes.get(2 * j + 1)
-                if right is None:
-                    right = siblings.get(2 * j + 1)
-            else:
-                right = left  # odd layer: last node pairs with itself
+        parents: list[int] = []
+        parent_hashes: list[bytes] = []
+        n, at = len(indices), 0
+        while at < n:
+            i = indices[at]
+            if i & 1:  # a right node whose left is off the paths
+                left, right = siblings.get(i - 1), hashes[at]
+                at += 1
+            elif at + 1 < n and indices[at + 1] == i + 1:
+                left, right = hashes[at], hashes[at + 1]
+                at += 2
+            else:  # a left node: its right is a sibling, or itself at an odd layer's end
+                left = hashes[at]
+                right = siblings.get(i + 1) if i + 1 < width else left
+                at += 1
             if left is None or right is None:
-                raise IncompleteProofError(
-                    f"missing node at level {level}, pair {j}"
-                )
-            parents[j] = hash256(left + right)
-        nodes = parents
-    return nodes[0]
+                raise IncompleteProofError(f"missing node at level {level}, pair {i >> 1}")
+            parents.append(i >> 1)
+            parent_hashes.append(hash256(left + right))
+        indices, hashes = parents, parent_hashes
+    return hashes[0]
 
 
 def contains(p: PartialMerkleTree, leaf_hash: bytes) -> bool:

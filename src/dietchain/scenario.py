@@ -269,11 +269,14 @@ def _build(cfg: dict) -> ScenarioState:
             key_names = spec.get("keys", [])
             if not key_names:
                 raise ScenarioError(f"light node {node_id!r} watches no keys")
-            config = DietConfig(
-                keys=tuple(state.key(n).public_key for n in key_names),
-                diet_enabled=role == "diet",
-                **{name: spec[name] for name in ("max_depth", "max_length") if name in spec},
-            )
+            try:
+                config = DietConfig(
+                    keys=tuple(state.key(n).public_key for n in key_names),
+                    diet_enabled=role == "diet",
+                    **{name: spec[name] for name in ("max_depth", "max_length") if name in spec},
+                )
+            except ValueError as exc:
+                raise ScenarioError(f"bad light node {node_id!r}: {exc}") from exc
             peer = spec.get("peer", state.reference)
             diet = DietNode(params, config, BusTransport(state.bus, node_id, peer))
             service = DietNodeService(diet)

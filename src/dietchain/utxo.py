@@ -21,6 +21,9 @@ implementation of each, which the store and a diet node both run:
   fits. The split runs before root computation, so committed
   roots always describe the post-split tree, and it is a pure function
   of the coin set, so any verifier holding all shards can replay it.
+  A shard's coins are in outpoint order, so the txid bits it gains cut
+  them into contiguous runs: each child is a slice of its parent's coin
+  list and of its parent's bytes, and no coin is re-bucketed.
 
 A block is applied in three steps: ``open`` returns a view of the live
 shards, on which the body rules run; ``commit`` closes the view and
@@ -111,6 +114,7 @@ def coins_of(tx: Transaction) -> list[Coin]:
 
 
 _COIN = struct.Struct("<32sIQ32s")  # a coin's wire fields, in Coin's order
+_TXID = attrgetter("outpoint.txid")
 
 
 def encode_shard_coins(coins: list[Coin]) -> bytes:
@@ -153,7 +157,9 @@ class Shard:
 
 
 def _unpack_coins(data: bytes) -> tuple[Coin, ...]:
-    return tuple([Coin(OutPoint(tid, n), value, challenge)
+    # tuple.__new__ builds each NamedTuple without its Python-level constructor
+    new = tuple.__new__
+    return tuple([new(Coin, (new(OutPoint, (tid, n)), value, challenge))
                   for tid, n, value, challenge in _COIN.iter_unpack(data)])
 
 
@@ -182,8 +188,11 @@ class ShardView:
     """
 
     def __init__(self, shards: Mapping[int, Sequence[Coin]], k: int, coin_count: int,
-                 pending: Iterable[Coin], height: int):
+                 pending: Iterable[Coin], height: int,
+                 encoded: Mapping[int, bytes] | None = None):
         self.shards = shards
+        # index -> wire bytes of that shard as handed in, where the holder has them
+        self.encoded = encoded or {}
         self.k = k
         self.coin_count = coin_count  # coins in the shards held
         self.height = height
@@ -240,18 +249,38 @@ class ShardView:
         return k
 
     def close(self, size_cap: int) -> dict[int, bytes]:
-        """Finish the block: the split (:meth:`_split_k`; each shard splits
-        by the txid bits it gains). Returns the leaf hashes of the edited
-        shards (all, after a split) by index."""
+        """Finish the block: the split (:meth:`_split_k`). Returns the leaf
+        hashes of the edited shards (all, after a split) by index.
+
+        A split cuts each shard into the runs the txid bits it gains give,
+        found by bisection, as its coins are in outpoint order: each child
+        is a slice of the shard's coin list and of its bytes. The bytes are
+        the ones handed in for a shard the view did not edit; any other
+        shard is packed once."""
         k = self._split_k(size_cap)
-        if k != self.k:
-            split: dict[int, list[Coin]] = {i: [] for i in range(1 << k)}
-            for idx, coins in self.shards.items():
-                for coin in self.edited.get(idx, coins):
-                    split[shard_key(coin.outpoint.txid, k)].append(coin)
-            self.k, self.shards, self.edited = k, split, split
-        return {idx: shard_leaf(encode_shard_coins(self.edited[idx]))
-                for idx in sorted(self.edited)}
+        if k == self.k:
+            return {idx: shard_leaf(encode_shard_coins(self.edited[idx]))
+                    for idx in sorted(self.edited)}
+        bits = k - self.k
+        split: dict[int, list[Coin]] = {}
+        leaves: dict[int, bytes] = {}
+        for idx in range(1 << self.k):
+            coins, encoded = self.edited.get(idx), None
+            if coins is None:
+                coins, encoded = self.shards[idx], self.encoded.get(idx)
+            if encoded is None:
+                encoded = encode_shard_coins(coins)
+            children = range(idx << bits, (idx + 1) << bits)
+            cuts = [0]
+            for child in children[1:]:
+                bound = (child << (32 - k)).to_bytes(4, "big")  # the child's first txid prefix
+                cuts.append(bisect.bisect_left(coins, bound, cuts[-1], key=_TXID))
+            cuts.append(len(coins))
+            for child, start, end in zip(children, cuts, cuts[1:]):
+                split[child] = coins[start:end]
+                leaves[child] = shard_leaf(encoded[COIN_SIZE * start:COIN_SIZE * end])
+        self.k, self.shards, self.edited = k, split, split
+        return leaves
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,17 @@ def test_there_are_records():
     assert RECORDS
 
 
+def test_each_pr_with_a_record_has_one_for_every_workload():
+    """A perf claim rests on the whole trajectory: a PR number that saved
+    any record saved one per declared workload."""
+    saved: dict[str, set[str]] = {}
+    for path in RECORDS:
+        match = re.fullmatch(r"BENCH_(\d+)_(.+)\.json", path.name)
+        if match:
+            saved.setdefault(match.group(1), set()).add(match.group(2))
+    assert {pr: WORKLOADS - names for pr, names in saved.items() if WORKLOADS - names} == {}
+
+
 @pytest.mark.parametrize("path", RECORDS, ids=lambda p: p.name)
 def test_a_record_is_a_correct_run_of_a_declared_workload(path):
     match = re.fullmatch(r"BENCH_(\d+)_(.+)\.json", path.name)

@@ -7,6 +7,7 @@ import pytest
 from conftest import FAST, coins_owned, key_of, mined_node, payment, store_state
 from hypothesis import given, settings, strategies as st
 
+from dietchain import utxo
 from dietchain.chain import (
     COIN_SIZE,
     Block,
@@ -83,6 +84,16 @@ def test_verification_range_nothing_new():
 def test_verification_range_resumes_from_verified():
     # already verified past the depth/length clamp: continue from there
     assert compute_verification_range(16, 20, 100, 100, 19) == (16, 19)
+
+
+@pytest.mark.parametrize("name, value", [("max_length", 0), ("max_length", -1),
+                                         ("max_depth", 0), ("max_depth", -3)])
+def test_a_window_below_one_block_is_refused(name, value):
+    """Below one block a diet node would never verify a window and would
+    give every payment ``spv-only``; the config refuses it."""
+    with pytest.raises(ValueError, match=f"{name} must be at least 1, got {value}"):
+        DietConfig(keys=(CAROL.public_key,), **{name: value})
+    assert getattr(DietConfig(keys=(CAROL.public_key,), **{name: 1}), name) == 1
 
 
 def test_honest_updates_verify_and_advance():
@@ -202,6 +213,79 @@ def test_the_diet_replay_edits_exactly_the_shards_served(monkeypatch):
             assert served == total
         else:
             assert edited == included == set(node.utxo.versions[height])
+
+
+def _replayed_closes(monkeypatch, node: FullNode) -> tuple[list, dict]:
+    """Verify one window over every block of ``node``'s chain on a
+    fresh diet node watching Carol. Returns the verdicts and, by height,
+    what closing the replayed view did: ``k`` before and after, the
+    shards the body edited, the ``encode_shard_coins`` calls the close
+    made and the root the diet node derived."""
+    closes = {}
+    rebuild = DietNode._rebuild_root
+    packed = []
+    encode = utxo.encode_shard_coins
+
+    def counting_encode(coins):
+        packed.append(len(coins))
+        return encode(coins)
+
+    def recording(self, view, tree):
+        k, edited = view.k, set(view.edited)
+        packed.clear()
+        monkeypatch.setattr(utxo, "encode_shard_coins", counting_encode)
+        try:
+            root = rebuild(self, view, tree)
+        finally:
+            monkeypatch.setattr(utxo, "encode_shard_coins", encode)
+        closes[view.height] = (k, view.k, edited, len(packed), root)
+        return root
+
+    monkeypatch.setattr(DietNode, "_rebuild_root", recording)
+    depth = node.tip_height
+    diet = _wire(node, DietConfig(keys=(CAROL.public_key,), max_depth=depth,
+                                  max_length=depth))
+    return diet.update_chain().verdicts, closes
+
+
+def test_a_split_in_a_window_packs_only_the_shards_the_block_edited(monkeypatch):
+    """A split cuts each served shard into runs and slices the served
+    bytes, so closing a window's split block packs each shard the body
+    edited once and no other: not the ``2**(k+1)`` children."""
+    params = ChainParams(target_bits=5, subsidy=50, size_cap=256, initial_k=2)
+    node = mined_node(params, ALICE, 2, seed=46)
+    for i in range(8):
+        node.submit_transaction(payment(node, ALICE, [(ALICE.challenge, 2)] * 6
+                                        + [(CAROL.challenge, 3)]))
+        mine_on(node, ALICE.public_key, seed=246 + i)
+    verdicts, closes = _replayed_closes(monkeypatch, node)
+    assert {v.status for v in verdicts} == {"diet-verified"}
+    assert sorted(closes) == list(range(1, node.tip_height + 1))
+    splits = [h for h, (k, k_after, *_) in closes.items() if k_after != k]
+    assert splits
+    for height, (k, k_after, edited, packs, root) in closes.items():
+        assert packs == len(edited)
+        if height in splits:
+            assert len(edited) < 1 << k  # some shards were served and left as they were
+        assert root == commitment_of(node.blocks[node.headers.active_hash_at(height)])
+
+
+def test_a_window_verifies_a_block_that_splits_by_two_bits(monkeypatch):
+    """A block that adds enough coins to split twice at once cuts each
+    served shard into four runs; the diet node verifies it and derives
+    the root the full node committed."""
+    params = ChainParams(target_bits=5, subsidy=50, size_cap=256, initial_k=1)
+    node = mined_node(params, ALICE, 2, seed=47)
+    node.submit_transaction(payment(node, ALICE, [(ALICE.challenge, 1)] * 12
+                                    + [(CAROL.challenge, 3)]))
+    mine_on(node, ALICE.public_key, seed=247)
+    record = node.utxo.touched_log[node.tip_height]
+    assert (record.k, record.k_after) == (1, 3)
+    verdicts, closes = _replayed_closes(monkeypatch, node)
+    assert [v.status for v in verdicts] == ["diet-verified"]
+    k, k_after, _, _, root = closes[node.tip_height]
+    assert (k, k_after) == (1, 3)
+    assert root == commitment_of(node.blocks[node.tip_hash]) == node.utxo.current_root
 
 
 class _ExtraSiblingService(FullNodeService):

@@ -310,6 +310,79 @@ def test_partial_root_of_any_tree_is_the_reference_walks(total, leaves, siblings
         assert partial_root(p) == expected
 
 
+def _dict_walk(p: PartialMerkleTree) -> bytes:
+    """The root walk ``partial_root`` ran before it paired sorted path
+    indices: one ``{index: hash}`` dict of path nodes per level, both
+    children of every pair looked up there or among the siblings."""
+    widths = [p.total_leaves]
+    while widths[-1] > 1:
+        widths.append((widths[-1] + 1) // 2)
+    given: list[dict[int, bytes]] = [{} for _ in widths]
+    for (level, idx), h in p.siblings.items():
+        if level >= len(widths) or not 0 <= idx < widths[level]:
+            raise IncompleteProofError(f"sibling ({level}, {idx}) outside the tree")
+        given[level][idx] = h
+    nodes = dict(sorted(p.included.items()))
+    for level, width in enumerate(widths[:-1]):
+        parents: dict[int, bytes] = {}
+        for i in nodes:
+            j = i >> 1
+            if j in parents:
+                continue
+            left = nodes.get(2 * j, given[level].get(2 * j))
+            if 2 * j + 1 < width:
+                right = nodes.get(2 * j + 1, given[level].get(2 * j + 1))
+            else:
+                right = left
+            if left is None or right is None:
+                raise IncompleteProofError(f"missing node at level {level}, pair {j}")
+            parents[j] = _h(left + right)
+        nodes = parents
+    return nodes[0]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), n=st.integers(1, 40),
+       edit=st.sampled_from(["none", "drop", "outside", "on-path", "junk"]))
+def test_partial_root_pairs_sorted_paths_as_the_dict_walk_does(data, n, edit):
+    """Real partial trees over any width, odd ones and a single leaf
+    included, given whole, with one sibling dropped, with a sibling
+    outside the tree, with a sibling where a path node is, or with a
+    stray sibling anywhere: ``partial_root`` returns the dict walk's
+    root, or raises its first error, word for word."""
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+    leaves = _leaves(rng, n)
+    include = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
+    partial = extract_partial(leaves, include)
+    siblings = dict(partial.siblings)
+    widths = [n]
+    while widths[-1] > 1:
+        widths.append((widths[-1] + 1) // 2)
+    if edit == "drop" and siblings:
+        del siblings[data.draw(st.sampled_from(sorted(siblings)))]
+    elif edit == "outside":
+        level = data.draw(st.integers(0, len(widths)))
+        idx = widths[level] if level < len(widths) else 0
+        siblings[(level, idx)] = rng.randbytes(32)
+    elif edit == "on-path":
+        level = data.draw(st.integers(0, len(widths) - 1))
+        paths = {i >> level for i in include}
+        siblings[(level, data.draw(st.sampled_from(sorted(paths))))] = rng.randbytes(32)
+    elif edit == "junk":
+        level = data.draw(st.integers(0, len(widths) - 1))
+        siblings[(level, data.draw(st.integers(0, widths[level] - 1)))] = rng.randbytes(32)
+    p = PartialMerkleTree(n, dict(partial.included), siblings)
+    try:
+        expected = _dict_walk(p)
+    except IncompleteProofError as exc:
+        with pytest.raises(IncompleteProofError, match=re.escape(str(exc))):
+            partial_root(p)
+    else:
+        assert partial_root(p) == expected
+        if edit in ("none", "on-path"):
+            assert expected == build_root(leaves)
+
+
 def test_a_sibling_given_where_the_paths_reach_is_ignored():
     """A sibling placed on an included leaf, or on a node the included
     leaves hash to, never replaces that node, left or right of its pair."""

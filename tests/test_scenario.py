@@ -395,12 +395,21 @@ def test_cli_run_reports_a_bad_expectation_before_any_step(capsys, tmp_path, mon
     ({"nodes": [{"id": "full-1"},
                 {"id": "carol-node", "role": "diet", "keys": ["carol"], "max_depth": False}]},
      "node 'carol-node' 'max_depth' is False, not an integer"),
+    ({"nodes": [{"id": "full-1"},
+                {"id": "carol-node", "role": "diet", "keys": ["carol"], "max_length": -1}]},
+     "bad light node 'carol-node': max_length must be at least 1, got -1"),
+    ({"nodes": [{"id": "full-1"},
+                {"id": "carol-node", "role": "diet", "keys": ["carol"], "max_length": 0}]},
+     "bad light node 'carol-node': max_length must be at least 1, got 0"),
+    ({"nodes": [{"id": "full-1"},
+                {"id": "carol-node", "role": "diet", "keys": ["carol"], "max_depth": -3}]},
+     "bad light node 'carol-node': max_depth must be at least 1, got -3"),
 ])
 def test_cli_run_reports_a_bad_node_spec_before_any_step(capsys, tmp_path, monkeypatch,
                                                          overrides, message):
-    """A node spec without an id, or a light node whose peer is not a
-    full node, is a config error found before the script runs, as is a
-    script that is not a list of steps."""
+    """A node spec without an id, a light node whose peer is not a full
+    node or whose window is below one block, is a config error found
+    before the script runs, as is a script that is not a list of steps."""
     steps = []
     monkeypatch.setattr(scenario, "_run_step", lambda state, step: steps.append(step))
     path = tmp_path / "bad_nodes.json"

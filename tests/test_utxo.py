@@ -5,10 +5,11 @@ import dataclasses
 import hashlib
 import random
 import struct
+from unittest import mock
 
 import pytest
 from conftest import store_state
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dietchain.chain import (
     KIND_COMMITMENT,
@@ -29,6 +30,7 @@ from dietchain.utxo import (
     HISTORY_HORIZON,
     Coin,
     Shard,
+    ShardView,
     VersionedShardStore,
     coins_of,
     decode_shard,
@@ -319,6 +321,63 @@ def test_split_refines_shards_and_halves_averages():
     for i, coins in store.shards.items():
         for coin in coins:
             assert shard_key(coin.outpoint.txid, store.k) == i
+
+
+def _rebucketed(parents: list, k: int) -> dict[int, list[Coin]]:
+    """The split by definition: every coin, in order, to the shard its
+    first ``k`` txid bits name."""
+    split: dict[int, list[Coin]] = {i: [] for i in range(1 << k)}
+    for coins in parents:
+        for coin in coins:
+            split[shard_key(coin.outpoint.txid, k)].append(coin)
+    return split
+
+
+# txids whose first four bytes sit on, or one off, a boundary between shards
+# of any k up to 6; such a txid is where a misplaced cut would show
+_TXIDS = st.builds(lambda m, delta, rest: (((m << 26) + delta) % 2**32).to_bytes(4, "big") + rest,
+                   st.integers(0, 63), st.integers(-1, 1), st.binary(min_size=28, max_size=28))
+_OUTPOINTS = st.tuples(_TXIDS, st.integers(0, 2))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(0, 3), bits=st.integers(1, 3),
+       outpoints=st.sets(_OUTPOINTS, max_size=40), added=st.sets(_OUTPOINTS, max_size=4),
+       spent=st.sets(st.integers(0, 39), max_size=4), served=st.booleans())
+def test_a_split_cuts_each_shard_as_rebucketing_every_coin_does(k, bits, outpoints, added,
+                                                                spent, served):
+    """``ShardView.close`` cuts each shard into sorted runs and slices its
+    coins and bytes; over shards in ``2**k`` buckets, split by 1-3 bits,
+    some edited (coins added or spent), with the holder's bytes or none,
+    it gives the shard lists and leaves of putting every coin in its new
+    shard, and hashes each child's own encoding. Served bytes of an
+    edited shard are its bytes before the edits, which must not be used."""
+    coins = [Coin(OutPoint(tid, n), len(tid) + n, _h(tid)) for tid, n in sorted(outpoints)]
+    shards = {i: tuple(c) if served else c for i, c in _rebucketed([coins], k).items()}
+    encoded = {i: encode_shard_coins(list(c)) for i, c in shards.items()} if served else None
+    view = ShardView(shards, k, len(coins), [], 1, encoded)
+    for tid, n in added - outpoints:
+        view.insert(Coin(OutPoint(tid, n), n, bytes(32)))
+    gone = [coins[i].outpoint for i in spent if i < len(coins)]
+    if gone:
+        view.absorb(Transaction(version=0, outputs=(), inputs=tuple(
+            TxInput(prevout=o, public_key=bytes(33), signature=bytes(64)) for o in gone)))
+    assume(view.coin_count)
+    expected = _rebucketed([view.edited.get(i, c) for i, c in shards.items()], k + bits)
+    # the smallest cap at which the coins fit in 2**(k + bits) shards, not in half as many
+    cap = -(-COIN_SIZE * view.coin_count // (1 << (k + bits)))
+    hashed = []
+
+    def recording_leaf(data: bytes) -> bytes:
+        hashed.append(data)
+        return _h(data)
+
+    with mock.patch("dietchain.utxo.shard_leaf", recording_leaf):
+        leaves = view.close(cap)
+    assert view.k == k + bits and view.shards is view.edited
+    assert {i: list(c) for i, c in view.edited.items()} == expected
+    assert list(leaves.items()) == [(i, _h(encode_shard_coins(c))) for i, c in expected.items()]
+    assert hashed == [encode_shard_coins(c) for c in expected.values()]
 
 
 def test_average_never_exceeds_cap_after_application():
