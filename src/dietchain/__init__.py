@@ -35,7 +35,6 @@ from .full_node import ConnectResult, FullNode
 from .merkle import (
     PartialMerkleTree,
     build_root,
-    contains,
     extract_partial,
     partial_root,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "block_hash",
     "build_root",
     "compute_verification_range",
-    "contains",
     "extract_partial",
     "hash256",
     "header_hash",

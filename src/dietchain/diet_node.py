@@ -35,7 +35,7 @@ from .chain import (
 from .crypto import BloomFilter, hash256
 from .errors import DecodeError, IncompleteProofError, InconsistentStateError, ValidationError
 from .headers import HeaderIndex
-from .merkle import PartialMerkleTree, contains, partial_root
+from .merkle import PartialMerkleTree, partial_root
 from .rules import (
     check_block_structure,
     check_coinbase,
@@ -190,13 +190,11 @@ class DietNode:
     def _match_proof_ok(self, match, match_hash: bytes) -> bool:
         if not self.headers.on_active_chain(match_hash):
             return False
+        leaves = {i: txid(tx) for i, tx in zip(match.tx_indices, match.transactions)}
         try:
-            root = partial_root(match.tx_tree)
+            return partial_root(match.tx_tree, leaves) == match.header.tx_mroot
         except IncompleteProofError:
             return False
-        if root != match.header.tx_mroot:
-            return False
-        return all(contains(match.tx_tree, txid(tx)) for tx in match.transactions)
 
     def _verdicts(self, txs, height, status, reason=None, fail_height=None,
                   first=None, last=None):
@@ -237,9 +235,9 @@ class DietNode:
             block_hash = self.headers.active_hash_at(height)
             block = self._fetch_block(block_hash, height)
             try:
-                view, tree = self._served_view(block_hash, height, trusted, pending)
+                view, tree, leaves = self._served_view(block_hash, height, trusted, pending)
                 fees = connect_body(block.transactions[1:], view, height)
-                root = self._rebuild_root(view, tree)
+                root = self._rebuild_root(view, tree, leaves)
             except InconsistentStateError as exc:
                 # The served shards cannot take the block: they do not cover it.
                 raise ValidationError("shard-proof-mismatch", str(exc), height=height) from exc
@@ -249,12 +247,14 @@ class DietNode:
             self.highest_verified = height
 
     def _served_view(self, block_hash: bytes, height: int, trusted: bytes,
-                     pending: list[Coin]) -> tuple[ShardView, PartialMerkleTree]:
-        """Ask for the shards the block touched, check each served leaf and
-        the proof against the ``trusted`` root, and open the block's view
-        on the shards, with ``pending`` placed, plus the proof. The view
-        holds each served shard's decoded coins and its checked bytes,
-        which a split slices instead of packing the shard again."""
+                     pending: list[Coin]
+                     ) -> tuple[ShardView, PartialMerkleTree, dict[int, bytes]]:
+        """Ask for the shards the block touched, hash each served shard
+        once and check the proof over those leaves against the ``trusted``
+        root, and open the block's view on the shards, with ``pending``
+        placed, plus the proof and the leaves. The view holds each served
+        shard's decoded coins and its checked bytes, which a split slices
+        instead of packing the shard again."""
         response = self._ask("query_utxos", block_hash, height, "utxos_bytes")
         tree = response.tree
         total = tree.total_leaves
@@ -262,13 +262,9 @@ class DietNode:
             raise ValidationError("shard-proof-mismatch",
                                   "shard tree size is not a power of two",
                                   height=height)
-        for idx, shard in response.shards.items():
-            if tree.included.get(idx) != shard.leaf_hash:
-                raise ValidationError("shard-proof-mismatch",
-                                      f"shard {idx} does not match its leaf",
-                                      height=height)
+        leaves = {idx: shard.leaf_hash for idx, shard in response.shards.items()}
         try:
-            if partial_root(tree) != trusted:
+            if partial_root(tree, leaves) != trusted:
                 raise ValidationError("shard-proof-mismatch",
                                       "shard proof does not reach the trusted root",
                                       height=height)
@@ -278,15 +274,20 @@ class DietNode:
         view = ShardView(shards, total.bit_length() - 1, sum(map(len, shards.values())),
                          pending, height,
                          {idx: shard.encoded for idx, shard in response.shards.items()})
-        return view, tree
+        return view, tree, leaves
 
     def _ask(self, query: str, block_hash: bytes, height: int, note: str | None = None):
         """Run one window query and count its bytes; bytes that do not
-        decode are the peer's fault at ``height``."""
+        decode are the peer's fault at ``height``, and a refusal that
+        names no height is at ``height`` too."""
         try:
             value, nbytes = getattr(self.transport, query)(block_hash)
         except DecodeError as exc:
             raise ValidationError("peer-fault", str(exc), height=height) from exc
+        except ValidationError as exc:
+            if exc.height is not None:
+                raise
+            raise ValidationError(exc.code, exc.detail, height=height) from exc
         self._count(query, nbytes)
         if note is not None:
             self._note_height(height, note, nbytes)
@@ -300,16 +301,18 @@ class DietNode:
         check_block_structure(block)
         return block
 
-    def _rebuild_root(self, view: ShardView, tree: PartialMerkleTree) -> bytes:
+    def _rebuild_root(self, view: ShardView, tree: PartialMerkleTree,
+                      served: dict[int, bytes]) -> bytes:
         """Close the replayed view and compute the root after the block,
-        over the view's ``2**k`` leaves. The served leaves are checked
-        hashes of the served bytes, so only the shards the view edited
-        are hashed again. Without a split the served siblings stay valid;
-        after one the view returns every shard, so every leaf is given
-        and no sibling is read."""
+        over the view's ``2**k`` leaves. The ``served`` leaves are the
+        checked hashes of the served bytes, so only the shards the view
+        edited are hashed again. Without a split the served siblings stay
+        valid; after one the view returns every shard, so the walk takes
+        all ``2**k`` new leaves and no sibling."""
         leaves = view.close(self.params.size_cap)
-        return partial_root(PartialMerkleTree(1 << view.k, {**tree.included, **leaves},
-                                              tree.siblings))
+        if 1 << view.k != tree.total_leaves:
+            return partial_root(PartialMerkleTree(1 << view.k, ()), leaves)
+        return partial_root(tree, served | leaves)
 
     def _note_height(self, height: int, key: str, nbytes: int) -> None:
         entry = self._per_height.setdefault(height, {"height": height})

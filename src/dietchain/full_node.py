@@ -97,6 +97,7 @@ class ConnectResult:
 class MerkleBlockMatch:
     header: BlockHeader
     tx_tree: PartialMerkleTree
+    tx_indices: tuple[int, ...]  # each served tx's index in the block, increasing
     transactions: tuple[Transaction, ...]
 
 
@@ -400,6 +401,7 @@ class FullNode:
             matches.append(MerkleBlockMatch(
                 header=block.header,
                 tx_tree=partial_from_levels(record.levels, set(matched)),
+                tx_indices=tuple(matched),
                 transactions=tuple(block.transactions[i] for i in matched),
             ))
         return MerkleBlocksResponse(headers=tuple(headers), matches=tuple(matches))

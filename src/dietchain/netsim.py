@@ -31,6 +31,12 @@ A ``utxos`` answer is a u16 shard count; per shard, in increasing index
 order, its index (u32), its coin count (u32) and its coins; then the
 partial tree. The shard's own bytes, which its leaf hashes, are the
 coins alone: the count frames them in the answer and is not stored.
+
+A ``merkle_blocks`` answer is a u16 header count and the headers, then a
+u16 match count; per match, its header, the partial tx tree, a u16 tx
+count, each served tx's index in the block (u32, strictly increasing)
+and the txs. Neither tree carries a leaf: the client hashes each served
+shard, and the txid of each served tx at its index, itself.
 """
 
 from __future__ import annotations
@@ -95,20 +101,30 @@ def encode_merkle_blocks_response(resp: MerkleBlocksResponse) -> bytes:
     for match in resp.matches:
         parts.append(encode_header(match.header))
         parts.append(encode_partial(match.tx_tree))
-        parts.append(struct.pack("<H", len(match.transactions)))
+        parts.append(struct.pack(f"<H{len(match.tx_indices)}I",
+                                 len(match.tx_indices), *match.tx_indices))
         parts.extend(encode_transaction(tx) for tx in match.transactions)
     return b"".join(parts)
 
 
 def decode_merkle_blocks_response(payload: bytes) -> MerkleBlocksResponse:
+    """Decode a filtered-sync answer; each match's tx indices must
+    strictly increase, so only the one canonical encoding decodes."""
     r = Reader(payload)
     headers = tuple(read_header(r) for _ in range(r.u16()))
     matches = []
     for _ in range(r.u16()):
         header = read_header(r)
         tree = read_partial(r)
-        txs = tuple(read_transaction(r) for _ in range(r.u16()))
-        matches.append(MerkleBlockMatch(header=header, tx_tree=tree, transactions=txs))
+        count = r.u16()
+        start = r.offset
+        indices = struct.unpack(f"<{count}I", r.take(4 * count))
+        for n in range(1, count):
+            if indices[n] <= indices[n - 1]:
+                raise DecodeError("tx indices not strictly increasing", start + 4 * n)
+        txs = tuple(read_transaction(r) for _ in range(count))
+        matches.append(MerkleBlockMatch(header=header, tx_tree=tree, tx_indices=indices,
+                                        transactions=txs))
     r.done()
     return MerkleBlocksResponse(headers=headers, matches=tuple(matches))
 

@@ -515,7 +515,7 @@ class VersionedShardStore:
         encoded once. Across a split the tree is built from them; otherwise
         their paths are re-hashed on a copy of the live tree, and other
         shards are encoded from the live lists. An index outside that tree
-        is the partial tree's ValueError.
+        is ``partial_from_levels``' ValueError.
         """
         if self.height is None or not max(self.floor, 0) + 1 <= height <= self.height + 1:
             raise HistoryUnavailableError(f"no history for height {height}")

@@ -13,6 +13,7 @@ from dietchain.chain import (
 )
 from dietchain.crypto import KeyPair, hash256
 from dietchain.full_node import FullNode
+from dietchain.merkle import partial_root
 from dietchain.miner import make_genesis, mine_on
 from dietchain.utxo import Coin, VersionedShardStore
 
@@ -72,6 +73,12 @@ def payment(node: FullNode, sender: KeyPair, pays: list[tuple[bytes, int]],
     signature = sender.sign(sighash(tx))
     return tx._replace(inputs=tuple(i._replace(signature=signature)
                                     for i in tx.inputs))
+
+
+def served_root(shards: dict, tree) -> bytes:
+    """The root a verifier reaches from served shards and their proof,
+    hashing each shard's leaf itself."""
+    return partial_root(tree, {i: shard.leaf_hash for i, shard in shards.items()})
 
 
 def store_state(store: VersionedShardStore) -> dict:

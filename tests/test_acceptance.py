@@ -18,7 +18,7 @@ from conftest import key_of, mined_node, payment
 from dietchain import cli
 from dietchain.chain import COIN_SIZE, ChainParams, OutPoint
 from dietchain.diet_node import compute_verification_range
-from dietchain.merkle import PartialMerkleTree, build_root, extract_partial, partial_root
+from dietchain.merkle import build_root, extract_partial, partial_root
 from dietchain.miner import mine_on
 from dietchain.rules import commitment_of
 from dietchain.scenario import render_report, render_trace, run_scenario
@@ -124,7 +124,7 @@ def test_02_partial_tree_matches_rebuild_within_size_bound():
         include = set(rng.sample(range(n), rng.randrange(1, n + 1)))
         tree = extract_partial(leaves, include)
 
-        if partial_root(tree) != build_root(leaves):
+        if partial_root(tree, {i: leaves[i] for i in include}) != build_root(leaves):
             assert _criterion(2, "partial trees match full rebuilds", False,
                               "extracted root diverged")
         bound = len(include) * math.ceil(math.log2(n)) if n > 1 else 0
@@ -135,11 +135,10 @@ def test_02_partial_tree_matches_rebuild_within_size_bound():
 
         changed = {i: rng.randbytes(32)
                    for i in rng.sample(sorted(include), rng.randrange(1, len(include) + 1))}
-        updated = PartialMerkleTree(n, {**tree.included, **changed}, tree.siblings)
         patched = list(leaves)
         for i, leaf in changed.items():
             patched[i] = leaf
-        if partial_root(updated) != build_root(patched):
+        if partial_root(tree, {i: patched[i] for i in include}) != build_root(patched):
             assert _criterion(2, "partial trees match full rebuilds", False,
                               "in-place update diverged from rebuild")
     assert _criterion(2, "partial trees match full rebuilds", True,

@@ -60,9 +60,11 @@ def _honest_payloads() -> dict[str, bytes]:
     for key in PAYEES[:2]:
         bloom.add(key.public_key)
         bloom.add(hash256(key.public_key))
-    # the next block spends one of the payment's coins, so its pre-state
-    # proof serves the shard that holds all of them
+    # the next block spends two of the payment's coins, so its pre-state
+    # proof serves the shard that holds all of them, and its match serves
+    # two txs
     node.submit_transaction(payment(node, PAYEES[0], [(ALICE.challenge, 1)]))
+    node.submit_transaction(payment(node, PAYEES[1], [(ALICE.challenge, 1)]))
     utxos = node.serve_query_utxos(block_hash(mine_on(node, ALICE.public_key, seed=902)))
     shard = max(utxos.shards.values(), key=lambda s: len(s.coins))
     return {
@@ -196,8 +198,16 @@ def _oracle_merkle_blocks(r: Reader) -> MerkleBlocksResponse:
     for _ in range(r.u16()):
         header = _oracle_header(r)
         tree = read_partial(r)
-        txs = tuple(_oracle_transaction(r) for _ in range(r.u16()))
-        matches.append(MerkleBlockMatch(header=header, tx_tree=tree, transactions=txs))
+        count = r.u16()
+        start = r.offset
+        run = r.take(4 * count)
+        indices = tuple(struct.unpack_from("<I", run, 4 * n)[0] for n in range(count))
+        for n in range(1, count):
+            if indices[n] <= indices[n - 1]:
+                raise DecodeError("tx indices not strictly increasing", start + 4 * n)
+        txs = tuple(_oracle_transaction(r) for _ in range(count))
+        matches.append(MerkleBlockMatch(header=header, tx_tree=tree, tx_indices=indices,
+                                        transactions=txs))
     r.done()
     return MerkleBlocksResponse(headers=headers, matches=tuple(matches))
 
@@ -262,14 +272,12 @@ _hashes = st.binary(min_size=32, max_size=32)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(total=st.integers(1, 40),
-       leaves=st.lists(st.tuples(st.integers(0, 40), _hashes), max_size=5),
-       siblings=st.lists(st.tuples(st.integers(0, 6), st.integers(0, 40), _hashes), max_size=5))
-def test_partial_entries_in_any_order_round_trip_or_are_a_decode_error(total, leaves, siblings):
-    data = b"".join([struct.pack("<IH", total, len(leaves)),
-                     *(struct.pack("<I", i) + h for i, h in leaves),
-                     struct.pack("<H", len(siblings)),
-                     *(struct.pack("<BI", level, i) + h for level, i, h in siblings)])
+@given(total=st.integers(0, 40), count=st.integers(0, 6),
+       siblings=st.lists(_hashes, max_size=5))
+def test_partial_entries_in_any_order_round_trip_or_are_a_decode_error(total, count, siblings):
+    """Any leaf count, sibling count and hashes: a tree of no leaves, or
+    a count that is not the number of hashes, is the only refusal."""
+    data = struct.pack("<IH", total, count) + b"".join(siblings)
     try:
         again = ROUND_TRIPS["partial"](data)
     except DecodeError:
@@ -349,52 +357,59 @@ def test_a_shard_of_65536_coins_round_trips():
 
 
 # Each run of entries is taken whole and unpacked in one pass; these pin
-# that every order rule and every count still holds entry by entry.
+# that every order rule and every count still holds entry by entry. The
+# included leaves of a filtered-sync proof are its match's tx indices.
 
-def _partial_wire(total: int, leaves, siblings, leaf_count=None, sibling_count=None) -> bytes:
-    return b"".join([
-        struct.pack("<IH", total, len(leaves) if leaf_count is None else leaf_count),
-        *(struct.pack("<I", i) + h for i, h in leaves),
-        struct.pack("<H", len(siblings) if sibling_count is None else sibling_count),
-        *(struct.pack("<BI", level, i) + h for (level, i), h in siblings)])
-
-
-def _honest_partial():
-    tree = read_whole(read_partial, HONEST["partial"])
-    return tree.total_leaves, sorted(tree.included.items()), sorted(tree.siblings.items())
+def _served_twice() -> tuple[int, MerkleBlockMatch]:
+    """The offset of the tx-index count of the honest ``merkle_blocks``
+    match that serves two txs or more, and that match."""
+    data = HONEST["merkle_blocks"]
+    match = next(m for m in decode_merkle_blocks_response(data).matches
+                 if len(m.tx_indices) >= 2)
+    proof = encode_header(match.header) + encode_partial(match.tx_tree)
+    return data.index(proof) + len(proof), match
 
 
 @pytest.mark.parametrize("where", range(4))
-@pytest.mark.parametrize("run", ["included", "siblings"])
+@pytest.mark.parametrize("run", ["included"])
 def test_a_partial_entry_not_above_the_one_before_is_a_decode_error(run, where):
-    """Repeating or moving back any one entry of either run is refused,
-    at the offset of that entry."""
-    total, leaves, siblings = _honest_partial()
-    entries = list(leaves if run == "included" else siblings)
-    if len(entries) < 2:
-        pytest.skip("the honest tree has one entry in that run")
-    at = 1 + where % (len(entries) - 1)
-    bad = entries[:at] + [entries[at - 1 if where < 2 else 0]] + entries[at + 1:]
-    data = (_partial_wire(total, bad, siblings) if run == "included"
-            else _partial_wire(total, leaves, bad))
-    offset = (6 + 36 * at if run == "included"
-              else 6 + 36 * len(leaves) + 2 + 37 * at)
+    """Repeating or moving back any one served tx's index of a
+    ``merkle_blocks`` match is refused, at the offset of that index.
+    The included run is the only ordered run left on the wire: siblings
+    carry no positions, and a misordered sibling fails the root walk."""
+    count_at, match = _served_twice()
+    indices = list(match.tx_indices)
+    at = 1 + where % (len(indices) - 1)
+    if where % 2:
+        indices[at - 1], indices[at] = indices[at], indices[at - 1]
+    else:
+        indices[at] = indices[at - 1 if where < 2 else 0]
+    data = HONEST["merkle_blocks"]
+    bad_run = struct.pack(f"<{len(indices)}I", *indices)
+    bad = data[:count_at + 2] + bad_run + data[count_at + 2 + len(bad_run):]
+    offset = count_at + 2 + 4 * at
     with pytest.raises(DecodeError, match=rf"not strictly increasing \(at byte {offset}\)"):
-        read_whole(read_partial, data)
+        decode_merkle_blocks_response(bad)
 
 
 @pytest.mark.parametrize("count", ["one past the end", 0xFFFF])
 @pytest.mark.parametrize("run", ["included", "siblings"])
 def test_a_partial_count_past_the_end_is_a_decode_error(run, count):
-    """A run whose entries would reach past the tree's last byte is
-    refused before any of it is read."""
-    total, leaves, siblings = _honest_partial()
+    """A run whose entries would reach past the answer's last byte is
+    refused before any of it is read: the tx indices of a
+    ``merkle_blocks`` match, or the siblings of a tree."""
+    if run == "included":
+        at, _ = _served_twice()
+        data = HONEST["merkle_blocks"]
+        if count == "one past the end":
+            count = (len(data) - at - 2) // 4 + 1
+        with pytest.raises(DecodeError, match="truncated"):
+            decode_merkle_blocks_response(data[:at] + struct.pack("<H", count) + data[at + 2:])
+        return
+    tree = read_whole(read_partial, HONEST["partial"])
     if count == "one past the end":
-        after = (36 * len(leaves) + 2 + 37 * len(siblings) if run == "included"
-                 else 37 * len(siblings))  # the bytes after the count
-        count = after // (36 if run == "included" else 37) + 1
-    data = (_partial_wire(total, leaves, siblings, leaf_count=count) if run == "included"
-            else _partial_wire(total, leaves, siblings, sibling_count=count))
+        count = len(tree.siblings) + 1
+    data = struct.pack("<IH", tree.total_leaves, count) + b"".join(tree.siblings)
     with pytest.raises(DecodeError, match="truncated"):
         read_whole(read_partial, data)
     with pytest.raises(DecodeError, match="truncated"):

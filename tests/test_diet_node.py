@@ -45,11 +45,13 @@ from dietchain.netsim import (
     BusTransport,
     ForgedChainBuilder,
     FullNodeService,
+    decode_merkle_blocks_response,
     decode_utxos_response,
+    encode_merkle_blocks_response,
     encode_utxos_response,
 )
 from dietchain.rules import commitment_of, signed_spend, tx_merkle_root
-from dietchain.utxo import Coin, encode_shard_coins, shard_key
+from dietchain.utxo import Coin, Shard, encode_shard_coins, shard_key
 
 ALICE = key_of("alice")
 BOB = key_of("bob")
@@ -194,10 +196,10 @@ def test_the_diet_replay_edits_exactly_the_shards_served(monkeypatch):
     replayed = {}
     rebuild = DietNode._rebuild_root
 
-    def recording(self, view, tree):
-        replayed[view.height] = (set(view.edited), set(tree.included),
+    def recording(self, view, tree, served):
+        replayed[view.height] = (set(view.edited), set(served),
                                  len(view.shards), tree.total_leaves)
-        return rebuild(self, view, tree)
+        return rebuild(self, view, tree, served)
 
     monkeypatch.setattr(DietNode, "_rebuild_root", recording)
     depth = node.tip_height
@@ -208,11 +210,11 @@ def test_the_diet_replay_edits_exactly_the_shards_served(monkeypatch):
     assert sorted(replayed) == list(range(1, node.tip_height + 1))
     splits = {h for h in replayed if node.utxo.touched_log[h].rebalanced}
     assert splits and len(splits) < len(replayed)
-    for height, (edited, included, served, total) in replayed.items():
+    for height, (edited, leaves, served, total) in replayed.items():
         if height in splits:
             assert served == total
         else:
-            assert edited == included == set(node.utxo.versions[height])
+            assert edited == leaves == set(node.utxo.versions[height])
 
 
 def _replayed_closes(monkeypatch, node: FullNode) -> tuple[list, dict]:
@@ -230,12 +232,12 @@ def _replayed_closes(monkeypatch, node: FullNode) -> tuple[list, dict]:
         packed.append(len(coins))
         return encode(coins)
 
-    def recording(self, view, tree):
+    def recording(self, view, tree, served):
         k, edited = view.k, set(view.edited)
         packed.clear()
         monkeypatch.setattr(utxo, "encode_shard_coins", counting_encode)
         try:
-            root = rebuild(self, view, tree)
+            root = rebuild(self, view, tree, served)
         finally:
             monkeypatch.setattr(utxo, "encode_shard_coins", encode)
         closes[view.height] = (k, view.k, edited, len(packed), root)
@@ -289,8 +291,8 @@ def test_a_window_verifies_a_block_that_splits_by_two_bits(monkeypatch):
 
 
 class _ExtraSiblingService(FullNodeService):
-    """Adds one sibling, at a node the included leaves already give, to
-    the proof of every block that split the shards."""
+    """Appends one sibling, which the served leaves do not need, to the
+    proof of every block that split the shards."""
 
     def handle_query(self, msg_type, payload):
         response = super().handle_query(msg_type, payload)
@@ -300,14 +302,14 @@ class _ExtraSiblingService(FullNodeService):
         if not self.node.utxo.touched_log[height].rebalanced:
             return response
         resp = self.node.serve_query_utxos(payload)
-        tree = dataclasses.replace(resp.tree, siblings={(0, 0): hash256(b"extra")})
+        tree = dataclasses.replace(resp.tree, siblings=resp.tree.siblings + (hash256(b"extra"),))
         return encode_utxos_response(UtxosResponse(shards=resp.shards, tree=tree))
 
 
-def test_a_window_across_a_split_ignores_an_extra_sibling():
-    """A split block is served every shard; the root after it is walked
-    from the replayed leaves alone, so a sibling the peer adds where a
-    leaf already stands changes nothing."""
+def test_a_window_across_a_split_rejects_an_extra_sibling():
+    """A split block is served every shard, so its proof needs no
+    sibling; one the peer adds is left unread, and the window is
+    rejected at the split."""
     params = ChainParams(target_bits=5, subsidy=50, size_cap=256, initial_k=0)
     node = mined_node(params, ALICE, 2, seed=49)
     for i in range(6):
@@ -323,8 +325,8 @@ def test_a_window_across_a_split_ignores_an_extra_sibling():
     diet = DietNode(params, DietConfig(keys=(CAROL.public_key,), max_depth=depth,
                                        max_length=depth), BusTransport(bus, "client", "peer"))
     (verdict,) = diet.update_chain().verdicts
-    assert verdict.status == "diet-verified"
-    assert any(verdict.first < h <= verdict.last for h in splits)
+    assert (verdict.status, verdict.reason) == ("rejected", "shard-proof-mismatch")
+    assert verdict.fail_height == min(h for h in splits if h > verdict.first)
 
 
 def test_reorg_rewinds_verified_mark():
@@ -579,6 +581,36 @@ def test_a_window_below_the_peers_floor_is_history_unavailable(monkeypatch):
     assert {(v.status, v.first, v.last) for v in verdicts} == {("diet-verified", 7, 9)}
 
 
+
+class _BehindService(FullNodeService):
+    """Answers ``query_merkle_blocks`` from ``ahead`` and every window
+    query from its own node, which lacks the blocks ``ahead`` mined past
+    it."""
+
+    def __init__(self, node: FullNode, ahead: FullNode):
+        super().__init__(node)
+        self.ahead = FullNodeService(ahead)
+
+    def handle_query(self, msg_type, payload):
+        if msg_type == MSG_QUERY_MERKLE_BLOCKS:
+            return self.ahead.handle_query(msg_type, payload)
+        return super().handle_query(msg_type, payload)
+
+
+def test_a_peer_without_the_block_asked_about_is_unknown_block_at_its_height():
+    """A peer that sent headers it holds no block for gets a ``rejected``
+    verdict at the first height it cannot serve, not an exception."""
+    behind = mined_node(FAST, ALICE, 4, seed=68)
+    ahead = mined_node(FAST, ALICE, 4, seed=68)
+    ahead.submit_transaction(payment(ahead, ALICE, [(CAROL.challenge, 6)]))
+    mine_on(ahead, ALICE.public_key, seed=168)
+    bus = Bus(seed=2)
+    bus.register("peer", _BehindService(behind, ahead))
+    diet = DietNode(FAST, WATCH_CAROL, BusTransport(bus, "client", "peer"))
+    (verdict,) = diet.update_chain().verdicts
+    assert (verdict.status, verdict.reason, verdict.fail_height) == \
+        ("rejected", "unknown-block", behind.tip_height + 1)
+
 def test_repeated_last_tx_body_is_bad_structure():
     node = mined_node(FAST, ALICE, 3, seed=62)
     first, second = coins_owned(node, ALICE)[:2]
@@ -733,8 +765,10 @@ class _RewritingService(FullNodeService):
     """Answers one query about the block at ``height`` otherwise than an
     honest node: as ``case`` says, a ``query_utxos`` answer loses a
     touched shard or gains an untouched one (proved with the shards it
-    then holds), gets a tree size that is not a power of two or loses a
-    sibling, or a ``query_block`` answer is the block below."""
+    then holds), gets a tree size that is not a power of two, loses a
+    sibling, gains one at the end, serves one more shard at an index past
+    the tree or serves no shard, or a ``query_block`` answer is the block
+    below."""
 
     def __init__(self, node: FullNode, height: int, case: str):
         super().__init__(node)
@@ -761,18 +795,26 @@ class _RewritingService(FullNodeService):
                 held.add(min(set(range(tree.total_leaves)) - held))
             shards, tree = self.node.utxo.state_before(self.height, held)
             return encode_utxos_response(UtxosResponse(shards=shards, tree=tree))
+        shards = resp.shards
         if self.case == "size":
             tree = dataclasses.replace(tree, total_leaves=3 * tree.total_leaves)
-        else:  # "drop-sibling"
-            siblings = dict(tree.siblings)
-            del siblings[min(siblings)]
-            tree = dataclasses.replace(tree, siblings=siblings)
-        return encode_utxos_response(UtxosResponse(shards=resp.shards, tree=tree))
+        elif self.case == "drop-sibling":
+            tree = dataclasses.replace(tree, siblings=tree.siblings[1:])
+        elif self.case == "extra-sibling":
+            tree = dataclasses.replace(tree, siblings=tree.siblings + (hash256(b"extra"),))
+        elif self.case == "outside":
+            shards = {**shards, tree.total_leaves: Shard(b"")}
+        else:  # "no-shard"
+            shards = {}
+        return encode_utxos_response(UtxosResponse(shards=shards, tree=tree))
 
 
 @pytest.mark.parametrize("case, reason", [("drop-shard", "shard-proof-mismatch"),
                                           ("size", "shard-proof-mismatch"),
                                           ("drop-sibling", "shard-proof-mismatch"),
+                                          ("extra-sibling", "shard-proof-mismatch"),
+                                          ("outside", "shard-proof-mismatch"),
+                                          ("no-shard", "shard-proof-mismatch"),
                                           ("other-block", "proof-mismatch")])
 def test_a_rewritten_window_answer_is_a_verdict_at_its_height(case, reason):
     """Each lie ends the window at the height it was told about; the
@@ -853,6 +895,72 @@ def test_a_shard_served_twice_is_a_peer_fault():
     (verdict,) = diet.update_chain().verdicts
     assert (verdict.status, verdict.reason) == ("rejected", "peer-fault")
     assert verdict.fail_height == verdict.first + 1
+
+
+class _MatchRewritingService(FullNodeService):
+    """Rewrites the last match of every ``query_merkle_blocks`` answer as
+    ``case`` says: its last tx index moved past the tx tree, a sibling
+    appended to its proof, or its first two tx indices repeated or
+    swapped."""
+
+    def __init__(self, node: FullNode, case: str):
+        super().__init__(node)
+        self.case = case
+
+    def handle_query(self, msg_type, payload):
+        response = super().handle_query(msg_type, payload)
+        if msg_type != MSG_QUERY_MERKLE_BLOCKS:
+            return response
+        resp = decode_merkle_blocks_response(response)
+        match = resp.matches[-1]
+        indices, tree = list(match.tx_indices), match.tx_tree
+        if self.case == "index-outside":
+            indices[-1] = tree.total_leaves
+        elif self.case == "extra-sibling":
+            tree = dataclasses.replace(tree, siblings=tree.siblings + (hash256(b"extra"),))
+        elif self.case == "repeated":
+            indices[1] = indices[0]
+        else:  # "decreasing"
+            indices[0], indices[1] = indices[1], indices[0]
+        match = dataclasses.replace(match, tx_tree=tree, tx_indices=tuple(indices))
+        return encode_merkle_blocks_response(
+            dataclasses.replace(resp, matches=resp.matches[:-1] + (match,)))
+
+
+def _paid_twice_in_one_block(case: str) -> tuple[FullNode, DietNode]:
+    """A chain whose tip block pays Carol twice, and a diet client of it
+    whose peer rewrites that block's match as ``case`` says."""
+    node = mined_node(FAST, ALICE, 4, seed=67)
+    for coin in coins_owned(node, ALICE)[:2]:
+        node.submit_transaction(_pay(coin, CAROL.challenge, 6))
+    mine_on(node, ALICE.public_key, seed=167)
+    bloom = DietNode(FAST, WATCH_CAROL, None).build_filter()
+    (match,) = node.serve_query_merkle_blocks(node.headers.active_hash_at(3), bloom).matches
+    assert len(match.tx_indices) >= 2
+    bus = Bus(seed=3)
+    bus.register("peer", _MatchRewritingService(node, case))
+    return node, DietNode(FAST, WATCH_CAROL, BusTransport(bus, "client", "peer"))
+
+
+@pytest.mark.parametrize("case", ["index-outside", "extra-sibling"])
+def test_a_lying_tx_proof_is_a_proof_mismatch(case):
+    """A tx index past the block's tx tree, or a sibling its proof does
+    not need, reaches no root: each paid tx gets ``proof-mismatch`` at
+    its block."""
+    node, diet = _paid_twice_in_one_block(case)
+    verdicts = diet.update_chain().verdicts
+    assert len(verdicts) >= 2
+    assert {(v.status, v.reason, v.fail_height) for v in verdicts} == \
+        {("rejected", "proof-mismatch", node.tip_height)}
+
+
+@pytest.mark.parametrize("case", ["repeated", "decreasing"])
+def test_tx_indices_not_strictly_increasing_change_nothing(case):
+    """Such an answer does not decode, so the update indexes no header
+    and gives no verdict."""
+    _, diet = _paid_twice_in_one_block(case)
+    result = diet.update_chain()
+    assert (result.verdicts, result.tip_height, diet.headers.tip) == ((), -1, None)
 
 
 def test_truncated_merkle_blocks_changes_nothing():

@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import itertools
 import operator
 import random
 
 import pytest
-from conftest import FAST, coins_owned, key_of, mined_node, payment, store_state
+from conftest import FAST, coins_owned, key_of, mined_node, payment, served_root, store_state
 from hypothesis import given, settings, strategies as st
 
 from dietchain import chain, full_node, rules
@@ -27,7 +28,7 @@ from dietchain.chain import (
 from dietchain.crypto import BloomFilter, hash256
 from dietchain.errors import ValidationError
 from dietchain.full_node import ConnectResult, FullNode
-from dietchain.merkle import contains, partial_root
+from dietchain.merkle import partial_root
 from dietchain.miner import (
     BlockTemplate,
     assemble_block,
@@ -333,9 +334,11 @@ def test_query_merkle_blocks_filters_and_proves():
     assert [h.height for h in resp.headers] == list(range(node.tip_height + 1))
     assert len(resp.matches) >= 1
     match = next(m for m in resp.matches if m.header.height == 3)
-    assert partial_root(match.tx_tree) == match.header.tx_mroot
-    for tx in match.transactions:
-        assert contains(match.tx_tree, txid(tx))
+    assert match.tx_indices == tuple(sorted(match.tx_indices))
+    for i, tx in zip(match.tx_indices, match.transactions):
+        assert node.blocks[node.headers.active_hash_at(3)].transactions[i] == tx
+    leaves = {i: txid(tx) for i, tx in zip(match.tx_indices, match.transactions)}
+    assert partial_root(match.tx_tree, leaves) == match.header.tx_mroot
     assert any(out.payload == BOB.challenge
                for tx in match.transactions for out in tx.outputs)
 
@@ -356,9 +359,8 @@ def test_query_utxos_serves_only_touched_shards():
     assert resp.tree.total_leaves == 1 << record.k
     # proof hangs together against the parent's committed root
     parent_height = block.header.height - 1
-    assert partial_root(resp.tree) == commitment_of(node.blocks[block.header.prev_hash])
-    for idx, shard in resp.shards.items():
-        assert resp.tree.included[idx] == shard.leaf_hash
+    assert served_root(resp.shards, resp.tree) == \
+        commitment_of(node.blocks[block.header.prev_hash])
 
 
 def test_query_utxo_mroot_and_block_follow_active_chain():
@@ -435,6 +437,38 @@ def test_zero_target_block_is_rejected_on_the_tip_and_on_a_branch():
     assert (result.status, result.reason) == ("rejected", "bad-target")
     assert (node.tip_hash, node.utxo.utxo_root()) == (tip, root)
 
+
+
+@pytest.mark.parametrize("code", ["bad-height", "pow-failure", "ownership-failure",
+                                  "value-creation", "tx-mroot-mismatch"])
+def test_a_block_breaking_one_rule_is_a_rejected_connect_at_its_height(code):
+    """A block on the tip, with valid proof of work, that breaks one
+    header, body or structure rule is a rejected connect naming that
+    rule at the block's height, and leaves the node as it was."""
+    node = mined_node(FAST, ALICE, 3, seed=121)
+    block = assemble_block(template_on(node, *node.build_template(), ALICE.public_key),
+                           node.utxo)
+    header, txs = block.header, block.transactions
+    coin = coins_owned(node, ALICE)[0]
+    if code == "bad-height":  # the coinbase names the same wrong height
+        header = header._replace(height=header.height + 1)
+        txs = (txs[0]._replace(version=header.height),)
+    elif code == "ownership-failure":
+        txs += (signed_spend(MALLORY, [coin], [TxOutput(coin.value, KIND_PAYMENT,
+                                                        MALLORY.challenge)]),)
+    elif code == "value-creation":
+        txs += (signed_spend(ALICE, [coin], [TxOutput(coin.value + 1, KIND_PAYMENT,
+                                                      BOB.challenge)]),)
+    header = header._replace(tx_mroot=hash256(b"junk") if code == "tx-mroot-mismatch"
+                             else tx_merkle_root(txs))
+    header = header._replace(nonce=solve_pow(header, 1 << 20, seed=321))
+    if code == "pow-failure":
+        header = header._replace(nonce=next(n for n in itertools.count()
+                                            if not chain.pow_ok(header._replace(nonce=n))))
+    tip, root = node.tip_hash, node.utxo.current_root
+    result = node.connect_block(Block(header=header, transactions=txs))
+    assert (result.status, result.reason, result.height) == ("rejected", code, header.height)
+    assert (node.tip_hash, node.utxo.current_root) == (tip, root)
 
 def test_coinbase_version_must_be_the_height():
     node = mined_node(FAST, ALICE, 3, seed=120)
@@ -946,7 +980,8 @@ def test_a_branch_forking_below_the_floor_is_reorg_too_deep(horizon, steps):
                     assert (info.value.code, info.value.height) == ("history-unavailable", h)
                     continue
                 parent = node.blocks[node.headers.active_hash_at(h - 1)]
-                assert partial_root(node.serve_query_utxos(hh).tree) == commitment_of(parent)
+                resp = node.serve_query_utxos(hh)
+                assert served_root(resp.shards, resp.tree) == commitment_of(parent)
 
 
 def test_a_side_branch_forking_below_the_floor_is_not_kept(monkeypatch):
@@ -1065,4 +1100,4 @@ def test_any_delivery_order_ends_where_the_in_order_node_does(delivery_tree, dat
         served = node.utxo.state_before(h, everything)
         assert served == in_order.utxo.state_before(h, everything)
         parent = node.blocks[node.headers.active_hash_at(h - 1)]
-        assert partial_root(served[1]) == commitment_of(parent)
+        assert served_root(*served) == commitment_of(parent)

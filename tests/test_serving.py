@@ -184,6 +184,7 @@ def _scan_keeping_nothing(node: FullNode, since: bytes, bloom: BloomFilter) -> M
             matches.append(MerkleBlockMatch(
                 header=block.header,
                 tx_tree=extract_partial([txid(tx) for tx in block.transactions], set(matched)),
+                tx_indices=tuple(matched),
                 transactions=tuple(block.transactions[i] for i in matched)))
     return MerkleBlocksResponse(headers=tuple(headers), matches=tuple(matches))
 

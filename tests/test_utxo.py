@@ -8,7 +8,7 @@ import struct
 from unittest import mock
 
 import pytest
-from conftest import store_state
+from conftest import served_root, store_state
 from hypothesis import assume, given, settings, strategies as st
 
 from dietchain.chain import (
@@ -23,7 +23,7 @@ from dietchain.chain import (
     txid,
 )
 from dietchain.errors import HistoryUnavailableError, InconsistentStateError
-from dietchain.merkle import build_root, extract_partial, partial_root
+from dietchain.merkle import build_root, extract_partial
 from dietchain.miner import BlockTemplate, mine_block
 from dietchain.utxo import (
     COIN_SIZE,
@@ -409,8 +409,7 @@ def test_state_before_reconstructs_committed_history():
         flat = sorted(c for s in shards.values() for c in s.coins)
         assert flat == sorted(oracle.committed.values())
         assert oracle.root(k) == roots[h]
-        from dietchain.merkle import partial_root
-        assert partial_root(partial) == roots[h]
+        assert served_root(shards, partial) == roots[h]
 
 
 def test_state_before_bounds():
@@ -519,7 +518,7 @@ def _assert_matches_replay(store: VersionedShardStore, chain: list[Block]) -> No
         for subset in subsets:
             shards, partial = store.state_before(h, subset)
             assert partial == extract_partial(leaves, subset)
-            assert partial_root(partial) == roots[h - 1]
+            assert served_root(shards, partial) == roots[h - 1]
             assert {i: shard.encoded for i, shard in shards.items()} == \
                 {i: blobs[i] for i in subset}
 
@@ -628,7 +627,7 @@ def test_state_before_across_two_splits_matches_the_flat_oracle(monkeypatch):
             assert {i: shard.encoded for i, shard in shards.items()} == \
                 {i: blobs[h - 1][i] for i in subset}
             assert partial == extract_partial(_FlatOracle.leaves(blobs[h - 1]), subset)
-            assert partial_root(partial) == roots[h - 1]
+            assert served_root(shards, partial) == roots[h - 1]
 
 
 def test_a_clone_rewound_across_a_split_serves_what_its_source_served():
@@ -708,7 +707,7 @@ def _assert_bounded_history(store: VersionedShardStore, chain: list[Block]) -> N
             continue
         shards, partial = store.state_before(h, subset)
         assert (shards, partial) == fresh.state_before(h, subset)
-        assert partial_root(partial) == roots[h - 1]
+        assert served_root(shards, partial) == roots[h - 1]
     assert len(store._undo_pending) == len(chain) - 1 - store.floor
     assert list(store.versions) == list(range(store.floor + 1, store.next_height))
 
