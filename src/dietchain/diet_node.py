@@ -6,10 +6,13 @@ further: before trusting a transaction at height ``last`` it re-derives
 the chain state across a window of recent blocks, using only the UTXO
 shards each block touched plus their membership proofs against the
 root committed by the coinbase of the block before the window, which it
-fetches and checks against its header. It replays each block on
-a ``utxo.ShardView`` over the served shards, the code a full node's store
-applies blocks with, so the deferred rewards and the split rule are the
-store's own. Faking a transaction inside the window therefore requires
+fetches and checks against its header. A window is fetching plus one
+pure :func:`window_step` per block: from the root and reward coins the
+block before committed, the block and the peer's answer for it, the step
+replays the block on a ``utxo.ShardView`` over the served shards, the
+code a full node's store applies blocks with, so the deferred rewards
+and the split rule are the store's own, and returns the block's root and
+reward coins. Faking a transaction inside the window therefore requires
 forging every block of the window and the one before it, each with valid
 proof-of-work.
 
@@ -34,6 +37,7 @@ from .chain import (
 )
 from .crypto import BloomFilter, hash256
 from .errors import DecodeError, IncompleteProofError, InconsistentStateError, ValidationError
+from .full_node import UtxosResponse
 from .headers import HeaderIndex
 from .merkle import PartialMerkleTree, partial_root
 from .rules import (
@@ -101,6 +105,46 @@ class UpdateResult:
     tip_height: int
     bytes_by_type: dict[str, int]
     per_height: tuple[dict, ...]
+
+
+def window_step(params: ChainParams, trusted: bytes, pending: list[Coin], block: Block,
+                answer: UtxosResponse) -> tuple[bytes, list[Coin]]:
+    """Verify one window block from ``trusted``, the root the block
+    before committed, and ``pending``, that block's reward coins: check
+    ``answer``'s shards against ``trusted``, hashing each once, replay
+    the body on a ``ShardView`` over them, close it, walk the root after
+    the block (over the served leaves and siblings, or after a split
+    over all ``2**k`` new leaves) and check the coinbase against the fees
+    and that root. Returns the block's ``(commitment, reward coins)``.
+
+    Reads nothing else and changes none of its arguments. Served shards
+    that do not prove ``trusted`` or cannot take the block are
+    ``shard-proof-mismatch`` at the block's height; a body rule's
+    ``ValidationError`` passes as it is. The caller checks the block's
+    header hash and structure."""
+    height = block.header.height
+    tree = answer.tree
+    total = tree.total_leaves
+    try:
+        if total & (total - 1):
+            raise InconsistentStateError("shard tree size is not a power of two")
+        served = {idx: shard.leaf_hash for idx, shard in answer.shards.items()}
+        if partial_root(tree, served) != trusted:
+            raise InconsistentStateError("shard proof does not reach the trusted root")
+        shards = {idx: shard.coins for idx, shard in answer.shards.items()}
+        view = ShardView(shards, total.bit_length() - 1, sum(map(len, shards.values())),
+                         pending, height,
+                         {idx: shard.encoded for idx, shard in answer.shards.items()})
+        fees = connect_body(block.transactions[1:], view, height)
+        leaves = view.close(params.size_cap)
+        if 1 << view.k != total:
+            root = partial_root(PartialMerkleTree(1 << view.k, ()), leaves)
+        else:
+            root = partial_root(tree, served | leaves)
+    except (InconsistentStateError, IncompleteProofError) as exc:
+        raise ValidationError("shard-proof-mismatch", str(exc), height=height) from exc
+    check_coinbase(block, params.subsidy, fees, root)
+    return root, coins_of(block.transactions[0])
 
 
 class DietNode:
@@ -234,47 +278,9 @@ class DietNode:
         for height in range(first + 1, last + 1):
             block_hash = self.headers.active_hash_at(height)
             block = self._fetch_block(block_hash, height)
-            try:
-                view, tree, leaves = self._served_view(block_hash, height, trusted, pending)
-                fees = connect_body(block.transactions[1:], view, height)
-                root = self._rebuild_root(view, tree, leaves)
-            except InconsistentStateError as exc:
-                # The served shards cannot take the block: they do not cover it.
-                raise ValidationError("shard-proof-mismatch", str(exc), height=height) from exc
-            check_coinbase(block, self.params.subsidy, fees, root)
-            trusted = root
-            pending = coins_of(block.transactions[0])
+            answer = self._ask("query_utxos", block_hash, height, "utxos_bytes")
+            trusted, pending = window_step(self.params, trusted, pending, block, answer)
             self.highest_verified = height
-
-    def _served_view(self, block_hash: bytes, height: int, trusted: bytes,
-                     pending: list[Coin]
-                     ) -> tuple[ShardView, PartialMerkleTree, dict[int, bytes]]:
-        """Ask for the shards the block touched, hash each served shard
-        once and check the proof over those leaves against the ``trusted``
-        root, and open the block's view on the shards, with ``pending``
-        placed, plus the proof and the leaves. The view holds each served
-        shard's decoded coins and its checked bytes, which a split slices
-        instead of packing the shard again."""
-        response = self._ask("query_utxos", block_hash, height, "utxos_bytes")
-        tree = response.tree
-        total = tree.total_leaves
-        if total & (total - 1):
-            raise ValidationError("shard-proof-mismatch",
-                                  "shard tree size is not a power of two",
-                                  height=height)
-        leaves = {idx: shard.leaf_hash for idx, shard in response.shards.items()}
-        try:
-            if partial_root(tree, leaves) != trusted:
-                raise ValidationError("shard-proof-mismatch",
-                                      "shard proof does not reach the trusted root",
-                                      height=height)
-        except IncompleteProofError as exc:
-            raise ValidationError("shard-proof-mismatch", str(exc), height=height)
-        shards = {idx: shard.coins for idx, shard in response.shards.items()}
-        view = ShardView(shards, total.bit_length() - 1, sum(map(len, shards.values())),
-                         pending, height,
-                         {idx: shard.encoded for idx, shard in response.shards.items()})
-        return view, tree, leaves
 
     def _ask(self, query: str, block_hash: bytes, height: int, note: str | None = None):
         """Run one window query and count its bytes; bytes that do not
@@ -300,19 +306,6 @@ class DietNode:
                                   height=height)
         check_block_structure(block)
         return block
-
-    def _rebuild_root(self, view: ShardView, tree: PartialMerkleTree,
-                      served: dict[int, bytes]) -> bytes:
-        """Close the replayed view and compute the root after the block,
-        over the view's ``2**k`` leaves. The ``served`` leaves are the
-        checked hashes of the served bytes, so only the shards the view
-        edited are hashed again. Without a split the served siblings stay
-        valid; after one the view returns every shard, so the walk takes
-        all ``2**k`` new leaves and no sibling."""
-        leaves = view.close(self.params.size_cap)
-        if 1 << view.k != tree.total_leaves:
-            return partial_root(PartialMerkleTree(1 << view.k, ()), leaves)
-        return partial_root(tree, served | leaves)
 
     def _note_height(self, height: int, key: str, nbytes: int) -> None:
         entry = self._per_height.setdefault(height, {"height": height})

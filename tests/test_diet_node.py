@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import struct
 
 import pytest
@@ -23,7 +24,13 @@ from dietchain.chain import (
     sighash,
 )
 from dietchain.crypto import hash256
-from dietchain.diet_node import DietConfig, DietNode, compute_verification_range
+from dietchain.diet_node import (
+    DietConfig,
+    DietNode,
+    VerifyOutcome,
+    compute_verification_range,
+    window_step,
+)
 from dietchain.errors import ValidationError
 from dietchain.full_node import FullNode, UtxosResponse
 from dietchain.merkle import encode_partial, update_levels
@@ -51,7 +58,7 @@ from dietchain.netsim import (
     encode_utxos_response,
 )
 from dietchain.rules import commitment_of, signed_spend, tx_merkle_root
-from dietchain.utxo import Coin, Shard, encode_shard_coins, shard_key
+from dietchain.utxo import Coin, Shard, coins_of, encode_shard_coins, shard_key
 
 ALICE = key_of("alice")
 BOB = key_of("bob")
@@ -182,49 +189,36 @@ def test_verification_across_a_split():
     assert any(first < h <= node.tip_height for h in split_heights)
 
 
-def test_the_diet_replay_edits_exactly_the_shards_served(monkeypatch):
-    """The replay of an honest block edits every shard the node served for
-    it and no other, so re-hashing the served paths after the edits costs
-    no leaf the block did not change; a split block is served every
-    shard, and the diet node rebuilds the whole tree."""
+@functools.lru_cache(maxsize=None)
+def _split_chain() -> FullNode:
+    """Nine blocks above genesis at ``size_cap`` 256 from ``k = 0``, each
+    paying Alice 2 six times and Carol 3; the blocks at heights 2, 3, 5
+    and 8 split the shards. Window steps only read it."""
     params = ChainParams(target_bits=5, subsidy=50, size_cap=256, initial_k=0)
     node = mined_node(params, ALICE, 2, seed=48)
     for i in range(8):
         node.submit_transaction(payment(node, ALICE, [(ALICE.challenge, 2)] * 6
                                         + [(CAROL.challenge, 3)]))
         mine_on(node, ALICE.public_key, seed=248 + i)
-    replayed = {}
-    rebuild = DietNode._rebuild_root
-
-    def recording(self, view, tree, served):
-        replayed[view.height] = (set(view.edited), set(served),
-                                 len(view.shards), tree.total_leaves)
-        return rebuild(self, view, tree, served)
-
-    monkeypatch.setattr(DietNode, "_rebuild_root", recording)
-    depth = node.tip_height
-    diet = _wire(node, DietConfig(keys=(CAROL.public_key,), max_depth=depth,
-                                  max_length=depth))
-    result = diet.update_chain()
-    assert {v.status for v in result.verdicts} == {"diet-verified"}
-    assert sorted(replayed) == list(range(1, node.tip_height + 1))
-    splits = {h for h in replayed if node.utxo.touched_log[h].rebalanced}
-    assert splits and len(splits) < len(replayed)
-    for height, (edited, leaves, served, total) in replayed.items():
-        if height in splits:
-            assert served == total
-        else:
-            assert edited == leaves == set(node.utxo.versions[height])
+    return node
 
 
-def _replayed_closes(monkeypatch, node: FullNode) -> tuple[list, dict]:
-    """Verify one window over every block of ``node``'s chain on a
-    fresh diet node watching Carol. Returns the verdicts and, by height,
-    what closing the replayed view did: ``k`` before and after, the
-    shards the body edited, the ``encode_shard_coins`` calls the close
-    made and the root the diet node derived."""
+def _step_start(node: FullNode, height: int) -> tuple[bytes, list[Coin]]:
+    """What a window step at ``height`` starts from: the root and the
+    reward coins of the block below."""
+    below = node.blocks[node.headers.active_hash_at(height - 1)]
+    return commitment_of(below), coins_of(below.transactions[0])
+
+
+def _stepped_closes(monkeypatch, node: FullNode) -> dict:
+    """Chain ``window_step`` over every block of ``node``'s chain on the
+    answers it serves, from the genesis block's root and reward coins.
+    Returns, by height, what closing the step's view did (``k`` before
+    and after, the shards the body edited, the ``encode_shard_coins``
+    calls the close made), the served shard indices, the tree size and
+    the root the step derived."""
     closes = {}
-    rebuild = DietNode._rebuild_root
+    close = utxo.ShardView.close
     packed = []
     encode = utxo.encode_shard_coins
 
@@ -232,22 +226,43 @@ def _replayed_closes(monkeypatch, node: FullNode) -> tuple[list, dict]:
         packed.append(len(coins))
         return encode(coins)
 
-    def recording(self, view, tree, served):
+    def recording(view, size_cap):
         k, edited = view.k, set(view.edited)
         packed.clear()
         monkeypatch.setattr(utxo, "encode_shard_coins", counting_encode)
         try:
-            root = rebuild(self, view, tree, served)
+            leaves = close(view, size_cap)
         finally:
             monkeypatch.setattr(utxo, "encode_shard_coins", encode)
-        closes[view.height] = (k, view.k, edited, len(packed), root)
-        return root
+        closes[view.height] = (k, view.k, edited, len(packed))
+        return leaves
 
-    monkeypatch.setattr(DietNode, "_rebuild_root", recording)
-    depth = node.tip_height
-    diet = _wire(node, DietConfig(keys=(CAROL.public_key,), max_depth=depth,
-                                  max_length=depth))
-    return diet.update_chain().verdicts, closes
+    monkeypatch.setattr(utxo.ShardView, "close", recording)
+    trusted, pending = _step_start(node, 1)
+    for block_hash in node.headers.active_chain()[1:]:
+        block, answer = node.blocks[block_hash], node.serve_query_utxos(block_hash)
+        trusted, pending = window_step(node.params, trusted, pending, block, answer)
+        height = block.header.height
+        closes[height] += (set(answer.shards), answer.tree.total_leaves, trusted)
+    return closes
+
+
+def test_the_diet_replay_edits_exactly_the_shards_served(monkeypatch):
+    """The replay of an honest block edits every shard the node served for
+    it and no other, so re-hashing the served paths after the edits costs
+    no leaf the block did not change; a split block is served every
+    shard, and the diet node rebuilds the whole tree."""
+    node = _split_chain()
+    replayed = _stepped_closes(monkeypatch, node)
+    assert sorted(replayed) == list(range(1, node.tip_height + 1))
+    splits = {h for h in replayed if node.utxo.touched_log[h].rebalanced}
+    assert splits and len(splits) < len(replayed)
+    for height, (_, _, edited, _, served, total, root) in replayed.items():
+        assert root == commitment_of(node.blocks[node.headers.active_hash_at(height)])
+        if height in splits:
+            assert len(served) == total
+        else:
+            assert edited == served == set(node.utxo.versions[height])
 
 
 def test_a_split_in_a_window_packs_only_the_shards_the_block_edited(monkeypatch):
@@ -260,12 +275,11 @@ def test_a_split_in_a_window_packs_only_the_shards_the_block_edited(monkeypatch)
         node.submit_transaction(payment(node, ALICE, [(ALICE.challenge, 2)] * 6
                                         + [(CAROL.challenge, 3)]))
         mine_on(node, ALICE.public_key, seed=246 + i)
-    verdicts, closes = _replayed_closes(monkeypatch, node)
-    assert {v.status for v in verdicts} == {"diet-verified"}
+    closes = _stepped_closes(monkeypatch, node)
     assert sorted(closes) == list(range(1, node.tip_height + 1))
     splits = [h for h, (k, k_after, *_) in closes.items() if k_after != k]
     assert splits
-    for height, (k, k_after, edited, packs, root) in closes.items():
+    for height, (k, k_after, edited, packs, _, _, root) in closes.items():
         assert packs == len(edited)
         if height in splits:
             assert len(edited) < 1 << k  # some shards were served and left as they were
@@ -283,9 +297,7 @@ def test_a_window_verifies_a_block_that_splits_by_two_bits(monkeypatch):
     mine_on(node, ALICE.public_key, seed=247)
     record = node.utxo.touched_log[node.tip_height]
     assert (record.k, record.k_after) == (1, 3)
-    verdicts, closes = _replayed_closes(monkeypatch, node)
-    assert [v.status for v in verdicts] == ["diet-verified"]
-    k, k_after, _, _, root = closes[node.tip_height]
+    k, k_after, *_, root = _stepped_closes(monkeypatch, node)[node.tip_height]
     assert (k, k_after) == (1, 3)
     assert root == commitment_of(node.blocks[node.tip_hash]) == node.utxo.current_root
 
@@ -327,6 +339,30 @@ def test_a_window_across_a_split_rejects_an_extra_sibling():
     (verdict,) = diet.update_chain().verdicts
     assert (verdict.status, verdict.reason) == ("rejected", "shard-proof-mismatch")
     assert verdict.fail_height == min(h for h in splits if h > verdict.first)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(window=st.lists(st.integers(0, 9), min_size=2, max_size=2, unique=True))
+def test_window_steps_end_where_the_diet_node_does(window):
+    """Chaining the step over a window from the base block's root and
+    reward coins reaches the root of the block the diet node verifies up
+    to, and each step leaves its arguments as they were."""
+    node = _split_chain()
+    first, last = sorted(window)
+    diet = _wire(node, DietConfig(keys=(CAROL.public_key,), max_depth=node.tip_height,
+                                  max_length=last - first))
+    diet.ingest_headers([node.blocks[hh].header for hh in node.headers.active_chain()])
+    assert diet.verify_blocks_up_to(last) == VerifyOutcome("verified", first, last)
+    trusted, pending = _step_start(node, first + 1)
+    for height in range(first + 1, last + 1):
+        block_hash = node.headers.active_hash_at(height)
+        block, answer = node.blocks[block_hash], node.serve_query_utxos(block_hash)
+        before = (list(pending), encode_block(block), dict(answer.shards), answer.tree)
+        trusted, after = window_step(node.params, trusted, pending, block, answer)
+        assert (list(pending), encode_block(block), dict(answer.shards), answer.tree) == before
+        pending = after
+    assert diet.highest_verified == last
+    assert trusted == commitment_of(node.blocks[node.headers.active_hash_at(last)])
 
 
 def test_reorg_rewinds_verified_mark():
@@ -849,6 +885,109 @@ def _rewritten_window(case: str):
     return first, second, height
 
 
+LIES = ("drop-shard", "extra-shard", "other-height", "other-block", "size", "drop-sibling",
+        "add-sibling", "swap-siblings", "replace-sibling", "flip-coin", "drop-coin",
+        "no-shard", "outside")
+
+
+def _differing_pairs(siblings) -> list[tuple[int, int]]:
+    return [(i, j) for i in range(len(siblings)) for j in range(i + 1, len(siblings))
+            if siblings[i] != siblings[j]]
+
+
+def _lie_fits(lie: str, answer: UtxosResponse) -> bool:
+    """Whether ``lie`` can be told about ``answer``: a shard to drop
+    while one stays, an unserved one to add, a sibling to drop or
+    replace, two different ones to swap, a coin to flip or drop."""
+    siblings = answer.tree.siblings
+    return {"drop-shard": len(answer.shards) > 1,
+            "extra-shard": len(answer.shards) < answer.tree.total_leaves,
+            "drop-sibling": bool(siblings), "replace-sibling": bool(siblings),
+            "swap-siblings": bool(_differing_pairs(siblings)),
+            "flip-coin": any(s.encoded for s in answer.shards.values()),
+            "drop-coin": any(s.encoded for s in answer.shards.values()),
+            }.get(lie, True)
+
+
+def _lie(node: FullNode, height: int, lie: str, draw) -> tuple[Block, UtxosResponse]:
+    """The block at ``height`` and the node's answer for it, one of them
+    rewritten as ``lie`` says, with ``draw`` picking where."""
+    block_hash = node.headers.active_hash_at(height)
+    block, answer = node.blocks[block_hash], node.serve_query_utxos(block_hash)
+    shards, tree = dict(answer.shards), answer.tree
+    siblings = list(tree.siblings)
+    other = node.headers.active_hash_at(
+        draw(st.sampled_from([h for h in range(1, node.tip_height + 1) if h != height])))
+    if lie in ("drop-shard", "extra-shard"):
+        held = set(shards)
+        if lie == "drop-shard":
+            held.remove(draw(st.sampled_from(sorted(held))))
+        else:
+            held.add(draw(st.sampled_from(sorted(set(range(tree.total_leaves)) - held))))
+        shards, tree = node.utxo.state_before(height, held)
+    elif lie == "other-height":
+        return block, node.serve_query_utxos(other)
+    elif lie == "other-block":
+        return node.blocks[other], answer
+    elif lie == "size":
+        tree = dataclasses.replace(tree, total_leaves=draw(
+            st.integers(1, 4 * tree.total_leaves).filter(lambda n: n != tree.total_leaves)))
+    elif lie == "drop-sibling":
+        del siblings[draw(st.integers(0, len(siblings) - 1))]
+    elif lie == "add-sibling":
+        siblings.insert(draw(st.integers(0, len(siblings))), hash256(b"extra"))
+    elif lie == "swap-siblings":
+        i, j = draw(st.sampled_from(_differing_pairs(siblings)))
+        siblings[i], siblings[j] = siblings[j], siblings[i]
+    elif lie == "replace-sibling":
+        siblings[draw(st.integers(0, len(siblings) - 1))] = hash256(b"replaced")
+    elif lie in ("flip-coin", "drop-coin"):
+        idx = draw(st.sampled_from(sorted(i for i, s in shards.items() if s.encoded)))
+        data = bytearray(shards[idx].encoded)
+        at = COIN_SIZE * draw(st.integers(0, len(data) // COIN_SIZE - 1))
+        if lie == "flip-coin":
+            data[at + draw(st.integers(0, COIN_SIZE - 1))] ^= 1 << draw(st.integers(0, 7))
+        else:
+            del data[at:at + COIN_SIZE]
+        shards[idx] = Shard(bytes(data))
+    elif lie == "no-shard":
+        shards = {}
+    else:  # "outside"
+        shards[tree.total_leaves + draw(st.integers(0, 3))] = Shard(b"")
+    if "sibling" in lie:
+        tree = dataclasses.replace(tree, siblings=tuple(siblings))
+    return block, UtxosResponse(shards=shards, tree=tree)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_a_lying_answer_is_a_verdict_at_its_block_or_changes_nothing(data):
+    """A step told one lie about a block of a chain with four splits,
+    from the honest root and reward coins below it, raises a
+    ``ValidationError`` at the height of the block it was handed, or,
+    for an untouched shard served with its proof, returns what the
+    honest answer gives; it never raises anything else."""
+    node = _split_chain()
+    lie = data.draw(st.sampled_from(LIES))
+    height = data.draw(st.sampled_from(
+        [h for h in range(1, node.tip_height + 1)
+         if _lie_fits(lie, node.serve_query_utxos(node.headers.active_hash_at(h)))]))
+    block, answer = _lie(node, height, lie, data.draw)
+    try:
+        result = window_step(node.params, *_step_start(node, height), block, answer)
+    except ValidationError as exc:
+        assert lie != "extra-shard"
+        assert exc.height == block.header.height
+        if lie == "drop-shard" and node.utxo.touched_log[height].rebalanced:
+            # without a shard the body leaves alone, a split block's view does not split
+            assert exc.code in ("shard-proof-mismatch", "root-mismatch")
+        elif lie != "other-block":
+            assert exc.code == "shard-proof-mismatch"
+    else:
+        assert lie == "extra-shard"
+        assert result == (commitment_of(block), coins_of(block.transactions[0]))
+
+
 def test_a_shard_count_overrunning_the_answer_is_a_peer_fault():
     """A peer that frames its first shard with a coin count past the
     end of its answer gets ``peer-fault`` at the block asked about."""
@@ -873,7 +1012,13 @@ def test_a_utxos_tree_of_zero_leaves_is_a_peer_fault():
     mine_on(node, ALICE.public_key, seed=166)
 
     def no_leaves(data: bytes) -> bytes:
-        at = len(data) - len(encode_partial(decode_utxos_response(data).tree))
+        # the tree follows the shard frames: walk them from the front
+        (count,), at = struct.unpack_from("<H", data), 2
+        for _ in range(count):
+            _, coins = struct.unpack_from("<II", data, at)
+            at += 8 + COIN_SIZE * coins
+        assert decode_utxos_response(data).tree.total_leaves == \
+            struct.unpack_from("<I", data, at)[0]
         return data[:at] + struct.pack("<I", 0) + data[at + 4:]
 
     bus = Bus(seed=7)
