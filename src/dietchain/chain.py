@@ -161,7 +161,7 @@ def _exact_width(name: str, value: bytes, width: int) -> bytes:
 
 # One struct per fixed-width record. A "32s"/"33s"/"64s" field pads or
 # truncates silently, so the encoders check byte widths before packing.
-_HEADER = struct.Struct("<32s32sBQI")   # BlockHeader's fields in order
+HEADER_STRUCT = struct.Struct("<32s32sBQI")  # BlockHeader's fields in order
 _TX_START = struct.Struct("<IH")        # a transaction's version and input count
 _INPUT = struct.Struct("<32sI33s64s")   # prevout txid and index, public key, signature
 _OUTPUT = struct.Struct("<QB32s")       # TxOutput's fields in order
@@ -198,7 +198,7 @@ def encode_header(h: BlockHeader) -> bytes:
     if len(h.prev_hash) != 32 or len(h.tx_mroot) != 32:
         _exact_width("prev_hash", h.prev_hash, 32)
         _exact_width("tx_mroot", h.tx_mroot, 32)
-    return _HEADER.pack(*h)
+    return HEADER_STRUCT.pack(*h)
 
 
 def encode_block(b: Block) -> bytes:
@@ -284,7 +284,7 @@ def read_header(r: Reader) -> BlockHeader:
     if len(data) - start < HEADER_SIZE:
         raise _field_error(_read_header_fields, r, start)
     r.offset = start + HEADER_SIZE
-    return BlockHeader._make(_HEADER.unpack_from(data, start))
+    return BlockHeader._make(HEADER_STRUCT.unpack_from(data, start))
 
 
 def read_block(r: Reader) -> Block:
@@ -363,15 +363,12 @@ def leading_zero_bits(digest: bytes) -> int:
     return count
 
 
-def meets_target(digest: bytes, target_bits: int) -> bool:
-    """Whether a 32-byte digest has at least ``target_bits`` (0..256)
-    leading zero bits, as :func:`leading_zero_bits` counts them."""
+def pow_ok(digest: bytes, target_bits: int) -> bool:
+    """The proof-of-work predicate: whether a 32-byte header digest has at
+    least ``target_bits`` (0..256) leading zero bits, as
+    :func:`leading_zero_bits` counts them. Header checks and the nonce scan
+    both call it."""
     return int.from_bytes(digest, "big") >> (256 - target_bits) == 0
-
-
-def pow_ok(h: BlockHeader) -> bool:
-    """Proof-of-work check: the header hash needs target_bits leading zero bits."""
-    return meets_target(header_hash(h), h.target_bits)
 
 
 def make_coinbase_input() -> TxInput:

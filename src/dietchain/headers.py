@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator
 
-from .chain import BlockHeader, ZERO32, header_hash, meets_target
+from .chain import BlockHeader, ZERO32, header_hash, pow_ok
 from .errors import ValidationError
 
 
@@ -30,7 +30,7 @@ def check_header(header: BlockHeader, digest: bytes, parent: BlockHeader | None,
     Raises ValidationError with code 'pow-failure', 'bad-target',
     'unknown-parent' or 'bad-height'.
     """
-    if not meets_target(digest, header.target_bits):
+    if not pow_ok(digest, header.target_bits):
         raise ValidationError("pow-failure", height=header.height)
     if header.target_bits != target_bits:
         raise ValidationError("bad-target", f"target_bits {header.target_bits}, "

@@ -20,6 +20,11 @@ and the same proof of work. ``mine_block`` leaves the store it is given
 as it was: it previews the root (apply, then undo) and solves; a
 template the store cannot apply raises before the store changes.
 
+``solve_pow`` tries each nonce with ``chain.pow_ok``, the predicate
+``HeaderIndex.add`` applies to every header, on the hash of the packed
+header fields: one call per attempt, and the first nonce that passes is
+the one the node's own header check accepts.
+
 The coinbase's version field carries the block height so that two
 otherwise identical coinbases can never collide on txid. When a nonce
 scan comes up empty, the extra nonce rolls in the coinbase input's
@@ -37,11 +42,13 @@ from .chain import (
     Block,
     BlockHeader,
     ChainParams,
+    HEADER_STRUCT,
     KIND_COMMITMENT,
     KIND_PAYMENT,
     Transaction,
     TxOutput,
     ZERO32,
+    encode_header,
     make_coinbase_input,
     pow_ok,
 )
@@ -105,11 +112,21 @@ def nonce_start(seed: int) -> int:
 
 
 def solve_pow(header: BlockHeader, max_attempts: int, seed: int = 0) -> int | None:
-    """Scan nonces from a seed-derived start; None when the budget runs out."""
+    """Scan nonces from a seed-derived start, wrapping at 2**64; None when
+    the budget runs out.
+
+    The header is encoded once, which checks its field widths. One attempt
+    then packs the five header fields with ``HEADER_STRUCT``, hashes them
+    with ``hash256`` and calls ``pow_ok`` on the digest: no ``BlockHeader``
+    is built and nothing else is encoded. Raises the ValueError of
+    :func:`encode_header` for a hash of the wrong width.
+    """
+    encode_header(header)
     prev_hash, tx_mroot, target_bits, _, height = header
+    pack = HEADER_STRUCT.pack
     nonce = nonce_start(seed)
     for _ in range(max_attempts):
-        if pow_ok(BlockHeader(prev_hash, tx_mroot, target_bits, nonce, height)):
+        if pow_ok(hash256(pack(prev_hash, tx_mroot, target_bits, nonce, height)), target_bits):
             return nonce
         nonce = (nonce + 1) & (1 << 64) - 1
     return None

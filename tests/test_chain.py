@@ -32,7 +32,6 @@ from dietchain.chain import (
     header_hash,
     leading_zero_bits,
     make_coinbase_input,
-    meets_target,
     pow_ok,
     sighash,
     txid,
@@ -187,16 +186,16 @@ def test_leading_zero_bits():
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(zeros=st.integers(0, 256), noise=st.binary(min_size=32, max_size=32),
        target_bits=st.integers(0, 255))
-def test_meets_target_counts_leading_zero_bits(zeros, noise, target_bits):
+def test_pow_ok_counts_leading_zero_bits(zeros, noise, target_bits):
     digest = (int.from_bytes(noise, "big") >> zeros).to_bytes(32, "big")
-    assert meets_target(digest, target_bits) == (leading_zero_bits(digest) >= target_bits)
+    assert pow_ok(digest, target_bits) == (leading_zero_bits(digest) >= target_bits)
 
 
-def test_meets_target_at_the_edges():
-    assert meets_target(b"\xff" * 32, 0)
-    assert meets_target(b"\x00" * 32, 255)
-    assert meets_target(b"\x00\x7f" + b"\xff" * 30, 9)
-    assert not meets_target(b"\x00\x7f" + b"\xff" * 30, 10)
+def test_pow_ok_at_the_edges():
+    assert pow_ok(b"\xff" * 32, 0)
+    assert pow_ok(b"\x00" * 32, 255)
+    assert pow_ok(b"\x00\x7f" + b"\xff" * 30, 9)
+    assert not pow_ok(b"\x00\x7f" + b"\xff" * 30, 10)
 
 
 @pytest.mark.parametrize("field", ["prev_hash", "tx_mroot"])
@@ -268,7 +267,7 @@ def test_pow_mean_attempts_matches_target():
         start = nonce_start(trial)
         nonce = solve_pow(header, 1 << 16, seed=trial)
         assert nonce is not None
-        assert pow_ok(header._replace(nonce=nonce))
+        assert pow_ok(header_hash(header._replace(nonce=nonce)), header.target_bits)
         attempts.append((nonce - start) % (1 << 64) + 1)
     mean = sum(attempts) / len(attempts)
     # geometric with p = 2^-8: mean 256, generous two-sided band

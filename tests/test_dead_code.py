@@ -21,8 +21,8 @@ PACKAGE = ROOT / "src" / "dietchain"
 
 # public name -> why it stays although only tests use it
 ONLY_FOR_TESTS = {
-    "leading_zero_bits": "the oracle that test_meets_target_counts_leading_zero_bits "
-                         "compares chain.meets_target against",
+    "leading_zero_bits": "the oracle that test_pow_ok_counts_leading_zero_bits "
+                         "compares chain.pow_ok against",
 }
 
 

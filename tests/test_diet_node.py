@@ -1203,6 +1203,24 @@ def test_diet_window_verdict_agrees_with_full_node(mutation, initial_k, cap, spe
         assert verdicts == {("rejected", full.reason, height)}, mutation
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 2: no commitment carries the coin count, so a view "
+                   "without a shard the body leaves alone does not split, and the step "
+                   "blames the block")
+def test_a_split_block_answer_without_an_untouched_shard_is_a_shard_proof_mismatch():
+    """Height 3 of the split chain splits; an answer that drops shard 0,
+    which its body leaves alone, is the peer's fault, not the block's."""
+    node = _split_chain()
+    block = node.blocks[node.headers.active_hash_at(3)]
+    assert node.utxo.touched_log[3].rebalanced
+    held = set(node.serve_query_utxos(block_hash(block)).shards) - {0}
+    shards, tree = node.utxo.state_before(3, held)
+    with pytest.raises(ValidationError) as raised:
+        window_step(node.params, *_step_start(node, 3), block,
+                    UtxosResponse(shards=shards, tree=tree))
+    assert (raised.value.code, raised.value.height) == ("shard-proof-mismatch", 3)
+
+
 # -- a block that skips a due split ------------------------------------------------
 
 SPLITTING_AT_256 = ChainParams(target_bits=5, subsidy=50, size_cap=256, initial_k=2)

@@ -186,8 +186,8 @@ def test_pow_failure_rejected():
 
 
 def block_hash_ok(block: Block) -> bool:
-    from dietchain.chain import pow_ok
-    return pow_ok(block.header)
+    from dietchain.chain import header_hash, pow_ok
+    return pow_ok(header_hash(block.header), block.header.target_bits)
 
 
 def test_duplicate_block_reports_duplicate():
@@ -463,8 +463,9 @@ def test_a_block_breaking_one_rule_is_a_rejected_connect_at_its_height(code):
                              else tx_merkle_root(txs))
     header = header._replace(nonce=solve_pow(header, 1 << 20, seed=321))
     if code == "pow-failure":
-        header = header._replace(nonce=next(n for n in itertools.count()
-                                            if not chain.pow_ok(header._replace(nonce=n))))
+        header = header._replace(nonce=next(
+            n for n in itertools.count()
+            if not chain.pow_ok(chain.header_hash(header._replace(nonce=n)), header.target_bits)))
     tip, root = node.tip_hash, node.utxo.current_root
     result = node.connect_block(Block(header=header, transactions=txs))
     assert (result.status, result.reason, result.height) == ("rejected", code, header.height)

@@ -3,7 +3,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dietchain.chain import BlockHeader, ZERO32, header_hash
+from dietchain import headers
+from dietchain.chain import BlockHeader, ZERO32, header_hash, pow_ok
 from dietchain.errors import ValidationError
 from dietchain.headers import HeaderIndex, check_header
 
@@ -56,6 +57,26 @@ def test_check_header_codes():
         with pytest.raises(ValidationError) as info:
             check_header(header, header_hash(header), parent, bits)
         assert info.value.code == code
+
+
+def test_add_checks_proof_of_work_once_per_new_header(monkeypatch):
+    checked = []
+
+    def counting(digest, target_bits):
+        checked.append((digest, target_bits))
+        return pow_ok(digest, target_bits)
+
+    monkeypatch.setattr(headers, "pow_ok", counting)
+    index = HeaderIndex(target_bits=0)
+    genesis = BlockHeader(ZERO32, ZERO32, 0, 0, 0)
+    child = BlockHeader(header_hash(genesis), ZERO32, 0, 0, 1)
+    assert index.add(genesis) == header_hash(genesis)
+    assert checked == [(header_hash(genesis), 0)]
+    index.add(child)
+    assert checked[1:] == [(header_hash(child), 0)]
+    index.add(genesis)  # known: nothing is checked again
+    index.add(child)
+    assert len(checked) == 2
 
 
 def test_forget_drops_a_branch_with_its_descendants_and_restores_the_tip():

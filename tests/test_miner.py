@@ -46,7 +46,7 @@ def test_genesis_starts_a_valid_chain():
     node = FullNode(FAST)
     genesis = make_genesis(FAST, ALICE.public_key, seed=1)
     assert genesis.header.height == 0
-    assert pow_ok(genesis.header)
+    assert pow_ok(header_hash(genesis.header), genesis.header.target_bits)
     assert node.connect_block(genesis).accepted
     reward = coins_of(genesis.transactions[0])
     assert len(reward) == 1
@@ -59,7 +59,7 @@ def test_mined_blocks_satisfy_own_difficulty():
     for h in node.headers.active_chain():
         header = node.blocks[h].header
         assert header.target_bits == FAST.target_bits
-        assert pow_ok(header)
+        assert pow_ok(header_hash(header), header.target_bits)
 
 
 def test_coinbase_txids_never_collide():
@@ -229,7 +229,8 @@ def _off_target(template):
 
 
 def _failing_nonce(header, max_attempts, seed=0):
-    return next(n for n in itertools.count() if not pow_ok(header._replace(nonce=n)))
+    return next(n for n in itertools.count()
+                if not pow_ok(header_hash(header._replace(nonce=n)), header.target_bits))
 
 
 def _junk_root(make):
@@ -281,7 +282,51 @@ def test_solve_pow_finds_the_reference_scan_nonce(prev_hash, tx_mroot, target_bi
     expected = _reference_scan(header, max_attempts, nonce_start(seed))
     assert solve_pow(header, max_attempts, seed) == expected
     if expected is not None:
-        assert pow_ok(header._replace(nonce=expected))
+        assert pow_ok(header_hash(header._replace(nonce=expected)), target_bits)
+
+
+def _counting_pow_ok(monkeypatch) -> list:
+    """Rebind ``miner.pow_ok`` to record each (digest, target_bits) it is
+    asked about, as the bench tracer counts attempts."""
+    calls = []
+
+    def counting(digest, target_bits):
+        calls.append((digest, target_bits))
+        return pow_ok(digest, target_bits)
+
+    monkeypatch.setattr(miner, "pow_ok", counting)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2 ** 64 - 1])
+def test_a_scan_calls_pow_ok_once_per_nonce_it_tries(monkeypatch, seed):
+    header = BlockHeader(b"\x03" * 32, b"\x04" * 32, 6, 0, 12)
+    calls = _counting_pow_ok(monkeypatch)
+    found = solve_pow(header, 1 << 16, seed)
+    start = nonce_start(seed)
+    assert found is not None
+    assert len(calls) == (found - start) % 2 ** 64 + 1
+    assert calls == [(header_hash(header._replace(nonce=(start + i) % 2 ** 64)), 6)
+                     for i in range(len(calls))]
+
+
+def test_an_empty_scan_calls_pow_ok_max_attempts_times(monkeypatch):
+    header = BlockHeader(b"\x05" * 32, b"\x06" * 32, 255, 0, 1)
+    calls = _counting_pow_ok(monkeypatch)
+    assert solve_pow(header, 300, seed=4) is None
+    assert len(calls) == 300
+
+
+@pytest.mark.parametrize("field", ["prev_hash", "tx_mroot"])
+@pytest.mark.parametrize("width", [31, 33])
+def test_solve_pow_refuses_a_wrong_width_hash_before_any_attempt(monkeypatch, field, width):
+    # struct's "32s" would pad or cut such a hash without a word
+    header = BlockHeader(b"\x07" * 32, b"\x08" * 32, 0, 0, 2)._replace(
+        **{field: b"\x09" * width})
+    calls = _counting_pow_ok(monkeypatch)
+    with pytest.raises(ValueError, match=f"^{field} must be 32 bytes, got {width}$"):
+        solve_pow(header, 10)
+    assert calls == []
 
 
 def test_solve_pow_scan_wraps_the_nonce_space(monkeypatch):
