@@ -99,6 +99,10 @@ class VerifyOutcome:
     fail_height: int | None = None
 
 
+# a watched tx's status, by the outcome of its block
+_STATUS = {"verified": "diet-verified", "fallback": "spv-only", "rejected": "rejected"}
+
+
 @dataclass(frozen=True)
 class UpdateResult:
     verdicts: tuple[TxVerdict, ...]
@@ -186,34 +190,28 @@ class DietNode:
                 self.highest_verified = fork
 
         for match in response.matches:
-            match_hash = header_hash(match.header)
-            height = match.header.height
             relevant = [tx for tx in match.transactions
                         if tx_touches(tx, self._watched.__contains__)]
             if not relevant:
                 continue  # bloom false positive, nothing of ours inside
-            if not self._match_proof_ok(match, match_hash):
-                verdicts.extend(self._verdicts(relevant, height, "rejected",
-                                               reason="proof-mismatch", fail_height=height))
-                continue
-            if not self.config.diet_enabled:
-                verdicts.extend(self._verdicts(relevant, height, "spv-only"))
-                continue
-            if height <= self.highest_verified:
-                verdicts.extend(self._verdicts(relevant, height, "diet-verified"))
-                continue
-            outcome = self.verify_blocks_up_to(height)
-            if outcome.kind == "verified":
-                verdicts.extend(self._verdicts(relevant, height, "diet-verified",
-                                               first=outcome.first, last=outcome.last))
-            elif outcome.kind == "fallback":
-                verdicts.extend(self._verdicts(relevant, height, "spv-only"))
-            else:
-                verdicts.extend(self._verdicts(relevant, height, "rejected",
-                                               reason=outcome.reason,
-                                               fail_height=outcome.fail_height,
-                                               first=outcome.first, last=outcome.last))
+            outcome = self._judge(match)
+            verdicts.extend(TxVerdict(tx_id=txid(tx), height=match.header.height,
+                                      status=_STATUS[outcome.kind], reason=outcome.reason,
+                                      fail_height=outcome.fail_height,
+                                      first=outcome.first, last=outcome.last)
+                            for tx in relevant)
         return self._result(verdicts)
+
+    def _judge(self, match) -> VerifyOutcome:
+        """The outcome every watched tx of ``match`` gets."""
+        height = match.header.height
+        if not self._match_proof_ok(match):
+            return VerifyOutcome("rejected", reason="proof-mismatch", fail_height=height)
+        if not self.config.diet_enabled:
+            return VerifyOutcome("fallback")
+        if height <= self.highest_verified:
+            return VerifyOutcome("verified")
+        return self.verify_blocks_up_to(height)
 
     def _result(self, verdicts: list[TxVerdict]) -> UpdateResult:
         return UpdateResult(
@@ -231,20 +229,14 @@ class DietNode:
             except ValidationError:
                 break
 
-    def _match_proof_ok(self, match, match_hash: bytes) -> bool:
-        if not self.headers.on_active_chain(match_hash):
+    def _match_proof_ok(self, match) -> bool:
+        if not self.headers.on_active_chain(header_hash(match.header)):
             return False
         leaves = {i: txid(tx) for i, tx in zip(match.tx_indices, match.transactions)}
         try:
             return partial_root(match.tx_tree, leaves) == match.header.tx_mroot
         except IncompleteProofError:
             return False
-
-    def _verdicts(self, txs, height, status, reason=None, fail_height=None,
-                  first=None, last=None):
-        return [TxVerdict(tx_id=txid(tx), height=height, status=status, reason=reason,
-                          fail_height=fail_height, first=first, last=last)
-                for tx in txs]
 
     def _count(self, kind: str, nbytes: int) -> None:
         self.bytes_by_type[kind] = self.bytes_by_type.get(kind, 0) + nbytes
@@ -282,7 +274,7 @@ class DietNode:
             trusted, pending = window_step(self.params, trusted, pending, block, answer)
             self.highest_verified = height
 
-    def _ask(self, query: str, block_hash: bytes, height: int, note: str | None = None):
+    def _ask(self, query: str, block_hash: bytes, height: int, note: str):
         """Run one window query and count its bytes; bytes that do not
         decode are the peer's fault at ``height``, and a refusal that
         names no height is at ``height`` too."""
@@ -295,8 +287,7 @@ class DietNode:
                 raise
             raise ValidationError(exc.code, exc.detail, height=height) from exc
         self._count(query, nbytes)
-        if note is not None:
-            self._note_height(height, note, nbytes)
+        self._note_height(height, note, nbytes)
         return value
 
     def _fetch_block(self, block_hash: bytes, height: int) -> Block:
