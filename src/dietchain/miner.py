@@ -132,13 +132,13 @@ def solve_pow(header: BlockHeader, max_attempts: int, seed: int = 0) -> int | No
     return None
 
 
-def _solve(unmined: Callable[[int], Block], seed: int, max_attempts: int) -> Block:
+def _solve(unmined: Callable[[int], Block], seed: int) -> Block:
     """Solve ``unmined(extra_nonce)``, rolling the extra nonce whenever a
-    scan comes up empty."""
+    scan of ``MAX_ATTEMPTS`` nonces comes up empty."""
     extra_nonce = 0
     while True:
         block = unmined(extra_nonce)
-        nonce = solve_pow(block.header, max_attempts, seed=seed + extra_nonce)
+        nonce = solve_pow(block.header, MAX_ATTEMPTS, seed=seed + extra_nonce)
         if nonce is not None:
             return Block(header=block.header._replace(nonce=nonce),
                          transactions=block.transactions)
@@ -146,10 +146,9 @@ def _solve(unmined: Callable[[int], Block], seed: int, max_attempts: int) -> Blo
 
 
 def mine_block(template: BlockTemplate, parent_state: VersionedShardStore,
-               seed: int = 0, max_attempts: int = MAX_ATTEMPTS) -> Block:
+               seed: int = 0) -> Block:
     """Assemble and solve; ``parent_state`` is left as it was."""
-    return _solve(lambda extra: assemble_block(template, parent_state, extra),
-                  seed, max_attempts)
+    return _solve(lambda extra: assemble_block(template, parent_state, extra), seed)
 
 
 def template_on(node: FullNode, txs, fees: int, reward_key: bytes) -> BlockTemplate:
@@ -182,7 +181,7 @@ def mine_txs(node: FullNode, txs, reward_key: bytes, seed: int = 0,
     try:
         template = template_on(node, txs, fees, reward_key)
         committed = root if commitment is None else commitment
-        block = _solve(lambda extra: block_on(template, committed, extra), seed, MAX_ATTEMPTS)
+        block = _solve(lambda extra: block_on(template, committed, extra), seed)
         node.close_block(block, root, fees)
         closed = True
     finally:

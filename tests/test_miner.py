@@ -111,13 +111,22 @@ def test_extra_nonce_changes_the_txid_and_nothing_the_coinbase_pays():
     assert rolled.outputs[1].payload == root  # commitment untouched
 
 
-def test_a_reward_mined_after_a_rolled_extra_nonce_is_spendable(monkeypatch):
+def _mined_off_tip(node: FullNode, reward_key: bytes, seed: int):
+    """An empty block mined with ``mine_block`` on the node's store, then
+    connected."""
+    block = mine_block(template_on(node, (), 0, reward_key), node.utxo, seed=seed)
+    assert node.connect_block(block).accepted
+    return block
+
+
+@pytest.mark.parametrize("mine", [mine_on, _mined_off_tip], ids=["mine_on", "mine_block"])
+def test_a_reward_mined_after_a_rolled_extra_nonce_is_spendable(monkeypatch, mine):
     node = mined_node(FAST, ALICE, 2, seed=143)
     scans = []
     monkeypatch.setattr(miner, "MAX_ATTEMPTS", 1)  # nearly every scan comes up empty
     monkeypatch.setattr(miner, "solve_pow", lambda *a, **kw: scans.append(a) or solve_pow(*a, **kw))
-    block = mine_on(node, BOB.public_key, seed=243)
-    assert len(scans) > 1  # the extra nonce rolled
+    block = mine(node, BOB.public_key, seed=243)
+    assert len(scans) > 1 and all(attempts == 1 for _, attempts in scans)  # the extra nonce rolled
     mine_on(node, ALICE.public_key, seed=244)
     reward = coins_of(block.transactions[0])[0]
     spend = signed_spend(BOB, [reward], [
