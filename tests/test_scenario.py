@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import sys
 import weakref
 from pathlib import Path
 
@@ -74,25 +75,38 @@ def test_a_dropped_run_frees_its_bus_and_nodes_without_the_cycle_collector():
         gc.enable()
 
 
-GOLDEN = json.loads((Path(__file__).parent / "golden" / "digests.json").read_text())
+DIGESTS_FILE = Path(__file__).parent / "golden" / "digests.json"
+GOLDEN = json.loads(DIGESTS_FILE.read_text())
 
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def test_bundled_scenarios_match_golden_digests():
-    """Reports and traces of every bundled scenario, at its own seed and
-    at seed 7, are byte-identical to the pinned ones."""
-    bundled = cli.bundled_scenarios()
-    assert sorted(GOLDEN) == sorted(bundled)
-    mismatches = []
-    for name, text in sorted(bundled.items()):
+def bundled_digests() -> dict:
+    """The sha256 of the report and of the trace of every bundled
+    scenario, at its own seed and at seed 7."""
+    digests = {}
+    for name, text in sorted(cli.bundled_scenarios().items()):
         for label, seed in (("default", None), ("7", 7)):
             run = run_scenario(json.loads(text), seed_override=seed)
-            got = {"report": _sha256(render_report(run.report)),
-                   "trace": _sha256(render_trace(run.trace))}
-            for part, digest in got.items():
+            digests.setdefault(name, {})[label] = {
+                "report": _sha256(render_report(run.report)),
+                "trace": _sha256(render_trace(run.trace))}
+    return digests
+
+
+def test_bundled_scenarios_match_golden_digests():
+    """Reports and traces of every bundled scenario, at its own seed and
+    at seed 7, are byte-identical to the pinned ones. A change meant to
+    move them rewrites the file with
+    ``PYTHONPATH=src python tests/test_scenario.py digests``."""
+    got = bundled_digests()
+    assert sorted(GOLDEN) == sorted(got)
+    mismatches = []
+    for name in sorted(got):
+        for label, seed in (("default", None), ("7", 7)):
+            for part, digest in got[name][label].items():
                 if digest != GOLDEN[name][label][part]:
                     flag = "" if seed is None else f" --seed {seed}"
                     mismatches.append(
@@ -519,4 +533,7 @@ def test_cli_trace_writes_jsonl(tmp_path, capsys):
 
 
 if __name__ == "__main__":
-    VERDICTS_FILE.write_text(json.dumps(bundled_verdicts(), indent=1, sort_keys=True) + "\n")
+    if sys.argv[1:] == ["digests"]:
+        DIGESTS_FILE.write_text(json.dumps(bundled_digests(), indent=2, sort_keys=True) + "\n")
+    else:
+        VERDICTS_FILE.write_text(json.dumps(bundled_verdicts(), indent=1, sort_keys=True) + "\n")
