@@ -59,6 +59,7 @@ import operator
 from dataclasses import dataclass, field
 
 from .chain import (
+    COIN_SIZE,
     Block,
     BlockHeader,
     ChainParams,
@@ -111,6 +112,7 @@ class MerkleBlocksResponse:
 class UtxosResponse:
     shards: dict[int, Shard]
     tree: PartialMerkleTree
+    coin_count: int  # coins in all shards before the block
 
 
 @dataclass(slots=True)
@@ -439,7 +441,8 @@ class FullNode:
                 height, set(self.utxo.versions.get(height, ())))
         except HistoryUnavailableError as exc:
             raise ValidationError("history-unavailable", str(exc), height=height) from exc
-        return UtxosResponse(shards=shards, tree=tree)
+        coins = self.utxo.touched_log[height - 1].shard_bytes // COIN_SIZE
+        return UtxosResponse(shards=shards, tree=tree, coin_count=coins)
 
     def kept_answer(self, query: int, block_hash: bytes, build) -> bytes:
         """The wire bytes of the ``query`` answer about ``block_hash``, a

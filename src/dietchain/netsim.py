@@ -29,8 +29,10 @@ as a ``rejected`` / ``peer-fault`` connect with no height.
 
 A ``utxos`` answer is a u16 shard count; per shard, in increasing index
 order, its index (u32), its coin count (u32) and its coins; then the
-partial tree. The shard's own bytes, which its leaf hashes, are the
-coins alone: the count frames them in the answer and is not stored.
+partial tree; then the coin count of all shards before the block (u64),
+which the committed root binds with the tree's root. The shard's own
+bytes, which its leaf hashes, are the coins alone: the count frames them
+in the answer and is not stored.
 
 A ``merkle_blocks`` answer is a u16 header count and the headers, then a
 u16 match count; per match, its header, the partial tx tree, a u16 tx
@@ -139,6 +141,7 @@ def encode_utxos_response(resp: UtxosResponse) -> bytes:
         parts.append(_SHARD_FRAME.pack(idx, len(encoded) // COIN_SIZE))
         parts.append(encoded)
     parts.append(encode_partial(resp.tree))
+    parts.append(struct.pack("<Q", resp.coin_count))
     return b"".join(parts)
 
 
@@ -161,8 +164,9 @@ def decode_utxos_response(payload: bytes) -> UtxosResponse:
         shards[idx] = decode_shard(r.take(COIN_SIZE * count))
         last = idx
     tree = read_partial(r)
+    coin_count = r.u64()
     r.done()
-    return UtxosResponse(shards=shards, tree=tree)
+    return UtxosResponse(shards=shards, tree=tree, coin_count=coin_count)
 
 
 # -- the bus -----------------------------------------------------------------

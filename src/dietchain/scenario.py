@@ -388,7 +388,8 @@ def _act_corrupt_shard(state: ScenarioState, step: dict) -> None:
                     first._replace(value=first.value + 1),) + shard.coins[1:])
                 shards = dict(resp.shards)
                 shards[idx] = tampered
-                return encode_utxos_response(UtxosResponse(shards=shards, tree=resp.tree))
+                return encode_utxos_response(
+                    UtxosResponse(shards=shards, tree=resp.tree, coin_count=resp.coin_count))
         return payload
     state.bus.attach_adversary(
         Adversary(victim=step["victim"], transforms={MSG_UTXOS: transform}))

@@ -1,10 +1,11 @@
 """Sharded UTXO set with a per-height undo journal and a Merkle root.
 
 Coins are bucketed by the first ``k`` bits of their creating txid (byte
-0 first, most significant bit first), giving ``2**k`` shards. The store
-commits to a root over all shard hashes after every block and keeps, for
-each of the last ``HISTORY_HORIZON`` blocks, the shards that block
-replaced, so it can prove what any shard looked like just before a
+0 first, most significant bit first), giving ``2**k`` shards. After every
+block the store commits to the root of a tree over all shard hashes,
+bound to the number of coins in the shards (:func:`committed_root`). It
+keeps, for each of the last ``HISTORY_HORIZON`` blocks, the shards that
+block replaced, so it can prove what any shard looked like just before a
 recent block, and undo back to any height at or above its ``floor``.
 
 Two rules shape the commitment; :class:`ShardView` holds the one
@@ -20,7 +21,9 @@ implementation of each, which the store and a diet node both run:
   ``k`` increments (splitting every shard in two) until the average
   fits. The split runs before root computation, so committed
   roots always describe the post-split tree, and it is a pure function
-  of the coin set, so any verifier holding all shards can replay it.
+  of the coin count, which the root commits: a verifier holding only
+  the shards a block touched knows when a split is due, and a view
+  without every shard refuses a block that must split.
   A shard's coins are in outpoint order, so the txid bits it gains cut
   them into contiguous runs: each child is a slice of its parent's coin
   list and of its parent's bytes, and no coin is re-bucketed.
@@ -130,6 +133,16 @@ def shard_leaf(encoded: bytes) -> bytes:
     return hash256(encoded)
 
 
+_COUNT = struct.Struct("<Q")  # a coin count, as committed and as served
+
+
+def committed_root(tree_root: bytes, coin_count: int) -> bytes:
+    """The root a block commits: its shard tree's root bound to the
+    number of coins in the shards. The 40-byte preimage cannot pose as a
+    64-byte inner node or a shard of 76-byte coins."""
+    return hash256(tree_root + _COUNT.pack(coin_count))
+
+
 @dataclass(frozen=True, slots=True)
 class Shard:
     """One shard as it travels: its wire bytes (its coins in outpoint
@@ -194,7 +207,7 @@ class ShardView:
         # index -> wire bytes of that shard as handed in, where the holder has them
         self.encoded = encoded or {}
         self.k = k
-        self.coin_count = coin_count  # coins in the shards held
+        self.coin_count = coin_count  # coins in all shards, held or not
         self.height = height
         self.edited: dict[int, list[Coin]] = {}  # index -> the view's copy of that shard
         for coin in pending:
@@ -239,13 +252,14 @@ class ShardView:
     def _split_k(self, size_cap: int) -> int:
         """The ``k`` the split rule gives the view's coins: while the
         ``2**k`` shards average over ``size_cap`` bytes, one more txid
-        bit. Only a view that holds every shard splits."""
+        bit. A due split needs every shard."""
         k = self.k
-        if len(self.shards) == 1 << self.k:
-            while COIN_SIZE * self.coin_count > size_cap << k:
-                if k == 32:
-                    raise InconsistentStateError("shard key space exhausted")
-                k += 1
+        while COIN_SIZE * self.coin_count > size_cap << k:
+            if k == 32:
+                raise InconsistentStateError("shard key space exhausted")
+            k += 1
+        if k != self.k and len(self.shards) != 1 << self.k:
+            raise InconsistentStateError("a due split needs every shard")
         return k
 
     def close(self, size_cap: int) -> dict[int, bytes]:
@@ -344,7 +358,7 @@ class VersionedShardStore:
 
     @property
     def current_root(self) -> bytes:
-        return bytes(self._levels[-1])
+        return committed_root(bytes(self._levels[-1]), self._coin_count)
 
     def all_coins(self) -> Iterator[Coin]:
         for i in range(1 << self.k):

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import struct
+
 from dietchain.chain import (
+    COIN_SIZE,
     ChainParams,
     KIND_PAYMENT,
     Reader,
@@ -15,7 +18,7 @@ from dietchain.crypto import KeyPair, hash256
 from dietchain.full_node import FullNode
 from dietchain.merkle import partial_root
 from dietchain.miner import make_genesis, mine_on
-from dietchain.utxo import Coin, VersionedShardStore
+from dietchain.utxo import Coin, VersionedShardStore, committed_root
 
 FAST = ChainParams(target_bits=5, subsidy=50, size_cap=1024, initial_k=2)
 
@@ -75,10 +78,21 @@ def payment(node: FullNode, sender: KeyPair, pays: list[tuple[bytes, int]],
                                     for i in tx.inputs))
 
 
-def served_root(shards: dict, tree) -> bytes:
-    """The root a verifier reaches from served shards and their proof,
-    hashing each shard's leaf itself."""
-    return partial_root(tree, {i: shard.leaf_hash for i, shard in shards.items()})
+def served_root(shards: dict, tree, coin_count: int) -> bytes:
+    """The root a verifier reaches from served shards, their proof and
+    the coin count of all shards, hashing each shard's leaf itself."""
+    return committed_root(partial_root(tree, {i: shard.leaf_hash for i, shard in shards.items()}),
+                          coin_count)
+
+
+def utxos_tree_at(data: bytes) -> int:
+    """The offset of the partial tree in a ``utxos`` answer: it follows
+    the shard frames, walked from the front."""
+    (count,), at = struct.unpack_from("<H", data), 2
+    for _ in range(count):
+        _, coins = struct.unpack_from("<II", data, at)
+        at += 8 + COIN_SIZE * coins
+    return at
 
 
 def store_state(store: VersionedShardStore) -> dict:

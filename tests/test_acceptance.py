@@ -60,7 +60,7 @@ def _oracle_root(coins: list[Coin], k: int) -> bytes:
         leaves.append(_h(blob))
     while len(leaves) > 1:
         leaves = [_h(leaves[i] + leaves[i + 1]) for i in range(0, len(leaves), 2)]
-    return leaves[0]
+    return _h(leaves[0] + struct.pack("<Q", len(coins)))  # the root bound to the coin count
 
 
 def test_01_sharded_store_equals_flat_oracle():

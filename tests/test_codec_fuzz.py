@@ -8,7 +8,7 @@ import random
 import struct
 
 import pytest
-from conftest import FAST, key_of, mined_node, payment, read_whole
+from conftest import FAST, key_of, mined_node, payment, read_whole, utxos_tree_at
 from hypothesis import given, settings, strategies as st
 
 from dietchain.chain import (
@@ -84,7 +84,8 @@ def _honest_payloads() -> dict[str, bytes]:
 def _reencode_utxos(data: bytes) -> bytes:
     resp = decode_utxos_response(data)
     shards = {i: Shard.of_coins(shard.coins) for i, shard in resp.shards.items()}
-    return encode_utxos_response(UtxosResponse(shards=shards, tree=resp.tree))
+    return encode_utxos_response(UtxosResponse(shards=shards, tree=resp.tree,
+                                               coin_count=resp.coin_count))
 
 
 # codec name -> bytes -> the decoded value encoded again
@@ -222,8 +223,9 @@ def _oracle_utxos(r: Reader) -> UtxosResponse:
         shards[idx] = decode_shard(r.take(COIN_SIZE * count))
         last = idx
     tree = read_partial(r)
+    (coin_count,) = struct.unpack("<Q", r.take(8))
     r.done()
-    return UtxosResponse(shards=shards, tree=tree)
+    return UtxosResponse(shards=shards, tree=tree, coin_count=coin_count)
 
 
 def _whole_payload(decode):
@@ -328,13 +330,35 @@ def test_a_shard_count_overrunning_the_answer_is_a_decode_error(count):
         decode_utxos_response(_with_first_count(data, count))
 
 
+# The coin count of all shards ends a utxos answer, as a u64 after the tree.
+
+def test_the_coin_count_follows_the_tree():
+    data = HONEST["utxos"]
+    at = utxos_tree_at(data) + len(HONEST["partial"])
+    assert len(data) == at + 8
+    assert struct.unpack_from("<Q", data, at)[0] == decode_utxos_response(data).coin_count
+
+
+@pytest.mark.parametrize("cut", range(1, 8))
+def test_a_utxos_answer_cut_inside_its_coin_count_is_a_decode_error(cut):
+    data = HONEST["utxos"]
+    with pytest.raises(DecodeError, match=rf"truncated \(at byte {len(data) - 8}\)"):
+        decode_utxos_response(data[:-cut])
+
+
+def test_a_byte_after_a_utxos_answers_coin_count_is_a_decode_error():
+    data = HONEST["utxos"]
+    with pytest.raises(DecodeError, match=rf"trailing bytes after value \(at byte {len(data)}\)"):
+        decode_utxos_response(data + b"\x00")
+
+
 def test_shard_coins_out_of_order_in_an_answer_are_a_decode_error():
     honest = decode_utxos_response(HONEST["utxos"])
     idx, shard = next((i, s) for i, s in sorted(honest.shards.items()) if len(s.coins) > 1)
     coins = shard.coins
     swapped = Shard(encode_shard_coins([coins[1], coins[0], *coins[2:]]))
     data = encode_utxos_response(UtxosResponse(shards={**honest.shards, idx: swapped},
-                                               tree=honest.tree))
+                                               tree=honest.tree, coin_count=honest.coin_count))
     with pytest.raises(DecodeError, match="out of order"):
         decode_utxos_response(data)
     with pytest.raises(DecodeError, match="out of order"):
@@ -349,8 +373,9 @@ def test_a_shard_of_65536_coins_round_trips():
     encoded = encode_shard_coins(coins)
     assert len(encoded) == COIN_SIZE << 16
     assert ROUND_TRIPS["shard"](encoded) == encoded
-    tree = decode_utxos_response(HONEST["utxos"]).tree
-    data = encode_utxos_response(UtxosResponse(shards={3: Shard(encoded)}, tree=tree))
+    honest = decode_utxos_response(HONEST["utxos"])
+    data = encode_utxos_response(UtxosResponse(shards={3: Shard(encoded)}, tree=honest.tree,
+                                               coin_count=honest.coin_count))
     assert struct.unpack_from("<HII", data) == (1, 3, 1 << 16)
     assert decode_utxos_response(data).shards == {3: Shard(encoded)}
     assert ROUND_TRIPS["utxos"](data) == data
@@ -412,8 +437,11 @@ def test_a_partial_count_past_the_end_is_a_decode_error(run, count):
     data = struct.pack("<IH", tree.total_leaves, count) + b"".join(tree.siblings)
     with pytest.raises(DecodeError, match="truncated"):
         read_whole(read_partial, data)
+    honest = HONEST["utxos"]
+    at = utxos_tree_at(honest)
+    assert honest[at:at + len(HONEST["partial"])] == HONEST["partial"]
     with pytest.raises(DecodeError, match="truncated"):
-        decode_utxos_response(HONEST["utxos"][:-len(HONEST["partial"])] + data)
+        decode_utxos_response(honest[:at] + data + honest[at + len(HONEST["partial"]):])
 
 
 def _utxos_wire(entries, tree_bytes: bytes) -> bytes:

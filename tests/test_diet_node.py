@@ -5,7 +5,7 @@ import functools
 import struct
 
 import pytest
-from conftest import FAST, coins_owned, key_of, mined_node, payment, store_state
+from conftest import FAST, coins_owned, key_of, mined_node, payment, store_state, utxos_tree_at
 from hypothesis import given, settings, strategies as st
 
 from dietchain import utxo
@@ -13,6 +13,7 @@ from dietchain.chain import (
     COIN_SIZE,
     Block,
     ChainParams,
+    KIND_COMMITMENT,
     KIND_PAYMENT,
     OutPoint,
     Transaction,
@@ -33,7 +34,7 @@ from dietchain.diet_node import (
 )
 from dietchain.errors import ValidationError
 from dietchain.full_node import FullNode, UtxosResponse
-from dietchain.merkle import encode_partial, update_levels
+from dietchain.merkle import build_root, encode_partial, update_levels
 from dietchain.miner import (
     BlockTemplate,
     assemble_block,
@@ -58,7 +59,15 @@ from dietchain.netsim import (
     encode_utxos_response,
 )
 from dietchain.rules import commitment_of, signed_spend, tx_merkle_root
-from dietchain.utxo import Coin, Shard, coins_of, encode_shard_coins, shard_key
+from dietchain.utxo import (
+    Coin,
+    Shard,
+    coins_of,
+    committed_root,
+    encode_shard_coins,
+    shard_key,
+    shard_leaf,
+)
 
 ALICE = key_of("alice")
 BOB = key_of("bob")
@@ -153,6 +162,22 @@ def test_spv_mode_never_downloads_state():
                                   max_length=2, diet_enabled=False))
     result = diet.update_chain()
     assert [v.status for v in result.verdicts] == ["spv-only"]
+    assert set(result.bytes_by_type) == {"query_merkle_blocks"}
+
+
+@pytest.mark.parametrize("diet_enabled, status", [(True, "diet-verified"), (False, "spv-only")])
+def test_the_genesis_reward_needs_no_window(diet_enabled, status):
+    """The genesis is the trust anchor, at ``highest_verified`` from the
+    start: a diet client watching its reward key gets that coinbase
+    verified with no window and no state download; an SPV client gets
+    it ``spv-only``."""
+    node = mined_node(FAST, ALICE, 1, seed=39)
+    for seed in (139, 239):
+        mine_on(node, BOB.public_key, seed=seed)
+    diet = _wire(node, DietConfig(keys=(ALICE.public_key,), diet_enabled=diet_enabled))
+    result = diet.update_chain()
+    assert [(v.height, v.status, v.reason, v.fail_height, v.first, v.last)
+            for v in result.verdicts] == [(0, status, None, None, None, None)]
     assert set(result.bytes_by_type) == {"query_merkle_blocks"}
 
 
@@ -315,7 +340,8 @@ class _ExtraSiblingService(FullNodeService):
             return response
         resp = self.node.serve_query_utxos(payload)
         tree = dataclasses.replace(resp.tree, siblings=resp.tree.siblings + (hash256(b"extra"),))
-        return encode_utxos_response(UtxosResponse(shards=resp.shards, tree=tree))
+        return encode_utxos_response(UtxosResponse(shards=resp.shards, tree=tree,
+                                                   coin_count=resp.coin_count))
 
 
 def test_a_window_across_a_split_rejects_an_extra_sibling():
@@ -478,7 +504,8 @@ class _LenientNode(FullNode):
             return super().serve_query_utxos(block_hash)
         # A planted block: prove every shard of the state it sits on.
         shards, tree = self.utxo.state_before(height, set(range(1 << self.utxo.k)))
-        return UtxosResponse(shards=shards, tree=tree)
+        return UtxosResponse(shards=shards, tree=tree,
+                             coin_count=self.utxo.touched_log[height - 1].shard_bytes // COIN_SIZE)
 
 
 def _lenient_copy(node: FullNode) -> _LenientNode:
@@ -793,7 +820,7 @@ class _ShardTwiceService(FullNodeService):
         for idx in order:
             encoded = resp.shards[idx].encoded
             parts += [struct.pack("<II", idx, len(encoded) // COIN_SIZE), encoded]
-        parts.append(encode_partial(resp.tree))
+        parts += [encode_partial(resp.tree), struct.pack("<Q", resp.coin_count)]
         return b"".join(parts)
 
 
@@ -830,7 +857,8 @@ class _RewritingService(FullNodeService):
             else:
                 held.add(min(set(range(tree.total_leaves)) - held))
             shards, tree = self.node.utxo.state_before(self.height, held)
-            return encode_utxos_response(UtxosResponse(shards=shards, tree=tree))
+            return encode_utxos_response(UtxosResponse(shards=shards, tree=tree,
+                                                       coin_count=resp.coin_count))
         shards = resp.shards
         if self.case == "size":
             tree = dataclasses.replace(tree, total_leaves=3 * tree.total_leaves)
@@ -842,7 +870,8 @@ class _RewritingService(FullNodeService):
             shards = {**shards, tree.total_leaves: Shard(b"")}
         else:  # "no-shard"
             shards = {}
-        return encode_utxos_response(UtxosResponse(shards=shards, tree=tree))
+        return encode_utxos_response(UtxosResponse(shards=shards, tree=tree,
+                                                   coin_count=resp.coin_count))
 
 
 @pytest.mark.parametrize("case, reason", [("drop-shard", "shard-proof-mismatch"),
@@ -887,7 +916,7 @@ def _rewritten_window(case: str):
 
 LIES = ("drop-shard", "extra-shard", "other-height", "other-block", "size", "drop-sibling",
         "add-sibling", "swap-siblings", "replace-sibling", "flip-coin", "drop-coin",
-        "no-shard", "outside")
+        "no-shard", "outside", "count")
 
 
 def _differing_pairs(siblings) -> list[tuple[int, int]]:
@@ -914,7 +943,7 @@ def _lie(node: FullNode, height: int, lie: str, draw) -> tuple[Block, UtxosRespo
     rewritten as ``lie`` says, with ``draw`` picking where."""
     block_hash = node.headers.active_hash_at(height)
     block, answer = node.blocks[block_hash], node.serve_query_utxos(block_hash)
-    shards, tree = dict(answer.shards), answer.tree
+    shards, tree, coin_count = dict(answer.shards), answer.tree, answer.coin_count
     siblings = list(tree.siblings)
     other = node.headers.active_hash_at(
         draw(st.sampled_from([h for h in range(1, node.tip_height + 1) if h != height])))
@@ -952,11 +981,13 @@ def _lie(node: FullNode, height: int, lie: str, draw) -> tuple[Block, UtxosRespo
         shards[idx] = Shard(bytes(data))
     elif lie == "no-shard":
         shards = {}
+    elif lie == "count":
+        coin_count += draw(st.sampled_from((-1, 1) if coin_count else (1,)))
     else:  # "outside"
         shards[tree.total_leaves + draw(st.integers(0, 3))] = Shard(b"")
     if "sibling" in lie:
         tree = dataclasses.replace(tree, siblings=tuple(siblings))
-    return block, UtxosResponse(shards=shards, tree=tree)
+    return block, UtxosResponse(shards=shards, tree=tree, coin_count=coin_count)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -978,10 +1009,7 @@ def test_a_lying_answer_is_a_verdict_at_its_block_or_changes_nothing(data):
     except ValidationError as exc:
         assert lie != "extra-shard"
         assert exc.height == block.header.height
-        if lie == "drop-shard" and node.utxo.touched_log[height].rebalanced:
-            # without a shard the body leaves alone, a split block's view does not split
-            assert exc.code in ("shard-proof-mismatch", "root-mismatch")
-        elif lie != "other-block":
+        if lie != "other-block":
             assert exc.code == "shard-proof-mismatch"
     else:
         assert lie == "extra-shard"
@@ -1012,11 +1040,7 @@ def test_a_utxos_tree_of_zero_leaves_is_a_peer_fault():
     mine_on(node, ALICE.public_key, seed=166)
 
     def no_leaves(data: bytes) -> bytes:
-        # the tree follows the shard frames: walk them from the front
-        (count,), at = struct.unpack_from("<H", data), 2
-        for _ in range(count):
-            _, coins = struct.unpack_from("<II", data, at)
-            at += 8 + COIN_SIZE * coins
+        at = utxos_tree_at(data)
         assert decode_utxos_response(data).tree.total_leaves == \
             struct.unpack_from("<I", data, at)[0]
         return data[:at] + struct.pack("<I", 0) + data[at + 4:]
@@ -1137,7 +1161,24 @@ def test_truncated_merkle_blocks_changes_nothing():
 
 
 MUTATIONS = ("none", "flip-sig", "respend", "inflate", "overpay", "coinbase-version",
-             "stray-marker", "dup-last", "no-input")
+             "stray-marker", "dup-last", "no-input", "miscount")
+
+
+def _miscounted(node: FullNode, block: Block) -> Block:
+    """``block``, for the node's tip, with a coinbase that commits the
+    true shard tree root after its body bound to one coin too many."""
+    store = node.utxo
+    store.apply_body(block.transactions[1:], block.header.height)
+    tree_root = build_root([shard_leaf(encode_shard_coins(store.shards[i]))
+                            for i in range(1 << store.k)])
+    coins = sum(map(len, store.shards.values()))
+    store.undo_block()
+    assert committed_root(tree_root, coins) == commitment_of(block)
+    coinbase = block.transactions[0]
+    outputs = tuple(out._replace(payload=committed_root(tree_root, coins + 1))
+                    if out.kind == KIND_COMMITMENT else out for out in coinbase.outputs)
+    return block._replace(transactions=(coinbase._replace(outputs=outputs),
+                                        *block.transactions[1:]))
 
 
 def _mutate(block: Block, mutation: str, spent) -> Block:
@@ -1188,6 +1229,8 @@ def test_diet_window_verdict_agrees_with_full_node(mutation, initial_k, cap, spe
                                                   if extra else [])
     block = _tip_block(lenient, txs, fees=len(txs), overpay=int(mutation == "overpay"),
                        seed=seed)
+    if mutation == "miscount":
+        block = _miscounted(lenient, block)
     block = _solved(_mutate(block, mutation, spent[0]), seed)
     height = block.header.height
     if mutation in ("respend", "stray-marker", "dup-last") \
@@ -1201,23 +1244,21 @@ def test_diet_window_verdict_agrees_with_full_node(mutation, initial_k, cap, spe
         assert verdicts == {("diet-verified", None, None)}
     else:
         assert verdicts == {("rejected", full.reason, height)}, mutation
+        if mutation == "miscount":
+            assert full.reason == "root-mismatch"
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 2: no commitment carries the coin count, so a view "
-                   "without a shard the body leaves alone does not split, and the step "
-                   "blames the block")
 def test_a_split_block_answer_without_an_untouched_shard_is_a_shard_proof_mismatch():
     """Height 3 of the split chain splits; an answer that drops shard 0,
     which its body leaves alone, is the peer's fault, not the block's."""
     node = _split_chain()
     block = node.blocks[node.headers.active_hash_at(3)]
     assert node.utxo.touched_log[3].rebalanced
-    held = set(node.serve_query_utxos(block_hash(block)).shards) - {0}
-    shards, tree = node.utxo.state_before(3, held)
+    honest = node.serve_query_utxos(block_hash(block))
+    shards, tree = node.utxo.state_before(3, set(honest.shards) - {0})
     with pytest.raises(ValidationError) as raised:
         window_step(node.params, *_step_start(node, 3), block,
-                    UtxosResponse(shards=shards, tree=tree))
+                    UtxosResponse(shards=shards, tree=tree, coin_count=honest.coin_count))
     assert (raised.value.code, raised.value.height) == ("shard-proof-mismatch", 3)
 
 
@@ -1246,11 +1287,10 @@ def test_a_full_node_rejects_a_block_that_skips_a_due_split():
         [("accepted", None, 2), ("accepted", None, 3), ("rejected", "root-mismatch", 4)]
 
 
-@pytest.mark.xfail(strict=True, reason="a diet node holds only the served shards, so it "
-                   "cannot run the split rule while the split is a consensus rule")
 def test_a_diet_node_rejects_a_block_that_skips_a_due_split():
-    """The diet node, with the honest params and a window of 3, must reject
-    height 4 as the honest full node does; today it verifies it."""
+    """The diet node, with the honest params and a window of 3, rejects
+    height 4 as the honest full node does: the committed coin count makes
+    the split due in a view of only the served shards."""
     bus = Bus()
     bus.register("peer", FullNodeService(_unsplit_chain()))
     diet = DietNode(SPLITTING_AT_256,

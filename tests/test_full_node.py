@@ -351,15 +351,16 @@ def test_query_merkle_blocks_filters_and_proves():
 def test_query_utxos_serves_only_touched_shards():
     node = mined_node(FAST, ALICE, 4, seed=115)
     node.submit_transaction(payment(node, ALICE, [(BOB.challenge, 9)]))
+    in_shards = sum(map(len, node.utxo.shards.values()))
     block = mine_on(node, ALICE.public_key, seed=216)
     bh = block_hash(block)
     resp = node.serve_query_utxos(bh)
     record = node.utxo.touched_log[block.header.height]
     assert set(resp.shards) == set(node.utxo.versions[block.header.height])
     assert resp.tree.total_leaves == 1 << record.k
+    assert resp.coin_count == in_shards
     # proof hangs together against the parent's committed root
-    parent_height = block.header.height - 1
-    assert served_root(resp.shards, resp.tree) == \
+    assert served_root(resp.shards, resp.tree, resp.coin_count) == \
         commitment_of(node.blocks[block.header.prev_hash])
 
 
@@ -982,7 +983,8 @@ def test_a_branch_forking_below_the_floor_is_reorg_too_deep(horizon, steps):
                     continue
                 parent = node.blocks[node.headers.active_hash_at(h - 1)]
                 resp = node.serve_query_utxos(hh)
-                assert served_root(resp.shards, resp.tree) == commitment_of(parent)
+                assert served_root(resp.shards, resp.tree, resp.coin_count) == \
+                    commitment_of(parent)
 
 
 def test_a_side_branch_forking_below_the_floor_is_not_kept(monkeypatch):
@@ -1101,4 +1103,6 @@ def test_any_delivery_order_ends_where_the_in_order_node_does(delivery_tree, dat
         served = node.utxo.state_before(h, everything)
         assert served == in_order.utxo.state_before(h, everything)
         parent = node.blocks[node.headers.active_hash_at(h - 1)]
-        assert served_root(*served) == commitment_of(parent)
+        shards, tree = served
+        coins = sum(len(shard.coins) for shard in shards.values())
+        assert served_root(shards, tree, coins) == commitment_of(parent)

@@ -70,8 +70,10 @@ def test_utxos_response_round_trip():
     store = node.utxo
     indices = frozenset(range(2 ** store.k))
     shards, tree = store.state_before(store.height + 1, indices)
-    payload = encode_utxos_response(UtxosResponse(shards=shards, tree=tree))
+    count = store.touched_log[store.height].shard_bytes // COIN_SIZE
+    payload = encode_utxos_response(UtxosResponse(shards=shards, tree=tree, coin_count=count))
     decoded = decode_utxos_response(payload)
+    assert payload.endswith(struct.pack("<Q", count)) and decoded.coin_count == count
     assert set(decoded.shards) == set(shards)
     for idx, shard in shards.items():
         assert decoded.shards[idx].coins == shard.coins
@@ -82,7 +84,8 @@ def test_utxos_response_decodes_only_in_increasing_shard_order():
     node = mined_node(FAST, ALICE, 5, seed=71)
     store = node.utxo
     shards, tree = store.state_before(store.height + 1, frozenset(range(2 ** store.k)))
-    proof = encode_partial(tree)
+    proof = encode_partial(tree) + struct.pack(
+        "<Q", store.touched_log[store.height].shard_bytes // COIN_SIZE)
 
     def payload(order):
         parts = [struct.pack("<H", len(order))]

@@ -44,6 +44,12 @@ def _h(data: bytes) -> bytes:
     return hashlib.sha256(hashlib.sha256(data).digest()).digest()
 
 
+def _counted(tree_root: bytes, coin_count: int) -> bytes:
+    """The committed root, by its definition: the shard tree's root and
+    the u64 little-endian count of the coins in the shards."""
+    return _h(tree_root + struct.pack("<Q", coin_count))
+
+
 def test_shard_key_takes_leading_bits_msb_first():
     tid = bytes([0xB3]) + bytes(31)
     assert shard_key(tid, 0) == 0
@@ -76,7 +82,7 @@ def test_coin_encoding_width_and_order():
 def test_empty_shard_leaf_hash_is_hash_of_empty_string():
     assert encode_shard_coins([]) == b""
     assert Shard(b"").leaf_hash == _h(b"")
-    assert VersionedShardStore(initial_k=1).current_root == _h(_h(b"") + _h(b""))
+    assert VersionedShardStore(initial_k=1).current_root == _counted(_h(_h(b"") + _h(b"")), 0)
 
 
 def test_shard_decode_checks_sortedness():
@@ -156,12 +162,13 @@ class _FlatOracle:
         return [_h(blob) for blob in blobs]
 
     def root(self, k: int) -> bytes:
+        """The committed root over ``2**k`` shards."""
         leaves = self.leaves(self.shard_blobs(k))
         while len(leaves) > 1:
             if len(leaves) % 2:
                 leaves.append(leaves[-1])
             leaves = [_h(leaves[i] + leaves[i + 1]) for i in range(0, len(leaves), 2)]
-        return leaves[0]
+        return _counted(leaves[0], len(self.committed))
 
 
 def _random_history(rng: random.Random, n_blocks: int, cap: int = 1 << 30,
@@ -380,6 +387,21 @@ def test_a_split_cuts_each_shard_as_rebucketing_every_coin_does(k, bits, outpoin
     assert hashed == [encode_shard_coins(c) for c in expected.values()]
 
 
+def test_a_view_without_every_shard_refuses_a_due_split():
+    """The split rule reads the view's coin count, not the shards it
+    holds: a view of shard 0 of two, with three coins in all, closes
+    while no split is due, and raises once one is."""
+    held = [Coin(OutPoint(bytes(32), 0), 1, bytes(32))]
+    for cap, due in ((2 * COIN_SIZE, False), (COIN_SIZE, True)):
+        view = ShardView({0: held}, 1, 2, [], 1)
+        view.insert(Coin(OutPoint(bytes([1]) + bytes(31), 0), 1, bytes(32)))
+        if due:
+            with pytest.raises(InconsistentStateError, match="every shard"):
+                view.close(cap)
+        else:
+            assert list(view.close(cap)) == [0] and view.k == 1
+
+
 def test_average_never_exceeds_cap_after_application():
     rng = random.Random(28)
     store = VersionedShardStore(initial_k=0, size_cap=200)
@@ -409,7 +431,7 @@ def test_state_before_reconstructs_committed_history():
         flat = sorted(c for s in shards.values() for c in s.coins)
         assert flat == sorted(oracle.committed.values())
         assert oracle.root(k) == roots[h]
-        assert served_root(shards, partial) == roots[h]
+        assert served_root(shards, partial, len(oracle.committed)) == roots[h]
 
 
 def test_state_before_bounds():
@@ -494,7 +516,7 @@ def _assert_matches_replay(store: VersionedShardStore, chain: list[Block]) -> No
         oracle.apply(block)
         committed.append(oracle.shard_blobs(store.touched_log[h].k_after))
     leaves = [_h(encode_shard_coins(store.shards[i])) for i in range(1 << store.k)]
-    assert store.current_root == build_root(leaves)
+    assert store.current_root == _counted(build_root(leaves), len(oracle.committed))
     assert sorted(c for coins in store.shards.values() for c in coins) == \
         sorted(oracle.committed.values())
     assert store.pending == oracle.pending
@@ -518,7 +540,7 @@ def _assert_matches_replay(store: VersionedShardStore, chain: list[Block]) -> No
         for subset in subsets:
             shards, partial = store.state_before(h, subset)
             assert partial == extract_partial(leaves, subset)
-            assert served_root(shards, partial) == roots[h - 1]
+            assert served_root(shards, partial, sum(map(len, blobs)) // COIN_SIZE) == roots[h - 1]
             assert {i: shard.encoded for i, shard in shards.items()} == \
                 {i: blobs[i] for i in subset}
 
@@ -627,7 +649,8 @@ def test_state_before_across_two_splits_matches_the_flat_oracle(monkeypatch):
             assert {i: shard.encoded for i, shard in shards.items()} == \
                 {i: blobs[h - 1][i] for i in subset}
             assert partial == extract_partial(_FlatOracle.leaves(blobs[h - 1]), subset)
-            assert served_root(shards, partial) == roots[h - 1]
+            assert served_root(shards, partial,
+                               sum(map(len, blobs[h - 1])) // COIN_SIZE) == roots[h - 1]
 
 
 def test_a_clone_rewound_across_a_split_serves_what_its_source_served():
@@ -688,8 +711,10 @@ def _assert_bounded_history(store: VersionedShardStore, chain: list[Block]) -> N
     fresh = VersionedShardStore(initial_k=store.initial_k, size_cap=store.size_cap)
     oracle = _FlatOracle()
     roots = [fresh.apply_block(block, h) for h, block in enumerate(chain)]
+    counts = []  # per height, the oracle's coins in the shards
     for block in chain:
         oracle.apply(block)
+        counts.append(len(oracle.committed))
     assert fresh.floor <= store.floor
     assert sorted(c for coins in store.shards.values() for c in coins) == \
         sorted(oracle.committed.values())
@@ -707,7 +732,7 @@ def _assert_bounded_history(store: VersionedShardStore, chain: list[Block]) -> N
             continue
         shards, partial = store.state_before(h, subset)
         assert (shards, partial) == fresh.state_before(h, subset)
-        assert served_root(shards, partial) == roots[h - 1]
+        assert served_root(shards, partial, counts[h - 1]) == roots[h - 1]
     assert len(store._undo_pending) == len(chain) - 1 - store.floor
     assert list(store.versions) == list(range(store.floor + 1, store.next_height))
 
