@@ -119,20 +119,23 @@ def _mined_off_tip(node: FullNode, reward_key: bytes, seed: int):
     return block
 
 
-@pytest.mark.parametrize("mine", [mine_on, _mined_off_tip], ids=["mine_on", "mine_block"])
-def test_a_reward_mined_after_a_rolled_extra_nonce_is_spendable(monkeypatch, mine):
-    node = mined_node(FAST, ALICE, 2, seed=143)
-    scans = []
-    monkeypatch.setattr(miner, "MAX_ATTEMPTS", 1)  # nearly every scan comes up empty
-    monkeypatch.setattr(miner, "solve_pow", lambda *a, **kw: scans.append(a) or solve_pow(*a, **kw))
-    block = mine(node, BOB.public_key, seed=243)
-    assert len(scans) > 1 and all(attempts == 1 for _, attempts in scans)  # the extra nonce rolled
-    mine_on(node, ALICE.public_key, seed=244)
-    reward = coins_of(block.transactions[0])[0]
-    spend = signed_spend(BOB, [reward], [
-        TxOutput(value=reward.value - 1, kind=KIND_PAYMENT, payload=ALICE.challenge)])
-    node.submit_transaction(spend)  # the reward's key is the one the template named
-    assert spend in mine_on(node, ALICE.public_key, seed=245).transactions
+def test_a_reward_mined_after_a_rolled_extra_nonce_is_spendable(monkeypatch):
+    """Through ``mine_on`` and through ``mine_block`` alike."""
+    for mine in (mine_on, _mined_off_tip):
+        node = mined_node(FAST, ALICE, 2, seed=143)
+        scans = []
+        with monkeypatch.context() as patched:
+            patched.setattr(miner, "MAX_ATTEMPTS", 1)  # nearly every scan comes up empty
+            patched.setattr(miner, "solve_pow",
+                            lambda *a, **kw: scans.append(a) or solve_pow(*a, **kw))
+            block = mine(node, BOB.public_key, seed=243)
+            assert len(scans) > 1 and {attempts for _, attempts in scans} == {1}  # rolled
+            mine_on(node, ALICE.public_key, seed=244)
+            reward = coins_of(block.transactions[0])[0]
+            spend = signed_spend(BOB, [reward], [
+                TxOutput(value=reward.value - 1, kind=KIND_PAYMENT, payload=ALICE.challenge)])
+            node.submit_transaction(spend)  # the reward's key is the one the template named
+            assert spend in mine_on(node, ALICE.public_key, seed=245).transactions
 
 
 def test_a_genesis_mined_on_an_empty_node_is_the_reference_genesis():
