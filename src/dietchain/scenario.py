@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 import json
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 from .chain import (
     ChainParams,
@@ -25,7 +25,7 @@ from .chain import (
 from .crypto import KeyPair, hash256
 from .diet_node import DietConfig, DietNode
 from .errors import ScenarioError
-from .full_node import FullNode, UtxosResponse
+from .full_node import FullNode
 from .miner import mine_on
 from .netsim import (
     MSG_BLOCK_ANNOUNCE,
@@ -388,8 +388,7 @@ def _act_corrupt_shard(state: ScenarioState, step: dict) -> None:
                     first._replace(value=first.value + 1),) + shard.coins[1:])
                 shards = dict(resp.shards)
                 shards[idx] = tampered
-                return encode_utxos_response(
-                    UtxosResponse(shards=shards, tree=resp.tree, coin_count=resp.coin_count))
+                return encode_utxos_response(replace(resp, shards=shards))
         return payload
     state.bus.attach_adversary(
         Adversary(victim=step["victim"], transforms={MSG_UTXOS: transform}))
