@@ -118,12 +118,14 @@ def window_step(params: ChainParams, trusted: bytes, pending: list[Coin], block:
     before committed, and ``pending``, that block's reward coins: check
     ``answer``'s shards, hashing each once, and coin count against
     ``trusted``, replay the body on a ``ShardView`` over them from that
-    count, close it, walk the tree root after the block (over the served
-    leaves and siblings, or after a split over all ``2**k`` new leaves),
-    bind it to the view's count and check the coinbase against the fees
-    and that root. Returns the block's ``(commitment, reward coins)``.
+    count (it decodes only the shards the body reads), close it, walk
+    the tree root after the block (over the served leaves and siblings,
+    or after a split over all ``2**k`` new leaves), bind it to the view's
+    count and check the coinbase against the fees and that root. Returns
+    the block's ``(commitment, reward coins)``.
 
-    Reads nothing else and changes none of its arguments. Served shards
+    Reads nothing else and changes none of its arguments (a served shard
+    only keeps the coins the step decoded from it). Served shards
     that do not prove ``trusted``, cannot take the block or lack a shard
     that a due split needs are ``shard-proof-mismatch`` at the block's
     height; a body rule's ``ValidationError`` passes as it is. The caller
@@ -137,9 +139,8 @@ def window_step(params: ChainParams, trusted: bytes, pending: list[Coin], block:
         served = {idx: shard.leaf_hash for idx, shard in answer.shards.items()}
         if committed_root(partial_root(tree, served), answer.coin_count) != trusted:
             raise InconsistentStateError("shard proof does not reach the trusted root")
-        shards = {idx: shard.coins for idx, shard in answer.shards.items()}
-        view = ShardView(shards, total.bit_length() - 1, answer.coin_count, pending, height,
-                         {idx: shard.encoded for idx, shard in answer.shards.items()})
+        view = ShardView({}, total.bit_length() - 1, answer.coin_count, pending, height,
+                         answer.shards)
         fees = connect_body(block.transactions[1:], view, height)
         leaves = view.close(params.size_cap)
         if 1 << view.k != total:

@@ -45,14 +45,16 @@ def build_levels(leaves: list[bytes]) -> list[list[bytes]]:
         raise ValueError("cannot build a tree with no leaves")
     levels = [list(leaves)]
     while len(levels[-1]) > 1:
-        layer = levels[-1]
-        parents = []
-        for i in range(0, len(layer), 2):
-            left = layer[i]
-            right = layer[i + 1] if i + 1 < len(layer) else left
-            parents.append(hash256(left + right))
-        levels.append(parents)
+        levels.append(_parents(levels[-1]))
     return levels
+
+
+def _parents(layer: list[bytes]) -> list[bytes]:
+    """The level above ``layer``, hashed left to right; an odd layer's
+    last node is paired with itself."""
+    if len(layer) & 1:
+        layer = layer + layer[-1:]
+    return [hash256(left + right) for left, right in zip(layer[0::2], layer[1::2])]
 
 
 def build_root(leaves: list[bytes]) -> bytes:
@@ -124,7 +126,9 @@ def partial_root(p: PartialMerkleTree, leaves: dict[int, bytes]) -> bytes:
 
     The walk keeps, per level, the sorted indices the proof's paths reach
     there and their hashes, and pairs each with its neighbour: the next
-    path node if that is its pair, else the next sibling.
+    path node if that is its pair, else the next sibling. Given every
+    leaf, the paths are the whole tree, which is hashed level by level
+    with the same calls in the same order.
     """
     if not leaves:
         raise IncompleteProofError("no leaf to prove")
@@ -132,6 +136,12 @@ def partial_root(p: PartialMerkleTree, leaves: dict[int, bytes]) -> bytes:
     if indices[0] < 0 or indices[-1] >= p.total_leaves:
         raise IncompleteProofError(f"leaf outside a tree of {p.total_leaves}")
     hashes = [leaves[i] for i in indices]
+    if len(hashes) == p.total_leaves:  # every leaf: no sibling to read, hash level by level
+        if p.siblings:
+            raise IncompleteProofError("a sibling is left unread")
+        while len(hashes) > 1:
+            hashes = _parents(hashes)
+        return hashes[0]
     given = iter(p.siblings)
     for level, width in enumerate(_layer_widths(p.total_leaves)[:-1]):
         parents: list[int] = []

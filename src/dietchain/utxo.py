@@ -25,8 +25,9 @@ implementation of each, which the store and a diet node both run:
   the shards a block touched knows when a split is due, and a view
   without every shard refuses a block that must split.
   A shard's coins are in outpoint order, so the txid bits it gains cut
-  them into contiguous runs: each child is a slice of its parent's coin
-  list and of its parent's bytes, and no coin is re-bucketed.
+  them into contiguous runs, found by bisecting the txid prefixes in its
+  bytes: each child is a slice of its parent's bytes and, where the
+  view holds coins, of its parent's coin list, and no coin is re-bucketed.
 
 A block is applied in three steps: ``open`` returns a view of the live
 shards, on which the body rules run; ``commit`` closes the view and
@@ -56,7 +57,9 @@ only the shards changed since, so a recent height costs O((|indices| +
 shards changed since) * k) hashes; across a split it builds the tree
 from the merged shards, as an undo of the split does. A proof encodes the
 shards it serves: a :class:`Shard` is its wire bytes, keyed by its
-index, decoded only where a reader needs its coins. A shard's encoding
+index, decoded into coins the first time a reader needs them, so a diet
+node's view of a split block unpacks only the shards its body reads and
+cuts the others as bytes. A shard's encoding
 is its coins' bytes alone, in outpoint order, and its leaf
 (:func:`shard_leaf`) is the hash of those bytes (of ``b""`` for an empty
 shard); it carries no count, so no rule limits how many coins a shard holds.
@@ -117,7 +120,7 @@ def coins_of(tx: Transaction) -> list[Coin]:
 
 
 _COIN = struct.Struct("<32sIQ32s")  # a coin's wire fields, in Coin's order
-_TXID = attrgetter("outpoint.txid")
+_OUTPOINT = attrgetter("outpoint")
 
 
 def encode_shard_coins(coins: list[Coin]) -> bytes:
@@ -146,11 +149,12 @@ def committed_root(tree_root: bytes, coin_count: int) -> bytes:
 @dataclass(frozen=True, slots=True)
 class Shard:
     """One shard as it travels: its wire bytes (its coins in outpoint
-    order), kept under its index by whoever holds it. A shard read off
-    the wire (:func:`decode_shard`) keeps the coins it was checked with,
-    so a reader unpacks it once."""
+    order), kept under its index by whoever holds it. Its coins are
+    decoded the first time they are read and kept in ``decoded``, so a
+    reader unpacks a shard at most once, and a shard no one reads is
+    never unpacked into coins."""
     encoded: bytes
-    decoded: tuple[Coin, ...] | None = field(default=None, compare=False, repr=False)
+    decoded: tuple[Coin, ...] | None = field(default=None, init=False, compare=False, repr=False)
 
     @classmethod
     def of_coins(cls, coins) -> "Shard":
@@ -158,34 +162,49 @@ class Shard:
 
     @property
     def coins(self) -> tuple[Coin, ...]:
-        """The coins: the decoded ones if kept, else decoded from the
-        wire bytes on each call."""
-        if self.decoded is not None:
-            return self.decoded
-        return _unpack_coins(self.encoded)
+        """The coins, decoded from the wire bytes on the first read."""
+        coins = self.decoded
+        if coins is None:
+            # tuple.__new__ builds each NamedTuple without its Python-level constructor
+            new = tuple.__new__
+            coins = tuple([new(Coin, (new(OutPoint, (tid, n)), value, challenge))
+                           for tid, n, value, challenge in _COIN.iter_unpack(self.encoded)])
+            object.__setattr__(self, "decoded", coins)
+        return coins
 
     @property
     def leaf_hash(self) -> bytes:
         return shard_leaf(self.encoded)
 
 
-def _unpack_coins(data: bytes) -> tuple[Coin, ...]:
-    # tuple.__new__ builds each NamedTuple without its Python-level constructor
-    new = tuple.__new__
-    return tuple([new(Coin, (new(OutPoint, (tid, n)), value, challenge))
-                  for tid, n, value, challenge in _COIN.iter_unpack(data)])
-
-
 def decode_shard(data: bytes) -> Shard:
     """A shard from its wire bytes, which must be whole coins in order.
-    The bytes are unpacked once: the coins built from them are checked
-    for order (a coin orders as its raw fields do) and kept."""
+    The order is checked on the unpacked fields, as a flat
+    ``(txid, index, value, challenge)`` orders as its :class:`Coin` does;
+    no coin is built until a reader asks for the shard's coins."""
     if len(data) % COIN_SIZE:
         raise DecodeError("shard bytes are not whole coins", len(data))
-    coins = _unpack_coins(data)
-    if not all(map(operator.le, coins, coins[1:])):
+    fields = list(_COIN.iter_unpack(data))
+    if not all(map(operator.le, fields, fields[1:])):
         raise DecodeError("shard coins out of order", len(data))
-    return Shard(data, coins)
+    return Shard(data)
+
+
+def _cuts(encoded: bytes, children: range, k: int) -> list[int]:
+    """Where in a shard's bytes each of ``children`` (its shards at the
+    finer ``k``) starts, as coin positions, then its coin count. Coins are
+    in outpoint order, so each cut is found by bisecting the 4-byte txid
+    prefixes, one every ``COIN_SIZE`` bytes."""
+    def prefix(i: int) -> bytes:
+        return encoded[COIN_SIZE * i:COIN_SIZE * i + 4]
+
+    n = len(encoded) // COIN_SIZE
+    cuts = [0]
+    for child in children[1:]:
+        bound = (child << (32 - k)).to_bytes(4, "big")  # the child's first txid prefix
+        cuts.append(bisect.bisect_left(range(n), bound, cuts[-1], key=prefix))
+    cuts.append(n)
+    return cuts
 
 
 class ShardView:
@@ -193,7 +212,10 @@ class ShardView:
     store (over all its shards) and a diet node (over the shards a peer
     served) run. It places ``pending``, the reward coins of the block
     before, then absorbs the body through the coin-view interface the
-    body rules read, and :meth:`close` finishes the block. The shards
+    body rules read, and :meth:`close` finishes the block. Each shard is
+    held in one of two forms: as a coin list the holder keeps
+    (``shards``, the store's) or as served (``served``, a diet node's),
+    whose coins are read the first time the body needs them. The shards
     handed in never change: an edit goes to the view's own copy of the
     shard (``edited``), so dropping a view drops its edits. An edit the
     shards cannot take (a shard not held, a coin already there, a spent
@@ -202,10 +224,9 @@ class ShardView:
 
     def __init__(self, shards: Mapping[int, Sequence[Coin]], k: int, coin_count: int,
                  pending: Iterable[Coin], height: int,
-                 encoded: Mapping[int, bytes] | None = None):
+                 served: Mapping[int, Shard] | None = None):
         self.shards = shards
-        # index -> wire bytes of that shard as handed in, where the holder has them
-        self.encoded = encoded or {}
+        self.served = served or {}  # index -> a shard held as served, none of them in ``shards``
         self.k = k
         self.coin_count = coin_count  # coins in all shards, held or not
         self.height = height
@@ -213,7 +234,7 @@ class ShardView:
         for coin in pending:
             self.insert(coin)
 
-    def _locate(self, outpoint: OutPoint, edit: bool) -> tuple[list[Coin], int, bool]:
+    def _locate(self, outpoint: OutPoint, edit: bool) -> tuple[Sequence[Coin], int, bool]:
         """The shard ``outpoint`` belongs in, where in it, and whether it
         is there; ``edit`` makes that shard the view's own copy."""
         idx = shard_key(outpoint.txid, self.k)
@@ -221,10 +242,13 @@ class ShardView:
         if shard is None:
             shard = self.shards.get(idx)
             if shard is None:
-                raise InconsistentStateError(f"shard {idx} needed but not held")
+                served = self.served.get(idx)
+                if served is None:
+                    raise InconsistentStateError(f"shard {idx} needed but not held")
+                shard = served.coins
             if edit:
                 shard = self.edited[idx] = list(shard)
-        i = bisect.bisect_left(shard, outpoint, key=attrgetter("outpoint"))
+        i = bisect.bisect_left(shard, outpoint, key=_OUTPOINT)
         return shard, i, i < len(shard) and shard[i].outpoint == outpoint
 
     def get_coin(self, outpoint: OutPoint) -> Coin | None:
@@ -258,7 +282,7 @@ class ShardView:
             if k == 32:
                 raise InconsistentStateError("shard key space exhausted")
             k += 1
-        if k != self.k and len(self.shards) != 1 << self.k:
+        if k != self.k and len(self.shards) + len(self.served) != 1 << self.k:
             raise InconsistentStateError("a due split needs every shard")
         return k
 
@@ -266,11 +290,13 @@ class ShardView:
         """Finish the block: the split (:meth:`_split_k`). Returns the leaf
         hashes of the edited shards (all, after a split) by index.
 
-        A split cuts each shard into the runs the txid bits it gains give,
-        found by bisection, as its coins are in outpoint order: each child
-        is a slice of the shard's coin list and of its bytes. The bytes are
-        the ones handed in for a shard the view did not edit; any other
-        shard is packed once."""
+        A split cuts each shard's bytes into the runs the txid bits it
+        gains give (:func:`_cuts`): each child's leaf is the hash of a
+        slice of its parent's bytes, and its coin list a slice of its
+        parent's wherever the view holds coins. The bytes are the served
+        ones for a shard the view did not edit; any other shard is packed
+        once. A served shard the body never read builds no coins: the
+        view keeps no list for its children, and is finished."""
         k = self._split_k(size_cap)
         if k == self.k:
             return {idx: shard_leaf(encode_shard_coins(self.edited[idx]))
@@ -279,21 +305,21 @@ class ShardView:
         split: dict[int, list[Coin]] = {}
         leaves: dict[int, bytes] = {}
         for idx in range(1 << self.k):
-            coins, encoded = self.edited.get(idx), None
+            coins = self.edited.get(idx)
             if coins is None:
-                coins, encoded = self.shards[idx], self.encoded.get(idx)
-            if encoded is None:
+                coins = self.shards.get(idx)
+            if coins is None:
+                served = self.served[idx]
+                coins, encoded = served.decoded, served.encoded
+            else:
                 encoded = encode_shard_coins(coins)
             children = range(idx << bits, (idx + 1) << bits)
-            cuts = [0]
-            for child in children[1:]:
-                bound = (child << (32 - k)).to_bytes(4, "big")  # the child's first txid prefix
-                cuts.append(bisect.bisect_left(coins, bound, cuts[-1], key=_TXID))
-            cuts.append(len(coins))
+            cuts = _cuts(encoded, children, k)
             for child, start, end in zip(children, cuts, cuts[1:]):
-                split[child] = coins[start:end]
+                if coins is not None:
+                    split[child] = coins[start:end]
                 leaves[child] = shard_leaf(encoded[COIN_SIZE * start:COIN_SIZE * end])
-        self.k, self.shards, self.edited = k, split, split
+        self.k, self.shards, self.served, self.edited = k, split, {}, split
         return leaves
 
 

@@ -478,8 +478,8 @@ def test_shard_coins_out_of_order_anywhere_in_the_shard_are_a_decode_error():
 
 
 def test_a_decoded_shard_keeps_the_coins_it_was_checked_with():
-    """A shard read off the wire is unpacked once: its coins are the
-    ones its order was checked on, equal to a fresh decode of its bytes,
+    """A shard read off the wire is unpacked into coins at most once:
+    its first read keeps them, they equal a fresh decode of its bytes,
     and the shard equals one built from its bytes alone."""
     for shard in decode_utxos_response(HONEST["utxos"]).shards.values():
         assert shard.coins is shard.coins

@@ -1262,6 +1262,83 @@ def test_a_split_block_answer_without_an_untouched_shard_is_a_shard_proof_mismat
     assert (raised.value.code, raised.value.height) == ("shard-proof-mismatch", 3)
 
 
+def _body_shards(node: FullNode, height: int) -> set[int]:
+    """The shards a window step's body reads at ``height``, in the ``k``
+    the block is proved in: those of the reward coins it places first,
+    of the coins it spends and of the coins it creates."""
+    block = node.blocks[node.headers.active_hash_at(height)]
+    k = node.utxo.touched_log[height].k
+    pending = coins_of(node.blocks[node.headers.active_hash_at(height - 1)].transactions[0])
+    body = block.transactions[1:]
+    return ({shard_key(coin.outpoint.txid, k) for coin in pending}
+            | {shard_key(inp.prevout.txid, k) for tx in body for inp in tx.inputs}
+            | {shard_key(coin.outpoint.txid, k) for tx in body for coin in coins_of(tx)})
+
+
+def test_a_split_step_decodes_only_the_shards_its_body_reads():
+    """A split block is served every shard, but its step unpacks into
+    coins only the shards its body reads; it cuts the others' bytes and
+    still derives the root the full node committed."""
+    node = _split_chain()
+    splits = [h for h, record in node.utxo.touched_log.items() if h and record.rebalanced]
+    assert splits
+    unread = []
+    for height in splits:
+        block_hash = node.headers.active_hash_at(height)
+        answer = decode_utxos_response(encode_utxos_response(node.serve_query_utxos(block_hash)))
+        assert len(answer.shards) == answer.tree.total_leaves
+        root, _ = window_step(node.params, *_step_start(node, height), node.blocks[block_hash],
+                              answer)
+        assert root == commitment_of(node.blocks[block_hash])
+        read = {idx for idx, shard in answer.shards.items() if shard.decoded is not None}
+        assert read == _body_shards(node, height)
+        unread.append(len(answer.shards) - len(read))
+    assert max(unread) > 0
+
+
+class _UnreadShardService(FullNodeService):
+    """Serves the answer for the block at ``height`` with shard ``idx``'s
+    bytes replaced by ``data``."""
+
+    def __init__(self, node: FullNode, height: int, idx: int, data: bytes):
+        super().__init__(node)
+        self.target = node.headers.active_hash_at(height)
+        self.idx, self.data = idx, data
+
+    def handle_query(self, msg_type, payload):
+        if msg_type != MSG_QUERY_UTXOS or payload != self.target:
+            return super().handle_query(msg_type, payload)
+        resp = self.node.serve_query_utxos(payload)
+        return encode_utxos_response(dataclasses.replace(
+            resp, shards={**resp.shards, self.idx: Shard(self.data)}))
+
+
+@pytest.mark.parametrize("lie, reason", [("value", "shard-proof-mismatch"),
+                                         ("order", "peer-fault")])
+def test_a_lie_in_a_shard_the_split_step_never_reads_is_a_verdict(lie, reason):
+    """A split block's answer with a coin's value changed, or two coins
+    swapped, in a shard the body never reads is rejected at that block:
+    the changed bytes miss their leaf, and the swapped ones do not
+    decode, though neither is unpacked into coins."""
+    node = _split_chain()
+    height = max(h for h, record in node.utxo.touched_log.items() if record.rebalanced)
+    honest = node.serve_query_utxos(node.headers.active_hash_at(height))
+    idx = min(i for i, shard in honest.shards.items()
+              if i not in _body_shards(node, height) and len(shard.encoded) >= 2 * COIN_SIZE)
+    data = bytearray(honest.shards[idx].encoded)
+    if lie == "value":
+        data[36:44] = struct.pack("<Q", struct.unpack_from("<Q", data, 36)[0] + 1)
+    else:
+        data[:2 * COIN_SIZE] = data[COIN_SIZE:2 * COIN_SIZE] + data[:COIN_SIZE]
+    bus = Bus(seed=10)
+    bus.register("peer", _UnreadShardService(node, height, idx, bytes(data)))
+    diet = DietNode(node.params, DietConfig(keys=(CAROL.public_key,), max_depth=node.tip_height,
+                                            max_length=1), BusTransport(bus, "client", "peer"))
+    verdicts = {v.height: v for v in diet.update_chain().verdicts}
+    assert (verdicts[height - 1].status, verdicts[height].status) == ("diet-verified", "rejected")
+    assert (verdicts[height].reason, verdicts[height].fail_height) == (reason, height)
+
+
 # -- a block that skips a due split ------------------------------------------------
 
 SPLITTING_AT_256 = ChainParams(target_bits=5, subsidy=50, size_cap=256, initial_k=2)

@@ -418,3 +418,27 @@ def test_a_sibling_more_than_the_paths_need_is_left_unread():
     for include, more in (({2, 3, 6}, {7}), ({5}, {4})):
         with pytest.raises(IncompleteProofError, match="left unread"):
             partial_root(extract_partial(leaves, include), _at(leaves, include | more))
+
+
+def _hashed(run) -> tuple[object, list[bytes]]:
+    """What ``run()`` returns, and every preimage it hashed, in order."""
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(merkle, "hash256", lambda data: calls.append(data) or _h(data))
+        return run(), calls
+
+
+def test_every_leaf_and_no_sibling_is_hashed_level_by_level():
+    """For every tree size from 1 to 64, odd ones included, every leaf
+    (given in reverse order) and no sibling give ``build_root``'s root,
+    with the hashes ``build_levels`` makes, in its order; one sibling
+    more is left unread."""
+    rng = random.Random(31)
+    for n in range(1, 65):
+        leaves = _leaves(rng, n)
+        given = {i: leaves[i] for i in reversed(range(n))}
+        root, walked = _hashed(lambda: partial_root(PartialMerkleTree(n, ()), given))
+        _, built = _hashed(lambda: build_levels(leaves))
+        assert root == build_root(leaves) and walked == built
+        with pytest.raises(IncompleteProofError, match="left unread"):
+            partial_root(PartialMerkleTree(n, (_h(b"extra"),)), given)

@@ -355,14 +355,15 @@ def test_a_split_cuts_each_shard_as_rebucketing_every_coin_does(k, bits, outpoin
                                                                 spent, served):
     """``ShardView.close`` cuts each shard into sorted runs and slices its
     coins and bytes; over shards in ``2**k`` buckets, split by 1-3 bits,
-    some edited (coins added or spent), with the holder's bytes or none,
-    it gives the shard lists and leaves of putting every coin in its new
-    shard, and hashes each child's own encoding. Served bytes of an
-    edited shard are its bytes before the edits, which must not be used."""
+    some edited (coins added or spent), held as coin lists or as served,
+    it gives the leaves of putting every coin in its new shard, the shard
+    lists of every shard it holds coins of, and hashes each child's own
+    encoding. Served bytes of an edited shard are its bytes before the
+    edits, which must not be used."""
     coins = [Coin(OutPoint(tid, n), len(tid) + n, _h(tid)) for tid, n in sorted(outpoints)]
-    shards = {i: tuple(c) if served else c for i, c in _rebucketed([coins], k).items()}
-    encoded = {i: encode_shard_coins(list(c)) for i, c in shards.items()} if served else None
-    view = ShardView(shards, k, len(coins), [], 1, encoded)
+    shards = _rebucketed([coins], k)
+    wire = {i: Shard.of_coins(c) for i, c in shards.items()} if served else None
+    view = ShardView({} if served else shards, k, len(coins), [], 1, wire)
     for tid, n in added - outpoints:
         view.insert(Coin(OutPoint(tid, n), n, bytes(32)))
     gone = [coins[i].outpoint for i in spent if i < len(coins)]
@@ -379,12 +380,48 @@ def test_a_split_cuts_each_shard_as_rebucketing_every_coin_does(k, bits, outpoin
         hashed.append(data)
         return _h(data)
 
+    held = {i for i in shards if not served or wire[i].decoded is not None}
     with mock.patch("dietchain.utxo.shard_leaf", recording_leaf):
         leaves = view.close(cap)
     assert view.k == k + bits and view.shards is view.edited
-    assert {i: list(c) for i, c in view.edited.items()} == expected
+    assert {i: list(c) for i, c in view.edited.items()} == {
+        i: c for i, c in expected.items() if i >> bits in held}
     assert list(leaves.items()) == [(i, _h(encode_shard_coins(c))) for i, c in expected.items()]
     assert hashed == [encode_shard_coins(c) for c in expected.values()]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(k=st.integers(0, 3), bits=st.integers(1, 3), outpoints=st.sets(_OUTPOINTS, max_size=40),
+       lump=st.none() | st.integers(0, 255))
+def test_a_byte_cut_is_a_coin_cut(k, bits, outpoints, lump):
+    """A split view over served shards it never read cuts their bytes
+    where a view over the same coins, held as lists, cuts the coins: the
+    same leaves, from the same child bytes, and the same coin count, and
+    no served shard is decoded. ``lump`` gives every txid one first byte,
+    so every coin lands in one child of one shard and the rest are empty."""
+    if lump is not None:
+        outpoints = {(bytes([lump]) + tid[1:], n) for tid, n in outpoints}
+    assume(outpoints)
+    coins = [Coin(OutPoint(tid, n), n, _h(tid)) for tid, n in sorted(outpoints)]
+    shards = _rebucketed([coins], k)
+    served = {i: Shard.of_coins(c) for i, c in shards.items()}
+    cap = -(-COIN_SIZE * len(coins) // (1 << (k + bits)))
+    results = []
+    for view in (ShardView(shards, k, len(coins), [], 1),
+                 ShardView({}, k, len(coins), [], 1, served)):
+        hashed = []
+
+        def recording_leaf(data: bytes) -> bytes:
+            hashed.append(data)
+            return _h(data)
+
+        with mock.patch("dietchain.utxo.shard_leaf", recording_leaf):
+            leaves = view.close(cap)
+        results.append((view.k, view.coin_count, leaves, hashed))
+    assert results[0] == results[1]
+    assert results[0][0] == k + bits
+    assert hashed == [encode_shard_coins(c) for c in _rebucketed([coins], k + bits).values()]
+    assert all(shard.decoded is None for shard in served.values())
 
 
 def test_a_view_without_every_shard_refuses_a_due_split():
