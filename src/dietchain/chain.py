@@ -51,13 +51,17 @@ COIN_SIZE = 76
 # A shard is its coins' bytes. Under a cap smaller than one coin the
 # split rule settles only with more shards than coins.
 MIN_SIZE_CAP = COIN_SIZE
+# A store builds its 2**initial_k first shards up front, so the limit is
+# what that may cost (65,536 empty leaves); the bundled scenarios start
+# at depth 6 or less and the bench at 2, and leaves split from there.
+MAX_INITIAL_K = 16
 
 # (field, lowest, highest) a ChainParams value may take
 _PARAM_LIMITS = (
     ("target_bits", 0, 0xFF),          # the header's u8
     ("subsidy", 0, (1 << 64) - 1),     # an output's u64
     ("size_cap", MIN_SIZE_CAP, None),
-    ("initial_k", 0, 32),              # shard keys are a txid's first 32 bits
+    ("initial_k", 0, MAX_INITIAL_K),
 )
 
 

@@ -4,16 +4,16 @@ An SPV client downloads headers and inclusion proofs for transactions
 matching its keys and trusts proof-of-work alone. A diet client goes
 further: before trusting a transaction at height ``last`` it re-derives
 the chain state across a window of recent blocks, using only the UTXO
-shards each block touched plus their membership proofs and the coin
-count of all shards against the root committed by the coinbase of the
-block before the window, which it fetches and checks against its
-header. The count tells the split rule when a split is due. A window is
-fetching plus one pure :func:`window_step` per block: from the root and
-reward coins the block before committed, the block and the peer's answer
-for it, the step replays the block on a ``utxo.ShardView`` over the
-served shards, the code a full node's store applies blocks with, so the
-deferred rewards and the split rule are the store's own, and returns the
-block's root and reward coins. Faking a transaction inside the window
+shards each block edited plus their membership proofs against the root
+committed by the coinbase of the block before the window, which it
+fetches and checks against its header. A leaf splits only when the
+block edits it, so the leaves a block edited are all the split rule
+reads. A window is fetching plus one pure :func:`window_step` per
+block: from the root and reward coins the block before committed, the
+block and the peer's answer for it, the step replays the block on a
+``utxo.ShardView`` over the served leaves, the code a full node's store
+applies blocks with, so the deferred rewards and the split rule are the
+store's own, and returns the block's root and reward coins. Faking a transaction inside the window
 therefore requires forging every block of the window and the one before
 it, each with valid proof-of-work.
 
@@ -40,14 +40,14 @@ from .crypto import BloomFilter, hash256
 from .errors import DecodeError, IncompleteProofError, InconsistentStateError, ValidationError
 from .full_node import UtxosResponse
 from .headers import HeaderIndex
-from .merkle import PartialMerkleTree, partial_root
+from .merkle import partial_root, trie_root
 from .rules import (
     check_block_structure,
     check_coinbase,
     commitment_of,
     connect_body,
 )
-from .utxo import Coin, ShardView, coins_of, committed_root
+from .utxo import Coin, ShardView, coins_of
 
 
 @dataclass(frozen=True)
@@ -116,38 +116,29 @@ def window_step(params: ChainParams, trusted: bytes, pending: list[Coin], block:
                 answer: UtxosResponse) -> tuple[bytes, list[Coin]]:
     """Verify one window block from ``trusted``, the root the block
     before committed, and ``pending``, that block's reward coins: check
-    ``answer``'s shards, hashing each once, and coin count against
-    ``trusted``, replay the body on a ``ShardView`` over them from that
-    count (it decodes only the shards the body reads), close it, walk
-    the tree root after the block (over the served leaves and siblings,
-    or after a split over all ``2**k`` new leaves), bind it to the view's
-    count and check the coinbase against the fees and that root. Returns
-    the block's ``(commitment, reward coins)``.
+    ``answer``'s leaves, hashing each once, against ``trusted``, replay
+    the body on a ``ShardView`` over them (it decodes only the leaves
+    the body reads), close it, walk the root after the block over the
+    served leaves it left, the ones it edited or split into and the same
+    siblings, and check the coinbase against the fees and that root.
+    Returns the block's ``(commitment, reward coins)``.
 
     Reads nothing else and changes none of its arguments (a served shard
-    only keeps the coins the step decoded from it). Served shards
-    that do not prove ``trusted``, cannot take the block or lack a shard
-    that a due split needs are ``shard-proof-mismatch`` at the block's
-    height; a body rule's ``ValidationError`` passes as it is. The caller
-    checks the block's header hash and structure."""
+    only keeps the coins the step decoded from it). Served leaves that
+    do not prove ``trusted`` or cannot take the block are
+    ``shard-proof-mismatch`` at the block's height; a body rule's
+    ``ValidationError`` passes as it is. The caller checks the block's
+    header hash and structure."""
     height = block.header.height
-    tree = answer.tree
-    total = tree.total_leaves
     try:
-        if total & (total - 1):
-            raise InconsistentStateError("shard tree size is not a power of two")
         served = {idx: shard.leaf_hash for idx, shard in answer.shards.items()}
-        if committed_root(partial_root(tree, served), answer.coin_count) != trusted:
+        if trie_root(served, answer.siblings) != trusted:
             raise InconsistentStateError("shard proof does not reach the trusted root")
-        view = ShardView({}, total.bit_length() - 1, answer.coin_count, pending, height,
-                         answer.shards)
+        view = ShardView({}, pending, height, answer.shards)
         fees = connect_body(block.transactions[1:], view, height)
         leaves = view.close(params.size_cap)
-        if 1 << view.k != total:
-            tree_root = partial_root(PartialMerkleTree(1 << view.k, ()), leaves)
-        else:
-            tree_root = partial_root(tree, served | leaves)
-        root = committed_root(tree_root, view.coin_count)
+        root = trie_root({i: h for i, h in served.items() if i not in view.edited} | leaves,
+                         answer.siblings)
     except (InconsistentStateError, IncompleteProofError) as exc:
         raise ValidationError("shard-proof-mismatch", str(exc), height=height) from exc
     check_coinbase(block, params.subsidy, fees, root)

@@ -3,7 +3,7 @@
 A full node validates every block in full, keeps the sharded UTXO store
 for the active branch only, and answers the four queries light clients
 need: filtered header/tx sync, committed roots, whole blocks, and the
-shards a block touched together with their membership proof.
+shards a block edited together with their membership proof.
 
 A block reaches the tip by one path: ``connect_block`` checks its
 structure and indexes its header, the header's one check; if its branch
@@ -59,7 +59,6 @@ import operator
 from dataclasses import dataclass, field
 
 from .chain import (
-    COIN_SIZE,
     Block,
     BlockHeader,
     ChainParams,
@@ -110,9 +109,8 @@ class MerkleBlocksResponse:
 
 @dataclass(frozen=True)
 class UtxosResponse:
-    shards: dict[int, Shard]
-    tree: PartialMerkleTree
-    coin_count: int  # coins in all shards before the block
+    shards: dict[int, Shard]     # leaf id -> the leaf as it stood before the block
+    siblings: tuple[bytes, ...]  # trie siblings, in the order merkle.trie_walk reads them
 
 
 @dataclass(slots=True)
@@ -432,17 +430,17 @@ class FullNode:
         return self._active_block(block_hash)
 
     def serve_query_utxos(self, block_hash: bytes) -> UtxosResponse:
-        """The shards the block touched (its journal entry's keys), as
-        they stood before it, and their proof against its parent's root,
-        built on each call; :meth:`kept_answer` keeps its wire bytes."""
+        """The leaves the block edited (its journal entry's keys), as
+        they stood before it, split or not, and the trie siblings that
+        take them to its parent's root, built on each call;
+        :meth:`kept_answer` keeps its wire bytes."""
         height = self._active_block(block_hash).header.height
         try:
-            shards, tree = self.utxo.state_before(
+            shards, siblings = self.utxo.state_before(
                 height, set(self.utxo.versions.get(height, ())))
         except HistoryUnavailableError as exc:
             raise ValidationError("history-unavailable", str(exc), height=height) from exc
-        coins = self.utxo.touched_log[height - 1].shard_bytes // COIN_SIZE
-        return UtxosResponse(shards=shards, tree=tree, coin_count=coins)
+        return UtxosResponse(shards=shards, siblings=siblings)
 
     def kept_answer(self, query: int, block_hash: bytes, build) -> bytes:
         """The wire bytes of the ``query`` answer about ``block_hash``, a

@@ -1,4 +1,5 @@
-"""Binary Merkle trees with partial (multi-leaf) proofs.
+"""Binary Merkle trees with partial (multi-leaf) proofs, and the
+txid-prefix trie that commits the UTXO shards.
 
 Parents are ``hash256(left || right)``. A layer with an odd number of
 nodes pairs its last node with itself. A single leaf is its own root,
@@ -19,12 +20,20 @@ no positions. Only the one minimal proof of a leaf set reaches a root.
 Wire layout::
 
     total_leaves(u32) count(u16) count * hash(32)
+
+The shard trie (:func:`trie_walk`) is a binary tree whose leaves sit at
+any depth up to 32, numbered heap-style: the root is 1 and node n has
+children 2n and 2n+1. A leaf hashes as ``hash256(0x00 || bytes)`` and an
+inner node as ``hash256(0x01 || left || right)`` (RFC 6962 section 2.1),
+so no leaf's bytes can pose as two child hashes at any depth.
 """
 
 from __future__ import annotations
 
+import heapq
 import struct
 from dataclasses import dataclass
+from typing import Callable, Mapping, Sequence
 
 from .chain import Reader
 from .crypto import hash256
@@ -64,18 +73,6 @@ def build_root(leaves: list[bytes]) -> bytes:
 def pack_levels(leaves: list[bytes]) -> list[bytearray]:
     """build_levels with each level packed into one buffer of 32-byte nodes."""
     return [bytearray(b"".join(level)) for level in build_levels(leaves)]
-
-
-def update_levels(levels: list[bytearray], changed: dict[int, bytes]) -> None:
-    """Set leaves of packed ``levels`` (from pack_levels over a power of
-    two leaves) in place and re-hash only the nodes on their paths."""
-    for i, leaf in changed.items():
-        levels[0][32 * i:32 * i + 32] = leaf
-    frontier = set(changed)
-    for below, layer in zip(levels, levels[1:]):
-        frontier = {i >> 1 for i in frontier}
-        for j in frontier:
-            layer[32 * j:32 * j + 32] = hash256(below[64 * j:64 * j + 64])
 
 
 @dataclass(frozen=True)
@@ -126,9 +123,7 @@ def partial_root(p: PartialMerkleTree, leaves: dict[int, bytes]) -> bytes:
 
     The walk keeps, per level, the sorted indices the proof's paths reach
     there and their hashes, and pairs each with its neighbour: the next
-    path node if that is its pair, else the next sibling. Given every
-    leaf, the paths are the whole tree, which is hashed level by level
-    with the same calls in the same order.
+    path node if that is its pair, else the next sibling.
     """
     if not leaves:
         raise IncompleteProofError("no leaf to prove")
@@ -136,12 +131,6 @@ def partial_root(p: PartialMerkleTree, leaves: dict[int, bytes]) -> bytes:
     if indices[0] < 0 or indices[-1] >= p.total_leaves:
         raise IncompleteProofError(f"leaf outside a tree of {p.total_leaves}")
     hashes = [leaves[i] for i in indices]
-    if len(hashes) == p.total_leaves:  # every leaf: no sibling to read, hash level by level
-        if p.siblings:
-            raise IncompleteProofError("a sibling is left unread")
-        while len(hashes) > 1:
-            hashes = _parents(hashes)
-        return hashes[0]
     given = iter(p.siblings)
     for level, width in enumerate(_layer_widths(p.total_leaves)[:-1]):
         parents: list[int] = []
@@ -167,6 +156,59 @@ def partial_root(p: PartialMerkleTree, leaves: dict[int, bytes]) -> bytes:
     if next(given, None) is not None:
         raise IncompleteProofError("a sibling is left unread")
     return hashes[0]
+
+
+def trie_leaf(data: bytes) -> bytes:
+    """A trie leaf's hash, from the bytes it holds."""
+    return hash256(b"\x00" + data)
+
+
+def trie_walk(held: Mapping[int, bytes], sibling: Callable[[int], bytes | None]) -> dict[int, bytes]:
+    """Every node hash on the paths from the ``held`` nodes (id -> hash)
+    up to the root, the held ones included; nothing for no node.
+
+    The walk takes ids deepest first, largest first. A node pairs with
+    its sibling if that sibling is held or already reached; if not, it
+    takes ``sibling(id)``, asked in walk order. A verifier reads the
+    sibling from a proof, and a store from its node hashes. Raises
+    IncompleteProofError for an id outside depths 0-32, a held id that
+    is an ancestor of another, or a sibling ``sibling`` lacks (None).
+    """
+    if held and not (min(held) > 0 and max(held) >> 33 == 0):
+        raise IncompleteProofError("node id outside the trie")
+    nodes = dict(held)
+    heap = [-i for i in nodes]
+    heapq.heapify(heap)
+    while heap:
+        i = -heapq.heappop(heap)
+        if i == 1:
+            break
+        if i & 1 and heap and heap[0] == 1 - i:  # its left sibling is reached too
+            heapq.heappop(heap)
+            left, right = nodes[i - 1], nodes[i]
+        else:
+            other = sibling(i ^ 1)
+            if other is None:
+                raise IncompleteProofError(f"missing sibling of node {i}")
+            left, right = (other, nodes[i]) if i & 1 else (nodes[i], other)
+        if i >> 1 in nodes:
+            raise IncompleteProofError(f"node {i >> 1} is both held and reached")
+        nodes[i >> 1] = hash256(b"\x01" + left + right)
+        heapq.heappush(heap, -(i >> 1))
+    return nodes
+
+
+def trie_root(held: Mapping[int, bytes], siblings: Sequence[bytes]) -> bytes:
+    """The root a proof reaches: :func:`trie_walk` over ``held`` reading
+    ``siblings`` in order, every one of them. IncompleteProofError if
+    ``held`` is empty or a sibling is missing or left unread."""
+    if not held:
+        raise IncompleteProofError("no leaf to prove")
+    given = iter(siblings)
+    root = trie_walk(held, lambda _: next(given, None))[1]
+    if next(given, None) is not None:
+        raise IncompleteProofError("a sibling is left unread")
+    return root
 
 
 def encode_partial(p: PartialMerkleTree) -> bytes:

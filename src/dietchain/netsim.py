@@ -19,7 +19,7 @@ Message types::
     0x01/0x02  query_merkle_blocks   since(32) bloom | headers, matches
     0x03/0x04  query_utxo_mroot      block hash      | committed root
     0x05/0x06  query_block           block hash      | whole block
-    0x07/0x08  query_utxos           block hash      | shards, shard proof
+    0x07/0x08  query_utxos           block hash      | leaves, trie siblings
     0x10       block_announce        whole block     (no response)
 
 No diet node asks ``query_utxo_mroot``: it reads a window's base root
@@ -27,12 +27,12 @@ from the base block. A full node still answers it. An announce whose
 bytes do not decode as exactly one block connects nothing; it is traced
 as a ``rejected`` / ``peer-fault`` connect with no height.
 
-A ``utxos`` answer is a u16 shard count; per shard, in increasing index
-order, its index (u32), its coin count (u32) and its coins; then the
-partial tree; then the coin count of all shards before the block (u64),
-which the committed root binds with the tree's root. The shard's own
-bytes, which its leaf hashes, are the coins alone: the count frames them
-in the answer and is not stored.
+A ``utxos`` answer is a u16 leaf count, not 0; per leaf, in increasing id
+order, its trie node id (u64, at depth 32 or less), its coin count (u32)
+and its coins; then a u16 sibling count and the trie siblings (32 bytes
+each), in the order the root walk reads them. A leaf's own bytes, which
+its hash covers, are the coins alone: the count frames them in the
+answer and is not stored.
 
 A ``merkle_blocks`` answer is a u16 header count and the headers, then a
 u16 match count; per match, its header, the partial tx tree, a u16 tx
@@ -72,7 +72,7 @@ from .full_node import (
 )
 from .merkle import encode_partial, read_partial
 from .miner import mine_txs
-from .utxo import Coin, Shard, decode_shard
+from .utxo import MAX_DEPTH, Coin, Shard, decode_shard
 
 MSG_QUERY_MERKLE_BLOCKS = 0x01
 MSG_MERKLE_BLOCKS = 0x02
@@ -131,42 +131,48 @@ def decode_merkle_blocks_response(payload: bytes) -> MerkleBlocksResponse:
     return MerkleBlocksResponse(headers=headers, matches=tuple(matches))
 
 
-_SHARD_FRAME = struct.Struct("<II")  # a served shard's index and coin count
+_LEAF_FRAME = struct.Struct("<QI")  # a served leaf's id and coin count
 
 
 def encode_utxos_response(resp: UtxosResponse) -> bytes:
     parts = [struct.pack("<H", len(resp.shards))]
     for idx in sorted(resp.shards):
         encoded = resp.shards[idx].encoded
-        parts.append(_SHARD_FRAME.pack(idx, len(encoded) // COIN_SIZE))
+        parts.append(_LEAF_FRAME.pack(idx, len(encoded) // COIN_SIZE))
         parts.append(encoded)
-    parts.append(encode_partial(resp.tree))
-    parts.append(struct.pack("<Q", resp.coin_count))
+    parts.append(struct.pack("<H", len(resp.siblings)))
+    parts.extend(resp.siblings)
     return b"".join(parts)
 
 
 def decode_utxos_response(payload: bytes) -> UtxosResponse:
-    """Decode a shard proof; shard indices must strictly increase and
-    each shard's coins must come in order, so only the one canonical
-    encoding of an answer decodes. A count past the answer's end is a
-    DecodeError before anything is allocated for it."""
+    """Decode a shard proof; it serves a leaf or more, whose ids must lie
+    in the trie (1 up to depth 32) and strictly increase, and each
+    leaf's coins must come in order, so only the one canonical encoding
+    of an answer decodes. A count
+    past the answer's end is a DecodeError before anything is allocated
+    for it."""
     r = Reader(payload)
     shards: dict[int, Shard] = {}
-    last = -1
-    for _ in range(r.u16()):
+    last = 0
+    count = r.u16()
+    if not count:  # a block always edits the leaf of its parent's reward coins
+        raise DecodeError("no shard served", 0)
+    for _ in range(count):
         start = r.offset
-        if len(payload) - start < _SHARD_FRAME.size:
+        if len(payload) - start < _LEAF_FRAME.size:
             raise DecodeError("input truncated", start)
-        idx, count = _SHARD_FRAME.unpack_from(payload, start)
+        idx, count = _LEAF_FRAME.unpack_from(payload, start)
+        if not 0 < idx < 2 << MAX_DEPTH:
+            raise DecodeError("shard id outside the trie", start)
         if idx <= last:
-            raise DecodeError("shard indices not strictly increasing", start)
-        r.offset = start + _SHARD_FRAME.size
+            raise DecodeError("shard ids not strictly increasing", start)
+        r.offset = start + _LEAF_FRAME.size
         shards[idx] = decode_shard(r.take(COIN_SIZE * count))
         last = idx
-    tree = read_partial(r)
-    coin_count = r.u64()
+    run = r.take(32 * r.u16())
     r.done()
-    return UtxosResponse(shards=shards, tree=tree, coin_count=coin_count)
+    return UtxosResponse(shards=shards, siblings=tuple(run[i:i + 32] for i in range(0, len(run), 32)))
 
 
 # -- the bus -----------------------------------------------------------------

@@ -1,11 +1,14 @@
-"""Sharded UTXO set with a per-height undo journal and a Merkle root.
+"""Sharded UTXO set: a trie over txid prefixes, an undo journal and a root.
 
-Coins are bucketed by the first ``k`` bits of their creating txid (byte
-0 first, most significant bit first), giving ``2**k`` shards. After every
-block the store commits to the root of a tree over all shard hashes,
-bound to the number of coins in the shards (:func:`committed_root`). It
-keeps, for each of the last ``HISTORY_HORIZON`` blocks, the shards that
-block replaced, so it can prove what any shard looked like just before a
+Coins are bucketed by the bits of their creating txid (byte 0 first,
+most significant bit first). The shards are the leaves of a binary trie
+over those bits, numbered heap-style (``merkle.trie_walk``): the root is
+1 and node n has children 2n and 2n+1, so a txid's node at depth d is
+``(1 << d) | shard_key(txid, d)`` and a leaf at depth d holds every coin
+whose txid starts with its d bits. A store starts as the complete trie of
+depth ``initial_k``. After every block it commits to the trie's root. It
+keeps, for each of the last ``HISTORY_HORIZON`` blocks, the leaves that
+block replaced, so it can prove what any leaf looked like just before a
 recent block, and undo back to any height at or above its ``floor``.
 
 Two rules shape the commitment; :class:`ShardView` holds the one
@@ -17,17 +20,16 @@ implementation of each, which the store and a diet node both run:
   it; they are parked in ``pending`` and placed first when the next
   block opens its view: spendable at once, committed one block later.
 
-* When the coins' bytes exceed ``size_cap`` per shard on average,
-  ``k`` increments (splitting every shard in two) until the average
-  fits. The split runs before root computation, so committed
-  roots always describe the post-split tree, and it is a pure function
-  of the coin count, which the root commits: a verifier holding only
-  the shards a block touched knows when a split is due, and a view
-  without every shard refuses a block that must split.
-  A shard's coins are in outpoint order, so the txid bits it gains cut
-  them into contiguous runs, found by bisecting the txid prefixes in its
-  bytes: each child is a slice of its parent's bytes and, where the
-  view holds coins, of its parent's coin list, and no coin is re-bucketed.
+* After the body, each leaf the block edited whose bytes exceed
+  ``size_cap`` splits by its next txid bit, and each child over the cap
+  splits again, down to depth 32, as extendible hashing splits only the
+  bucket that overflows (Fagin et al., ACM TODS 1979). The split runs
+  before the root is computed, so committed roots describe the split
+  trie, and it reads only the leaves the block edited: a verifier
+  holding those knows every split the block makes. A leaf's coins are
+  in outpoint order, so the next bit cuts them into two runs: each
+  child is a slice of its parent's coin list and bytes, and no coin is
+  re-bucketed.
 
 A block is applied in three steps: ``open`` returns a view of the live
 shards, on which the body rules run; ``commit`` closes the view and
@@ -36,33 +38,31 @@ fails before ``commit`` leaves the store as it was. A node mining on its
 own tip commits the body, builds the coinbase on the returned root and
 seals the block, or undoes it.
 
-The store keeps every level of its shard tree, so a block re-hashes only
-the paths above the shards it touched; a split rebuilds the tree once.
+The store keeps the hash of every node of its trie, so a block re-hashes
+only the paths above the leaves it left, split children included.
 
 History is an undo journal with one entry per height, as Bitcoin Core
-keeps one undo record per block: ``versions[h]`` maps each shard block
-``h`` changed, in its pre-block ``k`` (every shard, for a split), to the
-coin list the block replaced. The store never edits a list in place (a
-view edits its own copy), so the entry shares it, and ``undo_block``
-puts exactly those lists back; only the ``pending`` list each block
-replaced is kept apart. Previewing a root, dropping a block whose
-commitment is wrong and switching branches are all apply-then-undo; no
-block application copies the store. Only a forger's replica starts from
-a copy (``clone``), which copies the containers and shares what they hold.
+keeps one undo record per block: ``versions[h]`` maps each leaf block
+``h`` edited, a leaf of the trie before it, to the coin list the block
+replaced. The store never edits a list in place (a view edits its own
+copy), so the entry shares it, and ``undo_block`` drops every live leaf
+at or below each key, then puts exactly those lists back; only the
+``pending`` list each block replaced is kept apart. Previewing a root,
+dropping a block whose commitment is wrong and switching branches are
+all apply-then-undo; no block application copies the store. Only a
+forger's replica starts from a copy (``clone``), which copies the
+containers and shares what they hold.
 
-A split keeps no old tree: its entry holds every shard of the coarser
-``k``. ``state_before`` merges the journal from the tip down to the
-queried height and re-hashes, on a copy of the live tree, the paths of
-only the shards changed since, so a recent height costs O((|indices| +
-shards changed since) * k) hashes; across a split it builds the tree
-from the merged shards, as an undo of the split does. A proof encodes the
-shards it serves: a :class:`Shard` is its wire bytes, keyed by its
-index, decoded into coins the first time a reader needs them, so a diet
-node's view of a split block unpacks only the shards its body reads and
-cuts the others as bytes. A shard's encoding
-is its coins' bytes alone, in outpoint order, and its leaf
-(:func:`shard_leaf`) is the hash of those bytes (of ``b""`` for an empty
-shard); it carries no count, so no rule limits how many coins a shard holds.
+``state_before`` merges the journal from the tip down to the queried
+height, the oldest entry winning, and drops a key below another (it is a
+leaf only after a later split). It re-hashes the paths of the merged
+leaves over the live node hashes, so a recent height costs
+O((|indices| + leaves changed since) * depth) hashes. A proof encodes
+the leaves it serves: a :class:`Shard` is its wire bytes, keyed by its
+id, decoded into coins the first time a reader needs them. A shard's
+encoding is its coins' bytes alone, in outpoint order, and its leaf hash
+(:func:`merkle.trie_leaf`) covers those bytes; it carries no count, so
+no rule limits how many coins a shard holds.
 
 History is bounded. Committing height ``h`` prunes height
 ``p = h - HISTORY_HORIZON``: it drops the entry of ``p``, which no state
@@ -70,8 +70,8 @@ at or above ``p`` reads. ``p`` becomes the ``floor``: ``state_before``,
 ``undo_block`` and ``rewind_to`` raise :class:`HistoryUnavailableError`
 for a state below it, and an undo does not lower it, so the journal and
 the pending lists are kept only for the heights above it. The store also
-keeps one small record per height (how many shards the block touched,
-``k`` before and after it, the shard bytes after it); those stay whole.
+keeps one small record per height (how many leaves the block edited, its
+splits, ``k`` and the shard bytes after it); those stay whole.
 """
 
 from __future__ import annotations
@@ -84,14 +84,16 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .chain import COIN_SIZE, KIND_PAYMENT, MIN_SIZE_CAP, OutPoint, Transaction, txid
-from .crypto import hash256
+from .chain import COIN_SIZE, KIND_PAYMENT, MAX_INITIAL_K, MIN_SIZE_CAP, OutPoint, Transaction, txid
 from .errors import DecodeError, HistoryUnavailableError, InconsistentStateError
-from .merkle import PartialMerkleTree, pack_levels, partial_from_levels, update_levels
+from .merkle import trie_leaf, trie_walk
 
 # Blocks of shard history a store keeps below its tip: Bitcoin Core's
 # pruned minimum (MIN_BLOCKS_TO_KEEP). Node policy, not consensus; at least 1.
 HISTORY_HORIZON = 288
+
+# A leaf at this depth never splits: shard keys are a txid's first 32 bits.
+MAX_DEPTH = 32
 
 
 class Coin(NamedTuple):
@@ -131,25 +133,10 @@ def encode_shard_coins(coins: list[Coin]) -> bytes:
                      for outpoint, value, challenge in coins])
 
 
-def shard_leaf(encoded: bytes) -> bytes:
-    """A shard's leaf in the shard tree, from its wire bytes."""
-    return hash256(encoded)
-
-
-_COUNT = struct.Struct("<Q")  # a coin count, as committed and as served
-
-
-def committed_root(tree_root: bytes, coin_count: int) -> bytes:
-    """The root a block commits: its shard tree's root bound to the
-    number of coins in the shards. The 40-byte preimage cannot pose as a
-    64-byte inner node or a shard of 76-byte coins."""
-    return hash256(tree_root + _COUNT.pack(coin_count))
-
-
 @dataclass(frozen=True, slots=True)
 class Shard:
     """One shard as it travels: its wire bytes (its coins in outpoint
-    order), kept under its index by whoever holds it. Its coins are
+    order), kept under its leaf id by whoever holds it. Its coins are
     decoded the first time they are read and kept in ``decoded``, so a
     reader unpacks a shard at most once, and a shard no one reads is
     never unpacked into coins."""
@@ -174,7 +161,7 @@ class Shard:
 
     @property
     def leaf_hash(self) -> bytes:
-        return shard_leaf(self.encoded)
+        return trie_leaf(self.encoded)
 
 
 def decode_shard(data: bytes) -> Shard:
@@ -190,64 +177,50 @@ def decode_shard(data: bytes) -> Shard:
     return Shard(data)
 
 
-def _cuts(encoded: bytes, children: range, k: int) -> list[int]:
-    """Where in a shard's bytes each of ``children`` (its shards at the
-    finer ``k``) starts, as coin positions, then its coin count. Coins are
-    in outpoint order, so each cut is found by bisecting the 4-byte txid
-    prefixes, one every ``COIN_SIZE`` bytes."""
-    def prefix(i: int) -> bytes:
-        return encoded[COIN_SIZE * i:COIN_SIZE * i + 4]
-
-    n = len(encoded) // COIN_SIZE
-    cuts = [0]
-    for child in children[1:]:
-        bound = (child << (32 - k)).to_bytes(4, "big")  # the child's first txid prefix
-        cuts.append(bisect.bisect_left(range(n), bound, cuts[-1], key=prefix))
-    cuts.append(n)
-    return cuts
-
-
 class ShardView:
     """One block's edits to the shards: the state transition both the
-    store (over all its shards) and a diet node (over the shards a peer
+    store (over all its leaves) and a diet node (over the leaves a peer
     served) run. It places ``pending``, the reward coins of the block
     before, then absorbs the body through the coin-view interface the
-    body rules read, and :meth:`close` finishes the block. Each shard is
+    body rules read, and :meth:`close` finishes the block. Each leaf is
     held in one of two forms: as a coin list the holder keeps
     (``shards``, the store's) or as served (``served``, a diet node's),
-    whose coins are read the first time the body needs them. The shards
-    handed in never change: an edit goes to the view's own copy of the
-    shard (``edited``), so dropping a view drops its edits. An edit the
-    shards cannot take (a shard not held, a coin already there, a spent
-    coin missing) is an :class:`InconsistentStateError`.
+    whose coins are read the first time the body needs them. A coin's
+    leaf is the held id on its txid's path. The leaves handed in never
+    change: an edit goes to the view's own copy of the leaf (``edited``),
+    so dropping a view drops its edits. An edit the leaves cannot take (a
+    leaf not held, a coin already there, a spent coin missing) is an
+    :class:`InconsistentStateError`.
     """
 
-    def __init__(self, shards: Mapping[int, Sequence[Coin]], k: int, coin_count: int,
-                 pending: Iterable[Coin], height: int,
-                 served: Mapping[int, Shard] | None = None):
+    def __init__(self, shards: Mapping[int, Sequence[Coin]], pending: Iterable[Coin],
+                 height: int, served: Mapping[int, Shard] | None = None):
         self.shards = shards
-        self.served = served or {}  # index -> a shard held as served, none of them in ``shards``
-        self.k = k
-        self.coin_count = coin_count  # coins in all shards, held or not
+        self.served = served or {}  # id -> a leaf held as served, none of them in ``shards``
         self.height = height
-        self.edited: dict[int, list[Coin]] = {}  # index -> the view's copy of that shard
+        self.edited: dict[int, list[Coin]] = {}  # id -> the view's copy of that leaf
         for coin in pending:
             self.insert(coin)
 
     def _locate(self, outpoint: OutPoint, edit: bool) -> tuple[Sequence[Coin], int, bool]:
-        """The shard ``outpoint`` belongs in, where in it, and whether it
-        is there; ``edit`` makes that shard the view's own copy."""
-        idx = shard_key(outpoint.txid, self.k)
-        shard = self.edited.get(idx)
-        if shard is None:
-            shard = self.shards.get(idx)
+        """The leaf ``outpoint`` belongs in, where in it, and whether it
+        is there; ``edit`` makes that leaf the view's own copy."""
+        prefix = shard_key(outpoint.txid, MAX_DEPTH)
+        for depth in range(MAX_DEPTH + 1):
+            idx = 1 << depth | prefix >> (MAX_DEPTH - depth)
+            shard = self.edited.get(idx)
             if shard is None:
-                served = self.served.get(idx)
-                if served is None:
-                    raise InconsistentStateError(f"shard {idx} needed but not held")
-                shard = served.coins
-            if edit:
-                shard = self.edited[idx] = list(shard)
+                shard = self.shards.get(idx)
+                if shard is None:
+                    served = self.served.get(idx)
+                    if served is None:
+                        continue
+                    shard = served.coins
+                if edit:
+                    shard = self.edited[idx] = list(shard)
+            break
+        else:
+            raise InconsistentStateError(f"no shard held for {outpoint}")
         i = bisect.bisect_left(shard, outpoint, key=_OUTPOINT)
         return shard, i, i < len(shard) and shard[i].outpoint == outpoint
 
@@ -260,7 +233,6 @@ class ShardView:
         if found:
             raise InconsistentStateError(f"duplicate coin {coin.outpoint}")
         shard.insert(i, coin)
-        self.coin_count += 1
 
     def absorb(self, tx: Transaction) -> None:
         """Spend the tx's inputs and add its payment outputs."""
@@ -269,142 +241,124 @@ class ShardView:
             if not found:
                 raise InconsistentStateError(f"spent coin {inp.prevout} not held")
             del shard[i]
-            self.coin_count -= 1
         for coin in coins_of(tx):
             self.insert(coin)
 
-    def _split_k(self, size_cap: int) -> int:
-        """The ``k`` the split rule gives the view's coins: while the
-        ``2**k`` shards average over ``size_cap`` bytes, one more txid
-        bit. A due split needs every shard."""
-        k = self.k
-        while COIN_SIZE * self.coin_count > size_cap << k:
-            if k == 32:
-                raise InconsistentStateError("shard key space exhausted")
-            k += 1
-        if k != self.k and len(self.shards) + len(self.served) != 1 << self.k:
-            raise InconsistentStateError("a due split needs every shard")
-        return k
-
     def close(self, size_cap: int) -> dict[int, bytes]:
-        """Finish the block: the split (:meth:`_split_k`). Returns the leaf
-        hashes of the edited shards (all, after a split) by index.
-
-        A split cuts each shard's bytes into the runs the txid bits it
-        gains give (:func:`_cuts`): each child's leaf is the hash of a
-        slice of its parent's bytes, and its coin list a slice of its
-        parent's wherever the view holds coins. The bytes are the served
-        ones for a shard the view did not edit; any other shard is packed
-        once. A served shard the body never read builds no coins: the
-        view keeps no list for its children, and is finished."""
-        k = self._split_k(size_cap)
-        if k == self.k:
-            return {idx: shard_leaf(encode_shard_coins(self.edited[idx]))
-                    for idx in sorted(self.edited)}
-        bits = k - self.k
-        split: dict[int, list[Coin]] = {}
-        leaves: dict[int, bytes] = {}
-        for idx in range(1 << self.k):
-            coins = self.edited.get(idx)
-            if coins is None:
-                coins = self.shards.get(idx)
-            if coins is None:
-                served = self.served[idx]
-                coins, encoded = served.decoded, served.encoded
-            else:
-                encoded = encode_shard_coins(coins)
-            children = range(idx << bits, (idx + 1) << bits)
-            cuts = _cuts(encoded, children, k)
-            for child, start, end in zip(children, cuts, cuts[1:]):
-                if coins is not None:
-                    split[child] = coins[start:end]
-                leaves[child] = shard_leaf(encoded[COIN_SIZE * start:COIN_SIZE * end])
-        self.k, self.shards, self.served, self.edited = k, split, {}, split
-        return leaves
+        """Finish the block: split each edited leaf over ``size_cap``
+        bytes by its next txid bit, and each child over it again, down to
+        depth 32. Returns the hashes of the leaves the edited ones became
+        (each itself, unless it split), by id; ``leaves`` holds their
+        coin lists and ``splits`` each split as (id, bytes, bytes of its
+        left child). Each leaf is packed once: a child's coins and bytes
+        are slices of its parent's."""
+        self.leaves: dict[int, list[Coin]] = {}
+        self.splits: list[tuple[int, int, int]] = []
+        hashes: dict[int, bytes] = {}
+        work = [(idx, coins, encode_shard_coins(coins))
+                for idx, coins in sorted(self.edited.items(), reverse=True)]
+        while work:
+            idx, coins, encoded = work.pop()
+            if len(encoded) <= size_cap or idx >> MAX_DEPTH:
+                self.leaves[idx] = coins
+                hashes[idx] = trie_leaf(encoded)
+                continue
+            depth = idx.bit_length()  # the children's
+            right = 2 * idx + 1
+            bound = ((right ^ 1 << depth) << (MAX_DEPTH - depth)).to_bytes(4, "big")
+            cut = bisect.bisect_left(coins, bound, key=lambda coin: coin.outpoint.txid[:4])
+            at = COIN_SIZE * cut
+            self.splits.append((idx, len(encoded), at))
+            work += [(right, coins[cut:], encoded[at:]), (2 * idx, coins[:cut], encoded[:at])]
+        return hashes
 
 
 @dataclass(frozen=True)
 class RebalanceStep:
+    """One leaf split: its id, its bytes and its two children's bytes."""
     height: int
-    k_from: int
-    k_to: int
-    avg_before: float
-    avg_after: float
+    shard: int
+    bytes_before: int
+    bytes_after: tuple[int, int]
 
 
 @dataclass(frozen=True)
 class TouchedRecord:
-    """What a block's application did, in numbers: how many shards it
-    changed, counted in the tree its proofs are checked against (the
-    pre-split ``k``, so a split touches all ``2**k``), ``k`` before and
-    after it and the shard bytes after it. Which shards, above the floor,
-    are the keys of the block's journal entry."""
+    """What a block's application did, in numbers: how many leaves it
+    edited (the keys of its journal entry, above the floor), ``k``
+    after it, the shard bytes after it, the bytes of the largest leaf
+    above depth 32 it left, and its splits, each as (id, bytes, bytes of
+    its left child)."""
     touched: int
-    k: int
     k_after: int
     shard_bytes: int
+    largest: int
+    splits: tuple[tuple[int, int, int], ...] = ()
 
     @property
     def rebalanced(self) -> bool:
-        return self.k_after != self.k
+        return bool(self.splits)
 
 
 @dataclass
 class VersionedShardStore:
     initial_k: int = 0
     size_cap: int = 1024
-    k: int = field(init=False)
-    shards: dict[int, list[Coin]] = field(init=False)
+    shards: dict[int, list[Coin]] = field(init=False)  # leaf id -> its coins
     pending: list[Coin] = field(init=False, default_factory=list)
     height: int | None = field(init=False, default=None)
     # lowest height whose state the store can rebuild; -1: the empty store
     floor: int = field(init=False, default=-1)
-    # height -> {shard index: the coin list that block replaced}, every
-    # height above the floor in height order. No entry, and no list in an
-    # entry or in ``shards``, changes once written: an edit goes to a
-    # view's copy, so entries, undos and clones share the lists.
+    # height -> {leaf id: the coin list that block replaced}, every height
+    # above the floor in height order. No entry, and no list in an entry
+    # or in ``shards``, changes once written: an edit goes to a view's
+    # copy, so entries, undos and clones share the lists.
     versions: dict[int, dict[int, list[Coin]]] = field(init=False, default_factory=dict)
     # height -> that block's record, every committed height in height order
     touched_log: dict[int, TouchedRecord] = field(init=False, default_factory=dict)
-    _levels: list[bytearray] = field(init=False)  # packed shard tree, leaves first
-    _coin_count: int = field(init=False, default=0)
+    _nodes: dict[int, bytes] = field(init=False)  # node id -> hash, every node of the trie
     # the pending list each block above the floor replaced, oldest first
     _undo_pending: list[list[Coin]] = field(init=False, default_factory=list)
 
     def __post_init__(self):
-        if not 0 <= self.initial_k <= 32:
-            raise ValueError("initial_k must be in [0, 32]")
+        if not 0 <= self.initial_k <= MAX_INITIAL_K:
+            raise ValueError(f"initial_k must be in [0, {MAX_INITIAL_K}]")
         if self.size_cap < MIN_SIZE_CAP:
             raise ValueError(f"size_cap must be at least {MIN_SIZE_CAP}, one coin")
-        self.k = self.initial_k
-        self.shards = {i: [] for i in range(1 << self.k)}
-        self._levels = pack_levels([shard_leaf(b"")] * (1 << self.k))
+        self.shards = {i: [] for i in range(1 << self.initial_k, 2 << self.initial_k)}
+        # a complete trie: the walk asks for no sibling
+        self._nodes = trie_walk(dict.fromkeys(self.shards, trie_leaf(b"")), {}.get)
 
     # -- current-state queries -------------------------------------------
 
     @property
+    def k(self) -> int:
+        """The depth of a complete trie with as many leaves: the largest
+        ``k`` with ``2**k`` leaves or fewer."""
+        return len(self.shards).bit_length() - 1
+
+    @property
     def current_root(self) -> bytes:
-        return committed_root(bytes(self._levels[-1]), self._coin_count)
+        return self._nodes[1]
 
     def all_coins(self) -> Iterator[Coin]:
-        for i in range(1 << self.k):
-            yield from self.shards[i]
+        for coins in self.shards.values():
+            yield from coins
         yield from self.pending
 
     def total_shard_bytes(self) -> int:
-        return COIN_SIZE * self._coin_count
+        return 0 if self.height is None else self.touched_log[self.height].shard_bytes
 
     def utxo_root(self) -> bytes:
         return self.current_root
 
     @property
     def rebalance_log(self) -> list[RebalanceStep]:
-        """Every split, one step per txid bit gained, in height order."""
-        return [RebalanceStep(height=h, k_from=k, k_to=k + 1,
-                              avg_before=record.shard_bytes / (1 << k),
-                              avg_after=record.shard_bytes / (1 << (k + 1)))
+        """Every leaf split, in height order."""
+        return [RebalanceStep(height=h, shard=idx, bytes_before=before,
+                              bytes_after=(left, before - left))
                 for h, record in self.touched_log.items()
-                for k in range(record.k, record.k_after)]
+                for idx, before, left in record.splits]
 
     # -- mutation ---------------------------------------------------------
 
@@ -413,12 +367,12 @@ class VersionedShardStore:
         return 0 if self.height is None else self.height + 1
 
     def open(self, height: int) -> ShardView:
-        """The view a block at ``height`` is absorbed on: the live shards
+        """The view a block at ``height`` is absorbed on: the live leaves
         with the pending reward coins placed. The store is unchanged
         until :meth:`commit`; dropping the view drops the block."""
         if height != self.next_height:
             raise InconsistentStateError(f"expected height {self.next_height}, got {height}")
-        return ShardView(self.shards, self.k, self._coin_count, self.pending, height)
+        return ShardView(self.shards, self.pending, height)
 
     def commit(self, view: ShardView) -> bytes:
         """Close a view :meth:`open` returned and make it the store's
@@ -426,26 +380,21 @@ class VersionedShardStore:
         :meth:`seal` adds them, and :meth:`undo_block` reverses either
         state. Returns the root the block's coinbase must commit. If
         closing the view raises, the store is left as it was."""
-        k_before = self.k
-        leaves = view.close(self.size_cap)
+        hashes = view.close(self.size_cap)
         height = view.height
-        rebalanced = view.k != k_before
-        replaced = self.versions[height] = dict(self.shards) if rebalanced else {
-            idx: self.shards[idx] for idx in leaves}
-        self.k, self._coin_count = view.k, view.coin_count
+        replaced = self.versions[height] = {idx: self.shards.pop(idx) for idx in view.edited}
+        self.shards.update(view.leaves)
+        self._nodes.update(trie_walk(hashes, self._nodes.get))
+        grown = sum(map(len, view.leaves.values())) - sum(map(len, replaced.values()))
+        self.touched_log[height] = TouchedRecord(
+            touched=len(replaced), k_after=self.k,
+            shard_bytes=self.total_shard_bytes() + COIN_SIZE * grown,
+            largest=max((COIN_SIZE * len(coins) for idx, coins in view.leaves.items()
+                         if not idx >> MAX_DEPTH), default=0),
+            splits=tuple(view.splits))
         self._undo_pending.append(self.pending)
         self.pending = []
-
-        if rebalanced:
-            # after a split the view's copies are every shard
-            self.shards = view.edited
-            self._levels = pack_levels([leaves[i] for i in range(1 << self.k)])
-        else:
-            self.shards.update(view.edited)
-            update_levels(self._levels, leaves)
         self.height = height
-        self.touched_log[height] = TouchedRecord(
-            touched=len(replaced), k=k_before, k_after=self.k, shard_bytes=self.total_shard_bytes())
         self._prune(height - HISTORY_HORIZON)
         return self.current_root
 
@@ -498,25 +447,26 @@ class VersionedShardStore:
     def undo_block(self) -> None:
         """Reverse the newest applied block, leaving the store as it was
         before it, history included, except that what pruning dropped
-        stays dropped and the floor stays. The lists in its journal entry
-        go back in place of the block's, as they are; a split's are every
-        shard of the coarser ``k``, and its tree is built from them."""
+        stays dropped and the floor stays. Each key of its journal entry
+        loses the leaves it split into and the nodes between, and gets
+        back the very list the entry holds."""
         if self.height is None:
             raise HistoryUnavailableError("no applied block to undo")
         height = self.height
         if height - 1 < self.floor:
             raise HistoryUnavailableError(f"height {height - 1} is below the floor {self.floor}")
-        record = self.touched_log.pop(height)
+        del self.touched_log[height]
         replaced = self.versions.pop(height)
-        leaves = {i: shard_leaf(encode_shard_coins(coins)) for i, coins in replaced.items()}
-        if record.rebalanced:
-            self.k, self.shards, self._coin_count = record.k, {}, 0
-            self._levels = pack_levels([leaves[i] for i in range(1 << self.k)])
-        else:
-            update_levels(self._levels, leaves)
-        for idx, coins in replaced.items():
-            self._coin_count += len(coins) - len(self.shards.get(idx, ()))
+        below = [*replaced]
+        while below:
+            idx = below.pop()
+            del self._nodes[idx]
+            if self.shards.pop(idx, None) is None:  # an inner node the block made
+                below += (2 * idx, 2 * idx + 1)
         self.shards.update(replaced)
+        self._nodes.update(trie_walk(
+            {idx: trie_leaf(encode_shard_coins(coins)) for idx, coins in replaced.items()},
+            self._nodes.get))
         self.pending = self._undo_pending.pop()
         self.height = height - 1 if height else None
 
@@ -530,49 +480,54 @@ class VersionedShardStore:
 
     def clone(self) -> "VersionedShardStore":
         """An independent copy, for a node that starts from this one's
-        state (a forger's replica). Every container is copied, the packed
-        tree and pending lists included; the coin lists, journal entries
-        and records they hold never change in place and are shared."""
+        state (a forger's replica). Every container is copied, the node
+        hashes and pending lists included; the coin lists, journal
+        entries and records they hold never change in place and are
+        shared."""
         twin = copy.copy(self)
         twin.shards = dict(self.shards)
         twin.pending = list(self.pending)
         twin.versions = dict(self.versions)
         twin.touched_log = dict(self.touched_log)
-        twin._levels = _copy_levels(self._levels)
+        twin._nodes = dict(self._nodes)
         twin._undo_pending = [list(replaced) for replaced in self._undo_pending]
         return twin
 
     # -- history ----------------------------------------------------------
 
-    def state_before(self, height: int, indices: set[int]) -> tuple[dict[int, Shard], PartialMerkleTree]:
-        """Shards and proof for the state the given block was applied to.
+    def state_before(self, height: int, indices: set[int]) -> tuple[dict[int, Shard], tuple[bytes, ...]]:
+        """Leaves and proof for the state the given block was applied to.
 
-        The returned partial tree recomputes the root committed at
-        ``height - 1``, which must be at or above the floor, and includes
-        exactly ``indices``. The journal is merged from the tip down to
-        ``height``, the oldest entry winning; a split's entry, every shard
-        of the coarser ``k``, starts the merge afresh. Each merged shard is
-        encoded once. Across a split the tree is built from them; otherwise
-        their paths are re-hashed on a copy of the live tree, and other
-        shards are encoded from the live lists. An index outside that tree
-        is ``partial_from_levels``' ValueError.
+        Returns the leaves at ``indices``, which must be leaves of that
+        state, and the trie siblings, in walk order, that take them to
+        the root committed at ``height - 1``, which must be at or above
+        the floor. The journal is merged from the tip down to ``height``,
+        the oldest entry winning; a key below another is dropped. Each
+        merged leaf is encoded once and their paths are re-hashed over
+        the live node hashes; other leaves are encoded from the live
+        lists. An index that is no leaf of that state is a ValueError.
         """
         if self.height is None or not max(self.floor, 0) + 1 <= height <= self.height + 1:
             raise HistoryUnavailableError(f"no history for height {height}")
         merged: dict[int, list[Coin]] = {}
         for h in range(self.height, height - 1, -1):
-            merged = ({} if self.touched_log[h].rebalanced else merged) | self.versions[h]
-        since = {i: encode_shard_coins(coins) for i, coins in merged.items()}
-        leaves = {i: shard_leaf(encoded) for i, encoded in since.items()}
-        if self.touched_log[height - 1].k_after != self.k:
-            levels = pack_levels([leaves[i] for i in range(len(leaves))])
-        else:
-            levels = _copy_levels(self._levels)
-            update_levels(levels, leaves)
-        tree = partial_from_levels(levels, set(indices))
-        return {i: Shard(since[i] if i in since else encode_shard_coins(self.shards[i]))
-                for i in indices}, tree
+            merged |= self.versions[h]
+        since = {idx: encode_shard_coins(coins) for idx, coins in merged.items()
+                 if not any(idx >> up in merged for up in range(1, idx.bit_length()))}
+        before = trie_walk({idx: trie_leaf(encoded) for idx, encoded in since.items()},
+                           self._nodes.get)
+        served = {}
+        for idx in indices:
+            if idx in since:
+                served[idx] = Shard(since[idx])
+            elif idx in self.shards and not any(idx >> up in since for up in range(idx.bit_length())):
+                served[idx] = Shard(encode_shard_coins(self.shards[idx]))
+            else:
+                raise ValueError(f"shard {idx} is no leaf before height {height}")
+        siblings: list[bytes] = []
 
-
-def _copy_levels(levels: list[bytearray]) -> list[bytearray]:
-    return [bytearray(level) for level in levels]
+        def node(idx: int, into: list) -> bytes:
+            into.append(before[idx] if idx in before else self._nodes[idx])
+            return into[-1]
+        trie_walk({idx: node(idx, []) for idx in served}, lambda idx: node(idx, siblings))
+        return served, tuple(siblings)

@@ -16,9 +16,9 @@ from dietchain.chain import (
 )
 from dietchain.crypto import KeyPair, hash256
 from dietchain.full_node import FullNode
-from dietchain.merkle import partial_root
+from dietchain.merkle import trie_root
 from dietchain.miner import make_genesis, mine_on
-from dietchain.utxo import Coin, VersionedShardStore, committed_root
+from dietchain.utxo import Coin, VersionedShardStore
 
 FAST = ChainParams(target_bits=5, subsidy=50, size_cap=1024, initial_k=2)
 
@@ -78,35 +78,42 @@ def payment(node: FullNode, sender: KeyPair, pays: list[tuple[bytes, int]],
                                     for i in tx.inputs))
 
 
-def served_root(shards: dict, tree, coin_count: int) -> bytes:
-    """The root a verifier reaches from served shards, their proof and
-    the coin count of all shards, hashing each shard's leaf itself."""
-    return committed_root(partial_root(tree, {i: shard.leaf_hash for i, shard in shards.items()}),
-                          coin_count)
+def served_root(shards: dict, siblings) -> bytes:
+    """The root a verifier reaches from served leaves and their trie
+    siblings, hashing each leaf itself."""
+    return trie_root({i: shard.leaf_hash for i, shard in shards.items()}, siblings)
 
 
-def utxos_tree_at(data: bytes) -> int:
-    """The offset of the partial tree in a ``utxos`` answer: it follows
-    the shard frames, walked from the front."""
+def leaves_before(store: VersionedShardStore, height: int) -> set[int]:
+    """The leaf ids of the store's state before ``height``: the journal
+    keys from ``height`` up (a key below another is a leaf only after a
+    later split), and the live leaves below none of them."""
+    keys = set().union(*(store.versions[h] for h in range(height, store.height + 1)))
+    keys = {i for i in keys if not any(i >> up in keys for up in range(1, i.bit_length()))}
+    return keys | {i for i in store.shards
+                   if not any(i >> up in keys for up in range(i.bit_length()))}
+
+
+def utxos_siblings_at(data: bytes) -> int:
+    """The offset of the sibling count in a ``utxos`` answer: it follows
+    the leaf frames, walked from the front."""
     (count,), at = struct.unpack_from("<H", data), 2
     for _ in range(count):
-        _, coins = struct.unpack_from("<II", data, at)
-        at += 8 + COIN_SIZE * coins
+        _, coins = struct.unpack_from("<QI", data, at)
+        at += 12 + COIN_SIZE * coins
     return at
 
 
 def store_state(store: VersionedShardStore) -> dict:
-    """A copy of every field a block application writes, packed tree
-    levels as bytes, for comparing two stores or one store over time."""
+    """A copy of every field a block application writes, for comparing
+    two stores or one store over time."""
     return {
         "height": store.height,
         "floor": store.floor,
-        "k": store.k,
         "versions": dict(store.versions),
         "touched_log": dict(store.touched_log),
         "pending": list(store.pending),
         "shards": {i: list(coins) for i, coins in store.shards.items()},
-        "levels": [bytes(level) for level in store._levels],
-        "coin_count": store._coin_count,
+        "nodes": dict(store._nodes),
         "undo_pending": [list(p) for p in store._undo_pending],
     }

@@ -22,7 +22,7 @@ from dietchain.merkle import build_root, extract_partial, partial_root
 from dietchain.miner import mine_on
 from dietchain.rules import commitment_of
 from dietchain.scenario import render_report, render_trace, run_scenario
-from dietchain.utxo import Coin, coins_of, shard_key
+from dietchain.utxo import Coin, coins_of
 
 ALICE = key_of("alice")
 BOB = key_of("bob")
@@ -47,20 +47,42 @@ def _h(data: bytes) -> bytes:
     return hashlib.sha256(hashlib.sha256(data).digest()).digest()
 
 
-def _oracle_root(coins: list[Coin], k: int) -> bytes:
-    buckets: dict[int, list[Coin]] = {i: [] for i in range(1 << k)}
+def _leaf_of(tx_id: bytes, leaves: set[int]) -> int:
+    """The leaf on the txid's path: the one whose id is its depth's bit
+    behind the txid's first bits (the root is 1, node n has children 2n
+    and 2n+1)."""
+    prefix = int.from_bytes(tx_id[:4], "big")
+    return next(i for d in range(33) if (i := 1 << d | prefix >> (32 - d)) in leaves)
+
+
+def _blob(coins: list[Coin]) -> bytes:
+    return b"".join(c.outpoint.txid + struct.pack("<IQ", c.outpoint.index, c.value) + c.challenge
+                    for c in sorted(coins))
+
+
+def _oracle_root(coins: list[Coin], leaves: set[int]) -> bytes:
+    """The trie's root by its definition: a leaf is the hash of 0x00 and
+    its coins' bytes, an inner node the hash of 0x01 and its children."""
+    buckets: dict[int, list[Coin]] = {i: [] for i in leaves}
     for coin in coins:
-        buckets[shard_key(coin.outpoint.txid, k)].append(coin)
-    leaves = []
-    for i in range(1 << k):
-        blob = b""
-        for c in sorted(buckets[i]):
-            blob += (c.outpoint.txid + struct.pack("<IQ", c.outpoint.index, c.value)
-                     + c.challenge)
-        leaves.append(_h(blob))
-    while len(leaves) > 1:
-        leaves = [_h(leaves[i] + leaves[i + 1]) for i in range(0, len(leaves), 2)]
-    return _h(leaves[0] + struct.pack("<Q", len(coins)))  # the root bound to the coin count
+        buckets[_leaf_of(coin.outpoint.txid, leaves)].append(coin)
+
+    def node(i: int) -> bytes:
+        if i in leaves:
+            return _h(b"\x00" + _blob(buckets[i]))
+        return _h(b"\x01" + node(2 * i) + node(2 * i + 1))
+    return node(1)
+
+
+def _oracle_split(leaf: int, coins: list[Coin], leaves: set[int], cap: int) -> None:
+    """The split rule on an edited leaf: over ``cap`` bytes and above
+    depth 32, it gives way to its two children, which settle in turn."""
+    held = [c for c in coins if _leaf_of(c.outpoint.txid, leaves) == leaf]
+    if len(_blob(held)) > cap and leaf < 1 << 32:
+        leaves.remove(leaf)
+        leaves |= {2 * leaf, 2 * leaf + 1}
+        for child in (2 * leaf, 2 * leaf + 1):
+            _oracle_split(child, held, leaves, cap)
 
 
 def test_01_sharded_store_equals_flat_oracle():
@@ -71,7 +93,7 @@ def test_01_sharded_store_equals_flat_oracle():
     committed: dict[OutPoint, Coin] = {}
     pending: list[Coin] = list(coins_of(node.blocks[node.tip_hash].transactions[0]))
     checked = 0
-    k = params.initial_k  # the split rule, run on the oracle's coins
+    leaves = {2, 3}  # the split rule, run on the oracle's coins from initial_k 1
     for height in range(1, 50):
         if rng.random() < 0.8:
             recipients = [(ALICE.challenge if rng.random() < 0.7 else BOB.challenge,
@@ -80,14 +102,19 @@ def test_01_sharded_store_equals_flat_oracle():
             node.submit_transaction(payment(node, ALICE, recipients))
         block = mine_on(node, ALICE.public_key, seed=900 + height)
 
+        touched = [coin.outpoint.txid for coin in pending]
         for coin in pending:
             committed[coin.outpoint] = coin
         for tx in block.transactions[1:]:
             for inp in tx.inputs:
+                touched.append(inp.prevout.txid)
                 del committed[inp.prevout]
             for coin in coins_of(tx):
+                touched.append(coin.outpoint.txid)
                 committed[coin.outpoint] = coin
         pending = list(coins_of(block.transactions[0]))
+        for leaf in sorted({_leaf_of(tid, leaves) for tid in touched}):
+            _oracle_split(leaf, list(committed.values()), leaves, params.size_cap)
 
         store = node.utxo
         expected = sorted(list(committed.values()) + pending)
@@ -97,14 +124,14 @@ def test_01_sharded_store_equals_flat_oracle():
         if sorted(store.pending) != sorted(pending):
             assert _criterion(1, "sharded store equals flat oracle", False,
                               f"pending set diverged at height {height}")
-        while COIN_SIZE * len(committed) > params.size_cap << k:
-            k += 1
-        rebuilt = _oracle_root(list(committed.values()), k)
+        rebuilt = _oracle_root(list(committed.values()), leaves)
         if commitment_of(block) != rebuilt:
             assert _criterion(1, "sharded store equals flat oracle", False,
                               f"committed root diverged at height {height}")
         record = store.touched_log[height]
-        if (record.k_after, record.shard_bytes) != (k, COIN_SIZE * len(committed)):
+        k = len(leaves).bit_length() - 1
+        if (set(store.shards), record.k_after, record.shard_bytes) != \
+                (leaves, k, COIN_SIZE * len(committed)):
             assert _criterion(1, "sharded store equals flat oracle", False,
                               f"height record diverged at height {height}")
         checked += 1
@@ -199,16 +226,20 @@ def test_06_shard_cap_holds_and_splits_halve_the_average():
     run = run_scenario(cfg)
     chain = run.report["chain"]
     cap = cfg["size_cap"]
-    worst_avg = max(per["average_bytes"] for per in chain["per_block"])
-    drifts = [abs(s["average_after"] - s["average_before"] / 2)
+    store = run.state.full(run.state.reference).utxo
+    # every leaf above depth 32 fits the cap; a depth-32 leaf holds one
+    # txid's first 32 bits and splits no further
+    worst = max(len(coins) * COIN_SIZE for i, coins in store.shards.items() if i < 1 << 32)
+    worst_block = max(per["largest_bytes"] for per in chain["per_block"])
+    drifts = [abs(sum(s["bytes_after"]) / 2 - s["bytes_before"] / 2)
               for s in chain["rebalances"]]
     ok = (run.passed
           and cap <= 1024
-          and worst_avg <= cap
+          and worst <= cap and worst_block <= cap
           and len(drifts) >= 1
           and max(drifts) <= 1.0)
-    assert _criterion(6, "per-shard cap holds and each split halves the average",
-                      ok, f"worst avg {worst_avg:.1f}/{cap}, {len(drifts)} splits, "
+    assert _criterion(6, "per-leaf cap holds and each split halves its leaf on average",
+                      ok, f"largest leaf {worst_block}/{cap}, {len(drifts)} splits, "
                           f"max halving drift {max(drifts):.2f}")
 
 

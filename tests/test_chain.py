@@ -12,6 +12,7 @@ from dietchain.chain import (
     HEADER_SIZE,
     KIND_COMMITMENT,
     KIND_PAYMENT,
+    MAX_INITIAL_K,
     MIN_SIZE_CAP,
     ZERO32,
     Block,
@@ -284,7 +285,7 @@ def test_header_hash_is_double_sha_of_encoding():
 @pytest.mark.parametrize("field, value", [
     ("target_bits", -1), ("target_bits", 256),
     ("subsidy", -1), ("subsidy", 1 << 64),
-    ("initial_k", -1), ("initial_k", 33),
+    ("initial_k", -1), ("initial_k", MAX_INITIAL_K + 1), ("initial_k", 33),
     ("size_cap", 0), ("size_cap", 2), ("size_cap", MIN_SIZE_CAP - 1),
     ("target_bits", "8"), ("size_cap", 1024.0),
 ])
@@ -297,4 +298,6 @@ def test_params_outside_the_wire_limits_are_refused(field, value):
 def test_params_at_the_wire_limits_are_accepted():
     assert MIN_SIZE_CAP == 76
     ChainParams(target_bits=0, subsidy=0, size_cap=MIN_SIZE_CAP, initial_k=0)
-    ChainParams(target_bits=255, subsidy=(1 << 64) - 1, size_cap=1 << 40, initial_k=32)
+    assert MAX_INITIAL_K == 16  # a store builds 2**initial_k leaves up front
+    ChainParams(target_bits=255, subsidy=(1 << 64) - 1, size_cap=1 << 40,
+                initial_k=MAX_INITIAL_K)

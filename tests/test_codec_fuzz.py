@@ -8,7 +8,7 @@ import random
 import struct
 
 import pytest
-from conftest import FAST, key_of, mined_node, payment, read_whole, utxos_tree_at
+from conftest import FAST, key_of, mined_node, payment, read_whole, utxos_siblings_at
 from hypothesis import given, settings, strategies as st
 
 from dietchain.chain import (
@@ -22,7 +22,6 @@ from dietchain.chain import (
     Transaction,
     TxInput,
     TxOutput,
-    block_hash,
     decode_block,
     decode_header,
     decode_transaction,
@@ -60,20 +59,23 @@ def _honest_payloads() -> dict[str, bytes]:
     for key in PAYEES[:2]:
         bloom.add(key.public_key)
         bloom.add(hash256(key.public_key))
-    # the next block spends two of the payment's coins, so its pre-state
-    # proof serves the shard that holds all of them, and its match serves
-    # two txs
+    # the next block spends two of the payment's coins, whose leaf it
+    # edits; the answer proves that leaf and one more, so it carries two
+    # leaves and two siblings. The block's match serves two txs
     node.submit_transaction(payment(node, PAYEES[0], [(ALICE.challenge, 1)]))
     node.submit_transaction(payment(node, PAYEES[1], [(ALICE.challenge, 1)]))
-    utxos = node.serve_query_utxos(block_hash(mine_on(node, ALICE.public_key, seed=902)))
+    height = mine_on(node, ALICE.public_key, seed=902).header.height
+    assert set(node.utxo.versions[height]) == {6}
+    utxos = UtxosResponse(*node.utxo.state_before(height, {4, 6}))
     shard = max(utxos.shards.values(), key=lambda s: len(s.coins))
+    merkle_blocks = node.serve_query_merkle_blocks(block.header.prev_hash, bloom)
     return {
         "shard": shard.encoded,
         "utxos": encode_utxos_response(utxos),
-        "partial": encode_partial(utxos.tree),
+        "partial": encode_partial(max((m.tx_tree for m in merkle_blocks.matches),
+                                      key=lambda tree: len(tree.siblings))),
         "merkle_blocks_request": encode_merkle_blocks_request(block.header.prev_hash, bloom),
-        "merkle_blocks": encode_merkle_blocks_response(
-            node.serve_query_merkle_blocks(block.header.prev_hash, bloom)),
+        "merkle_blocks": encode_merkle_blocks_response(merkle_blocks),
         "header": encode_header(block.header),
         "transaction": encode_transaction(block.transactions[1]),
         "block": encode_block(block),
@@ -84,8 +86,7 @@ def _honest_payloads() -> dict[str, bytes]:
 def _reencode_utxos(data: bytes) -> bytes:
     resp = decode_utxos_response(data)
     shards = {i: Shard.of_coins(shard.coins) for i, shard in resp.shards.items()}
-    return encode_utxos_response(UtxosResponse(shards=shards, tree=resp.tree,
-                                               coin_count=resp.coin_count))
+    return encode_utxos_response(UtxosResponse(shards=shards, siblings=resp.siblings))
 
 
 # codec name -> bytes -> the decoded value encoded again
@@ -215,17 +216,21 @@ def _oracle_merkle_blocks(r: Reader) -> MerkleBlocksResponse:
 
 def _oracle_utxos(r: Reader) -> UtxosResponse:
     shards = {}
-    last = -1
-    for _ in range(r.u16()):
-        idx, count = struct.unpack("<II", r.take(8))
+    last = 0
+    leaves = r.u16()
+    if not leaves:
+        raise DecodeError("no shard served", 0)
+    for _ in range(leaves):
+        idx, count = struct.unpack("<QI", r.take(12))
+        if not 1 <= idx < 1 << 33:
+            raise DecodeError("shard id outside the trie", r.offset - 12)
         if idx <= last:
-            raise DecodeError("shard indices not strictly increasing", r.offset - 8)
+            raise DecodeError("shard ids not strictly increasing", r.offset - 12)
         shards[idx] = decode_shard(r.take(COIN_SIZE * count))
         last = idx
-    tree = read_partial(r)
-    (coin_count,) = struct.unpack("<Q", r.take(8))
+    run = r.take(32 * r.u16())
     r.done()
-    return UtxosResponse(shards=shards, tree=tree, coin_count=coin_count)
+    return UtxosResponse(shards=shards, siblings=tuple(run[i:i + 32] for i in range(0, len(run), 32)))
 
 
 def _whole_payload(decode):
@@ -294,9 +299,9 @@ def test_shards_in_any_order_round_trip_or_are_a_decode_error(order):
     shards = sorted(honest.shards.items())
     entries = [shards[j % len(shards)] for j in order]
     data = b"".join([struct.pack("<H", len(entries)),
-                     *(struct.pack("<II", i, len(shard.coins)) + shard.encoded
+                     *(struct.pack("<QI", i, len(shard.coins)) + shard.encoded
                        for i, shard in entries),
-                     encode_partial(honest.tree)])
+                     _siblings(honest)])
     try:
         again = ROUND_TRIPS["utxos"](data)
     except DecodeError:
@@ -304,17 +309,22 @@ def test_shards_in_any_order_round_trip_or_are_a_decode_error(order):
     assert again == data
 
 
-# The framing of a shard in a utxos answer: index (u32), coin count (u32),
-# coins. The first shard's count sits after the u16 shard count and its index.
+def _siblings(resp: UtxosResponse) -> bytes:
+    """The tail of a utxos answer: its sibling count and siblings."""
+    return struct.pack("<H", len(resp.siblings)) + b"".join(resp.siblings)
+
+
+# The framing of a leaf in a utxos answer: id (u64), coin count (u32),
+# coins. The first leaf's count sits after the u16 leaf count and its id.
 
 def _with_first_count(data: bytes, count: int) -> bytes:
-    return data[:6] + struct.pack("<I", count) + data[10:]
+    return data[:10] + struct.pack("<I", count) + data[14:]
 
 
 def test_the_first_shards_count_is_where_the_framing_puts_it():
     honest = decode_utxos_response(HONEST["utxos"])
     first = min(honest.shards)
-    assert struct.unpack_from("<HII", HONEST["utxos"]) == \
+    assert struct.unpack_from("<HQI", HONEST["utxos"]) == \
         (len(honest.shards), first, len(honest.shards[first].coins))
 
 
@@ -325,28 +335,51 @@ def test_a_shard_count_overrunning_the_answer_is_a_decode_error(count):
     into a ``peer-fault`` (``tests/test_diet_node.py``)."""
     data = HONEST["utxos"]
     if count == "one past the end":
-        count = (len(data) - 10) // COIN_SIZE + 1
+        count = (len(data) - 14) // COIN_SIZE + 1
     with pytest.raises(DecodeError, match="truncated"):
         decode_utxos_response(_with_first_count(data, count))
 
 
-# The coin count of all shards ends a utxos answer, as a u64 after the tree.
+# The trie siblings end a utxos answer: a u16 count and the hashes.
 
-def test_the_coin_count_follows_the_tree():
+def test_the_siblings_follow_the_shards():
     data = HONEST["utxos"]
-    at = utxos_tree_at(data) + len(HONEST["partial"])
-    assert len(data) == at + 8
-    assert struct.unpack_from("<Q", data, at)[0] == decode_utxos_response(data).coin_count
+    at = utxos_siblings_at(data)
+    siblings = decode_utxos_response(data).siblings
+    assert len(siblings) >= 2 and data[at:] == _siblings(decode_utxos_response(data))
+
+
+def _frames(data: bytes) -> list[int]:
+    """Where each leaf frame of a utxos answer starts."""
+    (count,), at, starts = struct.unpack_from("<H", data), 2, []
+    for _ in range(count):
+        starts.append(at)
+        at += 12 + COIN_SIZE * struct.unpack_from("<QI", data, at)[1]
+    return starts
 
 
 @pytest.mark.parametrize("cut", range(1, 8))
 def test_a_utxos_answer_cut_inside_its_coin_count_is_a_decode_error(cut):
+    """Cut 1-3 bytes into the u32 coin count of one of its leaves, in
+    turn: the frame is refused whole, at its first byte."""
     data = HONEST["utxos"]
-    with pytest.raises(DecodeError, match=rf"truncated \(at byte {len(data) - 8}\)"):
-        decode_utxos_response(data[:-cut])
+    frames = _frames(data)
+    assert len(frames) >= 2
+    start = frames[(cut - 1) % len(frames)]
+    with pytest.raises(DecodeError, match=rf"truncated \(at byte {start}\)"):
+        decode_utxos_response(data[:start + 8 + (cut - 1) % 3 + 1])
 
 
-def test_a_byte_after_a_utxos_answers_coin_count_is_a_decode_error():
+@pytest.mark.parametrize("idx", [0, 1 << 33, (1 << 64) - 1])
+def test_a_shard_id_outside_the_trie_is_a_decode_error(idx):
+    """No node has id 0 and no leaf sits below depth 32."""
+    data = HONEST["utxos"]
+    bad = data[:2] + struct.pack("<Q", idx) + data[10:]
+    with pytest.raises(DecodeError, match=r"shard id outside the trie \(at byte 2\)"):
+        decode_utxos_response(bad)
+
+
+def test_a_byte_after_a_utxos_answers_siblings_is_a_decode_error():
     data = HONEST["utxos"]
     with pytest.raises(DecodeError, match=rf"trailing bytes after value \(at byte {len(data)}\)"):
         decode_utxos_response(data + b"\x00")
@@ -358,7 +391,7 @@ def test_shard_coins_out_of_order_in_an_answer_are_a_decode_error():
     coins = shard.coins
     swapped = Shard(encode_shard_coins([coins[1], coins[0], *coins[2:]]))
     data = encode_utxos_response(UtxosResponse(shards={**honest.shards, idx: swapped},
-                                               tree=honest.tree, coin_count=honest.coin_count))
+                                               siblings=honest.siblings))
     with pytest.raises(DecodeError, match="out of order"):
         decode_utxos_response(data)
     with pytest.raises(DecodeError, match="out of order"):
@@ -374,9 +407,9 @@ def test_a_shard_of_65536_coins_round_trips():
     assert len(encoded) == COIN_SIZE << 16
     assert ROUND_TRIPS["shard"](encoded) == encoded
     honest = decode_utxos_response(HONEST["utxos"])
-    data = encode_utxos_response(UtxosResponse(shards={3: Shard(encoded)}, tree=honest.tree,
-                                               coin_count=honest.coin_count))
-    assert struct.unpack_from("<HII", data) == (1, 3, 1 << 16)
+    data = encode_utxos_response(UtxosResponse(shards={3: Shard(encoded)},
+                                               siblings=honest.siblings))
+    assert struct.unpack_from("<HQI", data) == (1, 3, 1 << 16)
     assert decode_utxos_response(data).shards == {3: Shard(encoded)}
     assert ROUND_TRIPS["utxos"](data) == data
 
@@ -437,18 +470,18 @@ def test_a_partial_count_past_the_end_is_a_decode_error(run, count):
     data = struct.pack("<IH", tree.total_leaves, count) + b"".join(tree.siblings)
     with pytest.raises(DecodeError, match="truncated"):
         read_whole(read_partial, data)
-    honest = HONEST["utxos"]
-    at = utxos_tree_at(honest)
-    assert honest[at:at + len(HONEST["partial"])] == HONEST["partial"]
+    honest = HONEST["utxos"]  # the trie siblings of a utxos answer
+    at = utxos_siblings_at(honest)
+    count = len(decode_utxos_response(honest).siblings) + 1 if count != 0xFFFF else count
     with pytest.raises(DecodeError, match="truncated"):
-        decode_utxos_response(honest[:at] + data + honest[at + len(HONEST["partial"]):])
+        decode_utxos_response(honest[:at] + struct.pack("<H", count) + honest[at + 2:])
 
 
-def _utxos_wire(entries, tree_bytes: bytes) -> bytes:
+def _utxos_wire(entries, tail: bytes) -> bytes:
     return b"".join([struct.pack("<H", len(entries)),
-                     *(struct.pack("<II", i, len(encoded) // COIN_SIZE) + encoded
+                     *(struct.pack("<QI", i, len(encoded) // COIN_SIZE) + encoded
                        for i, encoded in entries),
-                     tree_bytes])
+                     tail])
 
 
 @pytest.mark.parametrize("kind", ["repeated", "decreasing"])
@@ -458,9 +491,9 @@ def test_a_shard_index_not_above_the_one_before_is_a_decode_error(kind):
     assert len(entries) >= 2
     bad = ([entries[0], entries[0], *entries[1:]] if kind == "repeated"
            else [entries[1], entries[0], *entries[2:]])
-    offset = 2 + 8 + len(bad[0][1])  # the second shard's index
+    offset = 2 + 12 + len(bad[0][1])  # the second leaf's id
     with pytest.raises(DecodeError, match=rf"not strictly increasing \(at byte {offset}\)"):
-        decode_utxos_response(_utxos_wire(bad, encode_partial(honest.tree)))
+        decode_utxos_response(_utxos_wire(bad, _siblings(honest)))
 
 
 def test_shard_coins_out_of_order_anywhere_in_the_shard_are_a_decode_error():
@@ -473,8 +506,7 @@ def test_shard_coins_out_of_order_anywhere_in_the_shard_are_a_decode_error():
         swapped = coins[:at - 1] + [coins[at], coins[at - 1]] + coins[at + 1:]
         entries[idx] = encode_shard_coins(swapped)
         with pytest.raises(DecodeError, match="out of order"):
-            decode_utxos_response(_utxos_wire(sorted(entries.items()),
-                                              encode_partial(honest.tree)))
+            decode_utxos_response(_utxos_wire(sorted(entries.items()), _siblings(honest)))
 
 
 def test_a_decoded_shard_keeps_the_coins_it_was_checked_with():

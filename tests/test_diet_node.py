@@ -5,7 +5,16 @@ import functools
 import struct
 
 import pytest
-from conftest import FAST, coins_owned, key_of, mined_node, payment, store_state, utxos_tree_at
+from conftest import (
+    FAST,
+    coins_owned,
+    key_of,
+    leaves_before,
+    mined_node,
+    payment,
+    store_state,
+    utxos_siblings_at,
+)
 from hypothesis import given, settings, strategies as st
 
 from dietchain import utxo
@@ -23,6 +32,7 @@ from dietchain.chain import (
     encode_block,
     make_coinbase_input,
     sighash,
+    txid,
 )
 from dietchain.crypto import hash256
 from dietchain.diet_node import (
@@ -34,7 +44,7 @@ from dietchain.diet_node import (
 )
 from dietchain.errors import ValidationError
 from dietchain.full_node import FullNode, UtxosResponse
-from dietchain.merkle import build_root, encode_partial, update_levels
+from dietchain.merkle import trie_leaf, trie_walk
 from dietchain.miner import (
     BlockTemplate,
     assemble_block,
@@ -59,15 +69,7 @@ from dietchain.netsim import (
     encode_utxos_response,
 )
 from dietchain.rules import commitment_of, signed_spend, tx_merkle_root
-from dietchain.utxo import (
-    Coin,
-    Shard,
-    coins_of,
-    committed_root,
-    encode_shard_coins,
-    shard_key,
-    shard_leaf,
-)
+from dietchain.utxo import MAX_DEPTH, Coin, Shard, coins_of, encode_shard_coins, shard_key
 
 ALICE = key_of("alice")
 BOB = key_of("bob")
@@ -214,17 +216,27 @@ def test_verification_across_a_split():
     assert any(first < h <= node.tip_height for h in split_heights)
 
 
+def _leaf(tx_id: bytes, leaves) -> int:
+    """The leaf of ``leaves`` on the txid's path."""
+    return next(i for d in range(MAX_DEPTH + 1)
+                if (i := 1 << d | shard_key(tx_id, d)) in leaves)
+
+
 @functools.lru_cache(maxsize=None)
 def _split_chain() -> FullNode:
-    """Nine blocks above genesis at ``size_cap`` 256 from ``k = 0``, each
-    paying Alice 2 six times and Carol 3; the blocks at heights 2, 3, 5
-    and 8 split the shards. Window steps only read it."""
+    """Nine blocks above genesis at ``size_cap`` 256 from one leaf, each
+    paying Carol 3 and Alice 2, six times at even heights (eight outputs
+    of one txid, over the cap: their leaf splits down to depth 32) and
+    once at odd ones; the blocks at heights 2 and 4 to 8 split leaves.
+    Window steps only read it."""
     params = ChainParams(target_bits=5, subsidy=50, size_cap=256, initial_k=0)
     node = mined_node(params, ALICE, 2, seed=48)
     for i in range(8):
-        node.submit_transaction(payment(node, ALICE, [(ALICE.challenge, 2)] * 6
+        node.submit_transaction(payment(node, ALICE, [(ALICE.challenge, 2)] * (1 + 5 * (i % 2 == 0))
                                         + [(CAROL.challenge, 3)]))
         mine_on(node, ALICE.public_key, seed=248 + i)
+    assert [h for h, record in node.utxo.touched_log.items() if record.rebalanced] == \
+        [2, 4, 5, 6, 7, 8]
     return node
 
 
@@ -238,10 +250,10 @@ def _step_start(node: FullNode, height: int) -> tuple[bytes, list[Coin]]:
 def _stepped_closes(monkeypatch, node: FullNode) -> dict:
     """Chain ``window_step`` over every block of ``node``'s chain on the
     answers it serves, from the genesis block's root and reward coins.
-    Returns, by height, what closing the step's view did (``k`` before
-    and after, the shards the body edited, the ``encode_shard_coins``
-    calls the close made), the served shard indices, the tree size and
-    the root the step derived."""
+    Returns, by height, what closing the step's view did (the leaves the
+    body edited, the splits, the ``encode_shard_coins`` calls the close
+    made), the served leaf ids, the sibling count and the root the step
+    derived."""
     closes = {}
     close = utxo.ShardView.close
     packed = []
@@ -252,14 +264,14 @@ def _stepped_closes(monkeypatch, node: FullNode) -> dict:
         return encode(coins)
 
     def recording(view, size_cap):
-        k, edited = view.k, set(view.edited)
+        edited = set(view.edited)
         packed.clear()
         monkeypatch.setattr(utxo, "encode_shard_coins", counting_encode)
         try:
             leaves = close(view, size_cap)
         finally:
             monkeypatch.setattr(utxo, "encode_shard_coins", encode)
-        closes[view.height] = (k, view.k, edited, len(packed))
+        closes[view.height] = (edited, list(view.splits), len(packed))
         return leaves
 
     monkeypatch.setattr(utxo.ShardView, "close", recording)
@@ -268,32 +280,33 @@ def _stepped_closes(monkeypatch, node: FullNode) -> dict:
         block, answer = node.blocks[block_hash], node.serve_query_utxos(block_hash)
         trusted, pending = window_step(node.params, trusted, pending, block, answer)
         height = block.header.height
-        closes[height] += (set(answer.shards), answer.tree.total_leaves, trusted)
+        closes[height] += (set(answer.shards), len(answer.siblings), trusted)
     return closes
 
 
 def test_the_diet_replay_edits_exactly_the_shards_served(monkeypatch):
-    """The replay of an honest block edits every shard the node served for
-    it and no other, so re-hashing the served paths after the edits costs
-    no leaf the block did not change; a split block is served every
-    shard, and the diet node rebuilds the whole tree."""
+    """The replay of an honest block edits every leaf the node served for
+    it and no other, split block or not, so re-hashing the served paths
+    after the edits costs no leaf the block did not change: on a chain
+    with six blocks that split, no answer serves the whole set."""
     node = _split_chain()
     replayed = _stepped_closes(monkeypatch, node)
     assert sorted(replayed) == list(range(1, node.tip_height + 1))
     splits = {h for h in replayed if node.utxo.touched_log[h].rebalanced}
-    assert splits and len(splits) < len(replayed)
-    for height, (_, _, edited, _, served, total, root) in replayed.items():
+    assert len(splits) >= 3 and len(splits) < len(replayed)
+    for height, (edited, split, _, served, _, root) in replayed.items():
         assert root == commitment_of(node.blocks[node.headers.active_hash_at(height)])
-        if height in splits:
-            assert len(served) == total
-        else:
-            assert edited == served == set(node.utxo.versions[height])
+        assert edited == served == set(node.utxo.versions[height])
+        assert bool(split) == (height in splits)
+        leaves = leaves_before(node.utxo, height)
+        assert served < leaves or leaves == {1}  # one leaf: the whole set
 
 
 def test_a_split_in_a_window_packs_only_the_shards_the_block_edited(monkeypatch):
-    """A split cuts each served shard into runs and slices the served
-    bytes, so closing a window's split block packs each shard the body
-    edited once and no other: not the ``2**(k+1)`` children."""
+    """A split cuts each edited leaf into runs and slices its bytes, so
+    closing a window's split block packs each leaf the body edited once
+    and no other: not the children it splits into, and no leaf it was
+    not served."""
     params = ChainParams(target_bits=5, subsidy=50, size_cap=256, initial_k=2)
     node = mined_node(params, ALICE, 2, seed=46)
     for i in range(8):
@@ -302,34 +315,64 @@ def test_a_split_in_a_window_packs_only_the_shards_the_block_edited(monkeypatch)
         mine_on(node, ALICE.public_key, seed=246 + i)
     closes = _stepped_closes(monkeypatch, node)
     assert sorted(closes) == list(range(1, node.tip_height + 1))
-    splits = [h for h, (k, k_after, *_) in closes.items() if k_after != k]
+    splits = [h for h, (_, split, *_) in closes.items() if split]
     assert splits
-    for height, (k, k_after, edited, packs, _, _, root) in closes.items():
-        assert packs == len(edited)
+    for height, (edited, split, packs, served, _, root) in closes.items():
+        assert packs == len(edited) and edited == served
         if height in splits:
-            assert len(edited) < 1 << k  # some shards were served and left as they were
+            assert len(served) < len(leaves_before(node.utxo, height))  # some leaves not served
         assert root == commitment_of(node.blocks[node.headers.active_hash_at(height)])
 
 
 def test_a_window_verifies_a_block_that_splits_by_two_bits(monkeypatch):
-    """A block that adds enough coins to split twice at once cuts each
-    served shard into four runs; the diet node verifies it and derives
-    the root the full node committed."""
+    """A block that adds enough coins to one leaf splits it and then one
+    of its children, and so on; the diet node verifies it and derives the
+    root the full node committed."""
     params = ChainParams(target_bits=5, subsidy=50, size_cap=256, initial_k=1)
     node = mined_node(params, ALICE, 2, seed=47)
     node.submit_transaction(payment(node, ALICE, [(ALICE.challenge, 1)] * 12
                                     + [(CAROL.challenge, 3)]))
     mine_on(node, ALICE.public_key, seed=247)
-    record = node.utxo.touched_log[node.tip_height]
-    assert (record.k, record.k_after) == (1, 3)
-    k, k_after, *_, root = _stepped_closes(monkeypatch, node)[node.tip_height]
-    assert (k, k_after) == (1, 3)
+    split = [idx for idx, *_ in node.utxo.touched_log[node.tip_height].splits]
+    assert any(idx >> 1 in split for idx in split)  # a split leaf's child split again
+    _, step_splits, *_, root = _stepped_closes(monkeypatch, node)[node.tip_height]
+    assert [idx for idx, *_ in step_splits] == split
     assert root == commitment_of(node.blocks[node.tip_hash]) == node.utxo.current_root
+
+
+def test_a_tx_over_the_cap_splits_its_path_down_to_depth_32():
+    """Outputs of one tx share a txid, so no split parts them: a payment
+    whose outputs alone exceed the cap splits its leaf down to depth 32
+    and stops there, one leaf over the cap, and a follower and a diet
+    node's window steps reach every root the miner committed."""
+    params = ChainParams(target_bits=5, subsidy=50, size_cap=256, initial_k=0)
+    node = mined_node(params, ALICE, 2, seed=50)
+    paid = payment(node, ALICE, [(CAROL.challenge, 1)] * 4)
+    node.submit_transaction(paid)
+    mine_on(node, ALICE.public_key, seed=250)
+    mine_on(node, ALICE.public_key, seed=251)
+    deep = _leaf(txid(paid), node.utxo.shards)
+    assert deep >> MAX_DEPTH == 1 and deep == 1 << 32 | shard_key(txid(paid), 32)
+    assert node.utxo.shards[deep] == coins_of(paid) and 5 * COIN_SIZE > params.size_cap
+    assert max(node.utxo.shards) < 2 << MAX_DEPTH
+    record = node.utxo.touched_log[node.tip_height - 1]
+    assert [idx for idx, *_ in record.splits] == [deep >> up for up in range(32, 0, -1)]
+    follower = FullNode(params)
+    for hh in node.headers.active_chain():
+        assert follower.connect_block(node.blocks[hh]).accepted
+    assert store_state(follower.utxo) == store_state(node.utxo)
+    trusted, pending = _step_start(node, 1)
+    for hh in node.headers.active_chain()[1:]:
+        trusted, pending = window_step(params, trusted, pending, node.blocks[hh],
+                                       node.serve_query_utxos(hh))
+        assert trusted == commitment_of(node.blocks[hh])
+    diet = _wire(node, DietConfig(keys=(CAROL.public_key,), max_depth=3, max_length=3))
+    assert [v.status for v in diet.update_chain().verdicts] == ["diet-verified"]
 
 
 class _ExtraSiblingService(FullNodeService):
     """Appends one sibling, which the served leaves do not need, to the
-    proof of every block that split the shards."""
+    proof of every block that split a leaf."""
 
     def handle_query(self, msg_type, payload):
         response = super().handle_query(msg_type, payload)
@@ -339,15 +382,14 @@ class _ExtraSiblingService(FullNodeService):
         if not self.node.utxo.touched_log[height].rebalanced:
             return response
         resp = self.node.serve_query_utxos(payload)
-        tree = dataclasses.replace(resp.tree, siblings=resp.tree.siblings + (hash256(b"extra"),))
-        return encode_utxos_response(UtxosResponse(shards=resp.shards, tree=tree,
-                                                   coin_count=resp.coin_count))
+        return encode_utxos_response(dataclasses.replace(
+            resp, siblings=resp.siblings + (hash256(b"extra"),)))
 
 
 def test_a_window_across_a_split_rejects_an_extra_sibling():
-    """A split block is served every shard, so its proof needs no
-    sibling; one the peer adds is left unread, and the window is
-    rejected at the split."""
+    """A split block is proved as any block is, by the leaves it edited
+    and the siblings their paths need; one sibling more is left unread,
+    and the window is rejected at the split."""
     params = ChainParams(target_bits=5, subsidy=50, size_cap=256, initial_k=0)
     node = mined_node(params, ALICE, 2, seed=49)
     for i in range(6):
@@ -383,9 +425,9 @@ def test_window_steps_end_where_the_diet_node_does(window):
     for height in range(first + 1, last + 1):
         block_hash = node.headers.active_hash_at(height)
         block, answer = node.blocks[block_hash], node.serve_query_utxos(block_hash)
-        before = (list(pending), encode_block(block), dict(answer.shards), answer.tree)
+        before = (list(pending), encode_block(block), dict(answer.shards), answer.siblings)
         trusted, after = window_step(node.params, trusted, pending, block, answer)
-        assert (list(pending), encode_block(block), dict(answer.shards), answer.tree) == before
+        assert (list(pending), encode_block(block), dict(answer.shards), answer.siblings) == before
         pending = after
     assert diet.highest_verified == last
     assert trusted == commitment_of(node.blocks[node.headers.active_hash_at(last)])
@@ -502,10 +544,8 @@ class _LenientNode(FullNode):
         height = self.blocks[block_hash].header.height
         if height in self.utxo.touched_log:
             return super().serve_query_utxos(block_hash)
-        # A planted block: prove every shard of the state it sits on.
-        shards, tree = self.utxo.state_before(height, set(range(1 << self.utxo.k)))
-        return UtxosResponse(shards=shards, tree=tree,
-                             coin_count=self.utxo.touched_log[height - 1].shard_bytes // COIN_SIZE)
+        # A planted block: prove every leaf of the state it sits on.
+        return UtxosResponse(*self.utxo.state_before(height, set(self.utxo.shards)))
 
 
 def _lenient_copy(node: FullNode) -> _LenientNode:
@@ -617,7 +657,7 @@ def test_a_shard_past_a_u16_coin_count_is_accepted_on_both_nodes():
     assert store_state(follower.utxo) == store_state(miner.utxo)
 
     served = miner.serve_query_utxos(miner.tip_hash)
-    assert (miner.utxo.k, len(served.shards[0].coins)) == (0, 0x10000)
+    assert (miner.utxo.k, len(served.shards[1].coins)) == (0, 0x10000)
     diet = _wire(miner, WATCH_CAROL)
     assert {(v.height, v.status, v.first, v.last) for v in diet.update_chain().verdicts} == \
         {(2, "diet-verified", 0, 2), (3, "diet-verified", 2, 3)}  # 3 replays on that shard
@@ -769,10 +809,10 @@ def _forge_on_a_made_up_base(honest: FullNode, l: int) -> tuple[ForgedChainBuild
     forger.replay(honest, fork)
     store = forger.node.utxo
     coin = Coin(OutPoint(hash256(b"made up"), 0), 1000, ALICE.challenge)
-    idx = shard_key(coin.outpoint.txid, store.k)
+    idx = _leaf(coin.outpoint.txid, store.shards)
     store.shards[idx] = sorted(store.shards[idx] + [coin])
-    update_levels(store._levels, {idx: hash256(encode_shard_coins(store.shards[idx]))})
-    store._coin_count += 1
+    store._nodes.update(trie_walk({idx: trie_leaf(encode_shard_coins(store.shards[idx]))},
+                                  store._nodes.get))
     lie = store.current_root
     assert lie != commitment_of(honest.blocks[honest.headers.active_hash_at(fork)])
     for _ in range(l - 1):
@@ -819,19 +859,19 @@ class _ShardTwiceService(FullNodeService):
         parts = [struct.pack("<H", len(order))]
         for idx in order:
             encoded = resp.shards[idx].encoded
-            parts += [struct.pack("<II", idx, len(encoded) // COIN_SIZE), encoded]
-        parts += [encode_partial(resp.tree), struct.pack("<Q", resp.coin_count)]
+            parts += [struct.pack("<QI", idx, len(encoded) // COIN_SIZE), encoded]
+        parts += [struct.pack("<H", len(resp.siblings)), *resp.siblings]
         return b"".join(parts)
 
 
 class _RewritingService(FullNodeService):
     """Answers one query about the block at ``height`` otherwise than an
-    honest node: as ``case`` says, a ``query_utxos`` answer loses a
-    touched shard or gains an untouched one (proved with the shards it
-    then holds), gets a tree size that is not a power of two, loses a
-    sibling, gains one at the end, serves one more shard at an index past
-    the tree or serves no shard, or a ``query_block`` answer is the block
-    below."""
+    honest node: as ``case`` says, a ``query_utxos`` answer loses an
+    edited leaf or gains an unedited one (proved with the leaves it then
+    holds), serves a leaf at its parent's id, loses a sibling, gains one
+    at the end, serves one more leaf below a served one (outside the
+    trie) or serves a leaf the block leaves alone in place of all it
+    edited, or a ``query_block`` answer is the block below."""
 
     def __init__(self, node: FullNode, height: int, case: str):
         super().__init__(node)
@@ -849,29 +889,27 @@ class _RewritingService(FullNodeService):
         if msg_type != MSG_QUERY_UTXOS:
             return super().handle_query(msg_type, payload)
         resp = self.node.serve_query_utxos(payload)
-        tree = resp.tree
         held = set(resp.shards)
-        if self.case in ("drop-shard", "extra-shard"):
+        unedited = leaves_before(self.node.utxo, self.height) - held
+        if self.case in ("drop-shard", "extra-shard", "no-shard"):
             if self.case == "drop-shard":
                 held.remove(max(held))
+            elif self.case == "extra-shard":
+                held.add(min(unedited))
             else:
-                held.add(min(set(range(tree.total_leaves)) - held))
-            shards, tree = self.node.utxo.state_before(self.height, held)
-            return encode_utxos_response(UtxosResponse(shards=shards, tree=tree,
-                                                       coin_count=resp.coin_count))
-        shards = resp.shards
-        if self.case == "size":
-            tree = dataclasses.replace(tree, total_leaves=3 * tree.total_leaves)
+                held = {min(unedited)}
+            return encode_utxos_response(UtxosResponse(
+                *self.node.utxo.state_before(self.height, held)))
+        shards, siblings = dict(resp.shards), resp.siblings
+        if self.case == "size":  # the trie's shape: a leaf one level up
+            shards[max(held) >> 1] = shards.pop(max(held))
         elif self.case == "drop-sibling":
-            tree = dataclasses.replace(tree, siblings=tree.siblings[1:])
+            siblings = siblings[1:]
         elif self.case == "extra-sibling":
-            tree = dataclasses.replace(tree, siblings=tree.siblings + (hash256(b"extra"),))
-        elif self.case == "outside":
-            shards = {**shards, tree.total_leaves: Shard(b"")}
-        else:  # "no-shard"
-            shards = {}
-        return encode_utxos_response(UtxosResponse(shards=shards, tree=tree,
-                                                   coin_count=resp.coin_count))
+            siblings = siblings + (hash256(b"extra"),)
+        else:  # "outside": below a leaf, where the trie has no node
+            shards[2 * max(held)] = Shard(b"")
+        return encode_utxos_response(UtxosResponse(shards=shards, siblings=siblings))
 
 
 @pytest.mark.parametrize("case, reason", [("drop-shard", "shard-proof-mismatch"),
@@ -890,7 +928,7 @@ def test_a_rewritten_window_answer_is_a_verdict_at_its_height(case, reason):
 
 
 def test_an_untouched_shard_served_with_its_proof_is_still_verified():
-    """A served shard the block leaves alone keeps its leaf in the root
+    """A served leaf the block leaves alone keeps its hash in the root
     walked after the block."""
     first, second, _ = _rewritten_window("extra-shard")
     assert (first.status, second.status) == ("diet-verified", "diet-verified")
@@ -906,7 +944,7 @@ def _rewritten_window(case: str):
         mine_on(node, ALICE.public_key, seed=seed)
     height = node.tip_height
     served = node.serve_query_utxos(node.headers.active_hash_at(height))
-    assert 2 <= len(served.shards) < served.tree.total_leaves and served.tree.siblings
+    assert 2 <= len(served.shards) < len(node.utxo.shards) and served.siblings
     bus = Bus(seed=8)
     bus.register("peer", _RewritingService(node, height, case))
     diet = DietNode(FAST, WATCH_CAROL, BusTransport(bus, "client", "peer"))
@@ -914,9 +952,9 @@ def _rewritten_window(case: str):
     return first, second, height
 
 
-LIES = ("drop-shard", "extra-shard", "other-height", "other-block", "size", "drop-sibling",
+LIES = ("drop-shard", "extra-shard", "other-height", "other-block", "drop-sibling",
         "add-sibling", "swap-siblings", "replace-sibling", "flip-coin", "drop-coin",
-        "no-shard", "outside", "count")
+        "no-shard", "outside", "ancestor", "parent-id")
 
 
 def _differing_pairs(siblings) -> list[tuple[int, int]]:
@@ -924,44 +962,52 @@ def _differing_pairs(siblings) -> list[tuple[int, int]]:
             if siblings[i] != siblings[j]]
 
 
-def _lie_fits(lie: str, answer: UtxosResponse) -> bool:
-    """Whether ``lie`` can be told about ``answer``: a shard to drop
+def _lie_fits(lie: str, node: FullNode, height: int, answer: UtxosResponse) -> bool:
+    """Whether ``lie`` can be told about ``answer``: a leaf to drop
     while one stays, an unserved one to add, a sibling to drop or
-    replace, two different ones to swap, a coin to flip or drop."""
-    siblings = answer.tree.siblings
+    replace, two different ones to swap, a coin to flip or drop, a
+    served leaf below the root to serve at or beside its parent's id."""
+    siblings = answer.siblings
     return {"drop-shard": len(answer.shards) > 1,
-            "extra-shard": len(answer.shards) < answer.tree.total_leaves,
+            "extra-shard": len(answer.shards) < len(leaves_before(node.utxo, height)),
             "drop-sibling": bool(siblings), "replace-sibling": bool(siblings),
             "swap-siblings": bool(_differing_pairs(siblings)),
             "flip-coin": any(s.encoded for s in answer.shards.values()),
             "drop-coin": any(s.encoded for s in answer.shards.values()),
+            "ancestor": max(answer.shards) > 1, "parent-id": max(answer.shards) > 1,
             }.get(lie, True)
 
 
 def _lie(node: FullNode, height: int, lie: str, draw) -> tuple[Block, UtxosResponse]:
     """The block at ``height`` and the node's answer for it, one of them
-    rewritten as ``lie`` says, with ``draw`` picking where."""
+    rewritten as ``lie`` says, with ``draw`` picking where. An edited
+    leaf is left out (``drop-shard``), an unedited one served with its
+    proof (``extra-shard``), a served leaf's parent served too
+    (``ancestor``) or in its place (``parent-id``), a leaf served at id 0
+    or below depth 32 (``outside``), or only leaves the block leaves
+    alone (``no-shard``)."""
     block_hash = node.headers.active_hash_at(height)
     block, answer = node.blocks[block_hash], node.serve_query_utxos(block_hash)
-    shards, tree, coin_count = dict(answer.shards), answer.tree, answer.coin_count
-    siblings = list(tree.siblings)
+    shards, siblings = dict(answer.shards), list(answer.siblings)
     other = node.headers.active_hash_at(
         draw(st.sampled_from([h for h in range(1, node.tip_height + 1) if h != height])))
-    if lie in ("drop-shard", "extra-shard"):
+    unedited = sorted(leaves_before(node.utxo, height) - set(shards))
+    if lie in ("drop-shard", "extra-shard", "no-shard"):
         held = set(shards)
         if lie == "drop-shard":
             held.remove(draw(st.sampled_from(sorted(held))))
+        elif lie == "extra-shard":
+            held.add(draw(st.sampled_from(unedited)))
         else:
-            held.add(draw(st.sampled_from(sorted(set(range(tree.total_leaves)) - held))))
-        shards, tree = node.utxo.state_before(height, held)
-    elif lie == "other-height":
+            held = {draw(st.sampled_from(unedited))} if unedited else set()
+        if not held:
+            return block, UtxosResponse(shards={}, siblings=())
+        return block, UtxosResponse(*node.utxo.state_before(height, held))
+    if lie == "other-height":
         return block, node.serve_query_utxos(other)
-    elif lie == "other-block":
+    if lie == "other-block":
         return node.blocks[other], answer
-    elif lie == "size":
-        tree = dataclasses.replace(tree, total_leaves=draw(
-            st.integers(1, 4 * tree.total_leaves).filter(lambda n: n != tree.total_leaves)))
-    elif lie == "drop-sibling":
+    if lie == "drop-sibling":
         del siblings[draw(st.integers(0, len(siblings) - 1))]
     elif lie == "add-sibling":
         siblings.insert(draw(st.integers(0, len(siblings))), hash256(b"extra"))
@@ -979,30 +1025,29 @@ def _lie(node: FullNode, height: int, lie: str, draw) -> tuple[Block, UtxosRespo
         else:
             del data[at:at + COIN_SIZE]
         shards[idx] = Shard(bytes(data))
-    elif lie == "no-shard":
-        shards = {}
-    elif lie == "count":
-        coin_count += draw(st.sampled_from((-1, 1) if coin_count else (1,)))
+    elif lie in ("ancestor", "parent-id"):
+        idx = draw(st.sampled_from(sorted(i for i in shards if i > 1)))
+        shard = shards.pop(idx) if lie == "parent-id" else shards[idx]
+        shards[idx >> draw(st.integers(1, idx.bit_length() - 1))
+               if lie == "ancestor" else idx >> 1] = shard
     else:  # "outside"
-        shards[tree.total_leaves + draw(st.integers(0, 3))] = Shard(b"")
-    if "sibling" in lie:
-        tree = dataclasses.replace(tree, siblings=tuple(siblings))
-    return block, UtxosResponse(shards=shards, tree=tree, coin_count=coin_count)
+        shards[draw(st.sampled_from([0, 2 << MAX_DEPTH, (2 << MAX_DEPTH) + 5]))] = Shard(b"")
+    return block, UtxosResponse(shards=shards, siblings=tuple(siblings))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_a_lying_answer_is_a_verdict_at_its_block_or_changes_nothing(data):
-    """A step told one lie about a block of a chain with four splits,
-    from the honest root and reward coins below it, raises a
+    """A step told one lie about a block of a chain whose blocks split
+    leaves, from the honest root and reward coins below it, raises a
     ``ValidationError`` at the height of the block it was handed, or,
-    for an untouched shard served with its proof, returns what the
-    honest answer gives; it never raises anything else."""
+    for an unedited leaf served with its proof, returns what the honest
+    answer gives; it never raises anything else."""
     node = _split_chain()
     lie = data.draw(st.sampled_from(LIES))
     height = data.draw(st.sampled_from(
         [h for h in range(1, node.tip_height + 1)
-         if _lie_fits(lie, node.serve_query_utxos(node.headers.active_hash_at(h)))]))
+         if _lie_fits(lie, node, h, node.serve_query_utxos(node.headers.active_hash_at(h)))]))
     block, answer = _lie(node, height, lie, data.draw)
     try:
         result = window_step(node.params, *_step_start(node, height), block, answer)
@@ -1025,7 +1070,7 @@ def test_a_shard_count_overrunning_the_answer_is_a_peer_fault():
     bus = Bus(seed=7)
     bus.register("peer", FullNodeService(node))
     bus.attach_adversary(Adversary(victim="client", transforms={
-        MSG_UTXOS: lambda data: data[:6] + struct.pack("<I", 0xFFFFFFFF) + data[10:]}))
+        MSG_UTXOS: lambda data: data[:10] + struct.pack("<I", 0xFFFFFFFF) + data[14:]}))
     diet = DietNode(FAST, WATCH_CAROL, BusTransport(bus, "client", "peer"))
     (verdict,) = diet.update_chain().verdicts
     assert (verdict.status, verdict.reason) == ("rejected", "peer-fault")
@@ -1033,17 +1078,17 @@ def test_a_shard_count_overrunning_the_answer_is_a_peer_fault():
 
 
 def test_a_utxos_tree_of_zero_leaves_is_a_peer_fault():
-    """A peer whose ``utxos`` answer gives its tree no leaves gets
-    ``peer-fault`` at the block asked about: such a tree never decodes."""
+    """A peer whose ``utxos`` answer serves no leaf, with the siblings it
+    had, gets ``peer-fault`` at the block asked about: a block always
+    edits the leaf of its parent's reward coins, so such an answer never
+    decodes."""
     node = mined_node(FAST, ALICE, 4, seed=66)
     node.submit_transaction(payment(node, ALICE, [(CAROL.challenge, 6)]))
     mine_on(node, ALICE.public_key, seed=166)
 
     def no_leaves(data: bytes) -> bytes:
-        at = utxos_tree_at(data)
-        assert decode_utxos_response(data).tree.total_leaves == \
-            struct.unpack_from("<I", data, at)[0]
-        return data[:at] + struct.pack("<I", 0) + data[at + 4:]
+        assert decode_utxos_response(data).shards
+        return struct.pack("<H", 0) + data[utxos_siblings_at(data):]
 
     bus = Bus(seed=7)
     bus.register("peer", FullNodeService(node))
@@ -1166,16 +1211,18 @@ MUTATIONS = ("none", "flip-sig", "respend", "inflate", "overpay", "coinbase-vers
 
 def _miscounted(node: FullNode, block: Block) -> Block:
     """``block``, for the node's tip, with a coinbase that commits the
-    true shard tree root after its body bound to one coin too many."""
+    trie root after its body with one coin too many in a leaf it edited."""
     store = node.utxo
     store.apply_body(block.transactions[1:], block.header.height)
-    tree_root = build_root([shard_leaf(encode_shard_coins(store.shards[i]))
-                            for i in range(1 << store.k)])
-    coins = sum(map(len, store.shards.values()))
+    assert store.current_root == commitment_of(block)
+    idx = max(store.versions[block.header.height])
+    idx = max(i for i in store.shards if i >> max(i.bit_length() - idx.bit_length(), 0) == idx)
+    extra = Coin(OutPoint(bytes(32), 0), 1, bytes(32))
+    miscounted = trie_walk({idx: trie_leaf(encode_shard_coins([*store.shards[idx], extra]))},
+                           store._nodes.get)[1]
     store.undo_block()
-    assert committed_root(tree_root, coins) == commitment_of(block)
     coinbase = block.transactions[0]
-    outputs = tuple(out._replace(payload=committed_root(tree_root, coins + 1))
+    outputs = tuple(out._replace(payload=miscounted)
                     if out.kind == KIND_COMMITMENT else out for out in coinbase.outputs)
     return block._replace(transactions=(coinbase._replace(outputs=outputs),
                                         *block.transactions[1:]))
@@ -1248,84 +1295,71 @@ def test_diet_window_verdict_agrees_with_full_node(mutation, initial_k, cap, spe
             assert full.reason == "root-mismatch"
 
 
-def test_a_split_block_answer_without_an_untouched_shard_is_a_shard_proof_mismatch():
-    """Height 3 of the split chain splits; an answer that drops shard 0,
-    which its body leaves alone, is the peer's fault, not the block's."""
-    node = _split_chain()
-    block = node.blocks[node.headers.active_hash_at(3)]
-    assert node.utxo.touched_log[3].rebalanced
-    honest = node.serve_query_utxos(block_hash(block))
-    shards, tree = node.utxo.state_before(3, set(honest.shards) - {0})
-    with pytest.raises(ValidationError) as raised:
-        window_step(node.params, *_step_start(node, 3), block,
-                    UtxosResponse(shards=shards, tree=tree, coin_count=honest.coin_count))
-    assert (raised.value.code, raised.value.height) == ("shard-proof-mismatch", 3)
-
-
 def _body_shards(node: FullNode, height: int) -> set[int]:
-    """The shards a window step's body reads at ``height``, in the ``k``
+    """The leaves a window step's body reads at ``height``, in the trie
     the block is proved in: those of the reward coins it places first,
     of the coins it spends and of the coins it creates."""
     block = node.blocks[node.headers.active_hash_at(height)]
-    k = node.utxo.touched_log[height].k
+    leaves = leaves_before(node.utxo, height)
     pending = coins_of(node.blocks[node.headers.active_hash_at(height - 1)].transactions[0])
     body = block.transactions[1:]
-    return ({shard_key(coin.outpoint.txid, k) for coin in pending}
-            | {shard_key(inp.prevout.txid, k) for tx in body for inp in tx.inputs}
-            | {shard_key(coin.outpoint.txid, k) for tx in body for coin in coins_of(tx)})
+    return {_leaf(tid, leaves) for tid in [
+        *(coin.outpoint.txid for coin in pending),
+        *(inp.prevout.txid for tx in body for inp in tx.inputs),
+        *(coin.outpoint.txid for tx in body for coin in coins_of(tx))]}
 
 
 def test_a_split_step_decodes_only_the_shards_its_body_reads():
-    """A split block is served every shard, but its step unpacks into
-    coins only the shards its body reads; it cuts the others' bytes and
-    still derives the root the full node committed."""
+    """A split block is served the leaves it edited, which are the leaves
+    its body reads: its step unpacks each into coins and derives the root
+    the full node committed."""
     node = _split_chain()
     splits = [h for h, record in node.utxo.touched_log.items() if h and record.rebalanced]
     assert splits
-    unread = []
     for height in splits:
         block_hash = node.headers.active_hash_at(height)
         answer = decode_utxos_response(encode_utxos_response(node.serve_query_utxos(block_hash)))
-        assert len(answer.shards) == answer.tree.total_leaves
+        assert set(answer.shards) == set(node.utxo.versions[height])
         root, _ = window_step(node.params, *_step_start(node, height), node.blocks[block_hash],
                               answer)
         assert root == commitment_of(node.blocks[block_hash])
         read = {idx for idx, shard in answer.shards.items() if shard.decoded is not None}
-        assert read == _body_shards(node, height)
-        unread.append(len(answer.shards) - len(read))
-    assert max(unread) > 0
+        assert read == _body_shards(node, height) == set(answer.shards)
 
 
 class _UnreadShardService(FullNodeService):
-    """Serves the answer for the block at ``height`` with shard ``idx``'s
-    bytes replaced by ``data``."""
+    """Serves the answer for the block at ``height`` with leaf ``idx``,
+    one the block leaves alone, and its proof added, its bytes replaced
+    by ``data``."""
 
     def __init__(self, node: FullNode, height: int, idx: int, data: bytes):
         super().__init__(node)
         self.target = node.headers.active_hash_at(height)
-        self.idx, self.data = idx, data
+        self.height, self.idx, self.data = height, idx, data
 
     def handle_query(self, msg_type, payload):
         if msg_type != MSG_QUERY_UTXOS or payload != self.target:
             return super().handle_query(msg_type, payload)
-        resp = self.node.serve_query_utxos(payload)
-        return encode_utxos_response(dataclasses.replace(
-            resp, shards={**resp.shards, self.idx: Shard(self.data)}))
+        held = set(self.node.serve_query_utxos(payload).shards) | {self.idx}
+        shards, siblings = self.node.utxo.state_before(self.height, held)
+        return encode_utxos_response(UtxosResponse(
+            shards={**shards, self.idx: Shard(self.data)}, siblings=siblings))
 
 
 @pytest.mark.parametrize("lie, reason", [("value", "shard-proof-mismatch"),
                                          ("order", "peer-fault")])
 def test_a_lie_in_a_shard_the_split_step_never_reads_is_a_verdict(lie, reason):
-    """A split block's answer with a coin's value changed, or two coins
-    swapped, in a shard the body never reads is rejected at that block:
-    the changed bytes miss their leaf, and the swapped ones do not
-    decode, though neither is unpacked into coins."""
+    """A split block's answer that serves one more leaf, which the body
+    never reads, with a coin's value changed or two coins swapped, is
+    rejected at that block: the changed bytes miss their leaf hash, and
+    the swapped ones do not decode, though neither is unpacked into
+    coins."""
     node = _split_chain()
     height = max(h for h, record in node.utxo.touched_log.items() if record.rebalanced)
     honest = node.serve_query_utxos(node.headers.active_hash_at(height))
-    idx = min(i for i, shard in honest.shards.items()
-              if i not in _body_shards(node, height) and len(shard.encoded) >= 2 * COIN_SIZE)
-    data = bytearray(honest.shards[idx].encoded)
+    idx = min(i for i in leaves_before(node.utxo, height) - set(honest.shards)
+              if len(node.utxo.state_before(height, {i})[0][i].encoded) >= 2 * COIN_SIZE)
+    data = bytearray(node.utxo.state_before(height, {idx})[0][idx].encoded)
     if lie == "value":
         data[36:44] = struct.pack("<Q", struct.unpack_from("<Q", data, 36)[0] + 1)
     else:
@@ -1346,12 +1380,13 @@ SPLITTING_AT_256 = ChainParams(target_bits=5, subsidy=50, size_cap=256, initial_
 
 def _unsplit_chain() -> FullNode:
     """A chain whose miner never splits (its ``size_cap`` is huge): three
-    blocks above height 1, each paying Alice 2 three times and Carol 1."""
+    blocks above height 1, each paying Alice 2 and Carol 1; at cap 256
+    the block at height 4 fills a leaf past it."""
     lenient = mined_node(dataclasses.replace(SPLITTING_AT_256, size_cap=10**9), ALICE, 2,
                          seed=44)
     for i in range(3):
         lenient.submit_transaction(
-            payment(lenient, ALICE, [(ALICE.challenge, 2)] * 3 + [(CAROL.challenge, 1)]))
+            payment(lenient, ALICE, [(ALICE.challenge, 2), (CAROL.challenge, 1)]))
         mine_on(lenient, ALICE.public_key, seed=244 + i)
     return lenient
 
@@ -1366,8 +1401,9 @@ def test_a_full_node_rejects_a_block_that_skips_a_due_split():
 
 def test_a_diet_node_rejects_a_block_that_skips_a_due_split():
     """The diet node, with the honest params and a window of 3, rejects
-    height 4 as the honest full node does: the committed coin count makes
-    the split due in a view of only the served shards."""
+    height 4 as the honest full node does: the leaf the block fills past
+    the cap is one it edited, so the split is due in a view of only the
+    served leaves."""
     bus = Bus()
     bus.register("peer", FullNodeService(_unsplit_chain()))
     diet = DietNode(SPLITTING_AT_256,

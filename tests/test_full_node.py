@@ -7,7 +7,16 @@ import operator
 import random
 
 import pytest
-from conftest import FAST, coins_owned, key_of, mined_node, payment, served_root, store_state
+from conftest import (
+    FAST,
+    coins_owned,
+    key_of,
+    leaves_before,
+    mined_node,
+    payment,
+    served_root,
+    store_state,
+)
 from hypothesis import given, settings, strategies as st
 
 from dietchain import chain, full_node, rules
@@ -351,16 +360,14 @@ def test_query_merkle_blocks_filters_and_proves():
 def test_query_utxos_serves_only_touched_shards():
     node = mined_node(FAST, ALICE, 4, seed=115)
     node.submit_transaction(payment(node, ALICE, [(BOB.challenge, 9)]))
-    in_shards = sum(map(len, node.utxo.shards.values()))
+    leaves = set(node.utxo.shards)
     block = mine_on(node, ALICE.public_key, seed=216)
     bh = block_hash(block)
     resp = node.serve_query_utxos(bh)
-    record = node.utxo.touched_log[block.header.height]
     assert set(resp.shards) == set(node.utxo.versions[block.header.height])
-    assert resp.tree.total_leaves == 1 << record.k
-    assert resp.coin_count == in_shards
+    assert set(resp.shards) < leaves and resp.siblings
     # proof hangs together against the parent's committed root
-    assert served_root(resp.shards, resp.tree, resp.coin_count) == \
+    assert served_root(resp.shards, resp.siblings) == \
         commitment_of(node.blocks[block.header.prev_hash])
 
 
@@ -385,8 +392,8 @@ def test_query_proof_size_beats_full_snapshot():
     resp = node.serve_query_utxos(block_hash(block))
     from dietchain.netsim import encode_utxos_response
     proof_bytes = len(encode_utxos_response(resp))
-    k = node.utxo.touched_log[block.header.height - 1].k_after
-    shards, _ = node.utxo.state_before(block.header.height, set(range(1 << k)))
+    shards, _ = node.utxo.state_before(block.header.height,
+                                       leaves_before(node.utxo, block.header.height))
     full_bytes = sum(len(s.encoded) for s in shards.values())
     assert proof_bytes < full_bytes / 2
 
@@ -765,7 +772,7 @@ def _assert_pool_view_is_fresh(node: FullNode) -> None:
     fresh = node.utxo.open(node.utxo.next_height)
     for tx in node.mempool:
         fresh.absorb(tx)
-    assert (view.k, view.coin_count, view.height) == (fresh.k, fresh.coin_count, fresh.height)
+    assert view.height == fresh.height
     assert {i: list(view.edited.get(i, coins)) for i, coins in view.shards.items()} == \
         {i: list(fresh.edited.get(i, coins)) for i, coins in fresh.shards.items()}
 
@@ -876,7 +883,7 @@ def test_blocks_follow_a_flood_past_a_u16_coin_count(n_outputs):
     flood = _flood(coins_owned(node, ALICE)[0], n_outputs)
     node.submit_transaction(flood)
     assert mine_on(node, ALICE.public_key, seed=231).transactions[1:] == (flood,)
-    assert len(node.utxo.shards[0]) == n_outputs + 1
+    assert len(node.utxo.shards[1]) == n_outputs + 1
     small = _spend_to(coins_owned(node, ALICE)[0], ALICE, BOB.challenge)
     node.submit_transaction(small)
     assert mine_on(node, ALICE.public_key, seed=232).transactions[1:] == (small,)
@@ -983,8 +990,7 @@ def test_a_branch_forking_below_the_floor_is_reorg_too_deep(horizon, steps):
                     continue
                 parent = node.blocks[node.headers.active_hash_at(h - 1)]
                 resp = node.serve_query_utxos(hh)
-                assert served_root(resp.shards, resp.tree, resp.coin_count) == \
-                    commitment_of(parent)
+                assert served_root(resp.shards, resp.siblings) == commitment_of(parent)
 
 
 def test_a_side_branch_forking_below_the_floor_is_not_kept(monkeypatch):
@@ -1023,7 +1029,7 @@ def test_a_failed_switch_across_a_split_leaves_the_pool_view_on_the_tip():
     spending a coin of the block above the split is still admitted."""
     node = mined_node(SPLITTING, ALICE, 2, seed=135)
     while node.utxo.k < 3 or not node.utxo.touched_log[node.tip_height].rebalanced:
-        node.submit_transaction(payment(node, ALICE, [(BOB.challenge, 1)] * 3))
+        node.submit_transaction(payment(node, ALICE, [(BOB.challenge, 1)] * 2))
         mine_on(node, ALICE.public_key, seed=335 + node.tip_height)
     split_at = node.tip_height
     paid = [_spend_to(coin, ALICE, BOB.challenge) for coin in coins_owned(node, ALICE)[:4]]
@@ -1099,10 +1105,8 @@ def test_any_delivery_order_ends_where_the_in_order_node_does(delivery_tree, dat
         replay.apply_block(node.blocks[hh], h)
     assert store_state(node.utxo) == store_state(replay) == store_state(in_order.utxo)
     for h in range(max(node.utxo.floor, 0) + 1, node.tip_height + 2):
-        everything = set(range(1 << node.utxo.touched_log[h - 1].k_after))
+        everything = leaves_before(node.utxo, h)
         served = node.utxo.state_before(h, everything)
         assert served == in_order.utxo.state_before(h, everything)
         parent = node.blocks[node.headers.active_hash_at(h - 1)]
-        shards, tree = served
-        coins = sum(len(shard.coins) for shard in shards.values())
-        assert served_root(shards, tree, coins) == commitment_of(parent)
+        assert served_root(*served) == commitment_of(parent)

@@ -13,7 +13,6 @@ from dietchain.chain import COIN_SIZE, KIND_PAYMENT, ChainParams, TxOutput, enco
 from dietchain.crypto import BloomFilter, hash256
 from dietchain.errors import DecodeError, ScenarioError
 from dietchain.full_node import FullNode, UtxosResponse
-from dietchain.merkle import encode_partial
 from dietchain.miner import mine_on, mine_txs
 from dietchain.netsim import (
     MSG_BLOCK_ANNOUNCE,
@@ -68,13 +67,12 @@ def test_merkle_blocks_response_round_trip():
 def test_utxos_response_round_trip():
     node = mined_node(FAST, ALICE, 5, seed=71)
     store = node.utxo
-    indices = frozenset(range(2 ** store.k))
-    shards, tree = store.state_before(store.height + 1, indices)
-    count = store.touched_log[store.height].shard_bytes // COIN_SIZE
-    payload = encode_utxos_response(UtxosResponse(shards=shards, tree=tree, coin_count=count))
+    shards, siblings = store.state_before(store.height + 1, {5, 6})
+    assert len(siblings) == 2
+    payload = encode_utxos_response(UtxosResponse(shards=shards, siblings=siblings))
     decoded = decode_utxos_response(payload)
-    assert payload.endswith(struct.pack("<Q", count)) and decoded.coin_count == count
-    assert set(decoded.shards) == set(shards)
+    assert payload.endswith(struct.pack("<H", 2) + b"".join(siblings))
+    assert decoded.siblings == siblings and set(decoded.shards) == set(shards)
     for idx, shard in shards.items():
         assert decoded.shards[idx].coins == shard.coins
     assert encode_utxos_response(decoded) == payload
@@ -83,20 +81,20 @@ def test_utxos_response_round_trip():
 def test_utxos_response_decodes_only_in_increasing_shard_order():
     node = mined_node(FAST, ALICE, 5, seed=71)
     store = node.utxo
-    shards, tree = store.state_before(store.height + 1, frozenset(range(2 ** store.k)))
-    proof = encode_partial(tree) + struct.pack(
-        "<Q", store.touched_log[store.height].shard_bytes // COIN_SIZE)
+    shards, siblings = store.state_before(store.height + 1, set(store.shards))
+    proof = struct.pack("<H", len(siblings)) + b"".join(siblings)
 
     def payload(order):
         parts = [struct.pack("<H", len(order))]
         for idx in order:
             encoded = shards[idx].encoded
-            parts += [struct.pack("<II", idx, len(encoded) // COIN_SIZE), encoded]
+            parts += [struct.pack("<QI", idx, len(encoded) // COIN_SIZE), encoded]
         return b"".join(parts) + proof
 
+    assert sorted(shards) == [4, 5, 6, 7]
     assert decode_utxos_response(payload(sorted(shards))).shards == shards
-    for order in ([1, 0, 2, 3], [0, 1, 1, 2, 3], [0, 0]):
-        with pytest.raises(DecodeError, match="shard indices"):
+    for order in ([5, 4, 6, 7], [4, 5, 5, 6, 7], [4, 4]):
+        with pytest.raises(DecodeError, match="shard ids not strictly increasing"):
             decode_utxos_response(payload(order))
 
 
@@ -292,14 +290,15 @@ MALLORY = key_of("mallory")
 
 
 def _splitting_chain() -> FullNode:
-    """16 blocks, each after the first two carrying a 3-payee payment;
-    the store splits at heights 3, 5, 8 and 15."""
+    """16 blocks, each after the first two carrying a 2-payee payment;
+    the store splits leaves at heights 2, 4-7, 9, 11-13 and 15."""
     node = mined_node(SPLITTING, ALICE, 2, seed=90)
     for i in range(2, 16):
         node.submit_transaction(payment(
-            node, ALICE, [(ALICE.challenge, 2), (ALICE.challenge, 2), (CAROL.challenge, 1)]))
+            node, ALICE, [(ALICE.challenge, 2), (CAROL.challenge, 1)]))
         mine_on(node, ALICE.public_key, seed=90 + i)
-    assert [step.height for step in node.utxo.rebalance_log] == [3, 5, 8, 15]
+    assert sorted({step.height for step in node.utxo.rebalance_log}) == \
+        [2, 4, 5, 6, 7, 9, 11, 12, 13, 15]
     return node
 
 
@@ -333,7 +332,7 @@ def test_a_replica_equals_a_node_that_connected_the_same_prefix():
 @pytest.mark.parametrize("fork", [15, 14, 7])
 def test_forging_leaves_the_honest_node_as_it_was(monkeypatch, fork):
     """Forking at the tip, below the split at 15, and at the floor below
-    the split at 8: planting a coin and mining the whole budget on the
+    the splits at 9 and up: planting a coin and mining the whole budget on the
     replica changes nothing of the honest node, which then connects its
     next block and rewinds to its floor as a copy of it does."""
     monkeypatch.setattr("dietchain.utxo.HISTORY_HORIZON", 8)

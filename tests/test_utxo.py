@@ -8,7 +8,7 @@ import struct
 from unittest import mock
 
 import pytest
-from conftest import served_root, store_state
+from conftest import leaves_before, served_root, store_state
 from hypothesis import assume, given, settings, strategies as st
 
 from dietchain.chain import (
@@ -23,11 +23,11 @@ from dietchain.chain import (
     txid,
 )
 from dietchain.errors import HistoryUnavailableError, InconsistentStateError
-from dietchain.merkle import build_root, extract_partial
 from dietchain.miner import BlockTemplate, mine_block
 from dietchain.utxo import (
     COIN_SIZE,
     HISTORY_HORIZON,
+    MAX_DEPTH,
     Coin,
     Shard,
     ShardView,
@@ -44,10 +44,24 @@ def _h(data: bytes) -> bytes:
     return hashlib.sha256(hashlib.sha256(data).digest()).digest()
 
 
-def _counted(tree_root: bytes, coin_count: int) -> bytes:
-    """The committed root, by its definition: the shard tree's root and
-    the u64 little-endian count of the coins in the shards."""
-    return _h(tree_root + struct.pack("<Q", coin_count))
+def _coin_bytes(c: Coin) -> bytes:
+    return c.outpoint.txid + struct.pack("<IQ", c.outpoint.index, c.value) + c.challenge
+
+
+def _leaf_of(tx_id: bytes, leaves) -> int:
+    """The leaf on the txid's path: node ``(1 << d) | (first d bits)``."""
+    prefix = int.from_bytes(tx_id[:4], "big")
+    return next(i for d in range(33) if (i := 1 << d | prefix >> (32 - d)) in leaves)
+
+
+def _root_of(blobs: dict[int, bytes]) -> bytes:
+    """The trie's root by its definition, from its leaves' bytes by id:
+    a leaf hashes 0x00 and its bytes, an inner node 0x01 and its children."""
+    def node(i: int) -> bytes:
+        if i in blobs:
+            return _h(b"\x00" + blobs[i])
+        return _h(b"\x01" + node(2 * i) + node(2 * i + 1))
+    return node(1)
 
 
 def test_shard_key_takes_leading_bits_msb_first():
@@ -80,9 +94,14 @@ def test_coin_encoding_width_and_order():
 
 
 def test_empty_shard_leaf_hash_is_hash_of_empty_string():
+    """An empty shard's bytes are the empty string; its leaf hashes them
+    behind the leaf prefix, and a trie of two empty leaves hashes the
+    inner prefix and both."""
     assert encode_shard_coins([]) == b""
-    assert Shard(b"").leaf_hash == _h(b"")
-    assert VersionedShardStore(initial_k=1).current_root == _counted(_h(_h(b"") + _h(b"")), 0)
+    assert Shard(b"").leaf_hash == _h(b"\x00")
+    assert VersionedShardStore(initial_k=1).current_root == \
+        _h(b"\x01" + _h(b"\x00") + _h(b"\x00"))
+    assert VersionedShardStore(initial_k=0).current_root == _h(b"\x00")
 
 
 def test_shard_decode_checks_sortedness():
@@ -126,49 +145,51 @@ def _block(height: int, txs: list[Transaction]) -> Block:
 
 class _FlatOracle:
     """Naive reference: a dict of live coins plus the not-yet-committed
-    coinbase coins of the newest block."""
+    coinbase coins of the newest block, and the trie's leaf ids, split
+    by the rule's definition: after a block, each leaf holding a coin it
+    placed, spent or created, while over ``cap`` bytes and above depth
+    32, gives way to its two children."""
 
-    def __init__(self):
+    def __init__(self, initial_k: int = 0, cap: int = 1 << 30):
         self.committed: dict[OutPoint, Coin] = {}
         self.pending: list[Coin] = []
+        self.leaves = set(range(1 << initial_k, 2 << initial_k))
+        self.cap = cap
 
     def apply(self, block: Block) -> None:
+        touched = [coin.outpoint.txid for coin in self.pending]
         for coin in self.pending:
             self.committed[coin.outpoint] = coin
         for tx in block.transactions[1:]:
             for inp in tx.inputs:
+                touched.append(inp.prevout.txid)
                 del self.committed[inp.prevout]
             for coin in coins_of(tx):
+                touched.append(coin.outpoint.txid)
                 self.committed[coin.outpoint] = coin
         self.pending = list(coins_of(block.transactions[0]))
+        for leaf in {_leaf_of(tid, self.leaves) for tid in touched}:
+            self._settle(leaf)
 
-    def shard_blobs(self, k: int) -> list[bytes]:
-        """The committed coins bucketed into ``2**k`` serialized shards."""
-        buckets: dict[int, list[Coin]] = {i: [] for i in range(1 << k)}
+    def _settle(self, leaf: int) -> None:
+        depth = leaf.bit_length() - 1
+        held = [c for c in self.committed
+                if 1 << depth | int.from_bytes(c.txid[:4], "big") >> (32 - depth) == leaf]
+        if COIN_SIZE * len(held) > self.cap and leaf < 1 << 32:
+            self.leaves.remove(leaf)
+            self.leaves |= {2 * leaf, 2 * leaf + 1}
+            self._settle(2 * leaf)
+            self._settle(2 * leaf + 1)
+
+    def blobs(self) -> dict[int, bytes]:
+        """The committed coins in their leaves, serialized, by leaf id."""
+        buckets: dict[int, list[Coin]] = {i: [] for i in self.leaves}
         for coin in self.committed.values():
-            buckets[shard_key(coin.outpoint.txid, k)].append(coin)
-        blobs = []
-        for i in range(1 << k):
-            coins = sorted(buckets[i])
-            blob = b""
-            for c in coins:
-                blob += (c.outpoint.txid + struct.pack("<IQ", c.outpoint.index, c.value)
-                         + c.challenge)
-            blobs.append(blob)
-        return blobs
+            buckets[_leaf_of(coin.outpoint.txid, self.leaves)].append(coin)
+        return {i: b"".join(map(_coin_bytes, sorted(coins))) for i, coins in buckets.items()}
 
-    @staticmethod
-    def leaves(blobs: list[bytes]) -> list[bytes]:
-        return [_h(blob) for blob in blobs]
-
-    def root(self, k: int) -> bytes:
-        """The committed root over ``2**k`` shards."""
-        leaves = self.leaves(self.shard_blobs(k))
-        while len(leaves) > 1:
-            if len(leaves) % 2:
-                leaves.append(leaves[-1])
-            leaves = [_h(leaves[i] + leaves[i + 1]) for i in range(0, len(leaves), 2)]
-        return _counted(leaves[0], len(self.committed))
+    def root(self) -> bytes:
+        return _root_of(self.blobs())
 
 
 def _random_history(rng: random.Random, n_blocks: int, cap: int = 1 << 30,
@@ -199,14 +220,15 @@ def _random_history(rng: random.Random, n_blocks: int, cap: int = 1 << 30,
 
 def test_store_matches_flat_oracle_over_random_history():
     rng = random.Random(22)
-    blocks, store = _random_history(rng, 25)
-    oracle = _FlatOracle()
+    blocks, store = _random_history(rng, 25, cap=400)
+    oracle = _FlatOracle(cap=400)
     for block in blocks:
         oracle.apply(block)
     in_shards = [c for coins in store.shards.values() for c in coins]
     assert sorted(in_shards) == sorted(oracle.committed.values())
     assert sorted(store.pending) == sorted(oracle.pending)
-    assert store.current_root == oracle.root(store.k)
+    assert set(store.shards) == oracle.leaves and len(oracle.leaves) > 2
+    assert store.current_root == oracle.root()
 
 
 def test_pending_coins_are_spendable_but_uncommitted():
@@ -237,7 +259,7 @@ def test_empty_block_root_moves_by_parent_coinbase():
     # an empty block still absorbs the parent's coinbase coins
     store.apply_block(_block(1, [_coinbase(1, 1, rng)]), 1)
     assert store.current_root != root0
-    oracle = _FlatOracle()
+    oracle = _FlatOracle(initial_k=1)
     # replay to confirm the only difference is the absorbed coinbase
     store2 = VersionedShardStore(initial_k=1, size_cap=1 << 20)
     cb = _coinbase(0, 2, rng)
@@ -246,7 +268,7 @@ def test_empty_block_root_moves_by_parent_coinbase():
     empty = _block(1, [_coinbase(1, 1, rng)])
     store2.apply_block(empty, 1)
     oracle.apply(empty)
-    assert store2.current_root == oracle.root(store2.k)
+    assert store2.current_root == oracle.root()
 
 
 def test_missing_input_is_a_store_invariant_violation():
@@ -302,156 +324,168 @@ def test_split_refines_shards_and_halves_averages():
     rng = random.Random(27)
     store = VersionedShardStore(initial_k=0, size_cap=256)
     spendable: list[Coin] = []
-    snapshots = []
     for h in range(14):
         txs = [_coinbase(h, 1, rng)]
         if spendable:
             coin = spendable.pop(0)
-            txs.append(_spend([coin], 6, rng))
-        before_k = store.k
-        before = {i: list(c) for i, c in store.shards.items()}
+            txs.append(_spend([coin], 3, rng))
         store.apply_block(_block(h, txs), h)
         for tx in txs[1:]:
             spendable.extend(coins_of(tx))
         spendable.extend(coins_of(txs[0]))
-        if store.k > before_k:
-            snapshots.append((before_k, before, store.k))
-    assert snapshots, "growth never forced a split"
+    assert store.rebalance_log, "growth never forced a split"
     assert store.k >= 3
 
     for step in store.rebalance_log:
-        # a shard is its coins' bytes alone, so a split halves the average exactly
-        assert step.avg_after == step.avg_before / 2
-        assert step.k_to == step.k_from + 1
+        # a shard is its coins' bytes alone, so a split halves its leaf on average
+        assert sum(step.bytes_after) / 2 == step.bytes_before / 2
+        assert step.bytes_before > store.size_cap
 
-    # every coin stays reachable under the refined key
+    # every coin stays reachable under its leaf's txid bits
     for i, coins in store.shards.items():
+        depth = i.bit_length() - 1
         for coin in coins:
-            assert shard_key(coin.outpoint.txid, store.k) == i
+            assert 1 << depth | shard_key(coin.outpoint.txid, depth) == i
 
 
-def _rebucketed(parents: list, k: int) -> dict[int, list[Coin]]:
-    """The split by definition: every coin, in order, to the shard its
-    first ``k`` txid bits name."""
-    split: dict[int, list[Coin]] = {i: [] for i in range(1 << k)}
-    for coins in parents:
-        for coin in coins:
-            split[shard_key(coin.outpoint.txid, k)].append(coin)
-    return split
+def _settled(leaf: int, coins: list[Coin], cap: int) -> dict[int, list[Coin]]:
+    """The split rule by definition on one leaf: over ``cap`` bytes and
+    above depth 32, every coin goes to the child its next txid bit names,
+    and each child settles in turn."""
+    if COIN_SIZE * len(coins) <= cap or leaf >> MAX_DEPTH:
+        return {leaf: coins}
+    depth = leaf.bit_length()
+    halves: dict[int, list[Coin]] = {2 * leaf: [], 2 * leaf + 1: []}
+    for coin in coins:
+        halves[2 * leaf | shard_key(coin.outpoint.txid, depth) & 1].append(coin)
+    return {i: c for child, held in halves.items() for i, c in _settled(child, held, cap).items()}
+
+
+def _complete(coins: list[Coin], k: int) -> dict[int, list[Coin]]:
+    """``coins`` in the leaves of a complete trie of depth ``k``."""
+    leaves: dict[int, list[Coin]] = {i: [] for i in range(1 << k, 2 << k)}
+    for coin in coins:
+        leaves[1 << k | shard_key(coin.outpoint.txid, k)].append(coin)
+    return leaves
 
 
 # txids whose first four bytes sit on, or one off, a boundary between shards
-# of any k up to 6; such a txid is where a misplaced cut would show
+# of any depth up to 6; such a txid is where a misplaced cut would show
 _TXIDS = st.builds(lambda m, delta, rest: (((m << 26) + delta) % 2**32).to_bytes(4, "big") + rest,
                    st.integers(0, 63), st.integers(-1, 1), st.binary(min_size=28, max_size=28))
 _OUTPOINTS = st.tuples(_TXIDS, st.integers(0, 2))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(k=st.integers(0, 3), bits=st.integers(1, 3),
+@given(k=st.integers(0, 3), cap=st.sampled_from([COIN_SIZE, 2 * COIN_SIZE, 5 * COIN_SIZE]),
        outpoints=st.sets(_OUTPOINTS, max_size=40), added=st.sets(_OUTPOINTS, max_size=4),
        spent=st.sets(st.integers(0, 39), max_size=4), served=st.booleans())
-def test_a_split_cuts_each_shard_as_rebucketing_every_coin_does(k, bits, outpoints, added,
+def test_a_split_cuts_each_shard_as_rebucketing_every_coin_does(k, cap, outpoints, added,
                                                                 spent, served):
-    """``ShardView.close`` cuts each shard into sorted runs and slices its
-    coins and bytes; over shards in ``2**k`` buckets, split by 1-3 bits,
-    some edited (coins added or spent), held as coin lists or as served,
-    it gives the leaves of putting every coin in its new shard, the shard
-    lists of every shard it holds coins of, and hashes each child's own
-    encoding. Served bytes of an edited shard are its bytes before the
-    edits, which must not be used."""
+    """``ShardView.close`` splits each edited leaf over the cap into
+    sorted runs and slices its coins and bytes; over leaves at depth
+    ``k``, some edited (coins added or spent), held as coin lists or as
+    served, it gives the leaves of putting every coin of an edited leaf
+    in its child by definition, leaves the others as they are, and
+    hashes each final leaf's own encoding once. Served bytes of an
+    edited leaf are its bytes before the edits, which must not be used."""
     coins = [Coin(OutPoint(tid, n), len(tid) + n, _h(tid)) for tid, n in sorted(outpoints)]
-    shards = _rebucketed([coins], k)
+    shards = _complete(coins, k)
     wire = {i: Shard.of_coins(c) for i, c in shards.items()} if served else None
-    view = ShardView({} if served else shards, k, len(coins), [], 1, wire)
+    view = ShardView({} if served else shards, [], 1, wire)
     for tid, n in added - outpoints:
         view.insert(Coin(OutPoint(tid, n), n, bytes(32)))
     gone = [coins[i].outpoint for i in spent if i < len(coins)]
     if gone:
         view.absorb(Transaction(version=0, outputs=(), inputs=tuple(
             TxInput(prevout=o, public_key=bytes(33), signature=bytes(64)) for o in gone)))
-    assume(view.coin_count)
-    expected = _rebucketed([view.edited.get(i, c) for i, c in shards.items()], k + bits)
-    # the smallest cap at which the coins fit in 2**(k + bits) shards, not in half as many
-    cap = -(-COIN_SIZE * view.coin_count // (1 << (k + bits)))
+    assume(view.edited)
+    expected = {i: c for idx, edited in sorted(view.edited.items())
+                for i, c in _settled(idx, edited, cap).items()}
     hashed = []
 
     def recording_leaf(data: bytes) -> bytes:
         hashed.append(data)
-        return _h(data)
+        return _h(b"\x00" + data)
 
-    held = {i for i in shards if not served or wire[i].decoded is not None}
-    with mock.patch("dietchain.utxo.shard_leaf", recording_leaf):
+    with mock.patch("dietchain.utxo.trie_leaf", recording_leaf):
         leaves = view.close(cap)
-    assert view.k == k + bits and view.shards is view.edited
-    assert {i: list(c) for i, c in view.edited.items()} == {
-        i: c for i, c in expected.items() if i >> bits in held}
-    assert list(leaves.items()) == [(i, _h(encode_shard_coins(c))) for i, c in expected.items()]
-    assert hashed == [encode_shard_coins(c) for c in expected.values()]
+    assert {i: list(c) for i, c in view.leaves.items()} == expected
+    assert leaves == {i: _h(b"\x00" + encode_shard_coins(c)) for i, c in expected.items()}
+    assert sorted(hashed) == sorted(encode_shard_coins(c) for c in expected.values())
+
+    def held(node: int) -> int:  # bytes in the final leaves at or below ``node``
+        return COIN_SIZE * sum(len(c) for j, c in expected.items()
+                               if j >> max(j.bit_length() - node.bit_length(), 0) == node)
+    assert len(view.splits) == len(expected) - len(view.edited)
+    assert view.splits == [(i, held(i), held(2 * i)) for i, *_ in view.splits]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(k=st.integers(0, 3), bits=st.integers(1, 3), outpoints=st.sets(_OUTPOINTS, max_size=40),
+@given(k=st.integers(0, 3), outpoints=st.sets(_OUTPOINTS, max_size=40),
        lump=st.none() | st.integers(0, 255))
-def test_a_byte_cut_is_a_coin_cut(k, bits, outpoints, lump):
-    """A split view over served shards it never read cuts their bytes
-    where a view over the same coins, held as lists, cuts the coins: the
-    same leaves, from the same child bytes, and the same coin count, and
-    no served shard is decoded. ``lump`` gives every txid one first byte,
-    so every coin lands in one child of one shard and the rest are empty."""
+def test_a_byte_cut_is_a_coin_cut(k, outpoints, lump):
+    """A split view over served leaves cuts their bytes where a view
+    over the same coins, held as lists, cuts the coins: the same leaves,
+    from the same child bytes, and the same splits, and a served leaf
+    the body never reads is not decoded. ``lump`` gives every txid one
+    first byte, so every coin lands in one leaf, which splits down to
+    where its coins part."""
     if lump is not None:
         outpoints = {(bytes([lump]) + tid[1:], n) for tid, n in outpoints}
     assume(outpoints)
     coins = [Coin(OutPoint(tid, n), n, _h(tid)) for tid, n in sorted(outpoints)]
-    shards = _rebucketed([coins], k)
+    shards = _complete(coins, k)
     served = {i: Shard.of_coins(c) for i, c in shards.items()}
-    cap = -(-COIN_SIZE * len(coins) // (1 << (k + bits)))
+    extra = Coin(OutPoint(coins[0].outpoint.txid, 3), 1, bytes(32))  # edits the first leaf
     results = []
-    for view in (ShardView(shards, k, len(coins), [], 1),
-                 ShardView({}, k, len(coins), [], 1, served)):
+    for view in (ShardView(shards, [extra], 1), ShardView({}, [extra], 1, served)):
         hashed = []
 
         def recording_leaf(data: bytes) -> bytes:
             hashed.append(data)
-            return _h(data)
+            return _h(b"\x00" + data)
 
-        with mock.patch("dietchain.utxo.shard_leaf", recording_leaf):
-            leaves = view.close(cap)
-        results.append((view.k, view.coin_count, leaves, hashed))
+        with mock.patch("dietchain.utxo.trie_leaf", recording_leaf):
+            leaves = view.close(COIN_SIZE)
+        results.append((leaves, view.splits, hashed))
+        assert hashed == [encode_shard_coins(view.leaves[i]) for i in leaves]
     assert results[0] == results[1]
-    assert results[0][0] == k + bits
-    assert hashed == [encode_shard_coins(c) for c in _rebucketed([coins], k + bits).values()]
-    assert all(shard.decoded is None for shard in served.values())
+    edited = 1 << k | shard_key(extra.outpoint.txid, k)
+    assert all((shard.decoded is None) == (i != edited) for i, shard in served.items())
 
 
-def test_a_view_without_every_shard_refuses_a_due_split():
-    """The split rule reads the view's coin count, not the shards it
-    holds: a view of shard 0 of two, with three coins in all, closes
-    while no split is due, and raises once one is."""
+def test_a_view_of_one_leaf_splits_it_alone():
+    """The split rule reads only the leaves a block edited: a view
+    holding one leaf of two, with another leaf nobody holds, splits the
+    one it edits down to where its coins part, and needs nothing else."""
     held = [Coin(OutPoint(bytes(32), 0), 1, bytes(32))]
-    for cap, due in ((2 * COIN_SIZE, False), (COIN_SIZE, True)):
-        view = ShardView({0: held}, 1, 2, [], 1)
-        view.insert(Coin(OutPoint(bytes([1]) + bytes(31), 0), 1, bytes(32)))
-        if due:
-            with pytest.raises(InconsistentStateError, match="every shard"):
-                view.close(cap)
-        else:
-            assert list(view.close(cap)) == [0] and view.k == 1
+    view = ShardView({2: held}, [], 1)
+    view.insert(Coin(OutPoint(bytes([0x20]) + bytes(31), 0), 1, bytes(32)))
+    leaves = view.close(COIN_SIZE)
+    # 0x00... and 0x20... part at their third bit: leaves 8 and 9, and 5 stays empty
+    assert sorted(leaves) == [5, 8, 9] and [i for i, *_ in view.splits] == [2, 4]
+    assert [len(view.leaves[i]) for i in (5, 8, 9)] == [0, 1, 1]
 
 
 def test_average_never_exceeds_cap_after_application():
+    """Every leaf is at most the cap after every block unless it sits at
+    depth 32, so the average is too."""
     rng = random.Random(28)
     store = VersionedShardStore(initial_k=0, size_cap=200)
     spendable: list[Coin] = []
     for h in range(20):
         txs = [_coinbase(h, 2, rng)]
         if spendable:
-            txs.append(_spend([spendable.pop(0)], 4, rng))
+            txs.append(_spend([spendable.pop(0)], 2, rng))
         store.apply_block(_block(h, txs), h)
         for tx in txs[1:]:
             spendable.extend(coins_of(tx))
         spendable.extend(coins_of(txs[0]))
-        assert store.total_shard_bytes() / (1 << store.k) <= store.size_cap
+        assert all(COIN_SIZE * len(coins) <= store.size_cap
+                   for i, coins in store.shards.items() if not i >> MAX_DEPTH)
+        assert store.total_shard_bytes() / len(store.shards) <= store.size_cap
+    assert store.rebalance_log
 
 
 def test_state_before_reconstructs_committed_history():
@@ -460,33 +494,38 @@ def test_state_before_reconstructs_committed_history():
     replay = VersionedShardStore(initial_k=0, size_cap=400)
     roots = [replay.apply_block(block, h) for h, block in enumerate(blocks)]
     # replay the oracle, checking each height's reconstruction
-    oracle = _FlatOracle()
+    oracle = _FlatOracle(cap=400)
     for h, block in enumerate(blocks):
         oracle.apply(block)
-        k = store.touched_log[h].k_after
-        shards, partial = store.state_before(h + 1, set(range(1 << k)))
-        flat = sorted(c for s in shards.values() for c in s.coins)
-        assert flat == sorted(oracle.committed.values())
-        assert oracle.root(k) == roots[h]
-        assert served_root(shards, partial, len(oracle.committed)) == roots[h]
+        shards, siblings = store.state_before(h + 1, leaves_before(store, h + 1))
+        assert {i: shard.encoded for i, shard in shards.items()} == oracle.blobs()
+        assert siblings == ()  # every leaf: the walk needs no sibling
+        assert oracle.root() == roots[h]
+        assert served_root(shards, siblings) == roots[h]
+    assert store.rebalance_log
 
 
 def test_state_before_bounds():
     rng = random.Random(30)
     blocks, store = _random_history(rng, 5)
     with pytest.raises(HistoryUnavailableError):
-        store.state_before(0, {0})
+        store.state_before(0, {1})
     with pytest.raises(HistoryUnavailableError):
-        store.state_before(store.height + 2, {0})
+        store.state_before(store.height + 2, {1})
 
 
 def test_state_before_refuses_an_index_outside_the_tree():
+    """Only a leaf of the state before the block is served: the root
+    above a leaf, a child below it and no node at all are ValueErrors."""
     rng = random.Random(30)
-    blocks, store = _random_history(rng, 5)
-    k = store.touched_log[store.height - 1].k_after
-    store.state_before(store.height, {(1 << k) - 1})
-    with pytest.raises(ValueError):
-        store.state_before(store.height, {1 << k})
+    blocks, store = _random_history(rng, 5, cap=160)
+    leaves = leaves_before(store, store.height)
+    assert len(leaves) > 1
+    leaf = max(leaves)
+    store.state_before(store.height, {leaf})
+    for idx in (1, leaf >> 1, 2 * leaf, 0):
+        with pytest.raises(ValueError, match="no leaf"):
+            store.state_before(store.height, {leaf, idx})
 
 
 def test_rewind_matches_fresh_replay():
@@ -528,8 +567,10 @@ def test_coins_of_skips_commitment_outputs():
 
 # -- apply / undo / reorg against a replay from genesis ------------------------
 
-def _next_block(store: VersionedShardStore, rng: random.Random) -> Block:
-    """A random block that is valid on top of ``store``."""
+def _next_block(store: VersionedShardStore, rng: random.Random, wide: bool = False) -> Block:
+    """A random block that is valid on top of ``store``; ``wide`` adds a
+    tx whose outputs alone exceed the store's cap, so their one txid runs
+    its leaf's path down to depth 32."""
     height = 0 if store.height is None else store.height + 1
     spendable = list(store.all_coins())
     rng.shuffle(spendable)
@@ -540,44 +581,42 @@ def _next_block(store: VersionedShardStore, rng: random.Random) -> Block:
         if not picked:
             break
         txs.append(_spend(picked, rng.randrange(1, 4), rng))
+    if wide and spendable:
+        txs.append(_spend(spendable[:1], store.size_cap // COIN_SIZE + 1, rng))
     return _block(height, txs)
 
 
 def _assert_matches_replay(store: VersionedShardStore, chain: list[Block]) -> None:
     fresh = VersionedShardStore(initial_k=store.initial_k, size_cap=store.size_cap)
-    oracle = _FlatOracle()
-    committed = []  # per height, the oracle's committed shards
+    oracle = _FlatOracle(store.initial_k, store.size_cap)
+    committed = []  # per height, the oracle's leaves
     roots = []  # per height, the root the replay committed
     for h, block in enumerate(chain):
         roots.append(fresh.apply_block(block, h))
         oracle.apply(block)
-        committed.append(oracle.shard_blobs(store.touched_log[h].k_after))
-    leaves = [_h(encode_shard_coins(store.shards[i])) for i in range(1 << store.k)]
-    assert store.current_root == _counted(build_root(leaves), len(oracle.committed))
-    assert sorted(c for coins in store.shards.values() for c in coins) == \
-        sorted(oracle.committed.values())
+        committed.append(oracle.blobs())
+    assert {i: encode_shard_coins(coins) for i, coins in store.shards.items()} == oracle.blobs()
+    assert store.current_root == oracle.root()
+    assert sorted(store.all_coins()) == sorted([*oracle.committed.values(), *oracle.pending])
     assert store.pending == oracle.pending
-    assert store.total_shard_bytes() == sum(
-        len(encode_shard_coins(coins)) for coins in store.shards.values())
+    assert store.total_shard_bytes() == sum(map(len, oracle.blobs().values()))
     assert (store.height, store.k, store.versions, store.touched_log, store.rebalance_log) == \
         (fresh.height, fresh.k, fresh.versions, fresh.touched_log, fresh.rebalance_log)
+    assert store_state(store) == store_state(fresh)
     assert [record.shard_bytes for record in store.touched_log.values()] == \
-        [sum(map(len, blobs)) for blobs in committed]
-    # every pre-state proof, for the whole tree, the block's own served set
-    # and random strict subsets, against the oracle's shards
+        [sum(map(len, blobs.values())) for blobs in committed]
+    # every pre-state proof, for the whole trie, the block's own served set
+    # and random strict subsets, against the oracle's leaves
     rng = random.Random(len(chain))
     for h in range(1, len(chain) + 1):
         blobs = committed[h - 1]
-        leaves = _FlatOracle.leaves(blobs)
-        n = len(blobs)
-        subsets = [set(range(n)), {rng.randrange(n)},
-                   set(rng.sample(range(n), rng.randrange(1, n + 1)))]
+        ids = sorted(blobs)
+        subsets = [set(ids), {rng.choice(ids)}, set(rng.sample(ids, rng.randrange(1, len(ids) + 1)))]
         if h in store.versions:
             subsets.append(set(store.versions[h]))
         for subset in subsets:
-            shards, partial = store.state_before(h, subset)
-            assert partial == extract_partial(leaves, subset)
-            assert served_root(shards, partial, sum(map(len, blobs)) // COIN_SIZE) == roots[h - 1]
+            shards, siblings = store.state_before(h, subset)
+            assert served_root(shards, siblings) == roots[h - 1]
             assert {i: shard.encoded for i, shard in shards.items()} == \
                 {i: blobs[i] for i in subset}
 
@@ -613,6 +652,36 @@ def test_undo_and_reorg_match_a_replay_from_genesis(initial_k, cap, ops):
         _assert_matches_replay(store, chain)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(initial_k=st.integers(0, 2), cap=st.sampled_from([COIN_SIZE, 160, 400]),
+       ops=st.lists(st.tuples(st.sampled_from(["apply", "wide", "undo", "rewind"]),
+                              st.integers(0, 2 ** 32 - 1)), min_size=1, max_size=16))
+def test_the_trie_store_matches_the_flat_oracle_through_wide_txs_undos_and_rewinds(
+        initial_k, cap, ops):
+    """Random bodies, some with a tx whose outputs alone exceed the cap
+    (its txid's path splits down to depth 32), with undos and rewinds:
+    after every step the coins equal the flat oracle's, the root and
+    every kept record equal a fresh replay's, and every pre-state above
+    the floor proves the root committed below it."""
+    store = VersionedShardStore(initial_k=initial_k, size_cap=cap)
+    chain: list[Block] = []
+    for op, seed in ops:
+        rng = random.Random(seed)
+        if op == "undo" and chain:
+            store.undo_block()
+            chain.pop()
+        elif op == "rewind" and chain:
+            store.rewind_to(rng.randrange(len(chain)))
+            del chain[store.height + 1:]
+        else:
+            chain.append(_next_block(store, rng, wide=op == "wide"))
+            store.apply_block(chain[-1], len(chain) - 1)
+        if chain:
+            _assert_matches_replay(store, chain)
+    deep = [i for i in store.shards if i >> MAX_DEPTH]
+    assert all(len({c.outpoint.txid[:4] for c in store.shards[i]}) <= 1 for i in deep)
+
+
 def test_undo_of_a_split_block_restores_the_coarser_tree():
     rng = random.Random(32)
     store = VersionedShardStore(initial_k=0, size_cap=160)
@@ -620,16 +689,21 @@ def test_undo_of_a_split_block_restores_the_coarser_tree():
     while not store.rebalance_log:
         chain.append(_next_block(store, rng))
         store.apply_block(chain[-1], len(chain) - 1)
-    split_k = store.k
+    split_leaves = len(store.shards)
     store.undo_block()
     chain.pop()
-    assert store.k < split_k
+    assert len(store.shards) < split_leaves
     _assert_matches_replay(store, chain)
     store.rewind_to(0)
     _assert_matches_replay(store, chain[:1])
 
 
 def test_recent_state_before_rehashes_only_what_changed(monkeypatch):
+    """A proof re-hashes only paths: the tip block's pre-state hashes the
+    paths of the leaves it edited, once to find the old node hashes and
+    once to walk the proof; the live state hashes the one path asked
+    for; a split block's pre-state hashes the paths of its journal entry,
+    not the leaves it split into."""
     rng = random.Random(33)
     _, store = _random_history(rng, 12, initial_k=8)
     split_rng = random.Random(34)
@@ -643,32 +717,33 @@ def test_recent_state_before_rehashes_only_what_changed(monkeypatch):
         calls.append(data)
         return _h(data)
 
-    monkeypatch.setattr("dietchain.utxo.hash256", counted)
     monkeypatch.setattr("dietchain.merkle.hash256", counted)
     tip = store.height
-    store.state_before(tip, set(store.versions[tip]))
-    assert 0 < len(calls) < 1 << store.k
+    edited = set(store.versions[tip])
+    store.state_before(tip, edited)
+    assert len(calls) <= 2 * len(edited) * (store.k + 1) < 1 << store.k
     calls.clear()
-    store.state_before(tip + 1, set(range(1 << store.k)))
-    assert calls == []  # the live tree is the tip's state
-    k = split.touched_log[split.height].k
-    split.state_before(split.height, set(range(1 << k)))
-    # a split block's pre-state is built from its journal entry: every
-    # leaf of the coarser tree, then every inner node
-    assert k == 2 and len(calls) == 2 * (1 << k) - 1
+    store.state_before(tip + 1, {min(store.shards)})
+    assert len(calls) == store.k  # the live hashes of the rest: one path
+    calls.clear()
+    entry = split.versions[split.height]
+    split.state_before(split.height, set(entry))
+    # a split block's pre-state is built from its journal entry: its
+    # leaves of the coarser trie and their paths, twice
+    assert len(calls) <= len(entry) * (1 + 2 * 2)
 
 
 def test_state_before_across_two_splits_matches_the_flat_oracle(monkeypatch):
     """Under a horizon that keeps two splits and the blocks around them,
     every pre-state above the floor, whole and in a random part, equals
-    the flat oracle's shards at that height, and its tree recomputes the
-    root committed there. A pre-state below a split is rebuilt from the
-    split's journal entry, with the entries below it merged in."""
+    the flat oracle's leaves at that height, and its proof reaches the
+    root committed there. A pre-state below a split serves the split
+    leaf from its journal entry, with the entries below it merged in."""
     monkeypatch.setattr("dietchain.utxo.HISTORY_HORIZON", 8)
     rng = random.Random(44)
     store = VersionedShardStore(initial_k=0, size_cap=160)
-    oracle = _FlatOracle()
-    blobs, roots = [], []  # per height: the oracle's shards, the committed root
+    oracle = _FlatOracle(cap=160)
+    blobs, roots = [], []  # per height: the oracle's leaves, the committed root
 
     def splits_above_the_floor() -> list[int]:
         return sorted({step.height for step in store.rebalance_log if step.height > store.floor})
@@ -677,21 +752,20 @@ def test_state_before_across_two_splits_matches_the_flat_oracle(monkeypatch):
         block = _next_block(store, rng)
         roots.append(store.apply_block(block, store.next_height))
         oracle.apply(block)
-        blobs.append(oracle.shard_blobs(store.k))
-    assert splits_above_the_floor() == [2, 4, 7] and store.floor == 1
+        blobs.append(oracle.blobs())
+    assert len(splits_above_the_floor()) >= 2 and store.floor >= 1
     for h in range(store.floor + 1, store.height + 2):
-        n = len(blobs[h - 1])
-        for subset in (set(range(n)), set(rng.sample(range(n), rng.randrange(1, n + 1)))):
-            shards, partial = store.state_before(h, subset)
+        ids = sorted(blobs[h - 1])
+        assert leaves_before(store, h) == set(ids)
+        for subset in (set(ids), set(rng.sample(ids, rng.randrange(1, len(ids) + 1)))):
+            shards, siblings = store.state_before(h, subset)
             assert {i: shard.encoded for i, shard in shards.items()} == \
                 {i: blobs[h - 1][i] for i in subset}
-            assert partial == extract_partial(_FlatOracle.leaves(blobs[h - 1]), subset)
-            assert served_root(shards, partial,
-                               sum(map(len, blobs[h - 1])) // COIN_SIZE) == roots[h - 1]
+            assert served_root(shards, siblings) == roots[h - 1] == _root_of(blobs[h - 1])
 
 
 def test_a_clone_rewound_across_a_split_serves_what_its_source_served():
-    """A clone rewound below a split rebuilds the coarser tree from the
+    """A clone rewound below a split puts the split leaf back from the
     split's journal entry: it serves every pre-state its source served at
     or below its new tip, and after taking the same blocks again it
     serves all of them."""
@@ -704,13 +778,12 @@ def test_a_clone_rewound_across_a_split_serves_what_its_source_served():
     split = source.rebalance_log[-1].height
 
     def served(store: VersionedShardStore, heights) -> dict:
-        return {h: store.state_before(h, set(range(1 << store.touched_log[h - 1].k_after)))
-                for h in heights}
+        return {h: store.state_before(h, leaves_before(store, h)) for h in heights}
 
     before = served(source, range(1, source.height + 2))
     twin = source.clone()
     twin.rewind_to(split - 1)
-    assert twin.k < source.k
+    assert len(twin.shards) < len(source.shards)
     assert served(twin, range(1, split + 1)) == {h: before[h] for h in range(1, split + 1)}
     for block in blocks[split:]:
         twin.apply_block(block, twin.next_height)
@@ -746,30 +819,28 @@ def _assert_bounded_history(store: VersionedShardStore, chain: list[Block]) -> N
     the replay does, refuses every one below it and keeps a journal entry
     for exactly the heights above its floor."""
     fresh = VersionedShardStore(initial_k=store.initial_k, size_cap=store.size_cap)
-    oracle = _FlatOracle()
+    oracle = _FlatOracle(store.initial_k, store.size_cap)
     roots = [fresh.apply_block(block, h) for h, block in enumerate(chain)]
-    counts = []  # per height, the oracle's coins in the shards
     for block in chain:
         oracle.apply(block)
-        counts.append(len(oracle.committed))
     assert fresh.floor <= store.floor
     assert sorted(c for coins in store.shards.values() for c in coins) == \
         sorted(oracle.committed.values())
     assert store.pending == oracle.pending
-    assert store.current_root == fresh.current_root == oracle.root(store.k)
+    assert store.current_root == fresh.current_root == oracle.root()
     assert (store.height, store.k, store.touched_log, store.rebalance_log) == \
         (fresh.height, fresh.k, fresh.touched_log, fresh.rebalance_log)
     rng = random.Random(len(chain))
     for h in range(1, len(chain) + 1):
-        n = 1 << store.touched_log[h - 1].k_after
-        subset = set(rng.sample(range(n), rng.randrange(1, n + 1)))
         if h - 1 < store.floor:
             with pytest.raises(HistoryUnavailableError):
-                store.state_before(h, subset)
+                store.state_before(h, {1})
             continue
-        shards, partial = store.state_before(h, subset)
-        assert (shards, partial) == fresh.state_before(h, subset)
-        assert served_root(shards, partial, counts[h - 1]) == roots[h - 1]
+        ids = sorted(leaves_before(store, h))
+        subset = set(rng.sample(ids, rng.randrange(1, len(ids) + 1)))
+        shards, siblings = store.state_before(h, subset)
+        assert (shards, siblings) == fresh.state_before(h, subset)
+        assert served_root(shards, siblings) == roots[h - 1]
     assert len(store._undo_pending) == len(chain) - 1 - store.floor
     assert list(store.versions) == list(range(store.floor + 1, store.next_height))
 
@@ -870,7 +941,7 @@ def test_a_clone_and_its_source_evolve_apart(monkeypatch):
     while len(source.rebalance_log) < 2 or source.height < source.rebalance_log[-1].height + 2:
         source.apply_block(_next_block(source, rng), source.next_height)
     split = source.rebalance_log[-1].height
-    k_split = source.touched_log[split].k_after
+    split_leaves = len(source.shards)  # no block after the split splits
     assert source.floor < split - 1
     twin = source.clone()
     sides = [(source, copy.deepcopy(source), random.Random(1)),
@@ -883,7 +954,7 @@ def test_a_clone_and_its_source_evolve_apart(monkeypatch):
                 assert store_state(other) == store_state(other_reference)
 
     step(lambda store, ref, _: (store.rewind_to(split - 1), ref.rewind_to(split - 1)))
-    assert source.k == twin.k < k_split
+    assert len(source.shards) == len(twin.shards) < split_leaves
 
     def plant(store, ref, side_rng):
         coin = Coin(OutPoint(side_rng.randbytes(32), 0), 7, side_rng.randbytes(32))
@@ -908,12 +979,13 @@ def test_undo_puts_back_the_very_lists_a_block_replaced(split):
     rng = random.Random(41)
     store = VersionedShardStore(initial_k=0, size_cap=160)
     while True:
-        before, pending, k = dict(store.shards), store.pending, store.k
+        before, pending = dict(store.shards), store.pending
         store.apply_block(_next_block(store, rng), store.next_height)
-        if (store.k != k) == split and store.touched_log[store.height].touched:
+        record = store.touched_log[store.height]
+        if record.rebalanced == split and record.touched:
             break
     store.undo_block()
-    assert store.k == k and store.shards.keys() == before.keys()
+    assert store.shards.keys() == before.keys()
     assert all(store.shards[i] is coins for i, coins in before.items())
     assert store.pending is pending
 
