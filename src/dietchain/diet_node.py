@@ -13,9 +13,9 @@ block: from the root and reward coins the block before committed, the
 block and the peer's answer for it, the step replays the block on a
 ``utxo.ShardView`` over the served leaves, the code a full node's store
 applies blocks with, so the deferred rewards and the split rule are the
-store's own, and returns the block's root and reward coins. Faking a transaction inside the window
-therefore requires forging every block of the window and the one before
-it, each with valid proof-of-work.
+store's own, and returns the block's root and reward coins. Faking a
+transaction inside the window therefore requires forging every block of
+the window and the one before it, each with valid proof-of-work.
 
 Remote calls go through a transport (``query_merkle_blocks``,
 ``query_block``, ``query_utxos``), each returning the decoded response
