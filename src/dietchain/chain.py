@@ -48,8 +48,8 @@ KIND_COMMITMENT = 0x01
 
 HEADER_SIZE = 77
 COIN_SIZE = 76
-# A shard is its coins' bytes. Under a cap smaller than one coin the
-# split rule settles only with more shards than coins.
+# A shard is its coins' bytes. Under a cap smaller than one coin every
+# leaf that holds a coin splits down to depth 32.
 MIN_SIZE_CAP = COIN_SIZE
 # A store builds its 2**initial_k first shards up front, so the limit is
 # what that may cost (65,536 empty leaves); the bundled scenarios start

@@ -149,9 +149,8 @@ def decode_utxos_response(payload: bytes) -> UtxosResponse:
     """Decode a shard proof; it serves a leaf or more, whose ids must lie
     in the trie (1 up to depth 32) and strictly increase, and each
     leaf's coins must come in order, so only the one canonical encoding
-    of an answer decodes. A count
-    past the answer's end is a DecodeError before anything is allocated
-    for it."""
+    of an answer decodes. A count past the answer's end is a DecodeError
+    before anything is allocated for it."""
     r = Reader(payload)
     shards: dict[int, Shard] = {}
     last = 0

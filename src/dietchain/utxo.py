@@ -526,8 +526,8 @@ class VersionedShardStore:
                 raise ValueError(f"shard {idx} is no leaf before height {height}")
         siblings: list[bytes] = []
 
-        def node(idx: int, into: list) -> bytes:
-            into.append(before[idx] if idx in before else self._nodes[idx])
-            return into[-1]
-        trie_walk({idx: node(idx, []) for idx in served}, lambda idx: node(idx, siblings))
+        def sibling(idx: int) -> bytes:
+            siblings.append(before.get(idx) or self._nodes[idx])
+            return siblings[-1]
+        trie_walk({idx: before.get(idx) or self._nodes[idx] for idx in served}, sibling)
         return served, tuple(siblings)
