@@ -205,22 +205,18 @@ class ShardView:
     def _locate(self, outpoint: OutPoint, edit: bool) -> tuple[Sequence[Coin], int, bool]:
         """The leaf ``outpoint`` belongs in, where in it, and whether it
         is there; ``edit`` makes that leaf the view's own copy."""
-        prefix = shard_key(outpoint.txid, MAX_DEPTH)
-        for depth in range(MAX_DEPTH + 1):
-            idx = 1 << depth | prefix >> (MAX_DEPTH - depth)
-            shard = self.edited.get(idx)
-            if shard is None:
-                shard = self.shards.get(idx)
-                if shard is None:
-                    served = self.served.get(idx)
-                    if served is None:
-                        continue
-                    shard = served.coins
-                if edit:
-                    shard = self.edited[idx] = list(shard)
-            break
+        path = 1 << MAX_DEPTH | shard_key(outpoint.txid, MAX_DEPTH)  # its depth-32 node
+        for shift in range(MAX_DEPTH, -1, -1):
+            idx = path >> shift
+            if idx in self.shards or idx in self.served:
+                break
         else:
             raise InconsistentStateError(f"no shard held for {outpoint}")
+        shard = self.edited.get(idx)
+        if shard is None:
+            shard = self.shards[idx] if idx in self.shards else self.served[idx].coins
+            if edit:
+                shard = self.edited[idx] = list(shard)
         i = bisect.bisect_left(shard, outpoint, key=_OUTPOINT)
         return shard, i, i < len(shard) and shard[i].outpoint == outpoint
 
