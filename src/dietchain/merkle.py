@@ -30,7 +30,6 @@ so no leaf's bytes can pose as two child hashes at any depth.
 
 from __future__ import annotations
 
-import heapq
 import struct
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -167,8 +166,9 @@ def trie_walk(held: Mapping[int, bytes], sibling: Callable[[int], bytes | None])
     """Every node hash on the paths from the ``held`` nodes (id -> hash)
     up to the root, the held ones included; nothing for no node.
 
-    The walk takes ids deepest first, largest first. A node pairs with
-    its sibling if that sibling is held or already reached; if not, it
+    The walk goes one level at a time, deepest first: each level's held
+    ids merge with the parents reached from below, largest first. A node
+    pairs with its sibling if that sibling is in the level; if not, it
     takes ``sibling(id)``, asked in walk order. A verifier reads the
     sibling from a proof, and a store from its node hashes. Raises
     IncompleteProofError for an id outside depths 0-32, a held id that
@@ -177,24 +177,31 @@ def trie_walk(held: Mapping[int, bytes], sibling: Callable[[int], bytes | None])
     if held and not (min(held) > 0 and max(held) >> 33 == 0):
         raise IncompleteProofError("node id outside the trie")
     nodes = dict(held)
-    heap = [-i for i in nodes]
-    heapq.heapify(heap)
-    while heap:
-        i = -heapq.heappop(heap)
-        if i == 1:
-            break
-        if i & 1 and heap and heap[0] == 1 - i:  # its left sibling is reached too
-            heapq.heappop(heap)
-            left, right = nodes[i - 1], nodes[i]
-        else:
-            other = sibling(i ^ 1)
-            if other is None:
-                raise IncompleteProofError(f"missing sibling of node {i}")
-            left, right = (other, nodes[i]) if i & 1 else (nodes[i], other)
-        if i >> 1 in nodes:
-            raise IncompleteProofError(f"node {i >> 1} is both held and reached")
-        nodes[i >> 1] = hash256(b"\x01" + left + right)
-        heapq.heappush(heap, -(i >> 1))
+    by_level: dict[int, list[int]] = {}  # id bit length (depth + 1) -> held ids
+    for i in nodes:
+        by_level.setdefault(i.bit_length(), []).append(i)
+    reached: list[int] = []  # the parents reached from the level below, largest first
+    for level in range(max(by_level, default=1), 1, -1):
+        ids = by_level.get(level)
+        ids = sorted(ids + reached, reverse=True) if ids else reached
+        reached = []
+        n, at = len(ids), 0
+        while at < n:
+            i = ids[at]
+            at += 1
+            if i & 1 and at < n and ids[at] == i - 1:  # its left sibling is in the level
+                left, right = nodes[i - 1], nodes[i]
+                at += 1
+            else:
+                other = sibling(i ^ 1)
+                if other is None:
+                    raise IncompleteProofError(f"missing sibling of node {i}")
+                left, right = (other, nodes[i]) if i & 1 else (nodes[i], other)
+            i >>= 1
+            if i in nodes:
+                raise IncompleteProofError(f"node {i} is both held and reached")
+            nodes[i] = hash256(b"\x01" + left + right)
+            reached.append(i)
     return nodes
 
 

@@ -95,6 +95,12 @@ HISTORY_HORIZON = 288
 # A leaf at this depth never splits: shard keys are a txid's first 32 bits.
 MAX_DEPTH = 32
 
+# start depth -> the shifts that take a depth-32 node id to its ancestor
+# at each depth, nearest depth first: d, d + 1, d - 1, d + 2, d - 2, ...
+_SHIFTS = tuple(tuple(MAX_DEPTH - d for d in sorted(range(MAX_DEPTH + 1),
+                                                    key=lambda d: (abs(d - start), d < start)))
+                for start in range(MAX_DEPTH + 1))
+
 
 class Coin(NamedTuple):
     outpoint: OutPoint
@@ -191,6 +197,13 @@ class ShardView:
     so dropping a view drops its edits. An edit the leaves cannot take (a
     leaf not held, a coin already there, a spent coin missing) is an
     :class:`InconsistentStateError`.
+
+    The held leaves are prefix-free (the store's by construction, a diet
+    node's because ``merkle.trie_root`` refused an ancestor held beside
+    its descendant before the view was built), so a txid's path meets at
+    most one. A lookup looks for it from ``depth``, the depth of the
+    leaf found last, nearest depths first: leaves cluster at a few
+    depths, so most lookups test one or two.
     """
 
     def __init__(self, shards: Mapping[int, Sequence[Coin]], pending: Iterable[Coin],
@@ -199,19 +212,25 @@ class ShardView:
         self.served = served or {}  # id -> a leaf held as served, none of them in ``shards``
         self.height = height
         self.edited: dict[int, list[Coin]] = {}  # id -> the view's copy of that leaf
+        self.depth = 0  # where the next lookup starts: the depth of the leaf found last
         for coin in pending:
             self.insert(coin)
 
     def _locate(self, outpoint: OutPoint, edit: bool) -> tuple[Sequence[Coin], int, bool]:
         """The leaf ``outpoint`` belongs in, where in it, and whether it
-        is there; ``edit`` makes that leaf the view's own copy."""
+        is there; ``edit`` makes that leaf the view's own copy. Depths
+        are tested from ``depth`` outwards, and the leaf's depth becomes
+        the next start; a coin whose path meets no held leaf has tested
+        every depth."""
         path = 1 << MAX_DEPTH | shard_key(outpoint.txid, MAX_DEPTH)  # its depth-32 node
-        for shift in range(MAX_DEPTH, -1, -1):
+        shards, served = self.shards, self.served
+        for shift in _SHIFTS[self.depth]:
             idx = path >> shift
-            if idx in self.shards or idx in self.served:
+            if idx in shards or idx in served:
                 break
         else:
             raise InconsistentStateError(f"no shard held for {outpoint}")
+        self.depth = MAX_DEPTH - shift
         shard = self.edited.get(idx)
         if shard is None:
             shard = self.shards[idx] if idx in self.shards else self.served[idx].coins

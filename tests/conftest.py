@@ -46,6 +46,23 @@ def mined_node(params: ChainParams, miner: KeyPair, n_blocks: int,
     return node
 
 
+def split_chain() -> FullNode:
+    """Nine blocks above genesis at ``size_cap`` 256 from one leaf, each
+    paying Carol 3 and Alice 2, six times at even heights (eight outputs
+    of one txid, over the cap: their leaf splits down to depth 32) and
+    once at odd ones; the blocks at heights 2 and 4 to 8 split leaves."""
+    alice, carol = key_of("alice"), key_of("carol")
+    params = ChainParams(target_bits=5, subsidy=50, size_cap=256, initial_k=0)
+    node = mined_node(params, alice, 2, seed=48)
+    for i in range(8):
+        node.submit_transaction(payment(node, alice, [(alice.challenge, 2)] * (1 + 5 * (i % 2 == 0))
+                                        + [(carol.challenge, 3)]))
+        mine_on(node, alice.public_key, seed=248 + i)
+    assert [h for h, record in node.utxo.touched_log.items() if record.rebalanced] == \
+        [2, 4, 5, 6, 7, 8]
+    return node
+
+
 def coins_owned(node: FullNode, owner: KeyPair) -> list[Coin]:
     mine = [c for c in node.utxo.all_coins() if c.challenge == owner.challenge]
     return sorted(mine, key=lambda c: (-c.value, c.outpoint))

@@ -12,6 +12,7 @@ from conftest import (
     leaves_before,
     mined_node,
     payment,
+    split_chain,
     store_state,
     utxos_siblings_at,
 )
@@ -53,6 +54,8 @@ from dietchain.miner import (
     template_on,
 )
 from dietchain.netsim import (
+    MSG_BLOCK,
+    MSG_MERKLE_BLOCKS,
     MSG_QUERY_BLOCK,
     MSG_QUERY_MERKLE_BLOCKS,
     MSG_QUERY_UTXO_MROOT,
@@ -224,20 +227,8 @@ def _leaf(tx_id: bytes, leaves) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _split_chain() -> FullNode:
-    """Nine blocks above genesis at ``size_cap`` 256 from one leaf, each
-    paying Carol 3 and Alice 2, six times at even heights (eight outputs
-    of one txid, over the cap: their leaf splits down to depth 32) and
-    once at odd ones; the blocks at heights 2 and 4 to 8 split leaves.
-    Window steps only read it."""
-    params = ChainParams(target_bits=5, subsidy=50, size_cap=256, initial_k=0)
-    node = mined_node(params, ALICE, 2, seed=48)
-    for i in range(8):
-        node.submit_transaction(payment(node, ALICE, [(ALICE.challenge, 2)] * (1 + 5 * (i % 2 == 0))
-                                        + [(CAROL.challenge, 3)]))
-        mine_on(node, ALICE.public_key, seed=248 + i)
-    assert [h for h, record in node.utxo.touched_log.items() if record.rebalanced] == \
-        [2, 4, 5, 6, 7, 8]
-    return node
+    """``conftest.split_chain``, built once: window steps only read it."""
+    return split_chain()
 
 
 def _step_start(node: FullNode, height: int) -> tuple[bytes, list[Coin]]:
@@ -1059,6 +1050,85 @@ def test_a_lying_answer_is_a_verdict_at_its_block_or_changes_nothing(data):
     else:
         assert lie == "extra-shard"
         assert result == (commitment_of(block), coins_of(block.transactions[0]))
+
+
+class _LoggingService(FullNodeService):
+    """A full node's service that logs each query it answers."""
+
+    def __init__(self, node: FullNode, log: list):
+        super().__init__(node)
+        self.log = log
+
+    def handle_query(self, msg_type, payload):
+        self.log.append((msg_type, payload))
+        return super().handle_query(msg_type, payload)
+
+
+def _sync_split_chain(transforms=None):
+    """One update of a diet client watching Carol over the whole split
+    chain, its window as long as the chain, through ``transforms``; its
+    verdicts and the queries the peer answered."""
+    node, log = _split_chain(), []
+    bus = Bus(seed=48)
+    bus.register("peer", _LoggingService(node, log))
+    if transforms:
+        bus.attach_adversary(Adversary(victim="client", transforms=transforms))
+    config = DietConfig(keys=(CAROL.public_key,), max_depth=node.tip_height,
+                        max_length=node.tip_height)
+    return DietNode(node.params, config, BusTransport(bus, "client", "peer")).update_chain(), log
+
+
+def _byte_edit(data: bytes, draw) -> bytes:
+    """One random mutation of ``data``: a bit flipped, the bytes cut at
+    a point, 1-8 bytes inserted, or 4 of its bytes copied over others."""
+    kind = draw(st.sampled_from(["flip", "cut", "insert", "copy"]))
+    at = draw(st.integers(0, len(data)))
+    if kind == "flip":
+        at = min(at, len(data) - 1)
+        return data[:at] + bytes([data[at] ^ 1 << draw(st.integers(0, 7))]) + data[at + 1:]
+    if kind == "cut":
+        return data[:at]
+    if kind == "insert":
+        return data[:at] + draw(st.binary(min_size=1, max_size=8)) + data[at:]
+    src = draw(st.integers(0, max(len(data) - 4, 0)))
+    return data[:at] + data[src:src + 4] + data[at + 4:]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), msg_type=st.sampled_from([MSG_UTXOS, MSG_BLOCK, MSG_MERKLE_BLOCKS]))
+def test_a_mutated_answer_is_a_verdict_or_changes_nothing(data, msg_type):
+    """One answer of a peer, a ``utxos``, ``block`` or ``merkle_blocks``
+    answer of a sync over the split chain, with its bytes mutated: the
+    sync raises nothing. A mutated window answer turns verdicts into
+    ``rejected`` at the height it answers for, at least one if its bytes
+    changed, and leaves every other status as the honest sync gives it
+    (a later window may start lower); a mutated ``merkle_blocks`` answer
+    verifies no payment the honest sync does not."""
+    honest, log = _sync_split_chain()
+    answers = [payload for kind, payload in log if kind + 1 == msg_type]
+    nth = data.draw(st.integers(0, len(answers) - 1))
+    seen, mutated = [], []
+
+    def mutate(answer: bytes) -> bytes:
+        seen.append(answer)
+        if len(seen) - 1 != nth:
+            return answer
+        mutated.append(_byte_edit(answer, data.draw))
+        return mutated[0]
+
+    result, _ = _sync_split_chain({msg_type: mutate})
+    assert mutated
+    if msg_type == MSG_MERKLE_BLOCKS:
+        verified = {(v.tx_id, v.height) for v in honest.verdicts if v.status == "diet-verified"}
+        assert {(v.tx_id, v.height) for v in result.verdicts
+                if v.status == "diet-verified"} <= verified
+        return
+    height = _split_chain().blocks[answers[nth]].header.height
+    assert [(v.tx_id, v.height) for v in result.verdicts] == \
+        [(v.tx_id, v.height) for v in honest.verdicts]
+    changed = [v for v, h in zip(result.verdicts, honest.verdicts) if v.status != h.status]
+    assert all((v.status, v.fail_height) == ("rejected", height) for v in changed)
+    assert bool(changed) == (mutated[0] != seen[nth])
 
 
 def test_a_shard_count_overrunning_the_answer_is_a_peer_fault():

@@ -1,16 +1,17 @@
 from __future__ import annotations
 
 import hashlib
+import heapq
 import math
 import random
 import re
 import struct
 
 import pytest
-from conftest import read_whole
+from conftest import read_whole, split_chain
 from hypothesis import given, settings, strategies as st
 
-from dietchain import merkle
+from dietchain import merkle, utxo
 from dietchain.errors import DecodeError, IncompleteProofError
 from dietchain.merkle import (
     PartialMerkleTree,
@@ -22,6 +23,8 @@ from dietchain.merkle import (
     partial_from_levels,
     partial_root,
     read_partial,
+    trie_root,
+    trie_walk,
 )
 
 
@@ -442,3 +445,152 @@ def test_every_leaf_and_no_sibling_is_hashed_level_by_level():
         assert root == build_root(leaves) and walked == built
         with pytest.raises(IncompleteProofError, match="left unread"):
             partial_root(PartialMerkleTree(n, (_h(b"extra"),)), given)
+
+
+# -- the shard trie ------------------------------------------------------------
+
+def _heap_walk(held, sibling) -> dict[int, bytes]:
+    """The walk ``trie_walk`` ran before it went level by level, kept as
+    the oracle: one heap of the reached ids, popped largest first, each
+    popped node paired with its left sibling if that is the next one out,
+    else with ``sibling(id)``."""
+    if held and not (min(held) > 0 and max(held) >> 33 == 0):
+        raise IncompleteProofError("node id outside the trie")
+    nodes = dict(held)
+    heap = [-i for i in nodes]
+    heapq.heapify(heap)
+    while heap:
+        i = -heapq.heappop(heap)
+        if i == 1:
+            break
+        if i & 1 and heap and heap[0] == 1 - i:
+            heapq.heappop(heap)
+            left, right = nodes[i - 1], nodes[i]
+        else:
+            other = sibling(i ^ 1)
+            if other is None:
+                raise IncompleteProofError(f"missing sibling of node {i}")
+            left, right = (other, nodes[i]) if i & 1 else (nodes[i], other)
+        if i >> 1 in nodes:
+            raise IncompleteProofError(f"node {i >> 1} is both held and reached")
+        nodes[i >> 1] = _h(b"\x01" + left + right)
+        heapq.heappush(heap, -(i >> 1))
+    return nodes
+
+
+def _heap_root(held, siblings) -> bytes:
+    """``trie_root`` over the heap walk."""
+    if not held:
+        raise IncompleteProofError("no leaf to prove")
+    given = iter(siblings)
+    root = _heap_walk(held, lambda _: next(given, None))[1]
+    if next(given, None) is not None:
+        raise IncompleteProofError("a sibling is left unread")
+    return root
+
+
+@st.composite
+def _trie_ids(draw) -> set[int]:
+    """A prefix-free set of node ids at depths 0-32, clustered near one
+    random path so that siblings and cousins often meet."""
+    path = draw(st.integers(0, 2 ** 32 - 1))
+    ids: set[int] = set()
+    for depth, noise in draw(st.lists(st.tuples(st.integers(0, 32), st.integers(0, 15)),
+                                      max_size=24)):
+        i = 1 << depth | ((path >> (32 - depth)) ^ noise) & ((1 << depth) - 1)
+        if not any(j >> max(j.bit_length() - i.bit_length(), 0) == i
+                   or i >> max(i.bit_length() - j.bit_length(), 0) == j for j in ids):
+            ids.add(i)
+    return ids
+
+
+def _sibling_hash(i: int) -> bytes:
+    return _h(b"sibling" + i.to_bytes(5, "big"))
+
+
+def _asking(missing_at: int | None = None):
+    """A sibling source, and the ids asked of it in order; it lacks the
+    ``missing_at``-th one asked for, counting from 1."""
+    asked: list[int] = []
+
+    def sibling(i: int) -> bytes | None:
+        asked.append(i)
+        return None if len(asked) == missing_at else _sibling_hash(i)
+    return sibling, asked
+
+
+def _outcome(run):
+    """What ``run()`` returns, or the message of the IncompleteProofError
+    it raises."""
+    try:
+        return run()
+    except IncompleteProofError as exc:
+        return f"IncompleteProofError: {exc}"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), ids=_trie_ids(),
+       edit=st.sampled_from(["none", "zero", "outside", "ancestor", "missing", "unread"]))
+def test_the_level_walk_is_the_heap_walk(data, ids, edit):
+    """Prefix-free ids at mixed depths, whole or with id 0, an id below
+    depth 32 or a held ancestor added, with a sibling missing, or with
+    one sibling too many for ``trie_root``: the level walk returns the
+    heap walk's nodes, asks for the same siblings in the same order and
+    raises its error, word for word; so does ``trie_root``."""
+    held = {i: _h(b"held" + i.to_bytes(5, "big")) for i in ids}
+    if edit == "zero":
+        held[0] = _h(b"zero")
+    elif edit == "outside":
+        held[data.draw(st.integers(2 ** 33, 2 ** 40))] = _h(b"outside")
+    elif edit == "ancestor" and any(i > 1 for i in held):
+        i = data.draw(st.sampled_from(sorted(i for i in held if i > 1)))
+        held[i >> data.draw(st.integers(1, i.bit_length() - 1))] = _h(b"ancestor")
+    sibling, every = _asking()
+    _outcome(lambda: _heap_walk(held, sibling))  # the siblings a whole proof carries
+    siblings = [_sibling_hash(i) for i in every]
+    missing_at = None
+    if edit == "missing" and siblings:
+        missing_at = data.draw(st.integers(1, len(siblings)))
+        del siblings[missing_at - 1]
+    elif edit == "unread":
+        siblings.insert(data.draw(st.integers(0, len(siblings))), _h(b"extra"))
+
+    sibling, heap_asked = _asking(missing_at)
+    expected = _outcome(lambda: _heap_walk(held, sibling))
+    sibling, asked = _asking(missing_at)
+    assert _outcome(lambda: trie_walk(held, sibling)) == expected
+    assert asked == heap_asked
+    root = _outcome(lambda: trie_root(held, siblings))
+    assert root == _outcome(lambda: _heap_root(held, siblings))
+    if len(held) > len(ids) or missing_at:  # an id added, or a sibling lacking
+        assert isinstance(expected, str) and isinstance(root, str)
+    elif held:
+        assert root == ("IncompleteProofError: a sibling is left unread" if edit == "unread"
+                        else expected[1])
+
+
+def test_the_walk_hashes_each_inner_node_it_returns_once(monkeypatch):
+    """Over a chain whose blocks split leaves, every walk its store runs
+    (the commit of each block, split ones included, an undo of each and
+    the proof of each block's leaves) hashes each inner node it returns
+    once and nothing else."""
+    calls, walks = [], []
+    monkeypatch.setattr(merkle, "hash256", lambda data: calls.append(data) or _h(data))
+    walk = merkle.trie_walk
+
+    def counted(held, sibling):
+        before = len(calls)
+        nodes = walk(held, sibling)
+        walks.append((len(nodes) - len(held), len(calls) - before))
+        return nodes
+
+    monkeypatch.setattr(utxo, "trie_walk", counted)
+    node = split_chain()  # it checks that six of its blocks split leaves
+    store = node.utxo
+    for height in range(1, store.height + 1):
+        store.state_before(height, set(store.versions[height]))
+    twin = store.clone()
+    twin.rewind_to(0)
+    assert len(walks) > 3 * store.height
+    assert all(reached == hashed for reached, hashed in walks)
+    assert sum(hashed for _, hashed in walks) > 0

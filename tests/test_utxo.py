@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import bisect
 import copy
 import dataclasses
+import functools
 import hashlib
 import random
 import struct
@@ -1022,3 +1024,107 @@ def test_no_shard_list_or_journal_entry_changes_while_it_is_kept(monkeypatch):
                 for coins in entry.values():
                     check(coins, tuple(coins))
     assert len(stores[0].rebalance_log) >= 2 and stores[0].current_root != stores[1].current_root
+
+
+# -- finding a coin's leaf -----------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _lookup_store() -> VersionedShardStore:
+    """A store of 16 random blocks at cap 160 from one leaf, every fourth
+    with a tx over the cap: its leaves sit at many depths, some at 32.
+    Lookups only read it."""
+    rng = random.Random(61)
+    store = VersionedShardStore(initial_k=0, size_cap=160)
+    for height in range(16):
+        store.apply_block(_next_block(store, rng, wide=height % 4 == 3), height)
+    depths = {i.bit_length() - 1 for i in store.shards}
+    assert len(depths) >= 4 and MAX_DEPTH in depths
+    return store
+
+
+def _held_coins(view: ShardView, idx: int):
+    if idx in view.edited:
+        return view.edited[idx]
+    return view.shards[idx] if idx in view.shards else view.served[idx].coins
+
+
+def _checked_lookups(view: ShardView, misses: list) -> None:
+    """Make every lookup of ``view`` check itself against a scan of all
+    33 depths: the same leaf, position and presence, and the leaf's depth
+    as the next start; a coin whose path meets no held leaf goes to
+    ``misses`` and raises."""
+    locate = view._locate
+
+    def checked(outpoint: OutPoint, edit: bool):
+        on_path = [i for d in range(MAX_DEPTH + 1)
+                   if (i := 1 << d | shard_key(outpoint.txid, d)) in view.shards
+                   or i in view.served]
+        assert len(on_path) <= 1  # the held leaves are prefix-free
+        try:
+            shard, i, found = locate(outpoint, edit)
+        except InconsistentStateError:
+            assert not on_path
+            misses.append(outpoint)
+            raise
+        (idx,) = on_path
+        assert shard is _held_coins(view, idx) and (idx in view.edited or not edit)
+        assert i == bisect.bisect_left([coin.outpoint for coin in shard], outpoint)
+        assert found == (i < len(shard) and shard[i].outpoint == outpoint)
+        assert view.depth == idx.bit_length() - 1
+        return shard, i, found
+
+    view._locate = checked
+
+
+def _txid_under(rng: random.Random, idx: int) -> bytes:
+    """A random txid whose path runs through node ``idx``."""
+    depth = idx.bit_length() - 1
+    prefix = (idx ^ 1 << depth) << (MAX_DEPTH - depth) | rng.getrandbits(MAX_DEPTH - depth)
+    return prefix.to_bytes(4, "big") + rng.randbytes(28)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), served=st.booleans(),
+       ops=st.lists(st.tuples(st.sampled_from(["get", "insert", "absorb"]),
+                              st.integers(0, MAX_DEPTH), st.integers(0, 2 ** 32 - 1)),
+                    min_size=1, max_size=12))
+def test_a_lookup_from_any_start_depth_finds_the_leaf_a_full_scan_finds(data, served, ops):
+    """``get_coin``, ``insert`` and ``absorb`` in random order, each
+    from a stale start depth, on a view of a store whose leaves split to
+    many depths or on a view of leaves ``state_before`` served: every
+    lookup finds the leaf and position a scan of every depth finds, and
+    a coin whose leaf is not held raises InconsistentStateError."""
+    store = _lookup_store()
+    if served:
+        height = data.draw(st.integers(max(store.floor, 0) + 1, store.height + 1))
+        ids = data.draw(st.sets(st.sampled_from(sorted(leaves_before(store, height))),
+                                min_size=1, max_size=6))
+        view = ShardView({}, [], height, store.state_before(height, ids)[0])
+    else:
+        view = store.open(store.next_height)
+    misses: list[OutPoint] = []
+    _checked_lookups(view, misses)
+    held = sorted({*view.shards, *view.served})
+    for op, start, seed in ops:
+        rng = random.Random(seed)
+        coins = [coin for idx in held for coin in _held_coins(view, idx)]
+        view.depth = start
+        missed = len(misses)
+        try:
+            if op == "get":
+                outpoint = (rng.choice(coins).outpoint if coins and rng.random() < 0.5 else
+                            OutPoint(_txid_under(rng, rng.choice([1, *held])), rng.randrange(4)))
+                coin = view.get_coin(outpoint)
+                assert coin is None or coin.outpoint == outpoint
+            elif op == "insert":
+                tx_id = _txid_under(rng, rng.choice([1, *held]))
+                view.insert(Coin(OutPoint(tx_id, rng.randrange(4)), 1, rng.randbytes(32)))
+            else:
+                view.absorb(_spend(rng.sample(coins, min(len(coins), rng.randrange(3))),
+                                   rng.randrange(1, 4), rng))
+        except InconsistentStateError as exc:
+            if str(exc).startswith("duplicate coin"):  # a seed drawn twice
+                assert op != "get" and len(misses) == missed
+            else:
+                assert len(misses) == missed + 1 and str(exc).startswith("no shard held")
+    assert store_state(store) == store_state(_lookup_store())
