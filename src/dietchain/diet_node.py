@@ -116,16 +116,15 @@ def window_step(params: ChainParams, trusted: bytes, pending: list[Coin], block:
                 answer: UtxosResponse) -> tuple[bytes, list[Coin]]:
     """Verify one window block from ``trusted``, the root the block
     before committed, and ``pending``, that block's reward coins: check
-    ``answer``'s leaves, hashing each once, against ``trusted``, replay
-    the body on a ``ShardView`` over them (it decodes only the leaves
-    the body reads), close it, walk the root after the block over the
-    served leaves it left, the ones it edited or split into and the same
+    ``answer``'s leaves, hashing each once, against ``trusted``, unpack
+    them into coins only then, replay the body on a ``ShardView`` over
+    those, close it, walk the root after the block over the served
+    leaves it left, the ones it edited or split into and the same
     siblings, and check the coinbase against the fees and that root.
     Returns the block's ``(commitment, reward coins)``.
 
-    Reads nothing else and changes none of its arguments (a served shard
-    only keeps the coins the step decoded from it). Served leaves that
-    do not prove ``trusted`` or cannot take the block are
+    Reads nothing else and changes none of its arguments. Served leaves
+    that do not prove ``trusted`` or cannot take the block are
     ``shard-proof-mismatch`` at the block's height; a body rule's
     ``ValidationError`` passes as it is. The caller checks the block's
     header hash and structure."""
@@ -134,7 +133,8 @@ def window_step(params: ChainParams, trusted: bytes, pending: list[Coin], block:
         served = {idx: shard.leaf_hash for idx, shard in answer.shards.items()}
         if trie_root(served, answer.siblings) != trusted:
             raise InconsistentStateError("shard proof does not reach the trusted root")
-        view = ShardView({}, pending, height, answer.shards)
+        view = ShardView({idx: shard.coins for idx, shard in answer.shards.items()},
+                         pending, height)
         fees = connect_body(block.transactions[1:], view, height)
         leaves = view.close(params.size_cap)
         root = trie_root({i: h for i, h in served.items() if i not in view.edited} | leaves,

@@ -381,11 +381,10 @@ def _act_corrupt_shard(state: ScenarioState, step: dict) -> None:
     def transform(payload: bytes) -> bytes:
         resp = decode_utxos_response(payload)
         for idx in sorted(resp.shards):
-            shard = resp.shards[idx]
-            if shard.coins:
-                first = shard.coins[0]
-                tampered = Shard.of_coins((
-                    first._replace(value=first.value + 1),) + shard.coins[1:])
+            coins = resp.shards[idx].coins
+            if coins:
+                tampered = Shard.of_coins(
+                    (coins[0]._replace(value=coins[0].value + 1),) + coins[1:])
                 shards = dict(resp.shards)
                 shards[idx] = tampered
                 return encode_utxos_response(replace(resp, shards=shards))

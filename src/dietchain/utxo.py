@@ -59,7 +59,7 @@ leaf only after a later split). It re-hashes the paths of the merged
 leaves over the live node hashes, so a recent height costs
 O((|indices| + leaves changed since) * depth) hashes. A proof encodes
 the leaves it serves: a :class:`Shard` is its wire bytes, keyed by its
-id, decoded into coins the first time a reader needs them. A shard's
+id, unpacked into coins when a reader asks for them. A shard's
 encoding is its coins' bytes alone, in outpoint order, and its leaf hash
 (:func:`merkle.trie_leaf`) covers those bytes; it carries no count, so
 no rule limits how many coins a shard holds.
@@ -142,12 +142,9 @@ def encode_shard_coins(coins: list[Coin]) -> bytes:
 @dataclass(frozen=True, slots=True)
 class Shard:
     """One shard as it travels: its wire bytes (its coins in outpoint
-    order), kept under its leaf id by whoever holds it. Its coins are
-    decoded the first time they are read and kept in ``decoded``, so a
-    reader unpacks a shard at most once, and a shard no one reads is
-    never unpacked into coins."""
+    order), kept under its leaf id by whoever holds it. Each read of
+    :attr:`coins` unpacks the bytes anew, so a reader reads it once."""
     encoded: bytes
-    decoded: tuple[Coin, ...] | None = field(default=None, init=False, compare=False, repr=False)
 
     @classmethod
     def of_coins(cls, coins) -> "Shard":
@@ -155,15 +152,11 @@ class Shard:
 
     @property
     def coins(self) -> tuple[Coin, ...]:
-        """The coins, decoded from the wire bytes on the first read."""
-        coins = self.decoded
-        if coins is None:
-            # tuple.__new__ builds each NamedTuple without its Python-level constructor
-            new = tuple.__new__
-            coins = tuple([new(Coin, (new(OutPoint, (tid, n)), value, challenge))
-                           for tid, n, value, challenge in _COIN.iter_unpack(self.encoded)])
-            object.__setattr__(self, "decoded", coins)
-        return coins
+        """The coins, unpacked from the wire bytes on each read."""
+        # tuple.__new__ builds each NamedTuple without its Python-level constructor
+        new = tuple.__new__
+        return tuple([new(Coin, (new(OutPoint, (tid, n)), value, challenge))
+                      for tid, n, value, challenge in _COIN.iter_unpack(self.encoded)])
 
     @property
     def leaf_hash(self) -> bytes:
@@ -186,17 +179,15 @@ def decode_shard(data: bytes) -> Shard:
 class ShardView:
     """One block's edits to the shards: the state transition both the
     store (over all its leaves) and a diet node (over the leaves a peer
-    served) run. It places ``pending``, the reward coins of the block
-    before, then absorbs the body through the coin-view interface the
-    body rules read, and :meth:`close` finishes the block. Each leaf is
-    held in one of two forms: as a coin list the holder keeps
-    (``shards``, the store's) or as served (``served``, a diet node's),
-    whose coins are read the first time the body needs them. A coin's
-    leaf is the held id on its txid's path. The leaves handed in never
-    change: an edit goes to the view's own copy of the leaf (``edited``),
-    so dropping a view drops its edits. An edit the leaves cannot take (a
-    leaf not held, a coin already there, a spent coin missing) is an
-    :class:`InconsistentStateError`.
+    served, unpacked once their proof has checked) run. It places
+    ``pending``, the reward coins of the block before, then absorbs the
+    body through the coin-view interface the body rules read, and
+    :meth:`close` finishes the block. ``shards`` holds each leaf's coins
+    by id; a coin's leaf is the held id on its txid's path. The leaves
+    handed in never change: an edit goes to the view's own copy of the
+    leaf (``edited``), so dropping a view drops its edits. An edit the
+    leaves cannot take (a leaf not held, a coin already there, a spent
+    coin missing) is an :class:`InconsistentStateError`.
 
     The held leaves are prefix-free (the store's by construction, a diet
     node's because ``merkle.trie_root`` refused an ancestor held beside
@@ -206,10 +197,8 @@ class ShardView:
     depths, so most lookups test one or two.
     """
 
-    def __init__(self, shards: Mapping[int, Sequence[Coin]], pending: Iterable[Coin],
-                 height: int, served: Mapping[int, Shard] | None = None):
+    def __init__(self, shards: Mapping[int, Sequence[Coin]], pending: Iterable[Coin], height: int):
         self.shards = shards
-        self.served = served or {}  # id -> a leaf held as served, none of them in ``shards``
         self.height = height
         self.edited: dict[int, list[Coin]] = {}  # id -> the view's copy of that leaf
         self.depth = 0  # where the next lookup starts: the depth of the leaf found last
@@ -223,17 +212,17 @@ class ShardView:
         the next start; a coin whose path meets no held leaf has tested
         every depth."""
         path = 1 << MAX_DEPTH | shard_key(outpoint.txid, MAX_DEPTH)  # its depth-32 node
-        shards, served = self.shards, self.served
+        shards = self.shards
         for shift in _SHIFTS[self.depth]:
             idx = path >> shift
-            if idx in shards or idx in served:
+            if idx in shards:
                 break
         else:
             raise InconsistentStateError(f"no shard held for {outpoint}")
         self.depth = MAX_DEPTH - shift
         shard = self.edited.get(idx)
         if shard is None:
-            shard = self.shards[idx] if idx in self.shards else self.served[idx].coins
+            shard = shards[idx]
             if edit:
                 shard = self.edited[idx] = list(shard)
         i = bisect.bisect_left(shard, outpoint, key=_OUTPOINT)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import struct
 
+from hypothesis import strategies as st
+
 from dietchain.chain import (
     COIN_SIZE,
     ChainParams,
@@ -119,6 +121,22 @@ def utxos_siblings_at(data: bytes) -> int:
         _, coins = struct.unpack_from("<QI", data, at)
         at += 12 + COIN_SIZE * coins
     return at
+
+
+def byte_edit(data: bytes, draw) -> bytes:
+    """One random mutation of ``data``: a bit flipped, the bytes cut at
+    a point, 1-8 bytes inserted, or 4 of its bytes copied over others."""
+    kind = draw(st.sampled_from(["flip", "cut", "insert", "copy"]))
+    at = draw(st.integers(0, len(data)))
+    if kind == "flip":
+        at = min(at, len(data) - 1)
+        return data[:at] + bytes([data[at] ^ 1 << draw(st.integers(0, 7))]) + data[at + 1:]
+    if kind == "cut":
+        return data[:at]
+    if kind == "insert":
+        return data[:at] + draw(st.binary(min_size=1, max_size=8)) + data[at:]
+    src = draw(st.integers(0, max(len(data) - 4, 0)))
+    return data[:at] + data[src:src + 4] + data[at + 4:]
 
 
 def store_state(store: VersionedShardStore) -> dict:

@@ -510,11 +510,10 @@ def test_shard_coins_out_of_order_anywhere_in_the_shard_are_a_decode_error():
 
 
 def test_a_decoded_shard_keeps_the_coins_it_was_checked_with():
-    """A shard read off the wire is unpacked into coins at most once:
-    its first read keeps them, they equal a fresh decode of its bytes,
-    and the shard equals one built from its bytes alone."""
+    """A shard read off the wire unpacks into the coins a fresh decode
+    of its bytes gives, equals one built from its bytes alone, and its
+    coins encode back to those bytes."""
     for shard in decode_utxos_response(HONEST["utxos"]).shards.values():
-        assert shard.coins is shard.coins
         assert shard.coins == Shard(shard.encoded).coins
         assert shard == Shard(shard.encoded)
         assert encode_shard_coins(list(shard.coins)) == shard.encoded

@@ -5,13 +5,16 @@ use), on a private (single leading underscore) module-level function
 or class, or a private method, that no module of the package references
 by name or attribute, on a public one, or a public module-level
 constant, that only tests use, and on a private attribute that the
-package sets but never reads.
+package sets but never reads. Also fails on an import of anything but
+the standard library, ``cryptography`` and the package itself: the one
+runtime dependency.
 """
 
 from __future__ import annotations
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 import dietchain
@@ -110,6 +113,23 @@ def test_every_import_is_used():
                     if name not in used:
                         unused.append(f"{module}: {name}")
     assert unused == []
+
+
+def test_the_package_imports_only_the_standard_library_and_cryptography():
+    """Test extras such as ``hypothesis`` are installed wherever the tests
+    run, so an import of one in the package would pass everywhere else."""
+    allowed = set(sys.stdlib_module_names) | {"cryptography", "dietchain"}
+    stray = []
+    for module, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            stray += [f"{module}: {name}" for name in names if name.split(".")[0] not in allowed]
+    assert stray == []
 
 
 def test_every_private_definition_is_referenced():

@@ -7,6 +7,7 @@ import struct
 import pytest
 from conftest import (
     FAST,
+    byte_edit,
     coins_owned,
     key_of,
     leaves_before,
@@ -1078,22 +1079,6 @@ def _sync_split_chain(transforms=None):
     return DietNode(node.params, config, BusTransport(bus, "client", "peer")).update_chain(), log
 
 
-def _byte_edit(data: bytes, draw) -> bytes:
-    """One random mutation of ``data``: a bit flipped, the bytes cut at
-    a point, 1-8 bytes inserted, or 4 of its bytes copied over others."""
-    kind = draw(st.sampled_from(["flip", "cut", "insert", "copy"]))
-    at = draw(st.integers(0, len(data)))
-    if kind == "flip":
-        at = min(at, len(data) - 1)
-        return data[:at] + bytes([data[at] ^ 1 << draw(st.integers(0, 7))]) + data[at + 1:]
-    if kind == "cut":
-        return data[:at]
-    if kind == "insert":
-        return data[:at] + draw(st.binary(min_size=1, max_size=8)) + data[at:]
-    src = draw(st.integers(0, max(len(data) - 4, 0)))
-    return data[:at] + data[src:src + 4] + data[at + 4:]
-
-
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(data=st.data(), msg_type=st.sampled_from([MSG_UTXOS, MSG_BLOCK, MSG_MERKLE_BLOCKS]))
 def test_a_mutated_answer_is_a_verdict_or_changes_nothing(data, msg_type):
@@ -1113,7 +1098,7 @@ def test_a_mutated_answer_is_a_verdict_or_changes_nothing(data, msg_type):
         seen.append(answer)
         if len(seen) - 1 != nth:
             return answer
-        mutated.append(_byte_edit(answer, data.draw))
+        mutated.append(byte_edit(answer, data.draw))
         return mutated[0]
 
     result, _ = _sync_split_chain({msg_type: mutate})
@@ -1379,10 +1364,10 @@ def _body_shards(node: FullNode, height: int) -> set[int]:
         *(coin.outpoint.txid for tx in body for coin in coins_of(tx))]}
 
 
-def test_a_split_step_decodes_only_the_shards_its_body_reads():
+def test_a_split_step_is_served_exactly_the_shards_its_body_reads():
     """A split block is served the leaves it edited, which are the leaves
-    its body reads: its step unpacks each into coins and derives the root
-    the full node committed."""
+    its body reads: its step derives the root the full node committed
+    from them."""
     node = _split_chain()
     splits = [h for h, record in node.utxo.touched_log.items() if h and record.rebalanced]
     assert splits
@@ -1393,8 +1378,7 @@ def test_a_split_step_decodes_only_the_shards_its_body_reads():
         root, _ = window_step(node.params, *_step_start(node, height), node.blocks[block_hash],
                               answer)
         assert root == commitment_of(node.blocks[block_hash])
-        read = {idx for idx, shard in answer.shards.items() if shard.decoded is not None}
-        assert read == _body_shards(node, height) == set(answer.shards)
+        assert _body_shards(node, height) == set(answer.shards) == set(node.utxo.versions[height])
 
 
 class _UnreadShardService(FullNodeService):
@@ -1418,11 +1402,11 @@ class _UnreadShardService(FullNodeService):
 
 @pytest.mark.parametrize("lie, reason", [("value", "shard-proof-mismatch"),
                                          ("order", "peer-fault")])
-def test_a_lie_in_a_shard_the_split_step_never_reads_is_a_verdict(lie, reason):
+def test_a_lie_in_a_shard_the_split_step_never_reads_is_a_verdict(lie, reason, monkeypatch):
     """A split block's answer that serves one more leaf, which the body
     never reads, with a coin's value changed or two coins swapped, is
     rejected at that block: the changed bytes miss their leaf hash, and
-    the swapped ones do not decode, though neither is unpacked into
+    the swapped ones do not decode, and neither is ever unpacked into
     coins."""
     node = _split_chain()
     height = max(h for h, record in node.utxo.touched_log.items() if record.rebalanced)
@@ -1434,6 +1418,14 @@ def test_a_lie_in_a_shard_the_split_step_never_reads_is_a_verdict(lie, reason):
         data[36:44] = struct.pack("<Q", struct.unpack_from("<Q", data, 36)[0] + 1)
     else:
         data[:2 * COIN_SIZE] = data[COIN_SIZE:2 * COIN_SIZE] + data[:COIN_SIZE]
+    unpacked = []
+    coins = Shard.coins.fget
+
+    def recording_coins(shard: Shard):
+        unpacked.append(shard.encoded)
+        return coins(shard)
+
+    monkeypatch.setattr(Shard, "coins", property(recording_coins))
     bus = Bus(seed=10)
     bus.register("peer", _UnreadShardService(node, height, idx, bytes(data)))
     diet = DietNode(node.params, DietConfig(keys=(CAROL.public_key,), max_depth=node.tip_height,
@@ -1441,6 +1433,7 @@ def test_a_lie_in_a_shard_the_split_step_never_reads_is_a_verdict(lie, reason):
     verdicts = {v.height: v for v in diet.update_chain().verdicts}
     assert (verdicts[height - 1].status, verdicts[height].status) == ("diet-verified", "rejected")
     assert (verdicts[height].reason, verdicts[height].fail_height) == (reason, height)
+    assert unpacked and bytes(data) not in unpacked
 
 
 # -- a block that skips a due split ------------------------------------------------

@@ -1,15 +1,33 @@
 from __future__ import annotations
 
 import copy
+import functools
 import random
 import struct
 from collections import Counter
 
 import pytest
-from conftest import FAST, coins_owned, key_of, mined_node, payment, store_state
+from conftest import (
+    FAST,
+    byte_edit,
+    coins_owned,
+    key_of,
+    mined_node,
+    payment,
+    split_chain,
+    store_state,
+)
+from hypothesis import given, settings, strategies as st
 
 from dietchain import headers, rules
-from dietchain.chain import COIN_SIZE, KIND_PAYMENT, ChainParams, TxOutput, encode_block
+from dietchain.chain import (
+    COIN_SIZE,
+    KIND_PAYMENT,
+    ChainParams,
+    TxOutput,
+    decode_block,
+    encode_block,
+)
 from dietchain.crypto import BloomFilter, hash256
 from dietchain.errors import DecodeError, ScenarioError
 from dietchain.full_node import FullNode, UtxosResponse
@@ -164,6 +182,64 @@ def test_an_announce_that_is_not_one_block_is_a_peer_fault(garble):
     bus.post("a", "b", MSG_BLOCK_ANNOUNCE, encode_block(block))
     bus.run_until_idle()
     assert bus.trace[-1]["status"] == "accepted"
+
+
+@functools.lru_cache(maxsize=None)
+def _split_blocks() -> tuple:
+    """The blocks of ``conftest.split_chain`` by height, and its params."""
+    node = split_chain()
+    return tuple(node.blocks[hh] for hh in node.headers.active_chain()), node.params
+
+
+@functools.lru_cache(maxsize=None)
+def _follower(height: int) -> FullNode:
+    """A full node that connected the split chain below ``height`` and
+    pools the payments of the block at ``height``; callers copy it."""
+    blocks, params = _split_blocks()
+    node = FullNode(params)
+    for block in blocks[:height]:
+        assert node.connect_block(block).accepted
+    for tx in blocks[height].transactions[1:]:
+        node.submit_transaction(tx)
+    assert node.mempool
+    return node
+
+
+def _node_state(node: FullNode) -> tuple:
+    return (store_state(node.utxo), node.headers.tip, dict(node.headers.headers),
+            node.headers.active_chain(), dict(node.blocks), list(node.mempool))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_a_mutated_announce_is_what_connecting_its_block_gives(data):
+    """One block of the split chain, its bytes mutated, announced to a
+    full node that holds its parent and pools its payments: nothing
+    raises. Bytes that are not one block are ``rejected`` /
+    ``peer-fault`` with no height and change nothing; bytes that are one
+    block give the status, reason, height and state that connecting
+    that block gives a copy of the node."""
+    blocks, _ = _split_blocks()
+    height = data.draw(st.integers(2, len(blocks) - 1))  # a block with payments
+    wire = byte_edit(encode_block(blocks[height]), data.draw)
+    follower = copy.deepcopy(_follower(height))
+    oracle = copy.deepcopy(follower)
+    before = _node_state(follower)
+    bus = Bus(seed=0)
+    bus.register("follower", FullNodeService(follower))
+    bus.post("peer", "follower", MSG_BLOCK_ANNOUNCE, wire)
+    bus.run_until_idle()
+    (connect,) = [(e["status"], e["reason"], e["height"])
+                  for e in bus.trace if e["kind"] == "connect"]
+    try:
+        block = decode_block(wire)
+    except DecodeError:
+        assert connect == ("rejected", "peer-fault", None)
+        assert _node_state(follower) == before
+        return
+    result = oracle.connect_block(block)
+    assert connect == (result.status, result.reason, result.height)
+    assert _node_state(follower) == _node_state(oracle)
 
 
 def test_hijack_reroutes_to_shadow():

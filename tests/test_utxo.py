@@ -381,20 +381,22 @@ _OUTPOINTS = st.tuples(_TXIDS, st.integers(0, 2))
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(k=st.integers(0, 3), cap=st.sampled_from([COIN_SIZE, 2 * COIN_SIZE, 5 * COIN_SIZE]),
        outpoints=st.sets(_OUTPOINTS, max_size=40), added=st.sets(_OUTPOINTS, max_size=4),
-       spent=st.sets(st.integers(0, 39), max_size=4), served=st.booleans())
+       spent=st.sets(st.integers(0, 39), max_size=4), lump=st.none() | st.integers(0, 255))
 def test_a_split_cuts_each_shard_as_rebucketing_every_coin_does(k, cap, outpoints, added,
-                                                                spent, served):
+                                                                spent, lump):
     """``ShardView.close`` splits each edited leaf over the cap into
     sorted runs and slices its coins and bytes; over leaves at depth
-    ``k``, some edited (coins added or spent), held as coin lists or as
-    served, it gives the leaves of putting every coin of an edited leaf
-    in its child by definition, leaves the others as they are, and
-    hashes each final leaf's own encoding once. Served bytes of an
-    edited leaf are its bytes before the edits, which must not be used."""
+    ``k``, some edited (coins added or spent), it gives the leaves of
+    putting every coin of an edited leaf in its child by definition,
+    leaves the others as they are, and hashes each final leaf's own
+    encoding once. ``lump`` gives every txid one first byte, so every
+    coin lands in one leaf, which splits down to where its coins part."""
+    if lump is not None:
+        outpoints, added = ({(bytes([lump]) + tid[1:], n) for tid, n in drawn}
+                            for drawn in (outpoints, added))
     coins = [Coin(OutPoint(tid, n), len(tid) + n, _h(tid)) for tid, n in sorted(outpoints)]
     shards = _complete(coins, k)
-    wire = {i: Shard.of_coins(c) for i, c in shards.items()} if served else None
-    view = ShardView({} if served else shards, [], 1, wire)
+    view = ShardView(shards, [], 1)
     for tid, n in added - outpoints:
         view.insert(Coin(OutPoint(tid, n), n, bytes(32)))
     gone = [coins[i].outpoint for i in spent if i < len(coins)]
@@ -421,40 +423,6 @@ def test_a_split_cuts_each_shard_as_rebucketing_every_coin_does(k, cap, outpoint
                                if j >> max(j.bit_length() - node.bit_length(), 0) == node)
     assert len(view.splits) == len(expected) - len(view.edited)
     assert view.splits == [(i, held(i), held(2 * i)) for i, *_ in view.splits]
-
-
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(k=st.integers(0, 3), outpoints=st.sets(_OUTPOINTS, max_size=40),
-       lump=st.none() | st.integers(0, 255))
-def test_a_byte_cut_is_a_coin_cut(k, outpoints, lump):
-    """A split view over served leaves cuts their bytes where a view
-    over the same coins, held as lists, cuts the coins: the same leaves,
-    from the same child bytes, and the same splits, and a served leaf
-    the body never reads is not decoded. ``lump`` gives every txid one
-    first byte, so every coin lands in one leaf, which splits down to
-    where its coins part."""
-    if lump is not None:
-        outpoints = {(bytes([lump]) + tid[1:], n) for tid, n in outpoints}
-    assume(outpoints)
-    coins = [Coin(OutPoint(tid, n), n, _h(tid)) for tid, n in sorted(outpoints)]
-    shards = _complete(coins, k)
-    served = {i: Shard.of_coins(c) for i, c in shards.items()}
-    extra = Coin(OutPoint(coins[0].outpoint.txid, 3), 1, bytes(32))  # edits the first leaf
-    results = []
-    for view in (ShardView(shards, [extra], 1), ShardView({}, [extra], 1, served)):
-        hashed = []
-
-        def recording_leaf(data: bytes) -> bytes:
-            hashed.append(data)
-            return _h(b"\x00" + data)
-
-        with mock.patch("dietchain.utxo.trie_leaf", recording_leaf):
-            leaves = view.close(COIN_SIZE)
-        results.append((leaves, view.splits, hashed))
-        assert hashed == [encode_shard_coins(view.leaves[i]) for i in leaves]
-    assert results[0] == results[1]
-    edited = 1 << k | shard_key(extra.outpoint.txid, k)
-    assert all((shard.decoded is None) == (i != edited) for i, shard in served.items())
 
 
 def test_a_view_of_one_leaf_splits_it_alone():
@@ -1043,9 +1011,7 @@ def _lookup_store() -> VersionedShardStore:
 
 
 def _held_coins(view: ShardView, idx: int):
-    if idx in view.edited:
-        return view.edited[idx]
-    return view.shards[idx] if idx in view.shards else view.served[idx].coins
+    return view.edited[idx] if idx in view.edited else view.shards[idx]
 
 
 def _checked_lookups(view: ShardView, misses: list) -> None:
@@ -1057,8 +1023,7 @@ def _checked_lookups(view: ShardView, misses: list) -> None:
 
     def checked(outpoint: OutPoint, edit: bool):
         on_path = [i for d in range(MAX_DEPTH + 1)
-                   if (i := 1 << d | shard_key(outpoint.txid, d)) in view.shards
-                   or i in view.served]
+                   if (i := 1 << d | shard_key(outpoint.txid, d)) in view.shards]
         assert len(on_path) <= 1  # the held leaves are prefix-free
         try:
             shard, i, found = locate(outpoint, edit)
@@ -1091,20 +1056,22 @@ def _txid_under(rng: random.Random, idx: int) -> bytes:
 def test_a_lookup_from_any_start_depth_finds_the_leaf_a_full_scan_finds(data, served, ops):
     """``get_coin``, ``insert`` and ``absorb`` in random order, each
     from a stale start depth, on a view of a store whose leaves split to
-    many depths or on a view of leaves ``state_before`` served: every
-    lookup finds the leaf and position a scan of every depth finds, and
-    a coin whose leaf is not held raises InconsistentStateError."""
+    many depths or on a view of the coins of leaves ``state_before``
+    served: every lookup finds the leaf and position a scan of every
+    depth finds, and a coin whose leaf is not held raises
+    InconsistentStateError."""
     store = _lookup_store()
     if served:
         height = data.draw(st.integers(max(store.floor, 0) + 1, store.height + 1))
         ids = data.draw(st.sets(st.sampled_from(sorted(leaves_before(store, height))),
                                 min_size=1, max_size=6))
-        view = ShardView({}, [], height, store.state_before(height, ids)[0])
+        proved = store.state_before(height, ids)[0]
+        view = ShardView({i: shard.coins for i, shard in proved.items()}, [], height)
     else:
         view = store.open(store.next_height)
     misses: list[OutPoint] = []
     _checked_lookups(view, misses)
-    held = sorted({*view.shards, *view.served})
+    held = sorted(view.shards)
     for op, start, seed in ops:
         rng = random.Random(seed)
         coins = [coin for idx in held for coin in _held_coins(view, idx)]
